@@ -3,8 +3,8 @@
 The extendability sweeps call perfect-matching existence tests millions of
 times on graphs with n <= 14, and the engine-oracle comparison runs a maximum
 matching DP over 10^4 random graphs.  Both kernels have a numba-compiled
-version and a pure-Python one; set ``O1PPG_PURE_PY=1`` to force the fallback
-(the benchmark in benchmarks/bench_kernels.py compares the two).
+version and a pure-Python one; set ``O1PPG_PURE_PY=1`` to force the fallback.
+``perfbench/`` times ``pm_exists`` as a layer (``--trace 1``).
 
 Adjacency is an int64 numpy array of neighbor masks.
 """

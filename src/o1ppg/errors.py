@@ -66,6 +66,11 @@ class NoHamPath(O1ppgError):
     """No Hamiltonian path between the requested endpoints was found."""
 
 
+class SearchBudgetExceeded(O1ppgError):
+    """An exponential search hit its budget before it settled the question;
+    the message names the budget."""
+
+
 class LinkNotCycle(O1ppgError):
     """Link walk of a vertex is not a cycle; signals a validation bug."""
 

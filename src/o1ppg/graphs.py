@@ -65,7 +65,7 @@ def vertex_connectivity_flow(n, adj, cap):
     """Vertex connectivity via max vertex-disjoint paths, truncated at cap.
 
     Splits every vertex into in/out nodes with unit capacity and runs BFS
-    augmentation per nonadjacent pair.
+    augmentation per nonadjacent pair, all pairs on one network.
     """
     if n <= 1:
         return 0
@@ -73,57 +73,58 @@ def vertex_connectivity_flow(n, adj, cap):
                     if not (adj[s] >> t) & 1]
     if not nonadj_pairs:
         return min(cap, n - 1)
-    best = cap
-    for s, t in nonadj_pairs:
-        best = min(best, _max_vertex_disjoint(n, adj, s, t, best))
-        if best == 0:
-            break
-    return best
-
-
-def _max_vertex_disjoint(n, adj, s, t, limit):
-    # node 2v = v_in, 2v+1 = v_out; arcs: v_in->v_out (cap 1, v != s,t),
-    # u_out->v_in per edge (cap 1 each direction)
-    nn = 2 * n
-    capacity = {}
-
-    def add(a, b, c):
-        capacity[(a, b)] = capacity.get((a, b), 0) + c
-        capacity.setdefault((b, a), 0)
-
+    # node 2v = v_in, 2v+1 = v_out; arc i runs to head[i], arc i ^ 1 is its
+    # reverse, and out[x] lists the arcs leaving node x.  Arc 2v is
+    # v_in -> v_out; every edge uv gives u_out -> v_in and v_out -> u_in.
+    head = []
+    out = [[] for _ in range(2 * n)]
     for v in range(n):
-        add(2 * v, 2 * v + 1, 1 if v not in (s, t) else limit + n)
+        out[2 * v].append(2 * v)
+        out[2 * v + 1].append(2 * v + 1)
+        head += (2 * v + 1, 2 * v)
     for u in range(n):
         m = adj[u]
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            add(2 * u + 1, 2 * v, 1)
-    out = [[] for _ in range(nn)]
-    for (a, b) in capacity:
-        out[a].append(b)
+            out[2 * u + 1].append(len(head))
+            out[2 * v].append(len(head) + 1)
+            head += (2 * v, 2 * u + 1)
+    best = cap
+    for s, t in nonadj_pairs:
+        best = min(best, _max_vertex_disjoint(head, out, s, t, best))
+        if best == 0:
+            break
+    return best
+
+
+def _max_vertex_disjoint(head, out, s, t, limit):
+    # Every arc has capacity 1 and its reverse 0.  Paths run from s_out to
+    # t_in, so the split arcs of s and t never carry flow.
+    nn = len(out)
+    cap = [1, 0] * (len(head) // 2)
     src, dst = 2 * s + 1, 2 * t
     flow = 0
     while flow < limit:
-        prev = [-1] * nn
-        prev[src] = src
+        via = [-1] * nn   # arc that first reached each node
+        via[src] = nn
         queue = [src]
-        qi = 0
-        while qi < len(queue) and prev[dst] == -1:
-            x = queue[qi]
-            qi += 1
-            for y in out[x]:
-                if prev[y] == -1 and capacity[(x, y)] > 0:
-                    prev[y] = x
+        for x in queue:
+            for i in out[x]:
+                y = head[i]
+                if via[y] == -1 and cap[i]:
+                    via[y] = i
                     queue.append(y)
-        if prev[dst] == -1:
+            if via[dst] != -1:
+                break
+        if via[dst] == -1:
             break
         x = dst
         while x != src:
-            p = prev[x]
-            capacity[(p, x)] -= 1
-            capacity[(x, p)] += 1
-            x = p
+            i = via[x]
+            cap[i] -= 1
+            cap[i ^ 1] += 1
+            x = head[i ^ 1]
         flow += 1
     return flow
 

@@ -7,9 +7,17 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernels
-from .errors import NoBlockerFound, NoHamPath, OddOrder, TooSmall
+from .errors import (NoBlockerFound, NoHamPath, OddOrder,
+                     SearchBudgetExceeded, TooSmall)
 from .graphs import (adjacency_masks, is_connected_mask,
                      odd_even_components, vertex_connectivity_flow)
+
+#: Diagonal selections ``spanning_triangulation`` may try, the first
+#: included, before it raises SearchBudgetExceeded.
+TRIANGULATION_SELECTION_BUDGET = 1 << 12
+#: DFS nodes one ``hamiltonian_path`` search may visit before it raises
+#: SearchBudgetExceeded.
+HAMILTONIAN_PATH_NODE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -265,8 +273,14 @@ def spanning_triangulation(inst):
     Takes the lexicographically smaller diagonal per face and verifies
     4-connectivity; if that fails, searches diagonal selections
     exhaustively (a 4-connected selection exists by the theory this
-    library audits).
+    library audits), trying at most ``TRIANGULATION_SELECTION_BUDGET``.
+
+    The result depends only on the instance, so the first call stores it
+    on the instance and later calls return it; both parts are tuples,
+    since every caller shares them.
     """
+    if inst._spanning_triangulation is not None:
+        return inst._spanning_triangulation
     emb = inst.quad.embedding
     q_edges = [(u, v) for (u, v, _s) in emb.srs.edges]
     face_choices = []
@@ -275,29 +289,39 @@ def spanning_triangulation(inst):
         d1, d2 = tuple(sorted((a, c))), tuple(sorted((b, d)))
         face_choices.append(sorted((d1, d2)))
     n = inst.n
-
-    def build(selection):
-        edges = q_edges + [face_choices[fi][s]
-                           for fi, s in enumerate(selection)]
-        return adjacency_masks(n, edges), edges
-
-    selection = [0] * len(face_choices)
-    adj, edges = build(selection)
-    if vertex_connectivity_flow(n, adj, 4) >= 4:
-        return adj, edges
-    for bits in range(1, 1 << len(face_choices)):
-        selection = [(bits >> i) & 1 for i in range(len(face_choices))]
-        adj, edges = build(selection)
+    budget = TRIANGULATION_SELECTION_BUDGET
+    for bits in range(1 << len(face_choices)):
+        if bits == budget:
+            raise SearchBudgetExceeded(
+                "no 4-connected spanning triangulation among the first "
+                f"{budget} diagonal selections "
+                "(TRIANGULATION_SELECTION_BUDGET)")
+        edges = q_edges + [choice[(bits >> fi) & 1]
+                           for fi, choice in enumerate(face_choices)]
+        adj = adjacency_masks(n, edges)
         if vertex_connectivity_flow(n, adj, 4) >= 4:
-            return adj, edges
+            inst._spanning_triangulation = (tuple(adj), tuple(edges))
+            return inst._spanning_triangulation
     raise NoHamPath("no 4-connected spanning triangulation found")
 
 
 def hamiltonian_path(n, adj, s, t):
-    """A Hamiltonian s-t path by DFS with a connectivity prune, or None."""
+    """A Hamiltonian s-t path by DFS with a connectivity prune, or None.
+
+    Raises SearchBudgetExceeded once the DFS has visited more than
+    ``HAMILTONIAN_PATH_NODE_BUDGET`` nodes.
+    """
     full = (1 << n) - 1
+    budget = HAMILTONIAN_PATH_NODE_BUDGET
+    nodes = 0
 
     def dfs(v, visited, path):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(
+                f"Hamiltonian {s}-{t} path search visited more than "
+                f"{budget} DFS nodes (HAMILTONIAN_PATH_NODE_BUDGET)")
         if visited == full:
             return path if v == t else None
         # prune: the unvisited region plus t must stay reachable

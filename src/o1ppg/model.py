@@ -129,6 +129,8 @@ class O1PPGInstance:
         self.edges = edges
         self.adj = adjacency_masks(n, edges)
         self.adj_arr = _kernels.as_adj_array(self.adj)
+        # set by matching.spanning_triangulation on its first call
+        self._spanning_triangulation = None
         self._edge_ids = {}
         for i, (u, v) in enumerate(edges):
             self._edge_ids[(u, v)] = i

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .connectivity import (audit_cut_lemmas, enumerate_cuts,
                            vertex_connectivity)
-from .errors import EmptyCorpus, NoBlockerFound, NoHamPath
+from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
+                     SearchBudgetExceeded)
 from .graphs import enumerate_cycles
 from .matching import (Matching, find_blocker, is_extendable,
                        k_extendability, matching_via_hamiltonian_path,
@@ -217,7 +218,7 @@ class _InstanceAudit:
                 return
             try:
                 mh = matching_via_hamiltonian_path(inst, e)
-            except NoHamPath as exc:
+            except (NoHamPath, SearchBudgetExceeded) as exc:
                 self.emit("T1.3", "fail",
                           detail=f"hamiltonian-path construction: {exc}",
                           witness=_edges_str(inst, [e]))

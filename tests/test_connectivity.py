@@ -17,8 +17,27 @@ def test_flow_matches_bruteforce_random():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < 0.5]
         adj = adjacency_masks(n, edges)
-        assert vertex_connectivity_flow(n, adj, 6) == \
-            vertex_connectivity_bruteforce(n, adj, 6)
+        for cap in (4, 6, 8):
+            assert vertex_connectivity_flow(n, adj, cap) == \
+                vertex_connectivity_bruteforce(n, adj, cap)
+
+
+def test_flow_matches_bruteforce_dense():
+    # the audit asks for connectivity >= 4 (spanning triangulations) and
+    # up to 8 (instances); dense graphs reach those values
+    rng = random.Random(47)
+    at_least_4 = 0
+    for _ in range(150):
+        n = rng.randint(5, 11)
+        p = rng.choice((0.7, 0.85, 0.95))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+        adj = adjacency_masks(n, edges)
+        for cap in (4, 8):
+            got = vertex_connectivity_flow(n, adj, cap)
+            assert got == vertex_connectivity_bruteforce(n, adj, cap)
+        at_least_4 += got >= 4
+    assert at_least_4 >= 50
 
 
 def test_instance_connectivity_both_routes(instances10):

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from o1ppg import _kernels
-from o1ppg.errors import NoBlockerFound, OddOrder, TooSmall
+from o1ppg import _kernels, matching
+from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
+                          TooSmall)
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
 from o1ppg.matching import (Matching, find_blocker, hamiltonian_path,
                             is_extendable, is_extendable_bruteforce,
@@ -13,7 +14,9 @@ from o1ppg.matching import (Matching, find_blocker, hamiltonian_path,
                             matchings_of_size, maximum_matching,
                             maximum_matching_instance,
                             spanning_triangulation)
-from o1ppg.model import link
+from o1ppg.model import build_o1ppg, link, validate_quadrangulation
+from o1ppg.surface import EmbeddedGraph
+from o1ppg.verify import AuditConfig, audit_instance
 
 PETERSEN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6),
             (6, 8), (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
@@ -147,3 +150,69 @@ def test_hamiltonian_path_endpoints():
     adj = adjacency_masks(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert hamiltonian_path(4, adj, 0, 1) is not None
     assert hamiltonian_path(4, adj, 0, 2) is None
+
+
+def _fresh(inst):
+    """The same instance rebuilt, with nothing computed on it yet."""
+    q = validate_quadrangulation(EmbeddedGraph(inst.quad.embedding.srs))
+    return build_o1ppg(q, key=inst.key)
+
+
+def _count_flow_calls(monkeypatch):
+    """List that records every connectivity flow call made by matching."""
+    calls = []
+    flow = matching.vertex_connectivity_flow
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(matching, "vertex_connectivity_flow", counted)
+    return calls
+
+
+def test_t13_audit_builds_the_triangulation_once(inst10, monkeypatch):
+    calls = _count_flow_calls(monkeypatch)
+    spanning_triangulation(_fresh(inst10))
+    one_build = len(calls)
+    assert one_build >= 1
+    calls.clear()
+    built = {}
+    make = matching.matching_via_hamiltonian_path
+    monkeypatch.setattr("o1ppg.verify.matching_via_hamiltonian_path",
+                        lambda inst, e: built.setdefault(e, make(inst, e)))
+    audited = _fresh(inst10)
+    results = audit_instance(audited, AuditConfig(theorems=("T1.3",)))
+    assert [r.verdict for r in results] == ["pass"]
+    assert len(calls) == one_build
+    assert sorted(built) == list(range(inst10.edge_count))
+    for e, m in built.items():
+        assert m == make(_fresh(inst10), e)
+
+
+def test_spanning_triangulation_budget(inst9, monkeypatch):
+    # the lexicographic selection of inst9 is not 4-connected, so the
+    # fallback search runs; cut it short and it must say which budget ran out
+    calls = _count_flow_calls(monkeypatch)
+    spanning_triangulation(_fresh(inst9))
+    assert len(calls) > 2
+    monkeypatch.setattr(matching, "TRIANGULATION_SELECTION_BUDGET", 2)
+    with pytest.raises(SearchBudgetExceeded,
+                       match="TRIANGULATION_SELECTION_BUDGET"):
+        spanning_triangulation(_fresh(inst9))
+
+
+def test_hamiltonian_path_budget(inst10, monkeypatch):
+    # K_{4,4} has no Hamiltonian path between two vertices of one side;
+    # the DFS settles that within the default budget but not within 20
+    adj = adjacency_masks(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    assert hamiltonian_path(8, adj, 0, 1) is None
+    monkeypatch.setattr(matching, "HAMILTONIAN_PATH_NODE_BUDGET", 20)
+    with pytest.raises(SearchBudgetExceeded,
+                       match="HAMILTONIAN_PATH_NODE_BUDGET"):
+        hamiltonian_path(8, adj, 0, 1)
+    # the T1.3 audit reports the exceeded budget as a failure record
+    monkeypatch.setattr(matching, "HAMILTONIAN_PATH_NODE_BUDGET", 1)
+    [res] = audit_instance(_fresh(inst10), AuditConfig(theorems=("T1.3",)))
+    assert res.verdict == "fail"
+    assert "HAMILTONIAN_PATH_NODE_BUDGET" in res.detail

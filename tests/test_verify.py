@@ -37,6 +37,18 @@ def test_report_deterministic(instances10):
     assert a.rstrip().endswith("end")
 
 
+def test_report_same_for_any_worker_count(instances10):
+    config = AuditConfig()
+    counts = {}
+    for inst in instances10:
+        counts[inst.n] = counts.get(inst.n, 0) + 1
+    one = aggregate_report(run_campaign(instances10, config, workers=1),
+                           counts, config)
+    two = aggregate_report(run_campaign(instances10, config, workers=2),
+                           counts, config)
+    assert one == two
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpus):
         aggregate_report([], {}, AuditConfig())
