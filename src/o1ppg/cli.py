@@ -116,11 +116,23 @@ def _campaign_config(args):
                        seed=args.seed)
 
 
+def _workers():
+    raw = os.environ.get("O1PPG_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise SystemExit(
+            f"O1PPG_WORKERS must be a positive integer, not {raw!r}")
+    return workers
+
+
 def cmd_verify(args):
     t0 = time.time()
+    workers = _workers()
     instances = load_corpus_instances(args.corpus, max_n=args.max_n)
     config = _campaign_config(args)
-    workers = int(os.environ.get("O1PPG_WORKERS", "1"))
     results = run_campaign(instances, config, workers=workers)
     counts = {}
     for inst in instances:

@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .generator import canonical_key
-from .graphs import (component_masks, vertex_connectivity_bruteforce,
-                     vertex_connectivity_flow)
+from .graphs import component_masks, vertex_connectivity_flow
 from .structures import get_pattern
 from .surface import SignedRotationSystem, region_decompose
 
@@ -16,11 +15,6 @@ from .surface import SignedRotationSystem, region_decompose
 def vertex_connectivity(inst, cap=8):
     """Vertex connectivity of the full graph, truncated at ``cap``."""
     return vertex_connectivity_flow(inst.n, inst.adj, cap)
-
-
-def vertex_connectivity_oracle(inst, cap=8):
-    """Subset-enumeration oracle for the connectivity value."""
-    return vertex_connectivity_bruteforce(inst.n, inst.adj, cap)
 
 
 @dataclass

@@ -12,9 +12,6 @@ import hashlib
 from array import array
 from itertools import combinations, permutations
 
-import numpy as np
-
-from . import _kernels
 from .errors import TooLarge
 from .surface import EmbeddedGraph, SignedRotationSystem, trace_faces
 
@@ -182,30 +179,6 @@ def _start_darts(srs, vertices):
     return [d for v in vertices for d in srs.rotations[v]]
 
 
-def _min_encoding_fast(srs, darts):
-    """Numba-backed minimum encoding for a connected system."""
-    n, ne = srs.vertex_count, srs.edge_count
-    rot_flat = np.empty(2 * ne, np.int32)
-    rot_start = np.empty(n, np.int32)
-    rot_len = np.empty(n, np.int32)
-    pos_in_rot = np.empty(2 * ne, np.int32)
-    at = 0
-    for v in range(n):
-        rot_start[v] = at
-        rv = srs.rotations[v]
-        rot_len[v] = len(rv)
-        for i, d in enumerate(rv):
-            rot_flat[at] = d
-            pos_in_rot[d] = i
-            at += 1
-    dart_vertex = np.asarray(srs._dart_vertex, np.int32)
-    sign = np.asarray([s for (_u, _v, s) in srs.edges], np.int8)
-    enc = _kernels._min_encoding_jit(
-        n, ne, rot_flat, rot_start, rot_len, pos_in_rot, dart_vertex, sign,
-        np.asarray(darts, np.int32))
-    return tuple(int(t) for t in enc)
-
-
 def _prefix(srs):
     return f"v{srs.vertex_count}e{srs.edge_count}:"
 
@@ -222,21 +195,16 @@ def canonical_key(g) -> str:
     connected system starts from the darts of its least stable colour
     class; a system with loops or multi-edges, and each component of a
     disconnected system, takes the all-darts fallback, whose string is the
-    one ``canonical_key_oracle`` gives.
+    one ``o1ppg.oracles.canonical_key_oracle`` gives.
     """
     srs = g.srs if isinstance(g, EmbeddedGraph) else g
     n = srs.vertex_count
     prefix = _prefix(srs)
     if srs.edge_count == 0:
         return prefix + f"iso{n}"
-    comps = _vertex_components(srs)
-    if len(comps) == 1 and _kernels.HAS_NUMBA:
-        darts = _start_darts(srs, comps[0])
-        enc = _min_encoding_fast(srs, darts)
-        return prefix + ",".join(map(str, enc))
     isolated = 0
     parts = []
-    for comp in comps:
+    for comp in _vertex_components(srs):
         darts = _start_darts(srs, comp)
         if not darts:
             isolated += len(comp)
@@ -252,57 +220,6 @@ def _joined_key(prefix, parts, isolated):
     if isolated:
         body = f"iso{isolated}//" + body
     return prefix + body
-
-
-def _oracle_encoding(srs, start_dart, start_side):
-    """Unpacked BFS encoding from one start state, without early exit."""
-    dv = srs._dart_vertex
-    label = {dv[start_dart]: 0}
-    hand = {dv[start_dart]: start_side}
-    entry = {dv[start_dart]: start_dart}
-    order = [dv[start_dart]]
-    edge_label = {}
-    enc = []
-    for v in order:
-        rv = srs.rotations[v]
-        i0 = rv.index(entry[v])
-        for step in range(len(rv)):
-            d = rv[(i0 + step * hand[v]) % len(rv)]
-            e = d >> 1
-            edge_label.setdefault(e, len(edge_label))
-            w = dv[d ^ 1]
-            if w not in label:
-                label[w] = len(order)
-                hand[w] = hand[v] * srs.sign(e)
-                entry[w] = d ^ 1
-                order.append(w)
-            sb = 0 if srs.sign(e) * hand[v] * hand[w] > 0 else 1
-            enc += (edge_label[e], label[w], sb)
-        enc.append(_SEP)
-    return tuple(enc)
-
-
-def canonical_key_oracle(g) -> str:
-    """Brute-force reference for ``canonical_key``: every component's
-    minimum encoding over all of its darts and both sides, each encoded in
-    full.  Decides the same classes as ``canonical_key``; the strings agree
-    wherever ``canonical_key`` itself starts from every dart."""
-    srs = g.srs if isinstance(g, EmbeddedGraph) else g
-    n = srs.vertex_count
-    prefix = _prefix(srs)
-    if srs.edge_count == 0:
-        return prefix + f"iso{n}"
-    isolated = 0
-    parts = []
-    for comp in _vertex_components(srs):
-        darts = [d for v in comp for d in srs.rotations[v]]
-        if not darts:
-            isolated += len(comp)
-            continue
-        enc = min(_oracle_encoding(srs, d, side)
-                  for d in darts for side in (1, -1))
-        parts.append(",".join(map(str, enc)))
-    return _joined_key(prefix, parts, isolated)
 
 
 def _vertex_components(srs):
@@ -446,46 +363,6 @@ def _is_quadrangulation_p2(g: EmbeddedGraph):
             and all(f.length == 4 for f in g.faces))
 
 
-def _fast_quad_face_count(srs, expect):
-    """Count faces, aborting as soon as any walk exceeds length 4.
-
-    Returns the face count, or -1 if some face is longer than 4 or the count
-    differs from ``expect``.
-    """
-    ne = srs.edge_count
-    used = bytearray(4 * ne)
-    nxt = srs._rot_next
-    prv = srs._rot_prev
-    edges = srs.edges
-    count = 0
-    for start in range(4 * ne):
-        if used[start]:
-            continue
-        d0, s0 = start >> 1, 1 - 2 * (start & 1)
-        d, s = d0, s0
-        steps = 0
-        walk = []
-        while True:
-            used[2 * d + (0 if s > 0 else 1)] = 1
-            walk.append((d, s))
-            steps += 1
-            e = d >> 1
-            s = s * edges[e][2]
-            d2 = d ^ 1
-            d = nxt[d2] if s > 0 else prv[d2]
-            if d == d0 and s == s0:
-                break
-            if steps >= 4:
-                return -1
-        if steps != 4:
-            return -1
-        count += 1
-        for dd, ss in walk:
-            rs = -ss * edges[dd >> 1][2]
-            used[2 * (dd ^ 1) + (0 if rs > 0 else 1)] = 1
-    return count if count == expect else -1
-
-
 def vertex_split(g: EmbeddedGraph, v, i, j):
     """Split vertex ``v`` between rotation positions ``i`` and ``j``.
 
@@ -529,19 +406,6 @@ def vertex_split(g: EmbeddedGraph, v, i, j):
     pos = ry.index(dj ^ 1)
     ry.insert(pos + 1 if srs.sign(ej) > 0 else pos, 2 * e2 + 1)
     return SignedRotationSystem(n + 1, edges, rotations, check=False)
-
-
-def vertex_split_products(g: EmbeddedGraph, v, i, j):
-    """Valid simple-quadrangulation products of one vertex split."""
-    srs = vertex_split(g, v, i, j)
-    if _fast_quad_face_count(srs, g.face_count + 1) < 0:
-        return []
-    if not srs.is_simple():
-        return []
-    cand = EmbeddedGraph(srs)
-    if not _is_quadrangulation_p2(cand):
-        return []
-    return [cand]
 
 
 def _repeated_splits(srs):

@@ -6,8 +6,6 @@ neighbor masks indexed by vertex.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 
 def adjacency_masks(n, edges):
     adj = [0] * n
@@ -127,20 +125,6 @@ def _max_vertex_disjoint(head, out, s, t, limit):
             x = head[i ^ 1]
         flow += 1
     return flow
-
-
-def vertex_connectivity_bruteforce(n, adj, cap):
-    """Oracle: smallest disconnecting subset by exhaustive enumeration."""
-    full = (1 << n) - 1
-    for size in range(0, min(cap, n - 1)):
-        for subset in combinations(range(n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            rest = full & ~mask
-            if rest and len(component_masks(adj, rest)) > 1:
-                return size
-    return min(cap, n - 1)
 
 
 def enumerate_cycles(n, adj, max_len):

@@ -173,36 +173,7 @@ def is_extendable(inst, m: Matching) -> bool:
     alive = ((1 << inst.n) - 1)
     for v in covered:
         alive ^= 1 << v
-    return _kernels.pm_exists(inst.adj_arr, alive)
-
-
-def is_extendable_bruteforce(inst, m: Matching) -> bool:
-    """Independent oracle: exhaustive perfect-matching search on G - V(M)."""
-    covered = _check_matching(inst, m)
-    alive = [v for v in range(inst.n) if v not in covered]
-    if len(alive) % 2:
-        return False
-    pos = {v: i for i, v in enumerate(alive)}
-    adj = [0] * len(alive)
-    for (u, v) in inst.edges:
-        if u in pos and v in pos:
-            adj[pos[u]] |= 1 << pos[v]
-            adj[pos[v]] |= 1 << pos[u]
-
-    def rec(mask):
-        if not mask:
-            return True
-        low = mask & (-mask)
-        v = low.bit_length() - 1
-        m2 = adj[v] & mask
-        while m2:
-            w = m2 & (-m2)
-            m2 ^= w
-            if rec(mask ^ low ^ w):
-                return True
-        return False
-
-    return rec((1 << len(alive)) - 1)
+    return _kernels.pm_exists(inst.adj, alive)
 
 
 def matchings_of_size(inst, k):

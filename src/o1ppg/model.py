@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels
 from .errors import (
     Disconnected,
     FaceNot4,
@@ -128,7 +127,6 @@ class O1PPGInstance:
                 (fi, (eq + 2 * fi, eq + 2 * fi + 1)))
         self.edges = edges
         self.adj = adjacency_masks(n, edges)
-        self.adj_arr = _kernels.as_adj_array(self.adj)
         # set by matching.spanning_triangulation on its first call
         self._spanning_triangulation = None
         self._edge_ids = {}

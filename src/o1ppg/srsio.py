@@ -102,8 +102,3 @@ def dump(srs, path, header=None):
 def load(path):
     with open(path) as fh:
         return loads(fh.read())
-
-
-def load_with_comments(path):
-    with open(path) as fh:
-        return loads_with_comments(fh.read())

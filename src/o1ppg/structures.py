@@ -226,8 +226,8 @@ def find_odd_weighted_regions(inst, max_boundary_len):
 
     Enumerates closed walks of Q(G) up to rotation/reflection and keeps
     those bounding a 2-cell whose interior vertex count is odd.  The
-    face-merge enumeration in :func:`odd_regions_by_face_merge` is the
-    independent completeness oracle.  Accepts an instance or a bare
+    face-merge enumeration in :func:`o1ppg.oracles.odd_regions_by_face_merge`
+    is the independent completeness oracle.  Accepts an instance or a bare
     embedded quadrangulation.
     """
     emb = _host_embedding(inst)
@@ -257,56 +257,6 @@ def find_odd_weighted_regions(inst, max_boundary_len):
                     face_ids=region.face_ids,
                 )
     return [found[w] for w in sorted(found)]
-
-
-def odd_regions_by_face_merge(inst, max_boundary_len):
-    """Independent oracle: merge every connected face subset of Q(G) and
-    keep 2-cell regions with odd interiors and short boundaries."""
-    emb = _host_embedding(inst)
-    nf = emb.face_count
-    ef = emb.edge_faces()
-    face_adj = [set() for _ in range(nf)]
-    for e in range(emb.edge_count):
-        f1, f2 = ef[e]
-        if f1 != f2:
-            face_adj[f1].add(f2)
-            face_adj[f2].add(f1)
-    results = {}
-    for r in range(1, nf):       # the full face set leaves no boundary
-        for subset in combinations(range(nf), r):
-            sub = set(subset)
-            # connected?
-            stack = [subset[0]]
-            comp = {subset[0]}
-            while stack:
-                x = stack.pop()
-                for y in face_adj[x]:
-                    if y in sub and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            if comp != sub:
-                continue
-            boundary = [e for e in range(emb.edge_count)
-                        if (ef[e][0] in sub) != (ef[e][1] in sub)]
-            if not boundary or len(boundary) > max_boundary_len:
-                continue
-            dec = region_decompose(emb, set(boundary))
-            for region in dec.regions:
-                if set(region.face_ids) != sub or not region.is_two_cell:
-                    continue
-                bw = region.boundary_walks[0]
-                if bw.length > max_boundary_len:
-                    continue
-                if len(region.interior_vertices) % 2 == 1:
-                    walk = canonical_walk(bw.vertices)
-                    results[walk] = OddWeightedRegion(
-                        boundary_walk=walk,
-                        interior_vertex_count=len(region.interior_vertices),
-                        boundary_is_cycle=len(set(walk)) == len(walk),
-                        interior_vertices=region.interior_vertices,
-                        face_ids=region.face_ids,
-                    )
-    return [results[w] for w in sorted(results)]
 
 
 def barrier_cycles(inst, length):

@@ -472,49 +472,6 @@ def radial_corners(g: EmbeddedGraph):
     return out
 
 
-def representativity_bruteforce(g: EmbeddedGraph):
-    """Independent oracle: enumerate every cycle of the radial graph and keep
-    the shortest essential one.  Exponential; fixture scale only."""
-    if not g.is_p2():
-        raise NotProjectivePlane("representativity defined for P^2 hosts")
-    n = g.vertex_count
-    corners = radial_corners(g)
-    # multigraph on vertex nodes 0..n-1 and face nodes n..n+F-1
-    edges = [(v, n + fi, bit) for (v, fi, bit) in corners]
-    nodes = n + g.face_count
-    inc = [[] for _ in range(nodes)]
-    for ci, (a, b, bit) in enumerate(edges):
-        inc[a].append((b, ci, bit))
-        inc[b].append((a, ci, bit))
-    best = [None]
-
-    def dfs(start, x, visited, used_corners, length, parity):
-        if best[0] is not None and length >= best[0]:
-            return
-        for (y, ci, bit) in inc[x]:
-            if ci in used_corners:
-                continue
-            if y == start and length >= 1:
-                if parity ^ bit:
-                    total = length + 1
-                    if best[0] is None or total < best[0]:
-                        best[0] = total
-                continue
-            if y in visited or y < start:
-                continue
-            visited.add(y)
-            used_corners.add(ci)
-            dfs(start, y, visited, used_corners, length + 1, parity ^ bit)
-            used_corners.discard(ci)
-            visited.discard(y)
-
-    for start in range(nodes):
-        dfs(start, start, {start}, set(), 0, 0)
-    if best[0] is None:
-        raise NotProjectivePlane("no essential radial cycle found")
-    return best[0] // 2
-
-
 # -- region decomposition ----------------------------------------------------
 
 @dataclass

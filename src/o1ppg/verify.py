@@ -554,10 +554,12 @@ def _audit_worker(args):
 
 
 def run_campaign(instances, config: AuditConfig = None, workers=1):
-    """Audit many instances, optionally with process-level parallelism;
-    the merged result order is deterministic."""
+    """Audit many instances, optionally with process-level parallelism
+    (at most one worker per instance); the merged result order is
+    deterministic."""
     config = config or AuditConfig()
-    if workers <= 1 or len(instances) <= 1:
+    workers = min(workers, len(instances))
+    if workers <= 1:
         results = []
         for inst in instances:
             results.extend(audit_instance(inst, config))

@@ -12,9 +12,7 @@ import time
 
 import pytest
 
-from o1ppg import _kernels
 from o1ppg.connectivity import (enumerate_cuts, vertex_connectivity,
-                                vertex_connectivity_oracle,
                                 _contains_separating_trivial_4cycle)
 from o1ppg.errors import NoBlockerFound
 from o1ppg.fixtures import fix_k4
@@ -22,10 +20,11 @@ from o1ppg.generator import (exhaustive_small_search,
                              grow_quadrangulations, short_key)
 from o1ppg.graphs import adjacency_masks, enumerate_cycles
 from o1ppg.matching import (Matching, find_blocker, is_extendable,
-                            is_extendable_bruteforce, k_extendability,
-                            matching_via_hamiltonian_path, matchings_of_size,
-                            maximum_matching)
+                            k_extendability, matching_via_hamiltonian_path,
+                            matchings_of_size, maximum_matching)
 from o1ppg.model import build_o1ppg, validate_quadrangulation
+from o1ppg.oracles import (is_extendable_bruteforce, max_matching_size,
+                           vertex_connectivity_bruteforce)
 from o1ppg.structures import (CertificateContext, barrier_cycles,
                               diagnose_3matching, find_projective_bowties)
 from o1ppg.surface import EmbeddedGraph
@@ -294,12 +293,13 @@ def test_criterion_11_engine_oracles(instances):
             adj[u].append(v)
             adj[v].append(u)
         blossom = len(maximum_matching(adj))
-        masks = _kernels.as_adj_array(adjacency_masks(n, edges))
-        if blossom != _kernels.max_matching_size(masks, (1 << n) - 1):
+        masks = adjacency_masks(n, edges)
+        if blossom != max_matching_size(masks, (1 << n) - 1):
             mismatches += 1
     conn_mismatches = sum(
         1 for inst in instances
-        if vertex_connectivity(inst) != vertex_connectivity_oracle(inst))
+        if vertex_connectivity(inst)
+        != vertex_connectivity_bruteforce(inst.n, inst.adj, 8))
     odd_trivial = 0
     for inst in instances:
         srs = inst.quad.embedding.srs

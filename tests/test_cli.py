@@ -115,6 +115,13 @@ def test_verify_unknown_theorem(corpus_dir):
               "--theorems", "T9.9"])
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_verify_bad_worker_count(corpus_dir, monkeypatch, value):
+    monkeypatch.setenv("O1PPG_WORKERS", value)
+    with pytest.raises(SystemExit, match="O1PPG_WORKERS"):
+        main(["verify", "--corpus", str(corpus_dir)])
+
+
 def test_export_dot(corpus_dir, tmp_path, capsys):
     manifest = (corpus_dir / "manifest.tsv").read_text().splitlines()[1:]
     poly9 = next(r.split("\t") for r in manifest

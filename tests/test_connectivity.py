@@ -3,11 +3,10 @@
 import random
 
 from o1ppg.connectivity import (audit_cut_lemmas, enumerate_cuts,
-                                vertex_connectivity,
-                                vertex_connectivity_oracle)
+                                vertex_connectivity)
 from o1ppg.generator import canonical_key
-from o1ppg.graphs import (adjacency_masks, vertex_connectivity_bruteforce,
-                          vertex_connectivity_flow)
+from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
+from o1ppg.oracles import vertex_connectivity_bruteforce
 
 
 def test_flow_matches_bruteforce_random():
@@ -43,7 +42,7 @@ def test_flow_matches_bruteforce_dense():
 def test_instance_connectivity_both_routes(instances10):
     for inst in instances10:
         conn = vertex_connectivity(inst)
-        assert conn == vertex_connectivity_oracle(inst)
+        assert conn == vertex_connectivity_bruteforce(inst.n, inst.adj, 8)
         assert 4 <= conn <= 6
 
 

@@ -8,9 +8,10 @@ import pytest
 from o1ppg import srsio
 from o1ppg.errors import TooLarge
 from o1ppg.generator import (CanonicalForm, _repeated_splits, all_embeddings,
-                             canonical_key, canonical_key_oracle,
-                             exhaustive_small_search, grow_quadrangulations,
-                             short_key, vertex_split, vertex_split_products)
+                             canonical_key, exhaustive_small_search,
+                             grow_quadrangulations, short_key, vertex_split)
+from o1ppg.model import validate_quadrangulation
+from o1ppg.oracles import canonical_key_oracle
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -155,30 +156,16 @@ def test_repeated_splits_repeat_an_earlier_class(corpus10):
     assert skipped > 0
 
 
-def test_canonical_pure_python_matches_numba(min9, bowtie):
-    from o1ppg import _kernels
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba not active")
-    from o1ppg.generator import (_component_min_encoding, _start_darts,
-                                 _vertex_components)
-    for g in (min9, bowtie):
-        srs = g.srs
-        comp = _vertex_components(srs)[0]
-        darts = _start_darts(srs, comp)
-        _c, enc = _component_min_encoding(srs, darts)
-        pure = f"v{srs.vertex_count}e{srs.edge_count}:" + \
-            ",".join(map(str, enc))
-        assert pure == canonical_key(g)
-
-
 def test_vertex_split_preserves_quadrangulation(k4):
+    keys = set()
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        products = vertex_split_products(k4, 0, i, j)
-        for cand in products:
-            assert cand.vertex_count == 5
-            assert all(f.length == 4 for f in cand.faces)
-            assert cand.euler_char == 1 and not cand.orientable
-            assert cand.srs.is_simple()
+        cand = EmbeddedGraph(vertex_split(k4, 0, i, j))
+        # raises unless simple, on P^2 and with every face a 4-cycle
+        validate_quadrangulation(cand, require_polyhedral=False)
+        assert cand.vertex_count == 5
+        keys.add(canonical_key(cand))
+    # K4's quadrangulation has one class of 5-vertex splits
+    assert len(keys) == 1
 
 
 def test_grow_counts_small_levels(corpus10):

@@ -9,12 +9,12 @@ from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
                           TooSmall)
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
 from o1ppg.matching import (Matching, find_blocker, hamiltonian_path,
-                            is_extendable, is_extendable_bruteforce,
-                            k_extendability, matching_via_hamiltonian_path,
-                            matchings_of_size, maximum_matching,
-                            maximum_matching_instance,
+                            is_extendable, k_extendability,
+                            matching_via_hamiltonian_path, matchings_of_size,
+                            maximum_matching, maximum_matching_instance,
                             spanning_triangulation)
 from o1ppg.model import build_o1ppg, link, validate_quadrangulation
+from o1ppg.oracles import is_extendable_bruteforce, max_matching_size
 from o1ppg.surface import EmbeddedGraph
 from o1ppg.verify import AuditConfig, audit_instance
 
@@ -46,21 +46,25 @@ def test_blossom_agrees_with_dp_oracle():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if rng.random() < p]
         mm = maximum_matching(_adj_lists(n, edges))
-        masks = _kernels.as_adj_array(adjacency_masks(n, edges))
-        assert len(mm) == _kernels.max_matching_size(masks, (1 << n) - 1)
-
-
-def test_pm_exists_kernels_agree():
-    rng = random.Random(7)
-    for _ in range(500):
-        n = rng.randint(2, 10)
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < 0.4]
         masks = adjacency_masks(n, edges)
-        alive = (1 << n) - 1
-        jit = _kernels.pm_exists(_kernels.as_adj_array(masks), alive)
-        pure = _kernels._pm_exists_py(masks, alive)
-        assert jit == pure
+        assert len(mm) == max_matching_size(masks, (1 << n) - 1)
+
+
+def test_pm_exists_agrees_with_dp_oracle():
+    rng = random.Random(7)
+    cases = set()
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.2, 0.4, 0.7))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+        masks = adjacency_masks(n, edges)
+        for alive in (0, (1 << n) - 1, rng.getrandbits(n)):
+            want = 2 * max_matching_size(masks, alive) == alive.bit_count()
+            assert _kernels.pm_exists(masks, alive) == want
+            cases.add((alive.bit_count() % 2, want))
+    # odd masks, and even masks with and without a perfect matching, occur
+    assert cases == {(0, True), (0, False), (1, False)}
 
 
 def test_empty_matching_extendability_equals_pm(inst10):

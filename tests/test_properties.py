@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from o1ppg.generator import canonical_key, canonical_key_oracle
+from o1ppg.generator import canonical_key
+from o1ppg.oracles import canonical_key_oracle
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem, trace_faces
 
 

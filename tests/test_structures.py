@@ -6,12 +6,12 @@ import pytest
 from o1ppg.errors import NotFiveConnected, OddOrder
 from o1ppg.generator import canonical_key
 from o1ppg.matching import Matching, is_extendable, matchings_of_size
+from o1ppg.oracles import odd_regions_by_face_merge
 from o1ppg.structures import (CertificateContext, PATTERN_IDS,
                               build_patterns, canonical_walk,
                               diagnose_3matching, find_odd_weighted_regions,
                               find_projective_bowties, get_pattern,
-                              load_patterns, match_pattern,
-                              odd_regions_by_face_merge, patterns)
+                              load_patterns, match_pattern, patterns)
 
 
 def test_patterns_ship_and_rebuild_identically():

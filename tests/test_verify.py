@@ -49,6 +49,31 @@ def test_report_same_for_any_worker_count(instances10):
     assert one == two
 
 
+def test_worker_count_clamped_to_instances(instances10, monkeypatch):
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    config = AuditConfig(theorems=("DegreeFacts",))
+    results = run_campaign(instances10[:2], config, workers=10**6)
+    assert sizes == [2]
+    assert results == run_campaign(instances10[:2], config, workers=1)
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(EmptyCorpus):
         aggregate_report([], {}, AuditConfig())
@@ -90,8 +115,6 @@ def test_mutant_instance_fails_audit_with_witness(inst10):
     for (u, v) in inst10.edges[-2:]:
         bad.adj[u] &= ~(1 << v)
         bad.adj[v] &= ~(1 << u)
-    from o1ppg import _kernels
-    bad.adj_arr = _kernels.as_adj_array(bad.adj)
     bad.key = "mutant"
     results = audit_instance(bad, AuditConfig(theorems=("DegreeFacts",)))
     assert results[0].verdict == "fail"
