@@ -12,10 +12,9 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from o1ppg import srsio
-from o1ppg.generator import exhaustive_small_search, grow_quadrangulations
-from o1ppg.model import validate_quadrangulation
+from o1ppg.generator import (corpus_instances, exhaustive_small_search,
+                             grow_quadrangulations)
 from o1ppg.structures import build_patterns
-from o1ppg.surface import EmbeddedGraph
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src/o1ppg/fixtures"
 
@@ -38,18 +37,10 @@ def main():
                header="FIX-BOWTIE: two essential triangles sharing vertex 0;"
                       " two pinched hexagonal faces")
 
-    corpus = grow_quadrangulations([k4], n_max=9)
-    min9 = []
-    for key, srs in corpus[9]:
-        g = EmbeddedGraph(srs)
-        try:
-            validate_quadrangulation(g)
-        except Exception:
-            continue
-        min9.append((key, g))
+    min9 = corpus_instances(grow_quadrangulations([k4], n_max=9))
     assert len(min9) == 1, f"expected a unique 9-vertex polyhedral member, " \
                            f"got {len(min9)}"
-    srsio.dump(min9[0][1].srs, OUT / "FIX-MIN9.srs",
+    srsio.dump(min9[0].quad.embedding.srs, OUT / "FIX-MIN9.srs",
                header="FIX-MIN9: the minimum-order polyhedral quadrangulation"
                       " of the projective plane in the generated corpus")
 

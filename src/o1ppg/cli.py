@@ -18,7 +18,7 @@ from .generator import load_corpus_instances, short_key, write_corpus
 from .model import build_o1ppg, validate_quadrangulation
 from .surface import EmbeddedGraph, representativity
 from .verify import (THEOREM_IDS, AuditConfig, aggregate_report,
-                     audit_instance, run_campaign)
+                     audit_instance, result_line, run_campaign)
 
 
 def _load_instance(path, allow_small=False):
@@ -158,13 +158,7 @@ def cmd_replay(args):
     config = AuditConfig(theorems=(args.theorem,), seed=args.seed)
     results = audit_instance(matches[0], config)
     for r in results:
-        line = f"result instance={r.instance_key} theorem={r.theorem_id} " \
-               f"verdict={r.verdict}"
-        if r.detail:
-            line += f" detail={r.detail!r}"
-        if r.witness:
-            line += f" witness={r.witness!r}"
-        print(line)
+        print(result_line(r))
     return 2 if any(r.verdict == "fail" for r in results) else 0
 
 

@@ -9,10 +9,14 @@ harness treats theorem checks as property tests over this corpus.
 from __future__ import annotations
 
 import hashlib
+import pathlib
 from array import array
 from itertools import combinations, permutations
 
-from .errors import TooLarge
+from . import fixtures, srsio
+from .errors import NotSimpleResult, TooLarge
+from .graphs import vertex_connectivity_flow
+from .model import build_o1ppg, validate_quadrangulation
 from .surface import EmbeddedGraph, SignedRotationSystem, trace_faces
 
 _SEP = -1
@@ -113,13 +117,6 @@ def _unpack(n, packed):
     return tuple(out)
 
 
-def _component_min_encoding(srs, darts):
-    """Component size and minimum token stream over the given start darts
-    (both sides each)."""
-    packed = _min_packed_encoding(srs, darts)
-    return packed.count(_SEP), _unpack(srs.vertex_count, packed)
-
-
 def _stable_colours(rot, far):
     """Stable vertex colouring by colour refinement (1-WL).
 
@@ -209,7 +206,7 @@ def canonical_key(g) -> str:
         if not darts:
             isolated += len(comp)
             continue
-        _c, enc = _component_min_encoding(srs, darts)
+        enc = _unpack(n, _min_packed_encoding(srs, darts))
         parts.append(",".join(map(str, enc)))
     return _joined_key(prefix, parts, isolated)
 
@@ -244,23 +241,14 @@ def _vertex_components(srs):
     return comps
 
 
+def _digest(key):
+    """Filesystem-friendly digest of a canonical string."""
+    return hashlib.blake2b(key.encode(), digest_size=8).hexdigest()
+
+
 def short_key(g) -> str:
     """Filesystem-friendly digest of the canonical string."""
-    return hashlib.blake2b(canonical_key(g).encode(), digest_size=8).hexdigest()
-
-
-class CanonicalForm:
-    """Text key invariant under embedded isomorphism."""
-
-    def __init__(self, g):
-        self.canonical_string = canonical_key(g)
-
-    def __eq__(self, other):
-        return (isinstance(other, CanonicalForm)
-                and self.canonical_string == other.canonical_string)
-
-    def __hash__(self):
-        return hash(self.canonical_string)
+    return _digest(canonical_key(g))
 
 
 # -- exhaustive embedding search --------------------------------------------
@@ -363,7 +351,7 @@ def _is_quadrangulation_p2(g: EmbeddedGraph):
             and all(f.length == 4 for f in g.faces))
 
 
-def vertex_split(g: EmbeddedGraph, v, i, j):
+def vertex_split(srs: SignedRotationSystem, v, i, j):
     """Split vertex ``v`` between rotation positions ``i`` and ``j``.
 
     The neighbors at positions i and j stay attached to both halves; the arc
@@ -376,7 +364,6 @@ def vertex_split(g: EmbeddedGraph, v, i, j):
 
     Returns the raw SignedRotationSystem (not validated, not traced).
     """
-    srs = g.srs
     rot_v = srs.rotations[v]
     k = len(rot_v)
     di, dj = rot_v[i], rot_v[j]
@@ -477,7 +464,6 @@ def grow_quadrangulations(seeds, n_max):
         srs0 = frontier.pop()
         if srs0.vertex_count >= n_max:
             continue
-        g = _QuadView(srs0)
         repeated = _repeated_splits(srs0)
         for v in range(srs0.vertex_count):
             k = srs0.degree(v)
@@ -487,7 +473,7 @@ def grow_quadrangulations(seeds, n_max):
                 # A split of a simple connected system is simple (the two
                 # halves share no edge and split v's distinct neighbours)
                 # and connected (both halves keep x and y).
-                srs = vertex_split(g, v, i, j)
+                srs = vertex_split(srs0, v, i, j)
                 key = new_class(srs)
                 if key is None:
                     continue
@@ -499,54 +485,52 @@ def grow_quadrangulations(seeds, n_max):
     return {n: sorted(v, key=lambda kv: kv[0]) for n, v in sorted(by_n.items())}
 
 
-class _QuadView:
-    """Minimal stand-in for EmbeddedGraph in the split hot path (a
-    quadrangulation's face count is V - 1 on the projective plane)."""
-
-    __slots__ = ("srs",)
-
-    def __init__(self, srs):
-        self.srs = srs
-
-    @property
-    def face_count(self):
-        return self.srs.vertex_count - 1
-
-
 # -- corpus ------------------------------------------------------------------
 
 
 def default_seed():
-    from . import fixtures
     return fixtures.fix_k4()
+
+
+def _quad_and_instance(srs, digest):
+    """Validate a corpus member and build its instance ``q<n>-<digest>``.
+
+    Returns (quadrangulation, instance), the instance None when the member
+    is not polyhedral, has fewer than 9 vertices, or a diagonal would
+    duplicate an edge.  Any other validation error propagates: corpus
+    members are quadrangulations by construction.
+    """
+    q = validate_quadrangulation(EmbeddedGraph(srs), require_polyhedral=False)
+    n = q.vertex_count
+    if not q.polyhedral or n < 9:
+        return q, None
+    try:
+        return q, build_o1ppg(q, key=f"q{n}-{digest}")
+    except NotSimpleResult:
+        return q, None
+
+
+def corpus_instances(corpus, even_only=False):
+    """Instances of a grown corpus ``{n: [(key, srs)]}``: its polyhedral
+    members with n >= 9 (and n even when ``even_only``), named
+    ``q<n>-<digest of key>``, in the corpus's (n, canonical key) order."""
+    out = []
+    for n, members in corpus.items():
+        if n < 9 or (even_only and n % 2):
+            continue
+        for key, srs in members:
+            _q, inst = _quad_and_instance(srs, _digest(key))
+            if inst is not None:
+                out.append(inst)
+    return out
 
 
 def enumerate_o1ppg(n_max, even_only=False, seeds=None):
     """Instances over every polyhedral corpus quadrangulation with n >= 9
     (and n even when ``even_only``), ordered by (n, canonical key)."""
-    from .errors import NotSimpleResult
-    from .model import build_o1ppg, validate_quadrangulation
-    from .surface import EmbeddedGraph
-
     if seeds is None:
         seeds = [default_seed()]
-    corpus = grow_quadrangulations(seeds, n_max)
-    out = []
-    for n in sorted(corpus):
-        if n < 9 or (even_only and n % 2):
-            continue
-        for key, srs in corpus[n]:
-            g = EmbeddedGraph(srs)
-            try:
-                q = validate_quadrangulation(g)
-            except Exception:
-                continue
-            try:
-                inst = build_o1ppg(q, key=f"q{n}-{short_key(srs)}")
-            except NotSimpleResult:
-                continue
-            out.append(inst)
-    return out
+    return corpus_instances(grow_quadrangulations(seeds, n_max), even_only)
 
 
 def write_corpus(out_dir, n_max, seeds=None):
@@ -556,43 +540,23 @@ def write_corpus(out_dir, n_max, seeds=None):
     n, key, polyhedral, bipartite, connectivity (of the derived instance;
     "-" when not applicable).  Deterministic byte-for-byte.
     """
-    import pathlib
-
-    from . import srsio
-    from .errors import NotSimpleResult
-    from .graphs import vertex_connectivity_flow
-    from .model import build_o1ppg, validate_quadrangulation
-    from .surface import EmbeddedGraph
-
     if seeds is None:
         seeds = [default_seed()]
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = grow_quadrangulations(seeds, n_max)
     rows = []
-    for n in sorted(corpus):
+    for n, members in corpus.items():
         sub = out_dir / f"q{n}"
         sub.mkdir(exist_ok=True)
-        for key, srs in corpus[n]:
-            skey = short_key(srs)
-            srsio.dump(srs, sub / f"{skey}.srs")
-            g = EmbeddedGraph(srs)
-            bip = "1" if _srs_bipartite(srs) else "0"
-            poly = "0"
-            conn = "-"
-            try:
-                q = validate_quadrangulation(g)
-                poly = "1"
-            except Exception:
-                q = None
-            if q is not None and n >= 9:
-                try:
-                    inst = build_o1ppg(q)
-                    conn = str(vertex_connectivity_flow(
-                        inst.n, inst.adj, 8))
-                except NotSimpleResult:
-                    conn = "-"
-            rows.append((n, skey, poly, bip, conn))
+        for key, srs in members:
+            digest = _digest(key)
+            srsio.dump(srs, sub / f"{digest}.srs")
+            q, inst = _quad_and_instance(srs, digest)
+            conn = ("-" if inst is None else
+                    str(vertex_connectivity_flow(inst.n, inst.adj, 8)))
+            rows.append((n, digest, "1" if q.polyhedral else "0",
+                         "1" if q.bipartite else "0", conn))
     rows.sort()
     with open(out_dir / "manifest.tsv", "w", newline="\n") as fh:
         fh.write("n\tkey\tpolyhedral\tbipartite\tconnectivity\n")
@@ -601,38 +565,20 @@ def write_corpus(out_dir, n_max, seeds=None):
     return rows
 
 
-def _srs_bipartite(srs):
-    from .graphs import adjacency_masks, is_bipartite
-    return is_bipartite(srs.vertex_count,
-                        adjacency_masks(srs.vertex_count,
-                                        [(u, v) for (u, v, _s) in srs.edges]))
-
-
 def load_corpus_instances(corpus_dir, max_n=None):
     """Instances from a written corpus: polyhedral members with n >= 9."""
-    import pathlib
-
-    from . import srsio
-    from .errors import NotSimpleResult
-    from .model import build_o1ppg, validate_quadrangulation
-    from .surface import EmbeddedGraph
-
     corpus_dir = pathlib.Path(corpus_dir)
-    manifest = corpus_dir / "manifest.tsv"
     out = []
-    with open(manifest) as fh:
-        header = fh.readline()
+    with open(corpus_dir / "manifest.tsv") as fh:
+        fh.readline()
         for line in fh:
             n_s, key, poly, _bip, _conn = line.rstrip("\n").split("\t")
             n = int(n_s)
             if poly != "1" or n < 9 or (max_n is not None and n > max_n):
                 continue
             srs = srsio.load(corpus_dir / f"q{n}" / f"{key}.srs")
-            q = validate_quadrangulation(EmbeddedGraph(srs))
-            try:
-                inst = build_o1ppg(q, key=f"q{n}-{key}")
-            except NotSimpleResult:
-                continue
-            out.append(inst)
+            _q, inst = _quad_and_instance(srs, key)
+            if inst is not None:
+                out.append(inst)
     out.sort(key=lambda i: (i.n, i.key))
     return out

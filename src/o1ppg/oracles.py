@@ -16,6 +16,8 @@ module may import the production modules, but none of them imports it.
   (against ``surface.representativity``).
 - ``odd_regions_by_face_merge``: every connected face subset (against
   ``structures.find_odd_weighted_regions``).
+- ``is_essential_by_regions``: the region count of the cut along a cycle
+  (against ``surface.is_essential``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .generator import _SEP, _joined_key, _prefix, _vertex_components
 from .graphs import component_masks
 from .matching import Matching, _check_matching
 from .structures import OddWeightedRegion, _host_embedding, canonical_walk
-from .surface import EmbeddedGraph, radial_corners, region_decompose
+from .surface import (EmbeddedGraph, _cycle_edges, radial_corners,
+                      region_decompose)
 
 
 def _oracle_encoding(srs, start_dart, start_side):
@@ -240,3 +243,10 @@ def odd_regions_by_face_merge(inst, max_boundary_len):
                         face_ids=region.face_ids,
                     )
     return [results[w] for w in sorted(results)]
+
+
+def is_essential_by_regions(g: EmbeddedGraph, cycle):
+    """Cross-oracle: a cycle on P^2 is essential iff cutting along it leaves
+    a single region (one-sided), trivial iff it separates."""
+    edges = _cycle_edges(g.srs, cycle)
+    return region_decompose(g, edges).region_count == 1

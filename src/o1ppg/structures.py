@@ -200,24 +200,33 @@ def _closed_walks_upto(emb, max_len):
     return sorted(seen)
 
 
-def _walk_edges(inst_emb, walk):
-    srs = inst_emb.srs
-    lookup = {}
-    for e, (u, v, _s) in enumerate(srs.edges):
-        lookup[(u, v)] = e
-        lookup[(v, u)] = e
-    out = []
-    k = len(walk)
-    for i in range(k):
-        e = lookup.get((walk[i], walk[(i + 1) % k]))
-        if e is None:
-            return None
-        out.append(e)
-    return out
-
-
 def _host_embedding(host):
     return host.quad.embedding if hasattr(host, "quad") else host
+
+
+def _walk_regions(emb, max_len):
+    """(walk, region) for every closed walk of the embedding's graph up to
+    ``max_len`` that separates the surface, and every 2-cell region of the
+    cut whose boundary walk is the walk itself, in walk order."""
+    edge_of = {}
+    for e, (u, v, _s) in enumerate(emb.srs.edges):
+        edge_of[(u, v)] = e
+        edge_of[(v, u)] = e
+    for walk in _closed_walks_upto(emb, max_len):
+        k = len(walk)
+        edges = {edge_of[(walk[i], walk[(i + 1) % k])] for i in range(k)}
+        if len(edges) < len(set(walk)):
+            continue        # a tree: cutting along it never separates
+        dec = region_decompose(emb, edges)
+        if dec.region_count < 2:
+            # the walk does not separate the surface: its "2-cell side" is
+            # everything (e.g. both traversals of an essential triangle);
+            # such a disc has no outside and is not a bounded region
+            continue
+        for region in dec.regions:
+            if (region.is_two_cell and canonical_walk(
+                    region.boundary_walks[0].vertices) == walk):
+                yield walk, region
 
 
 def find_odd_weighted_regions(inst, max_boundary_len):
@@ -230,33 +239,18 @@ def find_odd_weighted_regions(inst, max_boundary_len):
     is the independent completeness oracle.  Accepts an instance or a bare
     embedded quadrangulation.
     """
-    emb = _host_embedding(inst)
     found = {}
-    for walk in _closed_walks_upto(emb, max_boundary_len):
-        edges = _walk_edges(emb, walk)
-        if edges is None:
-            continue
-        dec = region_decompose(emb, set(edges))
-        if dec.region_count < 2:
-            # the walk does not separate the surface: its "2-cell side" is
-            # everything (e.g. both traversals of an essential triangle);
-            # such a disc has no outside and is not a bounded region
-            continue
-        for region in dec.regions:
-            if not region.is_two_cell:
-                continue
-            bw = region.boundary_walks[0]
-            if canonical_walk(bw.vertices) != walk:
-                continue
-            if len(region.interior_vertices) % 2 == 1:
-                found[walk] = OddWeightedRegion(
-                    boundary_walk=walk,
-                    interior_vertex_count=len(region.interior_vertices),
-                    boundary_is_cycle=len(set(walk)) == len(walk),
-                    interior_vertices=region.interior_vertices,
-                    face_ids=region.face_ids,
-                )
-    return [found[w] for w in sorted(found)]
+    for walk, region in _walk_regions(_host_embedding(inst),
+                                      max_boundary_len):
+        if len(region.interior_vertices) % 2 == 1:
+            found[walk] = OddWeightedRegion(
+                boundary_walk=walk,
+                interior_vertex_count=len(region.interior_vertices),
+                boundary_is_cycle=len(set(walk)) == len(walk),
+                interior_vertices=region.interior_vertices,
+                face_ids=region.face_ids,
+            )
+    return list(found.values())
 
 
 def barrier_cycles(inst, length):
@@ -273,25 +267,11 @@ def two_cell_regions(inst, boundary_len):
     The 3-matching certificate needs the interior split by coverage, not
     just its total parity, so this keeps even-interior regions too.
     """
-    emb = _host_embedding(inst)
     found = {}
-    for walk in _closed_walks_upto(emb, boundary_len):
-        if len(walk) != boundary_len:
-            continue
-        edges = _walk_edges(emb, walk)
-        if edges is None:
-            continue
-        dec = region_decompose(emb, set(edges))
-        if dec.region_count < 2:
-            continue
-        for region in dec.regions:
-            if not region.is_two_cell:
-                continue
-            bw = region.boundary_walks[0]
-            if canonical_walk(bw.vertices) != walk:
-                continue
+    for walk, region in _walk_regions(_host_embedding(inst), boundary_len):
+        if len(walk) == boundary_len:
             found[walk] = region.interior_vertices
-    return sorted(found.items())
+    return list(found.items())
 
 
 # -- projective-bowties -------------------------------------------------------

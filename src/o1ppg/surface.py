@@ -628,9 +628,3 @@ def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
         ))
     return dec
 
-
-def is_essential_by_regions(g: EmbeddedGraph, cycle):
-    """Cross-oracle: a cycle on P^2 is essential iff cutting along it leaves
-    a single region (one-sided), trivial iff it separates."""
-    edges = _cycle_edges(g.srs, cycle)
-    return region_decompose(g, edges).region_count == 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .connectivity import (audit_cut_lemmas, enumerate_cuts,
                            vertex_connectivity)
@@ -505,6 +506,17 @@ def audit_instance(inst, config: AuditConfig = None):
     return audit.run(config.theorems)
 
 
+def result_line(r: TheoremCheckResult) -> str:
+    """The report's record of one result."""
+    rec = (f"result instance={r.instance_key} theorem={r.theorem_id} "
+           f"verdict={r.verdict}")
+    if r.detail:
+        rec += f" detail={r.detail!r}"
+    if r.witness:
+        rec += f" witness={r.witness!r}"
+    return rec
+
+
 def aggregate_report(all_results, corpus_counts, config: AuditConfig) -> str:
     """Deterministic text report: one record per result plus a summary."""
     if not all_results:
@@ -518,14 +530,7 @@ def aggregate_report(all_results, corpus_counts, config: AuditConfig) -> str:
     flat = sorted(all_results,
                   key=lambda r: (r.instance_key,
                                  THEOREM_IDS.index(r.theorem_id)))
-    for r in flat:
-        rec = (f"result instance={r.instance_key} theorem={r.theorem_id} "
-               f"verdict={r.verdict}")
-        if r.detail:
-            rec += f" detail={r.detail!r}"
-        if r.witness:
-            rec += f" witness={r.witness!r}"
-        lines.append(rec)
+    lines.extend(map(result_line, flat))
     for tid in THEOREM_IDS:
         if tid not in config.theorems:
             continue
@@ -542,17 +547,6 @@ def aggregate_report(all_results, corpus_counts, config: AuditConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _audit_worker(args):
-    key, srs_text, config = args
-    from . import srsio
-    from .model import build_o1ppg, validate_quadrangulation
-    from .surface import EmbeddedGraph
-    srs = srsio.loads(srs_text)
-    q = validate_quadrangulation(EmbeddedGraph(srs))
-    inst = build_o1ppg(q, key=key)
-    return audit_instance(inst, config)
-
-
 def run_campaign(instances, config: AuditConfig = None, workers=1):
     """Audit many instances, optionally with process-level parallelism
     (at most one worker per instance); the merged result order is
@@ -566,11 +560,9 @@ def run_campaign(instances, config: AuditConfig = None, workers=1):
     else:
         import multiprocessing as mp
 
-        from . import srsio
-        payload = [(inst.key, srsio.dumps(inst.quad.embedding.srs), config)
-                   for inst in instances]
         with mp.Pool(workers) as pool:
-            chunks = pool.map(_audit_worker, payload)
+            chunks = pool.map(partial(audit_instance, config=config),
+                              instances)
         results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.instance_key,
                                 THEOREM_IDS.index(r.theorem_id)))

@@ -1,9 +1,7 @@
 import pytest
 
 from o1ppg.fixtures import fix_bowtie, fix_k4, fix_min9
-from o1ppg.generator import grow_quadrangulations
-from o1ppg.model import build_o1ppg, validate_quadrangulation
-from o1ppg.surface import EmbeddedGraph
+from o1ppg.generator import corpus_instances, grow_quadrangulations
 
 
 @pytest.fixture(scope="session")
@@ -30,19 +28,7 @@ def corpus10(k4):
 @pytest.fixture(scope="session")
 def instances10(corpus10):
     """All instances (polyhedral, n >= 9) in the n <= 10 corpus."""
-    from o1ppg.generator import short_key
-    out = []
-    for n, items in corpus10.items():
-        if n < 9:
-            continue
-        for key, srs in items:
-            g = EmbeddedGraph(srs)
-            try:
-                q = validate_quadrangulation(g)
-            except Exception:
-                continue
-            out.append(build_o1ppg(q, key=f"q{n}-{short_key(srs)}"))
-    return out
+    return corpus_instances(corpus10)
 
 
 @pytest.fixture(scope="session")

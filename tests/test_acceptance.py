@@ -16,18 +16,16 @@ from o1ppg.connectivity import (enumerate_cuts, vertex_connectivity,
                                 _contains_separating_trivial_4cycle)
 from o1ppg.errors import NoBlockerFound
 from o1ppg.fixtures import fix_k4
-from o1ppg.generator import (exhaustive_small_search,
-                             grow_quadrangulations, short_key)
+from o1ppg.generator import (corpus_instances, exhaustive_small_search,
+                             grow_quadrangulations)
 from o1ppg.graphs import adjacency_masks, enumerate_cycles
 from o1ppg.matching import (Matching, find_blocker, is_extendable,
                             k_extendability, matching_via_hamiltonian_path,
                             matchings_of_size, maximum_matching)
-from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (is_extendable_bruteforce, max_matching_size,
                            vertex_connectivity_bruteforce)
 from o1ppg.structures import (CertificateContext, barrier_cycles,
                               diagnose_3matching, find_projective_bowties)
-from o1ppg.surface import EmbeddedGraph
 from o1ppg.verify import AuditConfig, aggregate_report, run_campaign
 
 ACCEPT_N = 12
@@ -59,19 +57,7 @@ def full_corpus():
 @pytest.fixture(scope="module")
 def instances(full_corpus):
     corpus, _elapsed = full_corpus
-    out = []
-    for n, items in corpus.items():
-        if n < 9:
-            continue
-        for key, srs in items:
-            g = EmbeddedGraph(srs)
-            try:
-                q = validate_quadrangulation(g)
-            except Exception:
-                continue
-            out.append(build_o1ppg(q, key=f"q{n}-{short_key(srs)}"))
-    out.sort(key=lambda i: (i.n, i.key))
-    return out
+    return corpus_instances(corpus)
 
 
 @pytest.fixture(scope="module")

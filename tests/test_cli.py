@@ -98,6 +98,11 @@ def test_verify_and_replay(corpus_dir, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "theorem=T3.4" in out and "verdict=pass" in out
+    # the replayed record is the report's record, byte for byte
+    reported = [line for line in text.splitlines()
+                if line.startswith(f"result instance={inst_key} "
+                                   "theorem=T3.4 ")]
+    assert out.splitlines() == reported
 
 
 def test_verify_theorem_subset(corpus_dir, capsys):

@@ -1,15 +1,18 @@
 """Canonical forms, exhaustive searches, growth moves, corpus round trips."""
 
+import importlib.util
+import pathlib
 import random
 from itertools import combinations
 
 import pytest
 
-from o1ppg import srsio
-from o1ppg.errors import TooLarge
-from o1ppg.generator import (CanonicalForm, _repeated_splits, all_embeddings,
-                             canonical_key, exhaustive_small_search,
-                             grow_quadrangulations, short_key, vertex_split)
+from o1ppg import generator, srsio
+from o1ppg.errors import MalformedRotation, TooLarge
+from o1ppg.generator import (_repeated_splits, all_embeddings, canonical_key,
+                             enumerate_o1ppg, exhaustive_small_search,
+                             grow_quadrangulations, load_corpus_instances,
+                             short_key, vertex_split, write_corpus)
 from o1ppg.model import validate_quadrangulation
 from o1ppg.oracles import canonical_key_oracle
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
@@ -81,7 +84,6 @@ def test_canonical_form_round_trips(k4, bowtie, min9):
                 if rng.random() < 0.5:
                     work = _vertex_flip(work, v)
             assert canonical_key(work) == base
-        assert CanonicalForm(g) == CanonicalForm(g)
 
 
 def test_canonical_separates_nonisomorphic_pairs(corpus10):
@@ -121,10 +123,9 @@ def test_canonical_key_matches_oracle_on_split_products(corpus10):
     fast, oracle = [], []
     for n in range(4, 9):
         for _key, srs in corpus10[n]:
-            g = EmbeddedGraph(srs)
             for v in range(n):
                 for i, j in combinations(range(srs.degree(v)), 2):
-                    product = vertex_split(g, v, i, j)
+                    product = vertex_split(srs, v, i, j)
                     fast.append(canonical_key(product))
                     oracle.append(canonical_key_oracle(product))
     classes = len(set(oracle))
@@ -142,12 +143,11 @@ def test_repeated_splits_repeat_an_earlier_class(corpus10):
     skipped = 0
     for n in range(4, 9):
         for _key, srs in corpus10[n]:
-            g = EmbeddedGraph(srs)
             repeated = _repeated_splits(srs)
             tried = set()
             for v in range(n):
                 for i, j in combinations(range(srs.degree(v)), 2):
-                    key = canonical_key(vertex_split(g, v, i, j))
+                    key = canonical_key(vertex_split(srs, v, i, j))
                     if (v, i, j) in repeated:
                         assert key in tried
                         skipped += 1
@@ -159,7 +159,7 @@ def test_repeated_splits_repeat_an_earlier_class(corpus10):
 def test_vertex_split_preserves_quadrangulation(k4):
     keys = set()
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        cand = EmbeddedGraph(vertex_split(k4, 0, i, j))
+        cand = EmbeddedGraph(vertex_split(k4.srs, 0, i, j))
         # raises unless simple, on P^2 and with every face a 4-cycle
         validate_quadrangulation(cand, require_polyhedral=False)
         assert cand.vertex_count == 5
@@ -198,7 +198,6 @@ def test_grow_deterministic(k4):
 
 
 def test_write_and_load_corpus(tmp_path, k4):
-    from o1ppg.generator import load_corpus_instances, write_corpus
     rows = write_corpus(tmp_path / "c", 9)
     assert [r for r in rows if r[0] == 9 and r[2] == "1"]
     instances = load_corpus_instances(tmp_path / "c")
@@ -211,8 +210,50 @@ def test_write_and_load_corpus(tmp_path, k4):
     assert short_key(srs) == key
 
 
+def test_manifest_matches_validation(tmp_path):
+    # every row's file reloads to its name, and the polyhedral and bipartite
+    # columns are what validation says
+    rows = write_corpus(tmp_path / "c", 9)
+    assert len(rows) == 1 + 1 + 4 + 14 + 58 + 268
+    for n, name, poly, bip, _conn in rows:
+        srs = srsio.load(tmp_path / "c" / f"q{n}" / f"{name}.srs")
+        assert short_key(srs) == name
+        q = validate_quadrangulation(EmbeddedGraph(srs),
+                                     require_polyhedral=False)
+        assert (poly, bip) == (str(int(q.polyhedral)), str(int(q.bipartite)))
+    assert {poly for _n, _k, poly, _b, _c in rows} == {"0", "1"}
+
+
+def test_validation_errors_propagate(tmp_path, monkeypatch):
+    # only non-polyhedral members are skipped; any other validation error
+    # is a bug and must surface
+    def broken(*args, **kwargs):
+        raise MalformedRotation("validation bug")
+
+    monkeypatch.setattr(generator, "validate_quadrangulation", broken)
+    with pytest.raises(MalformedRotation):
+        write_corpus(tmp_path / "c", 9)
+    with pytest.raises(MalformedRotation):
+        enumerate_o1ppg(9)
+
+
+def test_make_fixtures_reproduces_committed(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", root / "scripts" / "make_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT = tmp_path
+    script.main()
+    committed = root / "src" / "o1ppg" / "fixtures"
+    names = sorted(p.name for p in committed.iterdir() if p.is_file())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == \
+            (committed / name).read_bytes(), name
+
+
 def test_enumerate_o1ppg_contract():
-    from o1ppg.generator import enumerate_o1ppg
     assert enumerate_o1ppg(8) == []
     insts = enumerate_o1ppg(10, even_only=True)
     assert [i.n for i in insts] == [10]

@@ -151,7 +151,8 @@ def test_bowtie_in_nonbipartite_host_only(instances10):
 def test_essentiality_routes_agree_on_hosts(instances10):
     # sign product -1 iff cutting along the cycle leaves one region
     from o1ppg.graphs import adjacency_masks, enumerate_cycles
-    from o1ppg.surface import is_essential, is_essential_by_regions
+    from o1ppg.oracles import is_essential_by_regions
+    from o1ppg.surface import is_essential
     for inst in instances10:
         emb = inst.quad.embedding
         qadj = adjacency_masks(

@@ -8,11 +8,11 @@ import pytest
 from o1ppg import srsio
 from o1ppg.errors import (Disconnected, EmptySubgraph, MalformedRotation,
                           NotACycle, NotProjectivePlane)
-from o1ppg.oracles import representativity_bruteforce
+from o1ppg.oracles import is_essential_by_regions, representativity_bruteforce
 from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem, cycle_sign,
                            double_cover, euler_and_orientability,
-                           is_essential, is_essential_by_regions,
-                           region_decompose, representativity, trace_faces)
+                           is_essential, region_decompose, representativity,
+                           trace_faces)
 
 
 def test_loop_on_projective_plane():
