@@ -1,21 +1,30 @@
 """Bitmask perfect-matching kernel.
 
-The extendability sweeps call the perfect-matching existence test millions
-of times on graphs with n <= 14.  ``perfbench/`` times ``pm_exists`` as a
-layer (``--trace 1``); ``o1ppg.oracles.max_matching_size`` is its oracle.
+The extendability sweeps call the perfect-matching existence test tens of
+thousands of times per instance on graphs with n <= 14.  ``perfbench/``
+times ``pm_exists`` as a layer (``--trace 1``);
+``o1ppg.oracles.max_matching_size`` is its oracle.
 
-Adjacency is a list of neighbor masks indexed by vertex.
+Adjacency is a list of neighbor masks indexed by vertex.  The answer for a
+mask depends only on ``adj``, so a caller that tests many masks of one
+graph passes one memo to every call: ``O1PPGInstance._pm_memo`` is that
+memo for the instance graph, and every extendability check of the audit
+(T1.3, T1.4, C1.5, T1.6, NoThreeExt, L4.2) shares it.  A memo maps
+even-sized alive masks to their answer and starts as ``{0: True}``; it
+never holds more than 2^n entries.
 """
 
 from __future__ import annotations
 
 
-def pm_exists(adj, alive):
+def pm_exists(adj, alive, memo=None):
     """Does the subgraph induced on the ``alive`` mask have a perfect
-    matching?"""
+    matching?  ``memo`` (default: a fresh one) must only ever have been
+    used with this ``adj``."""
     if alive.bit_count() & 1:
         return False
-    memo = {0: True}
+    if memo is None:
+        memo = {0: True}
 
     def rec(mask):
         hit = memo.get(mask)

@@ -173,23 +173,32 @@ def is_extendable(inst, m: Matching) -> bool:
     alive = ((1 << inst.n) - 1)
     for v in covered:
         alive ^= 1 << v
-    return _kernels.pm_exists(inst.adj, alive)
+    return _kernels.pm_exists(inst.adj, alive, inst._pm_memo)
+
+
+def matching_masks(inst, k):
+    """(edge-id tuple, covered-vertex mask) of every k-matching, in
+    lexicographic order on the sorted edge-id tuples."""
+    bits = [(1 << u) | (1 << v) for (u, v) in inst.edges]
+    last = len(bits) - k
+
+    def extend(start, used, combo):
+        depth = len(combo)
+        if depth == k:
+            yield combo, used
+            return
+        for e in range(start, last + depth + 1):
+            b = bits[e]
+            if not used & b:
+                yield from extend(e + 1, used | b, combo + (e,))
+
+    return extend(0, 0, ())
 
 
 def matchings_of_size(inst, k):
     """All k-matchings in lexicographic order on sorted edge-id tuples."""
-    for combo in combinations(range(inst.edge_count), k):
-        used = 0
-        ok = True
-        for e in combo:
-            u, v = inst.edges[e]
-            bits = (1 << u) | (1 << v)
-            if used & bits:
-                ok = False
-                break
-            used |= bits
-        if ok:
-            yield Matching(frozenset(combo))
+    for combo, _mask in matching_masks(inst, k):
+        yield Matching(frozenset(combo))
 
 
 def k_extendability(inst, k):
@@ -198,9 +207,10 @@ def k_extendability(inst, k):
         raise OddOrder("extendability needs an even order")
     if inst.n < 2 * k + 2:
         raise TooSmall(f"k-extendability needs n >= {2 * k + 2}")
-    for m in matchings_of_size(inst, k):
-        if not is_extendable(inst, m):
-            return False, m
+    full = (1 << inst.n) - 1
+    for combo, vm in matching_masks(inst, k):
+        if not _kernels.pm_exists(inst.adj, full ^ vm, inst._pm_memo):
+            return False, Matching(frozenset(combo))
     return True, None
 
 

@@ -129,6 +129,9 @@ class O1PPGInstance:
         self.adj = adjacency_masks(n, edges)
         # set by matching.spanning_triangulation on its first call
         self._spanning_triangulation = None
+        # alive mask -> perfect matching on it?  Shared by every
+        # _kernels.pm_exists call on ``adj`` (matching.is_extendable)
+        self._pm_memo = {0: True}
         self._edge_ids = {}
         for i, (u, v) in enumerate(edges):
             self._edge_ids[(u, v)] = i

@@ -18,6 +18,8 @@ module may import the production modules, but none of them imports it.
   ``structures.find_odd_weighted_regions``).
 - ``is_essential_by_regions``: the region count of the cut along a cycle
   (against ``surface.is_essential``).
+- ``certificate_by_sets``: the Theorem-1.6 certificate scan on vertex
+  sets (against ``structures.certificate_of_mask``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .errors import NotProjectivePlane
 from .generator import _SEP, _joined_key, _prefix, _vertex_components
 from .graphs import component_masks
 from .matching import Matching, _check_matching
-from .structures import OddWeightedRegion, _host_embedding, canonical_walk
+from .structures import (OddWeightedRegion, _host_embedding,
+                         canonical_walk, get_pattern)
 from .surface import (EmbeddedGraph, _cycle_edges, radial_corners,
                       region_decompose)
 
@@ -250,3 +253,19 @@ def is_essential_by_regions(g: EmbeddedGraph, cycle):
     a single region (one-sided), trivial iff it separates."""
     edges = _cycle_edges(g.srs, cycle)
     return region_decompose(g, edges).region_count == 1
+
+
+def certificate_by_sets(ctx, vm):
+    """Set-based reference for ``structures.certificate_of_mask``: scan
+    the length-6 regions of the context, then the pattern maps in
+    "abcdefg" order, for the first certificate that fires on the vertex
+    set ``vm`` of a 3-matching."""
+    for walk, interior in ctx.regions6:
+        if set(walk) <= vm and len(interior - vm) % 2 == 1:
+            return ("cert_i", walk)
+    for cid in "abcdefg":
+        gray = get_pattern(cid).gray
+        for phi in ctx.config_maps[cid]:
+            if frozenset(phi[v] for v in gray) <= vm:
+                return ("cert_ii", (cid, phi))
+    return None

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from . import _kernels
 from .errors import NotFiveConnected, OddOrder
 from .generator import exhaustive_small_search
-from .matching import Matching, is_extendable
+from .matching import Matching, _check_matching
 from .surface import EmbeddedGraph, SignedRotationSystem, region_decompose
 
 
@@ -176,8 +177,9 @@ class OddWeightedRegion:
     face_ids: tuple
 
 
-def _closed_walks_upto(emb, max_len):
-    """All closed walks of the embedding's graph up to rotation/reflection."""
+def _closed_walks_upto(emb, max_len, min_len=2):
+    """All closed walks of the embedding's graph with ``min_len`` to
+    ``max_len`` vertices, up to rotation/reflection."""
     srs = emb.srs
     n = srs.vertex_count
     adj = [[] for _ in range(n)]
@@ -190,7 +192,7 @@ def _closed_walks_upto(emb, max_len):
 
     def dfs(start, v, walk):
         for w in adj[v]:
-            if w == start and len(walk) >= 2:
+            if w == start and len(walk) >= min_len:
                 seen.add(canonical_walk(walk))
             if len(walk) < max_len and w >= start:
                 dfs(start, w, walk + [w])
@@ -204,15 +206,16 @@ def _host_embedding(host):
     return host.quad.embedding if hasattr(host, "quad") else host
 
 
-def _walk_regions(emb, max_len):
-    """(walk, region) for every closed walk of the embedding's graph up to
-    ``max_len`` that separates the surface, and every 2-cell region of the
-    cut whose boundary walk is the walk itself, in walk order."""
+def _walk_regions(emb, max_len, min_len=2):
+    """(walk, region) for every closed walk of the embedding's graph with
+    ``min_len`` to ``max_len`` vertices that separates the surface, and
+    every 2-cell region of the cut whose boundary walk is the walk itself,
+    in walk order."""
     edge_of = {}
     for e, (u, v, _s) in enumerate(emb.srs.edges):
         edge_of[(u, v)] = e
         edge_of[(v, u)] = e
-    for walk in _closed_walks_upto(emb, max_len):
+    for walk in _closed_walks_upto(emb, max_len, min_len):
         k = len(walk)
         edges = {edge_of[(walk[i], walk[(i + 1) % k])] for i in range(k)}
         if len(edges) < len(set(walk)):
@@ -268,9 +271,9 @@ def two_cell_regions(inst, boundary_len):
     just its total parity, so this keeps even-interior regions too.
     """
     found = {}
-    for walk, region in _walk_regions(_host_embedding(inst), boundary_len):
-        if len(walk) == boundary_len:
-            found[walk] = region.interior_vertices
+    for walk, region in _walk_regions(_host_embedding(inst), boundary_len,
+                                      boundary_len):
+        found[walk] = region.interior_vertices
     return list(found.items())
 
 
@@ -499,26 +502,88 @@ def _parities_ok(host, pat, phi, hedge):
 
 # -- Theorem 1.6 diagnosis ----------------------------------------------------
 
+def _vertex_mask(vertices):
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 @dataclass
 class CertificateContext:
     """Per-instance cache of the Theorem-1.6 certificate structures."""
 
-    regions6: list               # (walk, interior vertex set), length 6
-    config_maps: dict            # pattern id -> list of gray-image vertex sets
+    regions6: list        # (walk, interior vertex set), boundary length 6
+    config_maps: dict     # pattern id -> match_pattern maps, "abcdefg"
+    region_masks: list    # (walk mask, interior mask, walk) per regions6
+    #: gray-image mask -> first (pattern id, map) in "abcdefg" order.  A
+    #: gray image and the vertex set of a 3-matching both have six
+    #: vertices, so the image lies in the set iff the two are equal.
+    gray_index: dict
 
     @classmethod
     def build(cls, inst):
         regions6 = two_cell_regions(inst, 6)
         emb = inst.quad.embedding
+        by_base = {}
         config_maps = {}
+        gray_index = {}
         for cid in "abcdefg":
             pat = get_pattern(cid)
-            entries = []
-            for phi in match_pattern(emb, pat):
-                gray_img = frozenset(phi[v] for v in pat.gray)
-                entries.append((gray_img, dict(phi)))
-            config_maps[cid] = entries
-        return cls(regions6=regions6, config_maps=config_maps)
+            if len(pat.gray) != 6:
+                raise AssertionError(f"pattern {cid}: gray image of "
+                                     f"{len(pat.gray)} vertices, not 6")
+            # the roles of one base share its embedding and face parities,
+            # so they share its maps
+            base = _CONFIG_ROLES[cid][0]
+            if base not in by_base:
+                by_base[base] = match_pattern(emb, pat)
+            config_maps[cid] = by_base[base]
+            for phi in config_maps[cid]:
+                gray_index.setdefault(
+                    _vertex_mask(phi[v] for v in pat.gray), (cid, phi))
+        region_masks = [(_vertex_mask(walk), _vertex_mask(interior), walk)
+                        for walk, interior in regions6]
+        return cls(regions6=regions6, config_maps=config_maps,
+                   region_masks=region_masks, gray_index=gray_index)
+
+
+def certificate_of_mask(ctx: CertificateContext, vm):
+    """The first Theorem-1.6 certificate that fires on the covered-vertex
+    mask ``vm`` of a 3-matching: ("cert_i", walk), ("cert_ii",
+    (pattern_id, phi)), or None.
+
+    Corrected certificate (i): the region's boundary is covered and its
+    interior keeps an odd number of vertices uncovered by the matching (a
+    spare matched vertex inside would absorb the parity and the matching
+    can extend).  ``o1ppg.oracles.certificate_by_sets`` is the set-based
+    reference.
+    """
+    uncovered = ~vm
+    for wm, im, walk in ctx.region_masks:
+        if not wm & uncovered and (im & uncovered).bit_count() & 1:
+            return ("cert_i", walk)
+    hit = ctx.gray_index.get(vm)
+    return None if hit is None else ("cert_ii", hit)
+
+
+def diagnose_mask(inst, vm, ctx: CertificateContext):
+    """Joint verdict of the extendability kernel and the certificates for
+    the 3-matching covering the vertex mask ``vm`` of a 5-connected
+    even-order instance; the preconditions are the caller's.
+
+    Returns ("extendable", None), ("cert_i", walk),
+    ("cert_ii", (pattern_id, phi)), or ("counterexample",
+    {"extendable": bool, "certificate": certificate or None}).
+    """
+    cert = certificate_of_mask(ctx, vm)
+    extendable = _kernels.pm_exists(
+        inst.adj, ((1 << inst.n) - 1) ^ vm, inst._pm_memo)
+    if extendable and cert is None:
+        return ("extendable", None)
+    if not extendable and cert is not None:
+        return cert
+    return ("counterexample", {"extendable": extendable, "certificate": cert})
 
 
 def diagnose_3matching(inst, m: Matching, ctx: CertificateContext = None,
@@ -535,30 +600,10 @@ def diagnose_3matching(inst, m: Matching, ctx: CertificateContext = None,
         raise NotFiveConnected("diagnosis applies to 5-connected instances")
     if m.k != 3:
         raise ValueError("diagnosis takes 3-matchings")
+    vm = _vertex_mask(_check_matching(inst, m))
     if ctx is None:
         ctx = CertificateContext.build(inst)
-    vm = m.vertex_set(inst)
-    cert = None
-    # corrected certificate (i): the region must keep an odd number of
-    # vertices uncovered by the matching (a spare matched vertex inside
-    # would absorb the parity and the matching can extend)
-    for walk, interior in ctx.regions6:
-        if set(walk) <= vm and len(interior - vm) % 2 == 1:
-            cert = ("cert_i", walk)
-            break
-    if cert is None:
-        for cid in "abcdefg":
-            for gray_img, phi in ctx.config_maps[cid]:
-                if gray_img <= vm:
-                    cert = ("cert_ii", (cid, phi))
-                    break
-            if cert is not None:
-                break
-    extendable = is_extendable(inst, m)
-    if extendable and cert is None:
-        return ("extendable", None)
-    if not extendable and cert is not None:
-        return cert
-    return ("counterexample",
-            {"extendable": extendable, "certificate": cert,
-             "matching": m.sorted_pairs(inst)})
+    verdict, detail = diagnose_mask(inst, vm, ctx)
+    if verdict == "counterexample":
+        detail["matching"] = m.sorted_pairs(inst)
+    return verdict, detail

@@ -264,6 +264,8 @@ class EmbeddedGraph:
         self._mu, self.orientable = _orientation_potentials(srs)
         self._state_face = None
         self._corner_face = None
+        self._edge_faces = None
+        self._vertex_faces = None
 
     @property
     def vertex_count(self):
@@ -313,20 +315,23 @@ class EmbeddedGraph:
         return self._corner_face
 
     def edge_faces(self):
-        """Map edge -> list of incident face indices (two entries)."""
-        ef = [[] for _ in range(self.edge_count)]
-        for fi, f in enumerate(self.faces):
-            for d in f.boundary:
-                ef[d >> 1].append(fi)
-        return ef
+        """Map edge -> tuple of its two incident face indices."""
+        if self._edge_faces is None:
+            ef = [[] for _ in range(self.edge_count)]
+            for fi, f in enumerate(self.faces):
+                for d in f.boundary:
+                    ef[d >> 1].append(fi)
+            self._edge_faces = tuple(map(tuple, ef))
+        return self._edge_faces
 
     def vertex_faces(self):
-        """Map vertex -> set of incident face indices."""
-        vf = [set() for _ in range(self.vertex_count)]
-        cf = self.corner_face()
-        for corner, fi in cf.items():
-            vf[self.srs.dart_vertex(corner)].add(fi)
-        return vf
+        """Map vertex -> frozenset of incident face indices."""
+        if self._vertex_faces is None:
+            vf = [set() for _ in range(self.vertex_count)]
+            for corner, fi in self.corner_face().items():
+                vf[self.srs.dart_vertex(corner)].add(fi)
+            self._vertex_faces = tuple(map(frozenset, vf))
+        return self._vertex_faces
 
 
 def euler_and_orientability(g: EmbeddedGraph):

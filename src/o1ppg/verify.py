@@ -12,18 +12,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
-from .connectivity import (audit_cut_lemmas, enumerate_cuts,
+from .connectivity import (_contains_separating_trivial_4cycle,
+                           audit_cut_lemmas, enumerate_cuts,
                            vertex_connectivity)
 from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
                      SearchBudgetExceeded)
 from .graphs import enumerate_cycles
 from .matching import (Matching, find_blocker, is_extendable,
-                       k_extendability, matching_via_hamiltonian_path,
-                       matchings_of_size)
+                       k_extendability, matching_masks,
+                       matching_via_hamiltonian_path)
 from .model import link
-from .structures import (CertificateContext, barrier_cycles,
-                         diagnose_3matching, find_projective_bowties)
+from .structures import (CertificateContext, barrier_cycles, diagnose_mask,
+                         find_projective_bowties)
 
 THEOREM_IDS = (
     "DegreeFacts", "P2.1", "T1.3", "T1.4", "C1.5", "T1.6", "NoThreeExt",
@@ -91,6 +93,7 @@ class _InstanceAudit:
         self.even = inst.n % 2 == 0
         self._cuts = None
         self._ctx = None
+        self._ext2 = None
         self.nonext_2matchings = []
         self.nonext_3matchings = []
 
@@ -107,6 +110,12 @@ class _InstanceAudit:
         if self._ctx is None:
             self._ctx = CertificateContext.build(self.inst)
         return self._ctx
+
+    def ext2(self):
+        """``k_extendability(inst, 2)``, shared by T1.4 and C1.5."""
+        if self._ext2 is None:
+            self._ext2 = k_extendability(self.inst, 2)
+        return self._ext2
 
     def emit(self, theorem, verdict, detail="", witness=""):
         self.results.append(TheoremCheckResult(
@@ -235,7 +244,7 @@ class _InstanceAudit:
             return
         inst = self.inst
         barriers = barrier_cycles(inst, 4)
-        ext2, witness = k_extendability(inst, 2)
+        ext2, witness = self.ext2()
         if not ext2:
             self.nonext_2matchings.append(witness)
         # corrected reading: 2-extendable iff no barrier 4-cycle
@@ -266,7 +275,7 @@ class _InstanceAudit:
     def check_C15(self):
         if self.skip_if_inapplicable("C1.5"):
             return
-        ext2, witness = k_extendability(self.inst, 2)
+        ext2, witness = self.ext2()
         if ext2:
             self.emit("C1.5", "pass")
         else:
@@ -275,47 +284,49 @@ class _InstanceAudit:
                       witness=_pairs_str(witness.sorted_pairs(self.inst)))
 
     def _three_matchings(self):
+        """The (edge triple, covered-vertex mask) pairs of the 3-matchings
+        T1.6 sweeps, and whether they are all of them.
+
+        Up to ``threematch_full_max_edges`` edges: every 3-matching, in
+        lexicographic order.  Beyond that: every one touching a degree-6
+        vertex, then the rest, or a seeded sample of ``sample_cap`` of the
+        rest when there are more.
+        """
         inst = self.inst
-        full = inst.edge_count <= self.config.threematch_full_max_edges
-        if full:
-            yield from matchings_of_size(inst, 3)
-            return
-        # exhaustive over matchings touching a minimum-degree vertex, plus a
-        # seeded uniform sample of the rest
-        low = {v for v in range(inst.n) if inst.degree(v) == 6}
-        rest = []
-        for m in matchings_of_size(inst, 3):
-            if any(u in low or v in low
-                   for (u, v) in (inst.edges[e] for e in m.edges)):
-                yield m
-            else:
-                rest.append(m)
+        if inst.edge_count <= self.config.threematch_full_max_edges:
+            return matching_masks(inst, 3), True
+        low_mask = 0
+        for v in range(inst.n):
+            if inst.degree(v) == 6:
+                low_mask |= 1 << v
+        low, rest = [], []
+        for item in matching_masks(inst, 3):
+            (low if item[1] & low_mask else rest).append(item)
+        if len(rest) <= self.config.sample_cap:
+            return chain(low, rest), True
         rng = random.Random(self.config.seed)
-        if len(rest) > self.config.sample_cap:
-            rest = rng.sample(rest, self.config.sample_cap)
-        yield from rest
+        return chain(low, rng.sample(rest, self.config.sample_cap)), False
 
     def check_T16(self):
         if self.skip_if_inapplicable("T1.6"):
             return
         inst = self.inst
-        full = inst.edge_count <= self.config.threematch_full_max_edges
         counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
         ctx = self.ctx()
-        for m in self._three_matchings():
-            verdict, detail = diagnose_3matching(
-                inst, m, ctx=ctx, connectivity=self.conn)
+        matchings, exhaustive = self._three_matchings()
+        for combo, vm in matchings:
+            verdict, detail = diagnose_mask(inst, vm, ctx)
             if verdict == "counterexample":
                 self.emit("T1.6", "fail",
                           detail=f"oracle/certificate disagreement: "
                                  f"extendable={detail['extendable']} "
                                  f"certificate={detail['certificate']}",
-                          witness=_pairs_str(detail["matching"]))
+                          witness=_edges_str(inst, combo))
                 return
             counts[verdict] += 1
             if verdict != "extendable":
-                self.nonext_3matchings.append(m)
-        mode = ("exhaustive" if full
+                self.nonext_3matchings.append(Matching(frozenset(combo)))
+        mode = ("exhaustive" if exhaustive
                 else f"sampled(seed={self.config.seed})")
         self.emit("T1.6", "pass",
                   detail=f"{mode} extendable={counts['extendable']} "
@@ -370,7 +381,6 @@ class _InstanceAudit:
                       detail=f"connectivity {self.conn} < 4")
             return
         four_cuts = [ca for ca in self.cuts() if len(ca.S) == 4]
-        from .connectivity import _contains_separating_trivial_4cycle
         for ca in four_cuts:
             if not _contains_separating_trivial_4cycle(inst, ca.qs):
                 self.emit("T3.1", "fail",

@@ -1,7 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 from o1ppg.fixtures import fix_bowtie, fix_k4, fix_min9
-from o1ppg.generator import corpus_instances, grow_quadrangulations
+from o1ppg.generator import (corpus_instances, grow_quadrangulations,
+                             load_corpus_instances)
+
+#: the 16 instances with n <= 12, as committed for the benchmark
+CORPUS_N12 = Path(__file__).resolve().parents[1] / "perfbench" / "corpus-n12"
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +45,11 @@ def inst9(instances10):
 @pytest.fixture(scope="session")
 def inst10(instances10):
     return next(i for i in instances10 if i.n == 10)
+
+
+@pytest.fixture(scope="session")
+def even_n12():
+    """The ten even-order instances of the committed n <= 12 corpus."""
+    insts = [i for i in load_corpus_instances(CORPUS_N12) if i.n % 2 == 0]
+    assert len(insts) == 10
+    return insts

@@ -172,7 +172,7 @@ def test_criterion_06_three_matching_characterization(even_instances):
     swept = 0
     for inst in even_instances:
         conn = vertex_connectivity(inst)
-        if conn < 5 or inst.edge_count > 40:
+        if conn < 5:
             continue
         swept += 1
         ctx = CertificateContext.build(inst)
@@ -183,7 +183,7 @@ def test_criterion_06_three_matching_characterization(even_instances):
                 disagreements += 1
             elif verdict in ("cert_i", "cert_ii"):
                 _nonextendable["k2"].append((inst, m))
-    _line(6, "Theorem 1.6", disagreements == 0,
+    _line(6, "Theorem 1.6", disagreements == 0 and swept > 0,
           f"instances_swept={swept} disagreements={disagreements}")
 
 

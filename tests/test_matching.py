@@ -67,6 +67,34 @@ def test_pm_exists_agrees_with_dp_oracle():
     assert cases == {(0, True), (0, False), (1, False)}
 
 
+def test_shared_memo_agrees_with_dp_oracle(inst10):
+    # a fresh instance, so its memo starts empty; every call shares it
+    inst = build_o1ppg(inst10.quad, key=inst10.key)
+    assert inst._pm_memo == {0: True}
+    rng = random.Random(11)
+    full = (1 << inst.n) - 1
+    calls = [m for k in (0, 1, 2, 3) for m in matchings_of_size(inst, k)]
+    calls += [rng.getrandbits(inst.n) for _ in range(400)]
+    rng.shuffle(calls)
+    seen = set()
+    for call in calls:
+        if isinstance(call, Matching):
+            alive = full
+            for v in call.vertex_set(inst):
+                alive ^= 1 << v
+            got = is_extendable(inst, call)
+        else:
+            alive = call
+            got = _kernels.pm_exists(inst.adj, alive, inst._pm_memo)
+        want = 2 * max_matching_size(inst.adj, alive) == alive.bit_count()
+        assert got == want
+        seen.add((isinstance(call, Matching), alive.bit_count() % 2, want))
+    assert {(True, 0, False), (True, 0, True), (False, 1, False),
+            (False, 0, True), (False, 0, False)} <= seen
+    assert all(mask.bit_count() % 2 == 0 for mask in inst._pm_memo)
+    assert len(inst._pm_memo) <= 1 << inst.n
+
+
 def test_empty_matching_extendability_equals_pm(inst10):
     assert is_extendable(inst10, Matching(frozenset()))
     assert maximum_matching_instance(inst10).k == inst10.n // 2

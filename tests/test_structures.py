@@ -5,11 +5,13 @@ import pytest
 
 from o1ppg.errors import NotFiveConnected, OddOrder
 from o1ppg.generator import canonical_key
-from o1ppg.matching import Matching, is_extendable, matchings_of_size
-from o1ppg.oracles import odd_regions_by_face_merge
-from o1ppg.structures import (CertificateContext, PATTERN_IDS,
+from o1ppg.matching import (Matching, is_extendable, matching_masks,
+                            matchings_of_size)
+from o1ppg.oracles import certificate_by_sets, odd_regions_by_face_merge
+from o1ppg.structures import (CertificateContext, PATTERN_IDS, _walk_regions,
                               build_patterns, canonical_walk,
-                              diagnose_3matching, find_odd_weighted_regions,
+                              certificate_of_mask, diagnose_3matching,
+                              find_odd_weighted_regions,
                               find_projective_bowties, get_pattern,
                               load_patterns, match_pattern, patterns)
 
@@ -201,3 +203,28 @@ def test_diagnose_full_sweep_no_counterexamples(inst10):
         else:
             assert not is_extendable(inst10, m)
     assert counts == {"extendable": 1539, "cert_i": 20, "cert_ii": 42}
+
+
+def test_context_matches_direct_computation(inst10, even_n12):
+    for inst in [inst10] + even_n12:
+        emb = inst.quad.embedding
+        ctx = CertificateContext.build(inst)
+        for cid in "abcdefg":
+            assert ctx.config_maps[cid] == match_pattern(emb, get_pattern(cid))
+        assert ctx.regions6 == [(walk, region.interior_vertices)
+                                for walk, region in _walk_regions(emb, 6)
+                                if len(walk) == 6]
+
+
+def test_mask_certificate_agrees_with_set_oracle(inst10, even_n12):
+    fired = {"cert_i": 0, "cert_ii": 0}
+    for inst in [inst10] + even_n12:
+        ctx = CertificateContext.build(inst)
+        for combo, vm in matching_masks(inst, 3):
+            vs = {v for v in range(inst.n) if vm >> v & 1}
+            cert = certificate_of_mask(ctx, vm)
+            assert cert == certificate_by_sets(ctx, vs), (inst.key, combo)
+            if cert is not None:
+                fired[cert[0]] += 1
+    # both certificate kinds occur, so neither comparison is vacuous
+    assert fired["cert_i"] and fired["cert_ii"]

@@ -3,6 +3,7 @@ deterministic reports."""
 
 import pytest
 
+from o1ppg import verify
 from o1ppg.errors import EmptyCorpus, O1ppgError
 from o1ppg.model import validate_quadrangulation
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
@@ -119,3 +120,29 @@ def test_mutant_instance_fails_audit_with_witness(inst10):
     results = audit_instance(bad, AuditConfig(theorems=("DegreeFacts",)))
     assert results[0].verdict == "fail"
     assert results[0].detail
+
+
+def test_two_extendability_swept_once_per_audit(inst10, monkeypatch):
+    calls = []
+    sweep = verify.k_extendability
+
+    def counted(inst, k):
+        calls.append(k)
+        return sweep(inst, k)
+
+    monkeypatch.setattr(verify, "k_extendability", counted)
+    results = audit_instance(inst10, AuditConfig(theorems=("T1.4", "C1.5")))
+    assert [r.verdict for r in results] == ["pass", "pass"]
+    assert calls == [2]
+
+
+def test_t16_label_says_whether_the_sample_dropped_anything(even_n12):
+    inst = next(i for i in even_n12 if i.key == "q12-i08")
+    assert inst.edge_count > AuditConfig().threematch_full_max_edges
+    (full,) = audit_instance(inst, AuditConfig(theorems=("T1.6",)))
+    assert full.detail == "exhaustive extendable=3934 cert_i=68 cert_ii=0"
+    (cut,) = audit_instance(inst, AuditConfig(theorems=("T1.6",),
+                                              sample_cap=0, seed=3))
+    assert cut.verdict == "pass"
+    assert cut.detail.startswith("sampled(seed=3) ")
+    assert cut.detail != full.detail.replace("exhaustive", "sampled(seed=3)")
