@@ -1,14 +1,21 @@
 """The audit harness: green on the real corpus, red on corrupted inputs,
 deterministic reports."""
 
+from pathlib import Path
+
 import pytest
 
 from o1ppg import verify
+from o1ppg.cli import main
 from o1ppg.errors import EmptyCorpus, O1ppgError
 from o1ppg.model import validate_quadrangulation
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 from o1ppg.verify import (THEOREM_IDS, AuditConfig, aggregate_report,
                           audit_instance, run_campaign)
+
+TESTS = Path(__file__).resolve().parent
+CORPUS_N12 = TESTS.parent / "perfbench" / "corpus-n12"
+GOLDEN_N12 = TESTS / "golden" / "corpus-n12.report"
 
 
 def test_all_theorems_pass_on_small_corpus(instances10):
@@ -146,3 +153,20 @@ def test_t16_label_says_whether_the_sample_dropped_anything(even_n12):
     assert cut.verdict == "pass"
     assert cut.detail.startswith("sampled(seed=3) ")
     assert cut.detail != full.detail.replace("exhaustive", "sampled(seed=3)")
+
+
+def test_corpus_n12_report_matches_golden(tmp_path, monkeypatch):
+    """``o1ppg verify --corpus perfbench/corpus-n12`` writes, byte for
+    byte, the committed ``tests/golden/corpus-n12.report``.
+
+    The golden file pins every record's detail (``clause checks=``,
+    ``shapes=``, ``five_cuts=``, ``four_cuts=``, ...), which
+    ``perfbench/expected.json`` does not check.  A change that alters the
+    report on purpose must regenerate the file with that command and say
+    in CHANGES.md which lines changed and why.
+    """
+    monkeypatch.delenv("O1PPG_WORKERS", raising=False)
+    out = tmp_path / "corpus-n12.report"
+    assert main(["verify", "--corpus", str(CORPUS_N12),
+                 "--report", str(out)]) == 0
+    assert out.read_bytes() == GOLDEN_N12.read_bytes()
