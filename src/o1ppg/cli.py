@@ -191,8 +191,18 @@ def cmd_export_dot(args):
     highlight = set()
     if args.witness:
         for tok in args.witness.split(","):
-            a, b = tok.split("-")
-            highlight.add((min(int(a), int(b)), max(int(a), int(b))))
+            try:
+                u, v = map(int, tok.split("-"))
+            except ValueError:
+                print(f"--witness token {tok!r} is not <int>-<int>",
+                      file=sys.stderr)
+                return 1
+            if not (0 <= u < inst.n and 0 <= v < inst.n
+                    and inst.adj[u] >> v & 1):
+                print(f"--witness token {tok!r} is not an edge of the "
+                      f"instance", file=sys.stderr)
+                return 1
+            highlight.add((min(u, v), max(u, v)))
     dot = export_dot(inst, highlight_edges=highlight)
     if args.out:
         with open(args.out, "w") as fh:

@@ -3,13 +3,18 @@ Q[S], shape classification, and the cut-lemma audits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .generator import canonical_key
 from .graphs import component_masks, vertex_connectivity_flow
 from .structures import get_pattern
 from .surface import SignedRotationSystem, region_decompose
+
+
+#: Euler characteristic of the projective plane, the host surface of
+#: every instance; the cut lemmas read it as chi.
+P2_EULER_CHAR = 1
 
 
 def vertex_connectivity(inst, cap=8):
@@ -23,20 +28,8 @@ class QSubgraph:
 
     vertices: tuple              # host vertex ids, sorted
     edges: tuple                 # host edge ids of Q(G) inside S, sorted
-    region_walks: list           # boundary walks of its regions (host labels)
-    region_count: int
-    region_chis: tuple
-    is_two_cell_embedding: bool  # every region a 2-cell
     srs: SignedRotationSystem    # restricted rotation system, relabelled
-    regions: list = field(default_factory=list)
-
-    @property
-    def edge_count(self):
-        return len(self.edges)
-
-    def degree_in_s(self, host_vertex):
-        i = self.vertices.index(host_vertex)
-        return len(self.srs.rotations[i])
+    regions: list                # host regions cut along `edges`; [] if none
 
 
 def q_induced_subgraph(inst, S) -> QSubgraph:
@@ -63,22 +56,9 @@ def q_induced_subgraph(inst, S) -> QSubgraph:
                 rot.append(2 * eidx[d >> 1] + (d & 1))
         rotations.append(rot)
     sub = SignedRotationSystem(len(verts), edges, rotations)
-    if q_edges:
-        dec = region_decompose(emb, set(q_edges))
-        walks = [w for r in dec.regions for w in r.boundary_walks]
-        return QSubgraph(
-            vertices=verts,
-            edges=tuple(q_edges),
-            region_walks=walks,
-            region_count=dec.region_count,
-            region_chis=tuple(r.euler_char for r in dec.regions),
-            is_two_cell_embedding=all(r.is_two_cell for r in dec.regions),
-            srs=sub,
-            regions=dec.regions,
-        )
-    return QSubgraph(
-        vertices=verts, edges=(), region_walks=[], region_count=0,
-        region_chis=(), is_two_cell_embedding=False, srs=sub, regions=[])
+    regions = region_decompose(emb, set(q_edges)).regions if q_edges else []
+    return QSubgraph(vertices=verts, edges=tuple(q_edges), srs=sub,
+                     regions=regions)
 
 
 @dataclass
@@ -89,7 +69,6 @@ class CutAnalysis:
     even_count: int
     is_minimal: bool
     qs: QSubgraph
-    shape: str
 
 
 _SHAPE_KEYS = None
@@ -147,83 +126,67 @@ def _contains_separating_trivial_4cycle(inst, qs: QSubgraph):
     return False
 
 
-def enumerate_cuts(inst, k, minimal_only=False):
+def enumerate_cuts(inst, k):
     """Every k-subset S with G - S disconnected, fully analyzed.
 
-    Exhaustive over subsets; desk scale only.
+    S is minimal (no proper subset is a cut) iff every component of G - S
+    has a neighbour at every vertex of S: a component with no neighbour at
+    s stays cut off from s by S - {s}, and a vertex of S that every
+    component sees joins them all.  Exhaustive over subsets; desk scale
+    only.
     """
+    adj = inst.adj
     full = (1 << inst.n) - 1
     out = []
-    cut_cache = {}
-
-    def is_cut(subset):
-        key = frozenset(subset)
-        hit = cut_cache.get(key)
-        if hit is None:
-            mask = full
-            for v in key:
-                mask ^= 1 << v
-            hit = mask != 0 and len(component_masks(inst.adj, mask)) > 1
-            cut_cache[key] = hit
-        return hit
-
     for subset in combinations(range(inst.n), k):
-        if not is_cut(subset):
+        smask = 0
+        for v in subset:
+            smask |= 1 << v
+        comps = component_masks(adj, full ^ smask)
+        if len(comps) < 2:
             continue
         minimal = True
-        for r in range(1, k):
-            for sub in combinations(subset, r):
-                if is_cut(sub):
-                    minimal = False
-                    break
-            if not minimal:
-                break
-        if minimal_only and not minimal:
-            continue
-        mask = full
-        for v in subset:
-            mask ^= 1 << v
-        comps = component_masks(inst.adj, mask)
         comp_sets = []
         for c in comps:
             vs = []
+            seen = 0
             m = c
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
                 vs.append(v)
+                seen |= adj[v]
             comp_sets.append(tuple(vs))
+            minimal = minimal and (seen & smask) == smask
         odd = sum(1 for c in comp_sets if len(c) % 2 == 1)
-        qs = q_induced_subgraph(inst, subset)
-        ca = CutAnalysis(
+        out.append(CutAnalysis(
             S=frozenset(subset),
             components=tuple(sorted(comp_sets)),
             odd_count=odd,
             even_count=len(comp_sets) - odd,
             is_minimal=minimal,
-            qs=qs,
-            shape="",
-        )
-        ca.shape = classify_cut_shape(inst, qs)
-        out.append(ca)
+            qs=q_induced_subgraph(inst, subset),
+        ))
     return out
 
 
-def audit_cut_lemmas(inst, ca: CutAnalysis, chi=1, connectivity=None):
-    """Literal evaluation of the cut lemmas on one analyzed cut.
+def audit_cut_lemmas(ca: CutAnalysis, connectivity):
+    """Literal evaluation of the cut lemmas on one analyzed cut of an
+    instance whose vertex connectivity is ``connectivity``.
 
     Returns {clause: verdict} with verdicts "pass", "fail", or
     "inapplicable"; any "fail" is a reportable finding.
     """
     qs = ca.qs
+    regions = qs.regions
     out = {}
 
     # separation: each region of Q[S] contains at most one component
     if qs.edges:
         verdict = "pass"
-        per_region = [0] * len(qs.regions)
+        per_region = [0] * len(regions)
         for comp in ca.components:
-            hits = {ri for ri, region in enumerate(qs.regions)
+            hits = {ri for ri, region in enumerate(regions)
                     if set(comp) & set(region.interior_vertices)}
             if len(hits) != 1:
                 verdict = "fail"
@@ -243,13 +206,12 @@ def audit_cut_lemmas(inst, ca: CutAnalysis, chi=1, connectivity=None):
         out["min_degree_2"] = "inapplicable"
 
     # face-count inequalities, instantiated maximally for q in {3, 4}
-    E = qs.edge_count
-    F = qs.region_count
+    chi = P2_EULER_CHAR
+    E = len(qs.edges)
+    F = len(regions)
     S = len(ca.S)
-    region_lengths = []
-    if qs.edges:
-        for region in qs.regions:
-            region_lengths.append(sum(w.length for w in region.boundary_walks))
+    region_lengths = [sum(w.length for w in region.boundary_walks)
+                      for region in regions]
     for q in (3, 4):
         p = sum(1 for L in region_lengths if L >= 2 * q)
         ok_i = E >= 2 * F + (q - 2) * p
@@ -265,21 +227,21 @@ def audit_cut_lemmas(inst, ca: CutAnalysis, chi=1, connectivity=None):
             out[f"edge_bound_k{k}"] = "inapplicable"
 
     # 5-connected minimal cuts of size 5 or 6
-    conn = (vertex_connectivity(inst, 6) if connectivity is None
-            else connectivity)
-    if conn >= 5 and ca.is_minimal and S in (5, 6):
+    if connectivity >= 5 and ca.is_minimal and S in (5, 6):
         out["five_conn_i"] = "pass" if E >= 2 * F + 2 else "fail"
-        if not qs.is_two_cell_embedding:
-            ok = (S == 6 and sorted(w.length for w in qs.region_walks)
-                  == [6, 6] and qs.edge_count == 6
+        # an empty Q[S] has no regions and counts as not 2-cell
+        if not (regions and all(r.is_two_cell for r in regions)):
+            walk_lengths = sorted(w.length for r in regions
+                                  for w in r.boundary_walks)
+            ok = (S == 6 and walk_lengths == [6, 6] and E == 6
                   and all(len(r) == 2 for r in qs.srs.rotations)
-                  and sorted(qs.region_chis) == [0, 1])
+                  and sorted(r.euler_char for r in regions) == [0, 1])
             out["five_conn_ii"] = "pass" if ok else "fail"
         else:
             out["five_conn_ii"] = "inapplicable"
         if S == 6:
             ok = False
-            for region in qs.regions:
+            for region in regions:
                 if region.is_two_cell:
                     w = region.boundary_walks[0]
                     if w.length == 6 and w.is_cycle:

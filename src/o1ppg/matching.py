@@ -50,109 +50,6 @@ class BlockerSet:
     even_components: int
 
 
-def maximum_matching(adj):
-    """Maximum-cardinality matching of a general graph (Edmonds blossom).
-
-    ``adj`` is a list of neighbor iterables; returns a list of vertex pairs.
-    """
-    n = len(adj)
-    nbr = [sorted(set(ws)) for ws in adj]
-    match = [-1] * n
-    parent = [0] * n
-    base = [0] * n
-    in_queue = [False] * n
-    in_blossom = [False] * n
-
-    def lca(u, v):
-        used = [False] * n
-        a = u
-        while True:
-            a = base[a]
-            used[a] = True
-            if match[a] == -1:
-                break
-            a = parent[match[a]]
-        b = v
-        while True:
-            b = base[b]
-            if used[b]:
-                return b
-            b = parent[match[b]]
-
-    def mark_path(u, anchor, child):
-        while base[u] != anchor:
-            in_blossom[base[u]] = True
-            in_blossom[base[match[u]]] = True
-            parent[u] = child
-            child = match[u]
-            u = parent[match[u]]
-
-    def find_augmenting(root):
-        nonlocal match
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-            in_queue[i] = False
-        queue = [root]
-        in_queue[root] = True
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in nbr[u]:
-                if base[u] == base[v] or match[u] == v:
-                    continue
-                if v == root or (match[v] != -1 and parent[match[v]] != -1):
-                    # odd cycle: contract the blossom
-                    anchor = lca(u, v)
-                    for i in range(n):
-                        in_blossom[i] = False
-                    mark_path(u, anchor, v)
-                    mark_path(v, anchor, u)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = anchor
-                            if not in_queue[i]:
-                                in_queue[i] = True
-                                queue.append(i)
-                elif parent[v] == -1:
-                    parent[v] = u
-                    if match[v] == -1:
-                        # augment along the alternating path
-                        while v != -1:
-                            pv = parent[v]
-                            ppv = match[pv]
-                            match[v] = pv
-                            match[pv] = v
-                            v = ppv
-                        return True
-                    if not in_queue[match[v]]:
-                        in_queue[match[v]] = True
-                        queue.append(match[v])
-        return False
-
-    for v in range(n):
-        if match[v] == -1:
-            find_augmenting(v)
-    return sorted({tuple(sorted((v, match[v])))
-                   for v in range(n) if match[v] != -1})
-
-
-def maximum_matching_instance(inst) -> Matching:
-    pairs = maximum_matching([_mask_iter(m) for m in inst.adj])
-    return Matching(frozenset(inst.edge_id(u, v) for (u, v) in pairs))
-
-
-def _mask_iter(mask):
-    out = []
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        out.append(v)
-    return out
-
-
 def _check_matching(inst, m: Matching):
     seen = set()
     for e in m.edges:

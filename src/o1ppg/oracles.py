@@ -6,12 +6,14 @@ module may import the production modules, but none of them imports it.
 
 - ``canonical_key_oracle``: every component encoded from all of its darts
   (against ``generator.canonical_key``).
-- ``max_matching_size``: bitmask DP over all vertex subsets (against the
-  blossom matching and ``_kernels.pm_exists``).
+- ``max_matching_size``: bitmask DP over all vertex subsets (against
+  ``_kernels.pm_exists``).
 - ``is_extendable_bruteforce``: exhaustive perfect-matching search on
   G - V(M) (against ``matching.is_extendable``).
 - ``vertex_connectivity_bruteforce``: subset enumeration (against
   ``graphs.vertex_connectivity_flow``).
+- ``is_minimal_cut_bruteforce``: every proper subset of a cut (against
+  the component rule of ``connectivity.enumerate_cuts``).
 - ``representativity_bruteforce``: every cycle of the radial graph
   (against ``surface.representativity``).
 - ``odd_regions_by_face_merge``: every connected face subset (against
@@ -153,6 +155,20 @@ def vertex_connectivity_bruteforce(n, adj, cap):
             if rest and len(component_masks(adj, rest)) > 1:
                 return size
     return min(cap, n - 1)
+
+
+def is_minimal_cut_bruteforce(inst, S):
+    """Oracle: no nonempty proper subset of the cut S disconnects G
+    (against the component rule of ``connectivity.enumerate_cuts``)."""
+    full = (1 << inst.n) - 1
+    for r in range(1, len(S)):
+        for sub in combinations(sorted(S), r):
+            rest = full
+            for v in sub:
+                rest ^= 1 << v
+            if len(component_masks(inst.adj, rest)) > 1:
+                return False
+    return True
 
 
 def representativity_bruteforce(g: EmbeddedGraph):

@@ -52,40 +52,48 @@ def loads_with_comments(text: str):
     if not lines or lines[0].split() != ["srs", "1"]:
         raise MalformedRotation("missing 'srs 1' header")
     it = iter(lines[1:])
+    line = lines[0]
 
     def expect(tag):
+        nonlocal line
         try:
-            parts = next(it).split()
+            line = next(it)
         except StopIteration:
             raise MalformedRotation(f"truncated file, expected '{tag}'")
+        parts = line.split()
         if parts[0] != tag:
             raise MalformedRotation(f"expected '{tag}', got '{parts[0]}'")
         return parts
 
-    nv = int(expect("v")[1])
-    ne = int(expect("e")[1])
-    edges = [None] * ne
-    for _ in range(ne):
-        parts = expect("edge")
-        i, u, v, sgn = int(parts[1]), int(parts[2]), int(parts[3]), parts[4]
-        if not 0 <= i < ne or edges[i] is not None:
-            raise MalformedRotation(f"bad or duplicate edge id {i}")
-        if sgn not in "+-":
-            raise MalformedRotation(f"bad sign {sgn!r}")
-        edges[i] = (u, v, 1 if sgn == "+" else -1)
-    rotations = [None] * nv
-    for _ in range(nv):
-        parts = expect("rot")
-        v = int(parts[1])
-        if not 0 <= v < nv or rotations[v] is not None:
-            raise MalformedRotation(f"bad or duplicate rotation line for {v}")
-        darts = []
-        for tok in parts[2:]:
-            end = tok[-1]
-            if end not in "ab":
-                raise MalformedRotation(f"bad dart token {tok!r}")
-            darts.append(2 * int(tok[:-1]) + (0 if end == "a" else 1))
-        rotations[v] = darts
+    try:
+        nv = int(expect("v")[1])
+        ne = int(expect("e")[1])
+        edges = [None] * ne
+        for _ in range(ne):
+            parts = expect("edge")
+            i, u, v, sgn = (int(parts[1]), int(parts[2]), int(parts[3]),
+                            parts[4])
+            if not 0 <= i < ne or edges[i] is not None:
+                raise MalformedRotation(f"bad or duplicate edge id {i}")
+            if sgn not in ("+", "-"):
+                raise MalformedRotation(f"bad sign {sgn!r}")
+            edges[i] = (u, v, 1 if sgn == "+" else -1)
+        rotations = [None] * nv
+        for _ in range(nv):
+            parts = expect("rot")
+            v = int(parts[1])
+            if not 0 <= v < nv or rotations[v] is not None:
+                raise MalformedRotation(
+                    f"bad or duplicate rotation line for {v}")
+            darts = []
+            for tok in parts[2:]:
+                e, end = int(tok[:-1]), tok[-1]
+                if end not in "ab" or not 0 <= e < ne:
+                    raise MalformedRotation(f"bad dart token {tok!r}")
+                darts.append(2 * e + (0 if end == "a" else 1))
+            rotations[v] = darts
+    except (ValueError, IndexError):
+        raise MalformedRotation(f"malformed line {line!r}") from None
     return SignedRotationSystem(nv, edges, rotations), comments
 
 

@@ -15,8 +15,8 @@ from functools import partial
 from itertools import chain
 
 from .connectivity import (_contains_separating_trivial_4cycle,
-                           audit_cut_lemmas, enumerate_cuts,
-                           vertex_connectivity)
+                           audit_cut_lemmas, classify_cut_shape,
+                           enumerate_cuts, vertex_connectivity)
 from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
                      SearchBudgetExceeded)
 from .graphs import enumerate_cycles
@@ -344,17 +344,11 @@ class _InstanceAudit:
             self.emit("NoThreeExt", "pass",
                       witness=_pairs_str(witness.sorted_pairs(self.inst)))
 
-    def _cut_lemma(self, theorem, clauses, minimal_only=False,
-                   applicable=True):
-        if not applicable:
-            return
+    def _cut_lemma(self, audits, theorem, clauses):
         total = 0
-        for ca in self.cuts():
-            if minimal_only and not ca.is_minimal:
-                continue
-            audit = audit_cut_lemmas(self.inst, ca, connectivity=self.conn)
+        for ca, audit in audits:
             for clause in clauses:
-                verdict = audit.get(clause, "inapplicable")
+                verdict = audit[clause]
                 if verdict == "fail":
                     self.emit(theorem, "fail",
                               detail=f"clause {clause}",
@@ -365,14 +359,17 @@ class _InstanceAudit:
         self.emit(theorem, "pass", detail=f"clause checks={total}")
 
     def check_cut_lemmas(self):
-        self._cut_lemma("L2.2", ("separation",))
-        self._cut_lemma("L2.3", ("min_degree_2",), minimal_only=True)
-        self._cut_lemma("L2.4", ("ineq_q3", "ineq_q4"))
-        self._cut_lemma("L2.5", ("edge_bound_k1", "edge_bound_k2"))
+        # non-minimal cuts read "inapplicable" for L2.3's and L3.2's clauses
+        audits = [(ca, audit_cut_lemmas(ca, self.conn))
+                  for ca in self.cuts()]
+        self._cut_lemma(audits, "L2.2", ("separation",))
+        self._cut_lemma(audits, "L2.3", ("min_degree_2",))
+        self._cut_lemma(audits, "L2.4", ("ineq_q3", "ineq_q4"))
+        self._cut_lemma(audits, "L2.5", ("edge_bound_k1", "edge_bound_k2"))
         if not self.skip_if_inapplicable("L3.2"):
             self._cut_lemma(
-                "L3.2", ("five_conn_i", "five_conn_ii", "five_conn_iii"),
-                minimal_only=True)
+                audits, "L3.2", ("five_conn_i", "five_conn_ii",
+                                 "five_conn_iii"))
 
     def check_T31(self):
         inst = self.inst
@@ -397,9 +394,10 @@ class _InstanceAudit:
             return
         five_cuts = [ca for ca in self.cuts() if len(ca.S) == 5]
         for ca in five_cuts:
-            if ca.shape != "bowtie":
+            shape = classify_cut_shape(self.inst, ca.qs)
+            if shape != "bowtie":
                 self.emit("L3.3", "fail",
-                          detail=f"5-cut shaped {ca.shape}",
+                          detail=f"5-cut shaped {shape}",
                           witness=",".join(map(str, sorted(ca.S))))
                 return
         self.emit("L3.3", "pass", detail=f"five_cuts={len(five_cuts)}")
@@ -426,17 +424,17 @@ class _InstanceAudit:
     def check_L35(self):
         if self.skip_if_inapplicable("L3.5"):
             return
-        minimal6 = [ca for ca in self.cuts()
-                    if len(ca.S) == 6 and ca.is_minimal]
-        for ca in minimal6:
-            if ca.shape not in ("I", "II", "III", "IV"):
+        shapes = {}
+        for ca in self.cuts():
+            if len(ca.S) != 6 or not ca.is_minimal:
+                continue
+            shape = classify_cut_shape(self.inst, ca.qs)
+            if shape not in ("I", "II", "III", "IV"):
                 self.emit("L3.5", "fail",
-                          detail=f"minimal 6-cut shaped {ca.shape}",
+                          detail=f"minimal 6-cut shaped {shape}",
                           witness=",".join(map(str, sorted(ca.S))))
                 return
-        shapes = {}
-        for ca in minimal6:
-            shapes[ca.shape] = shapes.get(ca.shape, 0) + 1
+            shapes[shape] = shapes.get(shape, 0) + 1
         self.emit("L3.5", "pass",
                   detail="shapes=" + ",".join(
                       f"{k}:{v}" for k, v in sorted(shapes.items())))

@@ -48,8 +48,22 @@ def inst10(instances10):
 
 
 @pytest.fixture(scope="session")
-def even_n12():
+def corpus_n12_dir():
+    """The committed n <= 12 corpus directory."""
+    return CORPUS_N12
+
+
+@pytest.fixture(scope="session")
+def corpus_n12():
+    """The 16 instances of the committed n <= 12 corpus."""
+    insts = load_corpus_instances(CORPUS_N12)
+    assert len(insts) == 16
+    return insts
+
+
+@pytest.fixture(scope="session")
+def even_n12(corpus_n12):
     """The ten even-order instances of the committed n <= 12 corpus."""
-    insts = [i for i in load_corpus_instances(CORPUS_N12) if i.n % 2 == 0]
+    insts = [i for i in corpus_n12 if i.n % 2 == 0]
     assert len(insts) == 10
     return insts

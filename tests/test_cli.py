@@ -142,5 +142,30 @@ def test_export_dot(corpus_dir, tmp_path, capsys):
     assert "color=red" in dot          # highlighted witness
 
 
+@pytest.mark.parametrize("witness", ["0-1,bad", "0-1,1-2-3", "0-99", "0-0"])
+def test_export_dot_rejects_bad_witness(witness, corpus_n12_dir, tmp_path,
+                                        capsys):
+    path = next((corpus_n12_dir / "q9").glob("*.srs"))
+    out = tmp_path / "g.dot"
+    rc = main(["export-dot", "--in", str(path), "--out", str(out),
+               "--witness", witness])
+    assert rc == 1
+    assert not out.exists()
+    bad = witness.split(",")[-1]
+    assert f"--witness token {bad!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, bad", [("v ", "v x"), ("edge 0 ", "edge 0 0")])
+def test_validate_malformed_line_is_rejected(line, bad, corpus_n12_dir,
+                                            tmp_path, capsys):
+    text = next((corpus_n12_dir / "q9").glob("*.srs")).read_text()
+    good = next(s for s in text.splitlines() if s.startswith(line))
+    path = tmp_path / "bad.srs"
+    path.write_text(text.replace(good, bad))
+    assert main(["validate", "--in", str(path)]) == 2
+    assert capsys.readouterr().out == \
+        f"reject: MalformedRotation: malformed line {bad!r}\n"
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "--in", "/nonexistent/x.srs"]) == 1

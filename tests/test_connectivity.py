@@ -2,11 +2,12 @@
 
 import random
 
-from o1ppg.connectivity import (audit_cut_lemmas, enumerate_cuts,
-                                vertex_connectivity)
+from o1ppg.connectivity import (audit_cut_lemmas, classify_cut_shape,
+                                enumerate_cuts, vertex_connectivity)
 from o1ppg.generator import canonical_key
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
-from o1ppg.oracles import vertex_connectivity_bruteforce
+from o1ppg.oracles import (is_minimal_cut_bruteforce,
+                           vertex_connectivity_bruteforce)
 
 
 def test_flow_matches_bruteforce_random():
@@ -58,7 +59,7 @@ def test_five_cuts_are_bowties(inst9):
     assert cuts
     for ca in cuts:
         assert ca.is_minimal
-        assert ca.shape == "bowtie"
+        assert classify_cut_shape(inst9, ca.qs) == "bowtie"
         assert ca.odd_count + ca.even_count == len(ca.components)
         # the cut subgraph is embedded-isomorphic to the fixture
         from o1ppg.structures import get_pattern
@@ -68,11 +69,11 @@ def test_five_cuts_are_bowties(inst9):
 
 def test_minimal_six_cut_shapes(inst10):
     assert vertex_connectivity(inst10) == 6
-    cuts = enumerate_cuts(inst10, 6, minimal_only=True)
-    shapes = sorted(ca.shape for ca in cuts)
+    cuts = [ca for ca in enumerate_cuts(inst10, 6) if ca.is_minimal]
+    shapes = sorted(classify_cut_shape(inst10, ca.qs) for ca in cuts)
     assert shapes == ["I", "III", "III", "III"]
     for ca in cuts:
-        assert len(ca.qs.region_walks) >= 2
+        assert sum(len(r.boundary_walks) for r in ca.qs.regions) >= 2
 
 
 def test_cut_component_counts(inst10):
@@ -93,7 +94,8 @@ def test_q_induced_subgraph_walks_match_regions(inst10):
         if not qs.edges:
             continue
         own = sorted(f.length for f in trace_faces(qs.srs))
-        host = sorted(w.length for w in qs.region_walks)
+        host = sorted(w.length for r in qs.regions
+                      for w in r.boundary_walks)
         assert own == host
 
 
@@ -104,7 +106,7 @@ def test_audits_pass_on_all_cuts(instances10):
             if k >= inst.n - 1:
                 break
             for ca in enumerate_cuts(inst, k):
-                audit = audit_cut_lemmas(inst, ca, connectivity=conn)
+                audit = audit_cut_lemmas(ca, connectivity=conn)
                 assert "fail" not in audit.values(), (sorted(ca.S), audit)
 
 
@@ -114,5 +116,20 @@ def test_nonminimal_cut_tolerated(inst10):
     assert any(not ca.is_minimal for ca in cuts)
     for ca in cuts:
         if not ca.is_minimal:
-            assert ca.shape in ("I", "II", "III", "IV", "bowtie",
-                                "trivial4cycle-bearing", "other")
+            assert classify_cut_shape(inst10, ca.qs) in (
+                "I", "II", "III", "IV", "bowtie", "trivial4cycle-bearing",
+                "other")
+
+
+def test_minimality_matches_subset_oracle(corpus_n12):
+    # every cut the audit enumerates on the committed n <= 12 corpus: the
+    # component rule agrees with testing every proper subset
+    cuts = nonminimal = 0
+    for inst in corpus_n12:
+        for k in range(vertex_connectivity(inst), 8):
+            for ca in enumerate_cuts(inst, k):
+                assert ca.is_minimal == is_minimal_cut_bruteforce(inst, ca.S)
+                cuts += 1
+                nonminimal += not ca.is_minimal
+    assert nonminimal > 0
+    assert (cuts, nonminimal) == (645, 525)

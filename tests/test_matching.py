@@ -1,4 +1,4 @@
-"""Maximum matching, extendability, blockers, Hamiltonian-path matchings."""
+"""Perfect matchings, extendability, blockers, Hamiltonian-path matchings."""
 
 import random
 
@@ -11,44 +11,11 @@ from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
 from o1ppg.matching import (Matching, find_blocker, hamiltonian_path,
                             is_extendable, k_extendability,
                             matching_via_hamiltonian_path, matchings_of_size,
-                            maximum_matching, maximum_matching_instance,
                             spanning_triangulation)
 from o1ppg.model import build_o1ppg, link, validate_quadrangulation
 from o1ppg.oracles import is_extendable_bruteforce, max_matching_size
 from o1ppg.surface import EmbeddedGraph
 from o1ppg.verify import AuditConfig, audit_instance
-
-PETERSEN = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6),
-            (6, 8), (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
-
-
-def _adj_lists(n, edges):
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def test_maximum_matching_examples():
-    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert len(maximum_matching(_adj_lists(4, k4))) == 2
-    p3 = [(0, 1), (1, 2)]
-    assert len(maximum_matching(_adj_lists(3, p3))) == 1
-    assert len(maximum_matching(_adj_lists(10, PETERSEN))) == 5
-
-
-def test_blossom_agrees_with_dp_oracle():
-    rng = random.Random(20260810)
-    for _ in range(2000):
-        n = rng.randint(1, 12)
-        p = rng.random()
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < p]
-        mm = maximum_matching(_adj_lists(n, edges))
-        masks = adjacency_masks(n, edges)
-        assert len(mm) == max_matching_size(masks, (1 << n) - 1)
-
 
 def test_pm_exists_agrees_with_dp_oracle():
     rng = random.Random(7)
@@ -97,7 +64,6 @@ def test_shared_memo_agrees_with_dp_oracle(inst10):
 
 def test_empty_matching_extendability_equals_pm(inst10):
     assert is_extendable(inst10, Matching(frozenset()))
-    assert maximum_matching_instance(inst10).k == inst10.n // 2
 
 
 def test_single_edges_extendable(inst10):

@@ -205,3 +205,7 @@ def test_srsio_errors():
         srsio.loads("not an srs")
     with pytest.raises(MalformedRotation):
         srsio.loads("srs 1\nv 1\ne 1\nedge 0 0 0 ?\nrot 0 0a 0b")
+    with pytest.raises(MalformedRotation, match="bad sign '\\+-'"):
+        srsio.loads("srs 1\nv 1\ne 1\nedge 0 0 0 +-\nrot 0 0a 0b")
+    with pytest.raises(MalformedRotation, match="bad dart token '5b'"):
+        srsio.loads("srs 1\nv 1\ne 1\nedge 0 0 0 +\nrot 0 0a 5b")

@@ -13,9 +13,7 @@ from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 from o1ppg.verify import (THEOREM_IDS, AuditConfig, aggregate_report,
                           audit_instance, run_campaign)
 
-TESTS = Path(__file__).resolve().parent
-CORPUS_N12 = TESTS.parent / "perfbench" / "corpus-n12"
-GOLDEN_N12 = TESTS / "golden" / "corpus-n12.report"
+GOLDEN_N12 = Path(__file__).resolve().parent / "golden" / "corpus-n12.report"
 
 
 def test_all_theorems_pass_on_small_corpus(instances10):
@@ -155,7 +153,8 @@ def test_t16_label_says_whether_the_sample_dropped_anything(even_n12):
     assert cut.detail != full.detail.replace("exhaustive", "sampled(seed=3)")
 
 
-def test_corpus_n12_report_matches_golden(tmp_path, monkeypatch):
+def test_corpus_n12_report_matches_golden(corpus_n12_dir, tmp_path,
+                                          monkeypatch):
     """``o1ppg verify --corpus perfbench/corpus-n12`` writes, byte for
     byte, the committed ``tests/golden/corpus-n12.report``.
 
@@ -167,6 +166,6 @@ def test_corpus_n12_report_matches_golden(tmp_path, monkeypatch):
     """
     monkeypatch.delenv("O1PPG_WORKERS", raising=False)
     out = tmp_path / "corpus-n12.report"
-    assert main(["verify", "--corpus", str(CORPUS_N12),
+    assert main(["verify", "--corpus", str(corpus_n12_dir),
                  "--report", str(out)]) == 0
     assert out.read_bytes() == GOLDEN_N12.read_bytes()
