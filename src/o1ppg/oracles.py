@@ -6,6 +6,8 @@ module may import the production modules, but none of them imports it.
 
 - ``canonical_key_oracle``: every component encoded from all of its darts
   (against ``generator.canonical_key``).
+- ``grow_quadrangulations_bruteforce``: every split of every class, keyed
+  by ``canonical_key`` (against ``generator.grow_quadrangulations``).
 - ``max_matching_size``: bitmask DP over all vertex subsets (against
   ``_kernels.pm_exists``).
 - ``is_extendable_bruteforce``: exhaustive perfect-matching search on
@@ -29,7 +31,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import NotProjectivePlane
-from .generator import _SEP, _joined_key, _prefix, _vertex_components
+from .generator import (_SEP, _joined_key, _prefix, _vertex_components,
+                        canonical_key, vertex_split)
 from .graphs import component_masks
 from .matching import Matching, _check_matching
 from .structures import (OddWeightedRegion, _host_embedding,
@@ -87,6 +90,36 @@ def canonical_key_oracle(g) -> str:
                   for d in darts for side in (1, -1))
         parts.append(",".join(map(str, enc)))
     return _joined_key(prefix, parts, isolated)
+
+
+def grow_quadrangulations_bruteforce(seeds, n_max):
+    """Brute-force reference for ``generator.grow_quadrangulations``: every
+    split of every class below ``n_max`` vertices is built and keyed by
+    ``canonical_key``, with neither the twin skip nor the automorphism
+    skip.  The seeds, simple P^2 quadrangulations, and the classes are
+    expanded in the same order, so the first product of each class, its
+    stored representative, is the same.  Returns {n: [(key, srs), ...]}
+    sorted by key."""
+    by_n = {}
+    seen = set()
+    frontier = []
+
+    def add(srs):
+        key = canonical_key(srs)
+        if key not in seen:
+            seen.add(key)
+            by_n.setdefault(srs.vertex_count, []).append((key, srs))
+            frontier.append(srs)
+
+    for g in seeds:
+        add(g.srs if isinstance(g, EmbeddedGraph) else g)
+    while frontier:
+        srs = frontier.pop()
+        if srs.vertex_count < n_max:
+            for v in range(srs.vertex_count):
+                for i, j in combinations(range(srs.degree(v)), 2):
+                    add(vertex_split(srs, v, i, j))
+    return {n: sorted(v, key=lambda kv: kv[0]) for n, v in sorted(by_n.items())}
 
 
 def max_matching_size(adj, alive):

@@ -45,9 +45,9 @@ class SignedRotationSystem:
         self.vertex_count = vertex_count
         self.edges = list(map(tuple, edges))   # shares tuple edges, no copy
         self.rotations = [list(r) for r in rotations]
-        self._build_tables()
         if check:
             self._validate()
+        self._build_tables()
 
     def _build_tables(self):
         nd = 2 * len(self.edges)
@@ -68,26 +68,29 @@ class SignedRotationSystem:
         self._rot_prev = prv
 
     def _validate(self):
+        """Edge signs and endpoints, and every dart listed exactly once at
+        its own vertex; checked before ``_build_tables`` indexes by them."""
+        for u, v, s in self.edges:
+            if s not in (1, -1):
+                raise MalformedRotation(f"edge sign {s} not in {{+1,-1}}")
+            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                raise MalformedRotation("edge endpoint out of range")
         ne = len(self.edges)
         seen = [0] * (2 * ne)
         for v, rot in enumerate(self.rotations):
             for d in rot:
                 if not 0 <= d < 2 * ne:
                     raise MalformedRotation(f"dart {d} out of range")
-                if self._dart_vertex[d] != v:
+                owner = self.edges[d >> 1][d & 1]
+                if owner != v:
                     raise MalformedRotation(
                         f"dart {dart_str(d)} listed at vertex {v}, "
-                        f"belongs to {self._dart_vertex[d]}")
+                        f"belongs to {owner}")
                 seen[d] += 1
         for d, c in enumerate(seen):
             if c != 1:
                 raise MalformedRotation(
                     f"dart {dart_str(d)} appears {c} times in rotations")
-        for u, v, s in self.edges:
-            if s not in (1, -1):
-                raise MalformedRotation(f"edge sign {s} not in {{+1,-1}}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise MalformedRotation("edge endpoint out of range")
 
     # -- basic accessors ---------------------------------------------------
 

@@ -9,12 +9,14 @@ import pytest
 
 from o1ppg import generator, srsio
 from o1ppg.errors import MalformedRotation, TooLarge
-from o1ppg.generator import (_repeated_splits, all_embeddings, canonical_key,
-                             enumerate_o1ppg, exhaustive_small_search,
-                             grow_quadrangulations, load_corpus_instances,
-                             short_key, vertex_split, write_corpus)
+from o1ppg.generator import (_new_class, _repeated_splits, all_embeddings,
+                             canonical_key, enumerate_o1ppg,
+                             exhaustive_small_search, grow_quadrangulations,
+                             load_corpus_instances, short_key, vertex_split,
+                             write_corpus)
 from o1ppg.model import validate_quadrangulation
-from o1ppg.oracles import canonical_key_oracle
+from o1ppg.oracles import (_oracle_encoding, canonical_key_oracle,
+                           grow_quadrangulations_bruteforce)
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -137,23 +139,70 @@ def test_canonical_key_matches_oracle_on_split_products(corpus10):
             assert key == canonical_key(srs)
 
 
+def _splits(srs):
+    return [(v, i, j) for v in range(srs.vertex_count)
+            for i, j in combinations(range(srs.degree(v)), 2)]
+
+
 def test_repeated_splits_repeat_an_earlier_class(corpus10):
-    # growth skips these splits: each gives the class of a split of the same
-    # parent that growth tries before it
-    skipped = 0
+    # growth skips these splits, twins and automorphic images alike: each
+    # gives the class of a split of the same parent that growth tries before
+    skipped = by_automorphism = 0
     for n in range(4, 9):
         for _key, srs in corpus10[n]:
-            repeated = _repeated_splits(srs)
+            g = EmbeddedGraph(srs)
+            _, automorphisms = _new_class(srs, set())
+            repeated = _repeated_splits(g, automorphisms)
+            by_automorphism += len(repeated - _repeated_splits(g, []))
             tried = set()
-            for v in range(n):
-                for i, j in combinations(range(srs.degree(v)), 2):
-                    key = canonical_key(vertex_split(srs, v, i, j))
-                    if (v, i, j) in repeated:
-                        assert key in tried
-                        skipped += 1
-                    else:
-                        tried.add(key)
-    assert skipped > 0
+            for split in _splits(srs):
+                key = canonical_key(vertex_split(srs, *split))
+                if split in repeated:
+                    assert key in tried
+                    skipped += 1
+                else:
+                    tried.add(key)
+    assert skipped > by_automorphism > 0
+
+
+def test_growth_matches_bruteforce(corpus10, k4):
+    # the one-state repeat test and both split skips change neither the
+    # classes, their keys and order, nor the stored representatives
+    oracle = grow_quadrangulations_bruteforce([k4], n_max=10)
+    assert list(corpus10) == list(oracle)
+    for n, items in corpus10.items():
+        assert [k for k, _ in items] == [k for k, _ in oracle[n]]
+        assert [srsio.dumps(s) for _, s in items] == \
+            [srsio.dumps(s) for _, s in oracle[n]]
+
+
+def _image(srs, perm, split):
+    v, i, j = split
+    a, b = (perm[srs.rotations[v][t]] for t in (i, j))
+    w = srs.dart_vertex(a)
+    return (w, *sorted((srs.rotations[w].index(a), srs.rotations[w].index(b))))
+
+
+def test_growth_automorphisms(corpus10):
+    # growth derives every non-identity automorphism of a class, and each
+    # maps every split to a split with an isomorphic product
+    nontrivial = 0
+    for n in range(4, 10):
+        for key, srs in corpus10[n]:
+            found_key, automorphisms = _new_class(srs, set())
+            assert found_key == key
+            encs = [_oracle_encoding(srs, d, side)
+                    for d in range(2 * srs.edge_count) for side in (1, -1)]
+            assert len(automorphisms) + 1 == encs.count(min(encs))
+            if not automorphisms:
+                continue
+            nontrivial += 1
+            keys = {s: canonical_key(vertex_split(srs, *s))
+                    for s in _splits(srs)}
+            for perm in automorphisms:
+                for split in keys:
+                    assert keys[_image(srs, perm, split)] == keys[split]
+    assert nontrivial > 0
 
 
 def test_vertex_split_preserves_quadrangulation(k4):

@@ -51,6 +51,13 @@ def test_malformed_rotation_rejected():
         SignedRotationSystem(2, [(0, 1, 1)], [[0], []])
     with pytest.raises(MalformedRotation):
         SignedRotationSystem(2, [(0, 1, 2)], [[0], [1]])
+    # ids are checked before the dart tables index by them
+    with pytest.raises(MalformedRotation, match="dart 11 out of range"):
+        SignedRotationSystem(1, [(0, 0, 1)], [[0, 11]])
+    with pytest.raises(MalformedRotation, match="dart -1 out of range"):
+        SignedRotationSystem(1, [(0, 0, 1)], [[0, 1, -1]])
+    with pytest.raises(MalformedRotation, match="edge endpoint out of range"):
+        SignedRotationSystem(2, [(0, 5, 1)], [[0], [1]])
 
 
 def test_disconnected_euler_raises():
