@@ -122,45 +122,18 @@ def _unpack(n, packed):
     return tuple(out)
 
 
-def _stable_colours(rot, far):
-    """Stable vertex colouring by colour refinement (1-WL).
-
-    ``rot`` is the rotation system and ``far[d]`` the vertex at the other end
-    of dart ``d``.  Colours start as degrees; each round refines a colour by
-    the sorted colours of the neighbours, until the number of classes stops
-    growing.  A refined colour is the rank of its signature (old colour
-    first) among all signatures, so the colours and their order are
-    invariant under relabelling, and a class only splits into classes
-    ordered like it.
-    """
-    colour = list(map(len, rot))
-    classes = len(set(colour))
-    while classes < len(rot):
-        far_colour = list(map(colour.__getitem__, far)).__getitem__
-        sigs = [(c, *sorted(map(far_colour, r))) for c, r in zip(colour, rot)]
-        distinct = set(sigs)
-        if len(distinct) == classes:
-            break
-        rank = {s: i for i, s in enumerate(sorted(distinct))}
-        colour = list(map(rank.__getitem__, sigs))
-        classes = len(distinct)
-    return colour
-
-
 def _class_darts(srs):
-    """Start darts of a simple connected system: the darts at vertices of
-    the least stable colour whose far endpoint has the least colour among
-    them."""
+    """Start darts of a simple connected system, its least degree pair: the
+    darts at vertices of least degree whose far endpoint has the least
+    degree among them."""
     rot = srs.rotations
     dv = srs._dart_vertex
-    far = dv[:]
-    far[0::2] = dv[1::2]
-    far[1::2] = dv[0::2]
-    colour = _stable_colours(rot, far)
-    least = min(colour)
-    darts = [d for c, r in zip(colour, rot) if c == least for d in r]
-    least = min(colour[far[d]] for d in darts)
-    return [d for d in darts if colour[far[d]] == least]
+    deg = list(map(len, rot))
+    least = min(deg)
+    darts = [d for r in rot if len(r) == least for d in r]
+    far = [deg[dv[d ^ 1]] for d in darts]
+    least = min(far)
+    return [d for d, f in zip(darts, far) if f == least]
 
 
 def _start_darts(srs, vertices):
@@ -169,15 +142,16 @@ def _start_darts(srs, vertices):
     The minimum encoding over a set of start darts is canonical whenever
     every embedded isomorphism maps the set of one system onto the set of
     the other: the encodings from corresponding start states are equal, so
-    the two minima are.  A simple connected system starts from the darts
-    that ``_class_darts`` picks by stable colours.  The colours depend on
-    the adjacency alone, which relabelling carries along and reflection and
-    sign flips leave unchanged, so that set qualifies.  Systems with loops
-    or multi-edges and the components of disconnected systems start from
-    every dart, the trivially invariant set.  Growth relies on the same
-    invariance: it encodes a split product from its first class dart only
-    and a new class from all of them (``_new_class``), 12,884 encoder calls
-    for the 9,566 products from K4 to n <= 10.
+    the two minima are.  A simple connected system starts from its least
+    degree pair, the darts that ``_class_darts`` picks by the degrees of
+    their two ends.  Degrees depend on the adjacency alone, which
+    relabelling carries along and reflection and sign flips leave
+    unchanged, so that set qualifies.  Systems with loops or multi-edges
+    and the components of disconnected systems start from every dart, the
+    trivially invariant set.  Growth relies on the same invariance: it
+    encodes a split product from its first start dart only and a new class
+    from all of them (``_new_class``), 14,468 encoder calls for the 9,566
+    products from K4 to n <= 10.
     """
     if len(vertices) == srs.vertex_count and srs.is_simple():
         return _class_darts(srs)
@@ -197,8 +171,8 @@ def canonical_key(g) -> str:
     minimum is canonical because the picked set is invariant: an embedded
     isomorphism carries the start states of one system onto those of the
     other, and corresponding start states give equal encodings.  A simple
-    connected system starts from the darts of its least stable colour
-    class; a system with loops or multi-edges, and each component of a
+    connected system starts from its least degree pair (``_class_darts``);
+    a system with loops or multi-edges, and each component of a
     disconnected system, takes the all-darts fallback, whose string is the
     one ``o1ppg.oracles.canonical_key_oracle`` gives.
     """
@@ -433,16 +407,17 @@ def _new_class(srs, seen):
 
     ``seen`` holds, as ``array("h")`` bytes, the packed encodings from
     every start state of every class met so far (an encoding's length,
-    5n - 4 tokens, fixes the order n).  The start set is invariant and a
-    start-state encoding describes the whole embedding, so the system
-    repeats a class iff its encoding from one start state (its
-    first start dart, side +1) is in ``seen``.  A new class is then encoded
-    from its other start states too, all of which join ``seen``.  Its key
-    is their minimum, spelled out as ``canonical_key`` spells it.  The start
-    states whose encoding equals the first state's are the images of the
-    first state under the automorphisms, one per automorphism, so the
-    states after the first give the non-identity automorphisms, returned as
-    dart permutations.
+    5n - 4 tokens, fixes the order n).  The start states are (d, +1) and
+    (d, -1) for the darts d of the least degree pair (``_class_darts``).
+    That set is invariant and a start-state encoding describes the whole
+    embedding, so the system repeats a class iff its encoding from one
+    start state (its first start dart, side +1) is in ``seen``.  A new
+    class is then encoded from its other start states too, all of which
+    join ``seen``.  Its key is their minimum, spelled out as
+    ``canonical_key`` spells it.  The start states whose encoding equals
+    the first state's are the images of the first state under the
+    automorphisms, one per automorphism, so the states after the first
+    give the non-identity automorphisms, returned as dart permutations.
     """
     tables = _encoder_tables(srs)
     starts = [(d, side) for d in _class_darts(srs) for side in (1, -1)]
@@ -526,8 +501,9 @@ def grow_quadrangulations(seeds, n_max):
     ``_repeated_splits`` names, by face-corner twins and by the parent's
     automorphisms, are skipped: each repeats the class of a split of the
     same system made before it, so neither the classes nor their stored
-    representatives change.  From K4 to n <= 10 that builds 9,566 split
-    products and makes 12,884 encoder calls.
+    representatives change.  Start states come from the least degree pair
+    (``_class_darts``).  From K4 to n <= 10 that builds 9,566 split
+    products and makes 14,468 encoder calls.
     """
     by_n = {}
     seen = set()
@@ -626,13 +602,17 @@ def write_corpus(out_dir, n_max, seeds=None):
 
     Layout: ``q<n>/<key>.srs`` plus ``manifest.tsv`` with columns
     n, key, polyhedral, bipartite, connectivity (of the derived instance;
-    "-" when not applicable).  Deterministic byte-for-byte.
+    "-" when not applicable).  Deterministic byte-for-byte.  The member
+    files that ``out_dir``'s previous manifest lists are deleted first, and
+    so are the ``q<n>`` directories this leaves empty; nothing else there
+    is touched.
     """
     if seeds is None:
         seeds = [default_seed()]
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = grow_quadrangulations(seeds, n_max)
+    _remove_listed(out_dir)
     rows = []
     for n, members in corpus.items():
         sub = out_dir / f"q{n}"
@@ -651,6 +631,28 @@ def write_corpus(out_dir, n_max, seeds=None):
         for row in rows:
             fh.write("\t".join(map(str, row)) + "\n")
     return rows
+
+
+def _remove_listed(out_dir):
+    """Delete the member files that ``out_dir/manifest.tsv`` lists, then
+    the ``q<n>`` directories among theirs that are left empty."""
+    manifest = out_dir / "manifest.tsv"
+    if not manifest.exists():
+        return
+    subs = set()
+    with open(manifest) as fh:
+        fh.readline()
+        for line in fh:
+            n_s, _tab, rest = line.rstrip("\n").partition("\t")
+            key = rest.partition("\t")[0]
+            if not (n_s.isdigit() and key.isalnum()):
+                continue        # not a member row: no path to trust
+            sub = out_dir / f"q{n_s}"
+            (sub / f"{key}.srs").unlink(missing_ok=True)
+            subs.add(sub)
+    for sub in subs:
+        if sub.is_dir() and not any(sub.iterdir()):
+            sub.rmdir()
 
 
 def load_corpus_instances(corpus_dir, max_n=None):

@@ -73,7 +73,9 @@ def canonical_key_oracle(g) -> str:
     """Brute-force reference for ``canonical_key``: every component's
     minimum encoding over all of its darts and both sides, each encoded in
     full.  Decides the same classes as ``canonical_key``; the strings agree
-    wherever ``canonical_key`` itself starts from every dart."""
+    wherever ``canonical_key`` itself starts from every dart, and differ in
+    general for a simple connected system, which ``canonical_key`` starts
+    from its least degree pair only."""
     srs = g.srs if isinstance(g, EmbeddedGraph) else g
     n = srs.vertex_count
     prefix = _prefix(srs)

@@ -52,40 +52,52 @@ def test_exhaustive_gate():
         list(all_embeddings(6, edges))
 
 
-def _vertex_flip(srs, v):
-    edges = []
-    for e, (a, b, s) in enumerate(srs.edges):
-        if (a == v) != (b == v):
-            edges.append((a, b, -s))
-        else:
-            edges.append((a, b, s))
-    rotations = [list(r) for r in srs.rotations]
-    rotations[v] = rotations[v][::-1]
-    return SignedRotationSystem(srs.vertex_count, edges, rotations)
-
-
-def _relabel(srs, perm):
-    edges = [(perm[u], perm[v], s) for (u, v, s) in srs.edges]
-    rotations = [None] * srs.vertex_count
-    for v in range(srs.vertex_count):
-        rotations[perm[v]] = list(srs.rotations[v])
-    return SignedRotationSystem(srs.vertex_count, edges, rotations)
+def _full_relabel(srs, rng):
+    """A random image of ``srs`` under vertex and edge-id permutations,
+    swapped edge ends, rotated rotation starts and vertex flips, with the
+    dart map that carries ``srs`` onto it."""
+    n, ne = srs.vertex_count, srs.edge_count
+    pv = rng.sample(range(n), n)
+    pe = rng.sample(range(ne), ne)
+    swap = [rng.random() < 0.5 for _ in range(ne)]
+    flip = [rng.random() < 0.5 for _ in range(n)]
+    dmap = [2 * pe[d >> 1] + ((d & 1) ^ swap[d >> 1]) for d in range(2 * ne)]
+    edges = [None] * ne
+    for e, (u, v, s) in enumerate(srs.edges):
+        a, b = (pv[v], pv[u]) if swap[e] else (pv[u], pv[v])
+        edges[pe[e]] = (a, b, -s if flip[u] != flip[v] else s)
+    rotations = [None] * n
+    for v, r in enumerate(srs.rotations):
+        k = rng.randrange(len(r))
+        r = [dmap[d] for d in r[k:] + r[:k]]
+        rotations[pv[v]] = r[::-1] if flip[v] else r
+    return SignedRotationSystem(n, edges, rotations), dmap
 
 
 def test_canonical_form_round_trips(k4, bowtie, min9):
     rng = random.Random(99)
     for g in (k4, bowtie, min9):
         base = canonical_key(g)
-        srs = g.srs
         for _ in range(10_000):
-            work = srs
-            perm = list(range(srs.vertex_count))
-            rng.shuffle(perm)
-            work = _relabel(work, perm)
-            for v in range(work.vertex_count):
-                if rng.random() < 0.5:
-                    work = _vertex_flip(work, v)
+            work, _dmap = _full_relabel(g.srs, rng)
             assert canonical_key(work) == base
+
+
+def test_start_set_invariant_under_full_relabelling(corpus10):
+    # the least degree pair of an image is the image of the least degree
+    # pair, so the canonical key survives every relabelling
+    rng = random.Random(9)
+    systems = [srs for n in (9, 10) for _key, srs in corpus10[n]]
+    systems += [vertex_split(srs, *split) for n in range(4, 8)
+                for _key, srs in corpus10[n] for split in _splits(srs)]
+    for srs in systems:
+        key = canonical_key(srs)
+        darts = generator._class_darts(srs)
+        for _ in range(2):
+            image, dmap = _full_relabel(srs, rng)
+            assert sorted(generator._class_darts(image)) == \
+                sorted(dmap[d] for d in darts)
+            assert canonical_key(image) == key
 
 
 def test_canonical_separates_nonisomorphic_pairs(corpus10):
@@ -121,7 +133,8 @@ def test_canonical_distinguishes_nonisomorphic(corpus10):
 
 def test_canonical_key_matches_oracle_on_split_products(corpus10):
     # every split product of the n <= 9 corpus, duplicates included: the
-    # colour-restricted key and the all-darts oracle decide the same classes
+    # degree-pair-restricted key and the all-darts oracle decide the same
+    # classes
     fast, oracle = [], []
     for n in range(4, 9):
         for _key, srs in corpus10[n]:
@@ -271,6 +284,32 @@ def test_manifest_matches_validation(tmp_path):
                                      require_polyhedral=False)
         assert (poly, bip) == (str(int(q.polyhedral)), str(int(q.bipartite)))
     assert {poly for _n, _k, poly, _b, _c in rows} == {"0", "1"}
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def _manifest_files(rows):
+    return {"manifest.tsv"} | {f"q{n}/{key}.srs" for n, key, *_ in rows}
+
+
+def test_rewrite_removes_stale_corpus_files(tmp_path):
+    # a smaller corpus written over a larger one leaves none of its files
+    out = tmp_path / "c"
+    write_corpus(out, 8)
+    rows = write_corpus(out, 6)
+    assert len(rows) == 6
+    assert _files(out) == _manifest_files(rows)
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["manifest.tsv", "q4", "q5", "q6"]
+    # files the manifest does not list stay, and so do their directories
+    (out / "notes.txt").write_text("kept\n")
+    (out / "q6" / "extra.srs").write_text("kept\n")
+    rows = write_corpus(out, 5)
+    assert _files(out) == _manifest_files(rows) | {"notes.txt",
+                                                   "q6/extra.srs"}
 
 
 def test_validation_errors_propagate(tmp_path, monkeypatch):
