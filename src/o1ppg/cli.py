@@ -36,8 +36,6 @@ def cmd_generate(args):
         by_n[n] = (a + 1, b + (poly == "1"))
     for n in sorted(by_n):
         total, poly = by_n[n]
-        if args.even_only and n % 2:
-            continue
         print(f"n={n} quadrangulations={total} polyhedral={poly}")
     print(f"manifest: {os.path.join(args.out, 'manifest.tsv')}")
     return 0
@@ -111,9 +109,7 @@ def _campaign_config(args):
     bad = [t for t in theorems if t not in THEOREM_IDS]
     if bad:
         raise SystemExit(f"unknown theorem ids: {','.join(bad)}")
-    return AuditConfig(theorems=theorems,
-                       threematch_full_max_edges=args.threematch_cap,
-                       seed=args.seed)
+    return AuditConfig(theorems=theorems)
 
 
 def _workers():
@@ -155,7 +151,7 @@ def cmd_replay(args):
     if not matches:
         print(f"instance {args.instance} not found", file=sys.stderr)
         return 1
-    config = AuditConfig(theorems=(args.theorem,), seed=args.seed)
+    config = AuditConfig(theorems=(args.theorem,))
     results = audit_instance(matches[0], config)
     for r in results:
         print(result_line(r))
@@ -222,9 +218,6 @@ def build_parser():
 
     g = sub.add_parser("generate", help="grow a quadrangulation corpus")
     g.add_argument("--max-n", type=int, default=10)
-    g.add_argument("--even-only", action="store_true",
-                   help="only print even-order rows (files are always "
-                        "written for every order)")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_generate)
 
@@ -246,16 +239,15 @@ def build_parser():
     w.add_argument("--theorems", default="all")
     w.add_argument("--report", default=None)
     w.add_argument("--max-n", type=int, default=None)
-    w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--threematch-cap", type=int, default=40,
-                   help="max edge count for exhaustive 3-matching sweeps")
+    w.add_argument("--seed", type=int, default=0,
+                   help="ignored: the audit is not random (accepted so "
+                        "existing scripts keep working)")
     w.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("replay", help="re-run one check in isolation")
     r.add_argument("--corpus", required=True)
     r.add_argument("--instance", required=True)
     r.add_argument("--theorem", required=True, choices=THEOREM_IDS)
-    r.add_argument("--seed", type=int, default=0)
     r.set_defaults(fn=cmd_replay)
 
     d = sub.add_parser("export-dot", help="DOT export, optionally with a "

@@ -574,13 +574,13 @@ def _quad_and_instance(srs, digest):
         return q, None
 
 
-def corpus_instances(corpus, even_only=False):
+def corpus_instances(corpus):
     """Instances of a grown corpus ``{n: [(key, srs)]}``: its polyhedral
-    members with n >= 9 (and n even when ``even_only``), named
-    ``q<n>-<digest of key>``, in the corpus's (n, canonical key) order."""
+    members with n >= 9, named ``q<n>-<digest of key>``, in the corpus's
+    (n, canonical key) order."""
     out = []
     for n, members in corpus.items():
-        if n < 9 or (even_only and n % 2):
+        if n < 9:
             continue
         for key, srs in members:
             _q, inst = _quad_and_instance(srs, _digest(key))
@@ -589,12 +589,12 @@ def corpus_instances(corpus, even_only=False):
     return out
 
 
-def enumerate_o1ppg(n_max, even_only=False, seeds=None):
-    """Instances over every polyhedral corpus quadrangulation with n >= 9
-    (and n even when ``even_only``), ordered by (n, canonical key)."""
+def enumerate_o1ppg(n_max, seeds=None):
+    """Instances over every polyhedral corpus quadrangulation with n >= 9,
+    ordered by (n, canonical key)."""
     if seeds is None:
         seeds = [default_seed()]
-    return corpus_instances(grow_quadrangulations(seeds, n_max), even_only)
+    return corpus_instances(grow_quadrangulations(seeds, n_max))
 
 
 def write_corpus(out_dir, n_max, seeds=None):

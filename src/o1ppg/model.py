@@ -27,9 +27,6 @@ from .surface import EmbeddedGraph, representativity
 @dataclass
 class Quadrangulation:
     embedding: EmbeddedGraph
-    simple: bool
-    all_faces_len4: bool
-    on_p2: bool
     polyhedral: bool
     bipartite: bool
 
@@ -88,9 +85,6 @@ def validate_quadrangulation(raw: EmbeddedGraph,
         raise NotPolyhedral(witness)
     return Quadrangulation(
         embedding=raw,
-        simple=True,
-        all_faces_len4=True,
-        on_p2=True,
         polyhedral=polyhedral,
         bipartite=is_bipartite(n, adj),
     )

@@ -107,10 +107,6 @@ class SignedRotationSystem:
     def degree(self, v):
         return len(self.rotations[v])
 
-    def endpoints(self, e):
-        u, v, _ = self.edges[e]
-        return u, v
-
     def is_simple(self):
         seen = set()
         for u, v, _ in self.edges:
@@ -147,10 +143,6 @@ class SignedRotationSystem:
                     count += 1
                     queue.append(y)
         return count == n
-
-    def copy(self):
-        return SignedRotationSystem(
-            self.vertex_count, self.edges, self.rotations, check=False)
 
 
 @dataclass(frozen=True)
@@ -290,9 +282,6 @@ class EmbeddedGraph:
         """2-cell embedded in the projective plane?"""
         return (self.euler_char == 1 and not self.orientable
                 and self.srs.is_connected())
-
-    def face_vector(self):
-        return tuple(sorted(f.length for f in self.faces))
 
     # -- corners -----------------------------------------------------------
 
