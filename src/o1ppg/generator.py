@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from . import fixtures, srsio
 from .errors import NotSimpleResult, TooLarge
 from .graphs import vertex_connectivity_flow
-from .model import build_o1ppg, validate_quadrangulation
+from .model import Quadrangulation, build_o1ppg, validate_quadrangulation
 from .surface import EmbeddedGraph, SignedRotationSystem
 
 _SEP = -1
@@ -325,14 +325,6 @@ def exhaustive_small_search(n, edges, predicate, max_edges=10):
 # -- growth moves -------------------------------------------------------------
 
 
-def _is_quadrangulation_p2(g: EmbeddedGraph):
-    return (g.srs.is_simple()
-            and g.srs.is_connected()
-            and g.euler_char == 1
-            and not g.orientable
-            and all(f.length == 4 for f in g.faces))
-
-
 def vertex_split(srs: SignedRotationSystem, v, i, j):
     """Split vertex ``v`` between rotation positions ``i`` and ``j``.
 
@@ -495,36 +487,45 @@ def grow_quadrangulations(seeds, n_max):
     key.  A split product is encoded from one start state and is a repeat
     iff that encoding is one a class met before had from any of its start
     states (``_new_class``); only a new class is encoded from all of them.
-    Products found under a new key are fully re-validated; the split
-    construction itself guarantees quadrangulation-ness, so a validation
-    failure here is a bug, not an input condition.  The splits that
-    ``_repeated_splits`` names, by face-corner twins and by the parent's
-    automorphisms, are skipped: each repeats the class of a split of the
-    same system made before it, so neither the classes nor their stored
-    representatives change.  Start states come from the least degree pair
-    (``_class_darts``).  From K4 to n <= 10 that builds 9,566 split
-    products and makes 14,468 encoder calls.
+    Every seed, and every product found under a new key, goes through
+    ``validate_quadrangulation``; the split construction itself guarantees
+    quadrangulation-ness, so a validation error on a product is a bug, not
+    an input condition.  The splits that ``_repeated_splits`` names, by
+    face-corner twins and by the parent's automorphisms, are skipped: each
+    repeats the class of a split of the same system made before it, so
+    neither the classes nor their stored representatives change.  Start
+    states come from the least degree pair (``_class_darts``).  From K4 to
+    n <= 10 that builds 9,566 split products and makes 14,468 encoder
+    calls.
     """
+    return {n: [(key, srs) for key, srs, _poly, _bip in members]
+            for n, members in _grow(seeds, n_max).items()}
+
+
+def _grow(seeds, n_max):
+    """``grow_quadrangulations`` with each member's validation flags:
+    {n: [(key, srs, polyhedral, bipartite), ...]} sorted by key."""
     by_n = {}
     seen = set()
     frontier = []   # (EmbeddedGraph, automorphisms) of classes below n_max
 
-    def keep(g, found):
+    def keep(q, found):
         key, automorphisms = found
-        by_n.setdefault(g.vertex_count, []).append((key, g.srs))
+        g = q.embedding
+        by_n.setdefault(g.vertex_count, []).append(
+            (key, g.srs, q.polyhedral, q.bipartite))
         if g.vertex_count < n_max:
             frontier.append((g, automorphisms))
 
     for g in seeds:
         if isinstance(g, SignedRotationSystem):
             g = EmbeddedGraph(g)
-        if not _is_quadrangulation_p2(g):
-            raise TooLarge("seed is not a simple P^2 quadrangulation")
+        q = validate_quadrangulation(g, require_polyhedral=False)
         # Members are simple and connected, so they take the restricted
         # start set directly.
         found = _new_class(g.srs, seen)
         if found is not None:
-            keep(g, found)
+            keep(q, found)
     while frontier:
         g0, automorphisms = frontier.pop()
         srs0 = g0.srs
@@ -539,14 +540,10 @@ def grow_quadrangulations(seeds, n_max):
                 # and connected (both halves keep x and y).
                 srs = vertex_split(srs0, v, i, j)
                 found = _new_class(srs, seen)
-                if found is None:
-                    continue
-                g = EmbeddedGraph(srs)
-                if not _is_quadrangulation_p2(g):
-                    raise AssertionError(
-                        "vertex split produced a non-quadrangulation")
-                keep(g, found)
-    return {n: sorted(v, key=lambda kv: kv[0]) for n, v in sorted(by_n.items())}
+                if found is not None:
+                    keep(validate_quadrangulation(
+                        EmbeddedGraph(srs), require_polyhedral=False), found)
+    return {n: sorted(v, key=lambda m: m[0]) for n, v in sorted(by_n.items())}
 
 
 # -- corpus ------------------------------------------------------------------
@@ -556,22 +553,26 @@ def default_seed():
     return fixtures.fix_k4()
 
 
-def _quad_and_instance(srs, digest):
+def _instance(q, digest):
+    """The instance ``q<n>-<digest>`` of a polyhedral quadrangulation with
+    n >= 9, or None when a diagonal would duplicate an edge."""
+    try:
+        return build_o1ppg(q, key=f"q{q.vertex_count}-{digest}")
+    except NotSimpleResult:
+        return None
+
+
+def _validated_instance(srs, digest):
     """Validate a corpus member and build its instance ``q<n>-<digest>``.
 
-    Returns (quadrangulation, instance), the instance None when the member
-    is not polyhedral, has fewer than 9 vertices, or a diagonal would
-    duplicate an edge.  Any other validation error propagates: corpus
-    members are quadrangulations by construction.
+    Returns None when the member is not polyhedral, has fewer than 9
+    vertices, or a diagonal would duplicate an edge.  Any other validation
+    error propagates: corpus members are quadrangulations by construction.
     """
     q = validate_quadrangulation(EmbeddedGraph(srs), require_polyhedral=False)
-    n = q.vertex_count
-    if not q.polyhedral or n < 9:
-        return q, None
-    try:
-        return q, build_o1ppg(q, key=f"q{n}-{digest}")
-    except NotSimpleResult:
-        return q, None
+    if not q.polyhedral or q.vertex_count < 9:
+        return None
+    return _instance(q, digest)
 
 
 def corpus_instances(corpus):
@@ -583,7 +584,7 @@ def corpus_instances(corpus):
         if n < 9:
             continue
         for key, srs in members:
-            _q, inst = _quad_and_instance(srs, _digest(key))
+            inst = _validated_instance(srs, _digest(key))
             if inst is not None:
                 out.append(inst)
     return out
@@ -611,20 +612,23 @@ def write_corpus(out_dir, n_max, seeds=None):
         seeds = [default_seed()]
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = grow_quadrangulations(seeds, n_max)
+    corpus = _grow(seeds, n_max)
     _remove_listed(out_dir)
     rows = []
     for n, members in corpus.items():
         sub = out_dir / f"q{n}"
         sub.mkdir(exist_ok=True)
-        for key, srs in members:
+        for key, srs, polyhedral, bipartite in members:
             digest = _digest(key)
             srsio.dump(srs, sub / f"{digest}.srs")
-            q, inst = _quad_and_instance(srs, digest)
+            # growth validated the member; only instances need its faces
+            inst = (_instance(Quadrangulation(EmbeddedGraph(srs), True,
+                                              bipartite), digest)
+                    if polyhedral and n >= 9 else None)
             conn = ("-" if inst is None else
                     str(vertex_connectivity_flow(inst.n, inst.adj, 8)))
-            rows.append((n, digest, "1" if q.polyhedral else "0",
-                         "1" if q.bipartite else "0", conn))
+            rows.append((n, digest, "1" if polyhedral else "0",
+                         "1" if bipartite else "0", conn))
     rows.sort()
     with open(out_dir / "manifest.tsv", "w", newline="\n") as fh:
         fh.write("n\tkey\tpolyhedral\tbipartite\tconnectivity\n")
@@ -667,7 +671,7 @@ def load_corpus_instances(corpus_dir, max_n=None):
             if poly != "1" or n < 9 or (max_n is not None and n > max_n):
                 continue
             srs = srsio.load(corpus_dir / f"q{n}" / f"{key}.srs")
-            _q, inst = _quad_and_instance(srs, key)
+            inst = _validated_instance(srs, key)
             if inst is not None:
                 out.append(inst)
     out.sort(key=lambda i: (i.n, i.key))

@@ -24,21 +24,24 @@ module may import the production modules, but none of them imports it.
   (against ``surface.is_essential``).
 - ``certificate_by_sets``: the Theorem-1.6 certificate scan on vertex
   sets (against ``structures.certificate_of_mask``).
+- ``region_decompose_reference``: face merging by union-find calls and
+  state sets, with each walk's swept corners collected and mapped to
+  regions afterwards (against ``surface.region_decompose``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import NotProjectivePlane
+from .errors import EmptySubgraph, MalformedRotation, NotProjectivePlane
 from .generator import (_SEP, _joined_key, _prefix, _vertex_components,
                         canonical_key, vertex_split)
 from .graphs import component_masks
 from .matching import Matching, _check_matching
 from .structures import (OddWeightedRegion, _host_embedding,
                          canonical_walk, get_pattern)
-from .surface import (EmbeddedGraph, _cycle_edges, radial_corners,
-                      region_decompose)
+from .surface import (EmbeddedGraph, FaceWalk, Region, RegionDecomposition,
+                      _cycle_edges, radial_corners, region_decompose)
 
 
 def _oracle_encoding(srs, start_dart, start_side):
@@ -320,3 +323,142 @@ def certificate_by_sets(ctx, vm):
             if frozenset(phi[v] for v in gray) <= vm:
                 return ("cert_ii", (cid, phi))
     return None
+
+
+def region_decompose_reference(g: EmbeddedGraph,
+                               subgraph_edges) -> RegionDecomposition:
+    """Set-based reference for ``surface.region_decompose``: merge the
+    host's faces across every edge outside ``subgraph_edges``.
+
+    Each region gets its boundary walks (closed walks over the subgraph),
+    its Euler characteristic on the cut-open complex, and its interior
+    vertices.  A region is a 2-cell iff its characteristic is 1 and it has a
+    single boundary walk.
+    """
+    K = frozenset(subgraph_edges)
+    if not K:
+        raise EmptySubgraph("region decomposition needs a nonempty edge set")
+    srs = g.srs
+    nf = g.face_count
+
+    parent = list(range(nf))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    ef = g.edge_faces()
+    for e in range(g.edge_count):
+        if e not in K:
+            f1, f2 = ef[e]
+            union(f1, f2)
+
+    groups = {}
+    for fi in range(nf):
+        groups.setdefault(find(fi), []).append(fi)
+    region_of_face = {}
+    roots = sorted(groups)
+    for ri, root in enumerate(roots):
+        for fi in groups[root]:
+            region_of_face[fi] = ri
+
+    # boundary walks: trace the restricted system, sweeping host corners
+    k_darts = set()
+    for e in K:
+        k_darts.add(2 * e)
+        k_darts.add(2 * e + 1)
+    corner_face = g.corner_face()
+
+    def scan(d2, s2):
+        """From arrival dart d2 with handedness s2, skip non-K darts.
+
+        Returns (next K-dart, swept host corners)."""
+        corners = []
+        x = d2
+        while True:
+            if s2 > 0:
+                corners.append(x)
+                nxt = srs._rot_next[x]
+            else:
+                nxt = srs._rot_prev[x]
+                corners.append(nxt)
+            if nxt in k_darts:
+                return nxt, corners
+            x = nxt
+
+    used = set()
+    walks_by_region = {ri: [] for ri in range(len(roots))}
+    for start_d in sorted(k_darts):
+        for start_s in (1, -1):
+            if (start_d, start_s) in used:
+                continue
+            d, s = start_d, start_s
+            walk, sides, touched = [], [], set()
+            while True:
+                if (d, s) in used:
+                    raise MalformedRotation("restricted trace revisit")
+                used.add((d, s))
+                walk.append(d)
+                sides.append(s)
+                s2 = s * srs.sign(d >> 1)
+                nd, corners = scan(d ^ 1, s2)
+                touched.update(corners)
+                d, s = nd, s2
+                if (d, s) == (start_d, start_s):
+                    break
+            for d0, s0 in zip(walk, sides):
+                used.add((d0 ^ 1, -s0 * srs.sign(d0 >> 1)))
+            regions_touched = {region_of_face[corner_face[c]]
+                               for c in touched}
+            if len(regions_touched) != 1:
+                raise MalformedRotation(
+                    "boundary walk sweeps multiple regions; "
+                    "face merge inconsistent")
+            verts = tuple(srs.dart_vertex(d0) for d0 in walk)
+            fw = FaceWalk(tuple(walk), tuple(sides), len(walk),
+                          len(set(verts)) == len(verts), verts)
+            walks_by_region[regions_touched.pop()].append(fw)
+
+    # interior vertices: not an endpoint of K, all incident faces in region
+    vK = set()
+    for e in K:
+        u, v, _ = srs.edges[e]
+        vK.add(u)
+        vK.add(v)
+    vf = g.vertex_faces()
+    interior = {ri: set() for ri in range(len(roots))}
+    for v in range(g.vertex_count):
+        if v in vK or not vf[v]:
+            continue
+        rs = {region_of_face[fi] for fi in vf[v]}
+        if len(rs) != 1:
+            raise MalformedRotation(
+                "vertex off the subgraph touches several regions")
+        interior[rs.pop()].add(v)
+
+    interior_edge_count = [0] * len(roots)
+    for e in range(g.edge_count):
+        if e not in K:
+            interior_edge_count[region_of_face[ef[e][0]]] += 1
+
+    dec = RegionDecomposition(subgraph_edges=K)
+    for ri, root in enumerate(roots):
+        faces = tuple(sorted(groups[root]))
+        walks = walks_by_region[ri]
+        chi = (len(interior[ri]) - interior_edge_count[ri] + len(faces))
+        dec.regions.append(Region(
+            face_ids=faces,
+            boundary_walks=walks,
+            euler_char=chi,
+            interior_vertices=frozenset(interior[ri]),
+            is_two_cell=(chi == 1 and len(walks) == 1),
+        ))
+    return dec
+

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     Disconnected,
@@ -145,8 +146,7 @@ class SignedRotationSystem:
         return count == n
 
 
-@dataclass(frozen=True)
-class FaceWalk:
+class FaceWalk(NamedTuple):
     """One traced face boundary: ``boundary[i]`` is the dart whose edge the
     walk traverses at step i, leaving that dart's vertex."""
 
@@ -160,58 +160,48 @@ class FaceWalk:
         return tuple(d >> 1 for d in self.boundary)
 
 
-def _state_step(srs, dart, side):
-    """One face-tracing transition; returns (next_dart, next_side)."""
-    s2 = side * srs.sign(dart >> 1)
-    d2 = dart ^ 1
-    nd = srs._rot_next[d2] if s2 > 0 else srs._rot_prev[d2]
-    return nd, s2
-
-
-def _state_reverse(srs, dart, side):
-    return dart ^ 1, -side * srs.sign(dart >> 1)
-
-
 def trace_faces(srs: SignedRotationSystem):
     """Trace all faces of the embedding, lowest unused dart-side first.
 
     Every edge side is traversed exactly once across the returned walks, so
-    the total length is 2E.
+    the total length is 2E.  State ``(d, s)`` has id ``2*d + (s < 0)``; one
+    step leaves along ``d``, flips ``s`` across a negative edge and turns at
+    ``d ^ 1`` by the rotation successor (s > 0) or predecessor (s < 0).
     """
-    ne = srs.edge_count
-    used = [False] * (4 * ne)   # state id = 2*dart + (0 if side>0 else 1)
+    nxt, prv, dv = srs._rot_next, srs._rot_prev, srs._dart_vertex
+    neg = [s < 0 for (_u, _v, s) in srs.edges]
+    ne = len(neg)
+    used = bytearray(4 * ne)
     faces = []
+    total = 0
     for start in range(4 * ne):
         if used[start]:
             continue
-        dart, side = start >> 1, 1 - 2 * (start & 1)
-        walk = []
-        sides = []
-        d, s = dart, side
+        d, s, sid = start >> 1, 1 - 2 * (start & 1), start
+        walk, sides, verts, reverse = [], [], [], []
         while True:
-            sid = 2 * d + (0 if s > 0 else 1)
             if used[sid]:
                 raise MalformedRotation(
                     "face tracing revisited a state; rotations corrupt")
-            used[sid] = True
+            used[sid] = 1
             walk.append(d)
             sides.append(s)
-            d, s = _state_step(srs, d, s)
-            if (d, s) == (dart, side):
+            verts.append(dv[d])
+            if neg[d >> 1]:
+                s = -s
+            d ^= 1
+            # the same side traced the other way: state (d ^ 1, -s)
+            reverse.append(2 * d + (s > 0))
+            d = nxt[d] if s > 0 else prv[d]
+            sid = 2 * d + (s < 0)
+            if sid == start:
                 break
-        # mark the reverse orbit (the same face traced the other way)
-        for d0, s0 in zip(walk, sides):
-            rd, rs = _state_reverse(srs, d0, s0)
-            used[2 * rd + (0 if rs > 0 else 1)] = True
-        verts = tuple(srs.dart_vertex(d0) for d0 in walk)
-        faces.append(FaceWalk(
-            boundary=tuple(walk),
-            sides=tuple(sides),
-            length=len(walk),
-            is_cycle=len(set(verts)) == len(verts),
-            vertices=verts,
-        ))
-    total = sum(f.length for f in faces)
+        for r in reverse:
+            used[r] = 1
+        k = len(walk)
+        total += k
+        faces.append(FaceWalk(tuple(walk), tuple(sides), k,
+                              len(set(verts)) == k, tuple(verts)))
     if total != 2 * ne:
         raise MalformedRotation(
             f"face walks cover {total} sides, expected {2 * ne}")
@@ -496,132 +486,133 @@ def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
     Each region gets its boundary walks (closed walks over the subgraph),
     its Euler characteristic on the cut-open complex, and its interior
     vertices.  A region is a 2-cell iff its characteristic is 1 and it has a
-    single boundary walk.
+    single boundary walk.  Regions come in the order of their least face,
+    and a region's walks in the order of their least start state.
+    ``o1ppg.oracles.region_decompose_reference`` is the set-based reference.
     """
     K = frozenset(subgraph_edges)
     if not K:
         raise EmptySubgraph("region decomposition needs a nonempty edge set")
     srs = g.srs
-    nf = g.face_count
-
-    parent = list(range(nf))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    edges = srs.edges
+    ne = len(edges)
+    nxt, prv, dv = srs._rot_next, srs._rot_prev, srs._dart_vertex
     ef = g.edge_faces()
-    for e in range(g.edge_count):
-        if e not in K:
-            f1, f2 = ef[e]
-            union(f1, f2)
-
-    groups = {}
-    for fi in range(nf):
-        groups.setdefault(find(fi), []).append(fi)
-    region_of_face = {}
-    roots = sorted(groups)
-    for ri, root in enumerate(roots):
-        for fi in groups[root]:
-            region_of_face[fi] = ri
-
-    # boundary walks: trace the restricted system, sweeping host corners
-    k_darts = set()
+    in_k = bytearray(ne)
     for e in K:
-        k_darts.add(2 * e)
-        k_darts.add(2 * e + 1)
+        in_k[e] = 1
+
+    # union-find over the faces; the root of a set is its least face
+    nf = g.face_count
+    parent = list(range(nf))
+    for e in range(ne):
+        if in_k[e]:
+            continue
+        a, b = ef[e]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    region_of = [0] * nf
+    face_ids = []
+    for f in range(nf):
+        r = f
+        while parent[r] != r:
+            r = parent[r]
+        if r == f:
+            region_of[f] = len(face_ids)
+            face_ids.append([f])
+        else:
+            ri = region_of[f] = region_of[r]
+            face_ids[ri].append(f)
+    nr = len(face_ids)
+
+    # boundary walks: trace the restricted system, stepping past the darts
+    # outside K and checking that every host corner swept lies in one region
     corner_face = g.corner_face()
-
-    def scan(d2, s2):
-        """From arrival dart d2 with handedness s2, skip non-K darts.
-
-        Returns (next K-dart, swept host corners)."""
-        corners = []
-        x = d2
-        while True:
-            if s2 > 0:
-                corners.append(x)
-                nxt = srs._rot_next[x]
-            else:
-                nxt = srs._rot_prev[x]
-                corners.append(nxt)
-            if nxt in k_darts:
-                return nxt, corners
-            x = nxt
-
-    used = set()
-    walks_by_region = {ri: [] for ri in range(len(roots))}
-    for start_d in sorted(k_darts):
-        for start_s in (1, -1):
-            if (start_d, start_s) in used:
+    neg = [s < 0 for (_u, _v, s) in edges]
+    used = bytearray(4 * ne)        # state (d, s) has id 2*d + (s < 0)
+    walks = [[] for _ in range(nr)]
+    for e0 in sorted(K):
+        for start in range(4 * e0, 4 * e0 + 4):
+            if used[start]:
                 continue
-            d, s = start_d, start_s
-            walk, sides, touched = [], [], set()
+            d, s, sid = start >> 1, 1 - 2 * (start & 1), start
+            walk, sides, verts, reverse = [], [], [], []
+            region = -1
+            mixed = False
             while True:
-                if (d, s) in used:
+                if used[sid]:
                     raise MalformedRotation("restricted trace revisit")
-                used.add((d, s))
+                used[sid] = 1
                 walk.append(d)
                 sides.append(s)
-                s2 = s * srs.sign(d >> 1)
-                nd, corners = scan(d ^ 1, s2)
-                touched.update(corners)
-                d, s = nd, s2
-                if (d, s) == (start_d, start_s):
+                verts.append(dv[d])
+                if neg[d >> 1]:
+                    s = -s
+                x = d ^ 1
+                reverse.append(2 * x + (s > 0))
+                while True:
+                    if s > 0:
+                        r = region_of[corner_face[x]]
+                        x = nxt[x]
+                    else:
+                        x = prv[x]
+                        r = region_of[corner_face[x]]
+                    if r != region:
+                        mixed = mixed or region >= 0
+                        region = r
+                    if in_k[x >> 1]:
+                        break
+                d = x
+                sid = 2 * d + (s < 0)
+                if sid == start:
                     break
-            for d0, s0 in zip(walk, sides):
-                used.add(_state_reverse(srs, d0, s0))
-            regions_touched = {region_of_face[corner_face[c]]
-                               for c in touched}
-            if len(regions_touched) != 1:
+            if mixed:
                 raise MalformedRotation(
                     "boundary walk sweeps multiple regions; "
                     "face merge inconsistent")
-            verts = tuple(srs.dart_vertex(d0) for d0 in walk)
-            fw = FaceWalk(tuple(walk), tuple(sides), len(walk),
-                          len(set(verts)) == len(verts), verts)
-            walks_by_region[regions_touched.pop()].append(fw)
+            for r in reverse:
+                used[r] = 1
+            k = len(walk)
+            walks[region].append(FaceWalk(tuple(walk), tuple(sides), k,
+                                          len(set(verts)) == k,
+                                          tuple(verts)))
 
     # interior vertices: not an endpoint of K, all incident faces in region
-    vK = set()
+    on_k = bytearray(g.vertex_count)
     for e in K:
-        u, v, _ = srs.edges[e]
-        vK.add(u)
-        vK.add(v)
-    vf = g.vertex_faces()
-    interior = {ri: set() for ri in range(len(roots))}
-    for v in range(g.vertex_count):
-        if v in vK or not vf[v]:
+        u, v, _s = edges[e]
+        on_k[u] = on_k[v] = 1
+    interior = [[] for _ in range(nr)]
+    for v, fs in enumerate(g.vertex_faces()):
+        if on_k[v] or not fs:
             continue
-        rs = {region_of_face[fi] for fi in vf[v]}
+        rs = {region_of[f] for f in fs}
         if len(rs) != 1:
             raise MalformedRotation(
                 "vertex off the subgraph touches several regions")
-        interior[rs.pop()].add(v)
+        interior[rs.pop()].append(v)
 
-    interior_edge_count = [0] * len(roots)
-    for e in range(g.edge_count):
-        if e not in K:
-            interior_edge_count[region_of_face[ef[e][0]]] += 1
+    interior_edge_count = [0] * nr
+    for e in range(ne):
+        if not in_k[e]:
+            interior_edge_count[region_of[ef[e][0]]] += 1
 
     dec = RegionDecomposition(subgraph_edges=K)
-    for ri, root in enumerate(roots):
-        faces = tuple(sorted(groups[root]))
-        walks = walks_by_region[ri]
-        chi = (len(interior[ri]) - interior_edge_count[ri] + len(faces))
+    for ri in range(nr):
+        chi = len(interior[ri]) - interior_edge_count[ri] + len(face_ids[ri])
         dec.regions.append(Region(
-            face_ids=faces,
-            boundary_walks=walks,
+            face_ids=tuple(face_ids[ri]),
+            boundary_walks=walks[ri],
             euler_char=chi,
             interior_vertices=frozenset(interior[ri]),
-            is_two_cell=(chi == 1 and len(walks) == 1),
+            is_two_cell=(chi == 1 and len(walks[ri]) == 1),
         ))
     return dec
-

@@ -283,8 +283,14 @@ class _InstanceAudit:
         inst = self.inst
         counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
         ctx = self.ctx()
+        # the verdict depends on the covered vertices alone, and many
+        # 3-matchings cover the same six: decide each mask once
+        decided = {}
         for combo, vm in matching_masks(inst, 3):
-            verdict, detail = diagnose_mask(inst, vm, ctx)
+            found = decided.get(vm)
+            if found is None:
+                found = decided[vm] = diagnose_mask(inst, vm, ctx)
+            verdict, detail = found
             if verdict == "counterexample":
                 self.emit("T1.6", "fail",
                           detail=f"oracle/certificate disagreement: "

@@ -8,7 +8,11 @@ import pytest
 from o1ppg import srsio
 from o1ppg.errors import (Disconnected, EmptySubgraph, MalformedRotation,
                           NotACycle, NotProjectivePlane)
-from o1ppg.oracles import is_essential_by_regions, representativity_bruteforce
+from o1ppg.connectivity import enumerate_cuts, vertex_connectivity
+from o1ppg.oracles import (is_essential_by_regions, region_decompose_reference,
+                           representativity_bruteforce)
+from o1ppg.structures import _closed_walks_upto
+from o1ppg.verify import CUT_MAX
 from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem, cycle_sign,
                            double_cover, euler_and_orientability,
                            is_essential, region_decompose, representativity,
@@ -160,6 +164,52 @@ def test_region_chis_partition_properties(min9):
         vk |= {u, v}
     interiors = [v for r in dec.regions for v in r.interior_vertices]
     assert sorted(interiors) == sorted(set(range(min9.vertex_count)) - vk)
+
+
+def _kernel_edge_sets(inst, rng, random_sets):
+    """Edge sets of Q(G) the region kernel meets: every closed walk of at
+    most 6 vertices, every nonempty Q[S] of a cut the audit enumerates,
+    and ``random_sets`` random edge subsets."""
+    emb = inst.quad.embedding
+    edge_of = {}
+    for e, (u, v, _s) in enumerate(emb.srs.edges):
+        edge_of[(u, v)] = edge_of[(v, u)] = e
+    for walk in _closed_walks_upto(emb, 6):
+        yield {edge_of[(a, b)] for a, b in zip(walk, walk[1:] + walk[:1])}
+    for k in range(vertex_connectivity(inst), min(CUT_MAX, inst.n - 2) + 1):
+        for ca in enumerate_cuts(inst, k):
+            if ca.qs.edges:
+                yield set(ca.qs.edges)
+    for _ in range(random_sets):
+        p = rng.random()
+        edges = {e for e in range(emb.edge_count) if rng.random() < p}
+        if edges:
+            yield edges
+
+
+def test_region_decompose_matches_reference(corpus_n12):
+    # every field of every region, and the order of regions and walks
+    rng = random.Random(20241018)
+    compared = 0
+    for inst in corpus_n12:
+        emb = inst.quad.embedding
+        for edges in _kernel_edge_sets(inst, rng, 300):
+            fast = region_decompose(emb, edges)
+            ref = region_decompose_reference(emb, edges)
+            assert fast.subgraph_edges == ref.subgraph_edges
+            assert fast.regions == ref.regions, (inst.key, sorted(edges))
+            compared += 1
+    assert compared > 14_000
+
+
+def test_region_decompose_rejects_inconsistent_faces(min9):
+    # edge-face incidences that merge no faces: a boundary walk then sweeps
+    # corners of several regions, which both implementations reject
+    g = EmbeddedGraph(min9.srs)
+    g._edge_faces = tuple((0, 0) for _ in range(g.edge_count))
+    for decompose in (region_decompose, region_decompose_reference):
+        with pytest.raises(MalformedRotation, match="multiple regions"):
+            decompose(g, {0})
 
 
 def _random_srs(rng, max_v=5, max_e=7):

@@ -162,6 +162,41 @@ def test_t16_sweeps_every_three_matching(even_n12):
         "exhaustive extendable=3934 cert_i=68 cert_ii=0"
 
 
+def test_t16_decides_each_vertex_mask_once(even_n12, monkeypatch):
+    inst = next(i for i in even_n12 if i.key == "q10-i01")
+    sweep = list(matching_masks(inst, 3))
+    calls = []
+    diagnose = verify.diagnose_mask
+
+    def counting(inst, vm, ctx):
+        calls.append(vm)
+        return diagnose(inst, vm, ctx)
+
+    monkeypatch.setattr(verify, "diagnose_mask", counting)
+    [r] = audit_instance(inst, AuditConfig(theorems=("T1.6",)))
+    assert r.verdict == "pass"
+    assert sum(int(c.split("=")[1]) for c in r.detail.split()[1:]) == 1601
+    assert len(calls) == len(set(calls)) == 210
+    assert set(calls) == {vm for _combo, vm in sweep}
+
+    # a forced disagreement names the first matching, in sweep order,
+    # that covers its mask, however many matchings come before it
+    bad = sweep[-1][1]
+    first = next(combo for combo, vm in sweep if vm == bad)
+    assert first != sweep[-1][0]
+
+    def forced(inst, vm, ctx):
+        if vm == bad:
+            return ("counterexample", {"extendable": True,
+                                       "certificate": None})
+        return diagnose(inst, vm, ctx)
+
+    monkeypatch.setattr(verify, "diagnose_mask", forced)
+    [r] = audit_instance(inst, AuditConfig(theorems=("T1.6",)))
+    assert r.verdict == "fail"
+    assert r.witness == verify._edges_str(inst, first)
+
+
 def test_corpus_n12_report_matches_golden(corpus_n12_dir, tmp_path,
                                           monkeypatch):
     """``o1ppg verify --corpus perfbench/corpus-n12`` writes, byte for
