@@ -199,7 +199,7 @@ def test_region_decompose_matches_reference(corpus_n12):
             assert fast.subgraph_edges == ref.subgraph_edges
             assert fast.regions == ref.regions, (inst.key, sorted(edges))
             compared += 1
-    assert compared > 14_000
+    assert compared > 15_000
 
 
 def test_region_decompose_rejects_inconsistent_faces(min9):
