@@ -584,6 +584,10 @@ def corpus_instances(corpus):
         if n < 9:
             continue
         for key, srs in members:
+            # validation's first polyhedral test, made before any face is
+            # traced: most members have a vertex of degree below 3
+            if min(map(len, srs.rotations)) < 3:
+                continue
             inst = _validated_instance(srs, _digest(key))
             if inst is not None:
                 out.append(inst)

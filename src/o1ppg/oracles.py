@@ -20,6 +20,10 @@ module may import the production modules, but none of them imports it.
   (against ``surface.representativity``).
 - ``odd_regions_by_face_merge``: every connected face subset (against
   ``structures.find_odd_weighted_regions``).
+- ``_walk_regions`` (over ``_closed_walks_upto``): every closed walk of at
+  most ``max_len`` vertices, cut one at a time (against
+  ``structures._short_walk_regions``, which cuts only the edge sets of
+  the short-cycle shapes it lists, up to 6 vertices).
 - ``is_essential_by_regions``: the region count of the cut along a cycle
   (against ``surface.is_essential``).
 - ``certificate_by_sets``: the Theorem-1.6 certificate scan on vertex
@@ -250,6 +254,57 @@ def representativity_bruteforce(g: EmbeddedGraph):
     if best[0] is None:
         raise NotProjectivePlane("no essential radial cycle found")
     return best[0] // 2
+
+
+def _closed_walks_upto(emb, max_len, min_len=2):
+    """All closed walks of the embedding's graph with ``min_len`` to
+    ``max_len`` vertices, up to rotation/reflection."""
+    srs = emb.srs
+    n = srs.vertex_count
+    adj = [[] for _ in range(n)]
+    for (u, v, _s) in srs.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for ws in adj:
+        ws.sort()
+    seen = set()
+
+    def dfs(start, v, walk):
+        for w in adj[v]:
+            if w == start and len(walk) >= min_len:
+                seen.add(canonical_walk(walk))
+            if len(walk) < max_len and w >= start:
+                dfs(start, w, walk + [w])
+
+    for start in range(n):
+        dfs(start, start, [start])
+    return sorted(seen)
+
+
+def _walk_regions(emb, max_len, min_len=2):
+    """(walk, region) for every closed walk of the embedding's graph with
+    ``min_len`` to ``max_len`` vertices that separates the surface, and
+    every 2-cell region of the cut whose boundary walk is the walk itself,
+    in walk order."""
+    edge_of = {}
+    for e, (u, v, _s) in enumerate(emb.srs.edges):
+        edge_of[(u, v)] = e
+        edge_of[(v, u)] = e
+    for walk in _closed_walks_upto(emb, max_len, min_len):
+        k = len(walk)
+        edges = {edge_of[(walk[i], walk[(i + 1) % k])] for i in range(k)}
+        if len(edges) < len(set(walk)):
+            continue        # a tree: cutting along it never separates
+        dec = region_decompose(emb, edges)
+        if dec.region_count < 2:
+            # the walk does not separate the surface: its "2-cell side" is
+            # everything (e.g. both traversals of an essential triangle);
+            # such a disc has no outside and is not a bounded region
+            continue
+        for region in dec.regions:
+            if (region.is_two_cell and canonical_walk(
+                    region.boundary_walks[0].vertices) == walk):
+                yield walk, region
 
 
 def odd_regions_by_face_merge(inst, max_boundary_len):

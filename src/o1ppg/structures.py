@@ -15,6 +15,7 @@ from itertools import combinations
 from . import _kernels
 from .errors import NotFiveConnected, OddOrder
 from .generator import exhaustive_small_search
+from .graphs import adjacency_masks, enumerate_cycles
 from .matching import Matching, _check_matching
 from .surface import EmbeddedGraph, SignedRotationSystem, region_decompose
 
@@ -154,7 +155,7 @@ def get_pattern(pid) -> ConfigPattern:
     return patterns()[pid]
 
 
-# -- closed walks and odd weighted regions -----------------------------------
+# -- short closed walks and odd weighted regions -----------------------------
 
 def canonical_walk(vs):
     """Canonical form of a closed walk: minimum rotation/reflection."""
@@ -177,83 +178,123 @@ class OddWeightedRegion:
     face_ids: tuple
 
 
-def _closed_walks_upto(emb, max_len, min_len=2):
-    """All closed walks of the embedding's graph with ``min_len`` to
-    ``max_len`` vertices, up to rotation/reflection."""
-    srs = emb.srs
-    n = srs.vertex_count
-    adj = [[] for _ in range(n)]
-    for (u, v, _s) in srs.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for ws in adj:
-        ws.sort()
-    seen = set()
-
-    def dfs(start, v, walk):
-        for w in adj[v]:
-            if w == start and len(walk) >= min_len:
-                seen.add(canonical_walk(walk))
-            if len(walk) < max_len and w >= start:
-                dfs(start, w, walk + [w])
-
-    for start in range(n):
-        dfs(start, start, [start])
-    return sorted(seen)
-
-
 def _host_embedding(host):
     return host.quad.embedding if hasattr(host, "quad") else host
 
 
-def _walk_regions(emb, max_len, min_len=2):
-    """(walk, region) for every closed walk of the embedding's graph with
-    ``min_len`` to ``max_len`` vertices that separates the surface, and
-    every 2-cell region of the cut whose boundary walk is the walk itself,
-    in walk order."""
+def _short_walk_regions(emb, max_len, min_len=2):
+    """(canonical walk, region) for every 2-cell region of the embedding,
+    a simple graph 2-cell embedded in P^2, that the cut along a closed
+    walk of ``min_len`` to ``max_len`` <= 6 vertices leaves with that walk
+    as its boundary, when the cut separates the surface; sorted by walk.
+
+    A closed walk of at most 6 vertices whose edges are not a tree (a tree
+    never separates) runs over one of these edge graphs:
+
+    - a simple cycle of 3 to 6 vertices;
+    - a 3- or 4-cycle plus a pendant edge, walked there and back;
+    - a triangle walked twice, or a 3- or 4-cycle with one edge walked
+      three times: never a kept boundary, as a boundary walk passes each
+      edge side at most once, and a region on both sides of every edge of
+      a triangle is the only region of the cut;
+    - two triangles sharing one vertex (a figure-eight);
+    - two triangles sharing one edge, the shared edge walked twice.
+
+    A one-sided cycle (sign product -1) does not separate P^2, with or
+    without a pendant edge; a two-sided one bounds one disc, and a pendant
+    edge keeps that disc a 2-cell only when it enters the disc, which a
+    face's disc has no vertex for.  Each remaining edge set is cut once,
+    and a region is kept when it is a 2-cell whose boundary walk covers the
+    whole edge set with a length in range.  ``o1ppg.oracles._walk_regions``
+    is the closed-walk reference.
+    """
+    if max_len > 6:
+        raise ValueError(f"boundary walks of at most 6 vertices are "
+                         f"supported, not {max_len}")
+    srs = emb.srs
+    n = srs.vertex_count
     edge_of = {}
-    for e, (u, v, _s) in enumerate(emb.srs.edges):
-        edge_of[(u, v)] = e
-        edge_of[(v, u)] = e
-    for walk in _closed_walks_upto(emb, max_len, min_len):
-        k = len(walk)
-        edges = {edge_of[(walk[i], walk[(i + 1) % k])] for i in range(k)}
-        if len(edges) < len(set(walk)):
-            continue        # a tree: cutting along it never separates
-        dec = region_decompose(emb, edges)
+    for e, (u, v, _s) in enumerate(srs.edges):
+        edge_of[(u, v)] = edge_of[(v, u)] = e
+    qadj = adjacency_masks(n, [(u, v) for (u, v, _s) in srs.edges])
+    faces = {frozenset(f.edge_ids()) for f in emb.faces}
+    found = {}
+
+    def keep(edges, dec):
         if dec.region_count < 2:
-            # the walk does not separate the surface: its "2-cell side" is
-            # everything (e.g. both traversals of an essential triangle);
-            # such a disc has no outside and is not a bounded region
-            continue
+            return
         for region in dec.regions:
-            if (region.is_two_cell and canonical_walk(
-                    region.boundary_walks[0].vertices) == walk):
-                yield walk, region
+            if not region.is_two_cell:
+                continue
+            bw = region.boundary_walks[0]
+            if (min_len <= bw.length <= max_len
+                    and len(set(bw.edge_ids())) == len(edges)):
+                found[canonical_walk(bw.vertices)] = region
+
+    triangles = []
+    for cycle in enumerate_cycles(n, qadj, max_len):
+        k = len(cycle)
+        edges = frozenset(edge_of[(cycle[i - 1], cycle[i])]
+                          for i in range(k))
+        if k == 3:
+            triangles.append((cycle, edges))
+        sign = 1
+        for e in edges:
+            sign *= srs.sign(e)
+        if sign < 0:
+            continue
+        own = min_len <= k <= max_len
+        pendant = min_len <= k + 2 <= max_len and edges not in faces
+        if not (own or pendant):
+            continue
+        dec = region_decompose(emb, edges)
+        if own:
+            keep(edges, dec)
+        if not pendant:
+            continue
+        on_cycle = _vertex_mask(cycle)
+        for region in dec.regions:
+            if not region.is_two_cell:
+                continue
+            for x in region.interior_vertices:
+                m = qadj[x] & on_cycle
+                while m:
+                    c = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    with_pendant = edges | {edge_of[(c, x)]}
+                    keep(with_pendant,
+                         region_decompose(emb, with_pendant))
+    if min_len <= 6 <= max_len:
+        for (t1, e1), (t2, e2) in combinations(triangles, 2):
+            if set(t1) & set(t2):
+                keep(e1 | e2, region_decompose(emb, e1 | e2))
+    return [(walk, found[walk]) for walk in sorted(found)]
 
 
 def find_odd_weighted_regions(inst, max_boundary_len):
     """All odd weighted regions of the instance bounded by closed walks of
-    non-crossing edges with length <= max_boundary_len.
+    non-crossing edges with length <= max_boundary_len <= 6, sorted by
+    canonical boundary walk.
 
-    Enumerates closed walks of Q(G) up to rotation/reflection and keeps
-    those bounding a 2-cell whose interior vertex count is odd.  The
+    The walks are found from the short cycles of Q(G): simple cycles of
+    length 3 to 6, 3- and 4-cycles with a pendant edge walked there and
+    back, figure-eights of two triangles sharing a vertex, and two
+    triangles sharing an edge walked twice (see
+    :func:`_short_walk_regions`); a longer limit raises ``ValueError``.
+    Keeps each 2-cell region whose interior vertex count is odd.  The
     face-merge enumeration in :func:`o1ppg.oracles.odd_regions_by_face_merge`
     is the independent completeness oracle.  Accepts an instance or a bare
     embedded quadrangulation.
     """
-    found = {}
-    for walk, region in _walk_regions(_host_embedding(inst),
-                                      max_boundary_len):
-        if len(region.interior_vertices) % 2 == 1:
-            found[walk] = OddWeightedRegion(
+    return [OddWeightedRegion(
                 boundary_walk=walk,
                 interior_vertex_count=len(region.interior_vertices),
                 boundary_is_cycle=len(set(walk)) == len(walk),
                 interior_vertices=region.interior_vertices,
-                face_ids=region.face_ids,
-            )
-    return list(found.values())
+                face_ids=region.face_ids)
+            for walk, region in _short_walk_regions(_host_embedding(inst),
+                                                    max_boundary_len)
+            if len(region.interior_vertices) % 2 == 1]
 
 
 def barrier_cycles(inst, length):
@@ -265,37 +306,22 @@ def barrier_cycles(inst, length):
 
 def two_cell_regions(inst, boundary_len):
     """All 2-cell regions bounded by separating closed walks of non-crossing
-    edges with the exact boundary length, any interior parity.
+    edges with the exact boundary length (at most 6), any interior parity,
+    as (canonical walk, interior vertex set) sorted by walk.
 
+    At length 6 the walks are the 6-cycles, the 4-cycles with a pendant
+    edge walked there and back, the figure-eights of two triangles sharing
+    a vertex and the pairs of triangles sharing an edge walked twice (see
+    :func:`_short_walk_regions`); a length above 6 raises ``ValueError``.
     The 3-matching certificate needs the interior split by coverage, not
     just its total parity, so this keeps even-interior regions too.
     """
-    found = {}
-    for walk, region in _walk_regions(_host_embedding(inst), boundary_len,
-                                      boundary_len):
-        found[walk] = region.interior_vertices
-    return list(found.items())
+    return [(walk, region.interior_vertices)
+            for walk, region in _short_walk_regions(
+                _host_embedding(inst), boundary_len, boundary_len)]
 
 
 # -- projective-bowties -------------------------------------------------------
-
-def _triangles(emb):
-    srs = emb.srs
-    n = srs.vertex_count
-    adj = [set() for _ in range(n)]
-    for (u, v, _s) in srs.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    tris = []
-    for u in range(n):
-        for v in sorted(adj[u]):
-            if v <= u:
-                continue
-            for w in sorted(adj[u] & adj[v]):
-                if w > v:
-                    tris.append((u, v, w))
-    return tris
-
 
 def find_projective_bowties(quad):
     """All embedded projective-bowties in the quadrangulation.
@@ -305,7 +331,9 @@ def find_projective_bowties(quad):
     sub-embedding has exactly two hexagonal faces.
     """
     emb = quad.embedding if hasattr(quad, "embedding") else quad
-    tris = _triangles(emb)
+    n = emb.vertex_count
+    tris = enumerate_cycles(
+        n, adjacency_masks(n, [(u, v) for (u, v, _s) in emb.srs.edges]), 3)
     lookup = {}
     for e, (u, v, _s) in enumerate(emb.srs.edges):
         lookup[(min(u, v), max(u, v))] = e

@@ -7,13 +7,16 @@ from o1ppg.errors import NotFiveConnected, OddOrder
 from o1ppg.generator import canonical_key
 from o1ppg.matching import (Matching, is_extendable, matching_masks,
                             matchings_of_size)
-from o1ppg.oracles import certificate_by_sets, odd_regions_by_face_merge
-from o1ppg.structures import (CertificateContext, PATTERN_IDS, _walk_regions,
-                              build_patterns, canonical_walk,
+from o1ppg.oracles import (_walk_regions, certificate_by_sets,
+                           odd_regions_by_face_merge)
+from o1ppg.structures import (CertificateContext, OddWeightedRegion,
+                              PATTERN_IDS, build_patterns, canonical_walk,
                               certificate_of_mask, diagnose_3matching,
                               find_odd_weighted_regions,
                               find_projective_bowties, get_pattern,
-                              load_patterns, match_pattern, patterns)
+                              load_patterns, match_pattern, patterns,
+                              two_cell_regions)
+from o1ppg.surface import EmbeddedGraph
 
 
 def test_patterns_ship_and_rebuild_identically():
@@ -92,6 +95,47 @@ def test_odd_region_routes_agree(instances10):
             for r in a:
                 assert r.interior_vertex_count % 2 == 1
                 assert r.interior_vertex_count == len(r.interior_vertices)
+
+
+def _walk_shape(walk):
+    """Vertex and edge counts of a closed walk's edge graph."""
+    edges = {frozenset((walk[i - 1], walk[i])) for i in range(len(walk))}
+    return len(set(walk)), len(edges)
+
+
+def test_short_cycle_regions_match_closed_walk_oracle(corpus10, corpus_n12):
+    # the short-cycle finder against the sweep over every closed walk, on
+    # every class grown to n <= 8 and the committed n <= 12 instances
+    hosts = [EmbeddedGraph(srs) for n, members in corpus10.items() if n <= 8
+             for _key, srs in members]
+    assert len(hosts) == 78
+    shapes = set()
+    for host in hosts + corpus_n12:
+        emb = host.quad.embedding if hasattr(host, "quad") else host
+        ref = {}
+        for walk, region in _walk_regions(emb, 6):
+            ref[walk] = region
+        ref = sorted(ref.items())
+        for length in (4, 6):
+            assert find_odd_weighted_regions(host, length) == [
+                OddWeightedRegion(
+                    boundary_walk=walk,
+                    interior_vertex_count=len(r.interior_vertices),
+                    boundary_is_cycle=len(set(walk)) == len(walk),
+                    interior_vertices=r.interior_vertices,
+                    face_ids=r.face_ids)
+                for walk, r in ref
+                if len(walk) <= length and len(r.interior_vertices) % 2]
+        regions6 = two_cell_regions(host, 6)
+        assert regions6 == [(walk, r.interior_vertices)
+                            for walk, r in ref if len(walk) == 6]
+        shapes |= {_walk_shape(walk) for walk, _interior in regions6}
+    # a 6-cycle, a figure-eight, a 4-cycle with a pendant edge and two
+    # triangles sharing a doubled edge all bound regions, so no candidate
+    # family of the finder is compared vacuously
+    assert {(6, 6), (5, 6), (5, 5), (4, 5)} <= shapes
+    with pytest.raises(ValueError, match="at most 6"):
+        two_cell_regions(corpus_n12[0], 7)
 
 
 def test_faces_never_odd_regions(instances10):

@@ -9,9 +9,9 @@ from o1ppg import srsio
 from o1ppg.errors import (Disconnected, EmptySubgraph, MalformedRotation,
                           NotACycle, NotProjectivePlane)
 from o1ppg.connectivity import enumerate_cuts, vertex_connectivity
-from o1ppg.oracles import (is_essential_by_regions, region_decompose_reference,
+from o1ppg.oracles import (_closed_walks_upto, is_essential_by_regions,
+                           region_decompose_reference,
                            representativity_bruteforce)
-from o1ppg.structures import _closed_walks_upto
 from o1ppg.verify import CUT_MAX
 from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem, cycle_sign,
                            double_cover, euler_and_orientability,
