@@ -53,10 +53,6 @@ class OddOrder(O1ppgError):
     """Operation requires an even number of vertices."""
 
 
-class NotFiveConnected(O1ppgError):
-    """Operation requires a 5-connected instance."""
-
-
 class NoBlockerFound(O1ppgError):
     """No blocker set exists within the search cap (precondition violation
     or a genuine counterexample; callers report, never crash)."""
@@ -77,6 +73,10 @@ class LinkNotCycle(O1ppgError):
 
 class TooLarge(O1ppgError):
     """Exhaustive search space beyond the supported gate."""
+
+
+class MalformedManifest(O1ppgError):
+    """A corpus manifest row is not a member row whose path can be trusted."""
 
 
 class EmptyCorpus(O1ppgError):

@@ -1,9 +1,11 @@
-"""Packaged fixture embeddings: FIX-K4, FIX-BOWTIE, FIX-MIN9, and the
-embedded pattern fixtures with their role sidecars.
+"""Packaged fixture embeddings: FIX-K4, FIX-BOWTIE, FIX-MIN9, and the nine
+base pattern embeddings (the roles of the configurations (a)-(g) on them
+live in :mod:`o1ppg.structures`).
 
-Every fixture is reproducible from scratch (tests regenerate and compare):
-FIX-K4 and FIX-BOWTIE by exhaustive search, FIX-MIN9 by the generator, and
-the patterns by the unique-embedding searches in :mod:`o1ppg.structures`.
+Every fixture is reproducible from scratch (``scripts/make_fixtures.py``;
+the tests regenerate and compare byte for byte): FIX-K4 and FIX-BOWTIE by
+exhaustive search, FIX-MIN9 by the generator, and the patterns by the
+unique-embedding searches in :mod:`o1ppg.oracles`.
 """
 
 from __future__ import annotations
@@ -14,29 +16,10 @@ from . import srsio
 from .surface import EmbeddedGraph
 
 
-def _read(name):
-    ref = resources.files(__package__).joinpath("fixtures", name)
-    return ref.read_text()
-
-
 def load_embedding(name) -> EmbeddedGraph:
     """Load a fixture .srs by bare name, e.g. ``FIX-K4``."""
-    return EmbeddedGraph(srsio.loads(_read(name + ".srs")))
-
-
-def load_roles(name):
-    """Parse a .roles sidecar into (gray vertex set, odd face indices)."""
-    gray = frozenset()
-    oddface = ()
-    for line in _read(name + ".roles").splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "gray":
-            gray = frozenset(int(t) for t in parts[1:])
-        elif parts[0] == "oddface":
-            oddface = tuple(int(t) for t in parts[1:])
-    return gray, oddface
+    ref = resources.files(__package__).joinpath("fixtures", name + ".srs")
+    return EmbeddedGraph(srsio.loads(ref.read_text()))
 
 
 def fix_k4() -> EmbeddedGraph:

@@ -1,5 +1,5 @@
-"""Corpus generation: canonical forms, exhaustive small searches, and growth
-of projective-plane quadrangulations by vertex splitting.
+"""Corpus generation: canonical forms and growth of projective-plane
+quadrangulations by vertex splitting.
 
 Enumeration completeness is NOT claimed: the corpus is the closure of the
 seed set under vertex splits, re-validated per product.  The verification
@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import pathlib
 from array import array
-from itertools import combinations, permutations
+from itertools import combinations
 
 from . import fixtures, srsio
-from .errors import NotSimpleResult, TooLarge
+from .errors import MalformedManifest, NotSimpleResult
 from .graphs import vertex_connectivity_flow
 from .model import Quadrangulation, build_o1ppg, validate_quadrangulation
 from .surface import EmbeddedGraph, SignedRotationSystem
@@ -231,95 +231,6 @@ def _digest(key):
 def short_key(g) -> str:
     """Filesystem-friendly digest of the canonical string."""
     return _digest(canonical_key(g))
-
-
-# -- exhaustive embedding search --------------------------------------------
-
-
-def _spanning_tree_edges(n, edges):
-    seen = [False] * n
-    seen[0] = True
-    tree = []
-    frontier = [0]
-    adj = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    while frontier:
-        x = frontier.pop()
-        for (y, i) in adj[x]:
-            if not seen[y]:
-                seen[y] = True
-                tree.append(i)
-                frontier.append(y)
-    if not all(seen):
-        raise TooLarge("exhaustive search expects a connected graph")
-    return set(tree)
-
-
-def all_embeddings(n, edges, max_edges=10):
-    """Yield every signed rotation system of a connected simple graph, one
-    representative per (rotations x tree-normalized signs) choice.
-
-    Complete up to embedded isomorphism: every equivalence class contains a
-    representative whose spanning-tree signs are all +1.
-    """
-    ne = len(edges)
-    if ne > max_edges:
-        raise TooLarge(f"{ne} edges exceeds the exhaustive gate ({max_edges})")
-    darts_at = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        darts_at[u].append(2 * i)
-        darts_at[v].append(2 * i + 1)
-    tree = _spanning_tree_edges(n, edges)
-    free = [i for i in range(ne) if i not in tree]
-
-    rot_choices = []
-    for v in range(n):
-        ds = darts_at[v]
-        if len(ds) <= 2:
-            rot_choices.append([tuple(ds)])
-        else:
-            first, rest = ds[0], ds[1:]
-            rot_choices.append([(first,) + p for p in permutations(rest)])
-
-    def rec_rot(v, acc):
-        if v == n:
-            yield list(acc)
-            return
-        for rot in rot_choices[v]:
-            acc.append(rot)
-            yield from rec_rot(v + 1, acc)
-            acc.pop()
-
-    for rots in rec_rot(0, []):
-        for bits in range(1 << len(free)):
-            sign = [1] * ne
-            for j, e in enumerate(free):
-                if (bits >> j) & 1:
-                    sign[e] = -1
-            yield SignedRotationSystem(
-                n,
-                [(u, v, sign[i]) for i, (u, v) in enumerate(edges)],
-                rots,
-                check=False,
-            )
-
-
-def exhaustive_small_search(n, edges, predicate, max_edges=10):
-    """All projective-plane embeddings of the graph satisfying ``predicate``,
-    deduplicated by canonical form, sorted by canonical string."""
-    found = {}
-    for srs in all_embeddings(n, edges, max_edges=max_edges):
-        g = EmbeddedGraph(srs)
-        if not (g.euler_char == 1 and not g.orientable):
-            continue
-        if not predicate(g):
-            continue
-        key = canonical_key(g)
-        if key not in found:
-            found[key] = g
-    return [found[k] for k in sorted(found)]
 
 
 # -- growth moves -------------------------------------------------------------
@@ -594,14 +505,6 @@ def corpus_instances(corpus):
     return out
 
 
-def enumerate_o1ppg(n_max, seeds=None):
-    """Instances over every polyhedral corpus quadrangulation with n >= 9,
-    ordered by (n, canonical key)."""
-    if seeds is None:
-        seeds = [default_seed()]
-    return corpus_instances(grow_quadrangulations(seeds, n_max))
-
-
 def write_corpus(out_dir, n_max, seeds=None):
     """Write the full grown corpus and its manifest.
 
@@ -653,8 +556,8 @@ def _remove_listed(out_dir):
         for line in fh:
             n_s, _tab, rest = line.rstrip("\n").partition("\t")
             key = rest.partition("\t")[0]
-            if not (n_s.isdigit() and key.isalnum()):
-                continue        # not a member row: no path to trust
+            if not _is_member_row(n_s, key):
+                continue        # no path to trust
             sub = out_dir / f"q{n_s}"
             (sub / f"{key}.srs").unlink(missing_ok=True)
             subs.add(sub)
@@ -663,14 +566,30 @@ def _remove_listed(out_dir):
             sub.rmdir()
 
 
+def _is_member_row(n_s, key):
+    """Whether a manifest row's n and key columns can name a member file
+    ``q<n>/<key>.srs``: ASCII digits and an ASCII alphanumeric key, so no
+    path separator or parent reference gets in."""
+    return (n_s + key).isascii() and n_s.isdigit() and key.isalnum()
+
+
 def load_corpus_instances(corpus_dir, max_n=None):
-    """Instances from a written corpus: polyhedral members with n >= 9."""
+    """Instances from a written corpus: polyhedral members with n >= 9.
+
+    Raises MalformedManifest on a row that does not have the five columns
+    or whose n and key fail ``_is_member_row``, before any file is opened
+    for it."""
     corpus_dir = pathlib.Path(corpus_dir)
     out = []
     with open(corpus_dir / "manifest.tsv") as fh:
         fh.readline()
-        for line in fh:
-            n_s, key, poly, _bip, _conn = line.rstrip("\n").split("\t")
+        for lineno, line in enumerate(fh, 2):
+            row = line.rstrip("\n").split("\t")
+            if len(row) != 5 or not _is_member_row(row[0], row[1]):
+                raise MalformedManifest(
+                    f"manifest.tsv line {lineno} is not a member row: "
+                    f"{line.rstrip()!r}")
+            n_s, key, poly, _bip, _conn = row
             n = int(n_s)
             if poly != "1" or n < 9 or (max_n is not None and n > max_n):
                 continue

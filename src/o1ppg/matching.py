@@ -92,12 +92,6 @@ def matching_masks(inst, k):
     return extend(0, 0, ())
 
 
-def matchings_of_size(inst, k):
-    """All k-matchings in lexicographic order on sorted edge-id tuples."""
-    for combo, _mask in matching_masks(inst, k):
-        yield Matching(frozenset(combo))
-
-
 def k_extendability(inst, k):
     """Sweep every k-matching; returns (True, None) or (False, witness)."""
     if inst.n % 2:

@@ -107,7 +107,6 @@ class O1PPGInstance:
         self.q_edge_count = eq
         edges = [(u, v) for (u, v, _s) in emb.srs.edges]
         existing = {(min(u, v), max(u, v)) for (u, v) in edges}
-        self.crossing_pairs = []
         for fi, f in enumerate(emb.faces):
             a, b, c, d = f.vertices
             for (p, q) in ((a, c), (b, d)):
@@ -117,8 +116,6 @@ class O1PPGInstance:
                         f"diagonal {p}-{q} of face {fi} duplicates an edge")
                 existing.add(key_pq)
                 edges.append((p, q))
-            self.crossing_pairs.append(
-                (fi, (eq + 2 * fi, eq + 2 * fi + 1)))
         self.edges = edges
         self.adj = adjacency_masks(n, edges)
         # set by matching.spanning_triangulation on its first call
@@ -145,18 +142,6 @@ class O1PPGInstance:
     def edge_id(self, u, v):
         return self._edge_ids[(u, v)]
 
-    def partner_diagonal(self, e):
-        """The diagonal crossed by diagonal ``e``."""
-        if e < self.q_edge_count:
-            raise ValueError(f"edge {e} is non-crossing")
-        off = e - self.q_edge_count
-        return self.q_edge_count + (off ^ 1)
-
-    def diagonal_face(self, e):
-        if e < self.q_edge_count:
-            raise ValueError(f"edge {e} is non-crossing")
-        return (e - self.q_edge_count) // 2
-
     def degree(self, v):
         return self.adj[v].bit_count()
 
@@ -175,65 +160,6 @@ def build_o1ppg(q: Quadrangulation, key=None, allow_small=False):
     if n < 9 and not allow_small:
         raise TooSmall(f"optimal instances need n >= 9, got {n}")
     return O1PPGInstance(q, key=key)
-
-
-@dataclass
-class AssociatedGraph:
-    embedding: EmbeddedGraph
-    false_vertices: tuple
-    crossing_map: dict
-
-
-def associated_graph(g: O1PPGInstance) -> AssociatedGraph:
-    """Promote each crossing point to a degree-4 false vertex.
-
-    Vertices 0..n-1 are the host's; vertex n+f is the crossing point inside
-    quadrangulation face f.  The result triangulates P^2.
-    """
-    emb = g.quad.embedding
-    srs = emb.srs
-    n = emb.vertex_count
-    edges = list(srs.edges)
-    spokes_at = {v: {} for v in range(n)}   # corner dart -> spoke dart
-    rotations = [list(r) for r in srs.rotations]
-    z_rotations = []
-    for fi, f in enumerate(emb.faces):
-        z = n + fi
-        z_rot = []
-        for d, s in zip(f.boundary, f.sides):
-            v = srs.dart_vertex(d)
-            e_new = len(edges)
-            # the walk's frame at this visit agrees with v's iff s = +1
-            edges.append((z, v, 1 if s > 0 else -1))
-            z_rot.append(2 * e_new)
-            # the walk hugs the corner before d (side +) or after d (side -)
-            corner = d if s < 0 else srs._rot_prev[d]
-            spokes_at[v][corner] = 2 * e_new + 1
-        # the trace convention turns through rotation-predecessors at the
-        # center of a disc whose boundary walk runs in rotation order, so
-        # the false vertex's rotation is the reversed walk order
-        z_rotations.append(z_rot[::-1])
-    for v in range(n):
-        out = []
-        for d in srs.rotations[v]:
-            out.append(d)
-            out.append(spokes_at[v][d])
-        rotations[v] = out
-    rotations.extend(z_rotations)
-    from .surface import SignedRotationSystem
-    emb2 = EmbeddedGraph(
-        SignedRotationSystem(n + emb.face_count, edges, rotations))
-    if not (emb2.euler_char == 1 and not emb2.orientable
-            and all(f.length == 3 for f in emb2.faces)):
-        raise AssertionError("associated graph is not a P^2 triangulation")
-    crossing_map = {}
-    for fi, (face_id, (d1, d2)) in enumerate(g.crossing_pairs):
-        crossing_map[n + fi] = (d1, d2, face_id)
-    return AssociatedGraph(
-        embedding=emb2,
-        false_vertices=tuple(range(n, n + emb.face_count)),
-        crossing_map=crossing_map,
-    )
 
 
 def link(g: O1PPGInstance, v) -> tuple:

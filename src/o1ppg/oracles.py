@@ -16,8 +16,8 @@ module may import the production modules, but none of them imports it.
   ``graphs.vertex_connectivity_flow``).
 - ``is_minimal_cut_bruteforce``: every proper subset of a cut (against
   the component rule of ``connectivity.enumerate_cuts``).
-- ``representativity_bruteforce``: every cycle of the radial graph
-  (against ``surface.representativity``).
+- ``representativity_bruteforce`` (over ``radial_corners``): every cycle
+  of the radial graph (against ``surface.representativity``).
 - ``odd_regions_by_face_merge``: every connected face subset (against
   ``structures.find_odd_weighted_regions``).
 - ``_walk_regions`` (over ``_closed_walks_upto``): every closed walk of at
@@ -31,21 +31,32 @@ module may import the production modules, but none of them imports it.
 - ``region_decompose_reference``: face merging by union-find calls and
   state sets, with each walk's swept corners collected and mapped to
   regions afterwards (against ``surface.region_decompose``).
+
+It also holds the from-scratch constructors the packaged fixtures are
+rebuilt from (``scripts/make_fixtures.py``) and checked against:
+
+- ``exhaustive_small_search`` (over ``all_embeddings``): every signed
+  rotation system of a small connected graph, kept when it embeds the
+  graph in P^2 with the asked face structure (FIX-K4, FIX-BOWTIE).
+- ``build_patterns``: each base pattern as the unique embedding of its
+  graph with the stated faces, and the configurations (a)-(g) on them
+  (against ``structures.load_patterns``).
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
-from .errors import EmptySubgraph, MalformedRotation, NotProjectivePlane
+from .errors import (EmptySubgraph, MalformedRotation, NotProjectivePlane,
+                     TooLarge)
 from .generator import (_SEP, _joined_key, _prefix, _vertex_components,
                         canonical_key, vertex_split)
 from .graphs import component_masks
 from .matching import Matching, _check_matching
-from .structures import (OddWeightedRegion, _host_embedding,
+from .structures import (OddWeightedRegion, _host_embedding, _with_roles,
                          canonical_walk, get_pattern)
 from .surface import (EmbeddedGraph, FaceWalk, Region, RegionDecomposition,
-                      _cycle_edges, radial_corners, region_decompose)
+                      SignedRotationSystem, _cycle_edges, region_decompose)
 
 
 def _oracle_encoding(srs, start_dart, start_side):
@@ -131,6 +142,169 @@ def grow_quadrangulations_bruteforce(seeds, n_max):
     return {n: sorted(v, key=lambda kv: kv[0]) for n, v in sorted(by_n.items())}
 
 
+# -- exhaustive embedding search --------------------------------------------
+
+
+def _spanning_tree_edges(n, edges):
+    seen = [False] * n
+    seen[0] = True
+    tree = []
+    frontier = [0]
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    while frontier:
+        x = frontier.pop()
+        for (y, i) in adj[x]:
+            if not seen[y]:
+                seen[y] = True
+                tree.append(i)
+                frontier.append(y)
+    if not all(seen):
+        raise TooLarge("exhaustive search expects a connected graph")
+    return set(tree)
+
+
+def all_embeddings(n, edges, max_edges=10):
+    """Yield every signed rotation system of a connected simple graph, one
+    representative per (rotations x tree-normalized signs) choice.
+
+    Complete up to embedded isomorphism: every equivalence class contains a
+    representative whose spanning-tree signs are all +1.
+    """
+    ne = len(edges)
+    if ne > max_edges:
+        raise TooLarge(f"{ne} edges exceeds the exhaustive gate ({max_edges})")
+    darts_at = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        darts_at[u].append(2 * i)
+        darts_at[v].append(2 * i + 1)
+    tree = _spanning_tree_edges(n, edges)
+    free = [i for i in range(ne) if i not in tree]
+
+    rot_choices = []
+    for v in range(n):
+        ds = darts_at[v]
+        if len(ds) <= 2:
+            rot_choices.append([tuple(ds)])
+        else:
+            first, rest = ds[0], ds[1:]
+            rot_choices.append([(first,) + p for p in permutations(rest)])
+
+    def rec_rot(v, acc):
+        if v == n:
+            yield list(acc)
+            return
+        for rot in rot_choices[v]:
+            acc.append(rot)
+            yield from rec_rot(v + 1, acc)
+            acc.pop()
+
+    for rots in rec_rot(0, []):
+        for bits in range(1 << len(free)):
+            sign = [1] * ne
+            for j, e in enumerate(free):
+                if (bits >> j) & 1:
+                    sign[e] = -1
+            yield SignedRotationSystem(
+                n,
+                [(u, v, sign[i]) for i, (u, v) in enumerate(edges)],
+                rots,
+                check=False,
+            )
+
+
+def exhaustive_small_search(n, edges, predicate, max_edges=10):
+    """All projective-plane embeddings of the graph satisfying ``predicate``,
+    deduplicated by canonical form, sorted by canonical string."""
+    found = {}
+    for srs in all_embeddings(n, edges, max_edges=max_edges):
+        g = EmbeddedGraph(srs)
+        if not (g.euler_char == 1 and not g.orientable):
+            continue
+        if not predicate(g):
+            continue
+        key = canonical_key(g)
+        if key not in found:
+            found[key] = g
+    return [found[k] for k in sorted(found)]
+
+
+# -- pattern builder ---------------------------------------------------------
+
+_HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
+
+#: abstract graph and face-length vector per pattern; the embedding is the
+#: unique P^2 embedding with that face vector (hexagon shapes additionally
+#: require the 6-cycle itself to bound a face)
+_PATTERN_GRAPHS = {
+    # two essential triangles sharing a hub; two pinched hexagonal faces
+    "bowtie": (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
+               (6, 6)),
+    # bowtie 0-1-2 / 0-3-4 plus a handle 4-5-6-2 inside one face
+    "fig4-1": (7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0),
+                   (4, 5), (5, 6), (6, 2)], (6, 6, 6)),
+    # bowtie 0-1-2 / 0-3-4 plus a handle 0-5-6-0 at the hub
+    "fig4-2": (7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0),
+                   (0, 5), (5, 6), (6, 0)], (6, 6, 6)),
+    # essential 4-cycle 0-1-2-3, center 4, spokes 0-4, 4-5-3, 4-6-1
+    "fig4-3": (7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 3),
+                   (4, 6), (6, 1)], (6, 6, 6)),
+    # essential triangle 0-1-2, center 3, subdivided spokes to all corners
+    "fig4-4": (7, [(0, 1), (1, 2), (2, 0), (0, 4), (4, 3), (3, 5), (5, 2),
+                   (3, 6), (6, 1)], (6, 6, 6)),
+    # minimal 6-cut shapes: a hexagonal 2-cell face plus 0..2 chords
+    # through the crosscap
+    "I": (6, _HEX, (6, 6)),
+    "II": (6, _HEX + [(0, 3)], (6, 8)),
+    "III": (6, _HEX + [(0, 2)], (6, 8)),
+    "IV": (6, _HEX + [(0, 3), (1, 4)], (4, 6, 6)),
+}
+
+
+def _hexagon_is_face(g):
+    tgt = frozenset(range(6))
+    for f in g.faces:
+        if f.length == 6 and f.is_cycle and frozenset(f.vertices) == tgt:
+            vs = f.vertices
+            i = vs.index(0)
+            rot = tuple(vs[(i + t) % 6] for t in range(6))
+            if rot in ((0, 1, 2, 3, 4, 5), (0, 5, 4, 3, 2, 1)):
+                return True
+    return False
+
+
+def _build_base_embedding(pid):
+    n, edges, fvec = _PATTERN_GRAPHS[pid]
+    if pid == "I":
+        # trivial hexagon: a 6-cycle bounding a 2-cell, crosscap inside the
+        # other face; the restriction of any host to such a cycle is the
+        # planar 6-cycle system (all signs +)
+        srs = SignedRotationSystem(
+            6, [(u, v, 1) for (u, v) in _HEX],
+            [[0, 11], [1, 2], [3, 4], [5, 6], [7, 8], [9, 10]])
+        return EmbeddedGraph(srs)
+    pred = (lambda g: sorted(f.length for f in g.faces) == sorted(fvec))
+    if pid in ("II", "III", "IV"):
+        base = pred
+        pred = lambda g: base(g) and _hexagon_is_face(g)  # noqa: E731
+    found = exhaustive_small_search(n, edges, pred)
+    if len(found) != 1:
+        raise AssertionError(
+            f"pattern {pid}: expected a unique embedding, got {len(found)}")
+    return found[0]
+
+
+def build_patterns():
+    """Construct every pattern from scratch (against
+    ``structures.load_patterns``): each base by its unique-embedding
+    search, the configurations (a)-(g) from ``structures._CONFIG_ROLES``.
+    Deterministic."""
+    return _with_roles({pid: _build_base_embedding(pid)
+                        for pid in sorted(_PATTERN_GRAPHS)})
+
+
 def max_matching_size(adj, alive):
     """Maximum matching cardinality on the ``alive`` mask (DP oracle)."""
     memo = {0: 0}
@@ -211,6 +385,24 @@ def is_minimal_cut_bruteforce(inst, S):
             if len(component_masks(inst.adj, rest)) > 1:
                 return False
     return True
+
+
+def radial_corners(g: EmbeddedGraph):
+    """Corner edges of the radial graph with sheet bits.
+
+    Returns a list of ``(vertex, face_id, bit)`` triples, one per corner; a
+    radial cycle is essential iff the XOR of its corner bits is 1.  The bit
+    is the sheet of the vertex visit inside the face's preferred lift, i.e.
+    the running sign product along the face walk before that visit.
+    """
+    out = []
+    for fi, f in enumerate(g.faces):
+        sigma = 0
+        for d in f.boundary:
+            out.append((g.srs.dart_vertex(d), fi, sigma))
+            if g.srs.sign(d >> 1) < 0:
+                sigma ^= 1
+    return out
 
 
 def representativity_bruteforce(g: EmbeddedGraph):

@@ -2,9 +2,11 @@
 projective-bowties, and the fixed embedded patterns used to classify cuts
 and non-extendable 3-matchings.
 
-Pattern fixtures ship as .srs files with a .roles sidecar; they can also be
-rebuilt from scratch here (each is the unique projective-plane embedding of
-its graph with the stated face structure, which the tests re-verify).
+The nine base patterns ship as .srs fixtures; the configurations (a)-(g)
+are roles on four of them, stated once in ``_CONFIG_ROLES``.
+``o1ppg.oracles.build_patterns`` rebuilds the bases from scratch (each is
+the unique projective-plane embedding of its graph with the stated face
+structure), and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -12,44 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import _kernels
-from .errors import NotFiveConnected, OddOrder
-from .generator import exhaustive_small_search
+from . import _kernels, fixtures
 from .graphs import adjacency_masks, enumerate_cycles
-from .matching import Matching, _check_matching
-from .surface import EmbeddedGraph, SignedRotationSystem, region_decompose
+from .surface import EmbeddedGraph, region_decompose
 
 
 # -- pattern registry --------------------------------------------------------
-
-_HEX = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]
-
-#: abstract graph and face-length vector per pattern; the embedding is the
-#: unique P^2 embedding with that face vector (hexagon shapes additionally
-#: require the 6-cycle itself to bound a face)
-_PATTERN_GRAPHS = {
-    # two essential triangles sharing a hub; two pinched hexagonal faces
-    "bowtie": (5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],
-               (6, 6)),
-    # bowtie 0-1-2 / 0-3-4 plus a handle 4-5-6-2 inside one face
-    "fig4-1": (7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0),
-                   (4, 5), (5, 6), (6, 2)], (6, 6, 6)),
-    # bowtie 0-1-2 / 0-3-4 plus a handle 0-5-6-0 at the hub
-    "fig4-2": (7, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0),
-                   (0, 5), (5, 6), (6, 0)], (6, 6, 6)),
-    # essential 4-cycle 0-1-2-3, center 4, spokes 0-4, 4-5-3, 4-6-1
-    "fig4-3": (7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 3),
-                   (4, 6), (6, 1)], (6, 6, 6)),
-    # essential triangle 0-1-2, center 3, subdivided spokes to all corners
-    "fig4-4": (7, [(0, 1), (1, 2), (2, 0), (0, 4), (4, 3), (3, 5), (5, 2),
-                   (3, 6), (6, 1)], (6, 6, 6)),
-    # minimal 6-cut shapes: a hexagonal 2-cell face plus 0..2 chords
-    # through the crosscap
-    "I": (6, _HEX, (6, 6)),
-    "II": (6, _HEX + [(0, 3)], (6, 8)),
-    "III": (6, _HEX + [(0, 2)], (6, 8)),
-    "IV": (6, _HEX + [(0, 3), (1, 4)], (4, 6, 6)),
-}
 
 #: M-role variants of the Theorem-1.6 subgraph patterns: base graph, the
 #: vertex left uncovered by the matching, and the odd-region constraint on
@@ -64,7 +34,9 @@ _CONFIG_ROLES = {
     "g": ("fig4-4", 0),   # uncovered vertex = a triangle corner
 }
 
-PATTERN_IDS = tuple(sorted(_PATTERN_GRAPHS) + sorted(_CONFIG_ROLES))
+#: the nine base patterns, one fixture file each, then the configurations
+PATTERN_IDS = ("I", "II", "III", "IV", "bowtie", "fig4-1", "fig4-2",
+               "fig4-3", "fig4-4", "a", "b", "c", "d", "e", "f", "g")
 
 
 @dataclass(frozen=True)
@@ -79,66 +51,28 @@ class ConfigPattern:
         return self.embedding.vertex_count
 
 
-def _hexagon_is_face(g):
-    tgt = frozenset(range(6))
-    for f in g.faces:
-        if f.length == 6 and f.is_cycle and frozenset(f.vertices) == tgt:
-            vs = f.vertices
-            i = vs.index(0)
-            rot = tuple(vs[(i + t) % 6] for t in range(6))
-            if rot in ((0, 1, 2, 3, 4, 5), (0, 5, 4, 3, 2, 1)):
-                return True
-    return False
-
-
-def _build_base_embedding(pid):
-    n, edges, fvec = _PATTERN_GRAPHS[pid]
-    if pid == "I":
-        # trivial hexagon: a 6-cycle bounding a 2-cell, crosscap inside the
-        # other face; the restriction of any host to such a cycle is the
-        # planar 6-cycle system (all signs +)
-        srs = SignedRotationSystem(
-            6, [(u, v, 1) for (u, v) in _HEX],
-            [[0, 11], [1, 2], [3, 4], [5, 6], [7, 8], [9, 10]])
-        return EmbeddedGraph(srs)
-    pred = (lambda g: sorted(f.length for f in g.faces) == sorted(fvec))
-    if pid in ("II", "III", "IV"):
-        base = pred
-        pred = lambda g: base(g) and _hexagon_is_face(g)  # noqa: E731
-    found = exhaustive_small_search(n, edges, pred)
-    if len(found) != 1:
-        raise AssertionError(
-            f"pattern {pid}: expected a unique embedding, got {len(found)}")
-    return found[0]
-
-
-def build_patterns():
-    """Construct every pattern from scratch.  Deterministic."""
-    out = {}
-    for pid in sorted(_PATTERN_GRAPHS):
-        emb = _build_base_embedding(pid)
-        out[pid] = ConfigPattern(
-            id=pid, embedding=emb, gray=frozenset(), odd_faces=())
-    for cid in sorted(_CONFIG_ROLES):
-        base, uncovered = _CONFIG_ROLES[cid]
-        emb = out[base].embedding
-        gray = frozenset(range(emb.vertex_count)) - {uncovered}
+def _with_roles(bases):
+    """Every pattern, from the base embeddings ``{base id: embedding}``:
+    each base without roles, then each configuration of ``_CONFIG_ROLES``
+    on its base's embedding, with every vertex but the uncovered one gray
+    and every face odd weighted."""
+    out = {pid: ConfigPattern(id=pid, embedding=emb, gray=frozenset(),
+                              odd_faces=())
+           for pid, emb in bases.items()}
+    for cid, (base, uncovered) in sorted(_CONFIG_ROLES.items()):
+        emb = bases[base]
         out[cid] = ConfigPattern(
-            id=cid, embedding=emb, gray=gray,
+            id=cid, embedding=emb,
+            gray=frozenset(range(emb.vertex_count)) - {uncovered},
             odd_faces=tuple(range(emb.face_count)))
     return out
 
 
 def load_patterns():
-    """Load every pattern from the packaged fixture files."""
-    from . import fixtures
-    out = {}
-    for pid in PATTERN_IDS:
-        emb = fixtures.load_embedding(f"pattern_{pid}")
-        gray, oddface = fixtures.load_roles(f"pattern_{pid}")
-        out[pid] = ConfigPattern(
-            id=pid, embedding=emb, gray=gray, odd_faces=oddface)
-    return out
+    """Every pattern: the nine bases from the packaged fixture files, and
+    the configurations (a)-(g) derived from them."""
+    return _with_roles({pid: fixtures.load_embedding(f"pattern_{pid}")
+                        for pid in PATTERN_IDS if pid not in _CONFIG_ROLES})
 
 
 _PATTERNS = None
@@ -613,25 +547,3 @@ def diagnose_mask(inst, vm, ctx: CertificateContext):
         return cert
     return ("counterexample", {"extendable": extendable, "certificate": cert})
 
-
-def diagnose_3matching(inst, m: Matching, ctx: CertificateContext = None,
-                       connectivity=None):
-    """Joint verdict of the extendability oracle and the certificates
-    for a 3-matching of a 5-connected even-order instance.
-
-    Returns ("extendable", None), ("cert_i", walk),
-    ("cert_ii", (pattern_id, phi)), or ("counterexample", detail).
-    """
-    if inst.n % 2:
-        raise OddOrder("diagnosis needs an even order")
-    if connectivity is not None and connectivity < 5:
-        raise NotFiveConnected("diagnosis applies to 5-connected instances")
-    if m.k != 3:
-        raise ValueError("diagnosis takes 3-matchings")
-    vm = _vertex_mask(_check_matching(inst, m))
-    if ctx is None:
-        ctx = CertificateContext.build(inst)
-    verdict, detail = diagnose_mask(inst, vm, ctx)
-    if verdict == "counterexample":
-        detail["matching"] = m.sorted_pairs(inst)
-    return verdict, detail

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
-    Disconnected,
     EmptySubgraph,
     MalformedRotation,
     NotACycle,
@@ -208,9 +207,9 @@ def trace_faces(srs: SignedRotationSystem):
     return faces
 
 
-def _orientation_potentials(srs):
-    """BFS vertex potentials mu with mu[root]=+1, mu[v]=mu[u]*sign(uv) along a
-    spanning forest.  Returns (mu, orientable)."""
+def _is_orientable(srs):
+    """Orientability: BFS vertex potentials mu, with mu[root] = +1 and
+    mu[v] = mu[u] * sign(uv) along a spanning forest, agree on every edge."""
     n = srs.vertex_count
     inc = [[] for _ in range(n)]
     for e, (u, v, _s) in enumerate(srs.edges):
@@ -234,7 +233,7 @@ def _orientation_potentials(srs):
                     queue.append(y)
                 elif mu[y] != mu[x] * s:
                     orientable = False
-    return mu, orientable
+    return orientable
 
 
 class EmbeddedGraph:
@@ -246,8 +245,7 @@ class EmbeddedGraph:
     def __init__(self, srs: SignedRotationSystem):
         self.srs = srs
         self.faces = trace_faces(srs)
-        self._mu, self.orientable = _orientation_potentials(srs)
-        self._state_face = None
+        self.orientable = _is_orientable(srs)
         self._corner_face = None
         self._edge_faces = None
         self._vertex_faces = None
@@ -314,13 +312,6 @@ class EmbeddedGraph:
                 vf[self.srs.dart_vertex(corner)].add(fi)
             self._vertex_faces = tuple(map(frozenset, vf))
         return self._vertex_faces
-
-
-def euler_and_orientability(g: EmbeddedGraph):
-    """Euler characteristic and orientability of a connected embedding."""
-    if not g.srs.is_connected():
-        raise Disconnected("euler characteristic needs a connected graph")
-    return g.euler_char, g.orientable
 
 
 def _cycle_edges(srs, cycle):
@@ -439,24 +430,6 @@ def representativity(g: EmbeddedGraph):
     if best is None:
         raise NotProjectivePlane("no essential curve found; not P^2?")
     return best // 2
-
-
-def radial_corners(g: EmbeddedGraph):
-    """Corner edges of the radial graph with sheet bits.
-
-    Returns a list of ``(vertex, face_id, bit)`` triples, one per corner; a
-    radial cycle is essential iff the XOR of its corner bits is 1.  The bit
-    is the sheet of the vertex visit inside the face's preferred lift, i.e.
-    the running sign product along the face walk before that visit.
-    """
-    out = []
-    for fi, f in enumerate(g.faces):
-        sigma = 0
-        for d in f.boundary:
-            out.append((g.srs.dart_vertex(d), fi, sigma))
-            if g.srs.sign(d >> 1) < 0:
-                sigma ^= 1
-    return out
 
 
 # -- region decomposition ----------------------------------------------------

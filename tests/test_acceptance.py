@@ -18,16 +18,15 @@ from o1ppg.connectivity import (classify_cut_shape, enumerate_cuts,
                                 _contains_separating_trivial_4cycle)
 from o1ppg.errors import NoBlockerFound
 from o1ppg.fixtures import fix_k4
-from o1ppg.generator import (corpus_instances, exhaustive_small_search,
-                             grow_quadrangulations)
+from o1ppg.generator import corpus_instances, grow_quadrangulations
 from o1ppg.graphs import adjacency_masks, enumerate_cycles
 from o1ppg.matching import (Matching, find_blocker, is_extendable,
-                            k_extendability, matching_via_hamiltonian_path,
-                            matchings_of_size)
-from o1ppg.oracles import (is_extendable_bruteforce, max_matching_size,
-                           vertex_connectivity_bruteforce)
+                            k_extendability, matching_masks,
+                            matching_via_hamiltonian_path)
+from o1ppg.oracles import (exhaustive_small_search, is_extendable_bruteforce,
+                           max_matching_size, vertex_connectivity_bruteforce)
 from o1ppg.structures import (CertificateContext, barrier_cycles,
-                              diagnose_3matching, find_projective_bowties)
+                              diagnose_mask, find_projective_bowties)
 from o1ppg.verify import AuditConfig, aggregate_report, run_campaign
 
 ACCEPT_N = 12
@@ -137,7 +136,8 @@ def test_criterion_04_two_extendability(even_instances):
     for inst in even_instances:
         barriers = barrier_cycles(inst, 4)
         bad = None
-        for m in matchings_of_size(inst, 2):
+        for combo, _vm in matching_masks(inst, 2):
+            m = Matching(frozenset(combo))
             oracle = is_extendable_bruteforce(inst, m)
             if oracle != is_extendable(inst, m):
                 disagreements.append((inst.key, "engine-vs-oracle"))
@@ -178,13 +178,12 @@ def test_criterion_06_three_matching_characterization(even_instances):
             continue
         swept += 1
         ctx = CertificateContext.build(inst)
-        for m in matchings_of_size(inst, 3):
-            verdict, _detail = diagnose_3matching(inst, m, ctx=ctx,
-                                                  connectivity=conn)
+        for combo, vm in matching_masks(inst, 3):
+            verdict, _detail = diagnose_mask(inst, vm, ctx)
             if verdict == "counterexample":
                 disagreements += 1
             elif verdict in ("cert_i", "cert_ii"):
-                _nonextendable["k2"].append((inst, m))
+                _nonextendable["k2"].append((inst, Matching(frozenset(combo))))
     _line(6, "Theorem 1.6", disagreements == 0 and swept > 0,
           f"instances_swept={swept} disagreements={disagreements}")
 

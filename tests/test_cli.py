@@ -169,3 +169,14 @@ def test_validate_malformed_line_is_rejected(line, bad, corpus_n12_dir,
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "--in", "/nonexistent/x.srs"]) == 1
+
+
+@pytest.mark.parametrize("row", ["9\tabc\t1", "9\t../../etc\t1\t0\t6"],
+                         ids=["short-row", "path-in-key"])
+def test_verify_rejects_malformed_manifest_row(row, tmp_path, capsys):
+    (tmp_path / "manifest.tsv").write_text(
+        "n\tkey\tpolyhedral\tbipartite\tconnectivity\n" + row + "\n")
+    assert main(["verify", "--corpus", str(tmp_path)]) == 1
+    # refused as a row, before any member file is looked up
+    assert capsys.readouterr().err.startswith(
+        "error: MalformedManifest: manifest.tsv line 2 is not a member row")

@@ -9,13 +9,14 @@ import pytest
 
 from o1ppg import generator, srsio
 from o1ppg.errors import MalformedRotation, TooLarge
-from o1ppg.generator import (_new_class, _repeated_splits, all_embeddings,
-                             canonical_key, enumerate_o1ppg,
-                             exhaustive_small_search, grow_quadrangulations,
+from o1ppg.generator import (_new_class, _repeated_splits, canonical_key,
+                             corpus_instances, grow_quadrangulations,
                              load_corpus_instances, short_key, vertex_split,
                              write_corpus)
 from o1ppg.model import validate_quadrangulation
-from o1ppg.oracles import (_oracle_encoding, canonical_key_oracle,
+from o1ppg.structures import _CONFIG_ROLES, PATTERN_IDS
+from o1ppg.oracles import (_oracle_encoding, all_embeddings,
+                           canonical_key_oracle, exhaustive_small_search,
                            grow_quadrangulations_bruteforce)
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
@@ -312,17 +313,18 @@ def test_rewrite_removes_stale_corpus_files(tmp_path):
                                                    "q6/extra.srs"}
 
 
-def test_validation_errors_propagate(tmp_path, monkeypatch):
+def test_validation_errors_propagate(tmp_path, monkeypatch, k4):
     # only non-polyhedral members are skipped; any other validation error
     # is a bug and must surface
     def broken(*args, **kwargs):
         raise MalformedRotation("validation bug")
 
+    corpus = grow_quadrangulations([k4], 9)
     monkeypatch.setattr(generator, "validate_quadrangulation", broken)
     with pytest.raises(MalformedRotation):
         write_corpus(tmp_path / "c", 9)
     with pytest.raises(MalformedRotation):
-        enumerate_o1ppg(9)
+        corpus_instances(corpus)
 
 
 def test_make_fixtures_reproduces_committed(tmp_path):
@@ -331,23 +333,29 @@ def test_make_fixtures_reproduces_committed(tmp_path):
         "make_fixtures", root / "scripts" / "make_fixtures.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    script.OUT = tmp_path
-    script.main()
+    script.write_fixtures(tmp_path)
     committed = root / "src" / "o1ppg" / "fixtures"
     names = sorted(p.name for p in committed.iterdir() if p.is_file())
+    # the nine base patterns ship; the configurations (a)-(g) are roles
+    assert names == sorted(
+        ["FIX-BOWTIE.srs", "FIX-K4.srs", "FIX-MIN9.srs"]
+        + [f"pattern_{pid}.srs" for pid in PATTERN_IDS
+           if pid not in _CONFIG_ROLES])
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == \
             (committed / name).read_bytes(), name
 
 
-def test_enumerate_o1ppg_contract():
-    assert enumerate_o1ppg(8) == []
-    insts = [i for i in enumerate_o1ppg(10) if i.n % 2 == 0]
+def test_corpus_instances_contract(k4):
+    assert corpus_instances(grow_quadrangulations([k4], 8)) == []
+    insts = [i for i in corpus_instances(grow_quadrangulations([k4], 10))
+             if i.n % 2 == 0]
     assert [i.n for i in insts] == [10]
     assert all(i.edge_count == 36 for i in insts)
     # deterministic ordering and keys across runs
-    again = [i for i in enumerate_o1ppg(10) if i.n % 2 == 0]
+    again = [i for i in corpus_instances(grow_quadrangulations([k4], 10))
+             if i.n % 2 == 0]
     assert [i.key for i in insts] == [i.key for i in again]
 
 

@@ -1,5 +1,6 @@
 """Import hygiene: the production modules need nothing outside the standard
-library and never load the brute-force oracles."""
+library and never load the brute-force oracles, and the certificate layer
+does not load the generator."""
 
 import os
 import subprocess
@@ -22,12 +23,24 @@ print("o1ppg.oracles" in sys.modules)
 """
 
 
-def test_production_modules_stay_stdlib_only_and_oracle_free():
+def _run_python(code, *args):
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    the package from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", PROBE, *PRODUCTION_MODULES],
-                         env=env, capture_output=True, text=True, timeout=60,
-                         check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "False"]
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60,
+                          check=True).stdout
+
+
+def test_production_modules_stay_stdlib_only_and_oracle_free():
+    out = _run_python(PROBE, *PRODUCTION_MODULES)
+    assert out.split("\n")[:2] == ["[]", "False"]
+
+
+def test_structures_does_not_load_generator():
+    out = _run_python("import sys, o1ppg.structures; "
+                      "print('o1ppg.generator' in sys.modules)")
+    assert out == "False\n"

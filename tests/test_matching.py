@@ -9,8 +9,8 @@ from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
                           TooSmall)
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
 from o1ppg.matching import (Matching, find_blocker, hamiltonian_path,
-                            is_extendable, k_extendability,
-                            matching_via_hamiltonian_path, matchings_of_size,
+                            is_extendable, k_extendability, matching_masks,
+                            matching_via_hamiltonian_path,
                             spanning_triangulation)
 from o1ppg.model import build_o1ppg, link, validate_quadrangulation
 from o1ppg.oracles import is_extendable_bruteforce, max_matching_size
@@ -40,7 +40,8 @@ def test_shared_memo_agrees_with_dp_oracle(inst10):
     assert inst._pm_memo == {0: True}
     rng = random.Random(11)
     full = (1 << inst.n) - 1
-    calls = [m for k in (0, 1, 2, 3) for m in matchings_of_size(inst, k)]
+    calls = [Matching(frozenset(combo)) for k in (0, 1, 2, 3)
+             for combo, _vm in matching_masks(inst, k)]
     calls += [rng.getrandbits(inst.n) for _ in range(400)]
     rng.shuffle(calls)
     seen = set()
@@ -75,10 +76,10 @@ def test_single_edges_extendable(inst10):
 
 def test_extendability_oracle_agreement(inst10):
     rng = random.Random(5)
-    ms = list(matchings_of_size(inst10, 2))
+    ms = [Matching(frozenset(c)) for c, _vm in matching_masks(inst10, 2)]
     for m in rng.sample(ms, 150):
         assert is_extendable(inst10, m) == is_extendable_bruteforce(inst10, m)
-    ms3 = list(matchings_of_size(inst10, 3))
+    ms3 = [Matching(frozenset(c)) for c, _vm in matching_masks(inst10, 3)]
     for m in rng.sample(ms3, 150):
         assert is_extendable(inst10, m) == is_extendable_bruteforce(inst10, m)
 
@@ -121,7 +122,7 @@ def test_blocker_for_nonextendable_3matching(inst10):
 
 
 def test_blocker_rejects_extendable(inst10):
-    m2 = next(matchings_of_size(inst10, 2))
+    m2 = Matching(frozenset(next(matching_masks(inst10, 2))[0]))
     assert is_extendable(inst10, m2)
     with pytest.raises(NoBlockerFound):
         find_blocker(inst10, m2, 1)

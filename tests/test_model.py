@@ -1,13 +1,11 @@
-"""Quadrangulation validation, instance construction, associated graph,
-links."""
+"""Quadrangulation validation, instance construction, links."""
 
 import pytest
 
 from o1ppg.errors import (Disconnected, FaceNot4, NotP2, NotPolyhedral,
                           NotSimple, NotSimpleResult, TooSmall)
-from o1ppg.generator import all_embeddings
-from o1ppg.model import (associated_graph, build_o1ppg, link,
-                         validate_quadrangulation)
+from o1ppg.model import build_o1ppg, link, validate_quadrangulation
+from o1ppg.oracles import all_embeddings
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
 
@@ -102,29 +100,18 @@ def test_duplicate_diagonal_detected(corpus10):
 
 
 def test_crossing_pair_structure(inst9):
-    for fi, (face_id, (d1, d2)) in enumerate(inst9.crossing_pairs):
-        assert face_id == fi
-        assert inst9.partner_diagonal(d1) == d2
-        assert inst9.partner_diagonal(d2) == d1
-        assert inst9.diagonal_face(d1) == fi
-        assert inst9.is_crossing_edge(d1)
+    # the diagonals follow the quadrangulation edges, two per face in face
+    # order, and each pair joins the two opposite corner pairs of its face
+    eq = inst9.q_edge_count
+    faces = inst9.quad.embedding.faces
+    assert inst9.edge_count == eq + 2 * len(faces)
+    for fi, f in enumerate(faces):
+        d1, d2 = eq + 2 * fi, eq + 2 * fi + 1
+        assert inst9.is_crossing_edge(d1) and inst9.is_crossing_edge(d2)
         a, c = inst9.edges[d1]
         b, d = inst9.edges[d2]
-        corners = set(inst9.quad.embedding.faces[fi].vertices)
-        assert {a, c, b, d} == corners
-
-
-def test_associated_graph(inst9):
-    ag = associated_graph(inst9)
-    emb = ag.embedding
-    assert emb.vertex_count == 9 + 8
-    assert all(f.length == 3 for f in emb.faces)
-    assert emb.euler_char == 1 and not emb.orientable
-    assert len(ag.false_vertices) == 8
-    for z in ag.false_vertices:
-        assert emb.srs.degree(z) == 4
-        d1, d2, face_id = ag.crossing_map[z]
-        assert inst9.diagonal_face(d1) == face_id
+        assert {a, c, b, d} == set(f.vertices)
+    assert not any(inst9.is_crossing_edge(e) for e in range(eq))
 
 
 def test_links_are_cycles(instances10):

@@ -3,15 +3,13 @@
 
 import pytest
 
-from o1ppg.errors import NotFiveConnected, OddOrder
 from o1ppg.generator import canonical_key
-from o1ppg.matching import (Matching, is_extendable, matching_masks,
-                            matchings_of_size)
-from o1ppg.oracles import (_walk_regions, certificate_by_sets,
+from o1ppg.matching import Matching, is_extendable, matching_masks
+from o1ppg.oracles import (_walk_regions, build_patterns, certificate_by_sets,
                            odd_regions_by_face_merge)
 from o1ppg.structures import (CertificateContext, OddWeightedRegion,
-                              PATTERN_IDS, build_patterns, canonical_walk,
-                              certificate_of_mask, diagnose_3matching,
+                              PATTERN_IDS, canonical_walk,
+                              certificate_of_mask, diagnose_mask,
                               find_odd_weighted_regions,
                               find_projective_bowties, get_pattern,
                               load_patterns, match_pattern, patterns,
@@ -212,7 +210,8 @@ def test_certificate_i_implies_odd_component(inst10):
     # forces an odd component, hence non-extendability
     ctx = CertificateContext.build(inst10)
     hit = 0
-    for m in matchings_of_size(inst10, 3):
+    for combo, _vm in matching_masks(inst10, 3):
+        m = Matching(frozenset(combo))
         vm = m.vertex_set(inst10)
         for walk, interior in ctx.regions6:
             if set(walk) <= vm and len(interior - vm) % 2 == 1:
@@ -224,24 +223,14 @@ def test_certificate_i_implies_odd_component(inst10):
     assert hit
 
 
-def test_diagnose_preconditions(inst9, inst10):
-    with pytest.raises(OddOrder):
-        diagnose_3matching(inst9, Matching(frozenset()))
-    with pytest.raises(NotFiveConnected):
-        diagnose_3matching(inst10, Matching(frozenset([0, 1, 2])),
-                           connectivity=4)
-    with pytest.raises(ValueError):
-        diagnose_3matching(inst10, Matching(frozenset([0])))
-
-
 def test_diagnose_full_sweep_no_counterexamples(inst10):
     ctx = CertificateContext.build(inst10)
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
-    for m in matchings_of_size(inst10, 3):
-        verdict, detail = diagnose_3matching(inst10, m, ctx=ctx,
-                                             connectivity=6)
+    for combo, vm in matching_masks(inst10, 3):
+        verdict, detail = diagnose_mask(inst10, vm, ctx)
         assert verdict != "counterexample", detail
         counts[verdict] += 1
+        m = Matching(frozenset(combo))
         if verdict == "extendable":
             assert is_extendable(inst10, m)
         else:

@@ -6,23 +6,22 @@ import random
 import pytest
 
 from o1ppg import srsio
-from o1ppg.errors import (Disconnected, EmptySubgraph, MalformedRotation,
-                          NotACycle, NotProjectivePlane)
+from o1ppg.errors import (EmptySubgraph, MalformedRotation, NotACycle,
+                          NotProjectivePlane)
 from o1ppg.connectivity import enumerate_cuts, vertex_connectivity
 from o1ppg.oracles import (_closed_walks_upto, is_essential_by_regions,
                            region_decompose_reference,
                            representativity_bruteforce)
 from o1ppg.verify import CUT_MAX
 from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem, cycle_sign,
-                           double_cover, euler_and_orientability,
-                           is_essential, region_decompose, representativity,
-                           trace_faces)
+                           double_cover, is_essential, region_decompose,
+                           representativity, trace_faces)
 
 
 def test_loop_on_projective_plane():
     g = EmbeddedGraph(SignedRotationSystem(1, [(0, 0, -1)], [[0, 1]]))
     assert [f.length for f in g.faces] == [2]
-    assert euler_and_orientability(g) == (1, False)
+    assert (g.euler_char, g.orientable) == (1, False)
 
 
 def test_four_cycle_on_sphere():
@@ -30,17 +29,17 @@ def test_four_cycle_on_sphere():
     rot = [[0, 7], [1, 2], [3, 4], [5, 6]]
     g = EmbeddedGraph(SignedRotationSystem(4, edges, rot))
     assert sorted(f.length for f in g.faces) == [4, 4]
-    assert euler_and_orientability(g) == (2, True)
+    assert (g.euler_char, g.orientable) == (2, True)
 
 
 def test_fix_k4_three_quad_faces(k4):
     assert sorted(f.length for f in k4.faces) == [4, 4, 4]
-    assert euler_and_orientability(k4) == (1, False)
+    assert (k4.euler_char, k4.orientable) == (1, False)
     assert all(f.is_cycle for f in k4.faces)
 
 
 def test_fix_bowtie_two_pinched_hexagons(bowtie):
-    assert euler_and_orientability(bowtie) == (1, False)
+    assert (bowtie.euler_char, bowtie.orientable) == (1, False)
     assert sorted(f.length for f in bowtie.faces) == [6, 6]
     assert not any(f.is_cycle for f in bowtie.faces)
     # both walks visit the hub twice
@@ -62,14 +61,6 @@ def test_malformed_rotation_rejected():
         SignedRotationSystem(1, [(0, 0, 1)], [[0, 1, -1]])
     with pytest.raises(MalformedRotation, match="edge endpoint out of range"):
         SignedRotationSystem(2, [(0, 5, 1)], [[0], [1]])
-
-
-def test_disconnected_euler_raises():
-    edges = [(0, 1, 1), (2, 3, 1)]
-    g = EmbeddedGraph(SignedRotationSystem(4, edges,
-                                           [[0], [1], [2], [3]]))
-    with pytest.raises(Disconnected):
-        euler_and_orientability(g)
 
 
 def test_cycle_sign_and_essentiality(k4):
