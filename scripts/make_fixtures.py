@@ -51,11 +51,9 @@ def write_fixtures(out):
     for pid, pat in sorted(build_patterns().items()):
         if pid in _CONFIG_ROLES:
             continue
-        # the header wording predates the derived roles; it is kept so the
-        # committed fixture files stay byte-identical
         srsio.dump(pat.embedding.srs, out / f"pattern_{pid}.srs",
                    header=f"pattern {pid}: fixed embedded subgraph fixture; "
-                          "see the .roles sidecar for matching roles")
+                          "roles of (a)-(g) are in o1ppg.structures")
 
 
 def main():

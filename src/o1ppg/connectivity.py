@@ -9,7 +9,8 @@ from itertools import combinations
 from .generator import canonical_key
 from .graphs import component_masks, vertex_connectivity_flow
 from .structures import get_pattern
-from .surface import SignedRotationSystem, region_decompose
+from .surface import (SignedRotationSystem, region_decompose,
+                      restricted_system)
 
 
 #: Euler characteristic of the projective plane, the host surface of
@@ -38,26 +39,11 @@ def q_induced_subgraph(inst, S) -> QSubgraph:
     srs = emb.srs
     sset = set(S)
     verts = tuple(sorted(sset))
-    idx = {v: i for i, v in enumerate(verts)}
     q_edges = [e for e, (u, v, _s) in enumerate(srs.edges)
                if u in sset and v in sset]
-    eidx = {e: i for i, e in enumerate(q_edges)}
-    edges = [(idx[srs.edges[e][0]], idx[srs.edges[e][1]], srs.edges[e][2])
-             for e in q_edges]
-    keep = set()
-    for e in q_edges:
-        keep.add(2 * e)
-        keep.add(2 * e + 1)
-    rotations = []
-    for v in verts:
-        rot = []
-        for d in srs.rotations[v]:
-            if d in keep:
-                rot.append(2 * eidx[d >> 1] + (d & 1))
-        rotations.append(rot)
-    sub = SignedRotationSystem(len(verts), edges, rotations)
     regions = region_decompose(emb, set(q_edges)).regions if q_edges else []
-    return QSubgraph(vertices=verts, edges=tuple(q_edges), srs=sub,
+    return QSubgraph(vertices=verts, edges=tuple(q_edges),
+                     srs=restricted_system(srs, verts, q_edges),
                      regions=regions)
 
 
@@ -86,8 +72,9 @@ def _shape_keys():
 def classify_cut_shape(inst, qs: QSubgraph) -> str:
     """Match Q[S] against the fixed shapes; "trivial4cycle-bearing" when it
     contains a separating trivial 4-cycle of the full graph; else "other".
+    Every shape is connected, so only a connected Q[S] is keyed.
     """
-    if qs.edges:
+    if qs.srs.is_connected():
         key = canonical_key(qs.srs)
         label = _shape_keys().get(key)
         if label is not None:

@@ -1,6 +1,12 @@
 """Corpus generation: canonical forms and growth of projective-plane
 quadrangulations by vertex splitting.
 
+A class is named by its canonical key, the least BFS encoding
+(``surface._encode_from``) over the start states of its least degree pair
+(``_class_darts``).  Growth decides repeats with the same encodings
+(``_new_class``), and ``canonical_key`` returns the key growth computes; it
+takes simple connected systems only.
+
 Enumeration completeness is NOT claimed: the corpus is the closure of the
 seed set under vertex splits, re-validated per product.  The verification
 harness treats theorem checks as property tests over this corpus.
@@ -14,99 +20,12 @@ from array import array
 from itertools import combinations
 
 from . import fixtures, srsio
-from .errors import MalformedManifest, NotSimpleResult
+from .errors import (Disconnected, MalformedManifest, NotSimple,
+                     NotSimpleResult)
 from .graphs import vertex_connectivity_flow
 from .model import Quadrangulation, build_o1ppg, validate_quadrangulation
-from .surface import EmbeddedGraph, SignedRotationSystem
-
-_SEP = -1
-
-
-def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side, best):
-    """Packed BFS encoding of one component from one start state.
-
-    Vertices and edges are labelled in order of discovery; each vertex's
-    rotation is walked from its entry dart in the direction of its inherited
-    hand.  A dart visit (edge_label, neighbor_label, sign_bit) is packed into
-    the single token ``(edge_label * n + neighbor_label) * 2 + sign_bit``,
-    which orders like the triple; vertex blocks end with the ``_SEP``
-    sentinel, below every token.  Invariant under vertex relabelling and
-    local reorientation (vertex flips).  Returns None as soon as the encoding
-    exceeds ``best``, and also when it equals it.  Otherwise returns
-    ``(encoding, order, entry, hand)``: the token list and the discovery
-    data, namely the vertices in label order and, per vertex, its entry dart
-    and the hand (+1 successor, -1 predecessor) its rotation was walked in.
-    """
-    stride = 2 * n
-    label2 = [-1] * n          # 2 * vertex label
-    hand = [0] * n
-    entry = [0] * n
-    edge_base = [-1] * len(sign)   # stride * edge label
-    root = dv[start_dart]
-    label2[root] = 0
-    hand[root] = start_side
-    entry[root] = start_dart
-    order = [root]
-    next_base = 0
-    enc = []
-    ahead = best is None   # strictly smaller than best so far?
-    p = 0
-    for v in order:         # grows while the BFS discovers vertices
-        hv = hand[v]
-        step = nxt if hv > 0 else prv
-        d = first = entry[v]
-        while True:
-            e = d >> 1
-            eb = edge_base[e]
-            if eb < 0:
-                eb = edge_base[e] = next_base
-                next_base += stride
-            w = dv[d ^ 1]
-            lw = label2[w]
-            if lw < 0:
-                lw = label2[w] = 2 * len(order)
-                hand[w] = hv * sign[e]
-                entry[w] = d ^ 1
-                order.append(w)
-                tok = eb + lw
-            elif sign[e] * hv == hand[w]:
-                tok = eb + lw              # sign bit 0: hands agree
-            else:
-                tok = eb + lw + 1
-            if not ahead:
-                bt = best[p]
-                if tok > bt:
-                    return None
-                ahead = tok < bt
-            enc.append(tok)
-            p += 1
-            d = step[d]
-            if d == first:
-                break
-        if not ahead:
-            ahead = best[p] != _SEP
-        enc.append(_SEP)
-        p += 1
-    return (enc, order, entry, hand) if ahead else None
-
-
-def _encoder_tables(srs):
-    """The leading arguments of ``_encode_from`` for ``srs``."""
-    return (srs._dart_vertex, srs._rot_next, srs._rot_prev,
-            [s for (_u, _v, s) in srs.edges], srs.vertex_count)
-
-
-def _min_packed_encoding(srs, darts):
-    """Minimum packed encoding over the start states (d, +1), (d, -1) of
-    ``darts``, which must all lie in one component."""
-    tables = _encoder_tables(srs)
-    best = None
-    for d in darts:
-        for side in (1, -1):
-            found = _encode_from(*tables, d, side, best)
-            if found is not None:
-                best = found[0]
-    return best
+from .surface import (_SEP, EmbeddedGraph, SignedRotationSystem,
+                      _encode_from, _encoder_tables)
 
 
 def _unpack(n, packed):
@@ -125,7 +44,17 @@ def _unpack(n, packed):
 def _class_darts(srs):
     """Start darts of a simple connected system, its least degree pair: the
     darts at vertices of least degree whose far endpoint has the least
-    degree among them."""
+    degree among them.
+
+    The minimum encoding over a set of start darts is canonical whenever
+    every embedded isomorphism maps the set of one system onto the set of
+    the other: the encodings from corresponding start states are equal, so
+    the two minima are.  This set is picked by the degrees of each dart's
+    two ends, and degrees depend on the adjacency alone, which relabelling
+    carries along and reflection and sign flips leave unchanged, so the set
+    qualifies.  Growth relies on the same invariance to encode a split
+    product from its first start state only (``_new_class``).
+    """
     rot = srs.rotations
     dv = srs._dart_vertex
     deg = list(map(len, rot))
@@ -136,91 +65,30 @@ def _class_darts(srs):
     return [d for d, f in zip(darts, far) if f == least]
 
 
-def _start_darts(srs, vertices):
-    """Start darts for the canonical search of the component ``vertices``.
-
-    The minimum encoding over a set of start darts is canonical whenever
-    every embedded isomorphism maps the set of one system onto the set of
-    the other: the encodings from corresponding start states are equal, so
-    the two minima are.  A simple connected system starts from its least
-    degree pair, the darts that ``_class_darts`` picks by the degrees of
-    their two ends.  Degrees depend on the adjacency alone, which
-    relabelling carries along and reflection and sign flips leave
-    unchanged, so that set qualifies.  Systems with loops or multi-edges
-    and the components of disconnected systems start from every dart, the
-    trivially invariant set.  Growth relies on the same invariance: it
-    encodes a split product from its first start dart only and a new class
-    from all of them (``_new_class``), 14,468 encoder calls for the 9,566
-    products from K4 to n <= 10.
-    """
-    if len(vertices) == srs.vertex_count and srs.is_simple():
-        return _class_darts(srs)
-    return [d for v in vertices for d in srs.rotations[v]]
-
-
 def _prefix(srs):
     return f"v{srs.vertex_count}e{srs.edge_count}:"
 
 
 def canonical_key(g) -> str:
-    """Canonical string of an embedding, equal for two embeddings iff they
-    are related by relabelling, rotation/reflection, and sign flips.
+    """Canonical string of a simple connected embedding, equal for two
+    embeddings iff they are related by relabelling, rotation/reflection,
+    and sign flips.
 
-    Each component contributes its minimum BFS encoding over the start
-    states (d, +1), (d, -1) of the darts d that ``_start_darts`` picks.  The
-    minimum is canonical because the picked set is invariant: an embedded
-    isomorphism carries the start states of one system onto those of the
-    other, and corresponding start states give equal encodings.  A simple
-    connected system starts from its least degree pair (``_class_darts``);
-    a system with loops or multi-edges, and each component of a
-    disconnected system, takes the all-darts fallback, whose string is the
-    one ``o1ppg.oracles.canonical_key_oracle`` gives.
+    It is the key growth gives the class (``_new_class``): the minimum BFS
+    encoding over the start states (d, +1), (d, -1) of the least degree
+    pair (``_class_darts``).  An edgeless system, a single vertex or none,
+    has the empty encoding.  Raises NotSimple on a loop or a multi-edge and
+    Disconnected on a disconnected system.
     """
     srs = g.srs if isinstance(g, EmbeddedGraph) else g
-    n = srs.vertex_count
-    prefix = _prefix(srs)
-    if srs.edge_count == 0:
-        return prefix + f"iso{n}"
-    isolated = 0
-    parts = []
-    for comp in _vertex_components(srs):
-        darts = _start_darts(srs, comp)
-        if not darts:
-            isolated += len(comp)
-            continue
-        enc = _unpack(n, _min_packed_encoding(srs, darts))
-        parts.append(",".join(map(str, enc)))
-    return _joined_key(prefix, parts, isolated)
-
-
-def _joined_key(prefix, parts, isolated):
-    """Key of a system from its components' token strings."""
-    body = "//".join(sorted(parts))
-    if isolated:
-        body = f"iso{isolated}//" + body
-    return prefix + body
-
-
-def _vertex_components(srs):
-    n = srs.vertex_count
-    adj = srs.adjacency()
-    seen = [False] * n
-    comps = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        comp = [v]
-        seen[v] = True
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
+    if not srs.is_simple():
+        raise NotSimple("canonical keys need a graph without loops or "
+                        "multi-edges")
+    if not srs.is_connected():
+        raise Disconnected("canonical keys need a connected graph")
+    if not srs.edges:
+        return _prefix(srs)
+    return _new_class(srs, set())[0]
 
 
 def _digest(key):
@@ -316,20 +184,20 @@ def _new_class(srs, seen):
     embedding, so the system repeats a class iff its encoding from one
     start state (its first start dart, side +1) is in ``seen``.  A new
     class is then encoded from its other start states too, all of which
-    join ``seen``.  Its key is their minimum, spelled out as
-    ``canonical_key`` spells it.  The start states whose encoding equals
-    the first state's are the images of the first state under the
-    automorphisms, one per automorphism, so the states after the first
-    give the non-identity automorphisms, returned as dart permutations.
+    join ``seen``.  Its key, which ``canonical_key`` returns, is their
+    minimum.  The start states whose encoding equals the first state's are
+    the images of the first state under the automorphisms, one per
+    automorphism, so the states after the first give the non-identity
+    automorphisms, returned as dart permutations.
     """
     tables = _encoder_tables(srs)
     starts = [(d, side) for d in _class_darts(srs) for side in (1, -1)]
-    first = _encode_from(*tables, *starts[0], None)
+    first = _encode_from(*tables, *starts[0])
     packed = array("h", first[0]).tobytes()
     if packed in seen:
         return None
     seen.add(packed)
-    others = [_encode_from(*tables, d, side, None) for d, side in starts[1:]]
+    others = [_encode_from(*tables, d, side) for d, side in starts[1:]]
     least = first[0]
     automorphisms = []
     for found in others:
@@ -398,7 +266,8 @@ def grow_quadrangulations(seeds, n_max):
     key.  A split product is encoded from one start state and is a repeat
     iff that encoding is one a class met before had from any of its start
     states (``_new_class``); only a new class is encoded from all of them.
-    Every seed, and every product found under a new key, goes through
+    Seeds with more than ``n_max`` vertices are dropped.  Every other seed,
+    and every product found under a new key, goes through
     ``validate_quadrangulation``; the split construction itself guarantees
     quadrangulation-ness, so a validation error on a product is a bug, not
     an input condition.  The splits that ``_repeated_splits`` names, by
@@ -431,6 +300,8 @@ def _grow(seeds, n_max):
     for g in seeds:
         if isinstance(g, SignedRotationSystem):
             g = EmbeddedGraph(g)
+        if g.vertex_count > n_max:
+            continue
         q = validate_quadrangulation(g, require_polyhedral=False)
         # Members are simple and connected, so they take the restricted
         # start set directly.

@@ -4,8 +4,8 @@ Each function here decides, by exhaustive search, what a production
 routine decides quickly; the tests compare the two at desk scale.  This
 module may import the production modules, but none of them imports it.
 
-- ``canonical_key_oracle``: every component encoded from all of its darts
-  (against ``generator.canonical_key``).
+- ``canonical_key_oracle``: a simple connected system encoded from all of
+  its darts (against ``generator.canonical_key``).
 - ``grow_quadrangulations_bruteforce``: every split of every class, keyed
   by ``canonical_key`` (against ``generator.grow_quadrangulations``).
 - ``max_matching_size``: bitmask DP over all vertex subsets (against
@@ -28,6 +28,9 @@ module may import the production modules, but none of them imports it.
   (against ``surface.is_essential``).
 - ``certificate_by_sets``: the Theorem-1.6 certificate scan on vertex
   sets (against ``structures.certificate_of_mask``).
+- ``embeds_by_flips``: every vertex flip of a pattern map's image,
+  rotations and signs checked directly (against the encoding test of
+  ``structures.match_pattern``).
 - ``region_decompose_reference``: face merging by union-find calls and
   state sets, with each walk's swept corners collected and mapped to
   regions afterwards (against ``surface.region_decompose``).
@@ -49,18 +52,19 @@ from itertools import combinations, permutations
 
 from .errors import (EmptySubgraph, MalformedRotation, NotProjectivePlane,
                      TooLarge)
-from .generator import (_SEP, _joined_key, _prefix, _vertex_components,
-                        canonical_key, vertex_split)
+from .generator import _prefix, canonical_key, vertex_split
 from .graphs import component_masks
 from .matching import Matching, _check_matching
 from .structures import (OddWeightedRegion, _host_embedding, _with_roles,
                          canonical_walk, get_pattern)
-from .surface import (EmbeddedGraph, FaceWalk, Region, RegionDecomposition,
-                      SignedRotationSystem, _cycle_edges, region_decompose)
+from .surface import (_SEP, EmbeddedGraph, FaceWalk, Region,
+                      RegionDecomposition, SignedRotationSystem, _cycle_edges,
+                      region_decompose)
 
 
 def _oracle_encoding(srs, start_dart, start_side):
-    """Unpacked BFS encoding from one start state, without early exit."""
+    """Unpacked BFS encoding from one start state, built with dictionaries
+    and rotation indices instead of ``surface._encode_from``'s tables."""
     dv = srs._dart_vertex
     label = {dv[start_dart]: 0}
     hand = {dv[start_dart]: start_side}
@@ -88,28 +92,15 @@ def _oracle_encoding(srs, start_dart, start_side):
 
 
 def canonical_key_oracle(g) -> str:
-    """Brute-force reference for ``canonical_key``: every component's
-    minimum encoding over all of its darts and both sides, each encoded in
-    full.  Decides the same classes as ``canonical_key``; the strings agree
-    wherever ``canonical_key`` itself starts from every dart, and differ in
-    general for a simple connected system, which ``canonical_key`` starts
-    from its least degree pair only."""
+    """Brute-force reference for ``canonical_key`` on a simple connected
+    system with an edge: the minimum encoding over all darts and both
+    sides, each encoded in full.  Decides the same classes as
+    ``canonical_key``; the strings differ in general, as ``canonical_key``
+    starts from its least degree pair only."""
     srs = g.srs if isinstance(g, EmbeddedGraph) else g
-    n = srs.vertex_count
-    prefix = _prefix(srs)
-    if srs.edge_count == 0:
-        return prefix + f"iso{n}"
-    isolated = 0
-    parts = []
-    for comp in _vertex_components(srs):
-        darts = [d for v in comp for d in srs.rotations[v]]
-        if not darts:
-            isolated += len(comp)
-            continue
-        enc = min(_oracle_encoding(srs, d, side)
-                  for d in darts for side in (1, -1))
-        parts.append(",".join(map(str, enc)))
-    return _joined_key(prefix, parts, isolated)
+    enc = min(_oracle_encoding(srs, d, side)
+              for d in range(2 * srs.edge_count) for side in (1, -1))
+    return _prefix(srs) + ",".join(map(str, enc))
 
 
 def grow_quadrangulations_bruteforce(seeds, n_max):
@@ -126,7 +117,7 @@ def grow_quadrangulations_bruteforce(seeds, n_max):
 
     def add(srs):
         key = canonical_key(srs)
-        if key not in seen:
+        if key not in seen and srs.vertex_count <= n_max:
             seen.add(key)
             by_n.setdefault(srs.vertex_count, []).append((key, srs))
             frontier.append(srs)
@@ -570,6 +561,31 @@ def certificate_by_sets(ctx, vm):
             if frozenset(phi[v] for v in gray) <= vm:
                 return ("cert_ii", (cid, phi))
     return None
+
+
+def embeds_by_flips(host: EmbeddedGraph, pat, phi):
+    """Flip-enumeration reference for the map decision of
+    ``structures.match_pattern``, face parities aside: whether some choice
+    of vertex flips, among all 2^|V(P)|, makes the host restricted to the
+    image of ``phi`` agree with the pattern at every vertex, its rotation
+    (as a cyclic sequence of pattern edges, reversed at a flipped vertex)
+    and at every edge, its sign (times the flips at both ends)."""
+    psrs, hsrs = pat.embedding.srs, host.srs
+    pn = psrs.vertex_count
+    hedge = {frozenset(e[:2]): i for i, e in enumerate(hsrs.edges)}
+    image = [hedge[frozenset((phi[u], phi[v]))] for (u, v, _s) in psrs.edges]
+    back = {h: p for p, h in enumerate(image)}
+    got = [[back[d >> 1] for d in hsrs.rotations[phi[v]] if d >> 1 in back]
+           for v in range(pn)]
+    turns = [[r[i:] + r[:i] for i in range(len(r))]
+             for r in ([d >> 1 for d in r] for r in psrs.rotations)]
+    for bits in range(1 << pn):
+        flip = [-1 if bits >> v & 1 else 1 for v in range(pn)]
+        if all(s * flip[u] * flip[v] == hsrs.sign(image[e])
+               for e, (u, v, s) in enumerate(psrs.edges)) and all(
+                got[v][::flip[v]] in turns[v] for v in range(pn)):
+            return True
+    return False
 
 
 def region_decompose_reference(g: EmbeddedGraph,

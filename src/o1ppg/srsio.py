@@ -92,6 +92,10 @@ def loads_with_comments(text: str):
                     raise MalformedRotation(f"bad dart token {tok!r}")
                 darts.append(2 * e + (0 if end == "a" else 1))
             rotations[v] = darts
+        extra = next(it, None)
+        if extra is not None:
+            raise MalformedRotation(
+                f"unexpected line after the rotations: {extra!r}")
     except (ValueError, IndexError):
         raise MalformedRotation(f"malformed line {line!r}") from None
     return SignedRotationSystem(nv, edges, rotations), comments

@@ -16,7 +16,8 @@ from itertools import combinations
 
 from . import _kernels, fixtures
 from .graphs import adjacency_masks, enumerate_cycles
-from .surface import EmbeddedGraph, region_decompose
+from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
+                      region_decompose, restricted_system)
 
 
 # -- pattern registry --------------------------------------------------------
@@ -45,10 +46,6 @@ class ConfigPattern:
     embedding: EmbeddedGraph
     gray: frozenset          # vertices that must be covered by the matching
     odd_faces: tuple         # face indices that must map to odd regions
-
-    @property
-    def vertex_count(self):
-        return self.embedding.vertex_count
 
 
 def _with_roles(bases):
@@ -297,55 +294,13 @@ def find_projective_bowties(quad):
 
 # -- embedded pattern matching ------------------------------------------------
 
-def _restricted_rotation(emb, vertex, edge_set):
-    """Host rotation at a vertex filtered to the given edges."""
-    return [d for d in emb.srs.rotations[vertex] if (d >> 1) in edge_set]
-
-
-def _cyclic_match(seq, target):
-    """Directions in which cyclic ``seq`` equals ``target``: subset of
-    {1, -1}."""
-    out = set()
-    k = len(seq)
-    if k != len(target):
-        return out
-    if k == 0:
-        return {1, -1}
-    for i in range(k):
-        if all(seq[(i + t) % k] == target[t] for t in range(k)):
-            out.add(1)
-            break
-    for i in range(k):
-        if all(seq[(i - t) % k] == target[t] for t in range(k)):
-            out.add(-1)
-            break
-    return out
-
-
-def match_pattern(host: EmbeddedGraph, pat: ConfigPattern):
-    """All injective vertex maps embedding the pattern into the host.
-
-    A map must send pattern edges to host edges, preserve the cyclic
-    rotation order up to reflection and the edge signs up to local
-    reorientation, and (when the pattern constrains face parities) send
-    every pattern face to an odd weighted region of the host.
-    """
-    psrs = pat.embedding.srs
-    pn = psrs.vertex_count
-    pedges = [(u, v) for (u, v, _s) in psrs.edges]
-    padj = [set() for _ in range(pn)]
-    for (u, v) in pedges:
-        padj[u].add(v)
-        padj[v].add(u)
-    hsrs = host.srs
-    hn = hsrs.vertex_count
-    hadj = [set() for _ in range(hn)]
-    hedge = {}
-    for e, (u, v, _s) in enumerate(hsrs.edges):
-        hadj[u].add(v)
-        hadj[v].add(u)
-        hedge[(u, v)] = e
-        hedge[(v, u)] = e
+def _candidate_maps(host: EmbeddedGraph, pat: ConfigPattern):
+    """Every injective vertex map ``{pattern vertex: host vertex}`` that
+    sends pattern edges to host edges, by backtracking over the pattern's
+    vertices, each placed next to an already mapped neighbour."""
+    padj = list(map(set, pat.embedding.srs.adjacency()))
+    hadj = list(map(set, host.srs.adjacency()))
+    pn, hn = len(padj), len(hadj)
 
     # order pattern vertices so each new one touches the mapped prefix
     order = [0]
@@ -379,71 +334,41 @@ def match_pattern(host: EmbeddedGraph, pat: ConfigPattern):
             del phi[v]
 
     extend(0, {})
+    return maps
 
+
+def match_pattern(host: EmbeddedGraph, pat: ConfigPattern):
+    """All injective vertex maps embedding the pattern, a connected simple
+    system, into the simple host.
+
+    A candidate map (``_candidate_maps``) embeds the pattern iff the host
+    restricted to its image, labelled like the pattern, is the pattern up
+    to reflection and vertex flips.  The restriction, encoded from pattern
+    dart 0's place on either side, must then give the pattern's encoding
+    from (0, +1) and discovery order: equal encodings give an embedded
+    isomorphism, and the same order makes it fix every vertex, so every
+    edge.  A pattern with face parities must also send every face to an
+    odd weighted region of the host.  ``o1ppg.oracles.embeds_by_flips`` is
+    the flip-enumeration reference.
+    """
+    psrs = pat.embedding.srs
+    pedges = [(u, v) for (u, v, _s) in psrs.edges]
+    want = _encode_from(*_encoder_tables(psrs), 0, 1)[:2]   # (enc, order)
+    hsrs = host.srs
+    hedge = {}
+    for e, (u, v, _s) in enumerate(hsrs.edges):
+        hedge[(u, v)] = hedge[(v, u)] = e
     accepted = []
-    for phi in maps:
-        if _embeds(host, pat, phi, hedge) and _parities_ok(host, pat, phi,
-                                                           hedge):
+    for phi in _candidate_maps(host, pat):
+        image = restricted_system(
+            hsrs, [phi[v] for v in range(psrs.vertex_count)],
+            [hedge[(phi[u], phi[v])] for (u, v) in pedges])
+        tables = _encoder_tables(image)
+        start = 0 if image.edges[0][0] == pedges[0][0] else 1
+        found = (_encode_from(*tables, start, side)[:2] for side in (1, -1))
+        if want in found and _parities_ok(host, pat, phi, hedge):
             accepted.append(phi)
     return accepted
-
-
-def _embeds(host, pat, phi, hedge):
-    psrs = pat.embedding.srs
-    hsrs = host.srs
-    edge_map = {}
-    for e, (u, v, _s) in enumerate(psrs.edges):
-        edge_map[e] = hedge[(phi[u], phi[v])]
-    mapped = set(edge_map.values())
-    if len(mapped) != len(edge_map):
-        return False
-    back = {h: p for p, h in edge_map.items()}
-    allowed = []
-    for v in range(psrs.vertex_count):
-        target = [d >> 1 for d in psrs.rotations[v]]
-        got = [back[d >> 1] for d in _restricted_rotation(
-            host, phi[v], mapped)]
-        dirs = _cyclic_match(got, target)
-        if not dirs:
-            return False
-        allowed.append(dirs)
-    # sign solvability: f(u) * f(v) = sign_host(phi(e)) * sign_pat(e),
-    # with f(v) restricted to rotation-compatible directions
-    need = {}
-    for e, (u, v, _s) in enumerate(psrs.edges):
-        need[(u, v)] = psrs.sign(e) * hsrs.sign(edge_map[e])
-    f = [0] * psrs.vertex_count
-    for root in range(psrs.vertex_count):
-        if f[root]:
-            continue
-        for choice in sorted(allowed[root], reverse=True):
-            trial = list(f)
-            trial[root] = choice
-            stack = [root]
-            ok = True
-            while stack and ok:
-                x = stack.pop()
-                for (a, b), req in need.items():
-                    for (p, q) in ((a, b), (b, a)):
-                        if p == x:
-                            want = req * trial[p]
-                            if trial[q] == 0:
-                                if want not in allowed[q]:
-                                    ok = False
-                                    break
-                                trial[q] = want
-                                stack.append(q)
-                            elif trial[q] != want:
-                                ok = False
-                                break
-                    if not ok:
-                        break
-            if ok:
-                f = trial
-                break
-        else:
-            return False
-    return True
 
 
 def _parities_ok(host, pat, phi, hedge):

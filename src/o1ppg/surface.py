@@ -10,6 +10,11 @@ Face tracing works on states ``(dart, side)``: travel along the dart's edge
 away from the dart's vertex, carrying a handedness that flips across negative
 edges.  Each face is traced by exactly two orbits (one per direction); the
 reverse of a state ``(d, s)`` on edge ``e`` is ``(d ^ 1, -s * sign(e))``.
+
+One BFS encoder (``_encode_from``) decides embedded equivalence everywhere:
+the generator's canonical keys, and the pattern matcher of
+:mod:`o1ppg.structures` on a host restricted to a map's image
+(``restricted_system``).
 """
 
 from __future__ import annotations
@@ -143,6 +148,92 @@ class SignedRotationSystem:
                     count += 1
                     queue.append(y)
         return count == n
+
+
+def restricted_system(srs, vertices, edges):
+    """The part of ``srs`` on the host vertices ``vertices`` and the host
+    edges ``edges``, each of which must join two of those vertices,
+    relabelled: vertex i is ``vertices[i]`` and edge j is ``edges[j]``.
+    Each edge keeps the host's endpoint order and sign, and each rotation
+    the host's cyclic order."""
+    vid = {v: i for i, v in enumerate(vertices)}
+    dart = {}
+    sub_edges = []
+    for j, e in enumerate(edges):
+        u, v, s = srs.edges[e]
+        sub_edges.append((vid[u], vid[v], s))
+        dart[2 * e], dart[2 * e + 1] = 2 * j, 2 * j + 1
+    rotations = [[dart[d] for d in srs.rotations[v] if d in dart]
+                 for v in vertices]
+    return SignedRotationSystem(len(vertices), sub_edges, rotations,
+                                check=False)
+
+
+# -- canonical encoding -----------------------------------------------------
+
+#: closes each vertex block of an encoding; below every dart-visit token
+_SEP = -1
+
+
+def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side):
+    """Packed BFS encoding of one component from one start state.
+
+    Vertices and edges are labelled in order of discovery; each vertex's
+    rotation is walked from its entry dart in the direction of its inherited
+    hand.  A dart visit (edge_label, neighbor_label, sign_bit) is packed into
+    the single token ``(edge_label * n + neighbor_label) * 2 + sign_bit``,
+    which orders like the triple; vertex blocks end with the ``_SEP``
+    sentinel, below every token.  Two systems are embedded-isomorphic by a
+    map carrying one start state onto another iff the encodings from the
+    two states are equal.  Returns ``(encoding, order, entry, hand)``: the
+    tokens, the vertices in label order and, per vertex, its entry dart and
+    the hand (+1 successor, -1 predecessor) its rotation was walked in.
+    """
+    stride = 2 * n
+    label2 = [-1] * n          # 2 * vertex label
+    hand = [0] * n
+    entry = [0] * n
+    edge_base = [-1] * len(sign)   # stride * edge label
+    root = dv[start_dart]
+    label2[root] = 0
+    hand[root] = start_side
+    entry[root] = start_dart
+    order = [root]
+    next_base = 0
+    enc = []
+    for v in order:         # grows while the BFS discovers vertices
+        hv = hand[v]
+        step = nxt if hv > 0 else prv
+        d = first = entry[v]
+        while True:
+            e = d >> 1
+            eb = edge_base[e]
+            if eb < 0:
+                eb = edge_base[e] = next_base
+                next_base += stride
+            w = dv[d ^ 1]
+            lw = label2[w]
+            if lw < 0:
+                lw = label2[w] = 2 * len(order)
+                hand[w] = hv * sign[e]
+                entry[w] = d ^ 1
+                order.append(w)
+                enc.append(eb + lw)
+            elif sign[e] * hv == hand[w]:
+                enc.append(eb + lw)        # sign bit 0: hands agree
+            else:
+                enc.append(eb + lw + 1)
+            d = step[d]
+            if d == first:
+                break
+        enc.append(_SEP)
+    return enc, order, entry, hand
+
+
+def _encoder_tables(srs):
+    """The leading arguments of ``_encode_from`` for ``srs``."""
+    return (srs._dart_vertex, srs._rot_next, srs._rot_prev,
+            [s for (_u, _v, s) in srs.edges], srs.vertex_count)
 
 
 class FaceWalk(NamedTuple):

@@ -34,6 +34,17 @@ def test_generate_deterministic(tmp_path, corpus_dir):
         (corpus_dir / "manifest.tsv").read_text()
 
 
+@pytest.mark.parametrize("max_n", ["3", "-5"])
+def test_generate_below_the_seed_writes_no_member(max_n, tmp_path, capsys):
+    # K4, the seed, has four vertices: a smaller bound keeps nothing
+    out = tmp_path / "c"
+    assert main(["generate", "--max-n", max_n, "--out", str(out)]) == 0
+    assert (out / "manifest.tsv").read_text() == \
+        "n\tkey\tpolyhedral\tbipartite\tconnectivity\n"
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.tsv"]
+    assert "quadrangulations=" not in capsys.readouterr().out
+
+
 def test_validate_accept_reject(corpus_dir, tmp_path, capsys):
     manifest = (corpus_dir / "manifest.tsv").read_text().splitlines()[1:]
     poly9 = next(r.split("\t") for r in manifest

@@ -242,6 +242,12 @@ def test_grow_counts_small_levels(corpus10):
     assert counts[10] == 1381
 
 
+def test_grow_keeps_no_seed_above_the_bound(k4):
+    assert grow_quadrangulations([k4], 3) == {}
+    assert grow_quadrangulations_bruteforce([k4], 3) == {}
+    assert list(grow_quadrangulations([k4], 4)) == [4]
+
+
 def test_grow_products_face_vertex_relation(corpus10):
     for n, items in corpus10.items():
         for _key, srs in items:

@@ -1,10 +1,11 @@
 """Property tests over randomized signed rotation systems."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from o1ppg.errors import Disconnected, NotSimple
 from o1ppg.generator import canonical_key
-from o1ppg.oracles import canonical_key_oracle
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem, trace_faces
 
 
@@ -49,7 +50,26 @@ def test_euler_characteristic_of_closed_surface(srs):
         assert g.euler_char % 2 == 0
 
 
-@given(rotation_systems(), st.randoms(use_true_random=False))
+@st.composite
+def simple_connected_systems(draw, max_vertices=6):
+    """A random spanning tree plus distinct extra edges, with random signs
+    and rotations."""
+    n = draw(st.integers(2, max_vertices))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [(u, v) for v in range(n) for u in range(v)
+              if (u, v) not in pairs]
+    if others:
+        pairs += draw(st.lists(st.sampled_from(others), unique=True))
+    edges = [(u, v, draw(st.sampled_from((1, -1)))) for u, v in pairs]
+    darts_at = [[] for _ in range(n)]
+    for i, (u, v, _s) in enumerate(edges):
+        darts_at[u].append(2 * i)
+        darts_at[v].append(2 * i + 1)
+    return SignedRotationSystem(
+        n, edges, [draw(st.permutations(ds)) for ds in darts_at])
+
+
+@given(simple_connected_systems(), st.randoms(use_true_random=False))
 @settings(deadline=None, max_examples=80)
 def test_canonical_key_invariance(srs, rng):
     base = canonical_key(srs)
@@ -74,14 +94,17 @@ def test_canonical_key_invariance(srs, rng):
     assert canonical_key(work) == base
 
 
-@given(rotation_systems())
-@settings(deadline=None, max_examples=80)
-def test_canonical_key_fallback_is_the_oracle(srs):
-    # systems with loops, multi-edges or several components start from
-    # every dart, so their key is the oracle's string itself
-    if srs.is_simple() and srs.is_connected():
-        return
-    assert canonical_key(srs) == canonical_key_oracle(srs)
+def test_canonical_key_rejects_systems_outside_its_domain():
+    loop = SignedRotationSystem(2, [(0, 1, 1), (1, 1, -1)],
+                                [[0], [1, 2, 3]])
+    multi = SignedRotationSystem(2, [(0, 1, 1), (0, 1, -1)],
+                                 [[0, 2], [1, 3]])
+    apart = SignedRotationSystem(4, [(0, 1, 1), (2, 3, 1)],
+                                 [[0], [1], [2], [3]])
+    for srs, error in ((loop, NotSimple), (multi, NotSimple),
+                       (apart, Disconnected)):
+        with pytest.raises(error):
+            canonical_key(srs)
 
 
 @given(rotation_systems(max_vertices=4, max_edges=6))

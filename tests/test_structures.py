@@ -6,9 +6,10 @@ import pytest
 from o1ppg.generator import canonical_key
 from o1ppg.matching import Matching, is_extendable, matching_masks
 from o1ppg.oracles import (_walk_regions, build_patterns, certificate_by_sets,
-                           odd_regions_by_face_merge)
-from o1ppg.structures import (CertificateContext, OddWeightedRegion,
-                              PATTERN_IDS, canonical_walk,
+                           embeds_by_flips, odd_regions_by_face_merge)
+from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
+                              OddWeightedRegion, PATTERN_IDS, _candidate_maps,
+                              _parities_ok, canonical_walk,
                               certificate_of_mask, diagnose_mask,
                               find_odd_weighted_regions,
                               find_projective_bowties, get_pattern,
@@ -77,6 +78,33 @@ def test_pattern_self_match():
                          gray=frozenset(), odd_faces=())
         maps = match_pattern(pat.embedding, base)
         assert any(all(phi[v] == v for v in phi) for phi in maps)
+
+
+def test_match_pattern_agrees_with_flip_oracle(instances10, corpus_n12):
+    # every pattern on the n <= 10 instances, the committed n <= 12 ones and
+    # the base patterns themselves, whose graph automorphisms are candidate
+    # maps: the encoding test accepts a candidate map iff some vertex flip
+    # makes the host restricted to its image the pattern, parities aside
+    hosts = [inst.quad.embedding for inst in instances10 + corpus_n12]
+    bases = [get_pattern(pid).embedding for pid in PATTERN_IDS
+             if pid not in _CONFIG_ROLES]
+    accepted = rejected = 0
+    for host in hosts + bases:
+        hedge = {}
+        for e, (u, v, _s) in enumerate(host.srs.edges):
+            hedge[(u, v)] = hedge[(v, u)] = e
+        for pid in PATTERN_IDS:
+            pat = get_pattern(pid)
+            candidates = _candidate_maps(host, pat)
+            embedded = [phi for phi in candidates
+                        if embeds_by_flips(host, pat, phi)]
+            maps = match_pattern(host, pat)
+            assert maps == [phi for phi in embedded
+                            if _parities_ok(host, pat, phi, hedge)]
+            if host not in bases:
+                accepted += len(maps)
+            rejected += len(candidates) - len(embedded)
+    assert accepted == 6710 and rejected > 0
 
 
 def test_k4_hosts_no_bowtie(k4):

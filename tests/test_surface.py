@@ -257,3 +257,7 @@ def test_srsio_errors():
         srsio.loads("srs 1\nv 1\ne 1\nedge 0 0 0 +-\nrot 0 0a 0b")
     with pytest.raises(MalformedRotation, match="bad dart token '5b'"):
         srsio.loads("srs 1\nv 1\ne 1\nedge 0 0 0 +\nrot 0 0a 5b")
+    # a record after the last rotation line is named, not dropped
+    with pytest.raises(MalformedRotation, match="after the rotations: "
+                                                "'rot 0'"):
+        srsio.loads("srs 1\nv 1\ne 0\nrot 0\nrot 0\nedge 9 9 9 +\ngarbage")
