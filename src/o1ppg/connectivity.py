@@ -7,10 +7,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .generator import canonical_key
-from .graphs import component_masks, vertex_connectivity_flow
+from .graphs import (component_masks, is_connected_mask,
+                     vertex_connectivity_flow)
 from .structures import get_pattern
 from .surface import (SignedRotationSystem, region_decompose,
-                      restricted_system)
+                      restricted_system, signed_cycles)
 
 
 #: Euler characteristic of the projective plane, the host surface of
@@ -85,31 +86,17 @@ def classify_cut_shape(inst, qs: QSubgraph) -> str:
 
 
 def _contains_separating_trivial_4cycle(inst, qs: QSubgraph):
-    emb = inst.quad.embedding
-    srs = emb.srs
-    sub_adj = {v: set() for v in qs.vertices}
-    for e in qs.edges:
-        u, v, _s = srs.edges[e]
-        sub_adj[u].add(v)
-        sub_adj[v].add(u)
-    verts = list(qs.vertices)
+    """Whether Q[S] holds a two-sided (sign product +1) 4-cycle whose four
+    host vertices separate the full graph."""
     full = (1 << inst.n) - 1
-    for quad in combinations(verts, 4):
-        for per in ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)):
-            cyc = [quad[i] for i in per]
-            if all(cyc[(i + 1) % 4] in sub_adj[cyc[i]] for i in range(4)):
-                sign = 1
-                for i in range(4):
-                    u, v = cyc[i], cyc[(i + 1) % 4]
-                    e = inst.edge_id(u, v)
-                    sign *= srs.edges[e][2]
-                if sign != 1:
-                    continue       # essential, not trivial
-                mask = full
-                for v in cyc:
-                    mask ^= 1 << v
-                if len(component_masks(inst.adj, mask)) > 1:
-                    return True
+    for cycle, _ids, sign in signed_cycles(qs.srs, 4):
+        if len(cycle) != 4 or sign != 1:
+            continue           # a triangle, or essential, not trivial
+        mask = full
+        for v in cycle:
+            mask ^= 1 << qs.vertices[v]
+        if not is_connected_mask(inst.adj, mask):
+            return True
     return False
 
 

@@ -20,7 +20,8 @@ from .errors import (
     NotSimpleResult,
     TooSmall,
 )
-from .graphs import adjacency_masks, is_bipartite, vertex_connectivity_flow
+from .graphs import (adjacency_masks, is_bipartite, is_connected_mask,
+                     vertex_connectivity_flow)
 from .surface import EmbeddedGraph, representativity
 
 
@@ -44,7 +45,9 @@ def validate_quadrangulation(raw: EmbeddedGraph,
     """Accept iff simple, 2-cell embedded in P^2 with every face a 4-cycle,
     3-connected and 3-representative.  Error messages carry the witness."""
     srs = raw.srs
-    if not srs.is_connected():
+    n = raw.vertex_count
+    adj = srs.adjacency_masks()
+    if not is_connected_mask(adj, (1 << n) - 1):
         raise Disconnected("quadrangulation candidate must be connected")
     if not srs.is_simple():
         for e, (u, v, _s) in enumerate(srs.edges):
@@ -65,9 +68,7 @@ def validate_quadrangulation(raw: EmbeddedGraph,
             raise FaceNot4(f"face {fi} has walk length {f.length}")
         if not f.is_cycle:
             raise FaceNot4(f"face {fi} walk {f.vertices} repeats a vertex")
-    n = raw.vertex_count
     assert raw.face_count == n - 1 and raw.edge_count == 2 * (n - 1)
-    adj = adjacency_masks(n, [(u, v) for (u, v, _s) in srs.edges])
     polyhedral = True
     witness = None
     if min(len(r) for r in srs.rotations) < 3:

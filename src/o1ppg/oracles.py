@@ -31,6 +31,10 @@ module may import the production modules, but none of them imports it.
 - ``embeds_by_flips``: every vertex flip of a pattern map's image,
   rotations and signs checked directly (against the encoding test of
   ``structures.match_pattern``).
+- ``bowties_by_triangle_pairs``: every pair of triangles sharing one
+  vertex, kept when the cut along their edges leaves two hexagonal walks
+  (against ``structures.find_projective_bowties``, which reads the bowties
+  off the maps of the bowtie pattern).
 - ``region_decompose_reference``: face merging by union-find calls and
   state sets, with each walk's swept corners collected and mapped to
   regions afterwards (against ``surface.region_decompose``).
@@ -53,7 +57,7 @@ from itertools import combinations, permutations
 from .errors import (EmptySubgraph, MalformedRotation, NotProjectivePlane,
                      TooLarge)
 from .generator import _prefix, canonical_key, vertex_split
-from .graphs import component_masks
+from .graphs import adjacency_masks, component_masks, enumerate_cycles
 from .matching import Matching, _check_matching
 from .structures import (OddWeightedRegion, _host_embedding, _with_roles,
                          canonical_walk, get_pattern)
@@ -586,6 +590,39 @@ def embeds_by_flips(host: EmbeddedGraph, pat, phi):
                 got[v][::flip[v]] in turns[v] for v in range(pn)):
             return True
     return False
+
+
+def bowties_by_triangle_pairs(quad):
+    """Triangle-pair reference for ``structures.find_projective_bowties``:
+    the set of (hub, {{a, b}, {c, d}}) where hub-a-b and hub-c-d are
+    triangles sharing exactly the hub and the cut along their six edges
+    leaves exactly two boundary walks, both hexagons."""
+    emb = quad.embedding if hasattr(quad, "embedding") else quad
+    n = emb.vertex_count
+    tris = enumerate_cycles(
+        n, adjacency_masks(n, [(u, v) for (u, v, _s) in emb.srs.edges]), 3)
+    lookup = {}
+    for e, (u, v, _s) in enumerate(emb.srs.edges):
+        lookup[(min(u, v), max(u, v))] = e
+    out = set()
+    for t1, t2 in combinations(tris, 2):
+        shared = set(t1) & set(t2)
+        if len(shared) != 1:
+            continue
+        hub = shared.pop()
+        edges = set()
+        for t in (t1, t2):
+            a, b, c = t
+            edges |= {lookup[(min(a, b), max(a, b))],
+                      lookup[(min(b, c), max(b, c))],
+                      lookup[(min(a, c), max(a, c))]}
+        dec = region_decompose(emb, edges)
+        walks = [w for r in dec.regions for w in r.boundary_walks]
+        if sorted(w.length for w in walks) != [6, 6]:
+            continue
+        out.add((hub, frozenset((frozenset(set(t1) - {hub}),
+                                 frozenset(set(t2) - {hub})))))
+    return out
 
 
 def region_decompose_reference(g: EmbeddedGraph,

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import _kernels, fixtures
-from .graphs import adjacency_masks, enumerate_cycles
 from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
-                      region_decompose, restricted_system)
+                      region_decompose, restricted_system, signed_cycles)
 
 
 # -- pattern registry --------------------------------------------------------
@@ -143,11 +142,6 @@ def _short_walk_regions(emb, max_len, min_len=2):
         raise ValueError(f"boundary walks of at most 6 vertices are "
                          f"supported, not {max_len}")
     srs = emb.srs
-    n = srs.vertex_count
-    edge_of = {}
-    for e, (u, v, _s) in enumerate(srs.edges):
-        edge_of[(u, v)] = edge_of[(v, u)] = e
-    qadj = adjacency_masks(n, [(u, v) for (u, v, _s) in srs.edges])
     faces = {frozenset(f.edge_ids()) for f in emb.faces}
     found = {}
 
@@ -163,15 +157,11 @@ def _short_walk_regions(emb, max_len, min_len=2):
                 found[canonical_walk(bw.vertices)] = region
 
     triangles = []
-    for cycle in enumerate_cycles(n, qadj, max_len):
+    for cycle, ids, sign in signed_cycles(srs, max_len):
         k = len(cycle)
-        edges = frozenset(edge_of[(cycle[i - 1], cycle[i])]
-                          for i in range(k))
+        edges = frozenset(ids)
         if k == 3:
             triangles.append((cycle, edges))
-        sign = 1
-        for e in edges:
-            sign *= srs.sign(e)
         if sign < 0:
             continue
         own = min_len <= k <= max_len
@@ -188,13 +178,11 @@ def _short_walk_regions(emb, max_len, min_len=2):
             if not region.is_two_cell:
                 continue
             for x in region.interior_vertices:
-                m = qadj[x] & on_cycle
-                while m:
-                    c = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    with_pendant = edges | {edge_of[(c, x)]}
-                    keep(with_pendant,
-                         region_decompose(emb, with_pendant))
+                for d in srs.rotations[x]:
+                    if on_cycle >> srs.dart_vertex(d ^ 1) & 1:
+                        with_pendant = edges | {d >> 1}
+                        keep(with_pendant,
+                             region_decompose(emb, with_pendant))
     if min_len <= 6 <= max_len:
         for (t1, e1), (t2, e2) in combinations(triangles, 2):
             if set(t1) & set(t2):
@@ -257,39 +245,22 @@ def two_cell_regions(inst, boundary_len):
 def find_projective_bowties(quad):
     """All embedded projective-bowties in the quadrangulation.
 
-    Returns sorted tuples (hub, {a, b}, {c, d}) where hub-a-b and hub-c-d
-    are triangles sharing exactly the hub and the union's induced
-    sub-embedding has exactly two hexagonal faces.
+    Returns tuples (hub, {a, b}, {c, d}), one per bowtie, sorted by hub and
+    then by the two pairs as sorted tuples: the images of the maps of the
+    bowtie pattern (``match_pattern``), whose hub is pattern vertex 0 and
+    whose triangles are 0-1-2 and 0-3-4.  Two triangles sharing exactly
+    the hub form one iff the cut along their edges leaves two hexagonal
+    boundary walks; ``o1ppg.oracles.bowties_by_triangle_pairs`` is that
+    reference.
     """
     emb = quad.embedding if hasattr(quad, "embedding") else quad
-    n = emb.vertex_count
-    tris = enumerate_cycles(
-        n, adjacency_masks(n, [(u, v) for (u, v, _s) in emb.srs.edges]), 3)
-    lookup = {}
-    for e, (u, v, _s) in enumerate(emb.srs.edges):
-        lookup[(min(u, v), max(u, v))] = e
-    out = set()
-    for t1, t2 in combinations(tris, 2):
-        shared = set(t1) & set(t2)
-        if len(shared) != 1:
-            continue
-        hub = shared.pop()
-        edges = set()
-        for t in (t1, t2):
-            a, b, c = t
-            edges |= {lookup[(min(a, b), max(a, b))],
-                      lookup[(min(b, c), max(b, c))],
-                      lookup[(min(a, c), max(a, c))]}
-        dec = region_decompose(emb, edges)
-        walks = [w for r in dec.regions for w in r.boundary_walks]
-        if sorted(w.length for w in walks) != [6, 6]:
-            continue
-        p1 = hub
-        w1 = frozenset(set(t1) - {hub})
-        w2 = frozenset(set(t2) - {hub})
-        out.add((p1, tuple(sorted((tuple(sorted(w1)), tuple(sorted(w2)))))))
-    return sorted((p1, frozenset(a), frozenset(b))
-                  for (p1, (a, b)) in out)
+    found = set()
+    for phi in match_pattern(emb, get_pattern("bowtie")):
+        pairs = sorted((tuple(sorted((phi[1], phi[2]))),
+                        tuple(sorted((phi[3], phi[4])))))
+        found.add((phi[0], *pairs))
+    return [(hub, frozenset(a), frozenset(b))
+            for (hub, a, b) in sorted(found)]
 
 
 # -- embedded pattern matching ------------------------------------------------
@@ -355,29 +326,28 @@ def match_pattern(host: EmbeddedGraph, pat: ConfigPattern):
     pedges = [(u, v) for (u, v, _s) in psrs.edges]
     want = _encode_from(*_encoder_tables(psrs), 0, 1)[:2]   # (enc, order)
     hsrs = host.srs
-    hedge = {}
-    for e, (u, v, _s) in enumerate(hsrs.edges):
-        hedge[(u, v)] = hedge[(v, u)] = e
+    edge_between = hsrs.edge_between
     accepted = []
     for phi in _candidate_maps(host, pat):
         image = restricted_system(
             hsrs, [phi[v] for v in range(psrs.vertex_count)],
-            [hedge[(phi[u], phi[v])] for (u, v) in pedges])
+            [edge_between(phi[u], phi[v]) for (u, v) in pedges])
         tables = _encoder_tables(image)
         start = 0 if image.edges[0][0] == pedges[0][0] else 1
         found = (_encode_from(*tables, start, side)[:2] for side in (1, -1))
-        if want in found and _parities_ok(host, pat, phi, hedge):
+        if want in found and _parities_ok(host, pat, phi):
             accepted.append(phi)
     return accepted
 
 
-def _parities_ok(host, pat, phi, hedge):
+def _parities_ok(host, pat, phi):
     if not pat.odd_faces:
         return True
     if len(pat.odd_faces) != pat.embedding.face_count:
         raise AssertionError("partial face-parity constraints unsupported")
     psrs = pat.embedding.srs
-    mapped = {hedge[(phi[u], phi[v])] for (u, v, _s) in psrs.edges}
+    mapped = {host.srs.edge_between(phi[u], phi[v])
+              for (u, v, _s) in psrs.edges}
     dec = region_decompose(host, mapped)
     for region in dec.regions:
         if not region.is_two_cell:

@@ -14,7 +14,10 @@ reverse of a state ``(d, s)`` on edge ``e`` is ``(d ^ 1, -s * sign(e))``.
 One BFS encoder (``_encode_from``) decides embedded equivalence everywhere:
 the generator's canonical keys, and the pattern matcher of
 :mod:`o1ppg.structures` on a host restricted to a map's image
-(``restricted_system``).
+(``restricted_system``).  The graph facts of a system are answered here
+too: the edge joining two vertices (``edge_between``) and the short cycles
+with their sign products (``signed_cycles``), which decide on P^2 whether a
+cycle is one-sided.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import (
     NotACycle,
     NotProjectivePlane,
 )
+from .graphs import adjacency_masks, enumerate_cycles, is_connected_mask
 
 
 def dart_str(d: int) -> str:
@@ -44,7 +48,7 @@ class SignedRotationSystem:
     """
 
     __slots__ = ("vertex_count", "edges", "rotations", "_dart_vertex",
-                 "_rot_next", "_rot_prev")
+                 "_rot_next", "_rot_prev", "_edge_of")
 
     def __init__(self, vertex_count, edges, rotations, check=True):
         self.vertex_count = vertex_count
@@ -53,6 +57,7 @@ class SignedRotationSystem:
         if check:
             self._validate()
         self._build_tables()
+        self._edge_of = None      # (u, v) -> edge id, built on first lookup
 
     def _build_tables(self):
         nd = 2 * len(self.edges)
@@ -131,23 +136,30 @@ class SignedRotationSystem:
             adj[v].append(u)
         return adj
 
+    def adjacency_masks(self):
+        """Neighbor bitmasks (``graphs`` form), indexed by vertex."""
+        return adjacency_masks(self.vertex_count,
+                               [(u, v) for (u, v, _s) in self.edges])
+
     def is_connected(self):
-        n = self.vertex_count
-        if n == 0:
-            return True
-        adj = self.adjacency()
-        seen = [False] * n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    queue.append(y)
-        return count == n
+        return is_connected_mask(self.adjacency_masks(),
+                                 (1 << self.vertex_count) - 1)
+
+    def _edge_index(self):
+        """``{(u, v): edge id}`` for both orders of every edge, the least
+        id on a multi-edge; built on first use."""
+        if self._edge_of is None:
+            of = {}
+            for e, (a, b, _s) in enumerate(self.edges):
+                of.setdefault((a, b), e)
+                of.setdefault((b, a), e)
+            self._edge_of = of
+        return self._edge_of
+
+    def edge_between(self, u, v):
+        """Id of the edge joining ``u`` and ``v`` (the least one, in a
+        multigraph), or None if they are not adjacent."""
+        return self._edge_index().get((u, v))
 
 
 def restricted_system(srs, vertices, edges):
@@ -412,26 +424,26 @@ def _cycle_edges(srs, cycle):
         raise NotACycle("empty vertex sequence")
     if len(set(cycle)) != k:
         raise NotACycle("repeated vertex")
-    lookup = {}
-    for e, (u, v, _s) in enumerate(srs.edges):
-        lookup.setdefault((u, v), e)
-        lookup.setdefault((v, u), e)
     out = []
     for i in range(k):
         u, v = cycle[i], cycle[(i + 1) % k]
-        e = lookup.get((u, v))
+        e = srs.edge_between(u, v)
         if e is None:
             raise NotACycle(f"no edge {u}-{v}")
         out.append(e)
     return out
 
 
+def _sign_product(srs, edge_ids):
+    s = 1
+    for e in edge_ids:
+        s *= srs.edges[e][2]
+    return s
+
+
 def cycle_sign(g: EmbeddedGraph, cycle):
     """Sign product along a cycle (invariant under local reorientations)."""
-    s = 1
-    for e in _cycle_edges(g.srs, cycle):
-        s *= g.srs.sign(e)
-    return s
+    return _sign_product(g.srs, _cycle_edges(g.srs, cycle))
 
 
 def is_essential(g: EmbeddedGraph, cycle):
@@ -440,6 +452,20 @@ def is_essential(g: EmbeddedGraph, cycle):
     if not g.is_p2():
         raise NotProjectivePlane("essentiality test defined on P^2 only")
     return cycle_sign(g, cycle) == -1
+
+
+def signed_cycles(srs: SignedRotationSystem, max_len):
+    """Yield ``(cycle, edge ids, sign product)`` for every cycle of at most
+    ``max_len`` vertices of the simple system ``srs``, in the order and
+    form of ``graphs.enumerate_cycles``; edge ``i`` joins ``cycle[i]`` and
+    ``cycle[i + 1]``, the last one closing the cycle.  On P^2 a cycle is
+    one-sided (essential) iff its sign product is -1."""
+    edge_of = srs._edge_index()
+    for cycle in enumerate_cycles(srs.vertex_count, srs.adjacency_masks(),
+                                  max_len):
+        ids = tuple(map(edge_of.__getitem__,
+                        zip(cycle, cycle[1:] + cycle[:1])))
+        yield cycle, ids, _sign_product(srs, ids)
 
 
 # -- orientation double cover ---------------------------------------------

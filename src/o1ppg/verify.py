@@ -17,13 +17,13 @@ from .connectivity import (_contains_separating_trivial_4cycle,
                            enumerate_cuts, vertex_connectivity)
 from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
                      SearchBudgetExceeded)
-from .graphs import enumerate_cycles
 from .matching import (Matching, find_blocker, is_extendable,
                        k_extendability, matching_masks,
                        matching_via_hamiltonian_path)
 from .model import link
 from .structures import (CertificateContext, barrier_cycles, diagnose_mask,
                          find_projective_bowties)
+from .surface import signed_cycles
 
 THEOREM_IDS = (
     "DegreeFacts", "P2.1", "T1.3", "T1.4", "C1.5", "T1.6", "NoThreeExt",
@@ -179,21 +179,11 @@ class _InstanceAudit:
                       detail=f"n={n} |E|={inst.edge_count} conn={self.conn}")
 
     def check_P21(self):
-        emb = self.inst.quad.embedding
-        srs = emb.srs
-        qadj = [0] * self.inst.n
-        for (u, v, _s) in srs.edges:
-            qadj[u] |= 1 << v
-            qadj[v] |= 1 << u
         ess_parities = set()
         bad = None
         count = 0
-        for cyc in enumerate_cycles(self.inst.n, qadj, 8):
+        for cyc, _ids, sign in signed_cycles(self.inst.quad.embedding.srs, 8):
             count += 1
-            sign = 1
-            for i in range(len(cyc)):
-                e = self.inst.edge_id(cyc[i], cyc[(i + 1) % len(cyc)])
-                sign *= srs.edges[e][2]
             if sign == 1:
                 if len(cyc) % 2:
                     bad = cyc

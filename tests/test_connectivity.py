@@ -1,13 +1,18 @@
 """Cuts, the embedded Q[S], shape classification, and the lemma audits."""
 
+import copy
+import dataclasses
 import random
 
-from o1ppg.connectivity import (audit_cut_lemmas, classify_cut_shape,
-                                enumerate_cuts, vertex_connectivity)
+from o1ppg.connectivity import (_contains_separating_trivial_4cycle,
+                                audit_cut_lemmas, classify_cut_shape,
+                                enumerate_cuts, q_induced_subgraph,
+                                vertex_connectivity)
 from o1ppg.generator import canonical_key
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
 from o1ppg.oracles import (is_minimal_cut_bruteforce,
                            vertex_connectivity_bruteforce)
+from o1ppg.surface import SignedRotationSystem
 
 
 def test_flow_matches_bruteforce_random():
@@ -74,6 +79,31 @@ def test_minimal_six_cut_shapes(inst10):
     assert shapes == ["I", "III", "III", "III"]
     for ca in cuts:
         assert sum(len(r.boundary_walks) for r in ca.qs.regions) >= 2
+
+
+def test_separating_trivial_4cycle_true_side(inst10):
+    # No committed instance has a 4-cut, so cut a copy: vertex x keeps only
+    # its neighbours on a face whose vertices induce just the face cycle,
+    # and those four vertices then cut x off.
+    emb = inst10.quad.embedding
+    face = next(f.vertices for f in emb.faces
+                if len(q_induced_subgraph(inst10, f.vertices).edges) == 4)
+    on_face = sum(1 << v for v in face)
+    x = next(v for v in range(inst10.n) if v not in face)
+    cut = copy.copy(inst10)
+    cut.adj = [m if v in face else m & ~(1 << x)
+               for v, m in enumerate(inst10.adj)]
+    cut.adj[x] &= on_face
+    qs = q_induced_subgraph(cut, face)
+    assert not _contains_separating_trivial_4cycle(inst10, qs)
+    assert _contains_separating_trivial_4cycle(cut, qs)
+    # the same cycle made one-sided by one negated edge is essential, not
+    # trivial, however it separates
+    twisted = [(u, v, -s if e == 0 else s)
+               for e, (u, v, s) in enumerate(qs.srs.edges)]
+    one_sided = dataclasses.replace(qs, srs=SignedRotationSystem(
+        qs.srs.vertex_count, twisted, qs.srs.rotations))
+    assert not _contains_separating_trivial_4cycle(cut, one_sided)
 
 
 def test_cut_component_counts(inst10):

@@ -1,6 +1,7 @@
 """Import hygiene: the production modules need nothing outside the standard
-library and never load the brute-force oracles, and the certificate layer
-does not load the generator."""
+library and never load the brute-force oracles, the certificate layer does
+not load the generator, and the surface layer loads only the graph helpers
+and the error types."""
 
 import os
 import subprocess
@@ -44,3 +45,9 @@ def test_structures_does_not_load_generator():
     out = _run_python("import sys, o1ppg.structures; "
                       "print('o1ppg.generator' in sys.modules)")
     assert out == "False\n"
+
+
+def test_surface_loads_only_graphs_and_errors():
+    out = _run_python("import sys, o1ppg.surface; print(sorted("
+                      "m for m in sys.modules if m.startswith('o1ppg.')))")
+    assert out == "['o1ppg.errors', 'o1ppg.graphs', 'o1ppg.surface']\n"

@@ -5,7 +5,8 @@ import pytest
 
 from o1ppg.generator import canonical_key
 from o1ppg.matching import Matching, is_extendable, matching_masks
-from o1ppg.oracles import (_walk_regions, build_patterns, certificate_by_sets,
+from o1ppg.oracles import (_walk_regions, bowties_by_triangle_pairs,
+                           build_patterns, certificate_by_sets,
                            embeds_by_flips, odd_regions_by_face_merge)
 from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
                               OddWeightedRegion, PATTERN_IDS, _candidate_maps,
@@ -90,9 +91,6 @@ def test_match_pattern_agrees_with_flip_oracle(instances10, corpus_n12):
              if pid not in _CONFIG_ROLES]
     accepted = rejected = 0
     for host in hosts + bases:
-        hedge = {}
-        for e, (u, v, _s) in enumerate(host.srs.edges):
-            hedge[(u, v)] = hedge[(v, u)] = e
         for pid in PATTERN_IDS:
             pat = get_pattern(pid)
             candidates = _candidate_maps(host, pat)
@@ -100,7 +98,7 @@ def test_match_pattern_agrees_with_flip_oracle(instances10, corpus_n12):
                         if embeds_by_flips(host, pat, phi)]
             maps = match_pattern(host, pat)
             assert maps == [phi for phi in embedded
-                            if _parities_ok(host, pat, phi, hedge)]
+                            if _parities_ok(host, pat, phi)]
             if host not in bases:
                 accepted += len(maps)
             rejected += len(candidates) - len(embedded)
@@ -202,16 +200,27 @@ def test_essential_triangle_complement_excluded(inst10):
         assert r.interior_vertex_count < inst10.n - 3
 
 
-def test_bowtie_detectors_agree(instances10):
-    pat = get_pattern("bowtie")
-    for inst in instances10:
+def test_bowtie_detectors_agree(instances10, corpus_n12):
+    # the bowties read off the pattern maps are the triangle pairs whose
+    # cut leaves two hexagons, each once, in (hub, pair, pair) order
+    for inst in instances10 + corpus_n12:
         bows = find_projective_bowties(inst.quad)
-        maps = match_pattern(inst.quad.embedding, pat)
-        via_maps = {(phi[0], frozenset((frozenset((phi[1], phi[2])),
-                                        frozenset((phi[3], phi[4])))))
-                    for phi in maps}
-        via_bespoke = {(p1, frozenset((a, b))) for (p1, a, b) in bows}
-        assert via_maps == via_bespoke
+        assert bows == sorted(bows, key=lambda b: (b[0], sorted(b[1]),
+                                                   sorted(b[2])))
+        assert all(sorted(a) < sorted(b) for (_hub, a, b) in bows)
+        pairs = {(hub, frozenset((a, b))) for (hub, a, b) in bows}
+        assert len(pairs) == len(bows)
+        assert pairs == bowties_by_triangle_pairs(inst.quad)
+
+
+def test_bowties_sorted_by_hub_then_pairs():
+    # three bowties share the degree-6 hub of fig4-2, so only the pairs
+    # order them, as sorted tuples, never as frozensets
+    host = get_pattern("fig4-2").embedding
+    assert find_projective_bowties(host) == [
+        (0, frozenset({1, 2}), frozenset({3, 4})),
+        (0, frozenset({1, 2}), frozenset({5, 6})),
+        (0, frozenset({3, 4}), frozenset({5, 6}))]
 
 
 def test_bowtie_in_nonbipartite_host_only(instances10):
@@ -221,16 +230,17 @@ def test_bowtie_in_nonbipartite_host_only(instances10):
 
 
 def test_essentiality_routes_agree_on_hosts(instances10):
-    # sign product -1 iff cutting along the cycle leaves one region
-    from o1ppg.graphs import adjacency_masks, enumerate_cycles
+    # sign product -1 iff cutting along the cycle leaves one region, and
+    # each edge id joins two consecutive cycle vertices
     from o1ppg.oracles import is_essential_by_regions
-    from o1ppg.surface import is_essential
+    from o1ppg.surface import is_essential, signed_cycles
     for inst in instances10:
         emb = inst.quad.embedding
-        qadj = adjacency_masks(
-            inst.n, [(u, v) for (u, v, _s) in emb.srs.edges])
-        for cyc in enumerate_cycles(inst.n, qadj, 6):
-            assert is_essential(emb, cyc) == is_essential_by_regions(emb, cyc)
+        for cyc, ids, sign in signed_cycles(emb.srs, 6):
+            assert (sign == -1) == is_essential(emb, cyc)
+            assert (sign == -1) == is_essential_by_regions(emb, cyc)
+            assert [set(emb.srs.edges[e][:2]) for e in ids] == [
+                {cyc[i], cyc[(i + 1) % len(cyc)]} for i in range(len(cyc))]
 
 
 def test_certificate_i_implies_odd_component(inst10):
