@@ -100,38 +100,99 @@ def _contains_separating_trivial_4cycle(inst, qs: QSubgraph):
     return False
 
 
+def minimal_separators(inst):
+    """Every minimal separator of the instance graph, as vertex masks in
+    order of size, then of the sorted vertex tuple.
+
+    A minimal separator is a vertex set S with two components of G - S
+    that each see every vertex of S.  They are generated by the closure of
+    Berry, Bordat & Cogis ("Generating all the minimal separators of a
+    graph", IJFCS 11, 2000): start with N(C) for every component C of
+    G - N[v], then add N(C) for every component C of G - (S + N(x)), for
+    every separator S found and every x in S.  Computed once per instance
+    and stored on it.
+    """
+    if inst._minimal_separators is not None:
+        return inst._minimal_separators
+    adj = inst.adj
+    full = (1 << inst.n) - 1
+    found = set()
+    todo = []
+    for v in range(inst.n):
+        for comp in component_masks(adj, full & ~(adj[v] | 1 << v)):
+            sep = _border(adj, comp)
+            if sep not in found:
+                found.add(sep)
+                todo.append(sep)
+    for sep in todo:            # grows while new separators turn up
+        for x in _members(sep):
+            for comp in component_masks(adj, full & ~(sep | adj[x])):
+                new = _border(adj, comp)
+                if new not in found:
+                    found.add(new)
+                    todo.append(new)
+    inst._minimal_separators = tuple(sorted(
+        found, key=lambda sep: (sep.bit_count(), _members(sep))))
+    return inst._minimal_separators
+
+
+def _border(adj, comp):
+    """N(comp): the vertices outside ``comp`` with a neighbour in it."""
+    seen = 0
+    m = comp
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        seen |= adj[v]
+    return seen & ~comp
+
+
+def _members(mask):
+    """The vertices of ``mask``, ascending."""
+    out = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        out.append(v)
+    return tuple(out)
+
+
 def enumerate_cuts(inst, k):
-    """Every k-subset S with G - S disconnected, fully analyzed.
+    """Every k-subset S with G - S disconnected, fully analyzed, in the
+    order of ``itertools.combinations(range(n), k)``.
+
+    Every cut contains a minimal separator: a minimal separator between
+    two components of G - S lies inside S.  So the k-cuts are the
+    k-supersets of the minimal separators of at most k vertices
+    (``minimal_separators``) that leave G disconnected.
 
     S is minimal (no proper subset is a cut) iff every component of G - S
     has a neighbour at every vertex of S: a component with no neighbour at
     s stays cut off from s by S - {s}, and a vertex of S that every
-    component sees joins them all.  Exhaustive over subsets; desk scale
-    only.
+    component sees joins them all.
+    ``o1ppg.oracles.enumerate_cuts_by_subsets`` scans every k-subset
+    instead.
     """
+    n = inst.n
     adj = inst.adj
-    full = (1 << inst.n) - 1
+    full = (1 << n) - 1
+    candidates = set()
+    for sep in minimal_separators(inst):
+        size = sep.bit_count()
+        if size > k:
+            break
+        for extra in combinations(_members(full ^ sep), k - size):
+            mask = sep
+            for v in extra:
+                mask |= 1 << v
+            candidates.add(mask)
     out = []
-    for subset in combinations(range(inst.n), k):
-        smask = 0
-        for v in subset:
-            smask |= 1 << v
+    for subset, smask in sorted((_members(m), m) for m in candidates):
         comps = component_masks(adj, full ^ smask)
         if len(comps) < 2:
             continue
-        minimal = True
-        comp_sets = []
-        for c in comps:
-            vs = []
-            seen = 0
-            m = c
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                vs.append(v)
-                seen |= adj[v]
-            comp_sets.append(tuple(vs))
-            minimal = minimal and (seen & smask) == smask
+        comp_sets = [_members(c) for c in comps]
+        minimal = all(_border(adj, c) == smask for c in comps)
         odd = sum(1 for c in comp_sets if len(c) % 2 == 1)
         out.append(CutAnalysis(
             S=frozenset(subset),

@@ -134,25 +134,23 @@ def enumerate_cycles(n, adj, max_len):
     vertex smaller than its last (canonical direction).
     """
     cycles = []
-
-    def neighbors(v):
-        m = adj[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            yield w
-
     for root in range(n):
+        above = -2 << root          # the vertices after the root
+        closes = adj[root]          # a path ending here closes a cycle
         stack = [(root, 1 << root, (root,))]
         while stack:
             v, visited, path = stack.pop()
-            for w in neighbors(v):
-                if w == root and len(path) >= 3:
-                    if path[1] < path[-1]:
-                        cycles.append(path)
-                    continue
-                if w <= root or (visited >> w) & 1 or len(path) >= max_len:
-                    continue
+            size = len(path)
+            if size >= 3 and (closes >> v) & 1 and path[1] < path[-1]:
+                cycles.append(path)
+            if size >= max_len:
+                continue
+            m = adj[v] & above & ~visited
+            if size == max_len - 1:
+                m &= closes         # the next vertex must close the cycle
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
                 stack.append((w, visited | (1 << w), path + (w,)))
     return cycles
 

@@ -11,10 +11,11 @@ from .errors import (NoBlockerFound, NoHamPath, OddOrder,
                      SearchBudgetExceeded, TooSmall)
 from .graphs import (adjacency_masks, is_connected_mask,
                      odd_even_components, vertex_connectivity_flow)
+from .surface import _sign_product
 
-#: Diagonal selections ``spanning_triangulation`` may try, the first
-#: included, before it raises SearchBudgetExceeded.
-TRIANGULATION_SELECTION_BUDGET = 1 << 12
+#: Diagonal picks ``spanning_triangulation`` may try, one per face and
+#: choice, before it raises SearchBudgetExceeded.
+TRIANGULATION_NODE_BUDGET = 1 << 12
 #: DFS nodes one ``hamiltonian_path`` search may visit before it raises
 #: SearchBudgetExceeded.
 HAMILTONIAN_PATH_NODE_BUDGET = 1 << 20
@@ -139,13 +140,80 @@ def find_blocker(inst, m: Matching, k: int) -> BlockerSet:
         "counterexample")
 
 
+def _triangle_clauses(inst, choices):
+    """The selections that leave a contractible 3-cycle non-facial.
+
+    ``choices[f]`` is the pair of diagonals of face ``f``, each a sorted
+    vertex pair, in the order of the selection bit that picks it.  Every
+    3-cycle of the instance that uses a diagonal and has sign product +1
+    gives one clause: the tuple of ``(face, bit)`` picks that together
+    put all of its diagonals into the triangulation.  A diagonal is read
+    as the two-edge path through its face, which is homotopic to it, so
+    the product says whether the 3-cycle is contractible in P^2.  A
+    3-cycle made of one diagonal and the rest of that diagonal's face
+    bounds a face of the triangulation and gives no clause.  A 3-cycle
+    of quadrangulation edges alone is one-sided, since a contractible
+    cycle bounds a disc of quadrangles and so has even length; every
+    clause therefore holds at least one pick.
+    """
+    srs = inst.quad.embedding.srs
+    faces = inst.quad.embedding.faces
+    eq = inst.q_edge_count
+    pick = {}            # diagonal edge id -> (face, bit, path sign)
+    for f, face in enumerate(faces):
+        a, b, c, d = face.vertices
+        for j, (p, x, q) in enumerate(((a, b, c), (b, c, d))):
+            path = (srs.edge_between(p, x), srs.edge_between(x, q))
+            bit = choices[f].index((p, q) if p < q else (q, p))
+            pick[eq + 2 * f + j] = (f, bit, _sign_product(srs, path))
+    adj = inst.adj
+    clauses = []
+    for u in range(inst.n):
+        higher = adj[u] >> (u + 1) << (u + 1)
+        m = higher
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            w_mask = higher & adj[v] >> (v + 1) << (v + 1)
+            while w_mask:
+                w = (w_mask & -w_mask).bit_length() - 1
+                w_mask &= w_mask - 1
+                sign, lits = 1, []
+                for e in (inst.edge_id(u, v), inst.edge_id(v, w),
+                          inst.edge_id(w, u)):
+                    if e < eq:
+                        sign *= srs.edges[e][2]
+                    else:
+                        f, bit, s = pick[e]
+                        sign *= s
+                        lits.append((f, bit))
+                if sign != 1:
+                    continue
+                if len(lits) == 1:
+                    f = lits[0][0]
+                    if {u, v, w} <= set(faces[f].vertices):
+                        continue          # half of a quadrangle: a face
+                clauses.append(tuple(lits))
+    return clauses
+
+
 def spanning_triangulation(inst):
     """Quadrangulation plus one diagonal per face, 4-connected.
 
-    Takes the lexicographically smaller diagonal per face and verifies
-    4-connectivity; if that fails, searches diagonal selections
-    exhaustively (a 4-connected selection exists by the theory this
-    library audits), trying at most ``TRIANGULATION_SELECTION_BUDGET``.
+    A triangulation of P^2 on at least five vertices is 4-connected iff
+    each of its contractible 3-cycles bounds a face (Mohar & Thomassen,
+    *Graphs on Surfaces*, 2001); a contractible 3-cycle that bounds no
+    face is a 3-cut.  So every 4-connected selection avoids the clauses of
+    ``_triangle_clauses``, and the search backtracks over them, deciding
+    the faces from the last to the first and trying each face's
+    lexicographically smaller diagonal first.  Each leaf is confirmed by
+    one 4-connectivity flow; the first confirmed one is the least
+    4-connected selection in binary order (face 0 the low bit), the one
+    ``o1ppg.oracles.spanning_triangulation_by_selections`` finds by
+    trying every selection in turn.  An exhausted search raises
+    NoHamPath; one that tries more than
+    ``TRIANGULATION_NODE_BUDGET`` diagonal picks raises
+    SearchBudgetExceeded.
 
     The result depends only on the instance, so the first call stores it
     on the instance and later calls return it; both parts are tuples,
@@ -155,26 +223,53 @@ def spanning_triangulation(inst):
         return inst._spanning_triangulation
     emb = inst.quad.embedding
     q_edges = [(u, v) for (u, v, _s) in emb.srs.edges]
-    face_choices = []
-    for fi, f in enumerate(emb.faces):
+    choices = []
+    for f in emb.faces:
         a, b, c, d = f.vertices
-        d1, d2 = tuple(sorted((a, c))), tuple(sorted((b, d)))
-        face_choices.append(sorted((d1, d2)))
+        choices.append(sorted((tuple(sorted((a, c))),
+                               tuple(sorted((b, d))))))
+    nf = len(choices)
+    # each clause is checked when its least face, the last of its faces
+    # that the search decides, gets its bit
+    checks = [[] for _ in range(nf)]
+    for clause in _triangle_clauses(inst, choices):
+        checks[min(f for f, _bit in clause)].append(clause)
     n = inst.n
-    budget = TRIANGULATION_SELECTION_BUDGET
-    for bits in range(1 << len(face_choices)):
-        if bits == budget:
-            raise SearchBudgetExceeded(
-                "no 4-connected spanning triangulation among the first "
-                f"{budget} diagonal selections "
-                "(TRIANGULATION_SELECTION_BUDGET)")
-        edges = q_edges + [choice[(bits >> fi) & 1]
-                           for fi, choice in enumerate(face_choices)]
-        adj = adjacency_masks(n, edges)
-        if vertex_connectivity_flow(n, adj, 4) >= 4:
-            inst._spanning_triangulation = (tuple(adj), tuple(edges))
-            return inst._spanning_triangulation
-    raise NoHamPath("no 4-connected spanning triangulation found")
+    budget = TRIANGULATION_NODE_BUDGET
+    bits = [0] * nf
+    nodes = 0
+
+    def violated(f):
+        return any(all(bits[g] == bit for g, bit in clause)
+                   for clause in checks[f])
+
+    def search(f):
+        nonlocal nodes
+        if f < 0:
+            edges = q_edges + [choice[bit]
+                               for choice, bit in zip(choices, bits)]
+            adj = adjacency_masks(n, edges)
+            if vertex_connectivity_flow(n, adj, 4) >= 4:
+                return tuple(adj), tuple(edges)
+            return None
+        for bit in (0, 1):
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(
+                    "spanning-triangulation search tried more than "
+                    f"{budget} diagonal picks (TRIANGULATION_NODE_BUDGET)")
+            bits[f] = bit
+            if not violated(f):
+                found = search(f - 1)
+                if found is not None:
+                    return found
+        return None
+
+    found = search(nf - 1)
+    if found is None:
+        raise NoHamPath("no 4-connected spanning triangulation exists")
+    inst._spanning_triangulation = found
+    return found
 
 
 def hamiltonian_path(n, adj, s, t):

@@ -119,8 +119,10 @@ class O1PPGInstance:
                 edges.append((p, q))
         self.edges = edges
         self.adj = adjacency_masks(n, edges)
-        # set by matching.spanning_triangulation on its first call
+        # set by matching.spanning_triangulation and
+        # connectivity.minimal_separators on their first calls
         self._spanning_triangulation = None
+        self._minimal_separators = None
         # alive mask -> perfect matching on it?  Shared by every
         # _kernels.pm_exists call on ``adj`` (matching.is_extendable)
         self._pm_memo = {0: True}

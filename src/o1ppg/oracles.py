@@ -16,6 +16,11 @@ module may import the production modules, but none of them imports it.
   ``graphs.vertex_connectivity_flow``).
 - ``is_minimal_cut_bruteforce``: every proper subset of a cut (against
   the component rule of ``connectivity.enumerate_cuts``).
+- ``enumerate_cuts_by_subsets``: every k-subset of the vertices (against
+  ``connectivity.enumerate_cuts``, which extends the minimal separators).
+- ``spanning_triangulation_by_selections``: every diagonal selection in
+  binary order, each checked by a 4-connectivity flow (against the
+  triangle-clause search of ``matching.spanning_triangulation``).
 - ``representativity_bruteforce`` (over ``radial_corners``): every cycle
   of the radial graph (against ``surface.representativity``).
 - ``odd_regions_by_face_merge``: every connected face subset (against
@@ -24,8 +29,11 @@ module may import the production modules, but none of them imports it.
   most ``max_len`` vertices, cut one at a time (against
   ``structures._short_walk_regions``, which cuts only the edge sets of
   the short-cycle shapes it lists, up to 6 vertices).
+- ``cycle_sign`` and ``is_essential`` (over ``_cycle_edges``): the sign
+  product of one given vertex cycle, looked up edge by edge (against the
+  products ``surface.signed_cycles`` yields for every short cycle).
 - ``is_essential_by_regions``: the region count of the cut along a cycle
-  (against ``surface.is_essential``).
+  (against ``is_essential``).
 - ``certificate_by_sets``: the Theorem-1.6 certificate scan on vertex
   sets (against ``structures.certificate_of_mask``).
 - ``embeds_by_flips``: every vertex flip of a pattern map's image,
@@ -54,16 +62,22 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .errors import (EmptySubgraph, MalformedRotation, NotProjectivePlane,
-                     TooLarge)
+from .connectivity import CutAnalysis, q_induced_subgraph
+from .errors import (EmptySubgraph, MalformedRotation, NoHamPath, NotACycle,
+                     NotProjectivePlane, SearchBudgetExceeded, TooLarge)
 from .generator import _prefix, canonical_key, vertex_split
-from .graphs import adjacency_masks, component_masks, enumerate_cycles
+from .graphs import (adjacency_masks, component_masks, enumerate_cycles,
+                     vertex_connectivity_flow)
 from .matching import Matching, _check_matching
 from .structures import (OddWeightedRegion, _host_embedding, _with_roles,
                          canonical_walk, get_pattern)
 from .surface import (_SEP, EmbeddedGraph, FaceWalk, Region,
-                      RegionDecomposition, SignedRotationSystem, _cycle_edges,
+                      RegionDecomposition, SignedRotationSystem, _sign_product,
                       region_decompose)
+
+#: Diagonal selections ``spanning_triangulation_by_selections`` may try,
+#: the first included, before it raises SearchBudgetExceeded.
+TRIANGULATION_SELECTION_BUDGET = 1 << 12
 
 
 def _oracle_encoding(srs, start_dart, start_side):
@@ -382,6 +396,78 @@ def is_minimal_cut_bruteforce(inst, S):
     return True
 
 
+def enumerate_cuts_by_subsets(inst, k):
+    """Every k-subset S with G - S disconnected, fully analyzed, found by
+    scanning all C(n, k) subsets (against
+    ``connectivity.enumerate_cuts``).
+
+    S is minimal (no proper subset is a cut) iff every component of G - S
+    has a neighbour at every vertex of S.
+    """
+    adj = inst.adj
+    full = (1 << inst.n) - 1
+    out = []
+    for subset in combinations(range(inst.n), k):
+        smask = 0
+        for v in subset:
+            smask |= 1 << v
+        comps = component_masks(adj, full ^ smask)
+        if len(comps) < 2:
+            continue
+        minimal = True
+        comp_sets = []
+        for c in comps:
+            vs = []
+            seen = 0
+            m = c
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                vs.append(v)
+                seen |= adj[v]
+            comp_sets.append(tuple(vs))
+            minimal = minimal and (seen & smask) == smask
+        odd = sum(1 for c in comp_sets if len(c) % 2 == 1)
+        out.append(CutAnalysis(
+            S=frozenset(subset),
+            components=tuple(sorted(comp_sets)),
+            odd_count=odd,
+            even_count=len(comp_sets) - odd,
+            is_minimal=minimal,
+            qs=q_induced_subgraph(inst, subset),
+        ))
+    return out
+
+
+def spanning_triangulation_by_selections(inst):
+    """Quadrangulation plus one diagonal per face, 4-connected, found by
+    trying the diagonal selections in binary order (face 0 the low bit,
+    bit 0 its lexicographically smaller diagonal), at most
+    ``TRIANGULATION_SELECTION_BUDGET`` of them, each checked by one
+    4-connectivity flow (against ``matching.spanning_triangulation``)."""
+    emb = inst.quad.embedding
+    q_edges = [(u, v) for (u, v, _s) in emb.srs.edges]
+    face_choices = []
+    for fi, f in enumerate(emb.faces):
+        a, b, c, d = f.vertices
+        d1, d2 = tuple(sorted((a, c))), tuple(sorted((b, d)))
+        face_choices.append(sorted((d1, d2)))
+    n = inst.n
+    budget = TRIANGULATION_SELECTION_BUDGET
+    for bits in range(1 << len(face_choices)):
+        if bits == budget:
+            raise SearchBudgetExceeded(
+                "no 4-connected spanning triangulation among the first "
+                f"{budget} diagonal selections "
+                "(TRIANGULATION_SELECTION_BUDGET)")
+        edges = q_edges + [choice[(bits >> fi) & 1]
+                           for fi, choice in enumerate(face_choices)]
+        adj = adjacency_masks(n, edges)
+        if vertex_connectivity_flow(n, adj, 4) >= 4:
+            return tuple(adj), tuple(edges)
+    raise NoHamPath("no 4-connected spanning triangulation found")
+
+
 def radial_corners(g: EmbeddedGraph):
     """Corner edges of the radial graph with sheet bits.
 
@@ -542,6 +628,36 @@ def odd_regions_by_face_merge(inst, max_boundary_len):
                         face_ids=region.face_ids,
                     )
     return [results[w] for w in sorted(results)]
+
+
+def _cycle_edges(srs, cycle):
+    """Edge ids along a vertex cycle; raises NotACycle on any defect."""
+    k = len(cycle)
+    if k < 1:
+        raise NotACycle("empty vertex sequence")
+    if len(set(cycle)) != k:
+        raise NotACycle("repeated vertex")
+    out = []
+    for i in range(k):
+        u, v = cycle[i], cycle[(i + 1) % k]
+        e = srs.edge_between(u, v)
+        if e is None:
+            raise NotACycle(f"no edge {u}-{v}")
+        out.append(e)
+    return out
+
+
+def cycle_sign(g: EmbeddedGraph, cycle):
+    """Sign product along a cycle (invariant under local reorientations)."""
+    return _sign_product(g.srs, _cycle_edges(g.srs, cycle))
+
+
+def is_essential(g: EmbeddedGraph, cycle):
+    """On the projective plane a cycle is essential iff it is one-sided,
+    i.e. its sign product is -1."""
+    if not g.is_p2():
+        raise NotProjectivePlane("essentiality test defined on P^2 only")
+    return cycle_sign(g, cycle) == -1
 
 
 def is_essential_by_regions(g: EmbeddedGraph, cycle):

@@ -29,10 +29,9 @@ from typing import NamedTuple
 from .errors import (
     EmptySubgraph,
     MalformedRotation,
-    NotACycle,
     NotProjectivePlane,
 )
-from .graphs import adjacency_masks, enumerate_cycles, is_connected_mask
+from .graphs import enumerate_cycles, is_connected_mask
 
 
 def dart_str(d: int) -> str:
@@ -138,8 +137,11 @@ class SignedRotationSystem:
 
     def adjacency_masks(self):
         """Neighbor bitmasks (``graphs`` form), indexed by vertex."""
-        return adjacency_masks(self.vertex_count,
-                               [(u, v) for (u, v, _s) in self.edges])
+        adj = [0] * self.vertex_count
+        for u, v, _s in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return adj
 
     def is_connected(self):
         return is_connected_mask(self.adjacency_masks(),
@@ -417,41 +419,11 @@ class EmbeddedGraph:
         return self._vertex_faces
 
 
-def _cycle_edges(srs, cycle):
-    """Edge ids along a vertex cycle; raises NotACycle on any defect."""
-    k = len(cycle)
-    if k < 1:
-        raise NotACycle("empty vertex sequence")
-    if len(set(cycle)) != k:
-        raise NotACycle("repeated vertex")
-    out = []
-    for i in range(k):
-        u, v = cycle[i], cycle[(i + 1) % k]
-        e = srs.edge_between(u, v)
-        if e is None:
-            raise NotACycle(f"no edge {u}-{v}")
-        out.append(e)
-    return out
-
-
 def _sign_product(srs, edge_ids):
     s = 1
     for e in edge_ids:
         s *= srs.edges[e][2]
     return s
-
-
-def cycle_sign(g: EmbeddedGraph, cycle):
-    """Sign product along a cycle (invariant under local reorientations)."""
-    return _sign_product(g.srs, _cycle_edges(g.srs, cycle))
-
-
-def is_essential(g: EmbeddedGraph, cycle):
-    """On the projective plane a cycle is essential iff it is one-sided,
-    i.e. its sign product is -1."""
-    if not g.is_p2():
-        raise NotProjectivePlane("essentiality test defined on P^2 only")
-    return cycle_sign(g, cycle) == -1
 
 
 def signed_cycles(srs: SignedRotationSystem, max_len):

@@ -4,15 +4,19 @@ import copy
 import dataclasses
 import random
 
+from test_generator import _full_relabel
+
 from o1ppg.connectivity import (_contains_separating_trivial_4cycle,
                                 audit_cut_lemmas, classify_cut_shape,
-                                enumerate_cuts, q_induced_subgraph,
-                                vertex_connectivity)
+                                enumerate_cuts, minimal_separators,
+                                q_induced_subgraph, vertex_connectivity)
 from o1ppg.generator import canonical_key
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
-from o1ppg.oracles import (is_minimal_cut_bruteforce,
+from o1ppg.model import build_o1ppg, validate_quadrangulation
+from o1ppg.oracles import (enumerate_cuts_by_subsets,
+                           is_minimal_cut_bruteforce,
                            vertex_connectivity_bruteforce)
-from o1ppg.surface import SignedRotationSystem
+from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
 
 def test_flow_matches_bruteforce_random():
@@ -163,3 +167,48 @@ def test_minimality_matches_subset_oracle(corpus_n12):
                 nonminimal += not ca.is_minimal
     assert nonminimal > 0
     assert (cuts, nonminimal) == (645, 525)
+
+
+def _fields(ca):
+    """Every field of a CutAnalysis, with Q[S]'s rotation system read as
+    its edges and rotations (the system itself compares by identity)."""
+    qs = ca.qs
+    return (ca.S, ca.components, ca.odd_count, ca.even_count, ca.is_minimal,
+            qs.vertices, qs.edges, qs.srs.edges, qs.srs.rotations,
+            qs.regions)
+
+
+def _assert_cuts_match_subset_scan(inst):
+    for k in range(1, 8):
+        got = [_fields(ca) for ca in enumerate_cuts(inst, k)]
+        assert got == [_fields(ca)
+                       for ca in enumerate_cuts_by_subsets(inst, k)], k
+
+
+def test_cuts_match_subset_oracle(corpus_n12, instances10):
+    for inst in corpus_n12 + instances10:
+        _assert_cuts_match_subset_scan(inst)
+
+
+def test_cuts_match_subset_oracle_relabelled(corpus_n12):
+    rng = random.Random(23)
+    for inst in corpus_n12:
+        image, _dmap = _full_relabel(inst.quad.embedding.srs, rng)
+        _assert_cuts_match_subset_scan(build_o1ppg(
+            validate_quadrangulation(EmbeddedGraph(image))))
+
+
+def test_minimal_separators_pair_with_oracles(corpus_n12, instances10):
+    # the least separator is as large as the flow connectivity, and the
+    # separators of at most 7 vertices are the cuts marked minimal
+    for inst in corpus_n12 + instances10:
+        seps = minimal_separators(inst)
+        assert seps[0].bit_count() == vertex_connectivity_flow(
+            inst.n, inst.adj, 8)
+        assert [s.bit_count() for s in seps] == sorted(
+            s.bit_count() for s in seps)
+        small = {frozenset(v for v in range(inst.n) if (s >> v) & 1)
+                 for s in seps if s.bit_count() <= 7}
+        marked = {ca.S for k in range(1, 8)
+                  for ca in enumerate_cuts(inst, k) if ca.is_minimal}
+        assert small == marked

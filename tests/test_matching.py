@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from test_generator import _full_relabel
 
-from o1ppg import _kernels, matching
+from o1ppg import _kernels, matching, oracles
 from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
                           TooSmall)
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
@@ -13,7 +14,8 @@ from o1ppg.matching import (Matching, find_blocker, hamiltonian_path,
                             matching_via_hamiltonian_path,
                             spanning_triangulation)
 from o1ppg.model import build_o1ppg, link, validate_quadrangulation
-from o1ppg.oracles import is_extendable_bruteforce, max_matching_size
+from o1ppg.oracles import (is_extendable_bruteforce, max_matching_size,
+                           spanning_triangulation_by_selections)
 from o1ppg.surface import EmbeddedGraph
 from o1ppg.verify import AuditConfig, audit_instance
 
@@ -157,16 +159,16 @@ def _fresh(inst):
     return build_o1ppg(q, key=inst.key)
 
 
-def _count_flow_calls(monkeypatch):
-    """List that records every connectivity flow call made by matching."""
+def _count_flow_calls(monkeypatch, module=matching):
+    """List that records every connectivity flow call made by ``module``."""
     calls = []
-    flow = matching.vertex_connectivity_flow
+    flow = module.vertex_connectivity_flow
 
     def counted(*args):
         calls.append(args)
         return flow(*args)
 
-    monkeypatch.setattr(matching, "vertex_connectivity_flow", counted)
+    monkeypatch.setattr(module, "vertex_connectivity_flow", counted)
     return calls
 
 
@@ -192,13 +194,74 @@ def test_t13_audit_builds_the_triangulation_once(inst10, monkeypatch):
 def test_spanning_triangulation_budget(inst9, monkeypatch):
     # the lexicographic selection of inst9 is not 4-connected, so the
     # fallback search runs; cut it short and it must say which budget ran out
-    calls = _count_flow_calls(monkeypatch)
-    spanning_triangulation(_fresh(inst9))
+    calls = _count_flow_calls(monkeypatch, oracles)
+    spanning_triangulation_by_selections(_fresh(inst9))
     assert len(calls) > 2
-    monkeypatch.setattr(matching, "TRIANGULATION_SELECTION_BUDGET", 2)
+    monkeypatch.setattr(oracles, "TRIANGULATION_SELECTION_BUDGET", 2)
     with pytest.raises(SearchBudgetExceeded,
                        match="TRIANGULATION_SELECTION_BUDGET"):
+        spanning_triangulation_by_selections(_fresh(inst9))
+
+
+def test_clause_search_budget(inst9, monkeypatch):
+    # one pick per face reaches a leaf, so a budget below n - 1 picks
+    # stops the search before any flow runs, and the error names it
+    calls = _count_flow_calls(monkeypatch)
+    monkeypatch.setattr(matching, "TRIANGULATION_NODE_BUDGET", inst9.n - 2)
+    with pytest.raises(SearchBudgetExceeded,
+                       match="TRIANGULATION_NODE_BUDGET"):
         spanning_triangulation(_fresh(inst9))
+    assert calls == []
+
+
+def test_clause_search_agrees_with_selection_oracle(corpus_n12,
+                                                    instances10):
+    # both return the least 4-connected selection in binary order, so the
+    # triangulations are equal, not only their existence
+    for inst in corpus_n12 + instances10:
+        adj, edges = spanning_triangulation(_fresh(inst))
+        assert (adj, edges) == spanning_triangulation_by_selections(
+            _fresh(inst))
+        assert vertex_connectivity_flow(inst.n, adj, 4) >= 4
+
+
+def test_triangle_clauses_decide_four_connectivity(corpus_n12):
+    # Mohar & Thomassen on the data: a selection is 4-connected iff it
+    # satisfies every triangle clause, over random selections
+    rng = random.Random(13)
+    seen = set()
+    for inst in corpus_n12:
+        emb = inst.quad.embedding
+        q_edges = [(u, v) for (u, v, _s) in emb.srs.edges]
+        choices = [sorted((tuple(sorted(f.vertices[0::2])),
+                           tuple(sorted(f.vertices[1::2]))))
+                   for f in emb.faces]
+        clauses = matching._triangle_clauses(inst, choices)
+        assert all(clauses)
+        for _ in range(25):
+            bits = [rng.randrange(2) for _ in choices]
+            ok = not any(all(bits[f] == bit for f, bit in clause)
+                         for clause in clauses)
+            adj = adjacency_masks(inst.n, q_edges + [
+                c[b] for c, b in zip(choices, bits)])
+            assert ok == (vertex_connectivity_flow(inst.n, adj, 4) >= 4)
+            seen.add(ok)
+    assert seen == {True, False}
+
+
+def test_clause_search_label_insensitive(corpus_n12, monkeypatch):
+    # over relabelled copies the search takes at most 2n picks and makes
+    # one flow call, the confirmation of its first leaf
+    rng = random.Random(17)
+    calls = _count_flow_calls(monkeypatch)
+    for inst in corpus_n12:
+        monkeypatch.setattr(matching, "TRIANGULATION_NODE_BUDGET", 2 * inst.n)
+        for _ in range(3):
+            image, _dmap = _full_relabel(inst.quad.embedding.srs, rng)
+            calls.clear()
+            spanning_triangulation(build_o1ppg(
+                validate_quadrangulation(EmbeddedGraph(image))))
+            assert len(calls) == 1
 
 
 def test_hamiltonian_path_budget(inst10, monkeypatch):

@@ -232,8 +232,8 @@ def test_bowtie_in_nonbipartite_host_only(instances10):
 def test_essentiality_routes_agree_on_hosts(instances10):
     # sign product -1 iff cutting along the cycle leaves one region, and
     # each edge id joins two consecutive cycle vertices
-    from o1ppg.oracles import is_essential_by_regions
-    from o1ppg.surface import is_essential, signed_cycles
+    from o1ppg.oracles import is_essential, is_essential_by_regions
+    from o1ppg.surface import signed_cycles
     for inst in instances10:
         emb = inst.quad.embedding
         for cyc, ids, sign in signed_cycles(emb.srs, 6):

@@ -9,12 +9,13 @@ from o1ppg import srsio
 from o1ppg.errors import (EmptySubgraph, MalformedRotation, NotACycle,
                           NotProjectivePlane)
 from o1ppg.connectivity import enumerate_cuts, vertex_connectivity
-from o1ppg.oracles import (_closed_walks_upto, is_essential_by_regions,
+from o1ppg.oracles import (_closed_walks_upto, cycle_sign, is_essential,
+                           is_essential_by_regions,
                            region_decompose_reference,
                            representativity_bruteforce)
 from o1ppg.verify import CUT_MAX
-from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem, cycle_sign,
-                           double_cover, is_essential, region_decompose,
+from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem,
+                           double_cover, region_decompose,
                            representativity, trace_faces)
 
 
