@@ -44,7 +44,7 @@ def _unpack(n, packed):
 def _class_darts(srs):
     """Start darts of a simple connected system, its least degree pair: the
     darts at vertices of least degree whose far endpoint has the least
-    degree among them.
+    degree among them (``_least_pair``).
 
     The minimum encoding over a set of start darts is canonical whenever
     every embedded isomorphism maps the set of one system onto the set of
@@ -56,13 +56,31 @@ def _class_darts(srs):
     product from its first start state only (``_new_class``).
     """
     rot = srs.rotations
-    dv = srs._dart_vertex
-    deg = list(map(len, rot))
+    return _least_pair(srs._dart_vertex, srs._rot_next, list(map(len, rot)),
+                       [r[0] for r in rot])
+
+
+def _least_pair(dv, nxt, deg, lead):
+    """The least degree pair read off dart tables: per vertex, in vertex
+    order, the darts of its rotation walked from its lead dart, kept when
+    the vertex has the least degree and the dart's far endpoint the least
+    degree among those darts.  Growth reads a split product's first start
+    dart off its patched tables with it."""
     least = min(deg)
-    darts = [d for r in rot if len(r) == least for d in r]
-    far = [deg[dv[d ^ 1]] for d in darts]
-    least = min(far)
-    return [d for d, f in zip(darts, far) if f == least]
+    far = len(deg)              # above every degree of a simple system
+    darts = []
+    for w, k in enumerate(deg):
+        if k == least:
+            d = lead[w]
+            for _ in range(k):
+                f = deg[dv[d ^ 1]]
+                if f <= far:
+                    if f < far:
+                        far = f
+                        darts = []
+                    darts.append(d)
+                d = nxt[d]
+    return darts
 
 
 def _prefix(srs):
@@ -104,48 +122,127 @@ def short_key(g) -> str:
 # -- growth moves -------------------------------------------------------------
 
 
-def vertex_split(srs: SignedRotationSystem, v, i, j):
-    """Split vertex ``v`` between rotation positions ``i`` and ``j``.
+def _split_tables(srs):
+    """What a split of ``srs`` reads and patches: ``(rotations, dart
+    vertex, successor, predecessor, edge signs, degrees, lead dart of each
+    rotation)``, the lead dart being the one its list starts at."""
+    rot = srs.rotations
+    return (rot, srs._dart_vertex, srs._rot_next, srs._rot_prev,
+            [s for (_u, _v, s) in srs.edges], list(map(len, rot)),
+            [r[0] if r else -1 for r in rot])
 
-    The neighbors at positions i and j stay attached to both halves; the arc
-    strictly between them moves to the new vertex, which inherits the local
-    orientation of ``v``.  The insertion side of each new edge end is forced
-    by the face structure: the new end replaces the old one next to the face
-    corner that migrates to the new vertex, which is the rotation-predecessor
-    side at ``x`` iff sign(vx) is +1 and the successor side at ``y`` iff
-    sign(vy) is +1.
+
+def _patched_split(parent, v, i, j):
+    """The tables of the split (v, i, j) of the system whose
+    ``_split_tables`` are ``parent``: copies of the parent's lists with the
+    entries the split changes patched.
+
+    The neighbours x and y at positions i and j stay attached to both
+    halves; the darts strictly between them, walking the rotation of ``v``
+    forward from i to j (cyclically, so i > j wraps), move to the new
+    vertex n, which inherits the local orientation of ``v``.  The new
+    edges are e1 = n-x (darts 2*e1 at n, 2*e1 + 1 at x) and e2 = n-y,
+    with the signs of vx and vy.  The rotation of n is 2*e1, the moved
+    darts, 2*e2.  The insertion side of each new edge end is forced by the
+    face structure: the new end goes next to the old one on the side of
+    the face corner that migrates to n, which is the predecessor side at
+    x iff sign(vx) is +1 and the successor side at y iff sign(vy) is +1.
+    The rotation of ``v`` now starts at its dart j and the rotation of n
+    at 2*e1; a new end that goes in just before the lead dart of x or y
+    becomes the lead, as inserting at the front of a list would.
+    """
+    rot, dv, nxt, prv, sign, deg, lead = parent
+    rot_v = rot[v]
+    di, dj = rot_v[i], rot_v[j]
+    arc = rot_v[i + 1:j] if i < j else rot_v[i + 1:] + rot_v[:j]
+    n = len(deg)
+    a = len(dv)                 # dart 2*e1 at the new vertex
+    b = a + 2                   # dart 2*e2 at the new vertex
+    xd, yd = di ^ 1, dj ^ 1     # the old ends at x and y
+    x, y = dv[xd], dv[yd]
+    si, sj = sign[di >> 1], sign[dj >> 1]
+    dv = dv + [n, x, n, y]
+    nxt = nxt + [0, 0, 0, 0]
+    prv = prv + [0, 0, 0, 0]
+    sign = sign + [si, sj]
+    deg = deg + [len(arc) + 2]
+    lead = lead + [a]
+    deg[v] -= len(arc)
+    deg[x] += 1
+    deg[y] += 1
+    lead[v] = dj
+    nxt[di] = dj
+    prv[dj] = di
+    last = a
+    for d in arc:
+        dv[d] = n
+        nxt[last] = d
+        prv[d] = last
+        last = d
+    nxt[last] = b
+    prv[b] = last
+    nxt[b] = a
+    prv[a] = b
+    if si > 0:                  # a + 1 just before xd
+        p = prv[xd]
+        nxt[p] = prv[xd] = a + 1
+        nxt[a + 1], prv[a + 1] = xd, p
+        if lead[x] == xd:
+            lead[x] = a + 1
+    else:                       # a + 1 just after xd
+        s = nxt[xd]
+        nxt[xd] = prv[s] = a + 1
+        nxt[a + 1], prv[a + 1] = s, xd
+    if sj > 0:                  # b + 1 just after yd
+        s = nxt[yd]
+        nxt[yd] = prv[s] = b + 1
+        nxt[b + 1], prv[b + 1] = s, yd
+    else:                       # b + 1 just before yd
+        p = prv[yd]
+        nxt[p] = prv[yd] = b + 1
+        nxt[b + 1], prv[b + 1] = yd, p
+        if lead[y] == yd:
+            lead[y] = b + 1
+    return dv, nxt, prv, sign, deg, lead
+
+
+def _materialise(edges, dv, nxt, prv, sign, deg, lead):
+    """The SignedRotationSystem of split tables, given the parent's
+    ``edges``: each rotation is walked from its lead dart, and an edge
+    with an end at the new vertex, the last one, joins ``dv[2e]`` and
+    ``dv[2e + 1]`` with sign ``sign[e]``, while every other edge keeps the
+    parent's tuple.  The tables become the system's own."""
+    rotations = []
+    for d, k in zip(lead, deg):
+        r = []
+        for _ in range(k):
+            r.append(d)
+            d = nxt[d]
+        rotations.append(r)
+    edges = edges + [None, None]
+    for d in rotations[-1]:
+        e = d >> 1
+        edges[e] = (dv[2 * e], dv[2 * e + 1], sign[e])
+    return SignedRotationSystem(len(deg), edges, rotations, check=False,
+                                tables=(dv, nxt, prv))
+
+
+def vertex_split(srs: SignedRotationSystem, v, i, j):
+    """Split vertex ``v`` of a loopless system between rotation positions
+    ``i`` and ``j`` (i != j; i > j wraps around the rotation).
+
+    The neighbors at positions i and j stay attached to both halves; the
+    arc strictly between them, walking forward from i, moves to the new
+    vertex, which inherits the local orientation of ``v`` (the tables are
+    patched by ``_patched_split``, which says where each new edge end goes,
+    then materialised).  Growth runs the same two steps but materialises a
+    product only when its class is new: from K4 to n <= 10 it makes 9,566
+    split products and builds about 1,750 systems.
 
     Returns the raw SignedRotationSystem (not validated, not traced).
     """
-    rot_v = srs.rotations[v]
-    k = len(rot_v)
-    di, dj = rot_v[i], rot_v[j]
-    ei, ej = di >> 1, dj >> 1
-    x = srs.dart_vertex(di ^ 1)
-    y = srs.dart_vertex(dj ^ 1)
-    twice = rot_v + rot_v
-    arc = twice[i + 1:i + (j - i) % k]
-    keep = twice[j:j + (i - j) % k + 1]
-    n = srs.vertex_count
-    vp = n  # the new vertex
-    ne = srs.edge_count
-    e1 = ne      # vp - x
-    e2 = ne + 1  # vp - y
-    edges = list(srs.edges) + [(vp, x, srs.sign(ei)), (vp, y, srs.sign(ej))]
-    for d in arc:
-        e = d >> 1
-        u0, v0, s0 = edges[e]
-        edges[e] = (vp, v0, s0) if (d & 1) == 0 else (u0, vp, s0)
-    rotations = list(srs.rotations)     # the constructor copies each list
-    rotations[v] = keep
-    rotations.append([2 * e1] + arc + [2 * e2])
-    rotations[x] = rx = list(rotations[x])
-    pos = rx.index(di ^ 1)
-    rx.insert(pos if srs.sign(ei) > 0 else pos + 1, 2 * e1 + 1)
-    rotations[y] = ry = list(rotations[y])
-    pos = ry.index(dj ^ 1)
-    ry.insert(pos + 1 if srs.sign(ej) > 0 else pos, 2 * e2 + 1)
-    return SignedRotationSystem(n + 1, edges, rotations, check=False)
+    return _materialise(srs.edges,
+                        *_patched_split(_split_tables(srs), v, i, j))
 
 
 def _automorphism(srs, base, image):
@@ -172,7 +269,14 @@ def _automorphism(srs, base, image):
     return perm
 
 
-def _new_class(srs, seen):
+def _first_state(tables, start):
+    """``(start, _encode_from result, packed bytes)`` of the start state
+    (start, +1) of the system whose encoder tables are ``tables``."""
+    found = _encode_from(*tables, start, 1)
+    return start, found, array("h", found[0]).tobytes()
+
+
+def _new_class(srs, seen, first=None):
     """Key and automorphisms of a simple connected system whose class is
     not in ``seen``, or None if it is.
 
@@ -189,25 +293,31 @@ def _new_class(srs, seen):
     the images of the first state under the automorphisms, one per
     automorphism, so the states after the first give the non-identity
     automorphisms, returned as dart permutations.
+
+    ``first`` is the ``_first_state`` of the first start state when the
+    caller has it already: growth encodes each split product from its
+    patched tables and builds the system only for a new class.
     """
     tables = _encoder_tables(srs)
-    starts = [(d, side) for d in _class_darts(srs) for side in (1, -1)]
-    first = _encode_from(*tables, *starts[0])
-    packed = array("h", first[0]).tobytes()
+    darts = _class_darts(srs)
+    start, base, packed = first or _first_state(tables, darts[0])
     if packed in seen:
         return None
     seen.add(packed)
-    others = [_encode_from(*tables, d, side) for d, side in starts[1:]]
-    least = first[0]
+    least = base[0]
     automorphisms = []
-    for found in others:
-        enc = found[0]
-        other = array("h", enc).tobytes()
-        if other == packed:
-            automorphisms.append(_automorphism(srs, first, found))
-        else:
-            seen.add(other)
-            least = min(least, enc)
+    for d in darts:
+        for side in (1, -1):
+            if d == start and side == 1:
+                continue
+            found = _encode_from(*tables, d, side)
+            enc = found[0]
+            other = array("h", enc).tobytes()
+            if other == packed:
+                automorphisms.append(_automorphism(srs, base, found))
+            else:
+                seen.add(other)
+                least = min(least, enc)
     key = _prefix(srs) + ",".join(map(str, _unpack(srs.vertex_count, least)))
     return key, automorphisms
 
@@ -263,11 +373,15 @@ def grow_quadrangulations(seeds, n_max):
     quadrangulations up to ``n_max`` vertices, deduplicated canonically.
 
     Returns {n: [(canonical_string, SignedRotationSystem), ...]} sorted by
-    key.  A split product is encoded from one start state and is a repeat
-    iff that encoding is one a class met before had from any of its start
-    states (``_new_class``); only a new class is encoded from all of them.
-    Seeds with more than ``n_max`` vertices are dropped.  Every other seed,
-    and every product found under a new key, goes through
+    key.  A split product is a copy of its parent's dart tables with the
+    entries the split changes patched (``_patched_split``).  It is encoded
+    from those tables, from one start state read off them
+    (``_least_pair``), and is a repeat iff that encoding is one a class
+    met before had from any of its start states; only a new class is
+    materialised as a SignedRotationSystem and encoded from all of them
+    (``_new_class``, which reuses the first encoding).  Seeds with more
+    than ``n_max`` vertices are dropped.  Every other seed, and every
+    product found under a new key, goes through
     ``validate_quadrangulation``; the split construction itself guarantees
     quadrangulation-ness, so a validation error on a product is a bug, not
     an input condition.  The splits that ``_repeated_splits`` names, by
@@ -275,8 +389,8 @@ def grow_quadrangulations(seeds, n_max):
     repeats the class of a split of the same system made before it, so
     neither the classes nor their stored representatives change.  Start
     states come from the least degree pair (``_class_darts``).  From K4 to
-    n <= 10 that builds 9,566 split products and makes 14,468 encoder
-    calls.
+    n <= 10 that makes 9,566 split products and 14,468 encoder calls, and
+    builds about 1,750 systems, one per new class.
     """
     return {n: [(key, srs) for key, srs, _poly, _bip in members]
             for n, members in _grow(seeds, n_max).items()}
@@ -311,6 +425,8 @@ def _grow(seeds, n_max):
     while frontier:
         g0, automorphisms = frontier.pop()
         srs0 = g0.srs
+        parent = _split_tables(srs0)
+        n = srs0.vertex_count + 1
         repeated = _repeated_splits(g0, automorphisms)
         for v in range(srs0.vertex_count):
             k = srs0.degree(v)
@@ -319,12 +435,18 @@ def _grow(seeds, n_max):
                     continue        # an earlier split has the class
                 # A split of a simple connected system is simple (the two
                 # halves share no edge and split v's distinct neighbours)
-                # and connected (both halves keep x and y).
-                srs = vertex_split(srs0, v, i, j)
-                found = _new_class(srs, seen)
-                if found is not None:
-                    keep(validate_quadrangulation(
-                        EmbeddedGraph(srs), require_polyhedral=False), found)
+                # and connected (both halves keep x and y), so its first
+                # start state is read off the patched tables.
+                tables = _patched_split(parent, v, i, j)
+                dv, nxt, prv, sign, deg, lead = tables
+                first = _first_state((dv, nxt, prv, sign, n),
+                                     _least_pair(dv, nxt, deg, lead)[0])
+                if first[2] in seen:
+                    continue        # a known class: nothing is built
+                srs = _materialise(srs0.edges, *tables)
+                found = _new_class(srs, seen, first)
+                keep(validate_quadrangulation(
+                    EmbeddedGraph(srs), require_polyhedral=False), found)
     return {n: sorted(v, key=lambda m: m[0]) for n, v in sorted(by_n.items())}
 
 

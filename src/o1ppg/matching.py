@@ -76,21 +76,38 @@ def is_extendable(inst, m: Matching) -> bool:
 
 def matching_masks(inst, k):
     """(edge-id tuple, covered-vertex mask) of every k-matching, in
-    lexicographic order on the sorted edge-id tuples."""
+    lexicographic order on the sorted edge-id tuples.
+
+    A backtracking walk over one edge-id array: ``combo[t]`` is the edge
+    at depth t and ``covered[t]`` the vertices that the edges at depths
+    below t cover, and depth t tries the edge ids from ``e`` up to the last
+    one that leaves room for the k - 1 - t edges after it."""
     bits = [(1 << u) | (1 << v) for (u, v) in inst.edges]
     last = len(bits) - k
-
-    def extend(start, used, combo):
-        depth = len(combo)
-        if depth == k:
-            yield combo, used
-            return
-        for e in range(start, last + depth + 1):
-            b = bits[e]
-            if not used & b:
-                yield from extend(e + 1, used | b, combo + (e,))
-
-    return extend(0, 0, ())
+    if k == 0:
+        yield (), 0
+        return
+    combo = [0] * k
+    covered = [0] * (k + 1)
+    depth = e = 0
+    while True:
+        used = covered[depth]
+        stop = last + depth
+        while e <= stop and used & bits[e]:
+            e += 1
+        if e > stop:            # depth exhausted: next edge one level up
+            if depth == 0:
+                return
+            depth -= 1
+            e = combo[depth] + 1
+            continue
+        combo[depth] = e
+        covered[depth + 1] = used | bits[e]
+        e += 1
+        if depth + 1 == k:
+            yield tuple(combo), covered[k]
+        else:
+            depth += 1
 
 
 def k_extendability(inst, k):

@@ -6,8 +6,12 @@ module may import the production modules, but none of them imports it.
 
 - ``canonical_key_oracle``: a simple connected system encoded from all of
   its darts (against ``generator.canonical_key``).
-- ``grow_quadrangulations_bruteforce``: every split of every class, keyed
-  by ``canonical_key`` (against ``generator.grow_quadrangulations``).
+- ``vertex_split_by_lists``: a split built on copied edge and rotation
+  lists, its tables built afresh (against ``generator.vertex_split`` and
+  the patched tables growth encodes).
+- ``grow_quadrangulations_bruteforce``: every split of every class, built
+  by ``vertex_split_by_lists`` and keyed by ``canonical_key`` (against
+  ``generator.grow_quadrangulations``).
 - ``max_matching_size``: bitmask DP over all vertex subsets (against
   ``_kernels.pm_exists``).
 - ``is_extendable_bruteforce``: exhaustive perfect-matching search on
@@ -65,7 +69,7 @@ from itertools import combinations, permutations
 from .connectivity import CutAnalysis, q_induced_subgraph
 from .errors import (EmptySubgraph, MalformedRotation, NoHamPath, NotACycle,
                      NotProjectivePlane, SearchBudgetExceeded, TooLarge)
-from .generator import _prefix, canonical_key, vertex_split
+from .generator import _prefix, canonical_key
 from .graphs import (adjacency_masks, component_masks, enumerate_cycles,
                      vertex_connectivity_flow)
 from .matching import Matching, _check_matching
@@ -121,13 +125,57 @@ def canonical_key_oracle(g) -> str:
     return _prefix(srs) + ",".join(map(str, enc))
 
 
+def vertex_split_by_lists(srs: SignedRotationSystem, v, i, j):
+    """Reference for ``generator.vertex_split``: the split built on copies
+    of the edge and rotation lists, with fresh tables.
+
+    The neighbors at positions i and j stay attached to both halves; the arc
+    strictly between them moves to the new vertex, which inherits the local
+    orientation of ``v``.  The insertion side of each new edge end is forced
+    by the face structure: the new end replaces the old one next to the face
+    corner that migrates to the new vertex, which is the rotation-predecessor
+    side at ``x`` iff sign(vx) is +1 and the successor side at ``y`` iff
+    sign(vy) is +1.
+    """
+    rot_v = srs.rotations[v]
+    k = len(rot_v)
+    di, dj = rot_v[i], rot_v[j]
+    ei, ej = di >> 1, dj >> 1
+    x = srs.dart_vertex(di ^ 1)
+    y = srs.dart_vertex(dj ^ 1)
+    twice = rot_v + rot_v
+    arc = twice[i + 1:i + (j - i) % k]
+    keep = twice[j:j + (i - j) % k + 1]
+    n = srs.vertex_count
+    vp = n  # the new vertex
+    ne = srs.edge_count
+    e1 = ne      # vp - x
+    e2 = ne + 1  # vp - y
+    edges = list(srs.edges) + [(vp, x, srs.sign(ei)), (vp, y, srs.sign(ej))]
+    for d in arc:
+        e = d >> 1
+        u0, v0, s0 = edges[e]
+        edges[e] = (vp, v0, s0) if (d & 1) == 0 else (u0, vp, s0)
+    rotations = list(srs.rotations)     # the constructor copies each list
+    rotations[v] = keep
+    rotations.append([2 * e1] + arc + [2 * e2])
+    rotations[x] = rx = list(rotations[x])
+    pos = rx.index(di ^ 1)
+    rx.insert(pos if srs.sign(ei) > 0 else pos + 1, 2 * e1 + 1)
+    rotations[y] = ry = list(rotations[y])
+    pos = ry.index(dj ^ 1)
+    ry.insert(pos + 1 if srs.sign(ej) > 0 else pos, 2 * e2 + 1)
+    return SignedRotationSystem(n + 1, edges, rotations, check=False)
+
+
 def grow_quadrangulations_bruteforce(seeds, n_max):
     """Brute-force reference for ``generator.grow_quadrangulations``: every
-    split of every class below ``n_max`` vertices is built and keyed by
-    ``canonical_key``, with neither the twin skip nor the automorphism
-    skip.  The seeds, simple P^2 quadrangulations, and the classes are
-    expanded in the same order, so the first product of each class, its
-    stored representative, is the same.  Returns {n: [(key, srs), ...]}
+    split of every class below ``n_max`` vertices is built by
+    ``vertex_split_by_lists`` and keyed by ``canonical_key``, with neither
+    the twin skip nor the automorphism skip.  The seeds, simple P^2
+    quadrangulations, and the classes are expanded in the same order, so
+    the first product of each class, its stored representative, is the
+    same.  Returns {n: [(key, srs), ...]}
     sorted by key."""
     by_n = {}
     seen = set()
@@ -147,7 +195,7 @@ def grow_quadrangulations_bruteforce(seeds, n_max):
         if srs.vertex_count < n_max:
             for v in range(srs.vertex_count):
                 for i, j in combinations(range(srs.degree(v)), 2):
-                    add(vertex_split(srs, v, i, j))
+                    add(vertex_split_by_lists(srs, v, i, j))
     return {n: sorted(v, key=lambda kv: kv[0]) for n, v in sorted(by_n.items())}
 
 

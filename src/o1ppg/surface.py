@@ -44,18 +44,27 @@ class SignedRotationSystem:
     ``edges[i] = (u, v, sign)``; ``rotations[v]`` lists the darts at ``v`` in
     cyclic order.  Loops and multi-edges are legal here (the generator's
     search space passes through them); model validation rejects them.
+
+    ``tables``, when given, is ``(dart vertex, rotation successor,
+    rotation predecessor)`` as ``_build_tables`` would build them for these
+    edges and rotations; the system takes those lists as they are (the
+    generator's split patches them from its parent's).
     """
 
     __slots__ = ("vertex_count", "edges", "rotations", "_dart_vertex",
                  "_rot_next", "_rot_prev", "_edge_of")
 
-    def __init__(self, vertex_count, edges, rotations, check=True):
+    def __init__(self, vertex_count, edges, rotations, check=True,
+                 tables=None):
         self.vertex_count = vertex_count
         self.edges = list(map(tuple, edges))   # shares tuple edges, no copy
         self.rotations = [list(r) for r in rotations]
         if check:
             self._validate()
-        self._build_tables()
+        if tables is None:
+            self._build_tables()
+        else:
+            self._dart_vertex, self._rot_next, self._rot_prev = tables
         self._edge_of = None      # (u, v) -> edge id, built on first lookup
 
     def _build_tables(self):

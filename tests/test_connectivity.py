@@ -49,6 +49,28 @@ def test_flow_matches_bruteforce_dense():
     assert at_least_4 >= 50
 
 
+def test_flow_pairs_match_bruteforce_on_relabelled_instances(
+        corpus_n12, instances10):
+    # the flow runs only from a least-degree vertex and inside its
+    # neighbourhood, so which vertex that is must not change the answer
+    rng = random.Random(53)
+    cases = 0
+    for inst in corpus_n12 + instances10:
+        edges = [(u, v) for u in range(inst.n) for v in range(u + 1, inst.n)
+                 if (inst.adj[u] >> v) & 1]
+        want = vertex_connectivity_bruteforce(inst.n, inst.adj, 8)
+        assert vertex_connectivity_flow(inst.n, inst.adj, 8) == want
+        for _ in range(3):
+            perm = rng.sample(range(inst.n), inst.n)
+            adj = adjacency_masks(inst.n, [(perm[u], perm[v])
+                                           for u, v in edges])
+            for cap in (4, 8):
+                assert vertex_connectivity_flow(inst.n, adj, cap) == \
+                    min(cap, want)
+            cases += 1
+    assert cases == 3 * (16 + 2)
+
+
 def test_instance_connectivity_both_routes(instances10):
     for inst in instances10:
         conn = vertex_connectivity(inst)

@@ -17,7 +17,8 @@ from o1ppg.model import validate_quadrangulation
 from o1ppg.structures import _CONFIG_ROLES, PATTERN_IDS
 from o1ppg.oracles import (_oracle_encoding, all_embeddings,
                            canonical_key_oracle, exhaustive_small_search,
-                           grow_quadrangulations_bruteforce)
+                           grow_quadrangulations_bruteforce,
+                           vertex_split_by_lists)
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -217,6 +218,45 @@ def test_growth_automorphisms(corpus10):
                 for split in keys:
                     assert keys[_image(srs, perm, split)] == keys[split]
     assert nontrivial > 0
+
+
+def test_patched_split_matches_list_split(corpus10):
+    # every split (v, i, j), i < j, of every class with n <= 9: the tables
+    # growth patches and encodes are the tables the list-based split builds
+    # afresh, the system materialised from them writes the same bytes, and
+    # the start darts read off them are the product's class darts
+    products = 0
+    for n in range(4, 10):
+        for _key, srs in corpus10[n]:
+            parent = generator._split_tables(srs)
+            for split in _splits(srs):
+                tables = generator._patched_split(parent, *split)
+                dv, nxt, prv, sign, deg, lead = tables
+                oracle = vertex_split_by_lists(srs, *split)
+                assert (dv, nxt, prv) == (oracle._dart_vertex,
+                                          oracle._rot_next, oracle._rot_prev)
+                assert sign == [s for _u, _v, s in oracle.edges]
+                assert deg == list(map(len, oracle.rotations))
+                assert lead == [r[0] for r in oracle.rotations]
+                product = generator._materialise(srs.edges, *tables)
+                assert srsio.dumps(product) == srsio.dumps(oracle)
+                assert generator._least_pair(dv, nxt, deg, lead) == \
+                    generator._class_darts(product)
+                products += 1
+    assert products == 16_301
+
+
+def test_vertex_split_wraps_when_i_above_j(corpus10):
+    # i > j splits the arc that wraps past the end of the rotation list,
+    # as the list-based split does
+    wrapped = 0
+    for n in range(4, 8):
+        for _key, srs in corpus10[n]:
+            for v, i, j in _splits(srs):
+                assert srsio.dumps(vertex_split(srs, v, j, i)) == \
+                    srsio.dumps(vertex_split_by_lists(srs, v, j, i))
+                wrapped += 1
+    assert wrapped > 0
 
 
 def test_vertex_split_preserves_quadrangulation(k4):

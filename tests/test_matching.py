@@ -1,6 +1,7 @@
 """Perfect matchings, extendability, blockers, Hamiltonian-path matchings."""
 
 import random
+from itertools import combinations
 
 import pytest
 from test_generator import _full_relabel
@@ -63,6 +64,23 @@ def test_shared_memo_agrees_with_dp_oracle(inst10):
             (False, 0, True), (False, 0, False)} <= seen
     assert all(mask.bit_count() % 2 == 0 for mask in inst._pm_memo)
     assert len(inst._pm_memo) <= 1 << inst.n
+
+
+def test_matching_masks_match_combinations(corpus_n12, instances10):
+    # the backtracking walk yields what filtering every k-subset of edge
+    # ids yields, in the same lexicographic order, with the covered mask
+    for inst in corpus_n12 + instances10:
+        bits = [(1 << u) | (1 << v) for (u, v) in inst.edges]
+        for k in (1, 2, 3):
+            want = []
+            for combo in combinations(range(len(bits)), k):
+                mask = 0
+                for e in combo:
+                    mask |= bits[e]
+                if mask.bit_count() == 2 * k:
+                    want.append((combo, mask))
+            assert list(matching_masks(inst, k)) == want
+        assert list(matching_masks(inst, 0)) == [((), 0)]
 
 
 def test_empty_matching_extendability_equals_pm(inst10):
