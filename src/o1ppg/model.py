@@ -43,7 +43,9 @@ class Quadrangulation:
 def validate_quadrangulation(raw: EmbeddedGraph,
                              require_polyhedral=True) -> Quadrangulation:
     """Accept iff simple, 2-cell embedded in P^2 with every face a 4-cycle,
-    3-connected and 3-representative.  Error messages carry the witness."""
+    3-connected and 3-representative.  Error messages carry the witness.
+    P^2 is ``EmbeddedGraph.is_p2``: a connected system with an edge and
+    Euler characteristic 1, which is odd, so the surface is not orientable."""
     srs = raw.srs
     n = raw.vertex_count
     adj = srs.adjacency_masks()
@@ -59,10 +61,9 @@ def validate_quadrangulation(raw: EmbeddedGraph,
             if key in seen:
                 raise NotSimple(f"parallel edges {seen[key]} and {e} on {key}")
             seen[key] = e
-    if raw.euler_char != 1 or raw.orientable:
-        raise NotP2(
-            f"euler characteristic {raw.euler_char}, "
-            f"orientable={raw.orientable}")
+    if not raw.is_p2():
+        raise NotP2(f"euler characteristic {raw.euler_char}, "
+                    f"{raw.edge_count} edges")
     for fi, f in enumerate(raw.faces):
         if f.length != 4:
             raise FaceNot4(f"face {fi} has walk length {f.length}")

@@ -27,6 +27,12 @@ module may import the production modules, but none of them imports it.
   triangle-clause search of ``matching.spanning_triangulation``).
 - ``representativity_bruteforce`` (over ``radial_corners``): every cycle
   of the radial graph (against ``surface.representativity``).
+- ``representativity_by_double_cover`` (over ``double_cover``): BFS
+  between the two lifts of each vertex in the radial graph of the
+  orientation double cover, built as an embedded graph (against
+  ``surface.representativity``).
+- ``is_orientable``: BFS vertex potentials that must agree on every edge
+  (against the Euler-characteristic rule of ``EmbeddedGraph.is_p2``).
 - ``odd_regions_by_face_merge``: every connected face subset (against
   ``structures.find_odd_weighted_regions``).
 - ``_walk_regions`` (over ``_closed_walks_upto``): every closed walk of at
@@ -64,6 +70,7 @@ rebuilt from (``scripts/make_fixtures.py``) and checked against:
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 
 from .connectivity import CutAnalysis, q_induced_subgraph
@@ -274,11 +281,13 @@ def all_embeddings(n, edges, max_edges=10):
 
 def exhaustive_small_search(n, edges, predicate, max_edges=10):
     """All projective-plane embeddings of the graph satisfying ``predicate``,
-    deduplicated by canonical form, sorted by canonical string."""
+    deduplicated by canonical form, sorted by canonical string.  P^2 is
+    read as characteristic 1 on a nonorientable surface (``is_orientable``),
+    not by ``EmbeddedGraph.is_p2``'s parity rule."""
     found = {}
     for srs in all_embeddings(n, edges, max_edges=max_edges):
         g = EmbeddedGraph(srs)
-        if not (g.euler_char == 1 and not g.orientable):
+        if not (g.euler_char == 1 and not is_orientable(srs)):
             continue
         if not predicate(g):
             continue
@@ -575,6 +584,114 @@ def representativity_bruteforce(g: EmbeddedGraph):
     if best[0] is None:
         raise NotProjectivePlane("no essential radial cycle found")
     return best[0] // 2
+
+
+def is_orientable(srs):
+    """Orientable iff BFS vertex potentials mu, with mu[root] = +1 and
+    mu[v] = mu[u] * sign(uv) along a spanning forest, agree on every edge
+    (against the Euler-characteristic rule of ``EmbeddedGraph.is_p2``)."""
+    n = srs.vertex_count
+    inc = [[] for _ in range(n)]
+    for e, (u, v, _s) in enumerate(srs.edges):
+        inc[u].append(e)
+        if v != u:
+            inc[v].append(e)
+    mu = [0] * n
+    orientable = True
+    for root in range(n):
+        if mu[root]:
+            continue
+        mu[root] = 1
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for e in inc[x]:
+                u, v, s = srs.edges[e]
+                y = v if x == u else u
+                if mu[y] == 0:
+                    mu[y] = mu[x] * s
+                    queue.append(y)
+                elif mu[y] != mu[x] * s:
+                    orientable = False
+    return orientable
+
+
+def double_cover(g: EmbeddedGraph):
+    """Orientation double cover as an embedded graph.
+
+    Vertex ``(v, sheet)`` maps to id ``2*v + sheet``.  Edge ``e`` lifts to
+    edges ``2*e`` and ``2*e + 1``; all cover signs are +1 and sheet-1
+    rotations are reversed, which realizes the sign rule.
+    """
+    srs = g.srs
+    n, ne = srs.vertex_count, srs.edge_count
+    edges = []
+    for e, (u, v, s) in enumerate(srs.edges):
+        t = 0 if s > 0 else 1
+        edges.append((2 * u + 0, 2 * v + t, 1))       # lift 2e
+        edges.append((2 * u + 1, 2 * v + (1 - t), 1))  # lift 2e+1
+    # cover dart for (dart d, end-sheet sigma): edge lift chosen so that the
+    # end of the lifted edge at d's vertex lies on sheet sigma.
+    def lift_dart(d, sigma):
+        e, end = d >> 1, d & 1
+        s = srs.sign(e)
+        if end == 0:
+            return 2 * (2 * e + sigma) + 0
+        t = 0 if s > 0 else 1
+        lift = sigma ^ t
+        return 2 * (2 * e + lift) + 1
+
+    rotations = [None] * (2 * n)
+    for v in range(n):
+        rot = srs.rotations[v]
+        rotations[2 * v + 0] = [lift_dart(d, 0) for d in rot]
+        rotations[2 * v + 1] = [lift_dart(d, 1) for d in reversed(rot)]
+    return EmbeddedGraph(SignedRotationSystem(2 * n, edges, rotations))
+
+
+def _radial_adjacency(g: EmbeddedGraph):
+    """Adjacency sets of the radial (vertex-face incidence) graph, with face
+    node ids offset by the vertex count."""
+    n = g.vertex_count
+    adj = [set() for _ in range(n + g.face_count)]
+    for fi, f in enumerate(g.faces):
+        for v in f.vertices:
+            adj[v].add(n + fi)
+            adj[n + fi].add(v)
+    return adj
+
+
+def representativity_by_double_cover(g: EmbeddedGraph):
+    """Minimum crossings of an essential simple closed curve with the graph
+    (against ``surface.representativity``).
+
+    Equals half the length of the shortest essential cycle of the radial
+    graph, computed as a shortest path between the two lifts of a vertex in
+    the orientation double cover.
+    """
+    if not g.is_p2():
+        raise NotProjectivePlane("representativity defined for P^2 hosts")
+    cover = double_cover(g)
+    adj = _radial_adjacency(cover)
+    best = None
+    for v in range(g.vertex_count):
+        src, dst = 2 * v, 2 * v + 1
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            if x == dst:
+                break
+            for y in adj[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        d = dist.get(dst)
+        if d is not None and (best is None or d < best):
+            best = d
+    if best is None:
+        raise NotProjectivePlane("no essential curve found; not P^2?")
+    return best // 2
 
 
 def _closed_walks_upto(emb, max_len, min_len=2):

@@ -68,6 +68,10 @@ def loads_with_comments(text: str):
     try:
         nv = int(expect("v")[1])
         ne = int(expect("e")[1])
+        left = len(lines) - 3
+        if min(nv, ne) < 0 or nv + ne > left:
+            raise MalformedRotation(
+                f"counts v {nv}, e {ne} do not fit the {left} records left")
         edges = [None] * ne
         for _ in range(ne):
             parts = expect("edge")

@@ -11,6 +11,12 @@ away from the dart's vertex, carrying a handedness that flips across negative
 edges.  Each face is traced by exactly two orbits (one per direction); the
 reverse of a state ``(d, s)`` on edge ``e`` is ``(d ^ 1, -s * sign(e))``.
 
+Both questions the model asks of a surface are read off the traced faces.
+A connected system with an edge is on P^2 iff its Euler characteristic is
+1, as orientable closed surfaces have even characteristic (Mohar &
+Thomassen, *Graphs on Surfaces*, 2001); representativity comes from a BFS
+on the radial graph that carries a sheet bit.
+
 One BFS encoder (``_encode_from``) decides embedded equivalence everywhere:
 the generator's canonical keys, and the pattern matcher of
 :mod:`o1ppg.structures` on a host restricted to a map's image
@@ -22,7 +28,6 @@ cycle is one-sided.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -321,35 +326,6 @@ def trace_faces(srs: SignedRotationSystem):
     return faces
 
 
-def _is_orientable(srs):
-    """Orientability: BFS vertex potentials mu, with mu[root] = +1 and
-    mu[v] = mu[u] * sign(uv) along a spanning forest, agree on every edge."""
-    n = srs.vertex_count
-    inc = [[] for _ in range(n)]
-    for e, (u, v, _s) in enumerate(srs.edges):
-        inc[u].append(e)
-        if v != u:
-            inc[v].append(e)
-    mu = [0] * n
-    orientable = True
-    for root in range(n):
-        if mu[root]:
-            continue
-        mu[root] = 1
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for e in inc[x]:
-                u, v, s = srs.edges[e]
-                y = v if x == u else u
-                if mu[y] == 0:
-                    mu[y] = mu[x] * s
-                    queue.append(y)
-                elif mu[y] != mu[x] * s:
-                    orientable = False
-    return orientable
-
-
 class EmbeddedGraph:
     """A signed rotation system with its traced faces cached.
 
@@ -359,7 +335,6 @@ class EmbeddedGraph:
     def __init__(self, srs: SignedRotationSystem):
         self.srs = srs
         self.faces = trace_faces(srs)
-        self.orientable = _is_orientable(srs)
         self._corner_face = None
         self._edge_faces = None
         self._vertex_faces = None
@@ -381,8 +356,12 @@ class EmbeddedGraph:
         return self.vertex_count - self.edge_count + self.face_count
 
     def is_p2(self):
-        """2-cell embedded in the projective plane?"""
-        return (self.euler_char == 1 and not self.orientable
+        """2-cell embedded in the projective plane?  Iff connected, with an
+        edge, and of Euler characteristic 1: such a system traces a closed
+        surface, orientable ones have even characteristic 2 - 2g and
+        nonorientable ones 2 - k for k crosscaps, so 1 means P^2.  A lone
+        vertex reads 1 - 0 + 0 = 1 too, as it traces no face."""
+        return (self.edge_count > 0 and self.euler_char == 1
                 and self.srs.is_connected())
 
     # -- corners -----------------------------------------------------------
@@ -449,83 +428,47 @@ def signed_cycles(srs: SignedRotationSystem, max_len):
         yield cycle, ids, _sign_product(srs, ids)
 
 
-# -- orientation double cover ---------------------------------------------
-
-def double_cover(g: EmbeddedGraph):
-    """Orientation double cover as an embedded graph.
-
-    Vertex ``(v, sheet)`` maps to id ``2*v + sheet``.  Edge ``e`` lifts to
-    edges ``2*e`` and ``2*e + 1``; all cover signs are +1 and sheet-1
-    rotations are reversed, which realizes the sign rule.
-    """
-    srs = g.srs
-    n, ne = srs.vertex_count, srs.edge_count
-    edges = []
-    for e, (u, v, s) in enumerate(srs.edges):
-        t = 0 if s > 0 else 1
-        edges.append((2 * u + 0, 2 * v + t, 1))       # lift 2e
-        edges.append((2 * u + 1, 2 * v + (1 - t), 1))  # lift 2e+1
-    # cover dart for (dart d, end-sheet sigma): edge lift chosen so that the
-    # end of the lifted edge at d's vertex lies on sheet sigma.
-    def lift_dart(d, sigma):
-        e, end = d >> 1, d & 1
-        s = srs.sign(e)
-        if end == 0:
-            return 2 * (2 * e + sigma) + 0
-        t = 0 if s > 0 else 1
-        lift = sigma ^ t
-        return 2 * (2 * e + lift) + 1
-
-    rotations = [None] * (2 * n)
-    for v in range(n):
-        rot = srs.rotations[v]
-        rotations[2 * v + 0] = [lift_dart(d, 0) for d in rot]
-        rotations[2 * v + 1] = [lift_dart(d, 1) for d in reversed(rot)]
-    return EmbeddedGraph(SignedRotationSystem(2 * n, edges, rotations))
-
-
 # -- representativity -------------------------------------------------------
 
-def _radial_adjacency(g: EmbeddedGraph):
-    """Adjacency sets of the radial (vertex-face incidence) graph, with face
-    node ids offset by the vertex count."""
-    n = g.vertex_count
-    adj = [set() for _ in range(n + g.face_count)]
-    for fi, f in enumerate(g.faces):
-        for v in f.vertices:
-            adj[v].add(n + fi)
-            adj[n + fi].add(v)
-    return adj
-
-
 def representativity(g: EmbeddedGraph):
-    """Minimum crossings of an essential simple closed curve with the graph.
-
-    Equals half the length of the shortest essential cycle of the radial
-    graph, computed as a shortest path between the two lifts of a vertex in
-    the orientation double cover.
+    """Minimum crossings of an essential simple closed curve with the graph:
+    half the shortest one-sided closed walk of the radial graph, found by a
+    BFS from ``(v, 0)`` to ``(v, 1)`` over ``(node, sheet)`` states, face
+    ``f`` being node ``n + f``.  A visit of ``f``'s walk to ``v`` joins
+    ``(v, s)`` and ``(f, s ^ b)``, ``b`` the parity of the negative edges
+    the walk crossed before it.  That is the radial graph of the orientation
+    double cover ``o1ppg.oracles.representativity_by_double_cover`` builds.
     """
     if not g.is_p2():
         raise NotProjectivePlane("representativity defined for P^2 hosts")
-    cover = double_cover(g)
-    adj = _radial_adjacency(cover)
-    best = None
-    for v in range(g.vertex_count):
-        src, dst = 2 * v, 2 * v + 1
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if x == dst:
-                break
-            for y in adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        d = dist.get(dst)
-        if d is not None and (best is None or d < best):
-            best = d
-    if best is None:
+    n = g.vertex_count
+    neg = [s < 0 for (_u, _v, s) in g.srs.edges]
+    # state 2 * node + sheet; adj[node] holds the neighbours of sheet 0
+    adj = [[] for _ in range(n + g.face_count)]
+    for fi, f in enumerate(g.faces):
+        b = 0
+        for d, v in zip(f.boundary, f.vertices):
+            adj[v].append(2 * (n + fi) + b)
+            adj[n + fi].append(2 * v + b)
+            b ^= neg[d >> 1]
+    limit = best = 2 * len(adj)    # above every distance
+    for v in range(n):
+        seen = bytearray(2 * len(adj))
+        seen[2 * v] = 1
+        level, depth = [2 * v], 0
+        while level and depth < best and not seen[2 * v + 1]:
+            depth += 1
+            nxt = []
+            for x in level:
+                for y in adj[x >> 1]:
+                    y ^= x & 1       # sheet 1 swaps the sheets
+                    if not seen[y]:
+                        seen[y] = 1
+                        nxt.append(y)
+            level = nxt
+        if seen[2 * v + 1]:
+            best = depth
+    if best == limit:
         raise NotProjectivePlane("no essential curve found; not P^2?")
     return best // 2
 

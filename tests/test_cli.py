@@ -178,6 +178,17 @@ def test_validate_malformed_line_is_rejected(line, bad, corpus_n12_dir,
         f"reject: MalformedRotation: malformed line {bad!r}\n"
 
 
+@pytest.mark.parametrize("counts", ["v -1\ne 0", "v 1\ne 4\nrot 0"],
+                         ids=["negative", "oversized"])
+def test_validate_rejects_counts_the_file_cannot_hold(counts, tmp_path,
+                                                      capsys):
+    path = tmp_path / "bad.srs"
+    path.write_text(f"srs 1\n{counts}\n")
+    assert main(["validate", "--in", str(path)]) == 2
+    assert capsys.readouterr().out.startswith(
+        "reject: MalformedRotation: counts v ")
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "--in", "/nonexistent/x.srs"]) == 1
 

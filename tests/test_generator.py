@@ -17,7 +17,7 @@ from o1ppg.model import validate_quadrangulation
 from o1ppg.structures import _CONFIG_ROLES, PATTERN_IDS
 from o1ppg.oracles import (_oracle_encoding, all_embeddings,
                            canonical_key_oracle, exhaustive_small_search,
-                           grow_quadrangulations_bruteforce,
+                           grow_quadrangulations_bruteforce, is_orientable,
                            vertex_split_by_lists)
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
@@ -294,7 +294,7 @@ def test_grow_products_face_vertex_relation(corpus10):
             g = EmbeddedGraph(srs)
             assert g.face_count == n - 1
             assert g.edge_count == 2 * (n - 1)
-            assert g.euler_char == 1 and not g.orientable
+            assert g.euler_char == 1 and not is_orientable(srs)
 
 
 def test_grow_deterministic(k4):

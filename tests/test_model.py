@@ -28,6 +28,13 @@ def test_planar_cube_rejected():
     raise AssertionError("no planar cube embedding found")
 
 
+def test_lone_vertex_rejected_as_not_p2():
+    # connected and simple with characteristic 1, but no edge and no face
+    lone = EmbeddedGraph(SignedRotationSystem(1, [], [[]]))
+    with pytest.raises(NotP2, match="euler characteristic 1, 0 edges"):
+        validate_quadrangulation(lone, require_polyhedral=False)
+
+
 def test_loop_and_multi_edge_rejected():
     loop = EmbeddedGraph(SignedRotationSystem(1, [(0, 0, -1)], [[0, 1]]))
     with pytest.raises(NotSimple):

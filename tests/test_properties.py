@@ -1,11 +1,14 @@
-"""Property tests over randomized signed rotation systems."""
+"""Property tests over randomized signed rotation systems and .srs texts."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from o1ppg.errors import Disconnected, NotSimple
+from o1ppg import srsio
+from o1ppg.errors import Disconnected, NotSimple, O1ppgError
 from o1ppg.generator import canonical_key
+from o1ppg.model import validate_quadrangulation
+from o1ppg.oracles import double_cover, is_orientable
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem, trace_faces
 
 
@@ -46,8 +49,17 @@ def test_euler_characteristic_of_closed_surface(srs):
         return
     g = EmbeddedGraph(srs)
     assert g.euler_char <= 2
-    if g.orientable:
+    if is_orientable(srs):
         assert g.euler_char % 2 == 0
+
+
+@given(rotation_systems())
+def test_is_p2_matches_orientability(srs):
+    if not srs.is_connected():
+        return
+    g = EmbeddedGraph(srs)
+    assert g.is_p2() == (g.euler_char == 1 and g.edge_count > 0
+                         and not is_orientable(srs))
 
 
 @st.composite
@@ -112,8 +124,51 @@ def test_canonical_key_rejects_systems_outside_its_domain():
 def test_double_cover_doubles_characteristic(srs):
     if not srs.is_connected():
         return
-    from o1ppg.surface import double_cover
     g = EmbeddedGraph(srs)
     cov = double_cover(g)
-    assert cov.orientable
+    assert is_orientable(cov.srs)
     assert cov.euler_char == 2 * g.euler_char
+
+
+#: small counts, ids and vertices, negative ones included; kept small so
+#: that a loader which allocates by a count before reading stays cheap
+_SMALL = st.integers(-3, 12)
+_DART = st.one_of(st.builds("{}{}".format, _SMALL, st.sampled_from("ab")),
+                  st.text("0123456789ab-", min_size=1, max_size=3))
+_RECORDS = {
+    "srs": st.sampled_from(["srs 1", "srs 2", "srs"]),
+    "v": st.builds("v {}".format, _SMALL),
+    "e": st.builds("e {}".format, _SMALL),
+    "edge": st.builds("edge {} {} {} {}".format, _SMALL, _SMALL, _SMALL,
+                      st.sampled_from("+-x")),
+    "rot": st.builds(lambda v, ds: " ".join(["rot", str(v), *ds]), _SMALL,
+                     st.lists(_DART, max_size=6)),
+    "#": st.just("# comment"),
+}
+
+
+@st.composite
+def srs_texts(draw):
+    """Short .srs texts built from the format's own records: the header,
+    the counts, about as many edge and rotation lines as they announce,
+    and a few records of any kind inserted anywhere."""
+    nv, ne = draw(_SMALL), draw(_SMALL)
+    lines = [draw(_RECORDS["srs"]), f"v {nv}", f"e {ne}"]
+    for tag, count, cap in (("edge", ne, 6), ("rot", nv, 5)):
+        count = min(max(count + draw(st.integers(-1, 1)), 0), cap)
+        lines += [draw(_RECORDS[tag]) for _ in range(count)]
+    for pos, tag in draw(st.lists(st.tuples(st.integers(0, len(lines)),
+                                            st.sampled_from(sorted(_RECORDS))),
+                                  max_size=3)):
+        lines.insert(pos, draw(_RECORDS[tag]))
+    return "\n".join(lines)
+
+
+@given(srs_texts())
+@settings(deadline=None, max_examples=300)
+def test_outside_input_raises_only_package_errors(text):
+    try:
+        validate_quadrangulation(EmbeddedGraph(srsio.loads(text)),
+                                 require_polyhedral=False)
+    except O1ppgError:
+        pass

@@ -7,7 +7,8 @@ from o1ppg.generator import canonical_key
 from o1ppg.matching import Matching, is_extendable, matching_masks
 from o1ppg.oracles import (_walk_regions, bowties_by_triangle_pairs,
                            build_patterns, certificate_by_sets,
-                           embeds_by_flips, odd_regions_by_face_merge)
+                           embeds_by_flips, is_orientable,
+                           odd_regions_by_face_merge)
 from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
                               OddWeightedRegion, PATTERN_IDS, _candidate_maps,
                               _parities_ok, canonical_walk,
@@ -45,7 +46,7 @@ def test_pattern_counts_match_figures():
         assert sorted(f.length for f in emb.faces) == [6, 6, 6]
         assert len(pat.gray) == 6
         assert pat.odd_faces == (0, 1, 2)
-        assert emb.euler_char == 1 and not emb.orientable
+        assert emb.euler_char == 1 and not is_orientable(emb.srs)
     # minimal 6-cut shapes
     for pid, fvec in (("I", [6, 6]), ("II", [6, 8]), ("III", [6, 8]),
                       ("IV", [4, 6, 6])):

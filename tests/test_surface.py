@@ -1,4 +1,4 @@
-"""Surface core: tracing, orientability, essential cycles, regions,
+"""Surface core: tracing, the P^2 test, essential cycles, regions,
 representativity, and the .srs text format."""
 
 import random
@@ -9,20 +9,20 @@ from o1ppg import srsio
 from o1ppg.errors import (EmptySubgraph, MalformedRotation, NotACycle,
                           NotProjectivePlane)
 from o1ppg.connectivity import enumerate_cuts, vertex_connectivity
-from o1ppg.oracles import (_closed_walks_upto, cycle_sign, is_essential,
-                           is_essential_by_regions,
-                           region_decompose_reference,
-                           representativity_bruteforce)
+from o1ppg.oracles import (_closed_walks_upto, cycle_sign, double_cover,
+                           is_essential, is_essential_by_regions,
+                           is_orientable, region_decompose_reference,
+                           representativity_bruteforce,
+                           representativity_by_double_cover)
 from o1ppg.verify import CUT_MAX
 from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem,
-                           double_cover, region_decompose,
-                           representativity, trace_faces)
+                           region_decompose, representativity, trace_faces)
 
 
 def test_loop_on_projective_plane():
     g = EmbeddedGraph(SignedRotationSystem(1, [(0, 0, -1)], [[0, 1]]))
     assert [f.length for f in g.faces] == [2]
-    assert (g.euler_char, g.orientable) == (1, False)
+    assert (g.euler_char, is_orientable(g.srs)) == (1, False)
 
 
 def test_four_cycle_on_sphere():
@@ -30,17 +30,17 @@ def test_four_cycle_on_sphere():
     rot = [[0, 7], [1, 2], [3, 4], [5, 6]]
     g = EmbeddedGraph(SignedRotationSystem(4, edges, rot))
     assert sorted(f.length for f in g.faces) == [4, 4]
-    assert (g.euler_char, g.orientable) == (2, True)
+    assert (g.euler_char, is_orientable(g.srs)) == (2, True)
 
 
 def test_fix_k4_three_quad_faces(k4):
     assert sorted(f.length for f in k4.faces) == [4, 4, 4]
-    assert (k4.euler_char, k4.orientable) == (1, False)
+    assert (k4.euler_char, is_orientable(k4.srs)) == (1, False)
     assert all(f.is_cycle for f in k4.faces)
 
 
 def test_fix_bowtie_two_pinched_hexagons(bowtie):
-    assert (bowtie.euler_char, bowtie.orientable) == (1, False)
+    assert (bowtie.euler_char, is_orientable(bowtie.srs)) == (1, False)
     assert sorted(f.length for f in bowtie.faces) == [6, 6]
     assert not any(f.is_cycle for f in bowtie.faces)
     # both walks visit the hub twice
@@ -104,11 +104,33 @@ def test_representativity_values(k4, bowtie, min9):
     assert representativity_bruteforce(min9) == representativity(min9)
 
 
+def test_representativity_matches_double_cover(k4, bowtie, min9,
+                                               corpus10):
+    # the sheet-carrying BFS on the traced faces against the radial graph
+    # of the double cover built as an embedded graph: every class of the
+    # K4 closure to n <= 10, and the fixtures
+    graphs = [k4, bowtie, min9] + [EmbeddedGraph(srs)
+                                   for items in corpus10.values()
+                                   for _key, srs in items]
+    assert len(graphs) == 3 + 1727
+    for g in graphs:
+        assert representativity(g) == representativity_by_double_cover(g)
+
+
+def test_lone_vertex_is_not_p2():
+    # no edge, no traced face: V - E + F = 1, yet the surface is a sphere
+    g = EmbeddedGraph(SignedRotationSystem(1, [], [[]]))
+    assert (g.face_count, g.euler_char) == (0, 1)
+    assert not g.is_p2()
+    with pytest.raises(NotProjectivePlane):
+        representativity(g)
+
+
 def test_double_cover_invariants(k4, bowtie, min9):
     for g in (k4, bowtie, min9):
         cov = double_cover(g)
         assert cov.srs.is_connected()
-        assert cov.orientable
+        assert is_orientable(cov.srs)
         assert cov.euler_char == 2 * g.euler_char
 
 
@@ -234,8 +256,19 @@ def test_random_systems_trace_invariants():
         if srs.is_connected():
             g = EmbeddedGraph(srs)
             assert g.euler_char <= 2
-            if g.orientable:
+            if is_orientable(srs):
                 assert g.euler_char % 2 == 0
+
+
+def test_is_p2_matches_orientability():
+    # the characteristic-1 rule against an orientability BFS
+    rng = random.Random(20240811)
+    for _ in range(10_000):
+        srs = _random_srs(rng)
+        if srs.is_connected():
+            g = EmbeddedGraph(srs)
+            assert g.is_p2() == (g.euler_char == 1 and g.edge_count > 0
+                                 and not is_orientable(srs))
 
 
 def test_srsio_round_trip(k4, bowtie, min9):
@@ -258,6 +291,14 @@ def test_srsio_errors():
         srsio.loads("srs 1\nv 1\ne 1\nedge 0 0 0 +-\nrot 0 0a 0b")
     with pytest.raises(MalformedRotation, match="bad dart token '5b'"):
         srsio.loads("srs 1\nv 1\ne 1\nedge 0 0 0 +\nrot 0 0a 5b")
+    # counts are checked against the records left before any allocation
+    with pytest.raises(MalformedRotation, match="counts v -1, e 0"):
+        srsio.loads("srs 1\nv -1\ne 0")
+    with pytest.raises(MalformedRotation, match="counts v 1, e -2"):
+        srsio.loads("srs 1\nv 1\ne -2\nrot 0")
+    with pytest.raises(MalformedRotation,
+                       match="counts v 2, e 5 do not fit the 3 records"):
+        srsio.loads("srs 1\nv 2\ne 5\nedge 0 0 1 +\nrot 0 0a\nrot 1 0b")
     # a record after the last rotation line is named, not dropped
     with pytest.raises(MalformedRotation, match="after the rotations: "
                                                 "'rot 0'"):
