@@ -3,7 +3,10 @@ quadrangulations by vertex splitting.
 
 A class is named by its canonical key, the least BFS encoding
 (``surface._encode_from``) over the start states of its least degree pair
-(``_class_darts``).  Growth decides repeats with the same encodings
+(``_class_darts``), spelled ``v<n>e<E>:`` and then its tokens: one per dart
+visit, ``2 * neighbour label + sign bit``, and -1 closing each vertex
+block.  The encoder takes simple systems only, where two labelled vertices
+name the edge between them.  Growth decides repeats with the same encodings
 (``_new_class``), and ``canonical_key`` returns the key growth computes; it
 takes simple connected systems only.
 
@@ -15,8 +18,10 @@ harness treats theorem checks as property tests over this corpus.
 from __future__ import annotations
 
 import hashlib
+import io
 import pathlib
 from array import array
+from functools import cache
 from itertools import combinations
 
 from . import fixtures, srsio
@@ -28,17 +33,12 @@ from .surface import (_SEP, EmbeddedGraph, SignedRotationSystem,
                       _encode_from, _encoder_tables)
 
 
-def _unpack(n, packed):
-    """The key's token stream of a packed encoding: (edge_label,
-    neighbor_label, sign_bit) per dart visit, -1 closing each vertex block."""
-    out = []
-    for tok in packed:
-        if tok == _SEP:
-            out.append(_SEP)
-        else:
-            el, rest = divmod(tok, 2 * n)
-            out += (el, rest >> 1, rest & 1)
-    return tuple(out)
+@cache
+def _token_strings(n):
+    """Key spelling of the tokens of an order-``n`` encoding: entry t is
+    ``str(t)`` for every dart-visit token t < 2n, and the last entry, the
+    one ``_SEP`` (-1) indexes, spells ``_SEP``."""
+    return (*map(str, range(2 * n)), str(_SEP))
 
 
 def _class_darts(srs):
@@ -318,7 +318,8 @@ def _new_class(srs, seen, first=None):
             else:
                 seen.add(other)
                 least = min(least, enc)
-    key = _prefix(srs) + ",".join(map(str, _unpack(srs.vertex_count, least)))
+    spelled = _token_strings(srs.vertex_count)
+    key = _prefix(srs) + ",".join([spelled[t] for t in least])
     return key, automorphisms
 
 
@@ -544,19 +545,27 @@ def _remove_listed(out_dir):
     if not manifest.exists():
         return
     subs = set()
-    with open(manifest) as fh:
-        fh.readline()
-        for line in fh:
-            n_s, _tab, rest = line.rstrip("\n").partition("\t")
-            key = rest.partition("\t")[0]
-            if not _is_member_row(n_s, key):
-                continue        # no path to trust
-            sub = out_dir / f"q{n_s}"
-            (sub / f"{key}.srs").unlink(missing_ok=True)
-            subs.add(sub)
+    for _lineno, line in _manifest_rows(manifest):
+        n_s, _tab, rest = line.rstrip("\n").partition("\t")
+        key = rest.partition("\t")[0]
+        if not _is_member_row(n_s, key):
+            continue        # no path to trust
+        sub = out_dir / f"q{n_s}"
+        (sub / f"{key}.srs").unlink(missing_ok=True)
+        subs.add(sub)
     for sub in subs:
         if sub.is_dir() and not any(sub.iterdir()):
             sub.rmdir()
+
+
+def _manifest_rows(manifest):
+    """``(line number, line)`` of each line of a manifest after its header,
+    the lines as a text-mode read gives them.  Raises MalformedManifest
+    when the file holds a byte that is not ASCII."""
+    text = srsio.read_ascii(manifest, MalformedManifest)
+    lines = io.StringIO(text, newline=None)
+    lines.readline()
+    return enumerate(lines, 2)
 
 
 def _is_member_row(n_s, key):
@@ -569,26 +578,24 @@ def _is_member_row(n_s, key):
 def load_corpus_instances(corpus_dir, max_n=None):
     """Instances from a written corpus: polyhedral members with n >= 9.
 
-    Raises MalformedManifest on a row that does not have the five columns
-    or whose n and key fail ``_is_member_row``, before any file is opened
-    for it."""
+    Raises MalformedManifest when the manifest holds a byte that is not
+    ASCII, and on a row that does not have the five columns or whose n and
+    key fail ``_is_member_row``, before any file is opened for it."""
     corpus_dir = pathlib.Path(corpus_dir)
     out = []
-    with open(corpus_dir / "manifest.tsv") as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, 2):
-            row = line.rstrip("\n").split("\t")
-            if len(row) != 5 or not _is_member_row(row[0], row[1]):
-                raise MalformedManifest(
-                    f"manifest.tsv line {lineno} is not a member row: "
-                    f"{line.rstrip()!r}")
-            n_s, key, poly, _bip, _conn = row
-            n = int(n_s)
-            if poly != "1" or n < 9 or (max_n is not None and n > max_n):
-                continue
-            srs = srsio.load(corpus_dir / f"q{n}" / f"{key}.srs")
-            inst = _validated_instance(srs, key)
-            if inst is not None:
-                out.append(inst)
+    for lineno, line in _manifest_rows(corpus_dir / "manifest.tsv"):
+        row = line.rstrip("\n").split("\t")
+        if len(row) != 5 or not _is_member_row(row[0], row[1]):
+            raise MalformedManifest(
+                f"manifest.tsv line {lineno} is not a member row: "
+                f"{line.rstrip()!r}")
+        n_s, key, poly, _bip, _conn = row
+        n = int(n_s)
+        if poly != "1" or n < 9 or (max_n is not None and n > max_n):
+            continue
+        srs = srsio.load(corpus_dir / f"q{n}" / f"{key}.srs")
+        inst = _validated_instance(srs, key)
+        if inst is not None:
+            out.append(inst)
     out.sort(key=lambda i: (i.n, i.key))
     return out

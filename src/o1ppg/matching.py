@@ -290,40 +290,60 @@ def spanning_triangulation(inst):
 
 
 def hamiltonian_path(n, adj, s, t):
-    """A Hamiltonian s-t path by DFS with a connectivity prune, or None.
+    """A Hamiltonian s-t path by DFS, or None.
+
+    A node is pruned when some unvisited vertex other than t has fewer
+    than two neighbours among the unvisited vertices and the current one
+    (a path through it enters and leaves it), or when those vertices do
+    not induce a connected graph.  Neighbours with the fewest unvisited
+    neighbours are tried first (Warnsdorff's rule), ties in vertex order.
+    ``o1ppg.oracles.hamiltonian_path_by_plain_dfs`` is the reference, a
+    DFS in vertex order with the connectivity prune alone.
 
     Raises SearchBudgetExceeded once the DFS has visited more than
     ``HAMILTONIAN_PATH_NODE_BUDGET`` nodes.
     """
-    full = (1 << n) - 1
     budget = HAMILTONIAN_PATH_NODE_BUDGET
     nodes = 0
+    tbit = 1 << t
 
-    def dfs(v, visited, path):
+    def dfs(v, rest, path):
+        # rest: the vertices not on the path
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(
                 f"Hamiltonian {s}-{t} path search visited more than "
                 f"{budget} DFS nodes (HAMILTONIAN_PATH_NODE_BUDGET)")
-        if visited == full:
+        if not rest:
             return path if v == t else None
-        # prune: the unvisited region plus t must stay reachable
-        rest = full & ~visited
-        if not is_connected_mask(adj, rest | (1 << v)):
-            return None
-        m = adj[v] & ~visited
+        live = rest | (1 << v)
+        m = rest & ~tbit
         while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if w == t and (visited | (1 << w)) != full:
-                continue
-            got = dfs(w, visited | (1 << w), path + [w])
+            x = m & -m
+            m ^= x
+            nb = adj[x.bit_length() - 1] & live
+            if not nb & (nb - 1):
+                return None         # fewer than two neighbours left
+        if not is_connected_mask(adj, live):
+            return None
+        m = adj[v] & rest
+        if rest != tbit:
+            m &= ~tbit              # t ends the path, so it comes last
+        cands = []
+        while m:
+            x = m & -m
+            m ^= x
+            w = x.bit_length() - 1
+            cands.append(((adj[w] & rest).bit_count(), w))
+        cands.sort()
+        for _k, w in cands:
+            got = dfs(w, rest & ~(1 << w), path + [w])
             if got is not None:
                 return got
         return None
 
-    return dfs(s, 1 << s, [s])
+    return dfs(s, ((1 << n) - 1) & ~(1 << s), [s])
 
 
 def matching_via_hamiltonian_path(inst, e) -> Matching:

@@ -25,6 +25,8 @@ module may import the production modules, but none of them imports it.
 - ``spanning_triangulation_by_selections``: every diagonal selection in
   binary order, each checked by a 4-connectivity flow (against the
   triangle-clause search of ``matching.spanning_triangulation``).
+- ``hamiltonian_path_by_plain_dfs``: DFS in vertex order with a
+  connectivity prune only (against ``matching.hamiltonian_path``).
 - ``representativity_bruteforce`` (over ``radial_corners``): every cycle
   of the radial graph (against ``surface.representativity``).
 - ``representativity_by_double_cover`` (over ``double_cover``): BFS
@@ -78,8 +80,8 @@ from .errors import (EmptySubgraph, MalformedRotation, NoHamPath, NotACycle,
                      NotProjectivePlane, SearchBudgetExceeded, TooLarge)
 from .generator import _prefix, canonical_key
 from .graphs import (adjacency_masks, component_masks, enumerate_cycles,
-                     vertex_connectivity_flow)
-from .matching import Matching, _check_matching
+                     is_connected_mask, vertex_connectivity_flow)
+from .matching import HAMILTONIAN_PATH_NODE_BUDGET, Matching, _check_matching
 from .structures import (OddWeightedRegion, _host_embedding, _with_roles,
                          canonical_walk, get_pattern)
 from .surface import (_SEP, EmbeddedGraph, FaceWalk, Region,
@@ -523,6 +525,45 @@ def spanning_triangulation_by_selections(inst):
         if vertex_connectivity_flow(n, adj, 4) >= 4:
             return tuple(adj), tuple(edges)
     raise NoHamPath("no 4-connected spanning triangulation found")
+
+
+def hamiltonian_path_by_plain_dfs(n, adj, s, t):
+    """A Hamiltonian s-t path by DFS with a connectivity prune, or None
+    (against ``matching.hamiltonian_path``, which adds a degree prune and
+    tries the neighbours with the fewest unvisited neighbours first).
+
+    Raises SearchBudgetExceeded once the DFS has visited more than
+    ``HAMILTONIAN_PATH_NODE_BUDGET`` nodes.
+    """
+    full = (1 << n) - 1
+    budget = HAMILTONIAN_PATH_NODE_BUDGET
+    nodes = 0
+
+    def dfs(v, visited, path):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(
+                f"Hamiltonian {s}-{t} path search visited more than "
+                f"{budget} DFS nodes (HAMILTONIAN_PATH_NODE_BUDGET)")
+        if visited == full:
+            return path if v == t else None
+        # prune: the unvisited region plus t must stay reachable
+        rest = full & ~visited
+        if not is_connected_mask(adj, rest | (1 << v)):
+            return None
+        m = adj[v] & ~visited
+        while m:
+            w = (m & -m).bit_length() - 1
+            m &= m - 1
+            if w == t and (visited | (1 << w)) != full:
+                continue
+            got = dfs(w, visited | (1 << w), path + [w])
+            if got is not None:
+                return got
+        return None
+
+    return dfs(s, 1 << s, [s])
 
 
 def radial_corners(g: EmbeddedGraph):

@@ -17,6 +17,7 @@ use ``# o1ppg n=<n>``).
 from __future__ import annotations
 
 import io
+import os
 
 from .errors import MalformedRotation
 from .surface import SignedRotationSystem
@@ -115,6 +116,21 @@ def dump(srs, path, header=None):
         fh.write(dumps(srs, header=header))
 
 
+def read_ascii(path, error=MalformedRotation):
+    """The text of the file at ``path``; raises ``error``, naming the file
+    and the offset, when it holds a byte that is not ASCII."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise error(f"{os.path.basename(path)}: byte "
+                    f"{data[exc.start]:#04x} at offset {exc.start} "
+                    "is not ASCII") from None
+
+
 def load(path):
-    with open(path) as fh:
-        return loads(fh.read())
+    """The system in the ``.srs`` file at ``path``; raises
+    MalformedRotation on a byte that is not ASCII, as ``loads`` does on
+    a malformed record."""
+    return loads(read_ascii(path))

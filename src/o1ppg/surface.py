@@ -18,12 +18,15 @@ Thomassen, *Graphs on Surfaces*, 2001); representativity comes from a BFS
 on the radial graph that carries a sheet bit.
 
 One BFS encoder (``_encode_from``) decides embedded equivalence everywhere:
-the generator's canonical keys, and the pattern matcher of
+the generator's canonical keys and its growth, the cut shapes of
+:mod:`o1ppg.connectivity`, and the pattern matcher of
 :mod:`o1ppg.structures` on a host restricted to a map's image
-(``restricted_system``).  The graph facts of a system are answered here
-too: the edge joining two vertices (``edge_between``) and the short cycles
-with their sign products (``signed_cycles``), which decide on P^2 whether a
-cycle is one-sided.
+(``restricted_system``).  It takes simple systems only: each dart visit is
+one token, ``2 * neighbour label + sign bit``, and the edge it crosses is
+the one joining its two labelled vertices.  The graph facts of a system
+are answered here too: the edge joining two vertices (``edge_between``)
+and the short cycles with their sign products (``signed_cycles``), which
+decide on P^2 whether a cycle is one-sided.
 """
 
 from __future__ import annotations
@@ -204,53 +207,49 @@ _SEP = -1
 
 
 def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side):
-    """Packed BFS encoding of one component from one start state.
+    """Packed BFS encoding of one component of a simple system from one
+    start state.
 
-    Vertices and edges are labelled in order of discovery; each vertex's
-    rotation is walked from its entry dart in the direction of its inherited
-    hand.  A dart visit (edge_label, neighbor_label, sign_bit) is packed into
-    the single token ``(edge_label * n + neighbor_label) * 2 + sign_bit``,
-    which orders like the triple; vertex blocks end with the ``_SEP``
-    sentinel, below every token.  Two systems are embedded-isomorphic by a
-    map carrying one start state onto another iff the encodings from the
-    two states are equal.  Returns ``(encoding, order, entry, hand)``: the
-    tokens, the vertices in label order and, per vertex, its entry dart and
-    the hand (+1 successor, -1 predecessor) its rotation was walked in.
+    Vertices are labelled in order of discovery; each vertex's rotation is
+    walked from its entry dart in the direction of its inherited hand.  A
+    dart visit (neighbor_label, sign_bit) is the single token
+    ``2 * neighbor_label + sign_bit``, which orders like the pair; vertex
+    blocks end with the ``_SEP`` sentinel, below every token.  On a simple
+    system (the precondition) the edge of a visit is the one joining its
+    two labelled vertices, so the encoding says which edge each visit
+    crosses without labelling edges.  Two systems are embedded-isomorphic
+    by a map carrying one start state onto another iff the encodings from
+    the two states are equal.  Returns ``(encoding, order, entry, hand)``:
+    the tokens, the vertices in label order and, per vertex, its entry
+    dart and the hand (+1 successor, -1 predecessor) its rotation was
+    walked in.
     """
-    stride = 2 * n
     label2 = [-1] * n          # 2 * vertex label
     hand = [0] * n
     entry = [0] * n
-    edge_base = [-1] * len(sign)   # stride * edge label
     root = dv[start_dart]
     label2[root] = 0
     hand[root] = start_side
     entry[root] = start_dart
     order = [root]
-    next_base = 0
     enc = []
     for v in order:         # grows while the BFS discovers vertices
         hv = hand[v]
         step = nxt if hv > 0 else prv
         d = first = entry[v]
         while True:
-            e = d >> 1
-            eb = edge_base[e]
-            if eb < 0:
-                eb = edge_base[e] = next_base
-                next_base += stride
             w = dv[d ^ 1]
             lw = label2[w]
             if lw < 0:
                 lw = label2[w] = 2 * len(order)
-                hand[w] = hv * sign[e]
+                hand[w] = hv * sign[d >> 1]
                 entry[w] = d ^ 1
                 order.append(w)
-                enc.append(eb + lw)
-            elif sign[e] * hv == hand[w]:
-                enc.append(eb + lw)        # sign bit 0: hands agree
+                enc.append(lw)
+            elif sign[d >> 1] * hv == hand[w]:
+                enc.append(lw)             # sign bit 0: hands agree
             else:
-                enc.append(eb + lw + 1)
+                enc.append(lw + 1)
             d = step[d]
             if d == first:
                 break

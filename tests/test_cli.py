@@ -189,6 +189,31 @@ def test_validate_rejects_counts_the_file_cannot_hold(counts, tmp_path,
         "reject: MalformedRotation: counts v ")
 
 
+def test_validate_rejects_a_byte_that_is_not_ascii(tmp_path, capsys):
+    path = tmp_path / "bad.srs"
+    path.write_bytes(b"srs 1\nv 1\ne 0\nrot 0\xff\n")
+    assert main(["validate", "--in", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "reject: MalformedRotation: bad.srs: byte 0xff at offset 19 "
+        "is not ASCII\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "generate"])
+def test_manifest_byte_that_is_not_ascii_is_an_error(command, tmp_path,
+                                                     capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(b"n\tkey\tpolyhedral\tbipartite\tconnectivity\n"
+                         b"9\t\xff\t1\t0\t5\n")
+    argv = (["verify", "--corpus", str(tmp_path)] if command == "verify"
+            else ["generate", "--max-n", "5", "--out", str(tmp_path)])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: MalformedManifest: manifest.tsv: byte 0xff at offset 42 "
+        "is not ASCII\n")
+    # generate refuses the old manifest before it writes anything
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.tsv"]
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["validate", "--in", "/nonexistent/x.srs"]) == 1
 

@@ -154,6 +154,43 @@ def test_canonical_key_matches_oracle_on_split_products(corpus10):
             assert key == canonical_key(srs)
 
 
+def _decode_key(key):
+    """The system a canonical string spells.  Vertex k is the k-th vertex
+    the encoding labels, its rotation is its block's visits in order (the
+    encoding walked it in its own hand, taken here as +1), and a visit's
+    sign bit is 1 iff its edge is negative.  An edge is made at the first
+    of its two visits, in the block of its lower endpoint."""
+    prefix, _colon, body = key.partition(":")
+    n, ne = map(int, prefix[1:].split("e"))
+    edges, rotations, edge_of = [], [[] for _ in range(n)], {}
+    v = 0
+    for tok in map(int, body.split(",")):
+        if tok == -1:
+            v += 1
+            continue
+        w, bit = divmod(tok, 2)
+        sign = -1 if bit else 1
+        e = edge_of.get((w, v))
+        if e is None:
+            edge_of[v, w] = len(edges)
+            rotations[v].append(2 * len(edges))
+            edges.append((v, w, sign))
+        else:
+            assert edges[e][2] == sign
+            rotations[v].append(2 * e + 1)
+    assert (v, len(edges)) == (n, ne)
+    return SignedRotationSystem(n, edges, rotations)
+
+
+def test_keys_decode_to_their_class(corpus10, k4, bowtie, min9):
+    # a key names its neighbour and sign per dart visit and no edge, yet
+    # it spells the whole system: every key decodes to one whose key it is
+    keys = [key for n in range(4, 11) for key, _srs in corpus10[n]]
+    keys += [canonical_key(g) for g in (k4, bowtie, min9)]
+    for key in keys:
+        assert canonical_key(_decode_key(key)) == key
+
+
 def _splits(srs):
     return [(v, i, j) for v in range(srs.vertex_count)
             for i, j in combinations(range(srs.degree(v)), 2)]

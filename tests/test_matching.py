@@ -171,6 +171,66 @@ def test_hamiltonian_path_endpoints():
     assert hamiltonian_path(4, adj, 0, 2) is None
 
 
+def _assert_hamiltonian_path(n, adj, s, t, path):
+    assert path[0] == s and path[-1] == t
+    assert sorted(path) == list(range(n))
+    assert all(adj[a] >> b & 1 for a, b in zip(path, path[1:]))
+
+
+def test_hamiltonian_path_agrees_with_plain_dfs(even_n12):
+    # every edge of the even n <= 12 instances, in the spanning
+    # triangulation T1.3 searches, and every ordered vertex pair of small
+    # random graphs: both searches find a path or neither does, and every
+    # path found is a Hamiltonian path with the asked endpoints
+    cases = []
+    for inst in even_n12:
+        adj, _edges = spanning_triangulation(inst)
+        cases += [(inst.n, adj, u, v) for (u, v) in inst.edges]
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        p = rng.choice((0.3, 0.5, 0.8))
+        adj = adjacency_masks(n, [(u, v) for u, v in combinations(range(n), 2)
+                                  if rng.random() < p])
+        cases += [(n, adj, s, t) for s in range(n) for t in range(n)
+                  if s != t]
+    found = set()
+    for n, adj, s, t in cases:
+        fast = hamiltonian_path(n, adj, s, t)
+        slow = oracles.hamiltonian_path_by_plain_dfs(n, adj, s, t)
+        assert (fast is None) == (slow is None)
+        for path in (fast, slow):
+            if path is not None:
+                _assert_hamiltonian_path(n, adj, s, t, path)
+        found.add(fast is not None)
+    assert found == {True, False}
+
+
+class _CountingBudget(int):
+    """A node budget that counts the DFS nodes checked against it: each
+    node compares its count with the budget once, and ``count > budget``
+    calls this subclass's reflected ``__lt__`` first."""
+
+    nodes = 0
+
+    def __lt__(self, other):
+        _CountingBudget.nodes += 1
+        return int.__lt__(self, other)
+
+
+def test_hamiltonian_path_nodes_over_t13_audit(even_n12, monkeypatch):
+    # the degree prune and the fewest-unvisited-neighbours order keep the
+    # T1.3 audit of the even n <= 12 instances, 432 searches, near 5,130
+    # nodes; the plain DFS of the oracle visits 23,876
+    monkeypatch.setattr(matching, "HAMILTONIAN_PATH_NODE_BUDGET",
+                        _CountingBudget(1 << 20))
+    monkeypatch.setattr(_CountingBudget, "nodes", 0)
+    for inst in even_n12:
+        [res] = audit_instance(_fresh(inst), AuditConfig(theorems=("T1.3",)))
+        assert res.verdict == "pass"
+    assert 432 <= _CountingBudget.nodes <= 6000
+
+
 def _fresh(inst):
     """The same instance rebuilt, with nothing computed on it yet."""
     q = validate_quadrangulation(EmbeddedGraph(inst.quad.embedding.srs))

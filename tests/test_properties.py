@@ -172,3 +172,31 @@ def test_outside_input_raises_only_package_errors(text):
                                  require_polyhedral=False)
     except O1ppgError:
         pass
+
+
+@st.composite
+def srs_bytes(draw):
+    """``srs_texts`` as bytes, with a few bytes of any value put in
+    anywhere, as a file on disk may hold them."""
+    data = bytearray(draw(srs_texts()).encode())
+    for pos, byte in draw(st.lists(st.tuples(st.integers(0, len(data)),
+                                             st.integers(0, 255)),
+                                   max_size=3)):
+        data.insert(pos, byte)
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def srs_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("outside") / "in.srs"
+
+
+@given(data=srs_bytes())
+@settings(deadline=None, max_examples=300)
+def test_outside_bytes_raise_only_package_errors(srs_path, data):
+    srs_path.write_bytes(data)
+    try:
+        validate_quadrangulation(EmbeddedGraph(srsio.load(srs_path)),
+                                 require_polyhedral=False)
+    except O1ppgError:
+        pass
