@@ -4,6 +4,7 @@ Q[S], shape classification, and the cut-lemma audits."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from .generator import canonical_key
@@ -58,16 +59,10 @@ class CutAnalysis:
     qs: QSubgraph
 
 
-_SHAPE_KEYS = None
-
-
+@cache
 def _shape_keys():
-    global _SHAPE_KEYS
-    if _SHAPE_KEYS is None:
-        _SHAPE_KEYS = {}
-        for pid in ("bowtie", "I", "II", "III", "IV"):
-            _SHAPE_KEYS[canonical_key(get_pattern(pid).embedding)] = pid
-    return _SHAPE_KEYS
+    return {canonical_key(get_pattern(pid).embedding): pid
+            for pid in ("bowtie", "I", "II", "III", "IV")}
 
 
 def classify_cut_shape(inst, qs: QSubgraph) -> str:

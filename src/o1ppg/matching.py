@@ -9,7 +9,7 @@ from itertools import combinations
 from . import _kernels
 from .errors import (NoBlockerFound, NoHamPath, OddOrder,
                      SearchBudgetExceeded, TooSmall)
-from .graphs import (adjacency_masks, is_connected_mask,
+from .graphs import (adjacency_masks, enumerate_cycles, is_connected_mask,
                      odd_even_components, vertex_connectivity_flow)
 from .surface import _sign_product
 
@@ -183,34 +183,24 @@ def _triangle_clauses(inst, choices):
             path = (srs.edge_between(p, x), srs.edge_between(x, q))
             bit = choices[f].index((p, q) if p < q else (q, p))
             pick[eq + 2 * f + j] = (f, bit, _sign_product(srs, path))
-    adj = inst.adj
     clauses = []
-    for u in range(inst.n):
-        higher = adj[u] >> (u + 1) << (u + 1)
-        m = higher
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            w_mask = higher & adj[v] >> (v + 1) << (v + 1)
-            while w_mask:
-                w = (w_mask & -w_mask).bit_length() - 1
-                w_mask &= w_mask - 1
-                sign, lits = 1, []
-                for e in (inst.edge_id(u, v), inst.edge_id(v, w),
-                          inst.edge_id(w, u)):
-                    if e < eq:
-                        sign *= srs.edges[e][2]
-                    else:
-                        f, bit, s = pick[e]
-                        sign *= s
-                        lits.append((f, bit))
-                if sign != 1:
-                    continue
-                if len(lits) == 1:
-                    f = lits[0][0]
-                    if {u, v, w} <= set(faces[f].vertices):
-                        continue          # half of a quadrangle: a face
-                clauses.append(tuple(lits))
+    for u, v, w in enumerate_cycles(inst.n, inst.adj, 3):
+        sign, lits = 1, []
+        for e in (inst.edge_id(u, v), inst.edge_id(v, w),
+                  inst.edge_id(w, u)):
+            if e < eq:
+                sign *= srs.edges[e][2]
+            else:
+                f, bit, s = pick[e]
+                sign *= s
+                lits.append((f, bit))
+        if sign != 1:
+            continue
+        if len(lits) == 1:
+            f = lits[0][0]
+            if {u, v, w} <= set(faces[f].vertices):
+                continue          # half of a quadrangle: a face
+        clauses.append(tuple(lits))
     return clauses
 
 

@@ -12,6 +12,7 @@ structure), and the tests compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import _kernels, fixtures
@@ -71,14 +72,9 @@ def load_patterns():
                         for pid in PATTERN_IDS if pid not in _CONFIG_ROLES})
 
 
-_PATTERNS = None
-
-
+@cache
 def patterns():
-    global _PATTERNS
-    if _PATTERNS is None:
-        _PATTERNS = load_patterns()
-    return _PATTERNS
+    return load_patterns()
 
 
 def get_pattern(pid) -> ConfigPattern:

@@ -5,12 +5,19 @@ A check failure is a first-class output (exit code 2 at the CLI), not an
 exception: the harness exists to surface statement-level trouble, including
 the corrected reading of the 2-extendability characterization (see the
 report's ``note`` line).
+
+Every theorem in ``THEOREM_IDS`` has one check, and the checks share their
+intermediates (the cuts, the 2-extendability sweep, T1.6's 3-matching
+sweep) through values computed on first use.  So a theorem audited alone,
+as ``o1ppg replay`` and ``o1ppg verify --theorems`` do, gets the record it
+gets in the full audit.  ``o1ppg verify`` lists the selected ids in the
+report header in ``THEOREM_IDS`` order, each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from .connectivity import (_contains_separating_trivial_4cycle,
                            audit_cut_lemmas, classify_cut_shape,
@@ -32,7 +39,7 @@ THEOREM_IDS = (
 )
 
 #: checks whose hypotheses need an even order / 5-connectedness
-_EVEN_ONLY = {"T1.3", "T1.4", "C1.5", "T1.6", "NoThreeExt"}
+_EVEN_ONLY = {"T1.3", "T1.4", "C1.5", "T1.6", "NoThreeExt", "L4.2"}
 _FIVE_CONN = {"C1.5", "T1.6", "L3.2", "L3.3", "T3.4", "L3.5"}
 
 #: largest vertex-cut size the cut lemmas enumerate
@@ -77,54 +84,122 @@ def _walk_str(walk):
     return ">".join(map(str, walk))
 
 
+def _set_str(vertices):
+    return ",".join(map(str, sorted(vertices)))
+
+
+def _pass(detail="", witness=""):
+    return "pass", detail, witness
+
+
+def _fail(detail, witness=""):
+    return "fail", detail, witness
+
+
+def _check_method(theorem):
+    """Name of the ``_InstanceAudit`` method that checks ``theorem``."""
+    return "check_" + theorem.replace(".", "")
+
+
 class _InstanceAudit:
-    """All per-instance checks, sharing the expensive intermediates."""
+    """All per-instance checks, sharing the expensive intermediates.
+
+    Each check returns its record as ``(verdict, detail, witness)``.  An
+    intermediate is computed by the first check that reads it and kept for
+    the others, so no check depends on which checks ran before it.
+    """
 
     def __init__(self, inst):
         self.inst = inst
-        self.results = []
         self.conn = vertex_connectivity(inst, 8)
-        self.even = inst.n % 2 == 0
-        self._cuts = None
-        self._ctx = None
-        self._ext2 = None
-        self.nonext_2matchings = []
-        self.nonext_3matchings = []
 
-    def cuts(self):
-        if self._cuts is None:
-            self._cuts = []
-            for k in range(self.conn, CUT_MAX + 1):
-                if k >= self.inst.n - 1:
-                    break
-                self._cuts.extend(enumerate_cuts(self.inst, k))
-        return self._cuts
-
-    def ctx(self):
-        if self._ctx is None:
-            self._ctx = CertificateContext.build(self.inst)
-        return self._ctx
-
-    def ext2(self):
-        """``k_extendability(inst, 2)``, shared by T1.4 and C1.5."""
-        if self._ext2 is None:
-            self._ext2 = k_extendability(self.inst, 2)
-        return self._ext2
-
-    def emit(self, theorem, verdict, detail="", witness=""):
-        self.results.append(TheoremCheckResult(
-            theorem_id=theorem, instance_key=self.inst.key or "?",
-            verdict=verdict, detail=detail, witness=witness))
-
-    def skip_if_inapplicable(self, theorem):
-        if theorem in _EVEN_ONLY and not self.even:
-            self.emit(theorem, "inapplicable", detail="odd order")
-            return True
+    def inapplicable(self, theorem):
+        """Why ``theorem``'s hypotheses fail on this instance, or None."""
+        if theorem in _EVEN_ONLY and self.inst.n % 2:
+            return "odd order"
         if theorem in _FIVE_CONN and self.conn < 5:
-            self.emit(theorem, "inapplicable",
-                      detail=f"connectivity {self.conn} < 5")
-            return True
-        return False
+            return f"connectivity {self.conn} < 5"
+        return None
+
+    def run(self, theorems):
+        wanted = set(theorems)
+        results = []
+        for theorem in THEOREM_IDS:
+            if theorem not in wanted:
+                continue
+            reason = self.inapplicable(theorem)
+            if reason is None:
+                verdict, detail, witness = getattr(
+                    self, _check_method(theorem))()
+            else:
+                verdict, detail, witness = "inapplicable", reason, ""
+            results.append(TheoremCheckResult(
+                theorem_id=theorem, instance_key=self.inst.key or "?",
+                verdict=verdict, detail=detail, witness=witness))
+        return results
+
+    # -- shared intermediates ----------------------------------------------
+
+    @cached_property
+    def cuts(self):
+        cuts = []
+        for k in range(self.conn, CUT_MAX + 1):
+            if k >= self.inst.n - 1:
+                break
+            cuts.extend(enumerate_cuts(self.inst, k))
+        return cuts
+
+    @cached_property
+    def cut_audits(self):
+        # non-minimal cuts read "inapplicable" for L2.3's and L3.2's clauses
+        return [(ca, audit_cut_lemmas(ca, self.conn)) for ca in self.cuts]
+
+    @cached_property
+    def ext2(self):
+        """``k_extendability(inst, 2)``, shared by T1.4, C1.5 and L4.2."""
+        return k_extendability(self.inst, 2)
+
+    @cached_property
+    def barriers(self):
+        return barrier_cycles(self.inst, 4)
+
+    @cached_property
+    def barrier_matchings(self):
+        """Each barrier 4-cycle's opposite edges, as a 2-matching."""
+        inst = self.inst
+        return [Matching(frozenset([inst.edge_id(a, b), inst.edge_id(c, d)]))
+                for a, b, c, d in (br.boundary_walk for br in self.barriers)]
+
+    @cached_property
+    def nonext_2matchings(self):
+        """The sweep's non-extendable 2-matching, then the barriers'; none
+        on a 2-extendable instance."""
+        ext2, witness = self.ext2
+        return [] if ext2 else [witness, *self.barrier_matchings]
+
+    @cached_property
+    def t16_sweep(self):
+        """T1.6's sweep of every 3-matching in order: the verdict counts,
+        the non-extendable 3-matchings, and the first oracle/certificate
+        disagreement as ``(combo, detail)``, where the sweep stops."""
+        inst = self.inst
+        counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
+        nonext = []
+        ctx = CertificateContext.build(inst)
+        # the verdict depends on the covered vertices alone, and many
+        # 3-matchings cover the same six: decide each mask once
+        decided = {}
+        for combo, vm in matching_masks(inst, 3):
+            found = decided.get(vm)
+            if found is None:
+                found = decided[vm] = diagnose_mask(inst, vm, ctx)
+            verdict, detail = found
+            if verdict == "counterexample":
+                return counts, nonext, (combo, detail)
+            counts[verdict] += 1
+            if verdict != "extendable":
+                nonext.append(Matching(frozenset(combo)))
+        return counts, nonext, None
 
     # -- individual checks -------------------------------------------------
 
@@ -173,243 +248,157 @@ class _InstanceAudit:
                 problems.append(f"link length at {v}")
                 break
         if problems:
-            self.emit("DegreeFacts", "fail", detail=";".join(problems))
-        else:
-            self.emit("DegreeFacts", "pass",
-                      detail=f"n={n} |E|={inst.edge_count} conn={self.conn}")
+            return _fail(";".join(problems))
+        return _pass(f"n={n} |E|={inst.edge_count} conn={self.conn}")
 
     def check_P21(self):
         ess_parities = set()
-        bad = None
         count = 0
         for cyc, _ids, sign in signed_cycles(self.inst.quad.embedding.srs, 8):
             count += 1
-            if sign == 1:
-                if len(cyc) % 2:
-                    bad = cyc
-                    break
-            else:
+            if sign != 1:
                 ess_parities.add(len(cyc) % 2)
-        if bad is not None:
-            self.emit("P2.1", "fail", detail="odd trivial cycle",
-                      witness=_walk_str(bad))
-        elif len(ess_parities) > 1:
-            self.emit("P2.1", "fail",
-                      detail="essential cycles of both parities")
-        else:
-            self.emit("P2.1", "pass",
-                      detail=f"cycles<=8 checked={count}")
+            elif len(cyc) % 2:
+                return _fail("odd trivial cycle", _walk_str(cyc))
+        if len(ess_parities) > 1:
+            return _fail("essential cycles of both parities")
+        return _pass(f"cycles<=8 checked={count}")
 
     def check_T13(self):
-        if self.skip_if_inapplicable("T1.3"):
-            return
         inst = self.inst
         for e in range(inst.edge_count):
-            m = Matching(frozenset([e]))
-            if not is_extendable(inst, m):
-                self.emit("T1.3", "fail", detail="single edge not extendable",
-                          witness=_edges_str(inst, [e]))
-                return
+            witness = _edges_str(inst, [e])
+            if not is_extendable(inst, Matching(frozenset([e]))):
+                return _fail("single edge not extendable", witness)
             try:
                 mh = matching_via_hamiltonian_path(inst, e)
             except (NoHamPath, SearchBudgetExceeded) as exc:
-                self.emit("T1.3", "fail",
-                          detail=f"hamiltonian-path construction: {exc}",
-                          witness=_edges_str(inst, [e]))
-                return
+                return _fail(f"hamiltonian-path construction: {exc}",
+                             witness)
             if e not in mh.edges or mh.k != inst.n // 2:
-                self.emit("T1.3", "fail", detail="constructed matching wrong",
-                          witness=_edges_str(inst, [e]))
-                return
-        self.emit("T1.3", "pass", detail=f"edges={inst.edge_count}")
+                return _fail("constructed matching wrong", witness)
+        return _pass(f"edges={inst.edge_count}")
 
     def check_T14(self):
-        if self.skip_if_inapplicable("T1.4"):
-            return
         inst = self.inst
-        barriers = barrier_cycles(inst, 4)
-        ext2, witness = self.ext2()
-        if not ext2:
-            self.nonext_2matchings.append(witness)
+        barriers = self.barriers
+        ext2, witness = self.ext2
         # corrected reading: 2-extendable iff no barrier 4-cycle
         if ext2 == bool(barriers):
-            self.emit("T1.4", "fail",
-                      detail=f"2-extendable={ext2} but "
-                             f"{len(barriers)} barrier 4-cycles",
-                      witness=(_walk_str(barriers[0].boundary_walk)
-                               if barriers else
-                               _pairs_str(witness.sorted_pairs(inst))))
-            return
+            return _fail(f"2-extendable={ext2} but "
+                         f"{len(barriers)} barrier 4-cycles",
+                         _walk_str(barriers[0].boundary_walk) if barriers
+                         else _pairs_str(witness.sorted_pairs(inst)))
         # the easy direction, constructively: opposite edges of a barrier
         # 4-cycle form a non-extendable 2-matching
-        for b in barriers:
-            a, bb, c, d = b.boundary_walk
-            m = Matching(frozenset([inst.edge_id(a, bb),
-                                    inst.edge_id(c, d)]))
-            self.nonext_2matchings.append(m)
+        for b, m in zip(barriers, self.barrier_matchings):
             if is_extendable(inst, m):
-                self.emit("T1.4", "fail",
-                          detail="barrier 4-cycle with extendable "
-                                 "opposite-edge 2-matching",
-                          witness=_walk_str(b.boundary_walk))
-                return
-        self.emit("T1.4", "pass",
-                  detail=f"2-extendable={ext2} barrier4={len(barriers)}")
+                return _fail("barrier 4-cycle with extendable "
+                             "opposite-edge 2-matching",
+                             _walk_str(b.boundary_walk))
+        return _pass(f"2-extendable={ext2} barrier4={len(barriers)}")
 
     def check_C15(self):
-        if self.skip_if_inapplicable("C1.5"):
-            return
-        ext2, witness = self.ext2()
+        ext2, witness = self.ext2
         if ext2:
-            self.emit("C1.5", "pass")
-        else:
-            self.emit("C1.5", "fail",
-                      detail="5-connected even instance not 2-extendable",
-                      witness=_pairs_str(witness.sorted_pairs(self.inst)))
+            return _pass()
+        return _fail("5-connected even instance not 2-extendable",
+                     _pairs_str(witness.sorted_pairs(self.inst)))
 
     def check_T16(self):
-        if self.skip_if_inapplicable("T1.6"):
-            return
-        inst = self.inst
-        counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
-        ctx = self.ctx()
-        # the verdict depends on the covered vertices alone, and many
-        # 3-matchings cover the same six: decide each mask once
-        decided = {}
-        for combo, vm in matching_masks(inst, 3):
-            found = decided.get(vm)
-            if found is None:
-                found = decided[vm] = diagnose_mask(inst, vm, ctx)
-            verdict, detail = found
-            if verdict == "counterexample":
-                self.emit("T1.6", "fail",
-                          detail=f"oracle/certificate disagreement: "
-                                 f"extendable={detail['extendable']} "
-                                 f"certificate={detail['certificate']}",
-                          witness=_edges_str(inst, combo))
-                return
-            counts[verdict] += 1
-            if verdict != "extendable":
-                self.nonext_3matchings.append(Matching(frozenset(combo)))
-        self.emit("T1.6", "pass",
-                  detail=f"exhaustive extendable={counts['extendable']} "
-                         f"cert_i={counts['cert_i']} "
-                         f"cert_ii={counts['cert_ii']}")
+        counts, _nonext, counterexample = self.t16_sweep
+        if counterexample is not None:
+            combo, detail = counterexample
+            return _fail(f"oracle/certificate disagreement: "
+                         f"extendable={detail['extendable']} "
+                         f"certificate={detail['certificate']}",
+                         _edges_str(self.inst, combo))
+        return _pass(f"exhaustive extendable={counts['extendable']} "
+                     f"cert_i={counts['cert_i']} "
+                     f"cert_ii={counts['cert_ii']}")
 
     def check_NoThreeExt(self):
-        if self.skip_if_inapplicable("NoThreeExt"):
-            return
         ok3, witness = k_extendability(self.inst, 3)
         if ok3:
-            self.emit("NoThreeExt", "fail",
-                      detail="instance is 3-extendable")
-        else:
-            self.emit("NoThreeExt", "pass",
-                      witness=_pairs_str(witness.sorted_pairs(self.inst)))
+            return _fail("instance is 3-extendable")
+        return _pass(witness=_pairs_str(witness.sorted_pairs(self.inst)))
 
-    def _cut_lemma(self, audits, theorem, clauses):
+    def _cut_lemma(self, *clauses):
         total = 0
-        for ca, audit in audits:
+        for ca, audit in self.cut_audits:
             for clause in clauses:
                 verdict = audit[clause]
                 if verdict == "fail":
-                    self.emit(theorem, "fail",
-                              detail=f"clause {clause}",
-                              witness=",".join(map(str, sorted(ca.S))))
-                    return
+                    return _fail(f"clause {clause}", _set_str(ca.S))
                 if verdict == "pass":
                     total += 1
-        self.emit(theorem, "pass", detail=f"clause checks={total}")
+        return _pass(f"clause checks={total}")
 
-    def check_cut_lemmas(self):
-        # non-minimal cuts read "inapplicable" for L2.3's and L3.2's clauses
-        audits = [(ca, audit_cut_lemmas(ca, self.conn))
-                  for ca in self.cuts()]
-        self._cut_lemma(audits, "L2.2", ("separation",))
-        self._cut_lemma(audits, "L2.3", ("min_degree_2",))
-        self._cut_lemma(audits, "L2.4", ("ineq_q3", "ineq_q4"))
-        self._cut_lemma(audits, "L2.5", ("edge_bound_k1", "edge_bound_k2"))
-        if not self.skip_if_inapplicable("L3.2"):
-            self._cut_lemma(
-                audits, "L3.2", ("five_conn_i", "five_conn_ii",
-                                 "five_conn_iii"))
+    def check_L22(self):
+        return self._cut_lemma("separation")
+
+    def check_L23(self):
+        return self._cut_lemma("min_degree_2")
+
+    def check_L24(self):
+        return self._cut_lemma("ineq_q3", "ineq_q4")
+
+    def check_L25(self):
+        return self._cut_lemma("edge_bound_k1", "edge_bound_k2")
+
+    def check_L32(self):
+        return self._cut_lemma("five_conn_i", "five_conn_ii",
+                               "five_conn_iii")
 
     def check_T31(self):
-        inst = self.inst
         if self.conn < 4:
-            self.emit("T3.1", "fail",
-                      detail=f"connectivity {self.conn} < 4")
-            return
-        four_cuts = [ca for ca in self.cuts() if len(ca.S) == 4]
+            return _fail(f"connectivity {self.conn} < 4")
+        four_cuts = [ca for ca in self.cuts if len(ca.S) == 4]
         for ca in four_cuts:
-            if not _contains_separating_trivial_4cycle(inst, ca.qs):
-                self.emit("T3.1", "fail",
-                          detail="4-cut without separating trivial "
-                                 "4-cycle in Q[S]",
-                          witness=",".join(map(str, sorted(ca.S))))
-                return
-        self.emit("T3.1", "pass",
-                  detail=f"connectivity={self.conn} "
-                         f"four_cuts={len(four_cuts)}")
+            if not _contains_separating_trivial_4cycle(self.inst, ca.qs):
+                return _fail("4-cut without separating trivial "
+                             "4-cycle in Q[S]", _set_str(ca.S))
+        return _pass(f"connectivity={self.conn} "
+                     f"four_cuts={len(four_cuts)}")
 
     def check_L33(self):
-        if self.skip_if_inapplicable("L3.3"):
-            return
-        five_cuts = [ca for ca in self.cuts() if len(ca.S) == 5]
+        five_cuts = [ca for ca in self.cuts if len(ca.S) == 5]
         for ca in five_cuts:
             shape = classify_cut_shape(self.inst, ca.qs)
             if shape != "bowtie":
-                self.emit("L3.3", "fail",
-                          detail=f"5-cut shaped {shape}",
-                          witness=",".join(map(str, sorted(ca.S))))
-                return
-        self.emit("L3.3", "pass", detail=f"five_cuts={len(five_cuts)}")
+                return _fail(f"5-cut shaped {shape}", _set_str(ca.S))
+        return _pass(f"five_cuts={len(five_cuts)}")
 
     def check_T34(self):
-        if self.skip_if_inapplicable("T3.4"):
-            return
         bows = find_projective_bowties(self.inst.quad)
-        six = self.conn >= 6
-        if six == (len(bows) == 0):
-            self.emit("T3.4", "pass",
-                      detail=f"connectivity={self.conn} "
-                             f"bowties={len(bows)}")
-        else:
-            w = ""
-            if bows:
-                p1, a, b = bows[0]
-                w = f"{p1};{','.join(map(str, sorted(a)))};" \
-                    f"{','.join(map(str, sorted(b)))}"
-            self.emit("T3.4", "fail",
-                      detail=f"connectivity={self.conn} "
-                             f"bowties={len(bows)}", witness=w)
+        detail = f"connectivity={self.conn} bowties={len(bows)}"
+        if (self.conn >= 6) == (len(bows) == 0):
+            return _pass(detail)
+        w = ""
+        if bows:
+            p1, a, b = bows[0]
+            w = f"{p1};{_set_str(a)};{_set_str(b)}"
+        return _fail(detail, w)
 
     def check_L35(self):
-        if self.skip_if_inapplicable("L3.5"):
-            return
         shapes = {}
-        for ca in self.cuts():
+        for ca in self.cuts:
             if len(ca.S) != 6 or not ca.is_minimal:
                 continue
             shape = classify_cut_shape(self.inst, ca.qs)
             if shape not in ("I", "II", "III", "IV"):
-                self.emit("L3.5", "fail",
-                          detail=f"minimal 6-cut shaped {shape}",
-                          witness=",".join(map(str, sorted(ca.S))))
-                return
+                return _fail(f"minimal 6-cut shaped {shape}",
+                             _set_str(ca.S))
             shapes[shape] = shapes.get(shape, 0) + 1
-        self.emit("L3.5", "pass",
-                  detail="shapes=" + ",".join(
-                      f"{k}:{v}" for k, v in sorted(shapes.items())))
+        return _pass("shapes=" + ",".join(
+            f"{k}:{v}" for k, v in sorted(shapes.items())))
 
     def check_L42(self):
         inst = self.inst
-        if not self.even:
-            self.emit("L4.2", "inapplicable", detail="odd order")
-            return
+        # T1.6 sweeps only 5-connected instances
+        threes = self.t16_sweep[1] if self.conn >= 5 else []
         checked = 0
-        for k, matchings in ((1, self.nonext_2matchings),
-                             (2, self.nonext_3matchings)):
+        for k, matchings in ((1, self.nonext_2matchings), (2, threes)):
             seen = set()
             for m in matchings:
                 if m.edges in seen:
@@ -418,56 +407,17 @@ class _InstanceAudit:
                 try:
                     blk = find_blocker(inst, m, k)
                 except NoBlockerFound as exc:
-                    self.emit("L4.2", "fail",
-                              detail=f"k={k}: {exc}",
-                              witness=_pairs_str(m.sorted_pairs(inst)))
-                    return
+                    return _fail(f"k={k}: {exc}",
+                                 _pairs_str(m.sorted_pairs(inst)))
                 if len(blk.S) != blk.odd_components + 2 * k:
-                    self.emit("L4.2", "fail", detail=f"k={k}: size identity",
-                              witness=",".join(map(str, sorted(blk.S))))
-                    return
+                    return _fail(f"k={k}: size identity", _set_str(blk.S))
                 if not m.vertex_set(inst) <= set(blk.S):
-                    self.emit("L4.2", "fail", detail=f"k={k}: containment",
-                              witness=",".join(map(str, sorted(blk.S))))
-                    return
+                    return _fail(f"k={k}: containment", _set_str(blk.S))
                 if k == 2 and len(blk.S) not in (6, 7):
-                    self.emit("L4.2", "fail",
-                              detail=f"k=2 blocker size {len(blk.S)} "
-                                     "outside {6,7}",
-                              witness=",".join(map(str, sorted(blk.S))))
-                    return
+                    return _fail(f"k=2 blocker size {len(blk.S)} "
+                                 "outside {6,7}", _set_str(blk.S))
                 checked += 1
-        self.emit("L4.2", "pass", detail=f"blockers={checked}")
-
-    def run(self, theorems):
-        order = [
-            ("DegreeFacts", self.check_DegreeFacts),
-            ("P2.1", self.check_P21),
-            ("T1.3", self.check_T13),
-            ("T1.4", self.check_T14),
-            ("C1.5", self.check_C15),
-            ("T1.6", self.check_T16),
-            ("NoThreeExt", self.check_NoThreeExt),
-            ("cut-lemmas", self.check_cut_lemmas),
-            ("T3.1", self.check_T31),
-            ("L3.3", self.check_L33),
-            ("T3.4", self.check_T34),
-            ("L3.5", self.check_L35),
-            ("L4.2", self.check_L42),
-        ]
-        wanted = set(theorems)
-        cut_ids = {"L2.2", "L2.3", "L2.4", "L2.5", "L3.2"}
-        for name, fn in order:
-            if name == "cut-lemmas":
-                if cut_ids & wanted:
-                    fn()
-                    self.results = [
-                        r for r in self.results
-                        if r.theorem_id not in cut_ids - wanted]
-                continue
-            if name in wanted:
-                fn()
-        return self.results
+        return _pass(f"blockers={checked}")
 
 
 def audit_instance(inst, config: AuditConfig = None):
@@ -519,21 +469,15 @@ def aggregate_report(all_results, corpus_counts, config: AuditConfig) -> str:
 
 def run_campaign(instances, config: AuditConfig = None, workers=1):
     """Audit many instances, optionally with process-level parallelism
-    (at most one worker per instance); the merged result order is
-    deterministic."""
-    config = config or AuditConfig()
+    (at most one worker per instance).  Results come instance by instance,
+    each instance's in ``THEOREM_IDS`` order, for any worker count."""
+    audit = partial(audit_instance, config=config or AuditConfig())
     workers = min(workers, len(instances))
     if workers <= 1:
-        results = []
-        for inst in instances:
-            results.extend(audit_instance(inst, config))
+        chunks = map(audit, instances)
     else:
         import multiprocessing as mp
 
         with mp.Pool(workers) as pool:
-            chunks = pool.map(partial(audit_instance, config=config),
-                              instances)
-        results = [r for chunk in chunks for r in chunk]
-    results.sort(key=lambda r: (r.instance_key,
-                                THEOREM_IDS.index(r.theorem_id)))
-    return results
+            chunks = pool.map(audit, instances)
+    return [r for chunk in chunks for r in chunk]

@@ -125,6 +125,27 @@ def test_verify_theorem_subset(corpus_dir, capsys):
     assert "summary theorem=T1.6" not in out
 
 
+def test_verify_theorems_header_in_canonical_order(corpus_dir, tmp_path):
+    # the same selection, in any order and with repeats, writes one report
+    reports = []
+    for selection in ("T3.4,T1.3,T1.3", "T1.3,T3.4"):
+        out = tmp_path / "selected.report"
+        assert main(["verify", "--corpus", str(corpus_dir), "--report",
+                     str(out), "--theorems", selection]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+    assert reports[0].splitlines()[1] == "config theorems=T1.3,T3.4 cut_max=7"
+
+
+def test_replay_lemma_42_prints_the_report_record(corpus_n12_dir, capsys):
+    rc = main(["replay", "--corpus", str(corpus_n12_dir),
+               "--instance", "q10-i01", "--theorem", "L4.2"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "result instance=q10-i01 theorem=L4.2 verdict=pass "
+        "detail='blockers=62'\n")
+
+
 def test_verify_unknown_theorem(corpus_dir):
     with pytest.raises(SystemExit):
         main(["verify", "--corpus", str(corpus_dir),

@@ -94,6 +94,31 @@ def test_theorem_selection(inst10):
     assert {r.theorem_id for r in results} == {"T1.3", "L3.5"}
 
 
+def test_theorem_audited_alone_gets_its_full_audit_record(corpus_n12):
+    # no check reads what another check left behind: L4.2's blockers
+    # come from the 2- and 3-matchings of T1.4's and T1.6's sweeps
+    mismatches = []
+    for inst in corpus_n12:
+        full = audit_instance(inst)
+        for record in full:
+            [alone] = audit_instance(
+                inst, AuditConfig(theorems=(record.theorem_id,)))
+            if alone != record:
+                mismatches.append((alone, record))
+    assert mismatches == []
+    assert [r.theorem_id for r in full] == list(THEOREM_IDS)
+
+
+def test_every_theorem_id_resolves_to_a_check():
+    # a typo in a hypothesis set would make its theorem apply everywhere
+    assert verify._EVEN_ONLY <= set(THEOREM_IDS)
+    assert verify._FIVE_CONN <= set(THEOREM_IDS)
+    for theorem in THEOREM_IDS:
+        check = getattr(verify._InstanceAudit,
+                        verify._check_method(theorem), None)
+        assert callable(check), theorem
+
+
 def _mutate_rotation(srs, v):
     rotations = [list(r) for r in srs.rotations]
     rotations[v][0], rotations[v][1] = rotations[v][1], rotations[v][0]
