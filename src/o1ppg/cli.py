@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import srsio
-from .errors import O1ppgError
+from .errors import O1ppgError, UnknownTheorem
 from .generator import load_corpus_instances, short_key, write_corpus
 from .model import build_o1ppg, validate_quadrangulation
 from .surface import EmbeddedGraph, representativity
@@ -104,14 +104,12 @@ def cmd_analyze(args):
 
 
 def _campaign_config(args):
-    """The selected theorems in ``THEOREM_IDS`` order, each once, so the
-    same selection always writes the same report."""
     wanted = (THEOREM_IDS if args.theorems == "all"
               else args.theorems.split(","))
-    bad = [t for t in wanted if t not in THEOREM_IDS]
-    if bad:
-        raise SystemExit(f"unknown theorem ids: {','.join(bad)}")
-    return AuditConfig(theorems=tuple(t for t in THEOREM_IDS if t in wanted))
+    try:
+        return AuditConfig(theorems=tuple(wanted))
+    except UnknownTheorem as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _workers():

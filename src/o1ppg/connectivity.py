@@ -3,21 +3,24 @@ Q[S], shape classification, and the cut-lemma audits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import combinations
 
-from .generator import canonical_key
 from .graphs import (component_masks, is_connected_mask,
                      vertex_connectivity_flow)
 from .structures import get_pattern
-from .surface import (SignedRotationSystem, region_decompose,
-                      restricted_system, signed_cycles)
+from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
+                      region_decompose, region_facts, restricted_system,
+                      signed_cycles)
 
 
 #: Euler characteristic of the projective plane, the host surface of
 #: every instance; the cut lemmas read it as chi.
 P2_EULER_CHAR = 1
+
+#: the shapes ``classify_cut_shape`` names, all connected
+CUT_SHAPES = ("bowtie", "I", "II", "III", "IV")
 
 
 def vertex_connectivity(inst, cap=8):
@@ -27,26 +30,56 @@ def vertex_connectivity(inst, cap=8):
 
 @dataclass
 class QSubgraph:
-    """The induced subgraph Q[S] with its inherited embedding data."""
+    """The induced subgraph Q[S] of the instance's quadrangulation, and the
+    regions of the host cut along its edges.
 
+    The facts every cut lemma reads are computed with Q[S]: per region, in
+    ``region_decompose``'s order, the boundary length and the interior
+    vertices (``surface.region_facts``), and each vertex's degree in Q[S].
+    The restricted rotation system and the traced regions are read only on
+    the 4-, 5- and minimal 6-cuts, by T3.1's separating 4-cycles, the cut
+    shapes and the 5-connected clauses, so each is built on first access.
+    """
+
+    host: EmbeddedGraph = field(repr=False, compare=False)
     vertices: tuple              # host vertex ids, sorted
     edges: tuple                 # host edge ids of Q(G) inside S, sorted
-    srs: SignedRotationSystem    # restricted rotation system, relabelled
-    regions: list                # host regions cut along `edges`; [] if none
+    boundary_lengths: tuple      # per region: edge sides of Q[S] facing it
+    interiors: tuple             # per region: frozenset of interior vertices
+    degrees: tuple               # per vertex of ``vertices``: degree in Q[S]
+
+    @cached_property
+    def srs(self):
+        """Q[S]'s rotation system restricted from the host, relabelled:
+        vertex i is ``vertices[i]`` and edge j is ``edges[j]``."""
+        return restricted_system(self.host.srs, self.vertices, self.edges)
+
+    @cached_property
+    def regions(self):
+        """The host's regions cut along ``edges``; [] if there is none."""
+        if not self.edges:
+            return []
+        return region_decompose(self.host, self.edges).regions
 
 
 def q_induced_subgraph(inst, S) -> QSubgraph:
-    """Q(G)[S] with rotations and signs restricted from the host."""
+    """Q(G)[S] over the host quadrangulation's embedding."""
     emb = inst.quad.embedding
-    srs = emb.srs
-    sset = set(S)
-    verts = tuple(sorted(sset))
-    q_edges = [e for e, (u, v, _s) in enumerate(srs.edges)
-               if u in sset and v in sset]
-    regions = region_decompose(emb, set(q_edges)).regions if q_edges else []
-    return QSubgraph(vertices=verts, edges=tuple(q_edges),
-                     srs=restricted_system(srs, verts, q_edges),
-                     regions=regions)
+    smask = 0
+    for v in S:
+        smask |= 1 << v
+    verts = _members(smask)
+    q_edges = []
+    deg = [0] * inst.n
+    for e, (u, v, _s) in enumerate(emb.srs.edges):
+        if smask >> u & 1 and smask >> v & 1:
+            q_edges.append(e)
+            deg[u] += 1
+            deg[v] += 1
+    lengths, interiors = region_facts(emb, q_edges)
+    return QSubgraph(host=emb, vertices=verts, edges=tuple(q_edges),
+                     boundary_lengths=lengths, interiors=interiors,
+                     degrees=tuple(deg[v] for v in verts))
 
 
 @dataclass
@@ -60,21 +93,35 @@ class CutAnalysis:
 
 
 @cache
-def _shape_keys():
-    return {canonical_key(get_pattern(pid).embedding): pid
-            for pid in ("bowtie", "I", "II", "III", "IV")}
+def _shape_encodings():
+    """Every start-state encoding of every cut shape, mapped to the shape."""
+    table = {}
+    for pid in CUT_SHAPES:
+        srs = get_pattern(pid).embedding.srs
+        tables = _encoder_tables(srs)
+        for d in range(2 * srs.edge_count):
+            for side in (1, -1):
+                table[tuple(_encode_from(*tables, d, side)[0])] = pid
+    return table
 
 
 def classify_cut_shape(inst, qs: QSubgraph) -> str:
     """Match Q[S] against the fixed shapes; "trivial4cycle-bearing" when it
     contains a separating trivial 4-cycle of the full graph; else "other".
-    Every shape is connected, so only a connected Q[S] is keyed.
+
+    Growth's repeat test (``generator._new_class``) names the shape: a
+    connected Q[S], which is simple, is embedded-isomorphic to a shape iff
+    its encoding from one start state, dart 0 on side +1, is one of the
+    shape's start-state encodings.  The encoding labels every vertex iff
+    Q[S] is connected, and every shape is.
     """
-    if qs.srs.is_connected():
-        key = canonical_key(qs.srs)
-        label = _shape_keys().get(key)
-        if label is not None:
-            return label
+    srs = qs.srs
+    if srs.edges:
+        enc, order, _entry, _hand = _encode_from(*_encoder_tables(srs), 0, 1)
+        if len(order) == srs.vertex_count:
+            label = _shape_encodings().get(tuple(enc))
+            if label is not None:
+                return label
     if _contains_separating_trivial_4cycle(inst, qs):
         return "trivial4cycle-bearing"
     return "other"
@@ -208,16 +255,16 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
     "inapplicable"; any "fail" is a reportable finding.
     """
     qs = ca.qs
-    regions = qs.regions
+    interiors = qs.interiors
     out = {}
 
     # separation: each region of Q[S] contains at most one component
     if qs.edges:
         verdict = "pass"
-        per_region = [0] * len(regions)
+        per_region = [0] * len(interiors)
         for comp in ca.components:
-            hits = {ri for ri, region in enumerate(regions)
-                    if set(comp) & set(region.interior_vertices)}
+            hits = {ri for ri, inside in enumerate(interiors)
+                    if not inside.isdisjoint(comp)}
             if len(hits) != 1:
                 verdict = "fail"
                 continue
@@ -230,20 +277,17 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
 
     # minimal cuts: minimum degree of Q[S] at least 2
     if ca.is_minimal:
-        degs = [len(r) for r in qs.srs.rotations]
-        out["min_degree_2"] = "pass" if degs and min(degs) >= 2 else "fail"
+        out["min_degree_2"] = "pass" if min(qs.degrees) >= 2 else "fail"
     else:
         out["min_degree_2"] = "inapplicable"
 
     # face-count inequalities, instantiated maximally for q in {3, 4}
     chi = P2_EULER_CHAR
     E = len(qs.edges)
-    F = len(regions)
+    F = len(interiors)
     S = len(ca.S)
-    region_lengths = [sum(w.length for w in region.boundary_walks)
-                      for region in regions]
     for q in (3, 4):
-        p = sum(1 for L in region_lengths if L >= 2 * q)
+        p = sum(1 for L in qs.boundary_lengths if L >= 2 * q)
         ok_i = E >= 2 * F + (q - 2) * p
         ok_ii = S - chi + (2 - q) * p >= F
         out[f"ineq_q{q}"] = "pass" if (ok_i and ok_ii) else "fail"
@@ -259,12 +303,13 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
     # 5-connected minimal cuts of size 5 or 6
     if connectivity >= 5 and ca.is_minimal and S in (5, 6):
         out["five_conn_i"] = "pass" if E >= 2 * F + 2 else "fail"
+        regions = qs.regions
         # an empty Q[S] has no regions and counts as not 2-cell
         if not (regions and all(r.is_two_cell for r in regions)):
             walk_lengths = sorted(w.length for r in regions
                                   for w in r.boundary_walks)
             ok = (S == 6 and walk_lengths == [6, 6] and E == 6
-                  and all(len(r) == 2 for r in qs.srs.rotations)
+                  and all(d == 2 for d in qs.degrees)
                   and sorted(r.euler_char for r in regions) == [0, 1])
             out["five_conn_ii"] = "pass" if ok else "fail"
         else:

@@ -79,5 +79,9 @@ class MalformedManifest(O1ppgError):
     """A corpus manifest row is not a member row whose path can be trusted."""
 
 
+class UnknownTheorem(O1ppgError):
+    """A theorem id the audit does not know."""
+
+
 class EmptyCorpus(O1ppgError):
     """Verification campaign needs at least one instance."""

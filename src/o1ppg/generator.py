@@ -227,24 +227,6 @@ def _materialise(edges, dv, nxt, prv, sign, deg, lead):
                                 tables=(dv, nxt, prv))
 
 
-def vertex_split(srs: SignedRotationSystem, v, i, j):
-    """Split vertex ``v`` of a loopless system between rotation positions
-    ``i`` and ``j`` (i != j; i > j wraps around the rotation).
-
-    The neighbors at positions i and j stay attached to both halves; the
-    arc strictly between them, walking forward from i, moves to the new
-    vertex, which inherits the local orientation of ``v`` (the tables are
-    patched by ``_patched_split``, which says where each new edge end goes,
-    then materialised).  Growth runs the same two steps but materialises a
-    product only when its class is new: from K4 to n <= 10 it makes 9,566
-    split products and builds about 1,750 systems.
-
-    Returns the raw SignedRotationSystem (not validated, not traced).
-    """
-    return _materialise(srs.edges,
-                        *_patched_split(_split_tables(srs), v, i, j))
-
-
 def _automorphism(srs, base, image):
     """Dart permutation of the automorphism that carries one start state of
     ``srs`` onto another, given the two ``_encode_from`` results, whose

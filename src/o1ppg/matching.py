@@ -110,6 +110,54 @@ def matching_masks(inst, k):
             depth += 1
 
 
+def covered_masks(inst, k):
+    """``{covered-vertex mask: number of k-matchings covering it}``: every
+    2k-vertex subset whose induced subgraph has a perfect matching, with
+    the number of them.
+
+    Built by size, two vertices at a time: a perfect matching of a subset
+    pairs its least vertex with one of its neighbours there and matches
+    the rest, so a subset's count sums the counts of the subsets two
+    smaller that this leaves."""
+    adj = inst.adj
+    counts = {0: 1}
+    singles = [1 << v for v in range(inst.n)]
+    for size in range(2, 2 * k + 1, 2):
+        bigger = {}
+        for combo in combinations(singles, size):
+            mask = sum(combo)
+            low = combo[0]
+            m = adj[low.bit_length() - 1] & mask
+            found = 0
+            while m:
+                w = m & -m
+                m ^= w
+                found += counts.get(mask ^ low ^ w, 0)
+            if found:
+                bigger[mask] = found
+        counts = bigger
+    return counts
+
+
+def mask_matchings(inst, mask):
+    """The sorted edge-id tuples of the matchings covering exactly the
+    vertices of ``mask``: the perfect matchings of the subgraph it
+    induces, in no particular order."""
+    if not mask:
+        return [()]
+    low = mask & -mask
+    v = low.bit_length() - 1
+    out = []
+    m = inst.adj[v] & mask
+    while m:
+        w = m & -m
+        m ^= w
+        e = inst.edge_id(v, w.bit_length() - 1)
+        out.extend(tuple(sorted((e, *rest)))
+                   for rest in mask_matchings(inst, mask ^ low ^ w))
+    return out
+
+
 def k_extendability(inst, k):
     """Sweep every k-matching; returns (True, None) or (False, witness)."""
     if inst.n % 2:

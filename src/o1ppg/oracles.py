@@ -7,8 +7,8 @@ module may import the production modules, but none of them imports it.
 - ``canonical_key_oracle``: a simple connected system encoded from all of
   its darts (against ``generator.canonical_key``).
 - ``vertex_split_by_lists``: a split built on copied edge and rotation
-  lists, its tables built afresh (against ``generator.vertex_split`` and
-  the patched tables growth encodes).
+  lists, its tables built afresh (against the patched tables growth
+  encodes and materialises, ``generator._patched_split``).
 - ``grow_quadrangulations_bruteforce``: every split of every class, built
   by ``vertex_split_by_lists`` and keyed by ``canonical_key`` (against
   ``generator.grow_quadrangulations``).
@@ -47,7 +47,12 @@ module may import the production modules, but none of them imports it.
 - ``is_essential_by_regions``: the region count of the cut along a cycle
   (against ``is_essential``).
 - ``certificate_by_sets``: the Theorem-1.6 certificate scan on vertex
-  sets (against ``structures.certificate_of_mask``).
+  sets (against the inverted index ``structures.CertificateContext``
+  builds, ``certificates``).
+- ``sweep_three_matchings_in_order``: every 3-matching in sweep order,
+  its mask decided on first sight (against
+  ``structures.sweep_three_matchings``, which decides each covered mask
+  once with its multiplicity).
 - ``embeds_by_flips``: every vertex flip of a pattern map's image,
   rotations and signs checked directly (against the encoding test of
   ``structures.match_pattern``).
@@ -81,9 +86,11 @@ from .errors import (EmptySubgraph, MalformedRotation, NoHamPath, NotACycle,
 from .generator import _prefix, canonical_key
 from .graphs import (adjacency_masks, component_masks, enumerate_cycles,
                      is_connected_mask, vertex_connectivity_flow)
-from .matching import HAMILTONIAN_PATH_NODE_BUDGET, Matching, _check_matching
-from .structures import (OddWeightedRegion, _host_embedding, _with_roles,
-                         canonical_walk, get_pattern)
+from .matching import (HAMILTONIAN_PATH_NODE_BUDGET, Matching,
+                       _check_matching, matching_masks)
+from .structures import (CertificateContext, OddWeightedRegion,
+                         _host_embedding, _with_roles, canonical_walk,
+                         diagnose_mask, get_pattern)
 from .surface import (_SEP, EmbeddedGraph, FaceWalk, Region,
                       RegionDecomposition, SignedRotationSystem, _sign_product,
                       region_decompose)
@@ -135,7 +142,7 @@ def canonical_key_oracle(g) -> str:
 
 
 def vertex_split_by_lists(srs: SignedRotationSystem, v, i, j):
-    """Reference for ``generator.vertex_split``: the split built on copies
+    """Reference for ``generator._patched_split``: the split built on copies
     of the edge and rotation lists, with fresh tables.
 
     The neighbors at positions i and j stay attached to both halves; the arc
@@ -874,7 +881,7 @@ def is_essential_by_regions(g: EmbeddedGraph, cycle):
 
 
 def certificate_by_sets(ctx, vm):
-    """Set-based reference for ``structures.certificate_of_mask``: scan
+    """Set-based reference for ``CertificateContext.certificates``: scan
     the length-6 regions of the context, then the pattern maps in
     "abcdefg" order, for the first certificate that fires on the vertex
     set ``vm`` of a 3-matching."""
@@ -887,6 +894,28 @@ def certificate_by_sets(ctx, vm):
             if frozenset(phi[v] for v in gray) <= vm:
                 return ("cert_ii", (cid, phi))
     return None
+
+
+def sweep_three_matchings_in_order(inst):
+    """Ordered reference for ``structures.sweep_three_matchings``: walk
+    every 3-matching in sweep order, decide its covered mask on first sight
+    (``structures.diagnose_mask``) and count it, and stop at the first
+    oracle/certificate disagreement."""
+    counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
+    nonext = []
+    ctx = CertificateContext.build(inst)
+    decided = {}
+    for combo, vm in matching_masks(inst, 3):
+        found = decided.get(vm)
+        if found is None:
+            found = decided[vm] = diagnose_mask(inst, vm, ctx)
+        verdict, detail = found
+        if verdict == "counterexample":
+            return counts, nonext, (combo, detail)
+        counts[verdict] += 1
+        if verdict != "extendable":
+            nonext.append(Matching(frozenset(combo)))
+    return counts, nonext, None
 
 
 def embeds_by_flips(host: EmbeddedGraph, pat, phi):

@@ -16,6 +16,8 @@ from functools import cache
 from itertools import combinations
 
 from . import _kernels, fixtures
+from .matching import (Matching, covered_masks, mask_matchings,
+                       matching_masks)
 from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
                       region_decompose, restricted_system, signed_cycles)
 
@@ -368,19 +370,39 @@ class CertificateContext:
 
     regions6: list        # (walk, interior vertex set), boundary length 6
     config_maps: dict     # pattern id -> match_pattern maps, "abcdefg"
-    region_masks: list    # (walk mask, interior mask, walk) per regions6
-    #: gray-image mask -> first (pattern id, map) in "abcdefg" order.  A
-    #: gray image and the vertex set of a 3-matching both have six
-    #: vertices, so the image lies in the set iff the two are equal.
-    gray_index: dict
+    #: six-vertex mask -> the first certificate that fires on a 3-matching
+    #: covering it: ("cert_i", walk) or ("cert_ii", (pattern id, phi))
+    certificates: dict
 
     @classmethod
     def build(cls, inst):
+        """The certificates inverted once per instance, in firing order:
+        the regions of ``regions6`` in turn, then the maps of the patterns
+        "abcdefg" in turn, each mask keeping the first that fires on it.
+
+        Corrected certificate (i) fires when the region's boundary is
+        covered and its interior keeps an odd number of vertices uncovered
+        by the matching (a spare matched vertex inside would absorb the
+        parity and the matching can extend): on the walk's vertices plus
+        every completion to six vertices that leaves an odd part of the
+        interior uncovered.  Certificate (ii) fires when the map's gray
+        image, six vertices like the covered set, is that set.
+        ``o1ppg.oracles.certificate_by_sets`` is the set-based reference.
+        """
         regions6 = two_cell_regions(inst, 6)
+        certificates = {}
+        singles = [1 << v for v in range(inst.n)]
+        for walk, interior in regions6:
+            wm = _vertex_mask(walk)
+            im = _vertex_mask(interior)
+            rest = [b for b in singles if not b & wm]
+            for extra in combinations(rest, 6 - wm.bit_count()):
+                xm = sum(extra)
+                if (im & ~xm).bit_count() & 1:
+                    certificates.setdefault(wm | xm, ("cert_i", walk))
         emb = inst.quad.embedding
         by_base = {}
         config_maps = {}
-        gray_index = {}
         for cid in "abcdefg":
             pat = get_pattern(cid)
             if len(pat.gray) != 6:
@@ -393,43 +415,23 @@ class CertificateContext:
                 by_base[base] = match_pattern(emb, pat)
             config_maps[cid] = by_base[base]
             for phi in config_maps[cid]:
-                gray_index.setdefault(
-                    _vertex_mask(phi[v] for v in pat.gray), (cid, phi))
-        region_masks = [(_vertex_mask(walk), _vertex_mask(interior), walk)
-                        for walk, interior in regions6]
+                certificates.setdefault(
+                    _vertex_mask(phi[v] for v in pat.gray),
+                    ("cert_ii", (cid, phi)))
         return cls(regions6=regions6, config_maps=config_maps,
-                   region_masks=region_masks, gray_index=gray_index)
-
-
-def certificate_of_mask(ctx: CertificateContext, vm):
-    """The first Theorem-1.6 certificate that fires on the covered-vertex
-    mask ``vm`` of a 3-matching: ("cert_i", walk), ("cert_ii",
-    (pattern_id, phi)), or None.
-
-    Corrected certificate (i): the region's boundary is covered and its
-    interior keeps an odd number of vertices uncovered by the matching (a
-    spare matched vertex inside would absorb the parity and the matching
-    can extend).  ``o1ppg.oracles.certificate_by_sets`` is the set-based
-    reference.
-    """
-    uncovered = ~vm
-    for wm, im, walk in ctx.region_masks:
-        if not wm & uncovered and (im & uncovered).bit_count() & 1:
-            return ("cert_i", walk)
-    hit = ctx.gray_index.get(vm)
-    return None if hit is None else ("cert_ii", hit)
+                   certificates=certificates)
 
 
 def diagnose_mask(inst, vm, ctx: CertificateContext):
     """Joint verdict of the extendability kernel and the certificates for
-    the 3-matching covering the vertex mask ``vm`` of a 5-connected
+    the 3-matchings covering the vertex mask ``vm`` of a 5-connected
     even-order instance; the preconditions are the caller's.
 
     Returns ("extendable", None), ("cert_i", walk),
     ("cert_ii", (pattern_id, phi)), or ("counterexample",
     {"extendable": bool, "certificate": certificate or None}).
     """
-    cert = certificate_of_mask(ctx, vm)
+    cert = ctx.certificates.get(vm)
     extendable = _kernels.pm_exists(
         inst.adj, ((1 << inst.n) - 1) ^ vm, inst._pm_memo)
     if extendable and cert is None:
@@ -438,3 +440,38 @@ def diagnose_mask(inst, vm, ctx: CertificateContext):
         return cert
     return ("counterexample", {"extendable": extendable, "certificate": cert})
 
+
+def sweep_three_matchings(inst):
+    """Theorem 1.6 over every 3-matching of a 5-connected even-order
+    instance: the verdict counts, the non-extendable 3-matchings in sweep
+    order (``matching.matching_masks``), and the first oracle/certificate
+    disagreement in that order as ``(combo, detail)``, or None.
+
+    The verdict depends on the covered vertices alone, so each covered
+    mask is decided once (``diagnose_mask``) and counted as many times as
+    3-matchings cover it (``matching.covered_masks``); only the
+    non-extendable masks are expanded into their matchings.  On a
+    disagreement the sweep runs in order over the decided masks and stops
+    at the first matching whose mask disagrees, with the counts and the
+    list gathered before it.  ``o1ppg.oracles.sweep_three_matchings_in_order``
+    is the ordered reference.
+    """
+    ctx = CertificateContext.build(inst)
+    masks = covered_masks(inst, 3)
+    decided = {vm: diagnose_mask(inst, vm, ctx) for vm in masks}
+    counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
+    if any(verdict == "counterexample" for verdict, _ in decided.values()):
+        nonext = []
+        for combo, vm in matching_masks(inst, 3):
+            verdict, detail = decided[vm]
+            if verdict == "counterexample":
+                return counts, nonext, (combo, detail)
+            counts[verdict] += 1
+            if verdict != "extendable":
+                nonext.append(Matching(frozenset(combo)))
+    combos = []
+    for vm, (verdict, _detail) in decided.items():
+        counts[verdict] += masks[vm]
+        if verdict != "extendable":
+            combos.extend(mask_matchings(inst, vm))
+    return counts, [Matching(frozenset(c)) for c in sorted(combos)], None

@@ -493,33 +493,16 @@ class RegionDecomposition:
         return len(self.regions)
 
 
-def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
-    """Merge the host's faces across every edge outside ``subgraph_edges``.
-
-    Each region gets its boundary walks (closed walks over the subgraph),
-    its Euler characteristic on the cut-open complex, and its interior
-    vertices.  A region is a 2-cell iff its characteristic is 1 and it has a
-    single boundary walk.  Regions come in the order of their least face,
-    and a region's walks in the order of their least start state.
-    ``o1ppg.oracles.region_decompose_reference`` is the set-based reference.
-    """
-    K = frozenset(subgraph_edges)
-    if not K:
-        raise EmptySubgraph("region decomposition needs a nonempty edge set")
-    srs = g.srs
-    edges = srs.edges
-    ne = len(edges)
-    nxt, prv, dv = srs._rot_next, srs._rot_prev, srs._dart_vertex
+def _merge_faces(g: EmbeddedGraph, in_k):
+    """The regions the cut along the edges ``e`` with ``in_k[e]`` leaves:
+    the host's faces merged by union-find across every other edge.
+    Returns the region of each face and each region's faces, regions in
+    the order of their least face."""
     ef = g.edge_faces()
-    in_k = bytearray(ne)
-    for e in K:
-        in_k[e] = 1
-
-    # union-find over the faces; the root of a set is its least face
     nf = g.face_count
-    parent = list(range(nf))
-    for e in range(ne):
-        if in_k[e]:
+    parent = list(range(nf))    # the root of a set is its least face
+    for e, cut in enumerate(in_k):
+        if cut:
             continue
         a, b = ef[e]
         while parent[a] != a:
@@ -544,7 +527,62 @@ def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
         else:
             ri = region_of[f] = region_of[r]
             face_ids[ri].append(f)
+    return region_of, face_ids
+
+
+def region_facts(g: EmbeddedGraph, subgraph_edges):
+    """Each region's boundary length and interior vertices, as
+    ``region_decompose`` gives them in its region order, without tracing a
+    walk: the two sides of a subgraph edge lie in the regions of its two
+    faces, and a vertex off the subgraph lies inside the region that holds
+    its faces.  Returns ``(lengths, interiors)``, two tuples indexed by
+    region; both are empty for an empty edge set, which cuts nothing."""
+    if not subgraph_edges:
+        return (), ()
+    edges = g.srs.edges
+    in_k = bytearray(len(edges))
+    for e in subgraph_edges:
+        in_k[e] = 1
+    region_of, face_ids = _merge_faces(g, in_k)
+    ef = g.edge_faces()
+    lengths = [0] * len(face_ids)
+    on_k = bytearray(g.vertex_count)
+    for e in subgraph_edges:
+        a, b = ef[e]
+        lengths[region_of[a]] += 1
+        lengths[region_of[b]] += 1
+        u, v, _s = edges[e]
+        on_k[u] = on_k[v] = 1
+    interior = [[] for _ in face_ids]
+    for v, fs in enumerate(g.vertex_faces()):
+        if not on_k[v] and fs:
+            interior[region_of[min(fs)]].append(v)
+    return tuple(lengths), tuple(map(frozenset, interior))
+
+
+def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
+    """Merge the host's faces across every edge outside ``subgraph_edges``.
+
+    Each region gets its boundary walks (closed walks over the subgraph),
+    its Euler characteristic on the cut-open complex, and its interior
+    vertices.  A region is a 2-cell iff its characteristic is 1 and it has a
+    single boundary walk.  Regions come in the order of their least face,
+    and a region's walks in the order of their least start state.
+    ``o1ppg.oracles.region_decompose_reference`` is the set-based reference.
+    """
+    K = frozenset(subgraph_edges)
+    if not K:
+        raise EmptySubgraph("region decomposition needs a nonempty edge set")
+    srs = g.srs
+    edges = srs.edges
+    ne = len(edges)
+    nxt, prv, dv = srs._rot_next, srs._rot_prev, srs._dart_vertex
+    in_k = bytearray(ne)
+    for e in K:
+        in_k[e] = 1
+    region_of, face_ids = _merge_faces(g, in_k)
     nr = len(face_ids)
+    ef = g.edge_faces()
 
     # boundary walks: trace the restricted system, stepping past the darts
     # outside K and checking that every host corner swept lies in one region

@@ -10,8 +10,8 @@ Every theorem in ``THEOREM_IDS`` has one check, and the checks share their
 intermediates (the cuts, the 2-extendability sweep, T1.6's 3-matching
 sweep) through values computed on first use.  So a theorem audited alone,
 as ``o1ppg replay`` and ``o1ppg verify --theorems`` do, gets the record it
-gets in the full audit.  ``o1ppg verify`` lists the selected ids in the
-report header in ``THEOREM_IDS`` order, each once.
+gets in the full audit.  ``AuditConfig`` keeps the selected ids in
+``THEOREM_IDS`` order, each once, and the report header lists them so.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from .connectivity import (_contains_separating_trivial_4cycle,
                            audit_cut_lemmas, classify_cut_shape,
                            enumerate_cuts, vertex_connectivity)
 from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
-                     SearchBudgetExceeded)
+                     SearchBudgetExceeded, UnknownTheorem)
 from .matching import (Matching, find_blocker, is_extendable,
-                       k_extendability, matching_masks,
-                       matching_via_hamiltonian_path)
+                       k_extendability, matching_via_hamiltonian_path)
 from .model import link
-from .structures import (CertificateContext, barrier_cycles, diagnose_mask,
-                         find_projective_bowties)
+from .structures import (barrier_cycles, find_projective_bowties,
+                         sweep_three_matchings)
 from .surface import signed_cycles
 
 THEOREM_IDS = (
@@ -63,8 +62,18 @@ class TheoremCheckResult:
 
 @dataclass
 class AuditConfig:
+    """The theorems to audit, kept in ``THEOREM_IDS`` order, each once, so
+    the same selection always writes the same report; an id outside
+    ``THEOREM_IDS`` raises UnknownTheorem."""
+
     theorems: tuple = THEOREM_IDS
     seed: int = 0   # inert: no check is random; perfbench still passes one
+
+    def __post_init__(self):
+        unknown = [t for t in self.theorems if t not in THEOREM_IDS]
+        if unknown:
+            raise UnknownTheorem(f"unknown theorem ids: {','.join(unknown)}")
+        self.theorems = tuple(t for t in THEOREM_IDS if t in self.theorems)
 
     def header_fields(self):
         return f"theorems={','.join(self.theorems)} cut_max={CUT_MAX}"
@@ -122,11 +131,9 @@ class _InstanceAudit:
         return None
 
     def run(self, theorems):
-        wanted = set(theorems)
+        """One record per theorem of ``theorems``, in their order."""
         results = []
-        for theorem in THEOREM_IDS:
-            if theorem not in wanted:
-                continue
+        for theorem in theorems:
             reason = self.inapplicable(theorem)
             if reason is None:
                 verdict, detail, witness = getattr(
@@ -179,27 +186,9 @@ class _InstanceAudit:
 
     @cached_property
     def t16_sweep(self):
-        """T1.6's sweep of every 3-matching in order: the verdict counts,
-        the non-extendable 3-matchings, and the first oracle/certificate
-        disagreement as ``(combo, detail)``, where the sweep stops."""
-        inst = self.inst
-        counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
-        nonext = []
-        ctx = CertificateContext.build(inst)
-        # the verdict depends on the covered vertices alone, and many
-        # 3-matchings cover the same six: decide each mask once
-        decided = {}
-        for combo, vm in matching_masks(inst, 3):
-            found = decided.get(vm)
-            if found is None:
-                found = decided[vm] = diagnose_mask(inst, vm, ctx)
-            verdict, detail = found
-            if verdict == "counterexample":
-                return counts, nonext, (combo, detail)
-            counts[verdict] += 1
-            if verdict != "extendable":
-                nonext.append(Matching(frozenset(combo)))
-        return counts, nonext, None
+        """T1.6's ``sweep_three_matchings``; L4.2 reads its non-extendable
+        3-matchings."""
+        return sweep_three_matchings(self.inst)
 
     # -- individual checks -------------------------------------------------
 
@@ -451,9 +440,7 @@ def aggregate_report(all_results, corpus_counts, config: AuditConfig) -> str:
                   key=lambda r: (r.instance_key,
                                  THEOREM_IDS.index(r.theorem_id)))
     lines.extend(map(result_line, flat))
-    for tid in THEOREM_IDS:
-        if tid not in config.theorems:
-            continue
+    for tid in config.theorems:
         sub = [r for r in flat if r.theorem_id == tid]
         lines.append(
             f"summary theorem={tid} "

@@ -1,12 +1,12 @@
 """Cuts, the embedded Q[S], shape classification, and the lemma audits."""
 
 import copy
-import dataclasses
 import random
 
 from test_generator import _full_relabel
 
-from o1ppg.connectivity import (_contains_separating_trivial_4cycle,
+from o1ppg.connectivity import (CUT_SHAPES,
+                                _contains_separating_trivial_4cycle,
                                 audit_cut_lemmas, classify_cut_shape,
                                 enumerate_cuts, minimal_separators,
                                 q_induced_subgraph, vertex_connectivity)
@@ -16,7 +16,8 @@ from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (enumerate_cuts_by_subsets,
                            is_minimal_cut_bruteforce,
                            vertex_connectivity_bruteforce)
-from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
+from o1ppg.structures import get_pattern
+from o1ppg.surface import EmbeddedGraph, SignedRotationSystem, region_decompose
 
 
 def test_flow_matches_bruteforce_random():
@@ -127,8 +128,9 @@ def test_separating_trivial_4cycle_true_side(inst10):
     # trivial, however it separates
     twisted = [(u, v, -s if e == 0 else s)
                for e, (u, v, s) in enumerate(qs.srs.edges)]
-    one_sided = dataclasses.replace(qs, srs=SignedRotationSystem(
-        qs.srs.vertex_count, twisted, qs.srs.rotations))
+    one_sided = copy.copy(qs)
+    one_sided.srs = SignedRotationSystem(
+        qs.srs.vertex_count, twisted, qs.srs.rotations)
     assert not _contains_separating_trivial_4cycle(cut, one_sided)
 
 
@@ -234,3 +236,62 @@ def test_minimal_separators_pair_with_oracles(corpus_n12, instances10):
         marked = {ca.S for k in range(1, 8)
                   for ca in enumerate_cuts(inst, k) if ca.is_minimal}
         assert small == marked
+
+
+def _relabelled(insts, seed):
+    rng = random.Random(seed)
+    return [build_o1ppg(validate_quadrangulation(EmbeddedGraph(
+        _full_relabel(inst.quad.embedding.srs, rng)[0]))) for inst in insts]
+
+
+def _audited_cuts(insts):
+    """(instance, connectivity, cut) for every cut the audit enumerates."""
+    for inst in insts:
+        conn = vertex_connectivity(inst)
+        for k in range(conn, 8):
+            if k >= inst.n - 1:
+                break
+            for ca in enumerate_cuts(inst, k):
+                yield inst, conn, ca
+
+
+def test_cut_facts_match_region_decompose(corpus_n12, instances10):
+    # the union-find facts of every cut against the traced regions
+    cuts = 0
+    for inst, _conn, ca in _audited_cuts(
+            corpus_n12 + instances10 + _relabelled(corpus_n12, 71)):
+        qs = ca.qs
+        regions = (region_decompose(inst.quad.embedding, qs.edges).regions
+                   if qs.edges else [])
+        assert qs.boundary_lengths == tuple(
+            sum(w.length for w in r.boundary_walks) for r in regions)
+        assert qs.interiors == tuple(r.interior_vertices for r in regions)
+        assert qs.degrees == tuple(len(r) for r in qs.srs.rotations)
+        assert qs.regions == regions
+        cuts += 1
+    assert cuts == 2 * 645 + 23
+
+
+def _shape_by_canonical_key(qs):
+    """The cut shape Q[S] has by canonical key, or None."""
+    if not qs.srs.is_connected():
+        return None
+    keys = {canonical_key(get_pattern(pid).embedding): pid
+            for pid in CUT_SHAPES}
+    return keys.get(canonical_key(qs.srs))
+
+
+def test_shape_lookup_matches_canonical_key(corpus_n12, instances10):
+    # every cut, the 5-cuts and minimal 6-cuts the audit classifies among
+    # them: the encoding lookup names the shape the canonical key names
+    shapes = {}
+    for inst, _conn, ca in _audited_cuts(
+            corpus_n12 + instances10 + _relabelled(corpus_n12, 73)):
+        want = _shape_by_canonical_key(ca.qs)
+        got = classify_cut_shape(inst, ca.qs)
+        if want is None:
+            assert got not in CUT_SHAPES
+        else:
+            assert got == want
+        shapes[got] = shapes.get(got, 0) + 1
+    assert shapes == {"bowtie": 11, "I": 119, "III": 95, "other": 1088}

@@ -9,10 +9,10 @@ import pytest
 
 from o1ppg import generator, srsio
 from o1ppg.errors import MalformedRotation, TooLarge
-from o1ppg.generator import (_new_class, _repeated_splits, canonical_key,
+from o1ppg.generator import (_materialise, _new_class, _patched_split,
+                             _repeated_splits, _split_tables, canonical_key,
                              corpus_instances, grow_quadrangulations,
-                             load_corpus_instances, short_key, vertex_split,
-                             write_corpus)
+                             load_corpus_instances, short_key, write_corpus)
 from o1ppg.model import validate_quadrangulation
 from o1ppg.structures import _CONFIG_ROLES, PATTERN_IDS
 from o1ppg.oracles import (_oracle_encoding, all_embeddings,
@@ -23,6 +23,22 @@ from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 BOWTIE_EDGES = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+
+
+def vertex_split(srs: SignedRotationSystem, v, i, j):
+    """Split vertex ``v`` of a loopless system between rotation positions
+    ``i`` and ``j`` (i != j; i > j wraps around the rotation), as growth
+    does: the parent's tables patched by ``_patched_split``, which says
+    where each new edge end goes, then materialised.  Growth materialises a
+    product only when its class is new; the tests build every product.
+
+    The neighbors at positions i and j stay attached to both halves; the
+    arc strictly between them, walking forward from i, moves to the new
+    vertex, which inherits the local orientation of ``v``.  Returns the
+    raw SignedRotationSystem (not validated, not traced).
+    """
+    return _materialise(srs.edges,
+                        *_patched_split(_split_tables(srs), v, i, j))
 
 
 def test_k4_unique_quadrangular_embedding(k4):

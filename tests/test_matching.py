@@ -10,8 +10,9 @@ from o1ppg import _kernels, matching, oracles
 from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
                           TooSmall)
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
-from o1ppg.matching import (Matching, find_blocker, hamiltonian_path,
-                            is_extendable, k_extendability, matching_masks,
+from o1ppg.matching import (Matching, covered_masks, find_blocker,
+                            hamiltonian_path, is_extendable, k_extendability,
+                            mask_matchings, matching_masks,
                             matching_via_hamiltonian_path,
                             spanning_triangulation)
 from o1ppg.model import build_o1ppg, link, validate_quadrangulation
@@ -81,6 +82,20 @@ def test_matching_masks_match_combinations(corpus_n12, instances10):
                     want.append((combo, mask))
             assert list(matching_masks(inst, k)) == want
         assert list(matching_masks(inst, 0)) == [((), 0)]
+
+
+def test_covered_masks_count_the_sweep(corpus_n12, instances10):
+    # each covered mask with the number of k-matchings covering it, and
+    # each mask's matchings, against the ordered walk
+    for inst in corpus_n12 + instances10:
+        for k in (1, 2, 3):
+            by_mask = {}
+            for combo, vm in matching_masks(inst, k):
+                by_mask.setdefault(vm, []).append(combo)
+            assert covered_masks(inst, k) == {
+                vm: len(combos) for vm, combos in by_mask.items()}
+            for vm, combos in by_mask.items():
+                assert sorted(mask_matchings(inst, vm)) == combos
 
 
 def test_empty_matching_extendability_equals_pm(inst10):

@@ -1,22 +1,28 @@
 """Pattern fixtures, odd weighted regions, bowtie detection, and the
 3-matching diagnosis."""
 
+import random
+from itertools import combinations
+
 import pytest
+from test_generator import _full_relabel
 
 from o1ppg.generator import canonical_key
 from o1ppg.matching import Matching, is_extendable, matching_masks
+from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (_walk_regions, bowties_by_triangle_pairs,
                            build_patterns, certificate_by_sets,
                            embeds_by_flips, is_orientable,
-                           odd_regions_by_face_merge)
+                           odd_regions_by_face_merge,
+                           sweep_three_matchings_in_order)
 from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
                               OddWeightedRegion, PATTERN_IDS, _candidate_maps,
                               _parities_ok, canonical_walk,
-                              certificate_of_mask, diagnose_mask,
+                              diagnose_mask,
                               find_odd_weighted_regions,
                               find_projective_bowties, get_pattern,
                               load_patterns, match_pattern, patterns,
-                              two_cell_regions)
+                              sweep_three_matchings, two_cell_regions)
 from o1ppg.surface import EmbeddedGraph
 
 
@@ -289,14 +295,76 @@ def test_context_matches_direct_computation(inst10, even_n12):
 
 
 def test_mask_certificate_agrees_with_set_oracle(inst10, even_n12):
+    # the inverted index against the set scan on every six-vertex subset,
+    # covered by a 3-matching or not
     fired = {"cert_i": 0, "cert_ii": 0}
     for inst in [inst10] + even_n12:
         ctx = CertificateContext.build(inst)
-        for combo, vm in matching_masks(inst, 3):
-            vs = {v for v in range(inst.n) if vm >> v & 1}
-            cert = certificate_of_mask(ctx, vm)
-            assert cert == certificate_by_sets(ctx, vs), (inst.key, combo)
+        masks = set()
+        for vs in combinations(range(inst.n), 6):
+            vm = sum(1 << v for v in vs)
+            masks.add(vm)
+            cert = ctx.certificates.get(vm)
+            assert cert == certificate_by_sets(ctx, set(vs)), (inst.key, vs)
             if cert is not None:
                 fired[cert[0]] += 1
+        # the index holds six-vertex masks only
+        assert set(ctx.certificates) <= masks
     # both certificate kinds occur, so neither comparison is vacuous
     assert fired["cert_i"] and fired["cert_ii"]
+
+
+def _sweep_cases(inst10, even_n12):
+    """``inst10``, the ten even corpus-n12 instances and a full relabelling
+    of each of those."""
+    rng = random.Random(67)
+    relabelled = [build_o1ppg(validate_quadrangulation(EmbeddedGraph(
+        _full_relabel(inst.quad.embedding.srs, rng)[0])))
+        for inst in even_n12]
+    return [inst10] + even_n12 + relabelled
+
+
+def test_mask_sweep_matches_ordered_sweep(inst10, even_n12):
+    # equal counts, equal non-extendable lists in the same order, and no
+    # disagreement
+    nonext = 0
+    for inst in _sweep_cases(inst10, even_n12):
+        got = sweep_three_matchings(inst)
+        assert got == sweep_three_matchings_in_order(inst)
+        assert got[2] is None
+        nonext += len(got[1])
+    assert nonext
+
+
+def test_mask_sweep_disagreement_matches_ordered_sweep(inst10, even_n12,
+                                                       monkeypatch):
+    # drop the certificate of the mask of the middle non-extendable
+    # 3-matching: both sweeps stop at the first matching covering that
+    # mask, with the same partial counts and list
+    cases = [(inst, sweep_three_matchings(inst)[1])
+             for inst in _sweep_cases(inst10, even_n12)]
+    dropped = {id(inst): sum(1 << v for v in
+                             nonext[len(nonext) // 2].vertex_set(inst))
+               for inst, nonext in cases}
+    build = CertificateContext.build.__func__
+
+    def forced(cls, inst):
+        ctx = build(cls, inst)
+        del ctx.certificates[dropped[id(inst)]]
+        return ctx
+
+    monkeypatch.setattr(CertificateContext, "build", classmethod(forced))
+    partials = 0
+    for inst, nonext in cases:
+        got = sweep_three_matchings(inst)
+        assert got == sweep_three_matchings_in_order(inst)
+        _counts, partial, (combo, detail) = got
+        assert detail == {"extendable": False, "certificate": None}
+        assert sum(1 << v for v in Matching(frozenset(combo)).vertex_set(
+            inst)) == dropped[id(inst)]
+        assert partial == nonext[:len(partial)]
+        assert len(partial) <= len(nonext) // 2
+        partials += bool(partial)
+    # the sweeps stop after some non-extendable matchings, so the partial
+    # lists are compared, not only the empty ones
+    assert partials

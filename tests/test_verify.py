@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from o1ppg import verify
+from o1ppg import structures, verify
 from o1ppg.cli import main
-from o1ppg.errors import EmptyCorpus, O1ppgError
+from o1ppg.errors import EmptyCorpus, O1ppgError, UnknownTheorem
 from o1ppg.matching import matching_masks
 from o1ppg.model import validate_quadrangulation
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
@@ -92,6 +92,19 @@ def test_theorem_selection(inst10):
     config = AuditConfig(theorems=("T1.3", "L3.5"))
     results = audit_instance(inst10, config)
     assert {r.theorem_id for r in results} == {"T1.3", "L3.5"}
+
+
+def test_config_refuses_unknown_theorem_ids():
+    with pytest.raises(UnknownTheorem, match="T9.9"):
+        AuditConfig(theorems=("T9.9", "P2.1"))
+
+
+def test_config_keeps_known_ids_in_canonical_order_once(inst10):
+    config = AuditConfig(theorems=("L3.5", "T1.3", "L3.5"))
+    assert config.theorems == ("T1.3", "L3.5")
+    assert config.header_fields() == "theorems=T1.3,L3.5 cut_max=7"
+    results = audit_instance(inst10, config)
+    assert [r.theorem_id for r in results] == ["T1.3", "L3.5"]
 
 
 def test_theorem_audited_alone_gets_its_full_audit_record(corpus_n12):
@@ -191,13 +204,13 @@ def test_t16_decides_each_vertex_mask_once(even_n12, monkeypatch):
     inst = next(i for i in even_n12 if i.key == "q10-i01")
     sweep = list(matching_masks(inst, 3))
     calls = []
-    diagnose = verify.diagnose_mask
+    diagnose = structures.diagnose_mask
 
     def counting(inst, vm, ctx):
         calls.append(vm)
         return diagnose(inst, vm, ctx)
 
-    monkeypatch.setattr(verify, "diagnose_mask", counting)
+    monkeypatch.setattr(structures, "diagnose_mask", counting)
     [r] = audit_instance(inst, AuditConfig(theorems=("T1.6",)))
     assert r.verdict == "pass"
     assert sum(int(c.split("=")[1]) for c in r.detail.split()[1:]) == 1601
@@ -216,7 +229,7 @@ def test_t16_decides_each_vertex_mask_once(even_n12, monkeypatch):
                                        "certificate": None})
         return diagnose(inst, vm, ctx)
 
-    monkeypatch.setattr(verify, "diagnose_mask", forced)
+    monkeypatch.setattr(structures, "diagnose_mask", forced)
     [r] = audit_instance(inst, AuditConfig(theorems=("T1.6",)))
     assert r.verdict == "fail"
     assert r.witness == verify._edges_str(inst, first)
