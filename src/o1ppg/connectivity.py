@@ -7,12 +7,11 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations
 
-from .graphs import (component_masks, is_connected_mask,
-                     vertex_connectivity_flow)
+from .graphs import (component_masks, is_connected_mask, mask_vertices,
+                     vertex_connectivity_flow, vertex_mask)
 from .structures import get_pattern
 from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
-                      region_decompose, region_facts, restricted_system,
-                      signed_cycles)
+                      region_decompose, restricted_system, signed_cycles)
 
 
 #: Euler characteristic of the projective plane, the host surface of
@@ -33,20 +32,20 @@ class QSubgraph:
     """The induced subgraph Q[S] of the instance's quadrangulation, and the
     regions of the host cut along its edges.
 
-    The facts every cut lemma reads are computed with Q[S]: per region, in
-    ``region_decompose``'s order, the boundary length and the interior
-    vertices (``surface.region_facts``), and each vertex's degree in Q[S].
-    The restricted rotation system and the traced regions are read only on
-    the 4-, 5- and minimal 6-cuts, by T3.1's separating 4-cycles, the cut
-    shapes and the 5-connected clauses, so each is built on first access.
+    ``regions`` is the one region decomposition every cut clause reads,
+    ``surface.region_decompose`` of the edges, or [] when Q[S] has none:
+    its facts (faces, boundary lengths, interior vertices, Euler
+    characteristics, 2-cells) come with it, and its boundary walks are
+    traced only where a clause reads them.  The restricted rotation system
+    is read only on the 4-, 5- and minimal 6-cuts, by T3.1's separating
+    4-cycles and the cut shapes, so it is built on first access.
     """
 
     host: EmbeddedGraph = field(repr=False, compare=False)
     vertices: tuple              # host vertex ids, sorted
     edges: tuple                 # host edge ids of Q(G) inside S, sorted
-    boundary_lengths: tuple      # per region: edge sides of Q[S] facing it
-    interiors: tuple             # per region: frozenset of interior vertices
     degrees: tuple               # per vertex of ``vertices``: degree in Q[S]
+    regions: list                # the host's regions cut along ``edges``
 
     @cached_property
     def srs(self):
@@ -54,21 +53,11 @@ class QSubgraph:
         vertex i is ``vertices[i]`` and edge j is ``edges[j]``."""
         return restricted_system(self.host.srs, self.vertices, self.edges)
 
-    @cached_property
-    def regions(self):
-        """The host's regions cut along ``edges``; [] if there is none."""
-        if not self.edges:
-            return []
-        return region_decompose(self.host, self.edges).regions
-
 
 def q_induced_subgraph(inst, S) -> QSubgraph:
     """Q(G)[S] over the host quadrangulation's embedding."""
     emb = inst.quad.embedding
-    smask = 0
-    for v in S:
-        smask |= 1 << v
-    verts = _members(smask)
+    smask = vertex_mask(S)
     q_edges = []
     deg = [0] * inst.n
     for e, (u, v, _s) in enumerate(emb.srs.edges):
@@ -76,10 +65,11 @@ def q_induced_subgraph(inst, S) -> QSubgraph:
             q_edges.append(e)
             deg[u] += 1
             deg[v] += 1
-    lengths, interiors = region_facts(emb, q_edges)
+    verts = mask_vertices(smask)
     return QSubgraph(host=emb, vertices=verts, edges=tuple(q_edges),
-                     boundary_lengths=lengths, interiors=interiors,
-                     degrees=tuple(deg[v] for v in verts))
+                     degrees=tuple(deg[v] for v in verts),
+                     regions=(region_decompose(emb, q_edges).regions
+                              if q_edges else []))
 
 
 @dataclass
@@ -167,14 +157,14 @@ def minimal_separators(inst):
                 found.add(sep)
                 todo.append(sep)
     for sep in todo:            # grows while new separators turn up
-        for x in _members(sep):
+        for x in mask_vertices(sep):
             for comp in component_masks(adj, full & ~(sep | adj[x])):
                 new = _border(adj, comp)
                 if new not in found:
                     found.add(new)
                     todo.append(new)
     inst._minimal_separators = tuple(sorted(
-        found, key=lambda sep: (sep.bit_count(), _members(sep))))
+        found, key=lambda sep: (sep.bit_count(), mask_vertices(sep))))
     return inst._minimal_separators
 
 
@@ -187,16 +177,6 @@ def _border(adj, comp):
         m &= m - 1
         seen |= adj[v]
     return seen & ~comp
-
-
-def _members(mask):
-    """The vertices of ``mask``, ascending."""
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out.append(v)
-    return tuple(out)
 
 
 def enumerate_cuts(inst, k):
@@ -223,17 +203,14 @@ def enumerate_cuts(inst, k):
         size = sep.bit_count()
         if size > k:
             break
-        for extra in combinations(_members(full ^ sep), k - size):
-            mask = sep
-            for v in extra:
-                mask |= 1 << v
-            candidates.add(mask)
+        for extra in combinations(mask_vertices(full ^ sep), k - size):
+            candidates.add(sep | vertex_mask(extra))
     out = []
-    for subset, smask in sorted((_members(m), m) for m in candidates):
+    for subset, smask in sorted((mask_vertices(m), m) for m in candidates):
         comps = component_masks(adj, full ^ smask)
         if len(comps) < 2:
             continue
-        comp_sets = [_members(c) for c in comps]
+        comp_sets = [mask_vertices(c) for c in comps]
         minimal = all(_border(adj, c) == smask for c in comps)
         odd = sum(1 for c in comp_sets if len(c) % 2 == 1)
         out.append(CutAnalysis(
@@ -255,16 +232,16 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
     "inapplicable"; any "fail" is a reportable finding.
     """
     qs = ca.qs
-    interiors = qs.interiors
+    regions = qs.regions
     out = {}
 
     # separation: each region of Q[S] contains at most one component
     if qs.edges:
         verdict = "pass"
-        per_region = [0] * len(interiors)
+        per_region = [0] * len(regions)
         for comp in ca.components:
-            hits = {ri for ri, inside in enumerate(interiors)
-                    if not inside.isdisjoint(comp)}
+            hits = {ri for ri, r in enumerate(regions)
+                    if not r.interior_vertices.isdisjoint(comp)}
             if len(hits) != 1:
                 verdict = "fail"
                 continue
@@ -284,10 +261,10 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
     # face-count inequalities, instantiated maximally for q in {3, 4}
     chi = P2_EULER_CHAR
     E = len(qs.edges)
-    F = len(interiors)
+    F = len(regions)
     S = len(ca.S)
     for q in (3, 4):
-        p = sum(1 for L in qs.boundary_lengths if L >= 2 * q)
+        p = sum(1 for r in regions if r.boundary_length >= 2 * q)
         ok_i = E >= 2 * F + (q - 2) * p
         ok_ii = S - chi + (2 - q) * p >= F
         out[f"ineq_q{q}"] = "pass" if (ok_i and ok_ii) else "fail"
@@ -300,27 +277,24 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
         else:
             out[f"edge_bound_k{k}"] = "inapplicable"
 
-    # 5-connected minimal cuts of size 5 or 6
+    # 5-connected minimal cuts of size 5 or 6; walks are traced only
+    # where the cheaper facts leave the verdict open
     if connectivity >= 5 and ca.is_minimal and S in (5, 6):
         out["five_conn_i"] = "pass" if E >= 2 * F + 2 else "fail"
-        regions = qs.regions
         # an empty Q[S] has no regions and counts as not 2-cell
         if not (regions and all(r.is_two_cell for r in regions)):
-            walk_lengths = sorted(w.length for r in regions
-                                  for w in r.boundary_walks)
-            ok = (S == 6 and walk_lengths == [6, 6] and E == 6
+            ok = (S == 6 and E == 6
                   and all(d == 2 for d in qs.degrees)
-                  and sorted(r.euler_char for r in regions) == [0, 1])
+                  and sorted(r.euler_char for r in regions) == [0, 1]
+                  and sorted(w.length for r in regions
+                             for w in r.boundary_walks) == [6, 6])
             out["five_conn_ii"] = "pass" if ok else "fail"
         else:
             out["five_conn_ii"] = "inapplicable"
         if S == 6:
-            ok = False
-            for region in regions:
-                if region.is_two_cell:
-                    w = region.boundary_walks[0]
-                    if w.length == 6 and w.is_cycle:
-                        ok = True
+            # a 2-cell has one boundary walk, as long as its boundary
+            ok = any(r.is_two_cell and r.boundary_length == 6
+                     and r.boundary_walks[0].is_cycle for r in regions)
             out["five_conn_iii"] = "pass" if ok else "fail"
         else:
             out["five_conn_iii"] = "inapplicable"

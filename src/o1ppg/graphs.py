@@ -7,6 +7,24 @@ neighbor masks indexed by vertex.
 from __future__ import annotations
 
 
+def vertex_mask(vertices):
+    """The bitmask of ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask):
+    """The vertices of ``mask``, ascending."""
+    out = []
+    while mask:
+        v = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        out.append(v)
+    return tuple(out)
+
+
 def adjacency_masks(n, edges):
     adj = [0] * n
     for u, v in edges:

@@ -10,7 +10,8 @@ from . import _kernels
 from .errors import (NoBlockerFound, NoHamPath, OddOrder,
                      SearchBudgetExceeded, TooSmall)
 from .graphs import (adjacency_masks, enumerate_cycles, is_connected_mask,
-                     odd_even_components, vertex_connectivity_flow)
+                     mask_vertices, odd_even_components,
+                     vertex_connectivity_flow, vertex_mask)
 from .surface import _sign_product
 
 #: Diagonal picks ``spanning_triangulation`` may try, one per face and
@@ -182,19 +183,15 @@ def find_blocker(inst, m: Matching, k: int) -> BlockerSet:
     if is_extendable(inst, m):
         raise NoBlockerFound("matching is extendable; no blocker exists")
     vm = sorted(m.vertex_set(inst))
-    base_mask = 0
-    for v in vm:
-        base_mask |= 1 << v
-    others = [v for v in range(inst.n) if v not in set(vm)]
+    base_mask = vertex_mask(vm)
     full = (1 << inst.n) - 1
+    others = mask_vertices(full ^ base_mask)
     for size in range(len(vm), len(vm) + 7):
         extra = size - len(vm)
         if extra > len(others):
             break
         for combo in combinations(others, extra):
-            mask = base_mask
-            for v in combo:
-                mask |= 1 << v
+            mask = base_mask | vertex_mask(combo)
             odd, even = odd_even_components(inst.adj, full & ~mask)
             if size == odd + 2 * k:
                 return BlockerSet(

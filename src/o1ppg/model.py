@@ -20,7 +20,7 @@ from .errors import (
     NotSimpleResult,
     TooSmall,
 )
-from .graphs import (adjacency_masks, is_bipartite, is_connected_mask,
+from .graphs import (adjacency_masks, is_bipartite,
                      vertex_connectivity_flow)
 from .surface import EmbeddedGraph, representativity
 
@@ -48,8 +48,7 @@ def validate_quadrangulation(raw: EmbeddedGraph,
     Euler characteristic 1, which is odd, so the surface is not orientable."""
     srs = raw.srs
     n = raw.vertex_count
-    adj = srs.adjacency_masks()
-    if not is_connected_mask(adj, (1 << n) - 1):
+    if not raw.is_connected():
         raise Disconnected("quadrangulation candidate must be connected")
     if not srs.is_simple():
         for e, (u, v, _s) in enumerate(srs.edges):
@@ -70,6 +69,7 @@ def validate_quadrangulation(raw: EmbeddedGraph,
         if not f.is_cycle:
             raise FaceNot4(f"face {fi} walk {f.vertices} repeats a vertex")
     assert raw.face_count == n - 1 and raw.edge_count == 2 * (n - 1)
+    adj = srs.adjacency_masks()
     polyhedral = True
     witness = None
     if min(len(r) for r in srs.rotations) < 3:

@@ -62,7 +62,9 @@ module may import the production modules, but none of them imports it.
   off the maps of the bowtie pattern).
 - ``region_decompose_reference``: face merging by union-find calls and
   state sets, with each walk's swept corners collected and mapped to
-  regions afterwards (against ``surface.region_decompose``).
+  regions afterwards, and a 2-cell read as one walk of characteristic 1
+  (against ``surface.region_decompose``, which reads the characteristic
+  alone).
 
 It also holds the from-scratch constructors the packaged fixtures are
 rebuilt from (``scripts/make_fixtures.py``) and checked against:
@@ -982,9 +984,9 @@ def region_decompose_reference(g: EmbeddedGraph,
     host's faces across every edge outside ``subgraph_edges``.
 
     Each region gets its boundary walks (closed walks over the subgraph),
-    its Euler characteristic on the cut-open complex, and its interior
-    vertices.  A region is a 2-cell iff its characteristic is 1 and it has a
-    single boundary walk.
+    their total length, its Euler characteristic on the cut-open complex,
+    and its interior vertices.  A region is a 2-cell iff its characteristic
+    is 1 and it has a single boundary walk.
     """
     K = frozenset(subgraph_edges)
     if not K:
@@ -1106,10 +1108,11 @@ def region_decompose_reference(g: EmbeddedGraph,
         chi = (len(interior[ri]) - interior_edge_count[ri] + len(faces))
         dec.regions.append(Region(
             face_ids=faces,
-            boundary_walks=walks,
+            boundary_length=sum(w.length for w in walks),
             euler_char=chi,
             interior_vertices=frozenset(interior[ri]),
             is_two_cell=(chi == 1 and len(walks) == 1),
+            _walks=walks,
         ))
     return dec
 

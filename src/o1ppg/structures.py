@@ -16,6 +16,7 @@ from functools import cache
 from itertools import combinations
 
 from . import _kernels, fixtures
+from .graphs import vertex_mask
 from .matching import (Matching, covered_masks, mask_matchings,
                        matching_masks)
 from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
@@ -147,12 +148,12 @@ def _short_walk_regions(emb, max_len, min_len=2):
         if dec.region_count < 2:
             return
         for region in dec.regions:
-            if not region.is_two_cell:
-                continue
-            bw = region.boundary_walks[0]
-            if (min_len <= bw.length <= max_len
-                    and len(set(bw.edge_ids())) == len(edges)):
-                found[canonical_walk(bw.vertices)] = region
+            # a 2-cell's one walk is as long as its boundary
+            if (region.is_two_cell
+                    and min_len <= region.boundary_length <= max_len):
+                bw = region.boundary_walks[0]
+                if len(set(bw.edge_ids())) == len(edges):
+                    found[canonical_walk(bw.vertices)] = region
 
     triangles = []
     for cycle, ids, sign in signed_cycles(srs, max_len):
@@ -171,7 +172,7 @@ def _short_walk_regions(emb, max_len, min_len=2):
             keep(edges, dec)
         if not pendant:
             continue
-        on_cycle = _vertex_mask(cycle)
+        on_cycle = vertex_mask(cycle)
         for region in dec.regions:
             if not region.is_two_cell:
                 continue
@@ -357,13 +358,6 @@ def _parities_ok(host, pat, phi):
 
 # -- Theorem 1.6 diagnosis ----------------------------------------------------
 
-def _vertex_mask(vertices):
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 @dataclass
 class CertificateContext:
     """Per-instance cache of the Theorem-1.6 certificate structures."""
@@ -393,8 +387,8 @@ class CertificateContext:
         certificates = {}
         singles = [1 << v for v in range(inst.n)]
         for walk, interior in regions6:
-            wm = _vertex_mask(walk)
-            im = _vertex_mask(interior)
+            wm = vertex_mask(walk)
+            im = vertex_mask(interior)
             rest = [b for b in singles if not b & wm]
             for extra in combinations(rest, 6 - wm.bit_count()):
                 xm = sum(extra)
@@ -416,7 +410,7 @@ class CertificateContext:
             config_maps[cid] = by_base[base]
             for phi in config_maps[cid]:
                 certificates.setdefault(
-                    _vertex_mask(phi[v] for v in pat.gray),
+                    vertex_mask(phi[v] for v in pat.gray),
                     ("cert_ii", (cid, phi)))
         return cls(regions6=regions6, config_maps=config_maps,
                    certificates=certificates)

@@ -10,6 +10,16 @@ Face tracing works on states ``(dart, side)``: travel along the dart's edge
 away from the dart's vertex, carrying a handedness that flips across negative
 edges.  Each face is traced by exactly two orbits (one per direction); the
 reverse of a state ``(d, s)`` on edge ``e`` is ``(d ^ 1, -s * sign(e))``.
+One tracer (``trace_faces``) walks these states for every face of a
+system, and, given an edge set, for the faces of the system restricted to
+it, turning past the darts outside the set.
+
+One function cuts a host along an edge set (``region_decompose``): the
+regions it returns carry their facts, computed from one face union-find
+(faces, boundary length, interior vertices, Euler characteristic, and
+with it whether the region is a 2-cell), and get their boundary walks from
+the restricted tracer on first read.  The cut lemmas, the short-walk
+regions and the pattern face parities all read this one value.
 
 Both questions the model asks of a surface are read off the traced faces.
 A connected system with an edge is on P^2 iff its Euler characteristic is
@@ -32,6 +42,7 @@ decide on P^2 whether a cycle is one-sided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (
@@ -277,21 +288,32 @@ class FaceWalk(NamedTuple):
         return tuple(d >> 1 for d in self.boundary)
 
 
-def trace_faces(srs: SignedRotationSystem):
-    """Trace all faces of the embedding, lowest unused dart-side first.
+def trace_faces(srs: SignedRotationSystem, edges=None):
+    """Trace the faces of the embedding, lowest unused dart-side first; with
+    ``edges``, the faces of its restriction to those distinct edge ids,
+    whose walks keep the host's dart ids.
 
     Every edge side is traversed exactly once across the returned walks, so
-    the total length is 2E.  State ``(d, s)`` has id ``2*d + (s < 0)``; one
-    step leaves along ``d``, flips ``s`` across a negative edge and turns at
-    ``d ^ 1`` by the rotation successor (s > 0) or predecessor (s < 0).
+    the total length is 2E (twice the number of edges kept).  State
+    ``(d, s)`` has id ``2*d + (s < 0)``; one step leaves along ``d``, flips
+    ``s`` across a negative edge and turns at ``d ^ 1`` by the rotation
+    successor (s > 0) or predecessor (s < 0), past the darts not kept.
     """
     nxt, prv, dv = srs._rot_next, srs._rot_prev, srs._dart_vertex
     neg = [s < 0 for (_u, _v, s) in srs.edges]
     ne = len(neg)
+    if edges is None:
+        kept = b"\1" * (2 * ne)         # per dart
+        starts = range(4 * ne)
+    else:
+        kept = bytearray(2 * ne)
+        for e in edges:
+            kept[2 * e] = kept[2 * e + 1] = 1
+        starts = [x for e in sorted(edges) for x in range(4 * e, 4 * e + 4)]
     used = bytearray(4 * ne)
     faces = []
     total = 0
-    for start in range(4 * ne):
+    for start in starts:
         if used[start]:
             continue
         d, s, sid = start >> 1, 1 - 2 * (start & 1), start
@@ -309,7 +331,14 @@ def trace_faces(srs: SignedRotationSystem):
             d ^= 1
             # the same side traced the other way: state (d ^ 1, -s)
             reverse.append(2 * d + (s > 0))
-            d = nxt[d] if s > 0 else prv[d]
+            if s > 0:
+                d = nxt[d]
+                while not kept[d]:
+                    d = nxt[d]
+            else:
+                d = prv[d]
+                while not kept[d]:
+                    d = prv[d]
             sid = 2 * d + (s < 0)
             if sid == start:
                 break
@@ -319,9 +348,9 @@ def trace_faces(srs: SignedRotationSystem):
         total += k
         faces.append(FaceWalk(tuple(walk), tuple(sides), k,
                               len(set(verts)) == k, tuple(verts)))
-    if total != 2 * ne:
+    if total != len(starts) // 2:
         raise MalformedRotation(
-            f"face walks cover {total} sides, expected {2 * ne}")
+            f"face walks cover {total} sides, expected {len(starts) // 2}")
     return faces
 
 
@@ -334,6 +363,7 @@ class EmbeddedGraph:
     def __init__(self, srs: SignedRotationSystem):
         self.srs = srs
         self.faces = trace_faces(srs)
+        self._connected = None
         self._corner_face = None
         self._edge_faces = None
         self._vertex_faces = None
@@ -361,27 +391,33 @@ class EmbeddedGraph:
         nonorientable ones 2 - k for k crosscaps, so 1 means P^2.  A lone
         vertex reads 1 - 0 + 0 = 1 too, as it traces no face."""
         return (self.edge_count > 0 and self.euler_char == 1
-                and self.srs.is_connected())
+                and self.is_connected())
+
+    def is_connected(self):
+        """Whether the graph is connected, computed on first call."""
+        if self._connected is None:
+            self._connected = self.srs.is_connected()
+        return self._connected
 
     # -- corners -----------------------------------------------------------
 
     def corner_face(self):
-        """Map corner -> face index.
+        """The face index of each corner, a list indexed by dart.
 
         The corner between dart ``a`` and ``rot_next(a)`` at their common
         vertex is keyed by ``a``.  Every corner belongs to exactly one face.
         """
         if self._corner_face is None:
-            cf = {}
+            cf = [-1] * (2 * self.edge_count)
             for fi, f in enumerate(self.faces):
                 for d, s in zip(f.boundary, f.sides):
                     d2 = d ^ 1
                     s2 = s * self.srs.sign(d >> 1)
                     corner = d2 if s2 > 0 else self.srs._rot_prev[d2]
-                    if corner in cf:
+                    if cf[corner] >= 0:
                         raise MalformedRotation("corner traced twice")
                     cf[corner] = fi
-            if len(cf) != 2 * self.edge_count:
+            if -1 in cf:
                 raise MalformedRotation("corner/face bookkeeping out of sync")
             self._corner_face = cf
         return self._corner_face
@@ -400,7 +436,7 @@ class EmbeddedGraph:
         """Map vertex -> frozenset of incident face indices."""
         if self._vertex_faces is None:
             vf = [set() for _ in range(self.vertex_count)]
-            for corner, fi in self.corner_face().items():
+            for corner, fi in enumerate(self.corner_face()):
                 vf[self.srs.dart_vertex(corner)].add(fi)
             self._vertex_faces = tuple(map(frozenset, vf))
         return self._vertex_faces
@@ -476,11 +512,26 @@ def representativity(g: EmbeddedGraph):
 
 @dataclass
 class Region:
+    """One region of a cut: host faces merged across the edges off the
+    subgraph.  Its facts come with it; its boundary walks, closed walks
+    over the subgraph's darts in the order of their least start state, are
+    traced for every region of its decomposition on first read.  ``==``
+    compares the facts."""
+
     face_ids: tuple
-    boundary_walks: list          # list of FaceWalk over the subgraph's darts
+    boundary_length: int          # edge sides of the subgraph facing it
     euler_char: int
     interior_vertices: frozenset
     is_two_cell: bool
+    _walks: list = field(default=None, repr=False, compare=False)
+    _trace: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def boundary_walks(self):
+        """This region's ``FaceWalk`` list."""
+        if self._walks is None:
+            self._trace()
+        return self._walks
 
 
 @dataclass
@@ -530,140 +581,97 @@ def _merge_faces(g: EmbeddedGraph, in_k):
     return region_of, face_ids
 
 
-def region_facts(g: EmbeddedGraph, subgraph_edges):
-    """Each region's boundary length and interior vertices, as
-    ``region_decompose`` gives them in its region order, without tracing a
-    walk: the two sides of a subgraph edge lie in the regions of its two
-    faces, and a vertex off the subgraph lies inside the region that holds
-    its faces.  Returns ``(lengths, interiors)``, two tuples indexed by
-    region; both are empty for an empty edge set, which cuts nothing."""
-    if not subgraph_edges:
-        return (), ()
-    edges = g.srs.edges
-    in_k = bytearray(len(edges))
-    for e in subgraph_edges:
-        in_k[e] = 1
-    region_of, face_ids = _merge_faces(g, in_k)
-    ef = g.edge_faces()
-    lengths = [0] * len(face_ids)
-    on_k = bytearray(g.vertex_count)
-    for e in subgraph_edges:
-        a, b = ef[e]
-        lengths[region_of[a]] += 1
-        lengths[region_of[b]] += 1
-        u, v, _s = edges[e]
-        on_k[u] = on_k[v] = 1
-    interior = [[] for _ in face_ids]
-    for v, fs in enumerate(g.vertex_faces()):
-        if not on_k[v] and fs:
-            interior[region_of[min(fs)]].append(v)
-    return tuple(lengths), tuple(map(frozenset, interior))
+def _trace_boundaries(g: EmbeddedGraph, K, region_of, regions):
+    """Give each region of the cut along ``K`` its boundary walks: the faces
+    of the host restricted to ``K``, each in the region of the host corners
+    its turns sweep, which must all lie in one region."""
+    srs = g.srs
+    edges, nxt, prv = srs.edges, srs._rot_next, srs._rot_prev
+    corner_region = [region_of[f] for f in g.corner_face()]
+    walks = [[] for _ in regions]
+    for w in trace_faces(srs, K):
+        swept = set()
+        b = w.boundary
+        # a turn at d ^ 1 sweeps the host corners up to the walk's next dart
+        for d, s, to in zip(b, w.sides, b[1:] + b[:1]):
+            x = d ^ 1
+            if s * edges[d >> 1][2] > 0:      # the side after crossing
+                while True:
+                    swept.add(corner_region[x])
+                    x = nxt[x]
+                    if x == to:
+                        break
+            else:
+                while True:
+                    x = prv[x]
+                    swept.add(corner_region[x])
+                    if x == to:
+                        break
+        if len(swept) != 1:
+            raise MalformedRotation(
+                "boundary walk sweeps multiple regions; "
+                "face merge inconsistent")
+        walks[swept.pop()].append(w)
+    for region, ws in zip(regions, walks):
+        region._walks = ws
 
 
 def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
     """Merge the host's faces across every edge outside ``subgraph_edges``.
 
-    Each region gets its boundary walks (closed walks over the subgraph),
-    its Euler characteristic on the cut-open complex, and its interior
-    vertices.  A region is a 2-cell iff its characteristic is 1 and it has a
-    single boundary walk.  Regions come in the order of their least face,
-    and a region's walks in the order of their least start state.
-    ``o1ppg.oracles.region_decompose_reference`` is the set-based reference.
+    Each region gets its faces, its boundary length (the subgraph's edge
+    sides that face it), its interior vertices and its Euler
+    characteristic on the cut-open complex, from one face union-find and
+    one pass over the edges; regions come in the order of their least
+    face.  A region is a connected compact surface with b >= 1 boundary
+    walks and characteristic 2 - 2g - b or 2 - k - b (Mohar & Thomassen,
+    *Graphs on Surfaces*, 2001), so it is a 2-cell, one walk around a
+    disc, iff its characteristic is 1.  The boundary walks are traced on
+    first read (``Region.boundary_walks``).
+    ``o1ppg.oracles.region_decompose_reference`` is the set-based
+    reference, which counts the walks instead.
     """
     K = frozenset(subgraph_edges)
     if not K:
         raise EmptySubgraph("region decomposition needs a nonempty edge set")
-    srs = g.srs
-    edges = srs.edges
-    ne = len(edges)
-    nxt, prv, dv = srs._rot_next, srs._rot_prev, srs._dart_vertex
-    in_k = bytearray(ne)
+    edges = g.srs.edges
+    in_k = bytearray(len(edges))
     for e in K:
         in_k[e] = 1
     region_of, face_ids = _merge_faces(g, in_k)
     nr = len(face_ids)
     ef = g.edge_faces()
-
-    # boundary walks: trace the restricted system, stepping past the darts
-    # outside K and checking that every host corner swept lies in one region
-    corner_face = g.corner_face()
-    neg = [s < 0 for (_u, _v, s) in edges]
-    used = bytearray(4 * ne)        # state (d, s) has id 2*d + (s < 0)
-    walks = [[] for _ in range(nr)]
-    for e0 in sorted(K):
-        for start in range(4 * e0, 4 * e0 + 4):
-            if used[start]:
-                continue
-            d, s, sid = start >> 1, 1 - 2 * (start & 1), start
-            walk, sides, verts, reverse = [], [], [], []
-            region = -1
-            mixed = False
-            while True:
-                if used[sid]:
-                    raise MalformedRotation("restricted trace revisit")
-                used[sid] = 1
-                walk.append(d)
-                sides.append(s)
-                verts.append(dv[d])
-                if neg[d >> 1]:
-                    s = -s
-                x = d ^ 1
-                reverse.append(2 * x + (s > 0))
-                while True:
-                    if s > 0:
-                        r = region_of[corner_face[x]]
-                        x = nxt[x]
-                    else:
-                        x = prv[x]
-                        r = region_of[corner_face[x]]
-                    if r != region:
-                        mixed = mixed or region >= 0
-                        region = r
-                    if in_k[x >> 1]:
-                        break
-                d = x
-                sid = 2 * d + (s < 0)
-                if sid == start:
-                    break
-            if mixed:
-                raise MalformedRotation(
-                    "boundary walk sweeps multiple regions; "
-                    "face merge inconsistent")
-            for r in reverse:
-                used[r] = 1
-            k = len(walk)
-            walks[region].append(FaceWalk(tuple(walk), tuple(sides), k,
-                                          len(set(verts)) == k,
-                                          tuple(verts)))
+    lengths = [0] * nr
+    interior_edge_count = [0] * nr
+    on_k = bytearray(g.vertex_count)
+    for e, (u, v, _s) in enumerate(edges):
+        a, b = ef[e]
+        if in_k[e]:
+            lengths[region_of[a]] += 1
+            lengths[region_of[b]] += 1
+            on_k[u] = on_k[v] = 1
+        else:
+            interior_edge_count[region_of[a]] += 1
 
     # interior vertices: not an endpoint of K, all incident faces in region
-    on_k = bytearray(g.vertex_count)
-    for e in K:
-        u, v, _s = edges[e]
-        on_k[u] = on_k[v] = 1
     interior = [[] for _ in range(nr)]
     for v, fs in enumerate(g.vertex_faces()):
         if on_k[v] or not fs:
             continue
-        rs = {region_of[f] for f in fs}
-        if len(rs) != 1:
-            raise MalformedRotation(
-                "vertex off the subgraph touches several regions")
-        interior[rs.pop()].append(v)
+        r = -1
+        for f in fs:
+            if region_of[f] != r:
+                if r >= 0:
+                    raise MalformedRotation(
+                        "vertex off the subgraph touches several regions")
+                r = region_of[f]
+        interior[r].append(v)
 
-    interior_edge_count = [0] * nr
-    for e in range(ne):
-        if not in_k[e]:
-            interior_edge_count[region_of[ef[e][0]]] += 1
-
-    dec = RegionDecomposition(subgraph_edges=K)
-    for ri in range(nr):
-        chi = len(interior[ri]) - interior_edge_count[ri] + len(face_ids[ri])
-        dec.regions.append(Region(
-            face_ids=tuple(face_ids[ri]),
-            boundary_walks=walks[ri],
-            euler_char=chi,
-            interior_vertices=frozenset(interior[ri]),
-            is_two_cell=(chi == 1 and len(walks[ri]) == 1),
-        ))
+    dec = RegionDecomposition(K)
+    trace = partial(_trace_boundaries, g, K, region_of, dec.regions)
+    for faces, length, inner, inside in zip(face_ids, lengths,
+                                            interior_edge_count, interior):
+        chi = len(inside) - inner + len(faces)
+        dec.regions.append(Region(tuple(faces), length, chi,
+                                  frozenset(inside), chi == 1, None, trace))
     return dec

@@ -16,8 +16,10 @@ from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (enumerate_cuts_by_subsets,
                            is_minimal_cut_bruteforce,
                            vertex_connectivity_bruteforce)
-from o1ppg.structures import get_pattern
-from o1ppg.surface import EmbeddedGraph, SignedRotationSystem, region_decompose
+from o1ppg import surface
+from o1ppg.structures import get_pattern, match_pattern
+from o1ppg.surface import (EmbeddedGraph, FaceWalk, SignedRotationSystem,
+                           trace_faces)
 
 
 def test_flow_matches_bruteforce_random():
@@ -143,20 +145,6 @@ def test_cut_component_counts(inst10):
         assert ca.odd_count == sum(1 for c in ca.components if len(c) % 2)
 
 
-def test_q_induced_subgraph_walks_match_regions(inst10):
-    # the restricted rotation system's own face trace agrees with the
-    # region walks inherited from the host
-    from o1ppg.surface import trace_faces
-    for ca in enumerate_cuts(inst10, 6)[:20]:
-        qs = ca.qs
-        if not qs.edges:
-            continue
-        own = sorted(f.length for f in trace_faces(qs.srs))
-        host = sorted(w.length for r in qs.regions
-                      for w in r.boundary_walks)
-        assert own == host
-
-
 def test_audits_pass_on_all_cuts(instances10):
     for inst in instances10:
         conn = vertex_connectivity(inst)
@@ -255,21 +243,51 @@ def _audited_cuts(insts):
                 yield inst, conn, ca
 
 
-def test_cut_facts_match_region_decompose(corpus_n12, instances10):
-    # the union-find facts of every cut against the traced regions
+def test_q_induced_subgraph_walks_match_regions(corpus_n12, instances10):
+    # Q[S]'s own face trace, mapped back to host darts and vertices, is the
+    # host's trace restricted to Q[S]'s edges, and its walks are the
+    # regions' boundary walks
     cuts = 0
     for inst, _conn, ca in _audited_cuts(
-            corpus_n12 + instances10 + _relabelled(corpus_n12, 71)):
+            corpus_n12 + instances10 + _relabelled(corpus_n12, 79)):
         qs = ca.qs
-        regions = (region_decompose(inst.quad.embedding, qs.edges).regions
-                   if qs.edges else [])
-        assert qs.boundary_lengths == tuple(
-            sum(w.length for w in r.boundary_walks) for r in regions)
-        assert qs.interiors == tuple(r.interior_vertices for r in regions)
-        assert qs.degrees == tuple(len(r) for r in qs.srs.rotations)
-        assert qs.regions == regions
+        own = [FaceWalk(tuple(2 * qs.edges[d >> 1] + (d & 1)
+                              for d in f.boundary),
+                        f.sides, f.length, f.is_cycle,
+                        tuple(qs.vertices[v] for v in f.vertices))
+               for f in trace_faces(qs.srs)]
+        host = trace_faces(inst.quad.embedding.srs, qs.edges)
+        assert own == host, sorted(ca.S)
+        assert sorted(host) == sorted(w for r in qs.regions
+                                      for w in r.boundary_walks)
         cuts += 1
     assert cuts == 2 * 645 + 23
+
+
+def test_facts_trace_no_walk(corpus_n12, monkeypatch):
+    # the clauses of L2.2-L2.5, the region facts with the 2-cell test, and
+    # the pattern face parities trace no walk; reading the walks does
+    traced = []
+
+    def counting(srs, edges=None):
+        traced.append(edges)
+        return trace_faces(srs, edges)
+
+    monkeypatch.setattr(surface, "trace_faces", counting)
+    cuts = [ca for _inst, _conn, ca in _audited_cuts(corpus_n12)]
+    for ca in cuts:
+        # at connectivity 4 the 5-connected clauses, which read walks,
+        # are inapplicable
+        audit = audit_cut_lemmas(ca, connectivity=4)
+        assert "fail" not in audit.values()
+        assert [(len(r.face_ids), r.boundary_length, r.euler_char,
+                 r.is_two_cell) for r in ca.qs.regions]
+    for inst in corpus_n12:
+        for pid in "abcdefg":
+            match_pattern(inst.quad.embedding, get_pattern(pid))
+    assert traced == []
+    assert all(r.boundary_walks for ca in cuts for r in ca.qs.regions)
+    assert len(traced) == len(cuts) == 645
 
 
 def _shape_by_canonical_key(qs):

@@ -4,17 +4,16 @@ representativity, and the .srs text format."""
 import random
 
 import pytest
+from test_connectivity import _audited_cuts, _relabelled
 
 from o1ppg import srsio
 from o1ppg.errors import (EmptySubgraph, MalformedRotation, NotACycle,
                           NotProjectivePlane)
-from o1ppg.connectivity import enumerate_cuts, vertex_connectivity
 from o1ppg.oracles import (_closed_walks_upto, cycle_sign, double_cover,
                            is_essential, is_essential_by_regions,
                            is_orientable, region_decompose_reference,
                            representativity_bruteforce,
                            representativity_by_double_cover)
-from o1ppg.verify import CUT_MAX
 from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem,
                            region_decompose, representativity, trace_faces)
 
@@ -181,19 +180,15 @@ def test_region_chis_partition_properties(min9):
 
 
 def _kernel_edge_sets(inst, rng, random_sets):
-    """Edge sets of Q(G) the region kernel meets: every closed walk of at
-    most 6 vertices, every nonempty Q[S] of a cut the audit enumerates,
-    and ``random_sets`` random edge subsets."""
+    """Edge sets of Q(G) the region kernel meets outside the cuts: every
+    closed walk of at most 6 vertices, and ``random_sets`` random edge
+    subsets."""
     emb = inst.quad.embedding
     edge_of = {}
     for e, (u, v, _s) in enumerate(emb.srs.edges):
         edge_of[(u, v)] = edge_of[(v, u)] = e
     for walk in _closed_walks_upto(emb, 6):
         yield {edge_of[(a, b)] for a, b in zip(walk, walk[1:] + walk[:1])}
-    for k in range(vertex_connectivity(inst), min(CUT_MAX, inst.n - 2) + 1):
-        for ca in enumerate_cuts(inst, k):
-            if ca.qs.edges:
-                yield set(ca.qs.edges)
     for _ in range(random_sets):
         p = rng.random()
         edges = {e for e in range(emb.edge_count) if rng.random() < p}
@@ -201,29 +196,62 @@ def _kernel_edge_sets(inst, rng, random_sets):
             yield edges
 
 
-def test_region_decompose_matches_reference(corpus_n12):
-    # every field of every region, and the order of regions and walks
+def _assert_matches_reference(emb, edges, regions):
+    ref = region_decompose_reference(emb, edges)
+    # == compares the facts; the walks are read, so traced, apart
+    assert regions == ref.regions, sorted(edges)
+    assert [r.boundary_walks for r in regions] == \
+        [r.boundary_walks for r in ref.regions]
+
+
+def test_region_decompose_matches_reference(corpus_n12, instances10):
+    # every field of every region, and the order of regions and walks: on
+    # short closed walks and random edge sets, and on the one
+    # decomposition of every cut the audit enumerates
     rng = random.Random(20241018)
     compared = 0
     for inst in corpus_n12:
         emb = inst.quad.embedding
         for edges in _kernel_edge_sets(inst, rng, 300):
-            fast = region_decompose(emb, edges)
-            ref = region_decompose_reference(emb, edges)
-            assert fast.subgraph_edges == ref.subgraph_edges
-            assert fast.regions == ref.regions, (inst.key, sorted(edges))
+            dec = region_decompose(emb, edges)
+            assert dec.subgraph_edges == frozenset(edges)
+            _assert_matches_reference(emb, edges, dec.regions)
             compared += 1
-    assert compared > 15_000
+    assert compared > 14_000
+    cuts = 0
+    for inst, _conn, ca in _audited_cuts(
+            corpus_n12 + instances10 + _relabelled(corpus_n12, 71)):
+        qs = ca.qs
+        assert qs.degrees == tuple(len(r) for r in qs.srs.rotations)
+        if qs.edges:
+            _assert_matches_reference(inst.quad.embedding, qs.edges,
+                                      qs.regions)
+        else:
+            assert qs.regions == []
+        cuts += 1
+    assert cuts == 2 * 645 + 23
 
 
 def test_region_decompose_rejects_inconsistent_faces(min9):
-    # edge-face incidences that merge no faces: a boundary walk then sweeps
-    # corners of several regions, which both implementations reject
+    # edge-face incidences that do not merge the two faces of edge 0: the
+    # walk around them cut along every other edge sweeps corners of two
+    # regions, which both implementations reject, the fast one when the
+    # walks are read (the facts trace none)
     g = EmbeddedGraph(min9.srs)
+    g._edge_faces = ((0, 0),) + min9.edge_faces()[1:]
+    others = set(range(1, g.edge_count))
+    with pytest.raises(MalformedRotation, match="multiple regions"):
+        region_decompose_reference(g, others)
+    dec = region_decompose(g, others)
+    with pytest.raises(MalformedRotation, match="multiple regions"):
+        [r.boundary_walks for r in dec.regions]
+    # incidences that merge no faces at all leave a vertex off the
+    # subgraph in several regions, which the fast one rejects at once
     g._edge_faces = tuple((0, 0) for _ in range(g.edge_count))
-    for decompose in (region_decompose, region_decompose_reference):
-        with pytest.raises(MalformedRotation, match="multiple regions"):
-            decompose(g, {0})
+    with pytest.raises(MalformedRotation, match="several regions"):
+        region_decompose(g, {0})
+    with pytest.raises(MalformedRotation, match="multiple regions"):
+        region_decompose_reference(g, {0})
 
 
 def _random_srs(rng, max_v=5, max_e=7):
