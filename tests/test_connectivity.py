@@ -19,7 +19,7 @@ from o1ppg.oracles import (enumerate_cuts_by_subsets,
 from o1ppg import surface
 from o1ppg.structures import get_pattern, match_pattern
 from o1ppg.surface import (EmbeddedGraph, FaceWalk, SignedRotationSystem,
-                           trace_faces)
+                           region_decompose, trace_faces)
 
 
 def test_flow_matches_bruteforce_random():
@@ -241,6 +241,25 @@ def _audited_cuts(insts):
                 break
             for ca in enumerate_cuts(inst, k):
                 yield inst, conn, ca
+
+
+def test_cut_facts_match_region_decompose(corpus_n12, instances10):
+    # the union-find facts of every cut against a fresh decomposition and
+    # its traced walks
+    cuts = 0
+    for inst, _conn, ca in _audited_cuts(
+            corpus_n12 + instances10 + _relabelled(corpus_n12, 71)):
+        qs = ca.qs
+        regions = (region_decompose(inst.quad.embedding, qs.edges).regions
+                   if qs.edges else [])
+        assert [r.boundary_length for r in qs.regions] == [
+            sum(w.length for w in r.boundary_walks) for r in regions]
+        assert [r.interior_vertices for r in qs.regions] == [
+            r.interior_vertices for r in regions]
+        assert qs.degrees == tuple(len(r) for r in qs.srs.rotations)
+        assert qs.regions == regions
+        cuts += 1
+    assert cuts == 2 * 645 + 23
 
 
 def test_q_induced_subgraph_walks_match_regions(corpus_n12, instances10):
