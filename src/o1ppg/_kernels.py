@@ -1,15 +1,18 @@
 """Bitmask perfect-matching kernel.
 
-The extendability sweeps call the perfect-matching existence test tens of
-thousands of times per instance on graphs with n <= 14.  ``perfbench/``
-times ``pm_exists`` as a layer (``--trace 1``);
-``o1ppg.oracles.max_matching_size`` is its oracle.
+The audit calls the perfect-matching existence test thousands of times
+per instance on graphs with n <= 14.  ``perfbench/`` times ``pm_exists``
+as a layer (``--trace 1``); ``o1ppg.oracles.max_matching_size`` is its
+oracle.
 
 Adjacency is a list of neighbor masks indexed by vertex.  The answer for a
 mask depends only on ``adj``, so a caller that tests many masks of one
 graph passes one memo to every call: ``O1PPGInstance._pm_memo`` is that
-memo for the instance graph, and every extendability check of the audit
-(T1.3, T1.4, C1.5, T1.6, NoThreeExt, L4.2) shares it.  A memo maps
+memo for the instance graph.  Every extendability check of the audit
+shares it: ``matching.matching_sweep``, one call per covered vertex mask
+of the k-matchings, whose sweeps T1.4, C1.5, T1.6, NoThreeExt and L4.2
+read, and ``matching.is_extendable``, one call per matching, for T1.3's
+single edges, T1.4's barrier matchings and L4.2's blocker search.  A memo maps
 even-sized alive masks to their answer and starts as ``{0: True}``; it
 never holds more than 2^n entries.
 """

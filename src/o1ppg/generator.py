@@ -127,9 +127,8 @@ def _split_tables(srs):
     vertex, successor, predecessor, edge signs, degrees, lead dart of each
     rotation)``, the lead dart being the one its list starts at."""
     rot = srs.rotations
-    return (rot, srs._dart_vertex, srs._rot_next, srs._rot_prev,
-            [s for (_u, _v, s) in srs.edges], list(map(len, rot)),
-            [r[0] if r else -1 for r in rot])
+    return (rot, srs._dart_vertex, srs._rot_next, srs._rot_prev, srs._sign,
+            list(map(len, rot)), [r[0] if r else -1 for r in rot])
 
 
 def _patched_split(parent, v, i, j):
@@ -224,7 +223,7 @@ def _materialise(edges, dv, nxt, prv, sign, deg, lead):
         e = d >> 1
         edges[e] = (dv[2 * e], dv[2 * e + 1], sign[e])
     return SignedRotationSystem(len(deg), edges, rotations, check=False,
-                                tables=(dv, nxt, prv))
+                                tables=(dv, nxt, prv, sign))
 
 
 def _automorphism(srs, base, image):

@@ -1,10 +1,15 @@
 """Matchings, extendability, blocker sets, and the Hamiltonian-path
-construction of perfect matchings through a given edge."""
+construction of perfect matchings through a given edge.
+
+Every question about which k-matchings extend (``k_extendability``, and
+Theorem 1.6's certificates in ``structures.sweep_three_matchings``) reads
+one ``matching_sweep`` per instance and k."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import (NoBlockerFound, NoHamPath, OddOrder,
@@ -75,42 +80,6 @@ def is_extendable(inst, m: Matching) -> bool:
     return _kernels.pm_exists(inst.adj, alive, inst._pm_memo)
 
 
-def matching_masks(inst, k):
-    """(edge-id tuple, covered-vertex mask) of every k-matching, in
-    lexicographic order on the sorted edge-id tuples.
-
-    A backtracking walk over one edge-id array: ``combo[t]`` is the edge
-    at depth t and ``covered[t]`` the vertices that the edges at depths
-    below t cover, and depth t tries the edge ids from ``e`` up to the last
-    one that leaves room for the k - 1 - t edges after it."""
-    bits = [(1 << u) | (1 << v) for (u, v) in inst.edges]
-    last = len(bits) - k
-    if k == 0:
-        yield (), 0
-        return
-    combo = [0] * k
-    covered = [0] * (k + 1)
-    depth = e = 0
-    while True:
-        used = covered[depth]
-        stop = last + depth
-        while e <= stop and used & bits[e]:
-            e += 1
-        if e > stop:            # depth exhausted: next edge one level up
-            if depth == 0:
-                return
-            depth -= 1
-            e = combo[depth] + 1
-            continue
-        combo[depth] = e
-        covered[depth + 1] = used | bits[e]
-        e += 1
-        if depth + 1 == k:
-            yield tuple(combo), covered[k]
-        else:
-            depth += 1
-
-
 def covered_masks(inst, k):
     """``{covered-vertex mask: number of k-matchings covering it}``: every
     2k-vertex subset whose induced subgraph has a perfect matching, with
@@ -159,16 +128,51 @@ def mask_matchings(inst, mask):
     return out
 
 
+class MatchingSweep(NamedTuple):
+    """Every k-matching of an instance, grouped by the vertices it covers."""
+
+    covered: dict           # covered mask -> number of k-matchings on it
+    blocked: frozenset      # the covered masks whose complement has no PM
+    nonextendable: list     # sorted edge-id tuples, ascending
+
+
+def matching_sweep(inst, k) -> MatchingSweep:
+    """The k-matchings of the instance by covered mask, and the ones that
+    do not extend.
+
+    A matching M extends iff G - V(M) has a perfect matching (Plummer, "On
+    n-extendable graphs", 1980), so extendability depends on V(M) alone:
+    each covered mask of ``covered_masks`` is decided by one ``pm_exists``
+    call on the instance's memo, and only the masks that fail are expanded
+    into their matchings (``mask_matchings``).  The sweep depends only on
+    the instance and k, so the first call stores it on the instance and
+    later calls return it; ``o1ppg.oracles.matching_masks`` is the ordered
+    reference.
+    """
+    found = inst._matching_sweeps.get(k)
+    if found is not None:
+        return found
+    covered = covered_masks(inst, k)
+    adj, memo, full = inst.adj, inst._pm_memo, (1 << inst.n) - 1
+    blocked = frozenset(vm for vm in covered
+                        if not _kernels.pm_exists(adj, full ^ vm, memo))
+    nonextendable = sorted(combo for vm in blocked
+                           for combo in mask_matchings(inst, vm))
+    found = inst._matching_sweeps[k] = MatchingSweep(covered, blocked,
+                                                     nonextendable)
+    return found
+
+
 def k_extendability(inst, k):
-    """Sweep every k-matching; returns (True, None) or (False, witness)."""
+    """(True, None) if every k-matching extends to a perfect matching, else
+    (False, the least non-extendable k-matching by sorted edge ids)."""
     if inst.n % 2:
         raise OddOrder("extendability needs an even order")
     if inst.n < 2 * k + 2:
         raise TooSmall(f"k-extendability needs n >= {2 * k + 2}")
-    full = (1 << inst.n) - 1
-    for combo, vm in matching_masks(inst, k):
-        if not _kernels.pm_exists(inst.adj, full ^ vm, inst._pm_memo):
-            return False, Matching(frozenset(combo))
+    nonextendable = matching_sweep(inst, k).nonextendable
+    if nonextendable:
+        return False, Matching(frozenset(nonextendable[0]))
     return True, None
 
 

@@ -127,6 +127,8 @@ class O1PPGInstance:
         # alive mask -> perfect matching on it?  Shared by every
         # _kernels.pm_exists call on ``adj`` (matching.is_extendable)
         self._pm_memo = {0: True}
+        # k -> matching.matching_sweep(self, k), set on its first call
+        self._matching_sweeps = {}
         self._edge_ids = {}
         for i, (u, v) in enumerate(edges):
             self._edge_ids[(u, v)] = i

@@ -16,6 +16,13 @@ module may import the production modules, but none of them imports it.
   ``_kernels.pm_exists``).
 - ``is_extendable_bruteforce``: exhaustive perfect-matching search on
   G - V(M) (against ``matching.is_extendable``).
+- ``matching_masks``: every k-matching in lexicographic order with its
+  covered mask, by backtracking over the edge ids (against
+  ``matching.covered_masks`` and ``matching.mask_matchings``).
+- ``k_extendability_in_order``: every k-matching in that order, each
+  decided by a perfect-matching test, stopping at the first that does not
+  extend (against ``matching.k_extendability``, which reads the sweep by
+  covered masks, ``matching.matching_sweep``).
 - ``vertex_connectivity_bruteforce``: subset enumeration (against
   ``graphs.vertex_connectivity_flow``).
 - ``is_minimal_cut_bruteforce``: every proper subset of a cut (against
@@ -49,10 +56,10 @@ module may import the production modules, but none of them imports it.
 - ``certificate_by_sets``: the Theorem-1.6 certificate scan on vertex
   sets (against the inverted index ``structures.CertificateContext``
   builds, ``certificates``).
-- ``sweep_three_matchings_in_order``: every 3-matching in sweep order,
-  its mask decided on first sight (against
-  ``structures.sweep_three_matchings``, which decides each covered mask
-  once with its multiplicity).
+- ``sweep_three_matchings_in_order``: every 3-matching in lexicographic
+  order, its mask decided on first sight (against
+  ``structures.sweep_three_matchings``, which decides each covered mask of
+  the 3-matching sweep once, with its multiplicity).
 - ``embeds_by_flips``: every vertex flip of a pattern map's image,
   rotations and signs checked directly (against the encoding test of
   ``structures.match_pattern``).
@@ -82,14 +89,16 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, permutations
 
+from . import _kernels
 from .connectivity import CutAnalysis, q_induced_subgraph
 from .errors import (EmptySubgraph, MalformedRotation, NoHamPath, NotACycle,
-                     NotProjectivePlane, SearchBudgetExceeded, TooLarge)
+                     NotProjectivePlane, OddOrder, SearchBudgetExceeded,
+                     TooLarge, TooSmall)
 from .generator import _prefix, canonical_key
 from .graphs import (adjacency_masks, component_masks, enumerate_cycles,
                      is_connected_mask, vertex_connectivity_flow)
 from .matching import (HAMILTONIAN_PATH_NODE_BUDGET, Matching,
-                       _check_matching, matching_masks)
+                       _check_matching)
 from .structures import (CertificateContext, OddWeightedRegion,
                          _host_embedding, _with_roles, canonical_walk,
                          diagnose_mask, get_pattern)
@@ -434,6 +443,58 @@ def is_extendable_bruteforce(inst, m: Matching) -> bool:
         return False
 
     return rec((1 << len(alive)) - 1)
+
+
+def matching_masks(inst, k):
+    """(edge-id tuple, covered-vertex mask) of every k-matching, in
+    lexicographic order on the sorted edge-id tuples.
+
+    A backtracking walk over one edge-id array: ``combo[t]`` is the edge
+    at depth t and ``covered[t]`` the vertices that the edges at depths
+    below t cover, and depth t tries the edge ids from ``e`` up to the last
+    one that leaves room for the k - 1 - t edges after it."""
+    bits = [(1 << u) | (1 << v) for (u, v) in inst.edges]
+    last = len(bits) - k
+    if k == 0:
+        yield (), 0
+        return
+    combo = [0] * k
+    covered = [0] * (k + 1)
+    depth = e = 0
+    while True:
+        used = covered[depth]
+        stop = last + depth
+        while e <= stop and used & bits[e]:
+            e += 1
+        if e > stop:            # depth exhausted: next edge one level up
+            if depth == 0:
+                return
+            depth -= 1
+            e = combo[depth] + 1
+            continue
+        combo[depth] = e
+        covered[depth + 1] = used | bits[e]
+        e += 1
+        if depth + 1 == k:
+            yield tuple(combo), covered[k]
+        else:
+            depth += 1
+
+
+def k_extendability_in_order(inst, k):
+    """Ordered reference for ``matching.k_extendability``: test every
+    k-matching in lexicographic order for a perfect matching of the rest,
+    with a memo of its own, and stop at the first that has none."""
+    if inst.n % 2:
+        raise OddOrder("extendability needs an even order")
+    if inst.n < 2 * k + 2:
+        raise TooSmall(f"k-extendability needs n >= {2 * k + 2}")
+    full = (1 << inst.n) - 1
+    memo = {0: True}
+    for combo, vm in matching_masks(inst, k):
+        if not _kernels.pm_exists(inst.adj, full ^ vm, memo):
+            return False, Matching(frozenset(combo))
+    return True, None
 
 
 def vertex_connectivity_bruteforce(n, adj, cap):
@@ -900,17 +961,23 @@ def certificate_by_sets(ctx, vm):
 
 def sweep_three_matchings_in_order(inst):
     """Ordered reference for ``structures.sweep_three_matchings``: walk
-    every 3-matching in sweep order, decide its covered mask on first sight
-    (``structures.diagnose_mask``) and count it, and stop at the first
-    oracle/certificate disagreement."""
+    every 3-matching in lexicographic order, decide its covered mask on
+    first sight (a perfect-matching test with a memo of its own, then
+    ``structures.diagnose_mask``) and count it, and stop at the first
+    oracle/certificate disagreement.  Returns the counts, the
+    non-extendable 3-matchings and the disagreement as ``(combo, detail)``
+    or None, the first two gathered before the disagreement."""
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
     nonext = []
     ctx = CertificateContext.build(inst)
+    full = (1 << inst.n) - 1
+    memo = {0: True}
     decided = {}
     for combo, vm in matching_masks(inst, 3):
         found = decided.get(vm)
         if found is None:
-            found = decided[vm] = diagnose_mask(inst, vm, ctx)
+            extendable = _kernels.pm_exists(inst.adj, full ^ vm, memo)
+            found = decided[vm] = diagnose_mask(vm, extendable, ctx)
         verdict, detail = found
         if verdict == "counterexample":
             return counts, nonext, (combo, detail)

@@ -10,8 +10,8 @@ Format (ASCII, LF, one record per line):
 
 Dart suffix ``a`` is the end at ``u``, ``b`` the end at ``v``; a loop lists
 both its darts in the rotation of its vertex.  Lines starting with ``#`` are
-comments and are ignored; writers may put a header comment first (instances
-use ``# o1ppg n=<n>``).
+comments and are ignored; ``dump(header=...)`` writes a header of comment
+lines first (``scripts/make_fixtures.py`` names each fixture so).
 """
 
 from __future__ import annotations
@@ -39,17 +39,12 @@ def dumps(srs: SignedRotationSystem, header=None) -> str:
     return out.getvalue()
 
 
-def loads_with_comments(text: str):
-    comments = []
+def loads(text: str) -> SignedRotationSystem:
     lines = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-            continue
-        lines.append(line)
+        if line and not line.startswith("#"):
+            lines.append(line)
     if not lines or lines[0].split() != ["srs", "1"]:
         raise MalformedRotation("missing 'srs 1' header")
     it = iter(lines[1:])
@@ -103,12 +98,7 @@ def loads_with_comments(text: str):
                 f"unexpected line after the rotations: {extra!r}")
     except (ValueError, IndexError):
         raise MalformedRotation(f"malformed line {line!r}") from None
-    return SignedRotationSystem(nv, edges, rotations), comments
-
-
-def loads(text: str) -> SignedRotationSystem:
-    srs, _comments = loads_with_comments(text)
-    return srs
+    return SignedRotationSystem(nv, edges, rotations)
 
 
 def dump(srs, path, header=None):

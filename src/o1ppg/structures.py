@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from . import _kernels, fixtures
+from . import fixtures
 from .graphs import vertex_mask
-from .matching import (Matching, covered_masks, mask_matchings,
-                       matching_masks)
+from .matching import mask_matchings, matching_sweep
 from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
                       region_decompose, restricted_system, signed_cycles)
 
@@ -416,18 +415,17 @@ class CertificateContext:
                    certificates=certificates)
 
 
-def diagnose_mask(inst, vm, ctx: CertificateContext):
+def diagnose_mask(vm, extendable, ctx: CertificateContext):
     """Joint verdict of the extendability kernel and the certificates for
     the 3-matchings covering the vertex mask ``vm`` of a 5-connected
-    even-order instance; the preconditions are the caller's.
+    even-order instance, given whether they extend (``extendable``, read
+    off ``matching.matching_sweep``); the preconditions are the caller's.
 
     Returns ("extendable", None), ("cert_i", walk),
     ("cert_ii", (pattern_id, phi)), or ("counterexample",
     {"extendable": bool, "certificate": certificate or None}).
     """
     cert = ctx.certificates.get(vm)
-    extendable = _kernels.pm_exists(
-        inst.adj, ((1 << inst.n) - 1) ^ vm, inst._pm_memo)
     if extendable and cert is None:
         return ("extendable", None)
     if not extendable and cert is not None:
@@ -437,35 +435,25 @@ def diagnose_mask(inst, vm, ctx: CertificateContext):
 
 def sweep_three_matchings(inst):
     """Theorem 1.6 over every 3-matching of a 5-connected even-order
-    instance: the verdict counts, the non-extendable 3-matchings in sweep
-    order (``matching.matching_masks``), and the first oracle/certificate
-    disagreement in that order as ``(combo, detail)``, or None.
+    instance: the verdict counts and the least oracle/certificate
+    disagreement as ``(combo, detail)``, or None.
 
-    The verdict depends on the covered vertices alone, so each covered
-    mask is decided once (``diagnose_mask``) and counted as many times as
-    3-matchings cover it (``matching.covered_masks``); only the
-    non-extendable masks are expanded into their matchings.  On a
-    disagreement the sweep runs in order over the decided masks and stops
-    at the first matching whose mask disagrees, with the counts and the
-    list gathered before it.  ``o1ppg.oracles.sweep_three_matchings_in_order``
-    is the ordered reference.
+    The verdict depends on the covered vertices alone, so each covered mask
+    of ``matching.matching_sweep(inst, 3)`` is decided once
+    (``diagnose_mask``, with the sweep's answer on whether it extends) and
+    counted as many times as 3-matchings cover it.  A disagreement names
+    the least 3-matching, by sorted edge ids, over the disagreeing masks,
+    with its mask's detail: the matching at which the ordered reference
+    ``o1ppg.oracles.sweep_three_matchings_in_order`` stops.
     """
     ctx = CertificateContext.build(inst)
-    masks = covered_masks(inst, 3)
-    decided = {vm: diagnose_mask(inst, vm, ctx) for vm in masks}
+    sweep = matching_sweep(inst, 3)
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
-    if any(verdict == "counterexample" for verdict, _ in decided.values()):
-        nonext = []
-        for combo, vm in matching_masks(inst, 3):
-            verdict, detail = decided[vm]
-            if verdict == "counterexample":
-                return counts, nonext, (combo, detail)
-            counts[verdict] += 1
-            if verdict != "extendable":
-                nonext.append(Matching(frozenset(combo)))
-    combos = []
-    for vm, (verdict, _detail) in decided.items():
-        counts[verdict] += masks[vm]
-        if verdict != "extendable":
-            combos.extend(mask_matchings(inst, vm))
-    return counts, [Matching(frozenset(c)) for c in sorted(combos)], None
+    disagreements = []
+    for vm, count in sweep.covered.items():
+        verdict, detail = diagnose_mask(vm, vm not in sweep.blocked, ctx)
+        if verdict == "counterexample":
+            disagreements.append((min(mask_matchings(inst, vm)), detail))
+        else:
+            counts[verdict] += count
+    return counts, min(disagreements, default=None)

@@ -65,13 +65,13 @@ class SignedRotationSystem:
     search space passes through them); model validation rejects them.
 
     ``tables``, when given, is ``(dart vertex, rotation successor,
-    rotation predecessor)`` as ``_build_tables`` would build them for these
-    edges and rotations; the system takes those lists as they are (the
-    generator's split patches them from its parent's).
+    rotation predecessor, edge signs)`` as ``_build_tables`` would build
+    them for these edges and rotations; the system takes those lists as
+    they are (the generator's split patches them from its parent's).
     """
 
     __slots__ = ("vertex_count", "edges", "rotations", "_dart_vertex",
-                 "_rot_next", "_rot_prev", "_edge_of")
+                 "_rot_next", "_rot_prev", "_sign", "_edge_of")
 
     def __init__(self, vertex_count, edges, rotations, check=True,
                  tables=None):
@@ -83,7 +83,8 @@ class SignedRotationSystem:
         if tables is None:
             self._build_tables()
         else:
-            self._dart_vertex, self._rot_next, self._rot_prev = tables
+            (self._dart_vertex, self._rot_next, self._rot_prev,
+             self._sign) = tables
         self._edge_of = None      # (u, v) -> edge id, built on first lookup
 
     def _build_tables(self):
@@ -103,6 +104,7 @@ class SignedRotationSystem:
         self._dart_vertex = dv
         self._rot_next = nxt
         self._rot_prev = prv
+        self._sign = [s for (_u, _v, s) in self.edges]
 
     def _validate(self):
         """Edge signs and endpoints, and every dart listed exactly once at
@@ -270,8 +272,8 @@ def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side):
 
 def _encoder_tables(srs):
     """The leading arguments of ``_encode_from`` for ``srs``."""
-    return (srs._dart_vertex, srs._rot_next, srs._rot_prev,
-            [s for (_u, _v, s) in srs.edges], srs.vertex_count)
+    return (srs._dart_vertex, srs._rot_next, srs._rot_prev, srs._sign,
+            srs.vertex_count)
 
 
 class FaceWalk(NamedTuple):
@@ -299,9 +301,9 @@ def trace_faces(srs: SignedRotationSystem, edges=None):
     ``s`` across a negative edge and turns at ``d ^ 1`` by the rotation
     successor (s > 0) or predecessor (s < 0), past the darts not kept.
     """
-    nxt, prv, dv = srs._rot_next, srs._rot_prev, srs._dart_vertex
-    neg = [s < 0 for (_u, _v, s) in srs.edges]
-    ne = len(neg)
+    nxt, prv, dv, sign = (srs._rot_next, srs._rot_prev, srs._dart_vertex,
+                          srs._sign)
+    ne = len(sign)
     if edges is None:
         kept = b"\1" * (2 * ne)         # per dart
         starts = range(4 * ne)
@@ -326,7 +328,7 @@ def trace_faces(srs: SignedRotationSystem, edges=None):
             walk.append(d)
             sides.append(s)
             verts.append(dv[d])
-            if neg[d >> 1]:
+            if sign[d >> 1] < 0:
                 s = -s
             d ^= 1
             # the same side traced the other way: state (d ^ 1, -s)
@@ -477,7 +479,7 @@ def representativity(g: EmbeddedGraph):
     if not g.is_p2():
         raise NotProjectivePlane("representativity defined for P^2 hosts")
     n = g.vertex_count
-    neg = [s < 0 for (_u, _v, s) in g.srs.edges]
+    sign = g.srs._sign
     # state 2 * node + sheet; adj[node] holds the neighbours of sheet 0
     adj = [[] for _ in range(n + g.face_count)]
     for fi, f in enumerate(g.faces):
@@ -485,7 +487,8 @@ def representativity(g: EmbeddedGraph):
         for d, v in zip(f.boundary, f.vertices):
             adj[v].append(2 * (n + fi) + b)
             adj[n + fi].append(2 * v + b)
-            b ^= neg[d >> 1]
+            if sign[d >> 1] < 0:
+                b ^= 1
     limit = best = 2 * len(adj)    # above every distance
     for v in range(n):
         seen = bytearray(2 * len(adj))

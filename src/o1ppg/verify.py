@@ -7,10 +7,10 @@ the corrected reading of the 2-extendability characterization (see the
 report's ``note`` line).
 
 Every theorem in ``THEOREM_IDS`` has one check, and the checks share their
-intermediates (the cuts, the 2-extendability sweep, T1.6's 3-matching
-sweep) through values computed on first use.  So a theorem audited alone,
-as ``o1ppg replay`` and ``o1ppg verify --theorems`` do, gets the record it
-gets in the full audit.  ``AuditConfig`` keeps the selected ids in
+intermediates (the cuts, the barrier cycles, and the k-matching sweeps of
+``matching.matching_sweep``, kept on the instance) through values computed
+on first use.  So a theorem audited alone, as ``o1ppg replay`` and
+``o1ppg verify --theorems`` do, gets the record it gets in the full audit.  ``AuditConfig`` keeps the selected ids in
 ``THEOREM_IDS`` order, each once, and the report header lists them so.
 """
 
@@ -25,7 +25,8 @@ from .connectivity import (_contains_separating_trivial_4cycle,
 from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
                      SearchBudgetExceeded, UnknownTheorem)
 from .matching import (Matching, find_blocker, is_extendable,
-                       k_extendability, matching_via_hamiltonian_path)
+                       k_extendability, matching_sweep,
+                       matching_via_hamiltonian_path)
 from .model import link
 from .structures import (barrier_cycles, find_projective_bowties,
                          sweep_three_matchings)
@@ -184,12 +185,6 @@ class _InstanceAudit:
         ext2, witness = self.ext2
         return [] if ext2 else [witness, *self.barrier_matchings]
 
-    @cached_property
-    def t16_sweep(self):
-        """T1.6's ``sweep_three_matchings``; L4.2 reads its non-extendable
-        3-matchings."""
-        return sweep_three_matchings(self.inst)
-
     # -- individual checks -------------------------------------------------
 
     def check_DegreeFacts(self):
@@ -295,7 +290,7 @@ class _InstanceAudit:
                      _pairs_str(witness.sorted_pairs(self.inst)))
 
     def check_T16(self):
-        counts, _nonext, counterexample = self.t16_sweep
+        counts, counterexample = sweep_three_matchings(self.inst)
         if counterexample is not None:
             combo, detail = counterexample
             return _fail(f"oracle/certificate disagreement: "
@@ -307,6 +302,7 @@ class _InstanceAudit:
                      f"cert_ii={counts['cert_ii']}")
 
     def check_NoThreeExt(self):
+        # reads the 3-matching sweep that T1.6 made, when T1.6 applied
         ok3, witness = k_extendability(self.inst, 3)
         if ok3:
             return _fail("instance is 3-extendable")
@@ -384,8 +380,11 @@ class _InstanceAudit:
 
     def check_L42(self):
         inst = self.inst
-        # T1.6 sweeps only 5-connected instances
-        threes = self.t16_sweep[1] if self.conn >= 5 else []
+        # every non-extendable 3-matching of T1.6's sweep, which applies
+        # on 5-connected instances only
+        threes = ([Matching(frozenset(combo))
+                   for combo in matching_sweep(inst, 3).nonextendable]
+                  if self.conn >= 5 else [])
         checked = 0
         for k, matchings in ((1, self.nonext_2matchings), (2, threes)):
             seen = set()

@@ -21,10 +21,10 @@ from o1ppg.fixtures import fix_k4
 from o1ppg.generator import corpus_instances, grow_quadrangulations
 from o1ppg.graphs import adjacency_masks, enumerate_cycles
 from o1ppg.matching import (Matching, find_blocker, is_extendable,
-                            k_extendability, matching_masks,
-                            matching_via_hamiltonian_path)
+                            k_extendability, matching_via_hamiltonian_path)
 from o1ppg.oracles import (exhaustive_small_search, is_extendable_bruteforce,
-                           max_matching_size, vertex_connectivity_bruteforce)
+                           matching_masks, max_matching_size,
+                           vertex_connectivity_bruteforce)
 from o1ppg.structures import (CertificateContext, barrier_cycles,
                               diagnose_mask, find_projective_bowties)
 from o1ppg.verify import AuditConfig, aggregate_report, run_campaign
@@ -179,7 +179,8 @@ def test_criterion_06_three_matching_characterization(even_instances):
         swept += 1
         ctx = CertificateContext.build(inst)
         for combo, vm in matching_masks(inst, 3):
-            verdict, _detail = diagnose_mask(inst, vm, ctx)
+            extendable = is_extendable(inst, Matching(frozenset(combo)))
+            verdict, _detail = diagnose_mask(vm, extendable, ctx)
             if verdict == "counterexample":
                 disagreements += 1
             elif verdict in ("cert_i", "cert_ii"):

@@ -12,11 +12,11 @@ from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
 from o1ppg.matching import (Matching, covered_masks, find_blocker,
                             hamiltonian_path, is_extendable, k_extendability,
-                            mask_matchings, matching_masks,
-                            matching_via_hamiltonian_path,
+                            mask_matchings, matching_via_hamiltonian_path,
                             spanning_triangulation)
 from o1ppg.model import build_o1ppg, link, validate_quadrangulation
-from o1ppg.oracles import (is_extendable_bruteforce, max_matching_size,
+from o1ppg.oracles import (is_extendable_bruteforce, k_extendability_in_order,
+                           matching_masks, max_matching_size,
                            spanning_triangulation_by_selections)
 from o1ppg.surface import EmbeddedGraph
 from o1ppg.verify import AuditConfig, audit_instance
@@ -96,6 +96,44 @@ def test_covered_masks_count_the_sweep(corpus_n12, instances10):
                 vm: len(combos) for vm, combos in by_mask.items()}
             for vm, combos in by_mask.items():
                 assert sorted(mask_matchings(inst, vm)) == combos
+
+
+def test_k_extendability_matches_ordered_sweep(corpus_n12, instances10):
+    # the least non-extendable matching of the sweep by covered masks is
+    # the first one the ordered early-exit sweep meets, on the corpora and
+    # on a relabelling of corpus-n12, whose edge ids are shuffled
+    rng = random.Random(23)
+    relabelled = [build_o1ppg(validate_quadrangulation(EmbeddedGraph(
+        _full_relabel(inst.quad.embedding.srs, rng)[0])))
+        for inst in corpus_n12]
+    verdicts = set()
+    for inst in corpus_n12 + instances10 + relabelled:
+        for k in (1, 2, 3):
+            if inst.n % 2:
+                with pytest.raises(OddOrder):
+                    k_extendability(inst, k)
+                with pytest.raises(OddOrder):
+                    k_extendability_in_order(inst, k)
+                continue
+            got = k_extendability(inst, k)
+            assert got == k_extendability_in_order(inst, k), (inst.key, k)
+            verdicts.add((k, got[0]))
+    # every instance is 2- but not 3-extendable, so both verdicts occur
+    assert verdicts == {(1, True), (2, True), (3, False)}
+
+
+def test_matching_sweep_is_kept_on_the_instance(inst10):
+    inst = build_o1ppg(inst10.quad, key=inst10.key)
+    sweep = matching.matching_sweep(inst, 3)
+    assert matching.matching_sweep(inst, 3) is sweep
+    assert inst._matching_sweeps == {3: sweep}
+    full = (1 << inst.n) - 1
+    assert sweep.blocked == {vm for vm in sweep.covered if
+                             2 * max_matching_size(inst.adj, full ^ vm)
+                             != inst.n - 6}
+    assert sweep.nonextendable == [
+        combo for combo, vm in matching_masks(inst, 3)
+        if vm in sweep.blocked]
 
 
 def test_empty_matching_extendability_equals_pm(inst10):

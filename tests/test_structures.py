@@ -8,11 +8,12 @@ import pytest
 from test_generator import _full_relabel
 
 from o1ppg.generator import canonical_key
-from o1ppg.matching import Matching, is_extendable, matching_masks
+from o1ppg import verify
+from o1ppg.matching import Matching, is_extendable, matching_sweep
 from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (_walk_regions, bowties_by_triangle_pairs,
                            build_patterns, certificate_by_sets,
-                           embeds_by_flips, is_orientable,
+                           embeds_by_flips, is_orientable, matching_masks,
                            odd_regions_by_face_merge,
                            sweep_three_matchings_in_order)
 from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
@@ -272,14 +273,11 @@ def test_diagnose_full_sweep_no_counterexamples(inst10):
     ctx = CertificateContext.build(inst10)
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
     for combo, vm in matching_masks(inst10, 3):
-        verdict, detail = diagnose_mask(inst10, vm, ctx)
+        extendable = is_extendable(inst10, Matching(frozenset(combo)))
+        verdict, detail = diagnose_mask(vm, extendable, ctx)
         assert verdict != "counterexample", detail
         counts[verdict] += 1
-        m = Matching(frozenset(combo))
-        if verdict == "extendable":
-            assert is_extendable(inst10, m)
-        else:
-            assert not is_extendable(inst10, m)
+        assert (verdict == "extendable") == extendable
     assert counts == {"extendable": 1539, "cert_i": 20, "cert_ii": 42}
 
 
@@ -325,23 +323,27 @@ def _sweep_cases(inst10, even_n12):
 
 
 def test_mask_sweep_matches_ordered_sweep(inst10, even_n12):
-    # equal counts, equal non-extendable lists in the same order, and no
-    # disagreement
+    # equal counts, no disagreement, and the 3-matching sweep's
+    # non-extendable list is the ordered sweep's, in the same order
     nonext = 0
     for inst in _sweep_cases(inst10, even_n12):
-        got = sweep_three_matchings(inst)
-        assert got == sweep_three_matchings_in_order(inst)
-        assert got[2] is None
-        nonext += len(got[1])
+        counts, disagreement = sweep_three_matchings(inst)
+        want_counts, want_nonext, want = sweep_three_matchings_in_order(inst)
+        assert (counts, disagreement) == (want_counts, want)
+        assert disagreement is None
+        assert [Matching(frozenset(combo)) for combo in
+                matching_sweep(inst, 3).nonextendable] == want_nonext
+        nonext += len(want_nonext)
     assert nonext
 
 
 def test_mask_sweep_disagreement_matches_ordered_sweep(inst10, even_n12,
                                                        monkeypatch):
     # drop the certificate of the mask of the middle non-extendable
-    # 3-matching: both sweeps stop at the first matching covering that
-    # mask, with the same partial counts and list
-    cases = [(inst, sweep_three_matchings(inst)[1])
+    # 3-matching: both sweeps name the first matching covering that mask,
+    # with the same detail, and L4.2 still audits every non-extendable
+    # 3-matching, those after the disagreement too
+    cases = [(inst, sweep_three_matchings_in_order(inst)[1])
              for inst in _sweep_cases(inst10, even_n12)]
     dropped = {id(inst): sum(1 << v for v in
                              nonext[len(nonext) // 2].vertex_set(inst))
@@ -353,18 +355,30 @@ def test_mask_sweep_disagreement_matches_ordered_sweep(inst10, even_n12,
         del ctx.certificates[dropped[id(inst)]]
         return ctx
 
+    blocked = []
+    find_blocker = verify.find_blocker
+
+    def recorded(inst, m, k):
+        if k == 2:
+            blocked.append(m)
+        return find_blocker(inst, m, k)
+
     monkeypatch.setattr(CertificateContext, "build", classmethod(forced))
-    partials = 0
+    monkeypatch.setattr(verify, "find_blocker", recorded)
     for inst, nonext in cases:
-        got = sweep_three_matchings(inst)
-        assert got == sweep_three_matchings_in_order(inst)
-        _counts, partial, (combo, detail) = got
+        _counts, got = sweep_three_matchings(inst)
+        _counts, partial, want = sweep_three_matchings_in_order(inst)
+        assert got == want
+        combo, detail = got
         assert detail == {"extendable": False, "certificate": None}
         assert sum(1 << v for v in Matching(frozenset(combo)).vertex_set(
             inst)) == dropped[id(inst)]
         assert partial == nonext[:len(partial)]
-        assert len(partial) <= len(nonext) // 2
-        partials += bool(partial)
-    # the sweeps stop after some non-extendable matchings, so the partial
-    # lists are compared, not only the empty ones
-    assert partials
+        assert len(partial) < len(nonext)
+        blocked.clear()
+        t16, l42 = verify.audit_instance(
+            inst, verify.AuditConfig(theorems=("T1.6", "L4.2")))
+        assert (t16.verdict, t16.witness) == (
+            "fail", verify._edges_str(inst, combo))
+        assert l42.verdict == "pass"
+        assert blocked == nonext

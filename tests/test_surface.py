@@ -305,9 +305,6 @@ def test_srsio_round_trip(k4, bowtie, min9):
         back = srsio.loads(text)
         assert back.edges == g.srs.edges
         assert back.rotations == g.srs.rotations
-    srs, comments = srsio.loads_with_comments(
-        srsio.dumps(min9.srs, header="o1ppg n=9"))
-    assert comments == ["o1ppg n=9"]
 
 
 def test_srsio_errors():

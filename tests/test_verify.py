@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from o1ppg import structures, verify
+from o1ppg import matching, structures, verify
 from o1ppg.cli import main
+from o1ppg.connectivity import vertex_connectivity
 from o1ppg.errors import EmptyCorpus, O1ppgError, UnknownTheorem
-from o1ppg.matching import matching_masks
+from o1ppg.generator import load_corpus_instances
 from o1ppg.model import validate_quadrangulation
+from o1ppg.oracles import matching_masks
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 from o1ppg.verify import (THEOREM_IDS, AuditConfig, aggregate_report,
                           audit_instance, run_campaign)
@@ -157,6 +159,11 @@ def test_mutant_instance_fails_audit_with_witness(inst10):
     # dropped from the derived graph) must surface as audit failures
     import copy
     bad = copy.copy(inst10)
+    # fresh caches, so nothing computed on the real graph reaches the mutant
+    bad._pm_memo = {0: True}
+    bad._matching_sweeps = {}
+    bad._spanning_triangulation = None
+    bad._minimal_separators = None
     bad.edges = inst10.edges[:-2]
     bad.adj = list(inst10.adj)
     for (u, v) in inst10.edges[-2:]:
@@ -180,6 +187,25 @@ def test_two_extendability_swept_once_per_audit(inst10, monkeypatch):
     results = audit_instance(inst10, AuditConfig(theorems=("T1.4", "C1.5")))
     assert [r.verdict for r in results] == ["pass", "pass"]
     assert calls == [2]
+
+
+def test_audit_sweeps_each_k_once(corpus_n12_dir, monkeypatch):
+    # T1.4, C1.5 and L4.2 read one 2-matching sweep; T1.6, NoThreeExt and
+    # L4.2 one 3-matching sweep
+    calls = []
+    covered = matching.covered_masks
+
+    def counted(inst, k):
+        calls.append(k)
+        return covered(inst, k)
+
+    monkeypatch.setattr(matching, "covered_masks", counted)
+    insts = load_corpus_instances(corpus_n12_dir)
+    inst = next(i for i in insts if i.n % 2 == 0 and
+                vertex_connectivity(i) == 5)
+    results = audit_instance(inst)
+    assert all(r.verdict == "pass" for r in results)
+    assert sorted(calls) == [2, 3]
 
 
 def test_t16_sweeps_every_three_matching(even_n12):
@@ -206,9 +232,9 @@ def test_t16_decides_each_vertex_mask_once(even_n12, monkeypatch):
     calls = []
     diagnose = structures.diagnose_mask
 
-    def counting(inst, vm, ctx):
+    def counting(vm, extendable, ctx):
         calls.append(vm)
-        return diagnose(inst, vm, ctx)
+        return diagnose(vm, extendable, ctx)
 
     monkeypatch.setattr(structures, "diagnose_mask", counting)
     [r] = audit_instance(inst, AuditConfig(theorems=("T1.6",)))
@@ -223,11 +249,11 @@ def test_t16_decides_each_vertex_mask_once(even_n12, monkeypatch):
     first = next(combo for combo, vm in sweep if vm == bad)
     assert first != sweep[-1][0]
 
-    def forced(inst, vm, ctx):
+    def forced(vm, extendable, ctx):
         if vm == bad:
             return ("counterexample", {"extendable": True,
                                        "certificate": None})
-        return diagnose(inst, vm, ctx)
+        return diagnose(vm, extendable, ctx)
 
     monkeypatch.setattr(structures, "diagnose_mask", forced)
     [r] = audit_instance(inst, AuditConfig(theorems=("T1.6",)))
