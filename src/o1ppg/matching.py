@@ -146,8 +146,8 @@ def matching_sweep(inst, k) -> MatchingSweep:
     call on the instance's memo, and only the masks that fail are expanded
     into their matchings (``mask_matchings``).  The sweep depends only on
     the instance and k, so the first call stores it on the instance and
-    later calls return it; ``o1ppg.oracles.matching_masks`` is the ordered
-    reference.
+    later calls return it.  ``o1ppg.oracles.k_extendability_in_order`` is
+    the ordered reference.
     """
     found = inst._matching_sweeps.get(k)
     if found is not None:
