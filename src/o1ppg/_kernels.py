@@ -8,13 +8,14 @@ oracle.
 Adjacency is a list of neighbor masks indexed by vertex.  The answer for a
 mask depends only on ``adj``, so a caller that tests many masks of one
 graph passes one memo to every call: ``O1PPGInstance._pm_memo`` is that
-memo for the instance graph.  Every extendability check of the audit
-shares it: ``matching.matching_sweep``, one call per covered vertex mask
-of the k-matchings, whose sweeps T1.4, C1.5, T1.6, NoThreeExt and L4.2
-read, and ``matching.is_extendable``, one call per matching, for T1.3's
-single edges, T1.4's barrier matchings and L4.2's blocker search.  A memo maps
-even-sized alive masks to their answer and starts as ``{0: True}``; it
-never holds more than 2^n entries.
+memo for the instance graph.  Its one production caller is
+``matching.matching_sweep``, one call per covered vertex mask of the
+k-matchings; every extendability check of the audit reads a stored sweep
+(T1.3 the 1-matching sweep; T1.4, C1.5 and L4.2's 2-matchings the
+2-matching sweep; T1.6, NoThreeExt and L4.2's 3-matchings the 3-matching
+sweep), ``matching.is_extendable`` included.  A memo maps even-sized alive
+masks to their answer and starts as ``{0: True}``; it never holds more
+than 2^n entries.
 """
 
 from __future__ import annotations

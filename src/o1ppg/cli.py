@@ -158,17 +158,12 @@ def cmd_replay(args):
     return 2 if any(r.verdict == "fail" for r in results) else 0
 
 
-def export_dot(inst, highlight_edges=frozenset(),
-               highlight_vertices=frozenset()):
+def export_dot(inst, highlight_edges=frozenset()):
     """DOT text for an instance: solid quadrangulation edges, dashed
-    diagonals, highlights in red."""
+    diagonals, highlighted edges in red."""
     lines = ["graph o1ppg {", "  layout=neato;"]
     for v in range(inst.n):
-        attrs = ["shape=circle"]
-        if v in highlight_vertices:
-            attrs.append("color=red")
-            attrs.append("penwidth=2")
-        lines.append(f"  {v} [{','.join(attrs)}];")
+        lines.append(f"  {v} [shape=circle];")
     for e, (u, v) in enumerate(inst.edges):
         attrs = []
         if inst.is_crossing_edge(e):

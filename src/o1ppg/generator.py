@@ -480,8 +480,8 @@ def corpus_instances(corpus):
     return out
 
 
-def write_corpus(out_dir, n_max, seeds=None):
-    """Write the full grown corpus and its manifest.
+def write_corpus(out_dir, n_max):
+    """Write the corpus grown from ``default_seed()`` and its manifest.
 
     Layout: ``q<n>/<key>.srs`` plus ``manifest.tsv`` with columns
     n, key, polyhedral, bipartite, connectivity (of the derived instance;
@@ -490,11 +490,9 @@ def write_corpus(out_dir, n_max, seeds=None):
     so are the ``q<n>`` directories this leaves empty; nothing else there
     is touched.
     """
-    if seeds is None:
-        seeds = [default_seed()]
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = _grow(seeds, n_max)
+    corpus = _grow([default_seed()], n_max)
     _remove_listed(out_dir)
     rows = []
     for n, members in corpus.items():

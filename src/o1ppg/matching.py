@@ -1,9 +1,13 @@
 """Matchings, extendability, blocker sets, and the Hamiltonian-path
 construction of perfect matchings through a given edge.
 
-Every question about which k-matchings extend (``k_extendability``, and
-Theorem 1.6's certificates in ``structures.sweep_three_matchings``) reads
-one ``matching_sweep`` per instance and k."""
+Every question about which k-matchings extend reads one
+``matching_sweep`` per instance and k, kept on the instance:
+``is_extendable`` for one matching (T1.3's single edges, T1.4's barrier
+matchings, ``find_blocker``'s precondition), ``k_extendability`` for all
+of them, and Theorem 1.6's certificates in
+``structures.sweep_three_matchings``.  The sweep is the one caller of
+``_kernels.pm_exists``."""
 
 from __future__ import annotations
 
@@ -70,14 +74,12 @@ def _check_matching(inst, m: Matching):
 
 def is_extendable(inst, m: Matching) -> bool:
     """True iff the instance has a perfect matching containing ``m``,
-    i.e. G - V(M) has a perfect matching."""
+    i.e. G - V(M) has a perfect matching: read off the stored
+    ``matching_sweep(inst, m.k)``."""
     if inst.n % 2:
         raise OddOrder("extendability needs an even order")
     covered = _check_matching(inst, m)
-    alive = ((1 << inst.n) - 1)
-    for v in covered:
-        alive ^= 1 << v
-    return _kernels.pm_exists(inst.adj, alive, inst._pm_memo)
+    return vertex_mask(covered) not in matching_sweep(inst, m.k).blocked
 
 
 def covered_masks(inst, k):

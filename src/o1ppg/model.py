@@ -125,9 +125,11 @@ class O1PPGInstance:
         self._spanning_triangulation = None
         self._minimal_separators = None
         # alive mask -> perfect matching on it?  Shared by every
-        # _kernels.pm_exists call on ``adj`` (matching.is_extendable)
+        # _kernels.pm_exists call on ``adj``, all made by
+        # matching.matching_sweep
         self._pm_memo = {0: True}
-        # k -> matching.matching_sweep(self, k), set on its first call
+        # k -> matching.matching_sweep(self, k), set on its first call and
+        # read by every extendability question about k-matchings
         self._matching_sweeps = {}
         self._edge_ids = {}
         for i, (u, v) in enumerate(edges):

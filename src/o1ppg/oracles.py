@@ -46,8 +46,9 @@ module may import the production modules, but none of them imports it.
   ``structures.find_odd_weighted_regions``).
 - ``_walk_regions`` (over ``_closed_walks_upto``): every closed walk of at
   most ``max_len`` vertices, cut one at a time (against
-  ``structures._short_walk_regions``, which cuts only the edge sets of
-  the short-cycle shapes it lists, up to 6 vertices).
+  ``EmbeddedGraph.short_walk_regions``, which cuts only the edge sets of
+  the short-cycle shapes it lists, up to 6 vertices, and the filters of
+  ``structures`` over it).
 - ``cycle_sign`` and ``is_essential`` (over ``_cycle_edges``): the sign
   product of one given vertex cycle, looked up edge by edge (against the
   products ``surface.signed_cycles`` yields for every short cycle).
@@ -99,12 +100,11 @@ from .graphs import (adjacency_masks, component_masks, enumerate_cycles,
                      is_connected_mask, vertex_connectivity_flow)
 from .matching import (HAMILTONIAN_PATH_NODE_BUDGET, Matching,
                        _check_matching)
-from .structures import (CertificateContext, OddWeightedRegion,
-                         _host_embedding, _with_roles, canonical_walk,
+from .structures import (CertificateContext, _host_embedding, _with_roles,
                          diagnose_mask, get_pattern)
 from .surface import (_SEP, EmbeddedGraph, FaceWalk, Region,
                       RegionDecomposition, SignedRotationSystem, _sign_product,
-                      region_decompose)
+                      canonical_walk, region_decompose)
 
 #: Diagonal selections ``spanning_triangulation_by_selections`` may try,
 #: the first included, before it raises SearchBudgetExceeded.
@@ -858,7 +858,8 @@ def _walk_regions(emb, max_len, min_len=2):
 
 def odd_regions_by_face_merge(inst, max_boundary_len):
     """Independent oracle: merge every connected face subset of Q(G) and
-    keep 2-cell regions with odd interiors and short boundaries."""
+    keep 2-cell regions with odd interiors and short boundaries, as
+    (canonical walk, region) sorted by walk."""
     emb = _host_embedding(inst)
     nf = emb.face_count
     ef = emb.edge_faces()
@@ -895,15 +896,8 @@ def odd_regions_by_face_merge(inst, max_boundary_len):
                 if bw.length > max_boundary_len:
                     continue
                 if len(region.interior_vertices) % 2 == 1:
-                    walk = canonical_walk(bw.vertices)
-                    results[walk] = OddWeightedRegion(
-                        boundary_walk=walk,
-                        interior_vertex_count=len(region.interior_vertices),
-                        boundary_is_cycle=len(set(walk)) == len(walk),
-                        interior_vertices=region.interior_vertices,
-                        face_ids=region.face_ids,
-                    )
-    return [results[w] for w in sorted(results)]
+                    results[canonical_walk(bw.vertices)] = region
+    return sorted(results.items())
 
 
 def _cycle_edges(srs, cycle):
@@ -948,8 +942,8 @@ def certificate_by_sets(ctx, vm):
     the length-6 regions of the context, then the pattern maps in
     "abcdefg" order, for the first certificate that fires on the vertex
     set ``vm`` of a 3-matching."""
-    for walk, interior in ctx.regions6:
-        if set(walk) <= vm and len(interior - vm) % 2 == 1:
+    for walk, region in ctx.regions6:
+        if set(walk) <= vm and len(region.interior_vertices - vm) % 2 == 1:
             return ("cert_i", walk)
     for cid in "abcdefg":
         gray = get_pattern(cid).gray

@@ -2,6 +2,11 @@
 projective-bowties, and the fixed embedded patterns used to classify cuts
 and non-extendable 3-matchings.
 
+The odd weighted regions, barrier cycles and length-6 regions are length
+and parity filters over one stored list per embedding,
+``EmbeddedGraph.short_walk_regions``; Theorem 1.6's sweep reads the stored
+3-matching sweep, ``matching.matching_sweep(inst, 3)``.
+
 The nine base patterns ship as .srs fixtures; the configurations (a)-(g)
 are roles on four of them, stated once in ``_CONFIG_ROLES``.
 ``o1ppg.oracles.build_patterns`` rebuilds the bases from scratch (each is
@@ -19,7 +24,7 @@ from . import fixtures
 from .graphs import vertex_mask
 from .matching import mask_matchings, matching_sweep
 from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
-                      region_decompose, restricted_system, signed_cycles)
+                      region_decompose, restricted_system)
 
 
 # -- pattern registry --------------------------------------------------------
@@ -83,159 +88,56 @@ def get_pattern(pid) -> ConfigPattern:
     return patterns()[pid]
 
 
-# -- short closed walks and odd weighted regions -----------------------------
-
-def canonical_walk(vs):
-    """Canonical form of a closed walk: minimum rotation/reflection."""
-    k = len(vs)
-    best = None
-    for seq in (tuple(vs), tuple(reversed(vs))):
-        for i in range(k):
-            cand = seq[i:] + seq[:i]
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
-@dataclass(frozen=True)
-class OddWeightedRegion:
-    boundary_walk: tuple          # canonical vertex walk
-    interior_vertex_count: int
-    boundary_is_cycle: bool
-    interior_vertices: frozenset
-    face_ids: tuple
-
+# -- odd weighted regions ----------------------------------------------------
 
 def _host_embedding(host):
     return host.quad.embedding if hasattr(host, "quad") else host
 
 
-def _short_walk_regions(emb, max_len, min_len=2):
-    """(canonical walk, region) for every 2-cell region of the embedding,
-    a simple graph 2-cell embedded in P^2, that the cut along a closed
-    walk of ``min_len`` to ``max_len`` <= 6 vertices leaves with that walk
-    as its boundary, when the cut separates the surface; sorted by walk.
-
-    A closed walk of at most 6 vertices whose edges are not a tree (a tree
-    never separates) runs over one of these edge graphs:
-
-    - a simple cycle of 3 to 6 vertices;
-    - a 3- or 4-cycle plus a pendant edge, walked there and back;
-    - a triangle walked twice, or a 3- or 4-cycle with one edge walked
-      three times: never a kept boundary, as a boundary walk passes each
-      edge side at most once, and a region on both sides of every edge of
-      a triangle is the only region of the cut;
-    - two triangles sharing one vertex (a figure-eight);
-    - two triangles sharing one edge, the shared edge walked twice.
-
-    A one-sided cycle (sign product -1) does not separate P^2, with or
-    without a pendant edge; a two-sided one bounds one disc, and a pendant
-    edge keeps that disc a 2-cell only when it enters the disc, which a
-    face's disc has no vertex for.  Each remaining edge set is cut once,
-    and a region is kept when it is a 2-cell whose boundary walk covers the
-    whole edge set with a length in range.  ``o1ppg.oracles._walk_regions``
-    is the closed-walk reference.
-    """
+def _regions_up_to(host, max_len):
+    """The host's ``EmbeddedGraph.short_walk_regions``, for a length limit
+    of at most 6."""
     if max_len > 6:
         raise ValueError(f"boundary walks of at most 6 vertices are "
                          f"supported, not {max_len}")
-    srs = emb.srs
-    faces = {frozenset(f.edge_ids()) for f in emb.faces}
-    found = {}
-
-    def keep(edges, dec):
-        if dec.region_count < 2:
-            return
-        for region in dec.regions:
-            # a 2-cell's one walk is as long as its boundary
-            if (region.is_two_cell
-                    and min_len <= region.boundary_length <= max_len):
-                bw = region.boundary_walks[0]
-                if len(set(bw.edge_ids())) == len(edges):
-                    found[canonical_walk(bw.vertices)] = region
-
-    triangles = []
-    for cycle, ids, sign in signed_cycles(srs, max_len):
-        k = len(cycle)
-        edges = frozenset(ids)
-        if k == 3:
-            triangles.append((cycle, edges))
-        if sign < 0:
-            continue
-        own = min_len <= k <= max_len
-        pendant = min_len <= k + 2 <= max_len and edges not in faces
-        if not (own or pendant):
-            continue
-        dec = region_decompose(emb, edges)
-        if own:
-            keep(edges, dec)
-        if not pendant:
-            continue
-        on_cycle = vertex_mask(cycle)
-        for region in dec.regions:
-            if not region.is_two_cell:
-                continue
-            for x in region.interior_vertices:
-                for d in srs.rotations[x]:
-                    if on_cycle >> srs.dart_vertex(d ^ 1) & 1:
-                        with_pendant = edges | {d >> 1}
-                        keep(with_pendant,
-                             region_decompose(emb, with_pendant))
-    if min_len <= 6 <= max_len:
-        for (t1, e1), (t2, e2) in combinations(triangles, 2):
-            if set(t1) & set(t2):
-                keep(e1 | e2, region_decompose(emb, e1 | e2))
-    return [(walk, found[walk]) for walk in sorted(found)]
+    return _host_embedding(host).short_walk_regions()
 
 
 def find_odd_weighted_regions(inst, max_boundary_len):
     """All odd weighted regions of the instance bounded by closed walks of
-    non-crossing edges with length <= max_boundary_len <= 6, sorted by
-    canonical boundary walk.
-
-    The walks are found from the short cycles of Q(G): simple cycles of
-    length 3 to 6, 3- and 4-cycles with a pendant edge walked there and
-    back, figure-eights of two triangles sharing a vertex, and two
-    triangles sharing an edge walked twice (see
-    :func:`_short_walk_regions`); a longer limit raises ``ValueError``.
-    Keeps each 2-cell region whose interior vertex count is odd.  The
-    face-merge enumeration in :func:`o1ppg.oracles.odd_regions_by_face_merge`
-    is the independent completeness oracle.  Accepts an instance or a bare
-    embedded quadrangulation.
+    non-crossing edges with length <= max_boundary_len <= 6, as
+    ``(canonical walk, Region)`` sorted by walk: the regions of
+    ``EmbeddedGraph.short_walk_regions`` with an odd interior vertex count;
+    a longer limit raises ``ValueError``.  The face-merge enumeration in
+    :func:`o1ppg.oracles.odd_regions_by_face_merge` is the independent
+    completeness oracle.  Accepts an instance or a bare embedded
+    quadrangulation.
     """
-    return [OddWeightedRegion(
-                boundary_walk=walk,
-                interior_vertex_count=len(region.interior_vertices),
-                boundary_is_cycle=len(set(walk)) == len(walk),
-                interior_vertices=region.interior_vertices,
-                face_ids=region.face_ids)
-            for walk, region in _short_walk_regions(_host_embedding(inst),
-                                                    max_boundary_len)
-            if len(region.interior_vertices) % 2 == 1]
+    return [(walk, region)
+            for walk, region in _regions_up_to(inst, max_boundary_len)
+            if len(walk) <= max_boundary_len
+            and len(region.interior_vertices) % 2]
 
 
 def barrier_cycles(inst, length):
-    """Barrier cycles of the given length (odd weighted regions whose
-    boundary walk is a cycle)."""
-    return [r for r in find_odd_weighted_regions(inst, length)
-            if r.boundary_is_cycle and len(r.boundary_walk) == length]
+    """Barrier cycles of the given length: the odd weighted regions whose
+    boundary walk is a cycle of that length, as ``(walk, Region)``."""
+    return [(walk, region)
+            for walk, region in find_odd_weighted_regions(inst, length)
+            if len(walk) == length == len(set(walk))]
 
 
 def two_cell_regions(inst, boundary_len):
     """All 2-cell regions bounded by separating closed walks of non-crossing
     edges with the exact boundary length (at most 6), any interior parity,
-    as (canonical walk, interior vertex set) sorted by walk.
-
-    At length 6 the walks are the 6-cycles, the 4-cycles with a pendant
-    edge walked there and back, the figure-eights of two triangles sharing
-    a vertex and the pairs of triangles sharing an edge walked twice (see
-    :func:`_short_walk_regions`); a length above 6 raises ``ValueError``.
-    The 3-matching certificate needs the interior split by coverage, not
-    just its total parity, so this keeps even-interior regions too.
+    as ``(canonical walk, Region)`` sorted by walk; a length above 6 raises
+    ``ValueError``.  The 3-matching certificate needs the interior split
+    by coverage, not just its total parity, so this keeps even-interior
+    regions too.
     """
-    return [(walk, region.interior_vertices)
-            for walk, region in _short_walk_regions(
-                _host_embedding(inst), boundary_len, boundary_len)]
+    return [(walk, region)
+            for walk, region in _regions_up_to(inst, boundary_len)
+            if len(walk) == boundary_len]
 
 
 # -- projective-bowties -------------------------------------------------------
@@ -361,7 +263,7 @@ def _parities_ok(host, pat, phi):
 class CertificateContext:
     """Per-instance cache of the Theorem-1.6 certificate structures."""
 
-    regions6: list        # (walk, interior vertex set), boundary length 6
+    regions6: list        # (walk, Region), boundary length 6
     config_maps: dict     # pattern id -> match_pattern maps, "abcdefg"
     #: six-vertex mask -> the first certificate that fires on a 3-matching
     #: covering it: ("cert_i", walk) or ("cert_ii", (pattern id, phi))
@@ -385,9 +287,9 @@ class CertificateContext:
         regions6 = two_cell_regions(inst, 6)
         certificates = {}
         singles = [1 << v for v in range(inst.n)]
-        for walk, interior in regions6:
+        for walk, region in regions6:
             wm = vertex_mask(walk)
-            im = vertex_mask(interior)
+            im = vertex_mask(region.interior_vertices)
             rest = [b for b in singles if not b & wm]
             for extra in combinations(rest, 6 - wm.bit_count()):
                 xm = sum(extra)

@@ -19,7 +19,10 @@ regions it returns carry their facts, computed from one face union-find
 (faces, boundary length, interior vertices, Euler characteristic, and
 with it whether the region is a 2-cell), and get their boundary walks from
 the restricted tracer on first read.  The cut lemmas, the short-walk
-regions and the pattern face parities all read this one value.
+regions and the pattern face parities all read this one value.  The
+short-walk regions, every 2-cell region bounded by a separating closed
+walk of 3 to 6 vertices, are found once per embedding and kept
+(``EmbeddedGraph.short_walk_regions``).
 
 Both questions the model asks of a surface are read off the traced faces.
 A connected system with an edge is on P^2 iff its Euler characteristic is
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -50,7 +54,7 @@ from .errors import (
     MalformedRotation,
     NotProjectivePlane,
 )
-from .graphs import enumerate_cycles, is_connected_mask
+from .graphs import enumerate_cycles, is_connected_mask, vertex_mask
 
 
 def dart_str(d: int) -> str:
@@ -369,6 +373,7 @@ class EmbeddedGraph:
         self._corner_face = None
         self._edge_faces = None
         self._vertex_faces = None
+        self._short_walk_regions = None
 
     @property
     def vertex_count(self):
@@ -442,6 +447,90 @@ class EmbeddedGraph:
                 vf[self.srs.dart_vertex(corner)].add(fi)
             self._vertex_faces = tuple(map(frozenset, vf))
         return self._vertex_faces
+
+    # -- short closed walks ------------------------------------------------
+
+    def short_walk_regions(self):
+        """``(canonical walk, Region)`` for every 2-cell region that the cut
+        along a closed walk of 3 to 6 vertices leaves with that walk as its
+        boundary, when the cut separates the surface; sorted by walk.  The
+        graph must be simple and on P^2.  Computed on first call.
+
+        A closed walk of at most 6 vertices whose edges are not a tree (a
+        tree never separates) runs over one of these edge graphs:
+
+        - a simple cycle of 3 to 6 vertices;
+        - a 3- or 4-cycle plus a pendant edge, walked there and back;
+        - a triangle walked twice, or a 3- or 4-cycle with one edge walked
+          three times: never a kept boundary, as a boundary walk passes
+          each edge side at most once, and a region on both sides of every
+          edge of a triangle is the only region of the cut;
+        - two triangles sharing one vertex (a figure-eight);
+        - two triangles sharing one edge, the shared edge walked twice.
+
+        A one-sided cycle (sign product -1) does not separate P^2, with or
+        without a pendant edge; a two-sided one bounds one disc, and a
+        pendant edge keeps that disc a 2-cell only when it enters the disc,
+        which a face's disc has no vertex for.  Each remaining edge set is
+        cut once, and a region is kept when it is a 2-cell whose boundary
+        walk, of at most 6 vertices, covers the whole edge set.
+        ``o1ppg.oracles._walk_regions`` is the closed-walk reference.
+        """
+        if self._short_walk_regions is not None:
+            return self._short_walk_regions
+        srs = self.srs
+        faces = {frozenset(f.edge_ids()) for f in self.faces}
+        found = {}
+
+        def keep(edges, dec):
+            if dec.region_count < 2:
+                return
+            for region in dec.regions:
+                # a 2-cell's one walk is as long as its boundary
+                if region.is_two_cell and region.boundary_length <= 6:
+                    bw = region.boundary_walks[0]
+                    if len(set(bw.edge_ids())) == len(edges):
+                        found[canonical_walk(bw.vertices)] = region
+
+        triangles = []
+        for cycle, ids, sign in signed_cycles(srs, 6):
+            edges = frozenset(ids)
+            if len(cycle) == 3:
+                triangles.append((cycle, edges))
+            if sign < 0:
+                continue
+            dec = region_decompose(self, edges)
+            keep(edges, dec)
+            if len(cycle) > 4 or edges in faces:
+                continue
+            on_cycle = vertex_mask(cycle)
+            for region in dec.regions:
+                if not region.is_two_cell:
+                    continue
+                for x in region.interior_vertices:
+                    for d in srs.rotations[x]:
+                        if on_cycle >> srs.dart_vertex(d ^ 1) & 1:
+                            with_pendant = edges | {d >> 1}
+                            keep(with_pendant,
+                                 region_decompose(self, with_pendant))
+        for (t1, e1), (t2, e2) in combinations(triangles, 2):
+            if set(t1) & set(t2):
+                keep(e1 | e2, region_decompose(self, e1 | e2))
+        self._short_walk_regions = [(walk, found[walk])
+                                    for walk in sorted(found)]
+        return self._short_walk_regions
+
+
+def canonical_walk(vs):
+    """Canonical form of a closed walk: minimum rotation/reflection."""
+    k = len(vs)
+    best = None
+    for seq in (tuple(vs), tuple(reversed(vs))):
+        for i in range(k):
+            cand = seq[i:] + seq[:i]
+            if best is None or cand < best:
+                best = cand
+    return best
 
 
 def _sign_product(srs, edge_ids):
@@ -587,7 +676,9 @@ def _merge_faces(g: EmbeddedGraph, in_k):
 def _trace_boundaries(g: EmbeddedGraph, K, region_of, regions):
     """Give each region of the cut along ``K`` its boundary walks: the faces
     of the host restricted to ``K``, each in the region of the host corners
-    its turns sweep, which must all lie in one region."""
+    its turns sweep, which must all lie in one region.  Each region then
+    drops its tracer, so a region kept alone (as the short-walk regions
+    are) does not hold on to the rest of its decomposition."""
     srs = g.srs
     edges, nxt, prv = srs.edges, srs._rot_next, srs._rot_prev
     corner_region = [region_of[f] for f in g.corner_face()]
@@ -616,7 +707,7 @@ def _trace_boundaries(g: EmbeddedGraph, K, region_of, regions):
                 "face merge inconsistent")
         walks[swept.pop()].append(w)
     for region, ws in zip(regions, walks):
-        region._walks = ws
+        region._walks, region._trace = ws, None
 
 
 def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:

@@ -7,10 +7,14 @@ the corrected reading of the 2-extendability characterization (see the
 report's ``note`` line).
 
 Every theorem in ``THEOREM_IDS`` has one check, and the checks share their
-intermediates (the cuts, the barrier cycles, and the k-matching sweeps of
-``matching.matching_sweep``, kept on the instance) through values computed
-on first use.  So a theorem audited alone, as ``o1ppg replay`` and
-``o1ppg verify --theorems`` do, gets the record it gets in the full audit.  ``AuditConfig`` keeps the selected ids in
+intermediates through values computed on first use: the cuts; the
+short-walk regions of ``EmbeddedGraph.short_walk_regions``, kept on the
+embedding, which T1.4's barrier cycles and T1.6's length-6 regions filter;
+and the k-matching sweeps of ``matching.matching_sweep``, kept on the
+instance, which T1.3 (k = 1), T1.4 and C1.5 (k = 2), T1.6 and NoThreeExt
+(k = 3) and L4.2 (k = 2 and 3) read.  So a theorem audited alone, as
+``o1ppg replay`` and ``o1ppg verify --theorems`` do, gets the record it
+gets in the full audit.  ``AuditConfig`` keeps the selected ids in
 ``THEOREM_IDS`` order, each once, and the report header lists them so.
 """
 
@@ -176,7 +180,7 @@ class _InstanceAudit:
         """Each barrier 4-cycle's opposite edges, as a 2-matching."""
         inst = self.inst
         return [Matching(frozenset([inst.edge_id(a, b), inst.edge_id(c, d)]))
-                for a, b, c, d in (br.boundary_walk for br in self.barriers)]
+                for (a, b, c, d), _region in self.barriers]
 
     @cached_property
     def nonext_2matchings(self):
@@ -271,15 +275,14 @@ class _InstanceAudit:
         if ext2 == bool(barriers):
             return _fail(f"2-extendable={ext2} but "
                          f"{len(barriers)} barrier 4-cycles",
-                         _walk_str(barriers[0].boundary_walk) if barriers
+                         _walk_str(barriers[0][0]) if barriers
                          else _pairs_str(witness.sorted_pairs(inst)))
         # the easy direction, constructively: opposite edges of a barrier
         # 4-cycle form a non-extendable 2-matching
-        for b, m in zip(barriers, self.barrier_matchings):
+        for (walk, _region), m in zip(barriers, self.barrier_matchings):
             if is_extendable(inst, m):
                 return _fail("barrier 4-cycle with extendable "
-                             "opposite-edge 2-matching",
-                             _walk_str(b.boundary_walk))
+                             "opposite-edge 2-matching", _walk_str(walk))
         return _pass(f"2-extendable={ext2} barrier4={len(barriers)}")
 
     def check_C15(self):

@@ -147,8 +147,7 @@ def test_criterion_04_two_extendability(even_instances):
         two_extendable = bad is None
         if two_extendable != (not barriers):
             disagreements.append((inst.key, "characterization"))
-        for b in barriers:
-            a, bb, c, d = b.boundary_walk
+        for (a, bb, c, d), _region in barriers:
             m = Matching(frozenset([inst.edge_id(a, bb),
                                     inst.edge_id(c, d)]))
             _nonextendable["k1"].append((inst, m))

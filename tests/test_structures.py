@@ -17,14 +17,13 @@ from o1ppg.oracles import (_walk_regions, bowties_by_triangle_pairs,
                            odd_regions_by_face_merge,
                            sweep_three_matchings_in_order)
 from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
-                              OddWeightedRegion, PATTERN_IDS, _candidate_maps,
-                              _parities_ok, canonical_walk,
-                              diagnose_mask,
+                              PATTERN_IDS, _candidate_maps, _parities_ok,
+                              barrier_cycles, diagnose_mask,
                               find_odd_weighted_regions,
                               find_projective_bowties, get_pattern,
                               load_patterns, match_pattern, patterns,
                               sweep_three_matchings, two_cell_regions)
-from o1ppg.surface import EmbeddedGraph
+from o1ppg.surface import EmbeddedGraph, canonical_walk
 
 
 def test_patterns_ship_and_rebuild_identically():
@@ -121,12 +120,9 @@ def test_odd_region_routes_agree(instances10):
     for inst in instances10:
         for length in (4, 6):
             a = find_odd_weighted_regions(inst, length)
-            b = odd_regions_by_face_merge(inst, length)
-            assert [r.boundary_walk for r in a] == \
-                [r.boundary_walk for r in b]
-            for r in a:
-                assert r.interior_vertex_count % 2 == 1
-                assert r.interior_vertex_count == len(r.interior_vertices)
+            assert a == odd_regions_by_face_merge(inst, length)
+            for _walk, r in a:
+                assert len(r.interior_vertices) % 2 == 1
 
 
 def _walk_shape(walk):
@@ -136,44 +132,40 @@ def _walk_shape(walk):
 
 
 def test_short_cycle_regions_match_closed_walk_oracle(corpus10, corpus_n12):
-    # the short-cycle finder against the sweep over every closed walk, on
-    # every class grown to n <= 8 and the committed n <= 12 instances
+    # every filter over the short-walk finder against the sweep over every
+    # closed walk, at each length, on every class grown to n <= 8 and the
+    # committed n <= 12 instances
     hosts = [EmbeddedGraph(srs) for n, members in corpus10.items() if n <= 8
              for _key, srs in members]
     assert len(hosts) == 78
     shapes = set()
     for host in hosts + corpus_n12:
         emb = host.quad.embedding if hasattr(host, "quad") else host
-        ref = {}
-        for walk, region in _walk_regions(emb, 6):
-            ref[walk] = region
-        ref = sorted(ref.items())
-        for length in (4, 6):
+        ref = sorted(dict(_walk_regions(emb, 6)).items())
+        odd = [(walk, r) for walk, r in ref if len(r.interior_vertices) % 2]
+        for length in (3, 4, 5, 6):
             assert find_odd_weighted_regions(host, length) == [
-                OddWeightedRegion(
-                    boundary_walk=walk,
-                    interior_vertex_count=len(r.interior_vertices),
-                    boundary_is_cycle=len(set(walk)) == len(walk),
-                    interior_vertices=r.interior_vertices,
-                    face_ids=r.face_ids)
-                for walk, r in ref
-                if len(walk) <= length and len(r.interior_vertices) % 2]
-        regions6 = two_cell_regions(host, 6)
-        assert regions6 == [(walk, r.interior_vertices)
-                            for walk, r in ref if len(walk) == 6]
-        shapes |= {_walk_shape(walk) for walk, _interior in regions6}
+                (walk, r) for walk, r in odd if len(walk) <= length]
+            assert barrier_cycles(host, length) == [
+                (walk, r) for walk, r in odd
+                if len(walk) == length == len(set(walk))]
+            assert two_cell_regions(host, length) == [
+                (walk, r) for walk, r in ref if len(walk) == length]
+        shapes |= {_walk_shape(walk)
+                   for walk, _r in two_cell_regions(host, 6)}
     # a 6-cycle, a figure-eight, a 4-cycle with a pendant edge and two
     # triangles sharing a doubled edge all bound regions, so no candidate
     # family of the finder is compared vacuously
     assert {(6, 6), (5, 6), (5, 5), (4, 5)} <= shapes
-    with pytest.raises(ValueError, match="at most 6"):
-        two_cell_regions(corpus_n12[0], 7)
+    for fn in (find_odd_weighted_regions, barrier_cycles, two_cell_regions):
+        with pytest.raises(ValueError, match="at most 6"):
+            fn(corpus_n12[0], 7)
 
 
 def test_faces_never_odd_regions(instances10):
     # faces of Q(G) have no interior vertices, so they are never returned
     for inst in instances10:
-        walks = {r.boundary_walk for r in find_odd_weighted_regions(inst, 4)}
+        walks = {walk for walk, _r in find_odd_weighted_regions(inst, 4)}
         for f in inst.quad.embedding.faces:
             assert canonical_walk(f.vertices) not in walks
 
@@ -183,19 +175,15 @@ def test_barrier_4cycle_detected_on_small_host(corpus10):
     from o1ppg.surface import EmbeddedGraph
     _key, srs = corpus10[5][0]
     g = EmbeddedGraph(srs)
-    regions = find_odd_weighted_regions(g, 4)
-    assert len(regions) == 1
-    r = regions[0]
-    assert r.boundary_is_cycle
-    assert len(r.boundary_walk) == 4
-    assert r.interior_vertex_count == 1
+    [(walk, r)] = find_odd_weighted_regions(g, 4)
+    assert len(walk) == len(set(walk)) == 4
+    assert len(r.interior_vertices) == 1
 
 
 def test_corpus_instances_have_no_barrier_4cycles(instances10):
     # at desk scale the optimal structure leaves no room for one; Theorem
     # 1.4's characterization then demands 2-extendability, which criterion
     # tests confirm
-    from o1ppg.structures import barrier_cycles
     for inst in instances10:
         assert barrier_cycles(inst, 4) == []
 
@@ -203,9 +191,8 @@ def test_corpus_instances_have_no_barrier_4cycles(instances10):
 def test_essential_triangle_complement_excluded(inst10):
     # the double traversal of an essential triangle bounds a disc whose
     # interior is everything else; it must not count as an odd region
-    regions = find_odd_weighted_regions(inst10, 6)
-    for r in regions:
-        assert r.interior_vertex_count < inst10.n - 3
+    for _walk, r in find_odd_weighted_regions(inst10, 6):
+        assert len(r.interior_vertices) < inst10.n - 3
 
 
 def test_bowtie_detectors_agree(instances10, corpus_n12):
@@ -259,8 +246,8 @@ def test_certificate_i_implies_odd_component(inst10):
     for combo, _vm in matching_masks(inst10, 3):
         m = Matching(frozenset(combo))
         vm = m.vertex_set(inst10)
-        for walk, interior in ctx.regions6:
-            if set(walk) <= vm and len(interior - vm) % 2 == 1:
+        for walk, region in ctx.regions6:
+            if set(walk) <= vm and len(region.interior_vertices - vm) % 2:
                 hit += 1
                 assert not is_extendable(inst10, m)
                 break
@@ -287,7 +274,7 @@ def test_context_matches_direct_computation(inst10, even_n12):
         ctx = CertificateContext.build(inst)
         for cid in "abcdefg":
             assert ctx.config_maps[cid] == match_pattern(emb, get_pattern(cid))
-        assert ctx.regions6 == [(walk, region.interior_vertices)
+        assert ctx.regions6 == [(walk, region)
                                 for walk, region in _walk_regions(emb, 6)
                                 if len(walk) == 6]
 

@@ -1,16 +1,17 @@
 """The audit harness: green on the real corpus, red on corrupted inputs,
 deterministic reports."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from o1ppg import matching, structures, verify
+from o1ppg import _kernels, matching, structures, surface, verify
 from o1ppg.cli import main
 from o1ppg.connectivity import vertex_connectivity
 from o1ppg.errors import EmptyCorpus, O1ppgError, UnknownTheorem
 from o1ppg.generator import load_corpus_instances
-from o1ppg.model import validate_quadrangulation
+from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import matching_masks
 from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 from o1ppg.verify import (THEOREM_IDS, AuditConfig, aggregate_report,
@@ -157,19 +158,12 @@ def test_mutant_rotation_caught_by_validation(min9):
 def test_mutant_instance_fails_audit_with_witness(inst10):
     # with revalidation bypassed, a corrupted instance (one diagonal pair
     # dropped from the derived graph) must surface as audit failures
-    import copy
-    bad = copy.copy(inst10)
-    # fresh caches, so nothing computed on the real graph reaches the mutant
-    bad._pm_memo = {0: True}
-    bad._matching_sweeps = {}
-    bad._spanning_triangulation = None
-    bad._minimal_separators = None
+    # a fresh instance, so nothing computed on the real graph reaches it
+    bad = build_o1ppg(inst10.quad, key="mutant")
     bad.edges = inst10.edges[:-2]
-    bad.adj = list(inst10.adj)
     for (u, v) in inst10.edges[-2:]:
         bad.adj[u] &= ~(1 << v)
         bad.adj[v] &= ~(1 << u)
-    bad.key = "mutant"
     results = audit_instance(bad, AuditConfig(theorems=("DegreeFacts",)))
     assert results[0].verdict == "fail"
     assert results[0].detail
@@ -189,9 +183,16 @@ def test_two_extendability_swept_once_per_audit(inst10, monkeypatch):
     assert calls == [2]
 
 
+def _fresh_five_connected(corpus_n12_dir):
+    """A freshly loaded even 5-connected corpus-n12 instance, so nothing
+    is stored on it or its embedding yet."""
+    return next(i for i in load_corpus_instances(corpus_n12_dir)
+                if i.n % 2 == 0 and vertex_connectivity(i) == 5)
+
+
 def test_audit_sweeps_each_k_once(corpus_n12_dir, monkeypatch):
-    # T1.4, C1.5 and L4.2 read one 2-matching sweep; T1.6, NoThreeExt and
-    # L4.2 one 3-matching sweep
+    # T1.3 reads one 1-matching sweep; T1.4, C1.5 and L4.2 one 2-matching
+    # sweep; T1.6, NoThreeExt and L4.2 one 3-matching sweep
     calls = []
     covered = matching.covered_masks
 
@@ -200,12 +201,56 @@ def test_audit_sweeps_each_k_once(corpus_n12_dir, monkeypatch):
         return covered(inst, k)
 
     monkeypatch.setattr(matching, "covered_masks", counted)
-    insts = load_corpus_instances(corpus_n12_dir)
-    inst = next(i for i in insts if i.n % 2 == 0 and
-                vertex_connectivity(i) == 5)
+    results = audit_instance(_fresh_five_connected(corpus_n12_dir))
+    assert all(r.verdict == "pass" for r in results)
+    assert sorted(calls) == [1, 2, 3]
+
+
+def test_audit_tests_perfect_matchings_only_in_sweeps(corpus_n12_dir,
+                                                      monkeypatch):
+    # every extendability question of the audit reads a stored sweep, so
+    # every perfect-matching test runs inside matching.matching_sweep
+    sweep_code = matching.matching_sweep.__code__
+    inside = []
+    pm_exists = _kernels.pm_exists
+
+    def recorded(adj, alive, memo=None):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not sweep_code:
+            frame = frame.f_back
+        inside.append(frame is not None)
+        return pm_exists(adj, alive, memo)
+
+    monkeypatch.setattr(_kernels, "pm_exists", recorded)
+    results = audit_instance(_fresh_five_connected(corpus_n12_dir))
+    assert all(r.verdict == "pass" for r in results)
+    assert inside and all(inside)
+
+
+def test_audit_finds_short_walk_regions_once(corpus_n12_dir, monkeypatch):
+    # T1.4's barriers and T1.6's length-6 regions filter one stored list:
+    # a full audit enumerates the short cycles once, and a later filter
+    # cuts nothing
+    inst = _fresh_five_connected(corpus_n12_dir)
+    srs = inst.quad.embedding.srs
+    enumerations, cuts = [], []
+    cycles, decompose = surface.signed_cycles, surface.region_decompose
+
+    def counted_cycles(host, max_len):
+        enumerations.append((host is srs, max_len))
+        return cycles(host, max_len)
+
+    def counted_cuts(g, edges):
+        cuts.append(edges)
+        return decompose(g, edges)
+
+    monkeypatch.setattr(surface, "signed_cycles", counted_cycles)
     results = audit_instance(inst)
     assert all(r.verdict == "pass" for r in results)
-    assert sorted(calls) == [2, 3]
+    assert enumerations == [(True, 6)]
+    monkeypatch.setattr(surface, "region_decompose", counted_cuts)
+    assert structures.barrier_cycles(inst, 4) == []
+    assert cuts == []
 
 
 def test_t16_sweeps_every_three_matching(even_n12):
