@@ -8,7 +8,8 @@ oracle.
 Adjacency is a list of neighbor masks indexed by vertex.  The answer for a
 mask depends only on ``adj``, so a caller that tests many masks of one
 graph passes one memo to every call: ``O1PPGInstance._pm_memo`` is that
-memo for the instance graph.  Its one production caller is
+memo for the instance graph, kept until the instance's audit returns
+(``O1PPGInstance.reset_audit_state``).  Its one production caller is
 ``matching.matching_sweep``, one call per covered vertex mask of the
 k-matchings; every extendability check of the audit reads a stored sweep
 (T1.3 the 1-matching sweep; T1.4, C1.5 and L4.2's 2-matchings the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 
@@ -140,8 +141,11 @@ def cmd_verify(args):
     else:
         sys.stdout.write(report)
     fails = sum(1 for r in results if r.verdict == "fail")
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"instances={len(instances)} results={len(results)} fails={fails} "
-          f"runtime={time.time() - t0:.1f}s", file=sys.stderr)
+          f"runtime={time.time() - t0:.1f}s peak_rss_mb={peak_mb:.1f}",
+          file=sys.stderr)
     return 2 if fails else 0
 
 

@@ -17,7 +17,6 @@ harness treats theorem checks as property tests over this corpus.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import pathlib
 from array import array
@@ -39,6 +38,13 @@ def _token_strings(n):
     ``str(t)`` for every dart-visit token t < 2n, and the last entry, the
     one ``_SEP`` (-1) indexes, spells ``_SEP``."""
     return (*map(str, range(2 * n)), str(_SEP))
+
+
+def _token_code(n):
+    """``array`` typecode that packs an order-``n`` encoding for ``seen``:
+    a signed byte while every token, below 2n, and ``_SEP`` (-1) fit in
+    one (n <= 64), two bytes above."""
+    return "b" if n <= 64 else "h"
 
 
 def _class_darts(srs):
@@ -111,6 +117,10 @@ def canonical_key(g) -> str:
 
 def _digest(key):
     """Filesystem-friendly digest of a canonical string."""
+    # imported here, its one use: importing hashlib maps OpenSSL's
+    # libcrypto, which blake2b (CPython's built-in _blake2) does not need
+    import hashlib
+
     return hashlib.blake2b(key.encode(), digest_size=8).hexdigest()
 
 
@@ -254,18 +264,19 @@ def _first_state(tables, start):
     """``(start, _encode_from result, packed bytes)`` of the start state
     (start, +1) of the system whose encoder tables are ``tables``."""
     found = _encode_from(*tables, start, 1)
-    return start, found, array("h", found[0]).tobytes()
+    return start, found, array(_token_code(tables[4]), found[0]).tobytes()
 
 
 def _new_class(srs, seen, first=None):
     """Key and automorphisms of a simple connected system whose class is
     not in ``seen``, or None if it is.
 
-    ``seen`` holds, as ``array("h")`` bytes, the packed encodings from
-    every start state of every class met so far (an encoding's length,
-    5n - 4 tokens, fixes the order n).  The start states are (d, +1) and
-    (d, -1) for the darts d of the least degree pair (``_class_darts``).
-    That set is invariant and a start-state encoding describes the whole
+    ``seen`` holds, as ``array`` bytes of ``_token_code(n)``, the packed
+    encodings from every start state of every class met so far (an
+    encoding's length, 5n - 4 tokens, fixes the order n, and with it the
+    bytes per token).  The start states are (d, +1) and (d, -1) for the
+    darts d of the least degree pair (``_class_darts``).  That set is
+    invariant and a start-state encoding describes the whole
     embedding, so the system repeats a class iff its encoding from one
     start state (its first start dart, side +1) is in ``seen``.  A new
     class is then encoded from its other start states too, all of which
@@ -285,6 +296,7 @@ def _new_class(srs, seen, first=None):
     if packed in seen:
         return None
     seen.add(packed)
+    code = _token_code(srs.vertex_count)
     least = base[0]
     automorphisms = []
     for d in darts:
@@ -293,7 +305,7 @@ def _new_class(srs, seen, first=None):
                 continue
             found = _encode_from(*tables, d, side)
             enc = found[0]
-            other = array("h", enc).tobytes()
+            other = array(code, enc).tobytes()
             if other == packed:
                 automorphisms.append(_automorphism(srs, base, found))
             else:

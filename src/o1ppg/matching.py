@@ -2,7 +2,8 @@
 construction of perfect matchings through a given edge.
 
 Every question about which k-matchings extend reads one
-``matching_sweep`` per instance and k, kept on the instance:
+``matching_sweep`` per instance and k, kept on the instance until its
+audit returns (``O1PPGInstance.reset_audit_state``):
 ``is_extendable`` for one matching (T1.3's single edges, T1.4's barrier
 matchings, ``find_blocker``'s precondition), ``k_extendability`` for all
 of them, and Theorem 1.6's certificates in
@@ -148,8 +149,9 @@ def matching_sweep(inst, k) -> MatchingSweep:
     call on the instance's memo, and only the masks that fail are expanded
     into their matchings (``mask_matchings``).  The sweep depends only on
     the instance and k, so the first call stores it on the instance and
-    later calls return it.  ``o1ppg.oracles.k_extendability_in_order`` is
-    the ordered reference.
+    later calls return it until the instance's audit returns and
+    ``O1PPGInstance.reset_audit_state`` drops it, with the memo.
+    ``o1ppg.oracles.k_extendability_in_order`` is the ordered reference.
     """
     found = inst._matching_sweeps.get(k)
     if found is not None:

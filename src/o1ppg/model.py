@@ -120,6 +120,25 @@ class O1PPGInstance:
                 edges.append((p, q))
         self.edges = edges
         self.adj = adjacency_masks(n, edges)
+        self.reset_audit_state()
+        self._edge_ids = {}
+        for i, (u, v) in enumerate(edges):
+            self._edge_ids[(u, v)] = i
+            self._edge_ids[(v, u)] = i
+        degs = [m.bit_count() for m in self.adj]
+        qdegs = [len(r) for r in emb.srs.rotations]
+        assert all(d == 2 * qd for d, qd in zip(degs, qdegs))
+        assert len(edges) == 4 * n - 4
+
+    def reset_audit_state(self):
+        """Set the audit-time caches below to their fresh values.
+
+        ``__init__`` and ``verify.audit_instance``, when it returns or
+        raises, call it, so each cache lasts from its first use until the
+        instance's audit returns: every check of one audit reads the same
+        value, and a campaign holds one instance's audit state at a time.
+        The embedding's face tables and short-walk regions stay.
+        """
         # set by matching.spanning_triangulation and
         # connectivity.minimal_separators on their first calls
         self._spanning_triangulation = None
@@ -131,14 +150,6 @@ class O1PPGInstance:
         # k -> matching.matching_sweep(self, k), set on its first call and
         # read by every extendability question about k-matchings
         self._matching_sweeps = {}
-        self._edge_ids = {}
-        for i, (u, v) in enumerate(edges):
-            self._edge_ids[(u, v)] = i
-            self._edge_ids[(v, u)] = i
-        degs = [m.bit_count() for m in self.adj]
-        qdegs = [len(r) for r in emb.srs.rotations]
-        assert all(d == 2 * qd for d, qd in zip(degs, qdegs))
-        assert len(edges) == 4 * n - 4
 
     @property
     def edge_count(self):

@@ -16,6 +16,12 @@ instance, which T1.3 (k = 1), T1.4 and C1.5 (k = 2), T1.6 and NoThreeExt
 ``o1ppg replay`` and ``o1ppg verify --theorems`` do, gets the record it
 gets in the full audit.  ``AuditConfig`` keeps the selected ids in
 ``THEOREM_IDS`` order, each once, and the report header lists them so.
+
+The sweeps, their perfect-matching memo, T1.3's spanning triangulation
+and the minimal separators last until ``audit_instance`` returns, which
+drops them (``O1PPGInstance.reset_audit_state``), so a campaign holds one
+instance's audit state at a time.  The embedding keeps its face tables
+and short-walk regions.
 """
 
 from __future__ import annotations
@@ -412,9 +418,14 @@ class _InstanceAudit:
 
 
 def audit_instance(inst, config: AuditConfig = None):
-    """Run every requested theorem check on one instance."""
+    """Run every requested theorem check on one instance, then release
+    what the checks stored on it (``O1PPGInstance.reset_audit_state``),
+    also when a check raises."""
     config = config or AuditConfig()
-    return _InstanceAudit(inst).run(config.theorems)
+    try:
+        return _InstanceAudit(inst).run(config.theorems)
+    finally:
+        inst.reset_audit_state()
 
 
 def result_line(r: TheoremCheckResult) -> str:

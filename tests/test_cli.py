@@ -1,6 +1,8 @@
 """Command-line workflows: generate, validate, analyze, verify, replay,
 export-dot, and the file round trips."""
 
+import re
+
 import pytest
 
 from o1ppg import srsio
@@ -91,7 +93,14 @@ def test_verify_and_replay(corpus_dir, tmp_path, capsys):
     rc = main(["verify", "--corpus", str(corpus_dir),
                "--report", str(report)])
     assert rc == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    summary = re.fullmatch(r"instances=(\d+) results=(\d+) fails=0 "
+                           r"runtime=\d+\.\ds peak_rss_mb=(\d+\.\d)\n", err)
+    assert summary is not None, err
+    assert float(summary[3]) > 0
     text = report.read_text()
+    assert f"totals results={summary[2]} fails=0" in text
     assert "totals" in text and "fails=0" in text
 
     # byte-identical on a second run

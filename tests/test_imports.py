@@ -1,7 +1,7 @@
 """Import hygiene: the production modules need nothing outside the standard
-library and never load the brute-force oracles, the certificate layer does
-not load the generator, and the surface layer loads only the graph helpers
-and the error types."""
+library and never load the brute-force oracles or OpenSSL's hashlib, the
+certificate layer does not load the generator, and the surface layer loads
+only the graph helpers and the error types."""
 
 import os
 import subprocess
@@ -21,6 +21,7 @@ new = set(sys.modules) - before
 print(sorted({m.split(".")[0] for m in new}
              - set(sys.stdlib_module_names) - {"o1ppg"}))
 print("o1ppg.oracles" in sys.modules)
+print("hashlib" in sys.modules or "_hashlib" in sys.modules)
 """
 
 
@@ -38,7 +39,21 @@ def _run_python(code, *args):
 
 def test_production_modules_stay_stdlib_only_and_oracle_free():
     out = _run_python(PROBE, *PRODUCTION_MODULES)
-    assert out.split("\n")[:2] == ["[]", "False"]
+    assert out.split("\n")[:3] == ["[]", "False", "False"]
+
+
+def test_digest_loads_hashlib_only_when_called():
+    # the corpus file names are blake2b digests of canonical keys; moving
+    # the import into generator._digest must not change one
+    out = _run_python("import sys\n"
+                      "from o1ppg.fixtures import fix_k4\n"
+                      "from o1ppg.generator import canonical_key, short_key\n"
+                      "print(canonical_key(fix_k4()))\n"
+                      "print('hashlib' in sys.modules)\n"
+                      "print(short_key(fix_k4()))\n")
+    assert out.split("\n") == [
+        "v4e6:2,4,6,-1,0,5,7,-1,0,7,3,-1,0,3,5,-1", "False",
+        "c0f1bba187d0bacf", ""]
 
 
 def test_structures_does_not_load_generator():

@@ -253,6 +253,44 @@ def test_audit_finds_short_walk_regions_once(corpus_n12_dir, monkeypatch):
     assert cuts == []
 
 
+_AUDIT_CACHES = ("_pm_memo", "_matching_sweeps", "_spanning_triangulation",
+                 "_minimal_separators")
+
+
+def _audit_caches(inst):
+    return [getattr(inst, name) for name in _AUDIT_CACHES]
+
+
+def test_campaign_releases_each_instance_audit_state(corpus_n12_dir):
+    # a campaign holds one instance's sweeps, memo, triangulation and
+    # separators at a time: each audit leaves its instance as built
+    instances = load_corpus_instances(corpus_n12_dir)
+    results = run_campaign(instances)
+    assert all(r.verdict != "fail" for r in results)
+    for inst in instances:
+        fresh = build_o1ppg(inst.quad, key=inst.key)
+        assert _audit_caches(inst) == _audit_caches(fresh), inst.key
+
+
+def test_audit_releases_its_state_when_a_check_raises(corpus_n12_dir,
+                                                      monkeypatch):
+    inst = _fresh_five_connected(corpus_n12_dir)
+    stored = []
+
+    def broken(audit):
+        # L4.2 runs last, when the earlier checks have filled every cache
+        stored.append(_audit_caches(audit.inst))
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(verify._InstanceAudit, "check_L42", broken)
+    with pytest.raises(RuntimeError, match="check failed"):
+        audit_instance(inst)
+    fresh = build_o1ppg(inst.quad, key=inst.key)
+    assert all(got != want for got, want in
+               zip(stored[0], _audit_caches(fresh)))
+    assert _audit_caches(inst) == _audit_caches(fresh)
+
+
 def test_t16_sweeps_every_three_matching(even_n12):
     records = {r.instance_key: r for r in run_campaign(
         even_n12, AuditConfig(theorems=("T1.6",)))}
