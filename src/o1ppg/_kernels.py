@@ -7,12 +7,13 @@ oracle.
 
 Adjacency is a list of neighbor masks indexed by vertex.  The answer for a
 mask depends only on ``adj``, so a caller that tests many masks of one
-graph passes one memo to every call: ``O1PPGInstance._pm_memo`` is that
-memo for the instance graph, kept until the instance's audit returns
-(``O1PPGInstance.reset_audit_state``).  Its one production caller is
+graph passes one memo to every call.  The one production caller is
 ``matching.matching_sweep``, one call per covered vertex mask of the
-k-matchings; every extendability check of the audit reads a stored sweep
-(T1.3 the 1-matching sweep; T1.4, C1.5 and L4.2's 2-matchings the
+k-matchings, on the memo its caller passes: the audit
+(``verify._InstanceAudit``) owns one memo per instance, shared by its
+1-, 2- and 3-matching sweeps, and drops it with the sweeps when the audit
+object goes.  Every extendability check of the audit reads one of those
+sweeps (T1.3 the 1-matching sweep; T1.4, C1.5 and L4.2's 2-matchings the
 2-matching sweep; T1.6, NoThreeExt and L4.2's 3-matchings the 3-matching
 sweep), ``matching.is_extendable`` included.  A memo maps even-sized alive
 masks to their answer and starts as ``{0: True}``; it never holds more

@@ -17,16 +17,14 @@ from . import srsio
 from .errors import O1ppgError, UnknownTheorem
 from .generator import load_corpus_instances, short_key, write_corpus
 from .model import build_o1ppg, validate_quadrangulation
-from .surface import EmbeddedGraph, representativity
+from .surface import EmbeddedGraph, representativity, short_walk_regions
 from .verify import (THEOREM_IDS, AuditConfig, aggregate_report,
                      audit_instance, result_line, run_campaign)
 
 
 def _load_instance(path, allow_small=False):
-    srs = srsio.load(path)
-    q = validate_quadrangulation(EmbeddedGraph(srs))
-    return build_o1ppg(q, key=f"q{srs.vertex_count}-{short_key(srs)}",
-                       allow_small=allow_small)
+    q = validate_quadrangulation(EmbeddedGraph(srsio.load(path)))
+    return build_o1ppg(q, allow_small=allow_small)
 
 
 def cmd_generate(args):
@@ -62,7 +60,7 @@ _ANALYZE_CHECKS = ("euler", "faces", "representativity", "connectivity",
 
 def cmd_analyze(args):
     from .connectivity import vertex_connectivity
-    from .matching import k_extendability
+    from .matching import k_extendability, matching_sweep
     from .structures import barrier_cycles, find_projective_bowties
 
     checks = (args.checks.split(",") if args.checks != "all"
@@ -73,6 +71,8 @@ def cmd_analyze(args):
         return 1
     inst = _load_instance(args.input, allow_small=args.allow_small)
     emb = inst.quad.embedding
+    regions = None
+    memo = {0: True}
     for check in checks:
         if check == "euler":
             print(f"check=euler result={emb.euler_char}")
@@ -87,14 +87,17 @@ def cmd_analyze(args):
             print(f"check=bowtie result={len(bows)}")
         elif check in ("barrier4", "barrier6"):
             length = int(check[-1])
-            bars = barrier_cycles(inst, length)
+            if regions is None:
+                regions = short_walk_regions(emb)
+            bars = barrier_cycles(regions, length)
             print(f"check={check} result={len(bars)}")
         elif check.startswith("extend"):
             k = int(check[-1])
             if inst.n % 2:
                 print(f"check={check} result=inapplicable(odd)")
                 continue
-            ok, witness = k_extendability(inst, k)
+            ok, witness = k_extendability(inst,
+                                          matching_sweep(inst, k, memo))
             if ok:
                 print(f"check={check} result=true")
             else:
@@ -141,8 +144,10 @@ def cmd_verify(args):
     else:
         sys.stdout.write(report)
     fails = sum(1 for r in results if r.verdict == "fail")
-    # ru_maxrss is in KiB on Linux
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    # ru_maxrss is in KiB on Linux; the pool's workers, reaped when it
+    # closed, count under RUSAGE_CHILDREN
+    peak_mb = max(resource.getrusage(who).ru_maxrss for who in (
+        resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
     print(f"instances={len(instances)} results={len(results)} fails={fails} "
           f"runtime={time.time() - t0:.1f}s peak_rss_mb={peak_mb:.1f}",
           file=sys.stderr)

@@ -141,11 +141,8 @@ def minimal_separators(inst):
     Berry, Bordat & Cogis ("Generating all the minimal separators of a
     graph", IJFCS 11, 2000): start with N(C) for every component C of
     G - N[v], then add N(C) for every component C of G - (S + N(x)), for
-    every separator S found and every x in S.  Computed once per instance
-    and stored on it.
+    every separator S found and every x in S.
     """
-    if inst._minimal_separators is not None:
-        return inst._minimal_separators
     adj = inst.adj
     full = (1 << inst.n) - 1
     found = set()
@@ -163,9 +160,8 @@ def minimal_separators(inst):
                 if new not in found:
                     found.add(new)
                     todo.append(new)
-    inst._minimal_separators = tuple(sorted(
-        found, key=lambda sep: (sep.bit_count(), mask_vertices(sep))))
-    return inst._minimal_separators
+    return sorted(found,
+                  key=lambda sep: (sep.bit_count(), mask_vertices(sep)))
 
 
 def _border(adj, comp):
@@ -179,14 +175,16 @@ def _border(adj, comp):
     return seen & ~comp
 
 
-def enumerate_cuts(inst, k):
-    """Every k-subset S with G - S disconnected, fully analyzed, in the
+def enumerate_cuts(inst, sizes):
+    """Every vertex set S of a size in ``sizes`` with G - S disconnected,
+    fully analyzed, by size in the order of ``sizes`` and then in the
     order of ``itertools.combinations(range(n), k)``.
 
     Every cut contains a minimal separator: a minimal separator between
     two components of G - S lies inside S.  So the k-cuts are the
     k-supersets of the minimal separators of at most k vertices
-    (``minimal_separators``) that leave G disconnected.
+    (``minimal_separators``, found once per call) that leave G
+    disconnected.
 
     S is minimal (no proper subset is a cut) iff every component of G - S
     has a neighbour at every vertex of S: a component with no neighbour at
@@ -198,29 +196,32 @@ def enumerate_cuts(inst, k):
     n = inst.n
     adj = inst.adj
     full = (1 << n) - 1
-    candidates = set()
-    for sep in minimal_separators(inst):
-        size = sep.bit_count()
-        if size > k:
-            break
-        for extra in combinations(mask_vertices(full ^ sep), k - size):
-            candidates.add(sep | vertex_mask(extra))
+    separators = minimal_separators(inst)
     out = []
-    for subset, smask in sorted((mask_vertices(m), m) for m in candidates):
-        comps = component_masks(adj, full ^ smask)
-        if len(comps) < 2:
-            continue
-        comp_sets = [mask_vertices(c) for c in comps]
-        minimal = all(_border(adj, c) == smask for c in comps)
-        odd = sum(1 for c in comp_sets if len(c) % 2 == 1)
-        out.append(CutAnalysis(
-            S=frozenset(subset),
-            components=tuple(sorted(comp_sets)),
-            odd_count=odd,
-            even_count=len(comp_sets) - odd,
-            is_minimal=minimal,
-            qs=q_induced_subgraph(inst, subset),
-        ))
+    for k in sizes:
+        candidates = set()
+        for sep in separators:
+            size = sep.bit_count()
+            if size > k:
+                break
+            for extra in combinations(mask_vertices(full ^ sep), k - size):
+                candidates.add(sep | vertex_mask(extra))
+        for subset, smask in sorted((mask_vertices(m), m)
+                                    for m in candidates):
+            comps = component_masks(adj, full ^ smask)
+            if len(comps) < 2:
+                continue
+            comp_sets = [mask_vertices(c) for c in comps]
+            minimal = all(_border(adj, c) == smask for c in comps)
+            odd = sum(1 for c in comp_sets if len(c) % 2 == 1)
+            out.append(CutAnalysis(
+                S=frozenset(subset),
+                components=tuple(sorted(comp_sets)),
+                odd_count=odd,
+                even_count=len(comp_sets) - odd,
+                is_minimal=minimal,
+                qs=q_induced_subgraph(inst, subset),
+            ))
     return out
 
 

@@ -1,14 +1,15 @@
 """Matchings, extendability, blocker sets, and the Hamiltonian-path
 construction of perfect matchings through a given edge.
 
-Every question about which k-matchings extend reads one
-``matching_sweep`` per instance and k, kept on the instance until its
-audit returns (``O1PPGInstance.reset_audit_state``):
-``is_extendable`` for one matching (T1.3's single edges, T1.4's barrier
-matchings, ``find_blocker``'s precondition), ``k_extendability`` for all
-of them, and Theorem 1.6's certificates in
-``structures.sweep_three_matchings``.  The sweep is the one caller of
-``_kernels.pm_exists``."""
+Every question about which k-matchings extend reads a ``matching_sweep``
+of the instance and k that the caller passes in: ``is_extendable`` for
+one matching (T1.3's single edges, T1.4's barrier matchings,
+``find_blocker``'s precondition), ``k_extendability`` for all of them,
+and Theorem 1.6's certificates in ``structures.sweep_three_matchings``.
+The sweep is the one caller of ``_kernels.pm_exists``.  Nothing here is
+stored on the instance: the audit (``verify._InstanceAudit``) owns one
+perfect-matching memo, one sweep per k and T1.3's spanning
+triangulation, and drops them with itself."""
 
 from __future__ import annotations
 
@@ -73,14 +74,14 @@ def _check_matching(inst, m: Matching):
     return seen
 
 
-def is_extendable(inst, m: Matching) -> bool:
+def is_extendable(inst, m: Matching, sweep) -> bool:
     """True iff the instance has a perfect matching containing ``m``,
-    i.e. G - V(M) has a perfect matching: read off the stored
-    ``matching_sweep(inst, m.k)``."""
-    if inst.n % 2:
-        raise OddOrder("extendability needs an even order")
+    i.e. G - V(M) has a perfect matching: read off ``sweep``, the
+    instance's ``matching_sweep`` of ``m.k``-matchings."""
+    if sweep.k != m.k:
+        raise ValueError(f"a {m.k}-matching read off a {sweep.k}-sweep")
     covered = _check_matching(inst, m)
-    return vertex_mask(covered) not in matching_sweep(inst, m.k).blocked
+    return vertex_mask(covered) not in sweep.blocked
 
 
 def covered_masks(inst, k):
@@ -134,61 +135,58 @@ def mask_matchings(inst, mask):
 class MatchingSweep(NamedTuple):
     """Every k-matching of an instance, grouped by the vertices it covers."""
 
+    k: int
     covered: dict           # covered mask -> number of k-matchings on it
     blocked: frozenset      # the covered masks whose complement has no PM
     nonextendable: list     # sorted edge-id tuples, ascending
 
 
-def matching_sweep(inst, k) -> MatchingSweep:
-    """The k-matchings of the instance by covered mask, and the ones that
-    do not extend.
+def matching_sweep(inst, k, memo) -> MatchingSweep:
+    """The k-matchings of the even-order instance by covered mask, and the
+    ones that do not extend.
 
     A matching M extends iff G - V(M) has a perfect matching (Plummer, "On
     n-extendable graphs", 1980), so extendability depends on V(M) alone:
     each covered mask of ``covered_masks`` is decided by one ``pm_exists``
-    call on the instance's memo, and only the masks that fail are expanded
-    into their matchings (``mask_matchings``).  The sweep depends only on
-    the instance and k, so the first call stores it on the instance and
-    later calls return it until the instance's audit returns and
-    ``O1PPGInstance.reset_audit_state`` drops it, with the memo.
+    call on ``memo``, a ``_kernels.pm_exists`` memo of ``inst.adj`` that
+    sweeps of several k may share, and only the masks that fail are
+    expanded into their matchings (``mask_matchings``).
     ``o1ppg.oracles.k_extendability_in_order`` is the ordered reference.
     """
-    found = inst._matching_sweeps.get(k)
-    if found is not None:
-        return found
+    if inst.n % 2:
+        raise OddOrder("extendability needs an even order")
     covered = covered_masks(inst, k)
-    adj, memo, full = inst.adj, inst._pm_memo, (1 << inst.n) - 1
+    adj, full = inst.adj, (1 << inst.n) - 1
     blocked = frozenset(vm for vm in covered
                         if not _kernels.pm_exists(adj, full ^ vm, memo))
     nonextendable = sorted(combo for vm in blocked
                            for combo in mask_matchings(inst, vm))
-    found = inst._matching_sweeps[k] = MatchingSweep(covered, blocked,
-                                                     nonextendable)
-    return found
+    return MatchingSweep(k, covered, blocked, nonextendable)
 
 
-def k_extendability(inst, k):
+def k_extendability(inst, sweep):
     """(True, None) if every k-matching extends to a perfect matching, else
-    (False, the least non-extendable k-matching by sorted edge ids)."""
-    if inst.n % 2:
-        raise OddOrder("extendability needs an even order")
-    if inst.n < 2 * k + 2:
-        raise TooSmall(f"k-extendability needs n >= {2 * k + 2}")
-    nonextendable = matching_sweep(inst, k).nonextendable
+    (False, the least non-extendable k-matching by sorted edge ids), for
+    the k of ``sweep``, the instance's ``matching_sweep``."""
+    if inst.n < 2 * sweep.k + 2:
+        raise TooSmall(f"k-extendability needs n >= {2 * sweep.k + 2}")
+    nonextendable = sweep.nonextendable
     if nonextendable:
         return False, Matching(frozenset(nonextendable[0]))
     return True, None
 
 
-def find_blocker(inst, m: Matching, k: int) -> BlockerSet:
+def find_blocker(inst, m: Matching, k: int, sweep) -> BlockerSet:
     """Smallest S containing V(M) with |S| = C_o(G-S) + 2k.
 
-    Preconditions (checked where cheap): |m| = k+1 and m not extendable.
-    Search is breadth-first over superset sizes, capped at |V(m)| + 6.
+    Preconditions (checked where cheap): |m| = k+1 and m not extendable,
+    read off ``sweep``, the instance's ``matching_sweep`` of
+    (k+1)-matchings.  Search is breadth-first over superset sizes, capped
+    at |V(m)| + 6.
     """
     if m.k != k + 1:
         raise NoBlockerFound(f"matching size {m.k} != k+1 = {k + 1}")
-    if is_extendable(inst, m):
+    if is_extendable(inst, m, sweep):
         raise NoBlockerFound("matching is extendable; no blocker exists")
     vm = sorted(m.vertex_set(inst))
     base_mask = vertex_mask(vm)
@@ -273,14 +271,9 @@ def spanning_triangulation(inst):
     trying every selection in turn.  An exhausted search raises
     NoHamPath; one that tries more than
     ``TRIANGULATION_NODE_BUDGET`` diagonal picks raises
-    SearchBudgetExceeded.
-
-    The result depends only on the instance, so the first call stores it
-    on the instance and later calls return it; both parts are tuples,
-    since every caller shares them.
+    SearchBudgetExceeded.  Both parts of the result are tuples, since
+    T1.3 shares one with every ``matching_via_hamiltonian_path`` call.
     """
-    if inst._spanning_triangulation is not None:
-        return inst._spanning_triangulation
     emb = inst.quad.embedding
     q_edges = [(u, v) for (u, v, _s) in emb.srs.edges]
     choices = []
@@ -328,7 +321,6 @@ def spanning_triangulation(inst):
     found = search(nf - 1)
     if found is None:
         raise NoHamPath("no 4-connected spanning triangulation exists")
-    inst._spanning_triangulation = found
     return found
 
 
@@ -389,13 +381,13 @@ def hamiltonian_path(n, adj, s, t):
     return dfs(s, ((1 << n) - 1) & ~(1 << s), [s])
 
 
-def matching_via_hamiltonian_path(inst, e) -> Matching:
+def matching_via_hamiltonian_path(inst, e, triangulation) -> Matching:
     """Perfect matching containing edge ``e``, built from a Hamiltonian path
-    in a 4-connected spanning triangulation."""
+    in ``triangulation``, the instance's ``spanning_triangulation``."""
     if inst.n % 2:
         raise OddOrder("perfect matchings need an even order")
     u, v = inst.edges[e]
-    adj, _edges = spanning_triangulation(inst)
+    adj, _edges = triangulation
     path = hamiltonian_path(inst.n, adj, u, v)
     if path is None:
         raise NoHamPath(

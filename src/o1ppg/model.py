@@ -96,7 +96,10 @@ class O1PPGInstance:
     """A quadrangulation of P^2 plus both crossing diagonals per face.
 
     Edge ids 0..E_Q-1 are the non-crossing (quadrangulation) edges; ids
-    E_Q..4n-5 are the diagonals, two per face in face order.
+    E_Q..4n-5 are the diagonals, two per face in face order.  Nothing is
+    added after construction: the audit's sweeps, perfect-matching memo,
+    spanning triangulation, separators and short-walk regions live on
+    ``verify._InstanceAudit`` and go with it.
     """
 
     def __init__(self, quad: Quadrangulation, key=None):
@@ -120,7 +123,6 @@ class O1PPGInstance:
                 edges.append((p, q))
         self.edges = edges
         self.adj = adjacency_masks(n, edges)
-        self.reset_audit_state()
         self._edge_ids = {}
         for i, (u, v) in enumerate(edges):
             self._edge_ids[(u, v)] = i
@@ -129,27 +131,6 @@ class O1PPGInstance:
         qdegs = [len(r) for r in emb.srs.rotations]
         assert all(d == 2 * qd for d, qd in zip(degs, qdegs))
         assert len(edges) == 4 * n - 4
-
-    def reset_audit_state(self):
-        """Set the audit-time caches below to their fresh values.
-
-        ``__init__`` and ``verify.audit_instance``, when it returns or
-        raises, call it, so each cache lasts from its first use until the
-        instance's audit returns: every check of one audit reads the same
-        value, and a campaign holds one instance's audit state at a time.
-        The embedding's face tables and short-walk regions stay.
-        """
-        # set by matching.spanning_triangulation and
-        # connectivity.minimal_separators on their first calls
-        self._spanning_triangulation = None
-        self._minimal_separators = None
-        # alive mask -> perfect matching on it?  Shared by every
-        # _kernels.pm_exists call on ``adj``, all made by
-        # matching.matching_sweep
-        self._pm_memo = {0: True}
-        # k -> matching.matching_sweep(self, k), set on its first call and
-        # read by every extendability question about k-matchings
-        self._matching_sweeps = {}
 
     @property
     def edge_count(self):

@@ -46,7 +46,7 @@ module may import the production modules, but none of them imports it.
   ``structures.find_odd_weighted_regions``).
 - ``_walk_regions`` (over ``_closed_walks_upto``): every closed walk of at
   most ``max_len`` vertices, cut one at a time (against
-  ``EmbeddedGraph.short_walk_regions``, which cuts only the edge sets of
+  ``surface.short_walk_regions``, which cuts only the edge sets of
   the short-cycle shapes it lists, up to 6 vertices, and the filters of
   ``structures`` over it).
 - ``cycle_sign`` and ``is_essential`` (over ``_cycle_edges``): the sign
@@ -100,11 +100,11 @@ from .graphs import (adjacency_masks, component_masks, enumerate_cycles,
                      is_connected_mask, vertex_connectivity_flow)
 from .matching import (HAMILTONIAN_PATH_NODE_BUDGET, Matching,
                        _check_matching)
-from .structures import (CertificateContext, _host_embedding, _with_roles,
-                         diagnose_mask, get_pattern)
+from .structures import (CertificateContext, _with_roles, diagnose_mask,
+                         get_pattern)
 from .surface import (_SEP, EmbeddedGraph, FaceWalk, Region,
                       RegionDecomposition, SignedRotationSystem, _sign_product,
-                      canonical_walk, region_decompose)
+                      canonical_walk, region_decompose, short_walk_regions)
 
 #: Diagonal selections ``spanning_triangulation_by_selections`` may try,
 #: the first included, before it raises SearchBudgetExceeded.
@@ -860,7 +860,7 @@ def odd_regions_by_face_merge(inst, max_boundary_len):
     """Independent oracle: merge every connected face subset of Q(G) and
     keep 2-cell regions with odd interiors and short boundaries, as
     (canonical walk, region) sorted by walk."""
-    emb = _host_embedding(inst)
+    emb = inst.quad.embedding
     nf = emb.face_count
     ef = emb.edge_faces()
     face_adj = [set() for _ in range(nf)]
@@ -963,7 +963,8 @@ def sweep_three_matchings_in_order(inst):
     or None, the first two gathered before the disagreement."""
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
     nonext = []
-    ctx = CertificateContext.build(inst)
+    ctx = CertificateContext.build(
+        inst, short_walk_regions(inst.quad.embedding))
     full = (1 << inst.n) - 1
     memo = {0: True}
     decided = {}

@@ -3,9 +3,10 @@ projective-bowties, and the fixed embedded patterns used to classify cuts
 and non-extendable 3-matchings.
 
 The odd weighted regions, barrier cycles and length-6 regions are length
-and parity filters over one stored list per embedding,
-``EmbeddedGraph.short_walk_regions``; Theorem 1.6's sweep reads the stored
-3-matching sweep, ``matching.matching_sweep(inst, 3)``.
+and parity filters over a list of ``surface.short_walk_regions`` that the
+caller passes in, and Theorem 1.6's sweep reads the 3-matching sweep
+(``matching.matching_sweep``) it is given: the audit owns both, so
+nothing here is stored on an instance or its embedding.
 
 The nine base patterns ship as .srs fixtures; the configurations (a)-(g)
 are roles on four of them, stated once in ``_CONFIG_ROLES``.
@@ -22,7 +23,7 @@ from itertools import combinations
 
 from . import fixtures
 from .graphs import vertex_mask
-from .matching import mask_matchings, matching_sweep
+from .matching import mask_matchings
 from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
                       region_decompose, restricted_system)
 
@@ -90,53 +91,47 @@ def get_pattern(pid) -> ConfigPattern:
 
 # -- odd weighted regions ----------------------------------------------------
 
-def _host_embedding(host):
-    return host.quad.embedding if hasattr(host, "quad") else host
-
-
-def _regions_up_to(host, max_len):
-    """The host's ``EmbeddedGraph.short_walk_regions``, for a length limit
-    of at most 6."""
+def _check_limit(max_len):
     if max_len > 6:
         raise ValueError(f"boundary walks of at most 6 vertices are "
                          f"supported, not {max_len}")
-    return _host_embedding(host).short_walk_regions()
 
 
-def find_odd_weighted_regions(inst, max_boundary_len):
-    """All odd weighted regions of the instance bounded by closed walks of
-    non-crossing edges with length <= max_boundary_len <= 6, as
-    ``(canonical walk, Region)`` sorted by walk: the regions of
-    ``EmbeddedGraph.short_walk_regions`` with an odd interior vertex count;
-    a longer limit raises ``ValueError``.  The face-merge enumeration in
+def find_odd_weighted_regions(regions, max_boundary_len):
+    """All odd weighted regions bounded by closed walks of non-crossing
+    edges with length <= max_boundary_len <= 6, as ``(canonical walk,
+    Region)`` sorted by walk: the regions of ``regions``, the host's
+    ``surface.short_walk_regions``, with an odd interior vertex count; a
+    longer limit raises ``ValueError``.  The face-merge enumeration in
     :func:`o1ppg.oracles.odd_regions_by_face_merge` is the independent
-    completeness oracle.  Accepts an instance or a bare embedded
-    quadrangulation.
+    completeness oracle.
     """
-    return [(walk, region)
-            for walk, region in _regions_up_to(inst, max_boundary_len)
+    _check_limit(max_boundary_len)
+    return [(walk, region) for walk, region in regions
             if len(walk) <= max_boundary_len
             and len(region.interior_vertices) % 2]
 
 
-def barrier_cycles(inst, length):
-    """Barrier cycles of the given length: the odd weighted regions whose
+def barrier_cycles(regions, length):
+    """Barrier cycles of the given length among ``regions``, the host's
+    ``surface.short_walk_regions``: the odd weighted regions whose
     boundary walk is a cycle of that length, as ``(walk, Region)``."""
     return [(walk, region)
-            for walk, region in find_odd_weighted_regions(inst, length)
+            for walk, region in find_odd_weighted_regions(regions, length)
             if len(walk) == length == len(set(walk))]
 
 
-def two_cell_regions(inst, boundary_len):
+def two_cell_regions(regions, boundary_len):
     """All 2-cell regions bounded by separating closed walks of non-crossing
     edges with the exact boundary length (at most 6), any interior parity,
-    as ``(canonical walk, Region)`` sorted by walk; a length above 6 raises
-    ``ValueError``.  The 3-matching certificate needs the interior split
-    by coverage, not just its total parity, so this keeps even-interior
-    regions too.
+    as ``(canonical walk, Region)`` sorted by walk, filtered from
+    ``regions``, the host's ``surface.short_walk_regions``; a length above
+    6 raises ``ValueError``.  The 3-matching certificate needs the
+    interior split by coverage, not just its total parity, so this keeps
+    even-interior regions too.
     """
-    return [(walk, region)
-            for walk, region in _regions_up_to(inst, boundary_len)
+    _check_limit(boundary_len)
+    return [(walk, region) for walk, region in regions
             if len(walk) == boundary_len]
 
 
@@ -270,9 +265,10 @@ class CertificateContext:
     certificates: dict
 
     @classmethod
-    def build(cls, inst):
+    def build(cls, inst, regions):
         """The certificates inverted once per instance, in firing order:
-        the regions of ``regions6`` in turn, then the maps of the patterns
+        the length-6 regions of ``regions``, the instance's
+        ``surface.short_walk_regions``, in turn, then the maps of the patterns
         "abcdefg" in turn, each mask keeping the first that fires on it.
 
         Corrected certificate (i) fires when the region's boundary is
@@ -284,7 +280,7 @@ class CertificateContext:
         image, six vertices like the covered set, is that set.
         ``o1ppg.oracles.certificate_by_sets`` is the set-based reference.
         """
-        regions6 = two_cell_regions(inst, 6)
+        regions6 = two_cell_regions(regions, 6)
         certificates = {}
         singles = [1 << v for v in range(inst.n)]
         for walk, region in regions6:
@@ -335,21 +331,22 @@ def diagnose_mask(vm, extendable, ctx: CertificateContext):
     return ("counterexample", {"extendable": extendable, "certificate": cert})
 
 
-def sweep_three_matchings(inst):
+def sweep_three_matchings(inst, sweep, regions):
     """Theorem 1.6 over every 3-matching of a 5-connected even-order
     instance: the verdict counts and the least oracle/certificate
     disagreement as ``(combo, detail)``, or None.
 
     The verdict depends on the covered vertices alone, so each covered mask
-    of ``matching.matching_sweep(inst, 3)`` is decided once
-    (``diagnose_mask``, with the sweep's answer on whether it extends) and
-    counted as many times as 3-matchings cover it.  A disagreement names
-    the least 3-matching, by sorted edge ids, over the disagreeing masks,
-    with its mask's detail: the matching at which the ordered reference
-    ``o1ppg.oracles.sweep_three_matchings_in_order`` stops.
+    of ``sweep``, the instance's 3-matching ``matching.matching_sweep``, is
+    decided once (``diagnose_mask``, with the sweep's answer on whether it
+    extends, and the certificates of ``CertificateContext.build`` on
+    ``regions``) and counted as many times as 3-matchings cover it.  A
+    disagreement names the least 3-matching, by sorted edge ids, over the
+    disagreeing masks, with its mask's detail: the matching at which the
+    ordered reference ``o1ppg.oracles.sweep_three_matchings_in_order``
+    stops.
     """
-    ctx = CertificateContext.build(inst)
-    sweep = matching_sweep(inst, 3)
+    ctx = CertificateContext.build(inst, regions)
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
     disagreements = []
     for vm, count in sweep.covered.items():

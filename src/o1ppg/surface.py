@@ -21,8 +21,10 @@ with it whether the region is a 2-cell), and get their boundary walks from
 the restricted tracer on first read.  The cut lemmas, the short-walk
 regions and the pattern face parities all read this one value.  The
 short-walk regions, every 2-cell region bounded by a separating closed
-walk of 3 to 6 vertices, are found once per embedding and kept
-(``EmbeddedGraph.short_walk_regions``).
+walk of 3 to 6 vertices, come as a list (``short_walk_regions``) that the
+caller keeps: the audit finds them once per instance and drops them with
+itself, so an embedding keeps nothing of an audit but its lazy face
+tables (``corner_face``, ``edge_faces``, ``vertex_faces``).
 
 Both questions the model asks of a surface are read off the traced faces.
 A connected system with an edge is on P^2 iff its Euler characteristic is
@@ -373,7 +375,6 @@ class EmbeddedGraph:
         self._corner_face = None
         self._edge_faces = None
         self._vertex_faces = None
-        self._short_walk_regions = None
 
     @property
     def vertex_count(self):
@@ -448,77 +449,74 @@ class EmbeddedGraph:
             self._vertex_faces = tuple(map(frozenset, vf))
         return self._vertex_faces
 
-    # -- short closed walks ------------------------------------------------
 
-    def short_walk_regions(self):
-        """``(canonical walk, Region)`` for every 2-cell region that the cut
-        along a closed walk of 3 to 6 vertices leaves with that walk as its
-        boundary, when the cut separates the surface; sorted by walk.  The
-        graph must be simple and on P^2.  Computed on first call.
+# -- short closed walks ----------------------------------------------------
 
-        A closed walk of at most 6 vertices whose edges are not a tree (a
-        tree never separates) runs over one of these edge graphs:
+def short_walk_regions(g: EmbeddedGraph):
+    """``(canonical walk, Region)`` for every 2-cell region that the cut
+    along a closed walk of 3 to 6 vertices leaves with that walk as its
+    boundary, when the cut separates the surface; sorted by walk.  The
+    graph must be simple and on P^2.
 
-        - a simple cycle of 3 to 6 vertices;
-        - a 3- or 4-cycle plus a pendant edge, walked there and back;
-        - a triangle walked twice, or a 3- or 4-cycle with one edge walked
-          three times: never a kept boundary, as a boundary walk passes
-          each edge side at most once, and a region on both sides of every
-          edge of a triangle is the only region of the cut;
-        - two triangles sharing one vertex (a figure-eight);
-        - two triangles sharing one edge, the shared edge walked twice.
+    A closed walk of at most 6 vertices whose edges are not a tree (a
+    tree never separates) runs over one of these edge graphs:
 
-        A one-sided cycle (sign product -1) does not separate P^2, with or
-        without a pendant edge; a two-sided one bounds one disc, and a
-        pendant edge keeps that disc a 2-cell only when it enters the disc,
-        which a face's disc has no vertex for.  Each remaining edge set is
-        cut once, and a region is kept when it is a 2-cell whose boundary
-        walk, of at most 6 vertices, covers the whole edge set.
-        ``o1ppg.oracles._walk_regions`` is the closed-walk reference.
-        """
-        if self._short_walk_regions is not None:
-            return self._short_walk_regions
-        srs = self.srs
-        faces = {frozenset(f.edge_ids()) for f in self.faces}
-        found = {}
+    - a simple cycle of 3 to 6 vertices;
+    - a 3- or 4-cycle plus a pendant edge, walked there and back;
+    - a triangle walked twice, or a 3- or 4-cycle with one edge walked
+      three times: never a kept boundary, as a boundary walk passes
+      each edge side at most once, and a region on both sides of every
+      edge of a triangle is the only region of the cut;
+    - two triangles sharing one vertex (a figure-eight);
+    - two triangles sharing one edge, the shared edge walked twice.
 
-        def keep(edges, dec):
-            if dec.region_count < 2:
-                return
-            for region in dec.regions:
-                # a 2-cell's one walk is as long as its boundary
-                if region.is_two_cell and region.boundary_length <= 6:
-                    bw = region.boundary_walks[0]
-                    if len(set(bw.edge_ids())) == len(edges):
-                        found[canonical_walk(bw.vertices)] = region
+    A one-sided cycle (sign product -1) does not separate P^2, with or
+    without a pendant edge; a two-sided one bounds one disc, and a
+    pendant edge keeps that disc a 2-cell only when it enters the disc,
+    which a face's disc has no vertex for.  Each remaining edge set is
+    cut once, and a region is kept when it is a 2-cell whose boundary
+    walk, of at most 6 vertices, covers the whole edge set.
+    ``o1ppg.oracles._walk_regions`` is the closed-walk reference.
+    """
+    srs = g.srs
+    faces = {frozenset(f.edge_ids()) for f in g.faces}
+    found = {}
 
-        triangles = []
-        for cycle, ids, sign in signed_cycles(srs, 6):
-            edges = frozenset(ids)
-            if len(cycle) == 3:
-                triangles.append((cycle, edges))
-            if sign < 0:
+    def keep(edges, dec):
+        if dec.region_count < 2:
+            return
+        for region in dec.regions:
+            # a 2-cell's one walk is as long as its boundary
+            if region.is_two_cell and region.boundary_length <= 6:
+                bw = region.boundary_walks[0]
+                if len(set(bw.edge_ids())) == len(edges):
+                    found[canonical_walk(bw.vertices)] = region
+
+    triangles = []
+    for cycle, ids, sign in signed_cycles(srs, 6):
+        edges = frozenset(ids)
+        if len(cycle) == 3:
+            triangles.append((cycle, edges))
+        if sign < 0:
+            continue
+        dec = region_decompose(g, edges)
+        keep(edges, dec)
+        if len(cycle) > 4 or edges in faces:
+            continue
+        on_cycle = vertex_mask(cycle)
+        for region in dec.regions:
+            if not region.is_two_cell:
                 continue
-            dec = region_decompose(self, edges)
-            keep(edges, dec)
-            if len(cycle) > 4 or edges in faces:
-                continue
-            on_cycle = vertex_mask(cycle)
-            for region in dec.regions:
-                if not region.is_two_cell:
-                    continue
-                for x in region.interior_vertices:
-                    for d in srs.rotations[x]:
-                        if on_cycle >> srs.dart_vertex(d ^ 1) & 1:
-                            with_pendant = edges | {d >> 1}
-                            keep(with_pendant,
-                                 region_decompose(self, with_pendant))
-        for (t1, e1), (t2, e2) in combinations(triangles, 2):
-            if set(t1) & set(t2):
-                keep(e1 | e2, region_decompose(self, e1 | e2))
-        self._short_walk_regions = [(walk, found[walk])
-                                    for walk in sorted(found)]
-        return self._short_walk_regions
+            for x in region.interior_vertices:
+                for d in srs.rotations[x]:
+                    if on_cycle >> srs.dart_vertex(d ^ 1) & 1:
+                        with_pendant = edges | {d >> 1}
+                        keep(with_pendant,
+                             region_decompose(g, with_pendant))
+    for (t1, e1), (t2, e2) in combinations(triangles, 2):
+        if set(t1) & set(t2):
+            keep(e1 | e2, region_decompose(g, e1 | e2))
+    return [(walk, found[walk]) for walk in sorted(found)]
 
 
 def canonical_walk(vs):

@@ -6,22 +6,23 @@ exception: the harness exists to surface statement-level trouble, including
 the corrected reading of the 2-extendability characterization (see the
 report's ``note`` line).
 
-Every theorem in ``THEOREM_IDS`` has one check, and the checks share their
-intermediates through values computed on first use: the cuts; the
-short-walk regions of ``EmbeddedGraph.short_walk_regions``, kept on the
-embedding, which T1.4's barrier cycles and T1.6's length-6 regions filter;
-and the k-matching sweeps of ``matching.matching_sweep``, kept on the
-instance, which T1.3 (k = 1), T1.4 and C1.5 (k = 2), T1.6 and NoThreeExt
-(k = 3) and L4.2 (k = 2 and 3) read.  So a theorem audited alone, as
-``o1ppg replay`` and ``o1ppg verify --theorems`` do, gets the record it
-gets in the full audit.  ``AuditConfig`` keeps the selected ids in
-``THEOREM_IDS`` order, each once, and the report header lists them so.
+Every theorem in ``THEOREM_IDS`` has one check, and the checks of one
+instance share their intermediates through ``_InstanceAudit``, which
+computes each on first use: the minimal separators and the cuts; the
+short-walk regions of ``surface.short_walk_regions``, which T1.4's barrier
+cycles and T1.6's length-6 regions filter; T1.3's spanning triangulation;
+and one perfect-matching memo with the k-matching sweeps of
+``matching.matching_sweep`` built on it, which T1.3 (k = 1), T1.4 and
+C1.5 (k = 2), T1.6 and NoThreeExt (k = 3) and L4.2 (k = 2 and 3) read.
+So a theorem audited alone, as ``o1ppg replay`` and ``o1ppg verify
+--theorems`` do, gets the record it gets in the full audit.
+``AuditConfig`` keeps the selected ids in ``THEOREM_IDS`` order, each
+once, and the report header lists them so.
 
-The sweeps, their perfect-matching memo, T1.3's spanning triangulation
-and the minimal separators last until ``audit_instance`` returns, which
-drops them (``O1PPGInstance.reset_audit_state``), so a campaign holds one
-instance's audit state at a time.  The embedding keeps its face tables
-and short-walk regions.
+The audit object owns all of these and nothing outlives it: no check
+stores anything on the instance or its embedding, apart from the
+embedding's lazy face tables, so a campaign holds one instance's audit
+state at a time.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
                      SearchBudgetExceeded, UnknownTheorem)
 from .matching import (Matching, find_blocker, is_extendable,
                        k_extendability, matching_sweep,
-                       matching_via_hamiltonian_path)
+                       matching_via_hamiltonian_path, spanning_triangulation)
 from .model import link
 from .structures import (barrier_cycles, find_projective_bowties,
                          sweep_three_matchings)
-from .surface import signed_cycles
+from .surface import short_walk_regions, signed_cycles
 
 THEOREM_IDS = (
     "DegreeFacts", "P2.1", "T1.3", "T1.4", "C1.5", "T1.6", "NoThreeExt",
@@ -126,12 +127,16 @@ class _InstanceAudit:
 
     Each check returns its record as ``(verdict, detail, witness)``.  An
     intermediate is computed by the first check that reads it and kept for
-    the others, so no check depends on which checks ran before it.
+    the others, so no check depends on which checks ran before it; all of
+    them go with the audit object.
     """
 
     def __init__(self, inst):
         self.inst = inst
         self.conn = vertex_connectivity(inst, 8)
+        # alive mask -> perfect matching on it?  Shared by every sweep
+        self.pm_memo = {0: True}
+        self.sweeps = {}
 
     def inapplicable(self, theorem):
         """Why ``theorem``'s hypotheses fail on this instance, or None."""
@@ -158,14 +163,16 @@ class _InstanceAudit:
 
     # -- shared intermediates ----------------------------------------------
 
+    def sweep(self, k):
+        """``matching_sweep(inst, k)``, built once on the shared memo."""
+        if k not in self.sweeps:
+            self.sweeps[k] = matching_sweep(self.inst, k, self.pm_memo)
+        return self.sweeps[k]
+
     @cached_property
     def cuts(self):
-        cuts = []
-        for k in range(self.conn, CUT_MAX + 1):
-            if k >= self.inst.n - 1:
-                break
-            cuts.extend(enumerate_cuts(self.inst, k))
-        return cuts
+        return enumerate_cuts(
+            self.inst, range(self.conn, min(CUT_MAX, self.inst.n - 2) + 1))
 
     @cached_property
     def cut_audits(self):
@@ -174,12 +181,23 @@ class _InstanceAudit:
 
     @cached_property
     def ext2(self):
-        """``k_extendability(inst, 2)``, shared by T1.4, C1.5 and L4.2."""
-        return k_extendability(self.inst, 2)
+        """``k_extendability`` of 2-matchings, shared by T1.4, C1.5 and
+        L4.2."""
+        return k_extendability(self.inst, self.sweep(2))
+
+    @cached_property
+    def triangulation(self):
+        """T1.3's spanning triangulation, shared by every edge's matching."""
+        return spanning_triangulation(self.inst)
+
+    @cached_property
+    def regions(self):
+        """The short-walk regions, filtered by T1.4 and T1.6."""
+        return short_walk_regions(self.inst.quad.embedding)
 
     @cached_property
     def barriers(self):
-        return barrier_cycles(self.inst, 4)
+        return barrier_cycles(self.regions, 4)
 
     @cached_property
     def barrier_matchings(self):
@@ -260,12 +278,14 @@ class _InstanceAudit:
 
     def check_T13(self):
         inst = self.inst
+        sweep = self.sweep(1)
         for e in range(inst.edge_count):
             witness = _edges_str(inst, [e])
-            if not is_extendable(inst, Matching(frozenset([e]))):
+            if not is_extendable(inst, Matching(frozenset([e])), sweep):
                 return _fail("single edge not extendable", witness)
             try:
-                mh = matching_via_hamiltonian_path(inst, e)
+                mh = matching_via_hamiltonian_path(inst, e,
+                                                   self.triangulation)
             except (NoHamPath, SearchBudgetExceeded) as exc:
                 return _fail(f"hamiltonian-path construction: {exc}",
                              witness)
@@ -286,7 +306,7 @@ class _InstanceAudit:
         # the easy direction, constructively: opposite edges of a barrier
         # 4-cycle form a non-extendable 2-matching
         for (walk, _region), m in zip(barriers, self.barrier_matchings):
-            if is_extendable(inst, m):
+            if is_extendable(inst, m, self.sweep(2)):
                 return _fail("barrier 4-cycle with extendable "
                              "opposite-edge 2-matching", _walk_str(walk))
         return _pass(f"2-extendable={ext2} barrier4={len(barriers)}")
@@ -299,7 +319,8 @@ class _InstanceAudit:
                      _pairs_str(witness.sorted_pairs(self.inst)))
 
     def check_T16(self):
-        counts, counterexample = sweep_three_matchings(self.inst)
+        counts, counterexample = sweep_three_matchings(
+            self.inst, self.sweep(3), self.regions)
         if counterexample is not None:
             combo, detail = counterexample
             return _fail(f"oracle/certificate disagreement: "
@@ -312,7 +333,7 @@ class _InstanceAudit:
 
     def check_NoThreeExt(self):
         # reads the 3-matching sweep that T1.6 made, when T1.6 applied
-        ok3, witness = k_extendability(self.inst, 3)
+        ok3, witness = k_extendability(self.inst, self.sweep(3))
         if ok3:
             return _fail("instance is 3-extendable")
         return _pass(witness=_pairs_str(witness.sorted_pairs(self.inst)))
@@ -392,7 +413,7 @@ class _InstanceAudit:
         # every non-extendable 3-matching of T1.6's sweep, which applies
         # on 5-connected instances only
         threes = ([Matching(frozenset(combo))
-                   for combo in matching_sweep(inst, 3).nonextendable]
+                   for combo in self.sweep(3).nonextendable]
                   if self.conn >= 5 else [])
         checked = 0
         for k, matchings in ((1, self.nonext_2matchings), (2, threes)):
@@ -402,7 +423,7 @@ class _InstanceAudit:
                     continue
                 seen.add(m.edges)
                 try:
-                    blk = find_blocker(inst, m, k)
+                    blk = find_blocker(inst, m, k, self.sweep(k + 1))
                 except NoBlockerFound as exc:
                     return _fail(f"k={k}: {exc}",
                                  _pairs_str(m.sorted_pairs(inst)))
@@ -418,14 +439,9 @@ class _InstanceAudit:
 
 
 def audit_instance(inst, config: AuditConfig = None):
-    """Run every requested theorem check on one instance, then release
-    what the checks stored on it (``O1PPGInstance.reset_audit_state``),
-    also when a check raises."""
+    """Run every requested theorem check on one instance."""
     config = config or AuditConfig()
-    try:
-        return _InstanceAudit(inst).run(config.theorems)
-    finally:
-        inst.reset_audit_state()
+    return _InstanceAudit(inst).run(config.theorems)
 
 
 def result_line(r: TheoremCheckResult) -> str:

@@ -21,12 +21,15 @@ from o1ppg.fixtures import fix_k4
 from o1ppg.generator import corpus_instances, grow_quadrangulations
 from o1ppg.graphs import adjacency_masks, enumerate_cycles
 from o1ppg.matching import (Matching, find_blocker, is_extendable,
-                            k_extendability, matching_via_hamiltonian_path)
+                            k_extendability, matching_sweep,
+                            matching_via_hamiltonian_path,
+                            spanning_triangulation)
 from o1ppg.oracles import (exhaustive_small_search, is_extendable_bruteforce,
                            matching_masks, max_matching_size,
                            vertex_connectivity_bruteforce)
 from o1ppg.structures import (CertificateContext, barrier_cycles,
                               diagnose_mask, find_projective_bowties)
+from o1ppg.surface import short_walk_regions
 from o1ppg.verify import AuditConfig, aggregate_report, run_campaign
 
 ACCEPT_N = 12
@@ -115,13 +118,14 @@ def test_criterion_02_corpus_sanity(full_corpus, instances):
 def test_criterion_03_one_extendability(even_instances):
     failures = []
     for inst in even_instances:
+        triangulation = spanning_triangulation(inst)
         for e in range(inst.edge_count):
             m = Matching(frozenset([e]))
             if not is_extendable_bruteforce(inst, m):
                 failures.append((inst.key, e, "oracle"))
                 continue
             try:
-                mh = matching_via_hamiltonian_path(inst, e)
+                mh = matching_via_hamiltonian_path(inst, e, triangulation)
             except Exception as exc:
                 failures.append((inst.key, e, repr(exc)))
                 continue
@@ -134,12 +138,13 @@ def test_criterion_03_one_extendability(even_instances):
 def test_criterion_04_two_extendability(even_instances):
     disagreements = []
     for inst in even_instances:
-        barriers = barrier_cycles(inst, 4)
+        barriers = barrier_cycles(short_walk_regions(inst.quad.embedding), 4)
+        sweep = matching_sweep(inst, 2, {0: True})
         bad = None
         for combo, _vm in matching_masks(inst, 2):
             m = Matching(frozenset(combo))
             oracle = is_extendable_bruteforce(inst, m)
-            if oracle != is_extendable(inst, m):
+            if oracle != is_extendable(inst, m, sweep):
                 disagreements.append((inst.key, "engine-vs-oracle"))
             if not oracle and bad is None:
                 bad = m
@@ -162,7 +167,7 @@ def test_criterion_05_corollary(even_instances):
     for inst in even_instances:
         if vertex_connectivity(inst) < 5:
             continue
-        ok2, _w = k_extendability(inst, 2)
+        ok2, _w = k_extendability(inst, matching_sweep(inst, 2, {0: True}))
         if not ok2:
             failures.append(inst.key)
     _line(5, "Corollary 1.5", not failures, f"failures={len(failures)}")
@@ -176,9 +181,12 @@ def test_criterion_06_three_matching_characterization(even_instances):
         if conn < 5:
             continue
         swept += 1
-        ctx = CertificateContext.build(inst)
+        ctx = CertificateContext.build(
+            inst, short_walk_regions(inst.quad.embedding))
+        sweep = matching_sweep(inst, 3, {0: True})
         for combo, vm in matching_masks(inst, 3):
-            extendable = is_extendable(inst, Matching(frozenset(combo)))
+            extendable = is_extendable(inst, Matching(frozenset(combo)),
+                                       sweep)
             verdict, _detail = diagnose_mask(vm, extendable, ctx)
             if verdict == "counterexample":
                 disagreements += 1
@@ -196,17 +204,17 @@ def test_criterion_07_cut_shapes(instances):
         if conn < 4:
             violations.append((inst.key, "connectivity<4"))
         for k in (1, 2, 3):
-            if enumerate_cuts(inst, k):
+            if enumerate_cuts(inst, (k,)):
                 violations.append((inst.key, f"{k}-cut"))
-        for ca in enumerate_cuts(inst, 4):
+        for ca in enumerate_cuts(inst, (4,)):
             if not _contains_separating_trivial_4cycle(inst, ca.qs):
                 violations.append((inst.key, "4-cut audit"))
-        for ca in enumerate_cuts(inst, 5):
+        for ca in enumerate_cuts(inst, (5,)):
             if classify_cut_shape(inst, ca.qs) != "bowtie":
                 violations.append((inst.key, "5-cut shape"))
         if conn >= 5 and (conn == 5) != bool(bows):
             violations.append((inst.key, "bowtie iff connectivity 5"))
-        for ca in enumerate_cuts(inst, 6):
+        for ca in enumerate_cuts(inst, (6,)):
             if ca.is_minimal and classify_cut_shape(inst, ca.qs) not in (
                     "I", "II", "III", "IV"):
                 violations.append((inst.key, "6-cut shape"))
@@ -219,14 +227,11 @@ def test_criterion_08_cut_lemmas(instances):
     violations = []
     for inst in instances:
         conn = vertex_connectivity(inst)
-        for k in range(conn, 8):
-            if k >= inst.n - 1:
-                break
-            for ca in enumerate_cuts(inst, k):
-                audit = audit_cut_lemmas(ca, connectivity=conn)
-                for clause, verdict in audit.items():
-                    if verdict == "fail":
-                        violations.append((inst.key, sorted(ca.S), clause))
+        for ca in enumerate_cuts(inst, range(conn, min(7, inst.n - 2) + 1)):
+            audit = audit_cut_lemmas(ca, connectivity=conn)
+            for clause, verdict in audit.items():
+                if verdict == "fail":
+                    violations.append((inst.key, sorted(ca.S), clause))
     _line(8, "cut lemmas (L2.2-L2.5, L3.2)", not violations,
           f"violations={len(violations)}")
 
@@ -234,6 +239,7 @@ def test_criterion_08_cut_lemmas(instances):
 def test_criterion_09_blockers():
     failures = []
     checked = 0
+    sweeps = {}
     for k, harvested in ((1, _nonextendable["k1"]),
                          (2, _nonextendable["k2"])):
         seen = set()
@@ -242,8 +248,10 @@ def test_criterion_09_blockers():
             if tag in seen:
                 continue
             seen.add(tag)
+            if (inst.key, k) not in sweeps:
+                sweeps[inst.key, k] = matching_sweep(inst, k + 1, {0: True})
             try:
-                blk = find_blocker(inst, m, k)
+                blk = find_blocker(inst, m, k, sweeps[inst.key, k])
             except NoBlockerFound as exc:
                 failures.append((inst.key, k, repr(exc)))
                 continue
@@ -259,7 +267,8 @@ def test_criterion_09_blockers():
 def test_criterion_10_no_three_extendability(even_instances):
     failures = []
     for inst in even_instances:
-        ok3, witness = k_extendability(inst, 3)
+        ok3, witness = k_extendability(inst,
+                                       matching_sweep(inst, 3, {0: True}))
         if ok3 or witness is None or witness.k != 3:
             failures.append(inst.key)
         elif is_extendable_bruteforce(inst, witness):

@@ -125,6 +125,25 @@ def test_verify_and_replay(corpus_dir, tmp_path, capsys):
     assert out.splitlines() == reported
 
 
+def test_verify_reports_the_larger_of_own_and_worker_peak_rss(
+        corpus_n12_dir, monkeypatch, capsys):
+    # with O1PPG_WORKERS above 1 the audit runs in reaped pool workers,
+    # whose peak counts under RUSAGE_CHILDREN; the larger figure is printed
+    import resource
+    from types import SimpleNamespace
+
+    kib = {resource.RUSAGE_SELF: 100 * 1024,
+           resource.RUSAGE_CHILDREN: 300 * 1024}
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=kib[who]))
+    monkeypatch.setenv("O1PPG_WORKERS", "2")
+    rc = main(["verify", "--corpus", str(corpus_n12_dir),
+               "--theorems", "DegreeFacts"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith("peak_rss_mb=300.0"), err
+
+
 def test_verify_theorem_subset(corpus_dir, capsys):
     rc = main(["verify", "--corpus", str(corpus_dir),
                "--theorems", "T1.3,L3.3"])

@@ -83,13 +83,12 @@ def test_instance_connectivity_both_routes(instances10):
 
 def test_no_small_cuts(instances10):
     for inst in instances10:
-        for k in (1, 2, 3):
-            assert enumerate_cuts(inst, k) == []
+        assert enumerate_cuts(inst, (1, 2, 3)) == []
 
 
 def test_five_cuts_are_bowties(inst9):
     assert vertex_connectivity(inst9) == 5
-    cuts = enumerate_cuts(inst9, 5)
+    cuts = enumerate_cuts(inst9, (5,))
     assert cuts
     for ca in cuts:
         assert ca.is_minimal
@@ -103,7 +102,7 @@ def test_five_cuts_are_bowties(inst9):
 
 def test_minimal_six_cut_shapes(inst10):
     assert vertex_connectivity(inst10) == 6
-    cuts = [ca for ca in enumerate_cuts(inst10, 6) if ca.is_minimal]
+    cuts = [ca for ca in enumerate_cuts(inst10, (6,)) if ca.is_minimal]
     shapes = sorted(classify_cut_shape(inst10, ca.qs) for ca in cuts)
     assert shapes == ["I", "III", "III", "III"]
     for ca in cuts:
@@ -137,7 +136,7 @@ def test_separating_trivial_4cycle_true_side(inst10):
 
 
 def test_cut_component_counts(inst10):
-    for ca in enumerate_cuts(inst10, 6):
+    for ca in enumerate_cuts(inst10, (6,)):
         covered = set(ca.S)
         for comp in ca.components:
             covered |= set(comp)
@@ -148,17 +147,14 @@ def test_cut_component_counts(inst10):
 def test_audits_pass_on_all_cuts(instances10):
     for inst in instances10:
         conn = vertex_connectivity(inst)
-        for k in range(conn, 8):
-            if k >= inst.n - 1:
-                break
-            for ca in enumerate_cuts(inst, k):
-                audit = audit_cut_lemmas(ca, connectivity=conn)
-                assert "fail" not in audit.values(), (sorted(ca.S), audit)
+        for ca in enumerate_cuts(inst, range(conn, min(7, inst.n - 2) + 1)):
+            audit = audit_cut_lemmas(ca, connectivity=conn)
+            assert "fail" not in audit.values(), (sorted(ca.S), audit)
 
 
 def test_nonminimal_cut_tolerated(inst10):
     # non-minimal 7-cuts may classify as "other" without contradiction
-    cuts = enumerate_cuts(inst10, 7)
+    cuts = enumerate_cuts(inst10, (7,))
     assert any(not ca.is_minimal for ca in cuts)
     for ca in cuts:
         if not ca.is_minimal:
@@ -172,11 +168,10 @@ def test_minimality_matches_subset_oracle(corpus_n12):
     # component rule agrees with testing every proper subset
     cuts = nonminimal = 0
     for inst in corpus_n12:
-        for k in range(vertex_connectivity(inst), 8):
-            for ca in enumerate_cuts(inst, k):
-                assert ca.is_minimal == is_minimal_cut_bruteforce(inst, ca.S)
-                cuts += 1
-                nonminimal += not ca.is_minimal
+        for ca in enumerate_cuts(inst, range(vertex_connectivity(inst), 8)):
+            assert ca.is_minimal == is_minimal_cut_bruteforce(inst, ca.S)
+            cuts += 1
+            nonminimal += not ca.is_minimal
     assert nonminimal > 0
     assert (cuts, nonminimal) == (645, 525)
 
@@ -191,10 +186,9 @@ def _fields(ca):
 
 
 def _assert_cuts_match_subset_scan(inst):
-    for k in range(1, 8):
-        got = [_fields(ca) for ca in enumerate_cuts(inst, k)]
-        assert got == [_fields(ca)
-                       for ca in enumerate_cuts_by_subsets(inst, k)], k
+    got = [_fields(ca) for ca in enumerate_cuts(inst, range(1, 8))]
+    assert got == [_fields(ca) for k in range(1, 8)
+                   for ca in enumerate_cuts_by_subsets(inst, k)]
 
 
 def test_cuts_match_subset_oracle(corpus_n12, instances10):
@@ -221,8 +215,8 @@ def test_minimal_separators_pair_with_oracles(corpus_n12, instances10):
             s.bit_count() for s in seps)
         small = {frozenset(v for v in range(inst.n) if (s >> v) & 1)
                  for s in seps if s.bit_count() <= 7}
-        marked = {ca.S for k in range(1, 8)
-                  for ca in enumerate_cuts(inst, k) if ca.is_minimal}
+        marked = {ca.S for ca in enumerate_cuts(inst, range(1, 8))
+                  if ca.is_minimal}
         assert small == marked
 
 
@@ -236,11 +230,8 @@ def _audited_cuts(insts):
     """(instance, connectivity, cut) for every cut the audit enumerates."""
     for inst in insts:
         conn = vertex_connectivity(inst)
-        for k in range(conn, 8):
-            if k >= inst.n - 1:
-                break
-            for ca in enumerate_cuts(inst, k):
-                yield inst, conn, ca
+        for ca in enumerate_cuts(inst, range(conn, min(7, inst.n - 2) + 1)):
+            yield inst, conn, ca
 
 
 def test_cut_facts_match_region_decompose(corpus_n12, instances10):

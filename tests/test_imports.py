@@ -56,6 +56,21 @@ def test_digest_loads_hashlib_only_when_called():
         "c0f1bba187d0bacf", ""]
 
 
+def test_analyze_and_export_dot_do_not_load_hashlib():
+    # neither command prints an instance name, so neither digests a key
+    out = _run_python(
+        "import sys\n"
+        "from o1ppg.cli import main\n"
+        "path = sys.argv[1]\n"
+        "assert main(['analyze', '--in', path, '--checks', 'extend2']) == 0\n"
+        "assert main(['export-dot', '--in', path]) == 0\n"
+        "print('hashlib' in sys.modules or '_hashlib' in sys.modules)\n",
+        str(Path(__file__).resolve().parents[1]
+            / "perfbench" / "corpus-n12" / "q10" / "i01.srs"))
+    assert out.split("\n")[0] == "check=extend2 result=true"
+    assert out.split("\n")[-2] == "False"
+
+
 def test_structures_does_not_load_generator():
     out = _run_python("import sys, o1ppg.structures; "
                       "print('o1ppg.generator' in sys.modules)")

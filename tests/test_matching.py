@@ -12,7 +12,8 @@ from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
 from o1ppg.matching import (Matching, covered_masks, find_blocker,
                             hamiltonian_path, is_extendable, k_extendability,
-                            mask_matchings, matching_via_hamiltonian_path,
+                            mask_matchings, matching_sweep,
+                            matching_via_hamiltonian_path,
                             spanning_triangulation)
 from o1ppg.model import build_o1ppg, link, validate_quadrangulation
 from o1ppg.oracles import (is_extendable_bruteforce, k_extendability_in_order,
@@ -39,32 +40,35 @@ def test_pm_exists_agrees_with_dp_oracle():
 
 
 def test_shared_memo_agrees_with_dp_oracle(inst10):
-    # a fresh instance, so its memo starts empty; every call shares it
-    inst = build_o1ppg(inst10.quad, key=inst10.key)
-    assert inst._pm_memo == {0: True}
+    # one memo shared by the sweeps of k = 0..3 and direct kernel calls
+    inst = inst10
+    memo = {0: True}
     rng = random.Random(11)
     full = (1 << inst.n) - 1
     calls = [Matching(frozenset(combo)) for k in (0, 1, 2, 3)
              for combo, _vm in matching_masks(inst, k)]
     calls += [rng.getrandbits(inst.n) for _ in range(400)]
     rng.shuffle(calls)
+    sweeps = {}
     seen = set()
     for call in calls:
         if isinstance(call, Matching):
             alive = full
             for v in call.vertex_set(inst):
                 alive ^= 1 << v
-            got = is_extendable(inst, call)
+            if call.k not in sweeps:
+                sweeps[call.k] = matching_sweep(inst, call.k, memo)
+            got = is_extendable(inst, call, sweeps[call.k])
         else:
             alive = call
-            got = _kernels.pm_exists(inst.adj, alive, inst._pm_memo)
+            got = _kernels.pm_exists(inst.adj, alive, memo)
         want = 2 * max_matching_size(inst.adj, alive) == alive.bit_count()
         assert got == want
         seen.add((isinstance(call, Matching), alive.bit_count() % 2, want))
     assert {(True, 0, False), (True, 0, True), (False, 1, False),
             (False, 0, True), (False, 0, False)} <= seen
-    assert all(mask.bit_count() % 2 == 0 for mask in inst._pm_memo)
-    assert len(inst._pm_memo) <= 1 << inst.n
+    assert all(mask.bit_count() % 2 == 0 for mask in memo)
+    assert len(memo) <= 1 << inst.n
 
 
 def test_matching_masks_match_combinations(corpus_n12, instances10):
@@ -101,7 +105,9 @@ def test_covered_masks_count_the_sweep(corpus_n12, instances10):
 def test_k_extendability_matches_ordered_sweep(corpus_n12, instances10):
     # the least non-extendable matching of the sweep by covered masks is
     # the first one the ordered early-exit sweep meets, on the corpora and
-    # on a relabelling of corpus-n12, whose edge ids are shuffled
+    # on a relabelling of corpus-n12, whose edge ids are shuffled; the
+    # sweep's blocked masks are those whose complement has no perfect
+    # matching, and its non-extendable list is every k-matching on them
     rng = random.Random(23)
     relabelled = [build_o1ppg(validate_quadrangulation(EmbeddedGraph(
         _full_relabel(inst.quad.embedding.srs, rng)[0])))
@@ -111,67 +117,71 @@ def test_k_extendability_matches_ordered_sweep(corpus_n12, instances10):
         for k in (1, 2, 3):
             if inst.n % 2:
                 with pytest.raises(OddOrder):
-                    k_extendability(inst, k)
+                    matching_sweep(inst, k, {0: True})
                 with pytest.raises(OddOrder):
                     k_extendability_in_order(inst, k)
                 continue
-            got = k_extendability(inst, k)
+            sweep = matching_sweep(inst, k, {0: True})
+            got = k_extendability(inst, sweep)
             assert got == k_extendability_in_order(inst, k), (inst.key, k)
             verdicts.add((k, got[0]))
+            full = (1 << inst.n) - 1
+            assert sweep.blocked == {
+                vm for vm in sweep.covered
+                if 2 * max_matching_size(inst.adj, full ^ vm)
+                != inst.n - 2 * k}
+            assert sweep.nonextendable == [
+                combo for combo, vm in matching_masks(inst, k)
+                if vm in sweep.blocked]
     # every instance is 2- but not 3-extendable, so both verdicts occur
     assert verdicts == {(1, True), (2, True), (3, False)}
 
 
-def test_matching_sweep_is_kept_on_the_instance(inst10):
-    inst = build_o1ppg(inst10.quad, key=inst10.key)
-    sweep = matching.matching_sweep(inst, 3)
-    assert matching.matching_sweep(inst, 3) is sweep
-    assert inst._matching_sweeps == {3: sweep}
-    full = (1 << inst.n) - 1
-    assert sweep.blocked == {vm for vm in sweep.covered if
-                             2 * max_matching_size(inst.adj, full ^ vm)
-                             != inst.n - 6}
-    assert sweep.nonextendable == [
-        combo for combo, vm in matching_masks(inst, 3)
-        if vm in sweep.blocked]
+def _sweep(inst, k):
+    """The instance's k-matching sweep, on a memo of its own."""
+    return matching_sweep(inst, k, {0: True})
 
 
 def test_empty_matching_extendability_equals_pm(inst10):
-    assert is_extendable(inst10, Matching(frozenset()))
+    assert is_extendable(inst10, Matching(frozenset()), _sweep(inst10, 0))
 
 
 def test_single_edges_extendable(inst10):
+    sweep = _sweep(inst10, 1)
     for e in range(inst10.edge_count):
         m = Matching(frozenset([e]))
-        assert is_extendable(inst10, m)
+        assert is_extendable(inst10, m, sweep)
         assert is_extendable_bruteforce(inst10, m)
+    # a sweep of another k answers no question about a single edge
+    with pytest.raises(ValueError, match="2-sweep"):
+        is_extendable(inst10, m, _sweep(inst10, 2))
 
 
 def test_extendability_oracle_agreement(inst10):
     rng = random.Random(5)
-    ms = [Matching(frozenset(c)) for c, _vm in matching_masks(inst10, 2)]
-    for m in rng.sample(ms, 150):
-        assert is_extendable(inst10, m) == is_extendable_bruteforce(inst10, m)
-    ms3 = [Matching(frozenset(c)) for c, _vm in matching_masks(inst10, 3)]
-    for m in rng.sample(ms3, 150):
-        assert is_extendable(inst10, m) == is_extendable_bruteforce(inst10, m)
+    for k in (2, 3):
+        sweep = _sweep(inst10, k)
+        ms = [Matching(frozenset(c)) for c, _vm in matching_masks(inst10, k)]
+        for m in rng.sample(ms, 150):
+            assert is_extendable(inst10, m, sweep) == \
+                is_extendable_bruteforce(inst10, m)
 
 
 def test_odd_order_raises(inst9):
-    with pytest.raises(OddOrder):
-        is_extendable(inst9, Matching(frozenset()))
-    with pytest.raises(OddOrder):
-        k_extendability(inst9, 1)
+    for k in (0, 1):
+        with pytest.raises(OddOrder):
+            _sweep(inst9, k)
 
 
 def test_k_extendability_values(inst10):
-    ok1, w1 = k_extendability(inst10, 1)
+    ok1, w1 = k_extendability(inst10, _sweep(inst10, 1))
     assert ok1 and w1 is None
-    ok3, w3 = k_extendability(inst10, 3)
+    sweep3 = _sweep(inst10, 3)
+    ok3, w3 = k_extendability(inst10, sweep3)
     assert not ok3 and w3.k == 3
-    assert not is_extendable(inst10, w3)
+    assert not is_extendable(inst10, w3, sweep3)
     with pytest.raises(TooSmall):
-        k_extendability(inst10, 5)
+        k_extendability(inst10, _sweep(inst10, 5))
 
 
 def test_degree6_link_alternating_triple_not_extendable(inst10):
@@ -182,13 +192,14 @@ def test_degree6_link_alternating_triple_not_extendable(inst10):
     triple = [inst10.edge_id(lk[i], lk[(i + 1) % 6]) for i in (0, 2, 4)]
     m = Matching(frozenset(triple))
     assert m.k == 3
-    assert not is_extendable(inst10, m)
+    assert not is_extendable(inst10, m, _sweep(inst10, 3))
     assert not is_extendable_bruteforce(inst10, m)
 
 
 def test_blocker_for_nonextendable_3matching(inst10):
-    _ok, w3 = k_extendability(inst10, 3)
-    blk = find_blocker(inst10, w3, 2)
+    sweep3 = _sweep(inst10, 3)
+    _ok, w3 = k_extendability(inst10, sweep3)
+    blk = find_blocker(inst10, w3, 2, sweep3)
     assert len(blk.S) == blk.odd_components + 4
     assert len(blk.S) in (6, 7)
     assert w3.vertex_set(inst10) <= set(blk.S)
@@ -196,9 +207,10 @@ def test_blocker_for_nonextendable_3matching(inst10):
 
 def test_blocker_rejects_extendable(inst10):
     m2 = Matching(frozenset(next(matching_masks(inst10, 2))[0]))
-    assert is_extendable(inst10, m2)
+    sweep2 = _sweep(inst10, 2)
+    assert is_extendable(inst10, m2, sweep2)
     with pytest.raises(NoBlockerFound):
-        find_blocker(inst10, m2, 1)
+        find_blocker(inst10, m2, 1, sweep2)
 
 
 def test_spanning_triangulation_four_connected(inst10, inst9):
@@ -209,8 +221,9 @@ def test_spanning_triangulation_four_connected(inst10, inst9):
 
 
 def test_hamiltonian_path_matching_every_edge(inst10):
+    triangulation = spanning_triangulation(inst10)
     for e in range(inst10.edge_count):
-        m = matching_via_hamiltonian_path(inst10, e)
+        m = matching_via_hamiltonian_path(inst10, e, triangulation)
         assert e in m.edges
         assert m.k == inst10.n // 2
         assert is_extendable_bruteforce(
@@ -279,15 +292,9 @@ def test_hamiltonian_path_nodes_over_t13_audit(even_n12, monkeypatch):
                         _CountingBudget(1 << 20))
     monkeypatch.setattr(_CountingBudget, "nodes", 0)
     for inst in even_n12:
-        [res] = audit_instance(_fresh(inst), AuditConfig(theorems=("T1.3",)))
+        [res] = audit_instance(inst, AuditConfig(theorems=("T1.3",)))
         assert res.verdict == "pass"
     assert 432 <= _CountingBudget.nodes <= 6000
-
-
-def _fresh(inst):
-    """The same instance rebuilt, with nothing computed on it yet."""
-    q = validate_quadrangulation(EmbeddedGraph(inst.quad.embedding.srs))
-    return build_o1ppg(q, key=inst.key)
 
 
 def _count_flow_calls(monkeypatch, module=matching):
@@ -305,33 +312,33 @@ def _count_flow_calls(monkeypatch, module=matching):
 
 def test_t13_audit_builds_the_triangulation_once(inst10, monkeypatch):
     calls = _count_flow_calls(monkeypatch)
-    spanning_triangulation(_fresh(inst10))
+    triangulation = spanning_triangulation(inst10)
     one_build = len(calls)
     assert one_build >= 1
     calls.clear()
     built = {}
     make = matching.matching_via_hamiltonian_path
-    monkeypatch.setattr("o1ppg.verify.matching_via_hamiltonian_path",
-                        lambda inst, e: built.setdefault(e, make(inst, e)))
-    audited = _fresh(inst10)
-    results = audit_instance(audited, AuditConfig(theorems=("T1.3",)))
+    monkeypatch.setattr(
+        "o1ppg.verify.matching_via_hamiltonian_path",
+        lambda inst, e, tri: built.setdefault(e, make(inst, e, tri)))
+    results = audit_instance(inst10, AuditConfig(theorems=("T1.3",)))
     assert [r.verdict for r in results] == ["pass"]
     assert len(calls) == one_build
     assert sorted(built) == list(range(inst10.edge_count))
     for e, m in built.items():
-        assert m == make(_fresh(inst10), e)
+        assert m == make(inst10, e, triangulation)
 
 
 def test_spanning_triangulation_budget(inst9, monkeypatch):
     # the lexicographic selection of inst9 is not 4-connected, so the
     # fallback search runs; cut it short and it must say which budget ran out
     calls = _count_flow_calls(monkeypatch, oracles)
-    spanning_triangulation_by_selections(_fresh(inst9))
+    spanning_triangulation_by_selections(inst9)
     assert len(calls) > 2
     monkeypatch.setattr(oracles, "TRIANGULATION_SELECTION_BUDGET", 2)
     with pytest.raises(SearchBudgetExceeded,
                        match="TRIANGULATION_SELECTION_BUDGET"):
-        spanning_triangulation_by_selections(_fresh(inst9))
+        spanning_triangulation_by_selections(inst9)
 
 
 def test_clause_search_budget(inst9, monkeypatch):
@@ -341,7 +348,7 @@ def test_clause_search_budget(inst9, monkeypatch):
     monkeypatch.setattr(matching, "TRIANGULATION_NODE_BUDGET", inst9.n - 2)
     with pytest.raises(SearchBudgetExceeded,
                        match="TRIANGULATION_NODE_BUDGET"):
-        spanning_triangulation(_fresh(inst9))
+        spanning_triangulation(inst9)
     assert calls == []
 
 
@@ -350,9 +357,8 @@ def test_clause_search_agrees_with_selection_oracle(corpus_n12,
     # both return the least 4-connected selection in binary order, so the
     # triangulations are equal, not only their existence
     for inst in corpus_n12 + instances10:
-        adj, edges = spanning_triangulation(_fresh(inst))
-        assert (adj, edges) == spanning_triangulation_by_selections(
-            _fresh(inst))
+        adj, edges = spanning_triangulation(inst)
+        assert (adj, edges) == spanning_triangulation_by_selections(inst)
         assert vertex_connectivity_flow(inst.n, adj, 4) >= 4
 
 
@@ -406,6 +412,6 @@ def test_hamiltonian_path_budget(inst10, monkeypatch):
         hamiltonian_path(8, adj, 0, 1)
     # the T1.3 audit reports the exceeded budget as a failure record
     monkeypatch.setattr(matching, "HAMILTONIAN_PATH_NODE_BUDGET", 1)
-    [res] = audit_instance(_fresh(inst10), AuditConfig(theorems=("T1.3",)))
+    [res] = audit_instance(inst10, AuditConfig(theorems=("T1.3",)))
     assert res.verdict == "fail"
     assert "HAMILTONIAN_PATH_NODE_BUDGET" in res.detail

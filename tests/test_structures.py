@@ -23,7 +23,18 @@ from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
                               find_projective_bowties, get_pattern,
                               load_patterns, match_pattern, patterns,
                               sweep_three_matchings, two_cell_regions)
-from o1ppg.surface import EmbeddedGraph, canonical_walk
+from o1ppg.surface import EmbeddedGraph, canonical_walk, short_walk_regions
+
+
+def _regions(host):
+    """The short-walk regions of an instance's embedding, or of a bare
+    embedding."""
+    return short_walk_regions(host.quad.embedding if hasattr(host, "quad")
+                              else host)
+
+
+def _ctx(inst):
+    return CertificateContext.build(inst, _regions(inst))
 
 
 def test_patterns_ship_and_rebuild_identically():
@@ -119,7 +130,7 @@ def test_k4_hosts_no_bowtie(k4):
 def test_odd_region_routes_agree(instances10):
     for inst in instances10:
         for length in (4, 6):
-            a = find_odd_weighted_regions(inst, length)
+            a = find_odd_weighted_regions(_regions(inst), length)
             assert a == odd_regions_by_face_merge(inst, length)
             for _walk, r in a:
                 assert len(r.interior_vertices) % 2 == 1
@@ -143,29 +154,31 @@ def test_short_cycle_regions_match_closed_walk_oracle(corpus10, corpus_n12):
         emb = host.quad.embedding if hasattr(host, "quad") else host
         ref = sorted(dict(_walk_regions(emb, 6)).items())
         odd = [(walk, r) for walk, r in ref if len(r.interior_vertices) % 2]
+        regions = short_walk_regions(emb)
         for length in (3, 4, 5, 6):
-            assert find_odd_weighted_regions(host, length) == [
+            assert find_odd_weighted_regions(regions, length) == [
                 (walk, r) for walk, r in odd if len(walk) <= length]
-            assert barrier_cycles(host, length) == [
+            assert barrier_cycles(regions, length) == [
                 (walk, r) for walk, r in odd
                 if len(walk) == length == len(set(walk))]
-            assert two_cell_regions(host, length) == [
+            assert two_cell_regions(regions, length) == [
                 (walk, r) for walk, r in ref if len(walk) == length]
         shapes |= {_walk_shape(walk)
-                   for walk, _r in two_cell_regions(host, 6)}
+                   for walk, _r in two_cell_regions(regions, 6)}
     # a 6-cycle, a figure-eight, a 4-cycle with a pendant edge and two
     # triangles sharing a doubled edge all bound regions, so no candidate
     # family of the finder is compared vacuously
     assert {(6, 6), (5, 6), (5, 5), (4, 5)} <= shapes
     for fn in (find_odd_weighted_regions, barrier_cycles, two_cell_regions):
         with pytest.raises(ValueError, match="at most 6"):
-            fn(corpus_n12[0], 7)
+            fn(_regions(corpus_n12[0]), 7)
 
 
 def test_faces_never_odd_regions(instances10):
     # faces of Q(G) have no interior vertices, so they are never returned
     for inst in instances10:
-        walks = {walk for walk, _r in find_odd_weighted_regions(inst, 4)}
+        walks = {walk for walk, _r in find_odd_weighted_regions(
+            _regions(inst), 4)}
         for f in inst.quad.embedding.faces:
             assert canonical_walk(f.vertices) not in walks
 
@@ -175,7 +188,7 @@ def test_barrier_4cycle_detected_on_small_host(corpus10):
     from o1ppg.surface import EmbeddedGraph
     _key, srs = corpus10[5][0]
     g = EmbeddedGraph(srs)
-    [(walk, r)] = find_odd_weighted_regions(g, 4)
+    [(walk, r)] = find_odd_weighted_regions(_regions(g), 4)
     assert len(walk) == len(set(walk)) == 4
     assert len(r.interior_vertices) == 1
 
@@ -185,13 +198,13 @@ def test_corpus_instances_have_no_barrier_4cycles(instances10):
     # 1.4's characterization then demands 2-extendability, which criterion
     # tests confirm
     for inst in instances10:
-        assert barrier_cycles(inst, 4) == []
+        assert barrier_cycles(_regions(inst), 4) == []
 
 
 def test_essential_triangle_complement_excluded(inst10):
     # the double traversal of an essential triangle bounds a disc whose
     # interior is everything else; it must not count as an odd region
-    for _walk, r in find_odd_weighted_regions(inst10, 6):
+    for _walk, r in find_odd_weighted_regions(_regions(inst10), 6):
         assert len(r.interior_vertices) < inst10.n - 3
 
 
@@ -241,7 +254,8 @@ def test_essentiality_routes_agree_on_hosts(instances10):
 def test_certificate_i_implies_odd_component(inst10):
     # a length-6 region with V(W) inside V(M) and an odd uncovered interior
     # forces an odd component, hence non-extendability
-    ctx = CertificateContext.build(inst10)
+    ctx = _ctx(inst10)
+    sweep = matching_sweep(inst10, 3, {0: True})
     hit = 0
     for combo, _vm in matching_masks(inst10, 3):
         m = Matching(frozenset(combo))
@@ -249,7 +263,7 @@ def test_certificate_i_implies_odd_component(inst10):
         for walk, region in ctx.regions6:
             if set(walk) <= vm and len(region.interior_vertices - vm) % 2:
                 hit += 1
-                assert not is_extendable(inst10, m)
+                assert not is_extendable(inst10, m, sweep)
                 break
         if hit >= 25:
             break
@@ -257,10 +271,11 @@ def test_certificate_i_implies_odd_component(inst10):
 
 
 def test_diagnose_full_sweep_no_counterexamples(inst10):
-    ctx = CertificateContext.build(inst10)
+    ctx = _ctx(inst10)
+    sweep = matching_sweep(inst10, 3, {0: True})
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
     for combo, vm in matching_masks(inst10, 3):
-        extendable = is_extendable(inst10, Matching(frozenset(combo)))
+        extendable = is_extendable(inst10, Matching(frozenset(combo)), sweep)
         verdict, detail = diagnose_mask(vm, extendable, ctx)
         assert verdict != "counterexample", detail
         counts[verdict] += 1
@@ -271,7 +286,7 @@ def test_diagnose_full_sweep_no_counterexamples(inst10):
 def test_context_matches_direct_computation(inst10, even_n12):
     for inst in [inst10] + even_n12:
         emb = inst.quad.embedding
-        ctx = CertificateContext.build(inst)
+        ctx = _ctx(inst)
         for cid in "abcdefg":
             assert ctx.config_maps[cid] == match_pattern(emb, get_pattern(cid))
         assert ctx.regions6 == [(walk, region)
@@ -284,7 +299,7 @@ def test_mask_certificate_agrees_with_set_oracle(inst10, even_n12):
     # covered by a 3-matching or not
     fired = {"cert_i": 0, "cert_ii": 0}
     for inst in [inst10] + even_n12:
-        ctx = CertificateContext.build(inst)
+        ctx = _ctx(inst)
         masks = set()
         for vs in combinations(range(inst.n), 6):
             vm = sum(1 << v for v in vs)
@@ -314,12 +329,14 @@ def test_mask_sweep_matches_ordered_sweep(inst10, even_n12):
     # non-extendable list is the ordered sweep's, in the same order
     nonext = 0
     for inst in _sweep_cases(inst10, even_n12):
-        counts, disagreement = sweep_three_matchings(inst)
+        sweep = matching_sweep(inst, 3, {0: True})
+        counts, disagreement = sweep_three_matchings(inst, sweep,
+                                                     _regions(inst))
         want_counts, want_nonext, want = sweep_three_matchings_in_order(inst)
         assert (counts, disagreement) == (want_counts, want)
         assert disagreement is None
-        assert [Matching(frozenset(combo)) for combo in
-                matching_sweep(inst, 3).nonextendable] == want_nonext
+        assert [Matching(frozenset(combo))
+                for combo in sweep.nonextendable] == want_nonext
         nonext += len(want_nonext)
     assert nonext
 
@@ -337,23 +354,24 @@ def test_mask_sweep_disagreement_matches_ordered_sweep(inst10, even_n12,
                for inst, nonext in cases}
     build = CertificateContext.build.__func__
 
-    def forced(cls, inst):
-        ctx = build(cls, inst)
+    def forced(cls, inst, regions):
+        ctx = build(cls, inst, regions)
         del ctx.certificates[dropped[id(inst)]]
         return ctx
 
     blocked = []
     find_blocker = verify.find_blocker
 
-    def recorded(inst, m, k):
+    def recorded(inst, m, k, sweep):
         if k == 2:
             blocked.append(m)
-        return find_blocker(inst, m, k)
+        return find_blocker(inst, m, k, sweep)
 
     monkeypatch.setattr(CertificateContext, "build", classmethod(forced))
     monkeypatch.setattr(verify, "find_blocker", recorded)
     for inst, nonext in cases:
-        _counts, got = sweep_three_matchings(inst)
+        _counts, got = sweep_three_matchings(
+            inst, matching_sweep(inst, 3, {0: True}), _regions(inst))
         _counts, partial, want = sweep_three_matchings_in_order(inst)
         assert got == want
         combo, detail = got

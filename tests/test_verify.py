@@ -158,7 +158,6 @@ def test_mutant_rotation_caught_by_validation(min9):
 def test_mutant_instance_fails_audit_with_witness(inst10):
     # with revalidation bypassed, a corrupted instance (one diagonal pair
     # dropped from the derived graph) must surface as audit failures
-    # a fresh instance, so nothing computed on the real graph reaches it
     bad = build_o1ppg(inst10.quad, key="mutant")
     bad.edges = inst10.edges[:-2]
     for (u, v) in inst10.edges[-2:]:
@@ -173,9 +172,9 @@ def test_two_extendability_swept_once_per_audit(inst10, monkeypatch):
     calls = []
     sweep = verify.k_extendability
 
-    def counted(inst, k):
-        calls.append(k)
-        return sweep(inst, k)
+    def counted(inst, swept):
+        calls.append(swept.k)
+        return sweep(inst, swept)
 
     monkeypatch.setattr(verify, "k_extendability", counted)
     results = audit_instance(inst10, AuditConfig(theorems=("T1.4", "C1.5")))
@@ -183,14 +182,14 @@ def test_two_extendability_swept_once_per_audit(inst10, monkeypatch):
     assert calls == [2]
 
 
-def _fresh_five_connected(corpus_n12_dir):
-    """A freshly loaded even 5-connected corpus-n12 instance, so nothing
-    is stored on it or its embedding yet."""
-    return next(i for i in load_corpus_instances(corpus_n12_dir)
+def _five_connected(corpus_n12):
+    """An even 5-connected corpus-n12 instance, to which every check
+    applies."""
+    return next(i for i in corpus_n12
                 if i.n % 2 == 0 and vertex_connectivity(i) == 5)
 
 
-def test_audit_sweeps_each_k_once(corpus_n12_dir, monkeypatch):
+def test_audit_sweeps_each_k_once(corpus_n12, monkeypatch):
     # T1.3 reads one 1-matching sweep; T1.4, C1.5 and L4.2 one 2-matching
     # sweep; T1.6, NoThreeExt and L4.2 one 3-matching sweep
     calls = []
@@ -201,14 +200,14 @@ def test_audit_sweeps_each_k_once(corpus_n12_dir, monkeypatch):
         return covered(inst, k)
 
     monkeypatch.setattr(matching, "covered_masks", counted)
-    results = audit_instance(_fresh_five_connected(corpus_n12_dir))
+    results = audit_instance(_five_connected(corpus_n12))
     assert all(r.verdict == "pass" for r in results)
     assert sorted(calls) == [1, 2, 3]
 
 
-def test_audit_tests_perfect_matchings_only_in_sweeps(corpus_n12_dir,
+def test_audit_tests_perfect_matchings_only_in_sweeps(corpus_n12,
                                                       monkeypatch):
-    # every extendability question of the audit reads a stored sweep, so
+    # every extendability question of the audit reads one of its sweeps, so
     # every perfect-matching test runs inside matching.matching_sweep
     sweep_code = matching.matching_sweep.__code__
     inside = []
@@ -222,73 +221,67 @@ def test_audit_tests_perfect_matchings_only_in_sweeps(corpus_n12_dir,
         return pm_exists(adj, alive, memo)
 
     monkeypatch.setattr(_kernels, "pm_exists", recorded)
-    results = audit_instance(_fresh_five_connected(corpus_n12_dir))
+    results = audit_instance(_five_connected(corpus_n12))
     assert all(r.verdict == "pass" for r in results)
     assert inside and all(inside)
 
 
-def test_audit_finds_short_walk_regions_once(corpus_n12_dir, monkeypatch):
-    # T1.4's barriers and T1.6's length-6 regions filter one stored list:
-    # a full audit enumerates the short cycles once, and a later filter
-    # cuts nothing
-    inst = _fresh_five_connected(corpus_n12_dir)
+def test_audit_finds_short_walk_regions_once(corpus_n12, monkeypatch):
+    # T1.4's barriers and T1.6's length-6 regions filter one list: a full
+    # audit enumerates the short cycles once
+    inst = _five_connected(corpus_n12)
     srs = inst.quad.embedding.srs
-    enumerations, cuts = [], []
-    cycles, decompose = surface.signed_cycles, surface.region_decompose
+    enumerations = []
+    cycles = surface.signed_cycles
 
     def counted_cycles(host, max_len):
         enumerations.append((host is srs, max_len))
         return cycles(host, max_len)
 
-    def counted_cuts(g, edges):
-        cuts.append(edges)
-        return decompose(g, edges)
-
     monkeypatch.setattr(surface, "signed_cycles", counted_cycles)
     results = audit_instance(inst)
     assert all(r.verdict == "pass" for r in results)
     assert enumerations == [(True, 6)]
-    monkeypatch.setattr(surface, "region_decompose", counted_cuts)
-    assert structures.barrier_cycles(inst, 4) == []
-    assert cuts == []
 
 
-_AUDIT_CACHES = ("_pm_memo", "_matching_sweeps", "_spanning_triangulation",
-                 "_minimal_separators")
+#: the embedding's lazy face tables, the one audit-time state it keeps
+_FACE_TABLES = ("_corner_face", "_edge_faces", "_vertex_faces")
 
 
-def _audit_caches(inst):
-    return [getattr(inst, name) for name in _AUDIT_CACHES]
+def _embedding_state(inst):
+    return {name: value for name, value in vars(inst.quad.embedding).items()
+            if name not in _FACE_TABLES}
 
 
-def test_campaign_releases_each_instance_audit_state(corpus_n12_dir):
-    # a campaign holds one instance's sweeps, memo, triangulation and
-    # separators at a time: each audit leaves its instance as built
+def test_audit_leaves_instance_and_embedding_as_built(corpus_n12_dir,
+                                                      monkeypatch):
+    # the audit owns its sweeps, memo, triangulation, separators and
+    # short-walk regions: whether it returns or raises, the instance keeps
+    # what build_o1ppg gave it and the embedding gains nothing but its
+    # face tables
     instances = load_corpus_instances(corpus_n12_dir)
+    embeddings = [_embedding_state(inst) for inst in instances]
+
+    def unchanged():
+        for inst, emb in zip(instances, embeddings):
+            fresh = build_o1ppg(inst.quad, key=inst.key)
+            assert vars(inst) == vars(fresh), inst.key
+            assert _embedding_state(inst) == emb, inst.key
+
     results = run_campaign(instances)
     assert all(r.verdict != "fail" for r in results)
-    for inst in instances:
-        fresh = build_o1ppg(inst.quad, key=inst.key)
-        assert _audit_caches(inst) == _audit_caches(fresh), inst.key
-
-
-def test_audit_releases_its_state_when_a_check_raises(corpus_n12_dir,
-                                                      monkeypatch):
-    inst = _fresh_five_connected(corpus_n12_dir)
-    stored = []
+    unchanged()
 
     def broken(audit):
-        # L4.2 runs last, when the earlier checks have filled every cache
-        stored.append(_audit_caches(audit.inst))
+        # L4.2 runs last, when the earlier checks have built every
+        # intermediate
+        assert audit.sweeps and audit.regions and audit.triangulation
         raise RuntimeError("check failed")
 
     monkeypatch.setattr(verify._InstanceAudit, "check_L42", broken)
     with pytest.raises(RuntimeError, match="check failed"):
-        audit_instance(inst)
-    fresh = build_o1ppg(inst.quad, key=inst.key)
-    assert all(got != want for got, want in
-               zip(stored[0], _audit_caches(fresh)))
-    assert _audit_caches(inst) == _audit_caches(fresh)
+        audit_instance(_five_connected(instances))
+    unchanged()
 
 
 def test_t16_sweeps_every_three_matching(even_n12):
