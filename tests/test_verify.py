@@ -253,24 +253,29 @@ def _embedding_state(inst):
             if name not in _FACE_TABLES}
 
 
-def test_audit_leaves_instance_and_embedding_as_built(corpus_n12_dir,
-                                                      monkeypatch):
+def _assert_as_built(instances, embeddings):
+    # the instance keeps what build_o1ppg gave it and the embedding gains
+    # nothing but its face tables
+    for inst, emb in zip(instances, embeddings):
+        fresh = build_o1ppg(inst.quad, key=inst.key)
+        assert vars(inst) == vars(fresh), inst.key
+        assert _embedding_state(inst) == emb, inst.key
+
+
+def test_campaign_releases_each_instance_audit_state(corpus_n12_dir):
     # the audit owns its sweeps, memo, triangulation, separators and
-    # short-walk regions: whether it returns or raises, the instance keeps
-    # what build_o1ppg gave it and the embedding gains nothing but its
-    # face tables
+    # short-walk regions: a campaign leaves each instance as built
     instances = load_corpus_instances(corpus_n12_dir)
     embeddings = [_embedding_state(inst) for inst in instances]
-
-    def unchanged():
-        for inst, emb in zip(instances, embeddings):
-            fresh = build_o1ppg(inst.quad, key=inst.key)
-            assert vars(inst) == vars(fresh), inst.key
-            assert _embedding_state(inst) == emb, inst.key
-
     results = run_campaign(instances)
     assert all(r.verdict != "fail" for r in results)
-    unchanged()
+    _assert_as_built(instances, embeddings)
+
+
+def test_audit_releases_its_state_when_a_check_raises(corpus_n12_dir,
+                                                      monkeypatch):
+    inst = _five_connected(load_corpus_instances(corpus_n12_dir))
+    embedding = _embedding_state(inst)
 
     def broken(audit):
         # L4.2 runs last, when the earlier checks have built every
@@ -280,8 +285,8 @@ def test_audit_leaves_instance_and_embedding_as_built(corpus_n12_dir,
 
     monkeypatch.setattr(verify._InstanceAudit, "check_L42", broken)
     with pytest.raises(RuntimeError, match="check failed"):
-        audit_instance(_five_connected(instances))
-    unchanged()
+        audit_instance(inst)
+    _assert_as_built([inst], [embedding])
 
 
 def test_t16_sweeps_every_three_matching(even_n12):
