@@ -16,10 +16,13 @@ import time
 from . import srsio
 from .errors import O1ppgError, UnknownTheorem
 from .generator import load_corpus_instances, short_key, write_corpus
+from .matching import k_extendability
 from .model import build_o1ppg, validate_quadrangulation
-from .surface import EmbeddedGraph, representativity, short_walk_regions
-from .verify import (THEOREM_IDS, AuditConfig, aggregate_report,
-                     audit_instance, result_line, run_campaign)
+from .structures import barrier_cycles, find_projective_bowties
+from .surface import EmbeddedGraph, representativity
+from .verify import (THEOREM_IDS, AuditConfig, _InstanceAudit,
+                     aggregate_report, audit_instance, result_line,
+                     run_campaign)
 
 
 def _load_instance(path, allow_small=False):
@@ -59,10 +62,6 @@ _ANALYZE_CHECKS = ("euler", "faces", "representativity", "connectivity",
 
 
 def cmd_analyze(args):
-    from .connectivity import vertex_connectivity
-    from .matching import k_extendability, matching_sweep
-    from .structures import barrier_cycles, find_projective_bowties
-
     checks = (args.checks.split(",") if args.checks != "all"
               else list(_ANALYZE_CHECKS))
     bad = [c for c in checks if c not in _ANALYZE_CHECKS]
@@ -71,8 +70,7 @@ def cmd_analyze(args):
         return 1
     inst = _load_instance(args.input, allow_small=args.allow_small)
     emb = inst.quad.embedding
-    regions = None
-    memo = {0: True}
+    audit = _InstanceAudit(inst)     # the audit's shared intermediates
     for check in checks:
         if check == "euler":
             print(f"check=euler result={emb.euler_char}")
@@ -81,23 +79,19 @@ def cmd_analyze(args):
         elif check == "representativity":
             print(f"check=representativity result={representativity(emb)}")
         elif check == "connectivity":
-            print(f"check=connectivity result={vertex_connectivity(inst)}")
+            print(f"check=connectivity result={audit.conn}")
         elif check == "bowtie":
-            bows = find_projective_bowties(inst.quad)
+            bows = find_projective_bowties(emb)
             print(f"check=bowtie result={len(bows)}")
         elif check in ("barrier4", "barrier6"):
-            length = int(check[-1])
-            if regions is None:
-                regions = short_walk_regions(emb)
-            bars = barrier_cycles(regions, length)
+            bars = barrier_cycles(audit.regions, int(check[-1]))
             print(f"check={check} result={len(bars)}")
         elif check.startswith("extend"):
             k = int(check[-1])
             if inst.n % 2:
                 print(f"check={check} result=inapplicable(odd)")
                 continue
-            ok, witness = k_extendability(inst,
-                                          matching_sweep(inst, k, memo))
+            ok, witness = k_extendability(inst, audit.sweep(k))
             if ok:
                 print(f"check={check} result=true")
             else:

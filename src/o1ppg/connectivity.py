@@ -1,5 +1,7 @@
-"""Vertex cuts of instances: enumeration, the embedded induced subgraph
-Q[S], shape classification, and the cut-lemma audits."""
+"""Vertex cuts of instances: enumeration, one flat record per cut
+(``CutAnalysis``, built by ``analyze_cut``) holding its components, the
+embedded induced subgraph Q[S] and the host's regions cut along Q[S],
+shape classification, and the cut-lemma audits."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from itertools import combinations
 from .graphs import (component_masks, is_connected_mask, mask_vertices,
                      vertex_connectivity_flow, vertex_mask)
 from .structures import get_pattern
-from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
+from .surface import (SignedRotationSystem, _encode_from, _encoder_tables,
                       region_decompose, restricted_system, signed_cycles)
 
 
@@ -28,34 +30,40 @@ def vertex_connectivity(inst, cap=8):
 
 
 @dataclass
-class QSubgraph:
-    """The induced subgraph Q[S] of the instance's quadrangulation, and the
-    regions of the host cut along its edges.
+class CutAnalysis:
+    """One vertex cut S of an instance, with the induced subgraph Q[S] of
+    its quadrangulation and the regions of the host cut along Q[S].
 
     ``regions`` is the one region decomposition every cut clause reads,
-    ``surface.region_decompose`` of the edges, or [] when Q[S] has none:
-    its facts (faces, boundary lengths, interior vertices, Euler
+    ``surface.region_decompose`` of ``q_edges``, or [] when Q[S] has no
+    edge: its facts (faces, boundary lengths, interior vertices, Euler
     characteristics, 2-cells) come with it, and its boundary walks are
-    traced only where a clause reads them.  The restricted rotation system
-    is read only on the 4-, 5- and minimal 6-cuts, by T3.1's separating
-    4-cycles and the cut shapes, so it is built on first access.
+    traced only where a clause reads them.  Q[S]'s rotation system is read
+    only on the 4-, 5- and minimal 6-cuts, by T3.1's separating 4-cycles
+    and the cut shapes, so it is built on first access.
     """
 
-    host: EmbeddedGraph = field(repr=False, compare=False)
-    vertices: tuple              # host vertex ids, sorted
-    edges: tuple                 # host edge ids of Q(G) inside S, sorted
-    degrees: tuple               # per vertex of ``vertices``: degree in Q[S]
-    regions: list                # the host's regions cut along ``edges``
+    S: tuple                     # host vertex ids, sorted
+    components: tuple            # of G - S: sorted tuples of vertex ids
+    odd_count: int               # components of odd order
+    is_minimal: bool
+    q_edges: tuple               # host edge ids of Q(G) inside S, sorted
+    q_degrees: tuple             # per vertex of ``S``: degree in Q[S]
+    regions: list                # the host's regions cut along ``q_edges``
+    _host: SignedRotationSystem = field(repr=False, compare=False)
 
     @cached_property
     def srs(self):
         """Q[S]'s rotation system restricted from the host, relabelled:
-        vertex i is ``vertices[i]`` and edge j is ``edges[j]``."""
-        return restricted_system(self.host.srs, self.vertices, self.edges)
+        vertex i is ``S[i]`` and edge j is ``q_edges[j]``."""
+        return restricted_system(self._host, self.S, self.q_edges)
 
 
-def q_induced_subgraph(inst, S) -> QSubgraph:
-    """Q(G)[S] over the host quadrangulation's embedding."""
+def analyze_cut(inst, S, components, is_minimal) -> CutAnalysis:
+    """The record of the vertex set ``S`` of ``inst`` whose removal leaves
+    ``components``, minimal or not as the caller found: Q(G)[S] over the
+    host quadrangulation's embedding, and the host's regions cut along
+    it."""
     emb = inst.quad.embedding
     smask = vertex_mask(S)
     q_edges = []
@@ -65,21 +73,14 @@ def q_induced_subgraph(inst, S) -> QSubgraph:
             q_edges.append(e)
             deg[u] += 1
             deg[v] += 1
-    verts = mask_vertices(smask)
-    return QSubgraph(host=emb, vertices=verts, edges=tuple(q_edges),
-                     degrees=tuple(deg[v] for v in verts),
-                     regions=(region_decompose(emb, q_edges).regions
-                              if q_edges else []))
-
-
-@dataclass
-class CutAnalysis:
-    S: frozenset
-    components: tuple            # sorted tuples of vertex ids
-    odd_count: int
-    even_count: int
-    is_minimal: bool
-    qs: QSubgraph
+    S = mask_vertices(smask)
+    return CutAnalysis(
+        S=S, components=tuple(sorted(components)),
+        odd_count=sum(len(c) % 2 for c in components),
+        is_minimal=is_minimal, q_edges=tuple(q_edges),
+        q_degrees=tuple(deg[v] for v in S),
+        regions=region_decompose(emb, q_edges) if q_edges else [],
+        _host=emb.srs)
 
 
 @cache
@@ -95,7 +96,7 @@ def _shape_encodings():
     return table
 
 
-def classify_cut_shape(inst, qs: QSubgraph) -> str:
+def classify_cut_shape(inst, ca: CutAnalysis) -> str:
     """Match Q[S] against the fixed shapes; "trivial4cycle-bearing" when it
     contains a separating trivial 4-cycle of the full graph; else "other".
 
@@ -105,28 +106,28 @@ def classify_cut_shape(inst, qs: QSubgraph) -> str:
     shape's start-state encodings.  The encoding labels every vertex iff
     Q[S] is connected, and every shape is.
     """
-    srs = qs.srs
+    srs = ca.srs
     if srs.edges:
         enc, order, _entry, _hand = _encode_from(*_encoder_tables(srs), 0, 1)
         if len(order) == srs.vertex_count:
             label = _shape_encodings().get(tuple(enc))
             if label is not None:
                 return label
-    if _contains_separating_trivial_4cycle(inst, qs):
+    if _contains_separating_trivial_4cycle(inst, ca):
         return "trivial4cycle-bearing"
     return "other"
 
 
-def _contains_separating_trivial_4cycle(inst, qs: QSubgraph):
+def _contains_separating_trivial_4cycle(inst, ca: CutAnalysis):
     """Whether Q[S] holds a two-sided (sign product +1) 4-cycle whose four
     host vertices separate the full graph."""
     full = (1 << inst.n) - 1
-    for cycle, _ids, sign in signed_cycles(qs.srs, 4):
+    for cycle, _ids, sign in signed_cycles(ca.srs, 4):
         if len(cycle) != 4 or sign != 1:
             continue           # a triangle, or essential, not trivial
         mask = full
         for v in cycle:
-            mask ^= 1 << qs.vertices[v]
+            mask ^= 1 << ca.S[v]
         if not is_connected_mask(inst.adj, mask):
             return True
     return False
@@ -211,17 +212,9 @@ def enumerate_cuts(inst, sizes):
             comps = component_masks(adj, full ^ smask)
             if len(comps) < 2:
                 continue
-            comp_sets = [mask_vertices(c) for c in comps]
-            minimal = all(_border(adj, c) == smask for c in comps)
-            odd = sum(1 for c in comp_sets if len(c) % 2 == 1)
-            out.append(CutAnalysis(
-                S=frozenset(subset),
-                components=tuple(sorted(comp_sets)),
-                odd_count=odd,
-                even_count=len(comp_sets) - odd,
-                is_minimal=minimal,
-                qs=q_induced_subgraph(inst, subset),
-            ))
+            out.append(analyze_cut(
+                inst, subset, [mask_vertices(c) for c in comps],
+                all(_border(adj, c) == smask for c in comps)))
     return out
 
 
@@ -232,12 +225,11 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
     Returns {clause: verdict} with verdicts "pass", "fail", or
     "inapplicable"; any "fail" is a reportable finding.
     """
-    qs = ca.qs
-    regions = qs.regions
+    regions = ca.regions
     out = {}
 
     # separation: each region of Q[S] contains at most one component
-    if qs.edges:
+    if ca.q_edges:
         verdict = "pass"
         per_region = [0] * len(regions)
         for comp in ca.components:
@@ -255,13 +247,13 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
 
     # minimal cuts: minimum degree of Q[S] at least 2
     if ca.is_minimal:
-        out["min_degree_2"] = "pass" if min(qs.degrees) >= 2 else "fail"
+        out["min_degree_2"] = "pass" if min(ca.q_degrees) >= 2 else "fail"
     else:
         out["min_degree_2"] = "inapplicable"
 
     # face-count inequalities, instantiated maximally for q in {3, 4}
     chi = P2_EULER_CHAR
-    E = len(qs.edges)
+    E = len(ca.q_edges)
     F = len(regions)
     S = len(ca.S)
     for q in (3, 4):
@@ -285,7 +277,7 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
         # an empty Q[S] has no regions and counts as not 2-cell
         if not (regions and all(r.is_two_cell for r in regions)):
             ok = (S == 6 and E == 6
-                  and all(d == 2 for d in qs.degrees)
+                  and all(d == 2 for d in ca.q_degrees)
                   and sorted(r.euler_char for r in regions) == [0, 1]
                   and sorted(w.length for r in regions
                              for w in r.boundary_walks) == [6, 6])

@@ -231,7 +231,8 @@ def _triangle_clauses(inst, choices):
     for f, face in enumerate(faces):
         a, b, c, d = face.vertices
         for j, (p, x, q) in enumerate(((a, b, c), (b, c, d))):
-            path = (srs.edge_between(p, x), srs.edge_between(x, q))
+            # a quadrangulation edge has the same id in the instance
+            path = (inst.edge_id(p, x), inst.edge_id(x, q))
             bit = choices[f].index((p, q) if p < q else (q, p))
             pick[eq + 2 * f + j] = (f, bit, _sign_product(srs, path))
     clauses = []

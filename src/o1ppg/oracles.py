@@ -91,7 +91,7 @@ from collections import deque
 from itertools import combinations, permutations
 
 from . import _kernels
-from .connectivity import CutAnalysis, q_induced_subgraph
+from .connectivity import analyze_cut
 from .errors import (EmptySubgraph, MalformedRotation, NoHamPath, NotACycle,
                      NotProjectivePlane, OddOrder, SearchBudgetExceeded,
                      TooLarge, TooSmall)
@@ -103,8 +103,8 @@ from .matching import (HAMILTONIAN_PATH_NODE_BUDGET, Matching,
 from .structures import (CertificateContext, _with_roles, diagnose_mask,
                          get_pattern)
 from .surface import (_SEP, EmbeddedGraph, FaceWalk, Region,
-                      RegionDecomposition, SignedRotationSystem, _sign_product,
-                      canonical_walk, region_decompose, short_walk_regions)
+                      SignedRotationSystem, _sign_product, canonical_walk,
+                      edge_lookup, region_decompose, short_walk_regions)
 
 #: Diagonal selections ``spanning_triangulation_by_selections`` may try,
 #: the first included, before it raises SearchBudgetExceeded.
@@ -556,15 +556,7 @@ def enumerate_cuts_by_subsets(inst, k):
                 seen |= adj[v]
             comp_sets.append(tuple(vs))
             minimal = minimal and (seen & smask) == smask
-        odd = sum(1 for c in comp_sets if len(c) % 2 == 1)
-        out.append(CutAnalysis(
-            S=frozenset(subset),
-            components=tuple(sorted(comp_sets)),
-            odd_count=odd,
-            even_count=len(comp_sets) - odd,
-            is_minimal=minimal,
-            qs=q_induced_subgraph(inst, subset),
-        ))
+        out.append(analyze_cut(inst, subset, comp_sets, minimal))
     return out
 
 
@@ -835,22 +827,19 @@ def _walk_regions(emb, max_len, min_len=2):
     ``min_len`` to ``max_len`` vertices that separates the surface, and
     every 2-cell region of the cut whose boundary walk is the walk itself,
     in walk order."""
-    edge_of = {}
-    for e, (u, v, _s) in enumerate(emb.srs.edges):
-        edge_of[(u, v)] = e
-        edge_of[(v, u)] = e
+    edge_of = edge_lookup(emb.srs)
     for walk in _closed_walks_upto(emb, max_len, min_len):
         k = len(walk)
         edges = {edge_of[(walk[i], walk[(i + 1) % k])] for i in range(k)}
         if len(edges) < len(set(walk)):
             continue        # a tree: cutting along it never separates
-        dec = region_decompose(emb, edges)
-        if dec.region_count < 2:
+        regions = region_decompose(emb, edges)
+        if len(regions) < 2:
             # the walk does not separate the surface: its "2-cell side" is
             # everything (e.g. both traversals of an essential triangle);
             # such a disc has no outside and is not a bounded region
             continue
-        for region in dec.regions:
+        for region in regions:
             if (region.is_two_cell and canonical_walk(
                     region.boundary_walks[0].vertices) == walk):
                 yield walk, region
@@ -888,8 +877,7 @@ def odd_regions_by_face_merge(inst, max_boundary_len):
                         if (ef[e][0] in sub) != (ef[e][1] in sub)]
             if not boundary or len(boundary) > max_boundary_len:
                 continue
-            dec = region_decompose(emb, set(boundary))
-            for region in dec.regions:
+            for region in region_decompose(emb, boundary):
                 if set(region.face_ids) != sub or not region.is_two_cell:
                     continue
                 bw = region.boundary_walks[0]
@@ -907,10 +895,11 @@ def _cycle_edges(srs, cycle):
         raise NotACycle("empty vertex sequence")
     if len(set(cycle)) != k:
         raise NotACycle("repeated vertex")
+    edge_of = edge_lookup(srs)
     out = []
     for i in range(k):
         u, v = cycle[i], cycle[(i + 1) % k]
-        e = srs.edge_between(u, v)
+        e = edge_of.get((u, v))
         if e is None:
             raise NotACycle(f"no edge {u}-{v}")
         out.append(e)
@@ -934,7 +923,7 @@ def is_essential_by_regions(g: EmbeddedGraph, cycle):
     """Cross-oracle: a cycle on P^2 is essential iff cutting along it leaves
     a single region (one-sided), trivial iff it separates."""
     edges = _cycle_edges(g.srs, cycle)
-    return region_decompose(g, edges).region_count == 1
+    return len(region_decompose(g, edges)) == 1
 
 
 def certificate_by_sets(ctx, vm):
@@ -1007,12 +996,11 @@ def embeds_by_flips(host: EmbeddedGraph, pat, phi):
     return False
 
 
-def bowties_by_triangle_pairs(quad):
+def bowties_by_triangle_pairs(emb):
     """Triangle-pair reference for ``structures.find_projective_bowties``:
     the set of (hub, {{a, b}, {c, d}}) where hub-a-b and hub-c-d are
     triangles sharing exactly the hub and the cut along their six edges
     leaves exactly two boundary walks, both hexagons."""
-    emb = quad.embedding if hasattr(quad, "embedding") else quad
     n = emb.vertex_count
     tris = enumerate_cycles(
         n, adjacency_masks(n, [(u, v) for (u, v, _s) in emb.srs.edges]), 3)
@@ -1031,8 +1019,8 @@ def bowties_by_triangle_pairs(quad):
             edges |= {lookup[(min(a, b), max(a, b))],
                       lookup[(min(b, c), max(b, c))],
                       lookup[(min(a, c), max(a, c))]}
-        dec = region_decompose(emb, edges)
-        walks = [w for r in dec.regions for w in r.boundary_walks]
+        walks = [w for r in region_decompose(emb, edges)
+                 for w in r.boundary_walks]
         if sorted(w.length for w in walks) != [6, 6]:
             continue
         out.add((hub, frozenset((frozenset(set(t1) - {hub}),
@@ -1040,17 +1028,16 @@ def bowties_by_triangle_pairs(quad):
     return out
 
 
-def region_decompose_reference(g: EmbeddedGraph,
-                               subgraph_edges) -> RegionDecomposition:
+def region_decompose_reference(g: EmbeddedGraph, cut_edges) -> list:
     """Set-based reference for ``surface.region_decompose``: merge the
-    host's faces across every edge outside ``subgraph_edges``.
+    host's faces across every edge outside ``cut_edges``.
 
     Each region gets its boundary walks (closed walks over the subgraph),
     their total length, its Euler characteristic on the cut-open complex,
     and its interior vertices.  A region is a 2-cell iff its characteristic
     is 1 and it has a single boundary walk.
     """
-    K = frozenset(subgraph_edges)
+    K = frozenset(cut_edges)
     if not K:
         raise EmptySubgraph("region decomposition needs a nonempty edge set")
     srs = g.srs
@@ -1163,12 +1150,12 @@ def region_decompose_reference(g: EmbeddedGraph,
         if e not in K:
             interior_edge_count[region_of_face[ef[e][0]]] += 1
 
-    dec = RegionDecomposition(subgraph_edges=K)
+    regions = []
     for ri, root in enumerate(roots):
         faces = tuple(sorted(groups[root]))
         walks = walks_by_region[ri]
         chi = (len(interior[ri]) - interior_edge_count[ri] + len(faces))
-        dec.regions.append(Region(
+        regions.append(Region(
             face_ids=faces,
             boundary_length=sum(w.length for w in walks),
             euler_char=chi,
@@ -1176,5 +1163,5 @@ def region_decompose_reference(g: EmbeddedGraph,
             is_two_cell=(chi == 1 and len(walks) == 1),
             _walks=walks,
         ))
-    return dec
+    return regions
 

@@ -25,7 +25,7 @@ from . import fixtures
 from .graphs import vertex_mask
 from .matching import mask_matchings
 from .surface import (EmbeddedGraph, _encode_from, _encoder_tables,
-                      region_decompose, restricted_system)
+                      edge_lookup, region_decompose, restricted_system)
 
 
 # -- pattern registry --------------------------------------------------------
@@ -137,8 +137,9 @@ def two_cell_regions(regions, boundary_len):
 
 # -- projective-bowties -------------------------------------------------------
 
-def find_projective_bowties(quad):
-    """All embedded projective-bowties in the quadrangulation.
+def find_projective_bowties(emb):
+    """All embedded projective-bowties in the quadrangulation embedding
+    ``emb``.
 
     Returns tuples (hub, {a, b}, {c, d}), one per bowtie, sorted by hub and
     then by the two pairs as sorted tuples: the images of the maps of the
@@ -148,7 +149,6 @@ def find_projective_bowties(quad):
     boundary walks; ``o1ppg.oracles.bowties_by_triangle_pairs`` is that
     reference.
     """
-    emb = quad.embedding if hasattr(quad, "embedding") else quad
     found = set()
     for phi in match_pattern(emb, get_pattern("bowtie")):
         pairs = sorted((tuple(sorted((phi[1], phi[2]))),
@@ -221,35 +221,35 @@ def match_pattern(host: EmbeddedGraph, pat: ConfigPattern):
     pedges = [(u, v) for (u, v, _s) in psrs.edges]
     want = _encode_from(*_encoder_tables(psrs), 0, 1)[:2]   # (enc, order)
     hsrs = host.srs
-    edge_between = hsrs.edge_between
+    edge_of = edge_lookup(hsrs)
     accepted = []
     for phi in _candidate_maps(host, pat):
+        image_edges = [edge_of[phi[u], phi[v]] for (u, v) in pedges]
         image = restricted_system(
-            hsrs, [phi[v] for v in range(psrs.vertex_count)],
-            [edge_between(phi[u], phi[v]) for (u, v) in pedges])
+            hsrs, [phi[v] for v in range(psrs.vertex_count)], image_edges)
         tables = _encoder_tables(image)
         start = 0 if image.edges[0][0] == pedges[0][0] else 1
         found = (_encode_from(*tables, start, side)[:2] for side in (1, -1))
-        if want in found and _parities_ok(host, pat, phi):
+        if want in found and _parities_ok(host, pat, image_edges):
             accepted.append(phi)
     return accepted
 
 
-def _parities_ok(host, pat, phi):
+def _parities_ok(host, pat, image_edges):
+    """Whether every face of ``pat`` maps to an odd weighted 2-cell region
+    of ``host``, cut along ``image_edges``, the host edge ids of the
+    pattern's edges under a map."""
     if not pat.odd_faces:
         return True
     if len(pat.odd_faces) != pat.embedding.face_count:
         raise AssertionError("partial face-parity constraints unsupported")
-    psrs = pat.embedding.srs
-    mapped = {host.srs.edge_between(phi[u], phi[v])
-              for (u, v, _s) in psrs.edges}
-    dec = region_decompose(host, mapped)
-    for region in dec.regions:
+    regions = region_decompose(host, image_edges)
+    for region in regions:
         if not region.is_two_cell:
             return False
         if len(region.interior_vertices) % 2 == 0:
             return False
-    return len(dec.regions) == pat.embedding.face_count
+    return len(regions) == pat.embedding.face_count
 
 
 # -- Theorem 1.6 diagnosis ----------------------------------------------------

@@ -14,13 +14,13 @@ One tracer (``trace_faces``) walks these states for every face of a
 system, and, given an edge set, for the faces of the system restricted to
 it, turning past the darts outside the set.
 
-One function cuts a host along an edge set (``region_decompose``): the
-regions it returns carry their facts, computed from one face union-find
-(faces, boundary length, interior vertices, Euler characteristic, and
-with it whether the region is a 2-cell), and get their boundary walks from
-the restricted tracer on first read.  The cut lemmas, the short-walk
-regions and the pattern face parities all read this one value.  The
-short-walk regions, every 2-cell region bounded by a separating closed
+One function cuts a host along an edge set (``region_decompose``) and
+returns the list of regions.  They carry their facts, computed from one
+face union-find (faces, boundary length, interior vertices, Euler
+characteristic, and with it whether the region is a 2-cell), and get their
+boundary walks from the restricted tracer on first read.  The cut lemmas,
+the short-walk regions and the pattern face parities all read this list.
+The short-walk regions, every 2-cell region bounded by a separating closed
 walk of 3 to 6 vertices, come as a list (``short_walk_regions``) that the
 caller keeps: the audit finds them once per instance and drops them with
 itself, so an embedding keeps nothing of an audit but its lazy face
@@ -39,9 +39,10 @@ the generator's canonical keys and its growth, the cut shapes of
 (``restricted_system``).  It takes simple systems only: each dart visit is
 one token, ``2 * neighbour label + sign bit``, and the edge it crosses is
 the one joining its two labelled vertices.  The graph facts of a system
-are answered here too: the edge joining two vertices (``edge_between``)
-and the short cycles with their sign products (``signed_cycles``), which
-decide on P^2 whether a cycle is one-sided.
+are answered here too: the edge ids by endpoint pair (``edge_lookup``, a
+dict each caller builds and drops, so a system caches none) and the short
+cycles with their sign products (``signed_cycles``), which decide on P^2
+whether a cycle is one-sided.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ class SignedRotationSystem:
     """
 
     __slots__ = ("vertex_count", "edges", "rotations", "_dart_vertex",
-                 "_rot_next", "_rot_prev", "_sign", "_edge_of")
+                 "_rot_next", "_rot_prev", "_sign")
 
     def __init__(self, vertex_count, edges, rotations, check=True,
                  tables=None):
@@ -91,7 +92,6 @@ class SignedRotationSystem:
         else:
             (self._dart_vertex, self._rot_next, self._rot_prev,
              self._sign) = tables
-        self._edge_of = None      # (u, v) -> edge id, built on first lookup
 
     def _build_tables(self):
         nd = 2 * len(self.edges)
@@ -182,22 +182,6 @@ class SignedRotationSystem:
     def is_connected(self):
         return is_connected_mask(self.adjacency_masks(),
                                  (1 << self.vertex_count) - 1)
-
-    def _edge_index(self):
-        """``{(u, v): edge id}`` for both orders of every edge, the least
-        id on a multi-edge; built on first use."""
-        if self._edge_of is None:
-            of = {}
-            for e, (a, b, _s) in enumerate(self.edges):
-                of.setdefault((a, b), e)
-                of.setdefault((b, a), e)
-            self._edge_of = of
-        return self._edge_of
-
-    def edge_between(self, u, v):
-        """Id of the edge joining ``u`` and ``v`` (the least one, in a
-        multigraph), or None if they are not adjacent."""
-        return self._edge_index().get((u, v))
 
 
 def restricted_system(srs, vertices, edges):
@@ -482,10 +466,10 @@ def short_walk_regions(g: EmbeddedGraph):
     faces = {frozenset(f.edge_ids()) for f in g.faces}
     found = {}
 
-    def keep(edges, dec):
-        if dec.region_count < 2:
+    def keep(edges, regions):
+        if len(regions) < 2:
             return
-        for region in dec.regions:
+        for region in regions:
             # a 2-cell's one walk is as long as its boundary
             if region.is_two_cell and region.boundary_length <= 6:
                 bw = region.boundary_walks[0]
@@ -499,12 +483,12 @@ def short_walk_regions(g: EmbeddedGraph):
             triangles.append((cycle, edges))
         if sign < 0:
             continue
-        dec = region_decompose(g, edges)
-        keep(edges, dec)
+        regions = region_decompose(g, edges)
+        keep(edges, regions)
         if len(cycle) > 4 or edges in faces:
             continue
         on_cycle = vertex_mask(cycle)
-        for region in dec.regions:
+        for region in regions:
             if not region.is_two_cell:
                 continue
             for x in region.interior_vertices:
@@ -531,6 +515,16 @@ def canonical_walk(vs):
     return best
 
 
+def edge_lookup(srs):
+    """``{(u, v): edge id}`` for both orders of every edge of ``srs``, the
+    least id on a multi-edge; built per call, so a system keeps none."""
+    of = {}
+    for e, (u, v, _s) in enumerate(srs.edges):
+        of.setdefault((u, v), e)
+        of.setdefault((v, u), e)
+    return of
+
+
 def _sign_product(srs, edge_ids):
     s = 1
     for e in edge_ids:
@@ -544,7 +538,7 @@ def signed_cycles(srs: SignedRotationSystem, max_len):
     form of ``graphs.enumerate_cycles``; edge ``i`` joins ``cycle[i]`` and
     ``cycle[i + 1]``, the last one closing the cycle.  On P^2 a cycle is
     one-sided (essential) iff its sign product is -1."""
-    edge_of = srs._edge_index()
+    edge_of = edge_lookup(srs)
     for cycle in enumerate_cycles(srs.vertex_count, srs.adjacency_masks(),
                                   max_len):
         ids = tuple(map(edge_of.__getitem__,
@@ -624,16 +618,6 @@ class Region:
         return self._walks
 
 
-@dataclass
-class RegionDecomposition:
-    subgraph_edges: frozenset
-    regions: list = field(default_factory=list)
-
-    @property
-    def region_count(self):
-        return len(self.regions)
-
-
 def _merge_faces(g: EmbeddedGraph, in_k):
     """The regions the cut along the edges ``e`` with ``in_k[e]`` leaves:
     the host's faces merged by union-find across every other edge.
@@ -708,8 +692,9 @@ def _trace_boundaries(g: EmbeddedGraph, K, region_of, regions):
         region._walks, region._trace = ws, None
 
 
-def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
-    """Merge the host's faces across every edge outside ``subgraph_edges``.
+def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
+    """The regions of the host cut along ``cut_edges``: its faces
+    merged across every edge outside them.
 
     Each region gets its faces, its boundary length (the subgraph's edge
     sides that face it), its interior vertices and its Euler
@@ -723,7 +708,7 @@ def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
     ``o1ppg.oracles.region_decompose_reference`` is the set-based
     reference, which counts the walks instead.
     """
-    K = frozenset(subgraph_edges)
+    K = frozenset(cut_edges)
     if not K:
         raise EmptySubgraph("region decomposition needs a nonempty edge set")
     edges = g.srs.edges
@@ -759,11 +744,11 @@ def region_decompose(g: EmbeddedGraph, subgraph_edges) -> RegionDecomposition:
                 r = region_of[f]
         interior[r].append(v)
 
-    dec = RegionDecomposition(K)
-    trace = partial(_trace_boundaries, g, K, region_of, dec.regions)
+    regions = []
+    trace = partial(_trace_boundaries, g, K, region_of, regions)
     for faces, length, inner, inside in zip(face_ids, lengths,
                                             interior_edge_count, interior):
         chi = len(inside) - inner + len(faces)
-        dec.regions.append(Region(tuple(faces), length, chi,
-                                  frozenset(inside), chi == 1, None, trace))
-    return dec
+        regions.append(Region(tuple(faces), length, chi, frozenset(inside),
+                              chi == 1, None, trace))
+    return regions

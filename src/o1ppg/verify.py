@@ -370,7 +370,7 @@ class _InstanceAudit:
             return _fail(f"connectivity {self.conn} < 4")
         four_cuts = [ca for ca in self.cuts if len(ca.S) == 4]
         for ca in four_cuts:
-            if not _contains_separating_trivial_4cycle(self.inst, ca.qs):
+            if not _contains_separating_trivial_4cycle(self.inst, ca):
                 return _fail("4-cut without separating trivial "
                              "4-cycle in Q[S]", _set_str(ca.S))
         return _pass(f"connectivity={self.conn} "
@@ -379,13 +379,13 @@ class _InstanceAudit:
     def check_L33(self):
         five_cuts = [ca for ca in self.cuts if len(ca.S) == 5]
         for ca in five_cuts:
-            shape = classify_cut_shape(self.inst, ca.qs)
+            shape = classify_cut_shape(self.inst, ca)
             if shape != "bowtie":
                 return _fail(f"5-cut shaped {shape}", _set_str(ca.S))
         return _pass(f"five_cuts={len(five_cuts)}")
 
     def check_T34(self):
-        bows = find_projective_bowties(self.inst.quad)
+        bows = find_projective_bowties(self.inst.quad.embedding)
         detail = f"connectivity={self.conn} bowties={len(bows)}"
         if (self.conn >= 6) == (len(bows) == 0):
             return _pass(detail)
@@ -400,7 +400,7 @@ class _InstanceAudit:
         for ca in self.cuts:
             if len(ca.S) != 6 or not ca.is_minimal:
                 continue
-            shape = classify_cut_shape(self.inst, ca.qs)
+            shape = classify_cut_shape(self.inst, ca)
             if shape not in ("I", "II", "III", "IV"):
                 return _fail(f"minimal 6-cut shaped {shape}",
                              _set_str(ca.S))

@@ -200,22 +200,22 @@ def test_criterion_07_cut_shapes(instances):
     violations = []
     for inst in instances:
         conn = vertex_connectivity(inst)
-        bows = find_projective_bowties(inst.quad)
+        bows = find_projective_bowties(inst.quad.embedding)
         if conn < 4:
             violations.append((inst.key, "connectivity<4"))
         for k in (1, 2, 3):
             if enumerate_cuts(inst, (k,)):
                 violations.append((inst.key, f"{k}-cut"))
         for ca in enumerate_cuts(inst, (4,)):
-            if not _contains_separating_trivial_4cycle(inst, ca.qs):
+            if not _contains_separating_trivial_4cycle(inst, ca):
                 violations.append((inst.key, "4-cut audit"))
         for ca in enumerate_cuts(inst, (5,)):
-            if classify_cut_shape(inst, ca.qs) != "bowtie":
+            if classify_cut_shape(inst, ca) != "bowtie":
                 violations.append((inst.key, "5-cut shape"))
         if conn >= 5 and (conn == 5) != bool(bows):
             violations.append((inst.key, "bowtie iff connectivity 5"))
         for ca in enumerate_cuts(inst, (6,)):
-            if ca.is_minimal and classify_cut_shape(inst, ca.qs) not in (
+            if ca.is_minimal and classify_cut_shape(inst, ca) not in (
                     "I", "II", "III", "IV"):
                 violations.append((inst.key, "6-cut shape"))
     _line(7, "cut structure (T3.1/L3.3/T3.4/L3.5)", not violations,

@@ -7,11 +7,12 @@ from test_generator import _full_relabel
 
 from o1ppg.connectivity import (CUT_SHAPES,
                                 _contains_separating_trivial_4cycle,
-                                audit_cut_lemmas, classify_cut_shape,
-                                enumerate_cuts, minimal_separators,
-                                q_induced_subgraph, vertex_connectivity)
+                                analyze_cut, audit_cut_lemmas,
+                                classify_cut_shape, enumerate_cuts,
+                                minimal_separators, vertex_connectivity)
 from o1ppg.generator import canonical_key
-from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
+from o1ppg.graphs import (adjacency_masks, component_masks, mask_vertices,
+                          vertex_connectivity_flow, vertex_mask)
 from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (enumerate_cuts_by_subsets,
                            is_minimal_cut_bruteforce,
@@ -92,21 +93,21 @@ def test_five_cuts_are_bowties(inst9):
     assert cuts
     for ca in cuts:
         assert ca.is_minimal
-        assert classify_cut_shape(inst9, ca.qs) == "bowtie"
-        assert ca.odd_count + ca.even_count == len(ca.components)
+        assert classify_cut_shape(inst9, ca) == "bowtie"
+        assert ca.odd_count == sum(len(c) % 2 for c in ca.components)
         # the cut subgraph is embedded-isomorphic to the fixture
         from o1ppg.structures import get_pattern
-        assert canonical_key(ca.qs.srs) == \
+        assert canonical_key(ca.srs) == \
             canonical_key(get_pattern("bowtie").embedding)
 
 
 def test_minimal_six_cut_shapes(inst10):
     assert vertex_connectivity(inst10) == 6
     cuts = [ca for ca in enumerate_cuts(inst10, (6,)) if ca.is_minimal]
-    shapes = sorted(classify_cut_shape(inst10, ca.qs) for ca in cuts)
+    shapes = sorted(classify_cut_shape(inst10, ca) for ca in cuts)
     assert shapes == ["I", "III", "III", "III"]
     for ca in cuts:
-        assert sum(len(r.boundary_walks) for r in ca.qs.regions) >= 2
+        assert sum(len(r.boundary_walks) for r in ca.regions) >= 2
 
 
 def test_separating_trivial_4cycle_true_side(inst10):
@@ -114,24 +115,33 @@ def test_separating_trivial_4cycle_true_side(inst10):
     # its neighbours on a face whose vertices induce just the face cycle,
     # and those four vertices then cut x off.
     emb = inst10.quad.embedding
+
+    def analyzed(inst, vertices):
+        # the record of G - vertices; no check here reads is_minimal
+        rest = ((1 << inst.n) - 1) ^ vertex_mask(vertices)
+        comps = [mask_vertices(c) for c in component_masks(inst.adj, rest)]
+        return analyze_cut(inst, vertices, comps, False)
+
     face = next(f.vertices for f in emb.faces
-                if len(q_induced_subgraph(inst10, f.vertices).edges) == 4)
+                if len(analyzed(inst10, f.vertices).q_edges) == 4)
     on_face = sum(1 << v for v in face)
     x = next(v for v in range(inst10.n) if v not in face)
     cut = copy.copy(inst10)
     cut.adj = [m if v in face else m & ~(1 << x)
                for v, m in enumerate(inst10.adj)]
     cut.adj[x] &= on_face
-    qs = q_induced_subgraph(cut, face)
-    assert not _contains_separating_trivial_4cycle(inst10, qs)
-    assert _contains_separating_trivial_4cycle(cut, qs)
+    ca = analyzed(cut, face)
+    assert ca.components == ((x,), tuple(sorted(set(range(inst10.n))
+                                                - set(face) - {x})))
+    assert not _contains_separating_trivial_4cycle(inst10, ca)
+    assert _contains_separating_trivial_4cycle(cut, ca)
     # the same cycle made one-sided by one negated edge is essential, not
     # trivial, however it separates
     twisted = [(u, v, -s if e == 0 else s)
-               for e, (u, v, s) in enumerate(qs.srs.edges)]
-    one_sided = copy.copy(qs)
+               for e, (u, v, s) in enumerate(ca.srs.edges)]
+    one_sided = copy.copy(ca)
     one_sided.srs = SignedRotationSystem(
-        qs.srs.vertex_count, twisted, qs.srs.rotations)
+        ca.srs.vertex_count, twisted, ca.srs.rotations)
     assert not _contains_separating_trivial_4cycle(cut, one_sided)
 
 
@@ -158,7 +168,7 @@ def test_nonminimal_cut_tolerated(inst10):
     assert any(not ca.is_minimal for ca in cuts)
     for ca in cuts:
         if not ca.is_minimal:
-            assert classify_cut_shape(inst10, ca.qs) in (
+            assert classify_cut_shape(inst10, ca) in (
                 "I", "II", "III", "IV", "bowtie", "trivial4cycle-bearing",
                 "other")
 
@@ -179,10 +189,8 @@ def test_minimality_matches_subset_oracle(corpus_n12):
 def _fields(ca):
     """Every field of a CutAnalysis, with Q[S]'s rotation system read as
     its edges and rotations (the system itself compares by identity)."""
-    qs = ca.qs
-    return (ca.S, ca.components, ca.odd_count, ca.even_count, ca.is_minimal,
-            qs.vertices, qs.edges, qs.srs.edges, qs.srs.rotations,
-            qs.regions)
+    return (ca.S, ca.components, ca.odd_count, ca.is_minimal, ca.q_edges,
+            ca.q_degrees, ca.srs.edges, ca.srs.rotations, ca.regions)
 
 
 def _assert_cuts_match_subset_scan(inst):
@@ -215,7 +223,7 @@ def test_minimal_separators_pair_with_oracles(corpus_n12, instances10):
             s.bit_count() for s in seps)
         small = {frozenset(v for v in range(inst.n) if (s >> v) & 1)
                  for s in seps if s.bit_count() <= 7}
-        marked = {ca.S for ca in enumerate_cuts(inst, range(1, 8))
+        marked = {frozenset(ca.S) for ca in enumerate_cuts(inst, range(1, 8))
                   if ca.is_minimal}
         assert small == marked
 
@@ -240,15 +248,14 @@ def test_cut_facts_match_region_decompose(corpus_n12, instances10):
     cuts = 0
     for inst, _conn, ca in _audited_cuts(
             corpus_n12 + instances10 + _relabelled(corpus_n12, 71)):
-        qs = ca.qs
-        regions = (region_decompose(inst.quad.embedding, qs.edges).regions
-                   if qs.edges else [])
-        assert [r.boundary_length for r in qs.regions] == [
+        regions = (region_decompose(inst.quad.embedding, ca.q_edges)
+                   if ca.q_edges else [])
+        assert [r.boundary_length for r in ca.regions] == [
             sum(w.length for w in r.boundary_walks) for r in regions]
-        assert [r.interior_vertices for r in qs.regions] == [
+        assert [r.interior_vertices for r in ca.regions] == [
             r.interior_vertices for r in regions]
-        assert qs.degrees == tuple(len(r) for r in qs.srs.rotations)
-        assert qs.regions == regions
+        assert ca.q_degrees == tuple(len(r) for r in ca.srs.rotations)
+        assert ca.regions == regions
         cuts += 1
     assert cuts == 2 * 645 + 23
 
@@ -260,15 +267,14 @@ def test_q_induced_subgraph_walks_match_regions(corpus_n12, instances10):
     cuts = 0
     for inst, _conn, ca in _audited_cuts(
             corpus_n12 + instances10 + _relabelled(corpus_n12, 79)):
-        qs = ca.qs
-        own = [FaceWalk(tuple(2 * qs.edges[d >> 1] + (d & 1)
+        own = [FaceWalk(tuple(2 * ca.q_edges[d >> 1] + (d & 1)
                               for d in f.boundary),
                         f.sides, f.length, f.is_cycle,
-                        tuple(qs.vertices[v] for v in f.vertices))
-               for f in trace_faces(qs.srs)]
-        host = trace_faces(inst.quad.embedding.srs, qs.edges)
-        assert own == host, sorted(ca.S)
-        assert sorted(host) == sorted(w for r in qs.regions
+                        tuple(ca.S[v] for v in f.vertices))
+               for f in trace_faces(ca.srs)]
+        host = trace_faces(inst.quad.embedding.srs, ca.q_edges)
+        assert own == host, ca.S
+        assert sorted(host) == sorted(w for r in ca.regions
                                       for w in r.boundary_walks)
         cuts += 1
     assert cuts == 2 * 645 + 23
@@ -291,22 +297,22 @@ def test_facts_trace_no_walk(corpus_n12, monkeypatch):
         audit = audit_cut_lemmas(ca, connectivity=4)
         assert "fail" not in audit.values()
         assert [(len(r.face_ids), r.boundary_length, r.euler_char,
-                 r.is_two_cell) for r in ca.qs.regions]
+                 r.is_two_cell) for r in ca.regions]
     for inst in corpus_n12:
         for pid in "abcdefg":
             match_pattern(inst.quad.embedding, get_pattern(pid))
     assert traced == []
-    assert all(r.boundary_walks for ca in cuts for r in ca.qs.regions)
+    assert all(r.boundary_walks for ca in cuts for r in ca.regions)
     assert len(traced) == len(cuts) == 645
 
 
-def _shape_by_canonical_key(qs):
+def _shape_by_canonical_key(ca):
     """The cut shape Q[S] has by canonical key, or None."""
-    if not qs.srs.is_connected():
+    if not ca.srs.is_connected():
         return None
     keys = {canonical_key(get_pattern(pid).embedding): pid
             for pid in CUT_SHAPES}
-    return keys.get(canonical_key(qs.srs))
+    return keys.get(canonical_key(ca.srs))
 
 
 def test_shape_lookup_matches_canonical_key(corpus_n12, instances10):
@@ -315,8 +321,8 @@ def test_shape_lookup_matches_canonical_key(corpus_n12, instances10):
     shapes = {}
     for inst, _conn, ca in _audited_cuts(
             corpus_n12 + instances10 + _relabelled(corpus_n12, 73)):
-        want = _shape_by_canonical_key(ca.qs)
-        got = classify_cut_shape(inst, ca.qs)
+        want = _shape_by_canonical_key(ca)
+        got = classify_cut_shape(inst, ca)
         if want is None:
             assert got not in CUT_SHAPES
         else:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 PRODUCTION_MODULES = ("cli", "verify", "connectivity", "structures",
                       "generator", "matching", "model", "surface", "graphs",
-                      "srsio", "fixtures")
+                      "srsio", "fixtures", "errors", "_kernels")
 
 PROBE = """
 import importlib, sys

@@ -23,7 +23,8 @@ from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
                               find_projective_bowties, get_pattern,
                               load_patterns, match_pattern, patterns,
                               sweep_three_matchings, two_cell_regions)
-from o1ppg.surface import EmbeddedGraph, canonical_walk, short_walk_regions
+from o1ppg.surface import (EmbeddedGraph, canonical_walk, edge_lookup,
+                           short_walk_regions)
 
 
 def _regions(host):
@@ -109,14 +110,16 @@ def test_match_pattern_agrees_with_flip_oracle(instances10, corpus_n12):
              if pid not in _CONFIG_ROLES]
     accepted = rejected = 0
     for host in hosts + bases:
+        edge_of = edge_lookup(host.srs)
         for pid in PATTERN_IDS:
             pat = get_pattern(pid)
             candidates = _candidate_maps(host, pat)
             embedded = [phi for phi in candidates
                         if embeds_by_flips(host, pat, phi)]
             maps = match_pattern(host, pat)
-            assert maps == [phi for phi in embedded
-                            if _parities_ok(host, pat, phi)]
+            assert maps == [phi for phi in embedded if _parities_ok(
+                host, pat, [edge_of[phi[u], phi[v]]
+                            for (u, v, _s) in pat.embedding.srs.edges])]
             if host not in bases:
                 accepted += len(maps)
             rejected += len(candidates) - len(embedded)
@@ -212,13 +215,13 @@ def test_bowtie_detectors_agree(instances10, corpus_n12):
     # the bowties read off the pattern maps are the triangle pairs whose
     # cut leaves two hexagons, each once, in (hub, pair, pair) order
     for inst in instances10 + corpus_n12:
-        bows = find_projective_bowties(inst.quad)
+        bows = find_projective_bowties(inst.quad.embedding)
         assert bows == sorted(bows, key=lambda b: (b[0], sorted(b[1]),
                                                    sorted(b[2])))
         assert all(sorted(a) < sorted(b) for (_hub, a, b) in bows)
         pairs = {(hub, frozenset((a, b))) for (hub, a, b) in bows}
         assert len(pairs) == len(bows)
-        assert pairs == bowties_by_triangle_pairs(inst.quad)
+        assert pairs == bowties_by_triangle_pairs(inst.quad.embedding)
 
 
 def test_bowties_sorted_by_hub_then_pairs():
@@ -234,7 +237,7 @@ def test_bowties_sorted_by_hub_then_pairs():
 def test_bowtie_in_nonbipartite_host_only(instances10):
     for inst in instances10:
         if inst.quad.bipartite:
-            assert find_projective_bowties(inst.quad) == []
+            assert find_projective_bowties(inst.quad.embedding) == []
 
 
 def test_essentiality_routes_agree_on_hosts(instances10):

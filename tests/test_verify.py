@@ -1,6 +1,7 @@
 """The audit harness: green on the real corpus, red on corrupted inputs,
 deterministic reports."""
 
+import copy
 import sys
 from pathlib import Path
 
@@ -249,13 +250,19 @@ _FACE_TABLES = ("_corner_face", "_edge_faces", "_vertex_faces")
 
 
 def _embedding_state(inst):
-    return {name: value for name, value in vars(inst.quad.embedding).items()
-            if name not in _FACE_TABLES}
+    """The embedding's fields but its face tables, and a copy of every
+    slot of its rotation system."""
+    emb = inst.quad.embedding
+    state = {name: value for name, value in vars(emb).items()
+             if name not in _FACE_TABLES and name != "srs"}
+    state["srs"] = {name: copy.deepcopy(getattr(emb.srs, name))
+                    for name in SignedRotationSystem.__slots__}
+    return state
 
 
 def _assert_as_built(instances, embeddings):
-    # the instance keeps what build_o1ppg gave it and the embedding gains
-    # nothing but its face tables
+    # the instance keeps what build_o1ppg gave it, the embedding gains
+    # nothing but its face tables, and its rotation system nothing at all
     for inst, emb in zip(instances, embeddings):
         fresh = build_o1ppg(inst.quad, key=inst.key)
         assert vars(inst) == vars(fresh), inst.key
