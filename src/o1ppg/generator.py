@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import pathlib
+from _blake2 import blake2b
 from array import array
 from functools import cache
 from itertools import combinations
@@ -116,12 +117,11 @@ def canonical_key(g) -> str:
 
 
 def _digest(key):
-    """Filesystem-friendly digest of a canonical string."""
-    # imported here, its one use: importing hashlib maps OpenSSL's
-    # libcrypto, which blake2b (CPython's built-in _blake2) does not need
-    import hashlib
-
-    return hashlib.blake2b(key.encode(), digest_size=8).hexdigest()
+    """Filesystem-friendly digest of a canonical string, its 8-byte
+    blake2b.  ``_blake2.blake2b`` is the constructor ``hashlib.blake2b``
+    returns; importing it directly leaves OpenSSL's libcrypto, which
+    hashlib maps, unloaded."""
+    return blake2b(key.encode(), digest_size=8).hexdigest()
 
 
 def short_key(g) -> str:
@@ -367,18 +367,32 @@ def grow_quadrangulations(seeds, n_max):
     quadrangulations up to ``n_max`` vertices, deduplicated canonically.
 
     Returns {n: [(canonical_string, SignedRotationSystem), ...]} sorted by
-    key.  A split product is a copy of its parent's dart tables with the
-    entries the split changes patched (``_patched_split``).  It is encoded
-    from those tables, from one start state read off them
-    (``_least_pair``), and is a repeat iff that encoding is one a class
-    met before had from any of its start states; only a new class is
-    materialised as a SignedRotationSystem and encoded from all of them
-    (``_new_class``, which reuses the first encoding).  Seeds with more
-    than ``n_max`` vertices are dropped.  Every other seed, and every
-    product found under a new key, goes through
-    ``validate_quadrangulation``; the split construction itself guarantees
-    quadrangulation-ness, so a validation error on a product is a bug, not
-    an input condition.  The splits that ``_repeated_splits`` names, by
+    key: the stream of ``_grow`` collected.
+    """
+    by_n = {}
+    for key, srs, _poly, _bip in _grow(seeds, n_max):
+        by_n.setdefault(srs.vertex_count, []).append((key, srs))
+    return {n: sorted(v, key=lambda m: m[0]) for n, v in sorted(by_n.items())}
+
+
+def _grow(seeds, n_max):
+    """Growth as a stream: yields ``(key, srs, polyhedral, bipartite)`` for
+    each new class as it is found, and keeps only the packed encodings it
+    has met (``seen``) and the frontier of classes still to split, so a
+    class the consumer drops is freed.
+
+    A split product is a copy of its parent's dart tables with the entries
+    the split changes patched (``_patched_split``).  It is encoded from
+    those tables, from one start state read off them (``_least_pair``), and
+    is a repeat iff that encoding is one a class met before had from any of
+    its start states; only a new class is materialised as a
+    SignedRotationSystem and encoded from all of them (``_new_class``,
+    which reuses the first encoding).  Seeds with more than ``n_max``
+    vertices are dropped.  Every other seed, and every product found under
+    a new key, goes through ``validate_quadrangulation``; the split
+    construction itself guarantees quadrangulation-ness, so a validation
+    error on a product is a bug, not an input condition, and it propagates
+    out of the stream.  The splits that ``_repeated_splits`` names, by
     face-corner twins and by the parent's automorphisms, are skipped: each
     repeats the class of a split of the same system made before it, so
     neither the classes nor their stored representatives change.  Start
@@ -386,24 +400,15 @@ def grow_quadrangulations(seeds, n_max):
     n <= 10 that makes 9,566 split products and 14,468 encoder calls, and
     builds about 1,750 systems, one per new class.
     """
-    return {n: [(key, srs) for key, srs, _poly, _bip in members]
-            for n, members in _grow(seeds, n_max).items()}
-
-
-def _grow(seeds, n_max):
-    """``grow_quadrangulations`` with each member's validation flags:
-    {n: [(key, srs, polyhedral, bipartite), ...]} sorted by key."""
-    by_n = {}
     seen = set()
     frontier = []   # (EmbeddedGraph, automorphisms) of classes below n_max
 
     def keep(q, found):
         key, automorphisms = found
         g = q.embedding
-        by_n.setdefault(g.vertex_count, []).append(
-            (key, g.srs, q.polyhedral, q.bipartite))
         if g.vertex_count < n_max:
             frontier.append((g, automorphisms))
+        return key, g.srs, q.polyhedral, q.bipartite
 
     for g in seeds:
         if isinstance(g, SignedRotationSystem):
@@ -415,7 +420,7 @@ def _grow(seeds, n_max):
         # start set directly.
         found = _new_class(g.srs, seen)
         if found is not None:
-            keep(q, found)
+            yield keep(q, found)
     while frontier:
         g0, automorphisms = frontier.pop()
         srs0 = g0.srs
@@ -439,9 +444,8 @@ def _grow(seeds, n_max):
                     continue        # a known class: nothing is built
                 srs = _materialise(srs0.edges, *tables)
                 found = _new_class(srs, seen, first)
-                keep(validate_quadrangulation(
+                yield keep(validate_quadrangulation(
                     EmbeddedGraph(srs), require_polyhedral=False), found)
-    return {n: sorted(v, key=lambda m: m[0]) for n, v in sorted(by_n.items())}
 
 
 # -- corpus ------------------------------------------------------------------
@@ -498,29 +502,41 @@ def write_corpus(out_dir, n_max):
     Layout: ``q<n>/<key>.srs`` plus ``manifest.tsv`` with columns
     n, key, polyhedral, bipartite, connectivity (of the derived instance;
     "-" when not applicable).  Deterministic byte-for-byte.  The member
-    files that ``out_dir``'s previous manifest lists are deleted first, and
-    so are the ``q<n>`` directories this leaves empty; nothing else there
-    is touched.
+    files that ``out_dir``'s previous manifest lists are deleted first, with
+    that manifest and the ``q<n>`` directories this leaves empty; nothing
+    else there is touched.  Each class is then written as growth finds it
+    (``_grow``), and only its manifest row is kept; the sorted manifest is
+    written last.  An error on the way deletes the member files written so
+    far and propagates, so a directory without ``manifest.tsv`` holds no
+    member of a run that did not finish.
     """
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    corpus = _grow([default_seed()], n_max)
     _remove_listed(out_dir)
     rows = []
-    for n, members in corpus.items():
-        sub = out_dir / f"q{n}"
-        sub.mkdir(exist_ok=True)
-        for key, srs, polyhedral, bipartite in members:
+    subs = {}       # n -> its directory, made on its first member
+    try:
+        for key, srs, polyhedral, bipartite in _grow([default_seed()],
+                                                       n_max):
+            n = srs.vertex_count
             digest = _digest(key)
-            srsio.dump(srs, sub / f"{digest}.srs")
             # growth validated the member; only instances need its faces
             inst = (_instance(Quadrangulation(EmbeddedGraph(srs), True,
                                               bipartite), digest)
                     if polyhedral and n >= 9 else None)
             conn = ("-" if inst is None else
                     str(vertex_connectivity_flow(inst.n, inst.adj, 8)))
+            # the row goes first, so a failed dump's file is deleted too
             rows.append((n, digest, "1" if polyhedral else "0",
                          "1" if bipartite else "0", conn))
+            sub = subs.get(n)
+            if sub is None:
+                sub = subs[n] = out_dir / f"q{n}"
+                sub.mkdir(exist_ok=True)
+            srsio.dump(srs, sub / f"{digest}.srs")
+    except BaseException:
+        _remove_members(out_dir, [row[:2] for row in rows])
+        raise
     rows.sort()
     with open(out_dir / "manifest.tsv", "w", newline="\n") as fh:
         fh.write("n\tkey\tpolyhedral\tbipartite\tconnectivity\n")
@@ -530,18 +546,28 @@ def write_corpus(out_dir, n_max):
 
 
 def _remove_listed(out_dir):
-    """Delete the member files that ``out_dir/manifest.tsv`` lists, then
-    the ``q<n>`` directories among theirs that are left empty."""
+    """Delete the member files that ``out_dir/manifest.tsv`` lists, the
+    ``q<n>`` directories among theirs that are left empty, and then the
+    manifest."""
     manifest = out_dir / "manifest.tsv"
     if not manifest.exists():
         return
-    subs = set()
+    members = []
     for _lineno, line in _manifest_rows(manifest):
         n_s, _tab, rest = line.rstrip("\n").partition("\t")
         key = rest.partition("\t")[0]
-        if not _is_member_row(n_s, key):
-            continue        # no path to trust
-        sub = out_dir / f"q{n_s}"
+        if _is_member_row(n_s, key):     # else no path to trust
+            members.append((n_s, key))
+    _remove_members(out_dir, members)
+    manifest.unlink()
+
+
+def _remove_members(out_dir, members):
+    """Delete the files ``q<n>/<key>.srs`` of ``members``, ``(n, key)``
+    pairs, then the ``q<n>`` directories among theirs left empty."""
+    subs = set()
+    for n, key in members:
+        sub = out_dir / f"q{n}"
         (sub / f"{key}.srs").unlink(missing_ok=True)
         subs.add(sub)
     for sub in subs:

@@ -8,9 +8,10 @@ report's ``note`` line).
 
 Every theorem in ``THEOREM_IDS`` has one check, and the checks of one
 instance share their intermediates through ``_InstanceAudit``, which
-computes each on first use: the minimal separators and the cuts; the
-short-walk regions of ``surface.short_walk_regions``, which T1.4's barrier
-cycles and T1.6's length-6 regions filter; T1.3's spanning triangulation;
+computes each on first use: the vertex connectivity, the minimal
+separators and the cuts; the short-walk regions of
+``surface.short_walk_regions``, which T1.4's barrier cycles and T1.6's
+length-6 regions filter; T1.3's spanning triangulation;
 and one perfect-matching memo with the k-matching sweeps of
 ``matching.matching_sweep`` built on it, which T1.3 (k = 1), T1.4 and
 C1.5 (k = 2), T1.6 and NoThreeExt (k = 3) and L4.2 (k = 2 and 3) read.
@@ -133,7 +134,6 @@ class _InstanceAudit:
 
     def __init__(self, inst):
         self.inst = inst
-        self.conn = vertex_connectivity(inst, 8)
         # alive mask -> perfect matching on it?  Shared by every sweep
         self.pm_memo = {0: True}
         self.sweeps = {}
@@ -162,6 +162,11 @@ class _InstanceAudit:
         return results
 
     # -- shared intermediates ----------------------------------------------
+
+    @cached_property
+    def conn(self):
+        """Vertex connectivity of the instance, capped at 8."""
+        return vertex_connectivity(self.inst, 8)
 
     def sweep(self, k):
         """``matching_sweep(inst, k)``, built once on the shared memo."""

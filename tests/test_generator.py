@@ -1,5 +1,7 @@
 """Canonical forms, exhaustive searches, growth moves, corpus round trips."""
 
+import gc
+import hashlib
 import importlib.util
 import pathlib
 import random
@@ -8,11 +10,13 @@ from itertools import combinations
 import pytest
 
 from o1ppg import generator, srsio
+from o1ppg.cli import main
 from o1ppg.errors import MalformedRotation, TooLarge
-from o1ppg.generator import (_materialise, _new_class, _patched_split,
-                             _repeated_splits, _split_tables, canonical_key,
-                             corpus_instances, grow_quadrangulations,
-                             load_corpus_instances, short_key, write_corpus)
+from o1ppg.generator import (_digest, _materialise, _new_class,
+                             _patched_split, _repeated_splits, _split_tables,
+                             canonical_key, corpus_instances,
+                             grow_quadrangulations, load_corpus_instances,
+                             short_key, write_corpus)
 from o1ppg.model import validate_quadrangulation
 from o1ppg.structures import _CONFIG_ROLES, PATTERN_IDS
 from o1ppg.oracles import (_oracle_encoding, all_embeddings,
@@ -424,6 +428,60 @@ def test_validation_errors_propagate(tmp_path, monkeypatch, k4):
         write_corpus(tmp_path / "c", 9)
     with pytest.raises(MalformedRotation):
         corpus_instances(corpus)
+
+
+def test_write_corpus_keeps_no_member(tmp_path, monkeypatch):
+    # each class is written as growth finds it and then dropped: while the
+    # n <= 10 corpus is written, fewer systems are alive than there are
+    # classes below n = 10, where holding every member would keep 1,727
+    def live():
+        return sum(isinstance(o, SignedRotationSystem)
+                   for o in gc.get_objects())
+
+    baseline = live()
+    counts = []
+    dump = srsio.dump
+
+    def counted(srs, path):
+        dump(srs, path)
+        calls = len(counts) + 1
+        counts.append(live() - baseline
+                      if calls % 200 == 0 or calls == 1727 else None)
+
+    monkeypatch.setattr(srsio, "dump", counted)
+    rows = write_corpus(tmp_path / "c", 10)
+    assert len(rows) == len(counts) == 1727
+    sampled = [c for c in counts if c is not None]
+    assert len(sampled) == 9
+    assert max(sampled) < 1 + 1 + 4 + 14 + 58 + 268
+
+
+def test_failed_write_leaves_no_manifest_and_no_member(tmp_path,
+                                                       monkeypatch):
+    # a run that raises has deleted the previous corpus and deletes the
+    # files it wrote; no manifest is left, so verify refuses the directory
+    out = tmp_path / "c"
+    assert len(write_corpus(out, 6)) == 6
+    validate = generator.validate_quadrangulation
+
+    def broken(g, **kwargs):
+        if g.vertex_count == 7:
+            raise MalformedRotation("validation bug")
+        return validate(g, **kwargs)
+
+    monkeypatch.setattr(generator, "validate_quadrangulation", broken)
+    with pytest.raises(MalformedRotation):
+        write_corpus(out, 8)
+    assert not (out / "manifest.tsv").exists()
+    assert _files(out) == set()
+    assert main(["verify", "--corpus", str(out)]) == 1
+
+
+def test_digest_is_blake2b_of_the_key(corpus10):
+    for members in corpus10.values():
+        for key, _srs in members:
+            assert _digest(key) == \
+                hashlib.blake2b(key.encode(), digest_size=8).hexdigest()
 
 
 def test_make_fixtures_reproduces_committed(tmp_path):

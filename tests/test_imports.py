@@ -1,7 +1,8 @@
 """Import hygiene: the production modules need nothing outside the standard
-library and never load the brute-force oracles or OpenSSL's hashlib, the
-certificate layer does not load the generator, and the surface layer loads
-only the graph helpers and the error types."""
+library and never load the brute-force oracles or OpenSSL's hashlib, not
+even to digest the corpus file names (blake2b comes from CPython's
+``_blake2``), the certificate layer does not load the generator, and the
+surface layer loads only the graph helpers and the error types."""
 
 import os
 import subprocess
@@ -43,8 +44,8 @@ def test_production_modules_stay_stdlib_only_and_oracle_free():
 
 
 def test_digest_loads_hashlib_only_when_called():
-    # the corpus file names are blake2b digests of canonical keys; moving
-    # the import into generator._digest must not change one
+    # the corpus file names are blake2b digests of canonical keys; taking
+    # blake2b from _blake2 instead of hashlib must not change one
     out = _run_python("import sys\n"
                       "from o1ppg.fixtures import fix_k4\n"
                       "from o1ppg.generator import canonical_key, short_key\n"
@@ -54,6 +55,19 @@ def test_digest_loads_hashlib_only_when_called():
     assert out.split("\n") == [
         "v4e6:2,4,6,-1,0,5,7,-1,0,7,3,-1,0,3,5,-1", "False",
         "c0f1bba187d0bacf", ""]
+
+
+def test_generate_does_not_load_hashlib(tmp_path):
+    # generate digests every key into a file name, with _blake2's blake2b
+    out = _run_python(
+        "import sys\n"
+        "from o1ppg.cli import main\n"
+        "assert main(['generate', '--max-n', '6', '--out', sys.argv[1]]) "
+        "== 0\n"
+        "print('hashlib' in sys.modules or '_hashlib' in sys.modules)\n",
+        str(tmp_path / "c"))
+    assert out.split("\n")[-2] == "False"
+    assert (tmp_path / "c" / "manifest.tsv").exists()
 
 
 def test_analyze_and_export_dot_do_not_load_hashlib():

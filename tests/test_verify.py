@@ -183,6 +183,27 @@ def test_two_extendability_swept_once_per_audit(inst10, monkeypatch):
     assert calls == [2]
 
 
+def test_connectivity_flow_runs_only_when_read(corpus_n12_dir, inst10,
+                                               monkeypatch, capsys):
+    # analyze --checks extend2 prints no connectivity, so it runs no flow;
+    # a full audit reads the connectivity many times and runs one
+    calls = []
+    flow = verify.vertex_connectivity
+
+    def counted(inst, cap):
+        calls.append(cap)
+        return flow(inst, cap)
+
+    monkeypatch.setattr(verify, "vertex_connectivity", counted)
+    path = corpus_n12_dir / "q10" / "i01.srs"
+    assert main(["analyze", "--in", str(path), "--checks", "extend2"]) == 0
+    assert capsys.readouterr().out == "check=extend2 result=true\n"
+    assert calls == []
+    results = audit_instance(inst10, AuditConfig())
+    assert all(r.verdict != "fail" for r in results)
+    assert calls == [8]
+
+
 def _five_connected(corpus_n12):
     """An even 5-connected corpus-n12 instance, to which every check
     applies."""
