@@ -75,6 +75,12 @@ class TooLarge(O1ppgError):
     """Exhaustive search space beyond the supported gate."""
 
 
+class ReducibleSeed(O1ppgError):
+    """A growth seed has a vertex of degree 2; growth keeps a class with
+    one only from its canonical parent, which needs seeds of minimum
+    degree at least 3."""
+
+
 class MalformedManifest(O1ppgError):
     """A corpus manifest row is not a member row whose path can be trusted."""
 

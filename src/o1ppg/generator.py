@@ -26,9 +26,9 @@ from itertools import combinations
 
 from . import fixtures, srsio
 from .errors import (Disconnected, MalformedManifest, NotSimple,
-                     NotSimpleResult)
+                     NotSimpleResult, ReducibleSeed)
 from .graphs import vertex_connectivity_flow
-from .model import Quadrangulation, build_o1ppg, validate_quadrangulation
+from .model import build_o1ppg, validate_quadrangulation
 from .surface import (_SEP, EmbeddedGraph, SignedRotationSystem,
                       _encode_from, _encoder_tables)
 
@@ -370,16 +370,17 @@ def grow_quadrangulations(seeds, n_max):
     key: the stream of ``_grow`` collected.
     """
     by_n = {}
-    for key, srs, _poly, _bip in _grow(seeds, n_max):
-        by_n.setdefault(srs.vertex_count, []).append((key, srs))
+    for key, q in _grow(seeds, n_max):
+        by_n.setdefault(q.vertex_count, []).append((key, q.embedding.srs))
     return {n: sorted(v, key=lambda m: m[0]) for n, v in sorted(by_n.items())}
 
 
 def _grow(seeds, n_max):
-    """Growth as a stream: yields ``(key, srs, polyhedral, bipartite)`` for
-    each new class as it is found, and keeps only the packed encodings it
-    has met (``seen``) and the frontier of classes still to split, so a
-    class the consumer drops is freed.
+    """Growth as a stream: yields ``(key, Quadrangulation)`` for each new
+    class as it is found, the quadrangulation being the one validation
+    returned, and keeps only the packed encodings it has met (``seen``) and
+    the frontier of classes still to split, so a class the consumer drops
+    is freed.
 
     A split product is a copy of its parent's dart tables with the entries
     the split changes patched (``_patched_split``).  It is encoded from
@@ -394,11 +395,34 @@ def _grow(seeds, n_max):
     error on a product is a bug, not an input condition, and it propagates
     out of the stream.  The splits that ``_repeated_splits`` names, by
     face-corner twins and by the parent's automorphisms, are skipped: each
-    repeats the class of a split of the same system made before it, so
-    neither the classes nor their stored representatives change.  Start
-    states come from the least degree pair (``_class_darts``).  From K4 to
-    n <= 10 that makes 9,566 split products and 14,468 encoder calls, and
-    builds about 1,750 systems, one per new class.
+    repeats the class of a split of the same system made before it.
+
+    Canonical parent.  A seed within ``n_max`` with a vertex of degree 2
+    raises ReducibleSeed.  A class with a vertex of degree 2 is kept only
+    from a split whose degree-2 half, the new vertex (j - i = 1) or what is
+    left of v (j - i = k - 1), is a root of the product's least degree
+    pair, a vertex at which one of its darts starts.  So a split that
+    leaves a degree-2 vertex of the parent other than x and y in place is
+    dropped before it is patched, and an insertion split whose degree-2
+    half is not a root is dropped before it is encoded; products of
+    minimum degree at least 3 all go to ``seen``.  No class is lost.  The
+    closure C of seeds of minimum degree at least 3 is closed under
+    deleting a vertex w of degree 2, by induction on the splits that build
+    a member P from its parent P': if w is a half of the split, P - w is
+    P'; otherwise w has degree 2 in P' too, is neither v nor x nor y, and
+    P - w is the same split applied to P' - w, which is in C.  Let w* be a
+    root of P.  P - w* has fewer than ``n_max`` vertices, so its class is
+    split; putting w* back into its face is one of those splits, and the
+    twin and automorphism skips keep a split whose product is isomorphic
+    to P with its degree-2 half mapped to w*, a root there too, as the
+    least degree pair is invariant.  A kept product still goes to
+    ``seen``: the class may have several such parents.  Which split of
+    which parent gives a class its stored representative depends on this
+    rule; the classes and their keys do not.
+
+    From K4 to n <= 10 growth makes 4,441 split products and 7,464 encoder
+    calls (9,566 and 14,468 without the rule), and builds about 1,750
+    systems, one per new class.
     """
     seen = set()
     frontier = []   # (EmbeddedGraph, automorphisms) of classes below n_max
@@ -408,14 +432,19 @@ def _grow(seeds, n_max):
         g = q.embedding
         if g.vertex_count < n_max:
             frontier.append((g, automorphisms))
-        return key, g.srs, q.polyhedral, q.bipartite
+        return key, q
 
-    for g in seeds:
+    for index, g in enumerate(seeds):
         if isinstance(g, SignedRotationSystem):
             g = EmbeddedGraph(g)
         if g.vertex_count > n_max:
             continue
         q = validate_quadrangulation(g, require_polyhedral=False)
+        for w, r in enumerate(g.srs.rotations):
+            if len(r) == 2:
+                raise ReducibleSeed(
+                    f"seed {index} has vertex {w} of degree 2; growth "
+                    f"needs seeds of minimum degree at least 3")
         # Members are simple and connected, so they take the restricted
         # start set directly.
         found = _new_class(g.srs, seen)
@@ -425,21 +454,35 @@ def _grow(seeds, n_max):
         g0, automorphisms = frontier.pop()
         srs0 = g0.srs
         parent = _split_tables(srs0)
-        n = srs0.vertex_count + 1
+        rot, dv0 = parent[0], parent[1]
+        m = srs0.vertex_count           # the new vertex
+        twos = {w for w, k in enumerate(parent[5]) if k == 2}
         repeated = _repeated_splits(g0, automorphisms)
-        for v in range(srs0.vertex_count):
-            k = srs0.degree(v)
+        for v in range(m):
+            rot_v = rot[v]
+            k = len(rot_v)
             for i, j in combinations(range(k), 2):
                 if (v, i, j) in repeated:
                     continue        # an earlier split has the class
+                if j - i == 1:          # the degree-2 halves
+                    halves = (m, v) if k == 2 else (m,)
+                elif j - i == k - 1:
+                    halves = (v,)
+                elif twos and not twos <= {dv0[rot_v[i] ^ 1],
+                                           dv0[rot_v[j] ^ 1]}:
+                    continue        # keeps a degree-2 vertex of the parent
+                else:
+                    halves = ()
                 # A split of a simple connected system is simple (the two
                 # halves share no edge and split v's distinct neighbours)
                 # and connected (both halves keep x and y), so its first
                 # start state is read off the patched tables.
                 tables = _patched_split(parent, v, i, j)
                 dv, nxt, prv, sign, deg, lead = tables
-                first = _first_state((dv, nxt, prv, sign, n),
-                                     _least_pair(dv, nxt, deg, lead)[0])
+                darts = _least_pair(dv, nxt, deg, lead)
+                if halves and not any(dv[d] in halves for d in darts):
+                    continue        # not the canonical parent's insertion
+                first = _first_state((dv, nxt, prv, sign, m + 1), darts[0])
                 if first[2] in seen:
                     continue        # a known class: nothing is built
                 srs = _materialise(srs0.edges, *tables)
@@ -516,24 +559,22 @@ def write_corpus(out_dir, n_max):
     rows = []
     subs = {}       # n -> its directory, made on its first member
     try:
-        for key, srs, polyhedral, bipartite in _grow([default_seed()],
-                                                       n_max):
-            n = srs.vertex_count
+        for key, q in _grow([default_seed()], n_max):
+            n = q.vertex_count
             digest = _digest(key)
-            # growth validated the member; only instances need its faces
-            inst = (_instance(Quadrangulation(EmbeddedGraph(srs), True,
-                                              bipartite), digest)
-                    if polyhedral and n >= 9 else None)
+            # the instance is built on the quadrangulation growth validated,
+            # whose faces are traced already
+            inst = _instance(q, digest) if q.polyhedral and n >= 9 else None
             conn = ("-" if inst is None else
                     str(vertex_connectivity_flow(inst.n, inst.adj, 8)))
             # the row goes first, so a failed dump's file is deleted too
-            rows.append((n, digest, "1" if polyhedral else "0",
-                         "1" if bipartite else "0", conn))
+            rows.append((n, digest, "1" if q.polyhedral else "0",
+                         "1" if q.bipartite else "0", conn))
             sub = subs.get(n)
             if sub is None:
                 sub = subs[n] = out_dir / f"q{n}"
                 sub.mkdir(exist_ok=True)
-            srsio.dump(srs, sub / f"{digest}.srs")
+            srsio.dump(q.embedding.srs, sub / f"{digest}.srs")
     except BaseException:
         _remove_members(out_dir, [row[:2] for row in rows])
         raise

@@ -12,6 +12,9 @@ module may import the production modules, but none of them imports it.
 - ``grow_quadrangulations_bruteforce``: every split of every class, built
   by ``vertex_split_by_lists`` and keyed by ``canonical_key`` (against
   ``generator.grow_quadrangulations``).
+- ``delete_vertex_by_lists``: a vertex and its edges removed from copied
+  edge and rotation lists (the closure under degree-2 deletion that
+  growth's canonical-parent rule rests on).
 - ``max_matching_size``: bitmask DP over all vertex subsets (against
   ``_kernels.pm_exists``).
 - ``is_extendable_bruteforce``: exhaustive perfect-matching search on
@@ -199,11 +202,11 @@ def grow_quadrangulations_bruteforce(seeds, n_max):
     """Brute-force reference for ``generator.grow_quadrangulations``: every
     split of every class below ``n_max`` vertices is built by
     ``vertex_split_by_lists`` and keyed by ``canonical_key``, with neither
-    the twin skip nor the automorphism skip.  The seeds, simple P^2
-    quadrangulations, and the classes are expanded in the same order, so
-    the first product of each class, its stored representative, is the
-    same.  Returns {n: [(key, srs), ...]}
-    sorted by key."""
+    the twin skip, the automorphism skip nor the canonical-parent rule.
+    The classes and their keys are the same; the stored representative of
+    a class, its first product met here, is in general another member of
+    it, as growth keeps a class with a vertex of degree 2 only from its
+    canonical parent.  Returns {n: [(key, srs), ...]} sorted by key."""
     by_n = {}
     seen = set()
     frontier = []
@@ -224,6 +227,25 @@ def grow_quadrangulations_bruteforce(seeds, n_max):
                 for i, j in combinations(range(srs.degree(v)), 2):
                     add(vertex_split_by_lists(srs, v, i, j))
     return {n: sorted(v, key=lambda kv: kv[0]) for n, v in sorted(by_n.items())}
+
+
+def delete_vertex_by_lists(srs: SignedRotationSystem, w):
+    """The system without vertex ``w`` and its edges, built on copies of
+    the edge and rotation lists with fresh tables: the vertices above ``w``
+    and the edges left keep their order and close up the numbering, and
+    every other rotation keeps its remaining darts in their order.  On a
+    quadrangulation and a vertex of degree 2 this merges the two faces at
+    ``w`` into one 4-face, undoing the split that inserted ``w``."""
+    gone = {d >> 1 for d in srs.rotations[w]}
+    renum = {}
+    edges = []
+    for e, (a, b, s) in enumerate(srs.edges):
+        if e not in gone:
+            renum[e] = len(edges)
+            edges.append((a - (a > w), b - (b > w), s))
+    rotations = [[2 * renum[d >> 1] + (d & 1) for d in r if d >> 1 in renum]
+                 for u, r in enumerate(srs.rotations) if u != w]
+    return SignedRotationSystem(srs.vertex_count - 1, edges, rotations)
 
 
 # -- exhaustive embedding search --------------------------------------------
