@@ -251,6 +251,17 @@ def test_growth_matches_bruteforce(corpus10, k4):
             assert canonical_key(srs) == key
 
 
+def test_stored_representatives_are_pinned(corpus10):
+    # which member of its class growth stores, and how it labels it, is
+    # what the .srs files hold; the keys alone do not pin it
+    digest = hashlib.sha256()
+    for items in corpus10.values():
+        for _key, srs in items:
+            digest.update(srsio.dumps(srs).encode())
+    assert digest.hexdigest() == ("0e283e76b07106698f1380743d901c71"
+                                  "d76bd2d6d84af51a293a1c66869e89ff")
+
+
 def test_corpus_closed_under_degree_2_deletion(corpus10):
     # what the canonical-parent rule rests on: deleting a vertex of degree
     # 2 from a member gives a quadrangulation of the corpus
