@@ -108,7 +108,7 @@ def classify_cut_shape(inst, ca: CutAnalysis) -> str:
     """
     srs = ca.srs
     if srs.edges:
-        enc, order, _entry, _hand = _encode_from(*_encoder_tables(srs), 0, 1)
+        enc, order = _encode_from(*_encoder_tables(srs), 0, 1)
         if len(order) == srs.vertex_count:
             label = _shape_encodings().get(tuple(enc))
             if label is not None:

@@ -11,8 +11,9 @@ name the edge between them.  Growth decides repeats with the same encodings
 takes simple connected systems only.
 
 Enumeration completeness is NOT claimed: the corpus is the closure of the
-seed set under vertex splits, re-validated per product.  The verification
-harness treats theorem checks as property tests over this corpus.
+seed set under vertex splits, each new class validated as a
+quadrangulation.  The verification harness treats theorem checks as
+property tests over this corpus.
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ def canonical_key(g) -> str:
     embeddings iff they are related by relabelling, rotation/reflection,
     and sign flips.
 
-    It is the key growth gives the class (``_new_class``): the minimum BFS
-    encoding over the start states (d, +1), (d, -1) of the least degree
-    pair (``_class_darts``).  An edgeless system, a single vertex or none,
-    has the empty encoding.  Raises NotSimple on a loop or a multi-edge and
-    Disconnected on a disconnected system.
+    It is the key growth gives the class, ``_new_class`` with nothing
+    seen: the minimum BFS encoding over the start states (d, +1), (d, -1)
+    of the least degree pair (``_class_darts``).  An edgeless system, a
+    single vertex or none, has the empty encoding.  Raises NotSimple on a
+    loop or a multi-edge and Disconnected on a disconnected system.
     """
     srs = g.srs if isinstance(g, EmbeddedGraph) else g
     if not srs.is_simple():
@@ -113,7 +114,7 @@ def canonical_key(g) -> str:
         raise Disconnected("canonical keys need a connected graph")
     if not srs.edges:
         return _prefix(srs)
-    return _new_class(srs, set())[0]
+    return _new_class(srs, set())
 
 
 def _digest(key):
@@ -236,40 +237,16 @@ def _materialise(edges, dv, nxt, prv, sign, deg, lead):
                                 tables=(dv, nxt, prv, sign))
 
 
-def _automorphism(srs, base, image):
-    """Dart permutation of the automorphism that carries one start state of
-    ``srs`` onto another, given the two ``_encode_from`` results, whose
-    encodings must be equal.  The k-th vertex discovered from one state maps
-    to the k-th discovered from the other, and its rotation, walked from its
-    entry dart in its hand, onto theirs, walked the same way."""
-    nxt, prv = srs._rot_next, srs._rot_prev
-    _enc, order, entry, hand = base
-    _enc, order2, entry2, hand2 = image
-    perm = [0] * len(nxt)
-    for v, w in zip(order, order2):
-        step = nxt if hand[v] > 0 else prv
-        step2 = nxt if hand2[w] > 0 else prv
-        d = first = entry[v]
-        d2 = entry2[w]
-        while True:
-            perm[d] = d2
-            d = step[d]
-            if d == first:
-                break
-            d2 = step2[d2]
-    return perm
-
-
 def _first_state(tables, start):
-    """``(start, _encode_from result, packed bytes)`` of the start state
-    (start, +1) of the system whose encoder tables are ``tables``."""
-    found = _encode_from(*tables, start, 1)
-    return start, found, array(_token_code(tables[4]), found[0]).tobytes()
+    """``(start, encoding, packed bytes)`` of the start state (start, +1)
+    of the system whose encoder tables are ``tables``."""
+    enc = _encode_from(*tables, start, 1)[0]
+    return start, enc, array(_token_code(tables[4]), enc).tobytes()
 
 
 def _new_class(srs, seen, first=None):
-    """Key and automorphisms of a simple connected system whose class is
-    not in ``seen``, or None if it is.
+    """Key of a simple connected system whose class is not in ``seen``, or
+    None if it is.
 
     ``seen`` holds, as ``array`` bytes of ``_token_code(n)``, the packed
     encodings from every start state of every class met so far (an
@@ -281,10 +258,7 @@ def _new_class(srs, seen, first=None):
     start state (its first start dart, side +1) is in ``seen``.  A new
     class is then encoded from its other start states too, all of which
     join ``seen``.  Its key, which ``canonical_key`` returns, is their
-    minimum.  The start states whose encoding equals the first state's are
-    the images of the first state under the automorphisms, one per
-    automorphism, so the states after the first give the non-identity
-    automorphisms, returned as dart permutations.
+    minimum.
 
     ``first`` is the ``_first_state`` of the first start state when the
     caller has it already: growth encodes each split product from its
@@ -292,47 +266,32 @@ def _new_class(srs, seen, first=None):
     """
     tables = _encoder_tables(srs)
     darts = _class_darts(srs)
-    start, base, packed = first or _first_state(tables, darts[0])
+    start, least, packed = first or _first_state(tables, darts[0])
     if packed in seen:
         return None
     seen.add(packed)
     code = _token_code(srs.vertex_count)
-    least = base[0]
-    automorphisms = []
     for d in darts:
         for side in (1, -1):
             if d == start and side == 1:
                 continue
-            found = _encode_from(*tables, d, side)
-            enc = found[0]
-            other = array(code, enc).tobytes()
-            if other == packed:
-                automorphisms.append(_automorphism(srs, base, found))
-            else:
-                seen.add(other)
-                least = min(least, enc)
+            enc = _encode_from(*tables, d, side)[0]
+            seen.add(array(code, enc).tobytes())
+            least = min(least, enc)
     spelled = _token_strings(srs.vertex_count)
-    key = _prefix(srs) + ",".join([spelled[t] for t in least])
-    return key, automorphisms
+    return _prefix(srs) + ",".join([spelled[t] for t in least])
 
 
-def _repeated_splits(g, automorphisms):
-    """Splits of a quadrangulation ``g`` that repeat an earlier split of it.
+def _twin_splits(g):
+    """Splits of a quadrangulation ``g`` that repeat an earlier split of it
+    by face-corner twins.
 
-    Each split returned gives the class of a split that comes before it in
-    (v, i, j) order, so the earliest split of each class is never returned.
-    Two rules name them:
-
-    - Twins.  A split between the two darts of a face corner, cyclically
-      adjacent at their vertex, puts a degree-2 vertex into that face,
-      joined to the two neighbours there (at a vertex of degree 2, the one
-      such split serves both of its corners).  Splitting at the opposite
-      corner of the same face gives the same quadrangulation, so the later
-      split of the two is returned.
-    - Automorphisms.  An automorphism, a dart permutation, maps the split
-      (v, i, j) between the darts ``rot[v][i]`` and ``rot[v][j]`` to the
-      split between their images, whose product is isomorphic.  A split is
-      returned when some automorphism maps it to an earlier split.
+    A split between the two darts of a face corner, cyclically adjacent at
+    their vertex, puts a degree-2 vertex into that face, joined to the two
+    neighbours there (at a vertex of degree 2, the one such split serves
+    both of its corners).  Splitting at the opposite corner of the same
+    face gives the same quadrangulation, so the later split of the two in
+    (v, i, j) order is returned, and the earlier one never is.
     """
     rot = g.srs.rotations
     later = set()
@@ -346,19 +305,6 @@ def _repeated_splits(g, automorphisms):
         for c1, c2 in ((corners[0], corners[2]), (corners[1], corners[3])):
             if c1 != c2:
                 later.add(max(c1, c2))
-    if automorphisms:
-        dv = g.srs._dart_vertex
-        pos = [0] * len(dv)
-        for r in rot:
-            for p, d in enumerate(r):
-                pos[d] = p
-        for perm in automorphisms:
-            for v, r in enumerate(rot):
-                for i, j in combinations(range(len(r)), 2):
-                    a, b = perm[r[i]], perm[r[j]]
-                    p, q = sorted((pos[a], pos[b]))
-                    if (dv[a], p, q) < (v, i, j):
-                        later.add((v, i, j))
     return later
 
 
@@ -393,9 +339,8 @@ def _grow(seeds, n_max):
     a new key, goes through ``validate_quadrangulation``; the split
     construction itself guarantees quadrangulation-ness, so a validation
     error on a product is a bug, not an input condition, and it propagates
-    out of the stream.  The splits that ``_repeated_splits`` names, by
-    face-corner twins and by the parent's automorphisms, are skipped: each
-    repeats the class of a split of the same system made before it.
+    out of the stream.  The splits that ``_twin_splits`` names are skipped:
+    each repeats the class of a split of the same system made before it.
 
     Canonical parent.  A seed within ``n_max`` with a vertex of degree 2
     raises ReducibleSeed.  A class with a vertex of degree 2 is kept only
@@ -413,25 +358,23 @@ def _grow(seeds, n_max):
     P - w is the same split applied to P' - w, which is in C.  Let w* be a
     root of P.  P - w* has fewer than ``n_max`` vertices, so its class is
     split; putting w* back into its face is one of those splits, and the
-    twin and automorphism skips keep a split whose product is isomorphic
-    to P with its degree-2 half mapped to w*, a root there too, as the
-    least degree pair is invariant.  A kept product still goes to
-    ``seen``: the class may have several such parents.  Which split of
-    which parent gives a class its stored representative depends on this
-    rule; the classes and their keys do not.
+    twin skip keeps a split whose product is isomorphic to P with its
+    degree-2 half mapped to w*, a root there too, as the least degree pair
+    is invariant.  A kept product still goes to ``seen``: the class may
+    have several such parents.  Which split of which parent gives a class
+    its stored representative depends on this rule; the classes and their
+    keys do not.
 
-    From K4 to n <= 10 growth makes 4,441 split products and 7,464 encoder
-    calls (9,566 and 14,468 without the rule), and builds about 1,750
+    From K4 to n <= 10 growth makes 5,255 split products and 8,022 encoder
+    calls (11,505 and 16,407 without the rule), and builds about 1,750
     systems, one per new class.
     """
     seen = set()
-    frontier = []   # (EmbeddedGraph, automorphisms) of classes below n_max
+    frontier = []   # EmbeddedGraphs of classes below n_max
 
-    def keep(q, found):
-        key, automorphisms = found
-        g = q.embedding
-        if g.vertex_count < n_max:
-            frontier.append((g, automorphisms))
+    def keep(q, key):
+        if q.vertex_count < n_max:
+            frontier.append(q.embedding)
         return key, q
 
     for index, g in enumerate(seeds):
@@ -447,22 +390,22 @@ def _grow(seeds, n_max):
                     f"needs seeds of minimum degree at least 3")
         # Members are simple and connected, so they take the restricted
         # start set directly.
-        found = _new_class(g.srs, seen)
-        if found is not None:
-            yield keep(q, found)
+        key = _new_class(g.srs, seen)
+        if key is not None:
+            yield keep(q, key)
     while frontier:
-        g0, automorphisms = frontier.pop()
+        g0 = frontier.pop()
         srs0 = g0.srs
         parent = _split_tables(srs0)
         rot, dv0 = parent[0], parent[1]
         m = srs0.vertex_count           # the new vertex
         twos = {w for w, k in enumerate(parent[5]) if k == 2}
-        repeated = _repeated_splits(g0, automorphisms)
+        twins = _twin_splits(g0)
         for v in range(m):
             rot_v = rot[v]
             k = len(rot_v)
             for i, j in combinations(range(k), 2):
-                if (v, i, j) in repeated:
+                if (v, i, j) in twins:
                     continue        # an earlier split has the class
                 if j - i == 1:          # the degree-2 halves
                     halves = (m, v) if k == 2 else (m,)
@@ -486,9 +429,9 @@ def _grow(seeds, n_max):
                 if first[2] in seen:
                     continue        # a known class: nothing is built
                 srs = _materialise(srs0.edges, *tables)
-                found = _new_class(srs, seen, first)
+                key = _new_class(srs, seen, first)
                 yield keep(validate_quadrangulation(
-                    EmbeddedGraph(srs), require_polyhedral=False), found)
+                    EmbeddedGraph(srs), require_polyhedral=False), key)
 
 
 # -- corpus ------------------------------------------------------------------
@@ -637,8 +580,9 @@ def load_corpus_instances(corpus_dir, max_n=None):
     """Instances from a written corpus: polyhedral members with n >= 9.
 
     Raises MalformedManifest when the manifest holds a byte that is not
-    ASCII, and on a row that does not have the five columns or whose n and
-    key fail ``_is_member_row``, before any file is opened for it."""
+    ASCII, on a row that does not have the five columns or whose n and key
+    fail ``_is_member_row``, before any file is opened for it, and on a
+    member whose vertex count is not its row's n."""
     corpus_dir = pathlib.Path(corpus_dir)
     out = []
     for lineno, line in _manifest_rows(corpus_dir / "manifest.tsv"):
@@ -652,6 +596,10 @@ def load_corpus_instances(corpus_dir, max_n=None):
         if poly != "1" or n < 9 or (max_n is not None and n > max_n):
             continue
         srs = srsio.load(corpus_dir / f"q{n}" / f"{key}.srs")
+        if srs.vertex_count != n:
+            raise MalformedManifest(
+                f"manifest.tsv line {lineno} has n={n}, but q{n}/{key}.srs "
+                f"has {srs.vertex_count} vertices")
         inst = _validated_instance(srs, key)
         if inst is not None:
             out.append(inst)

@@ -202,7 +202,7 @@ def grow_quadrangulations_bruteforce(seeds, n_max):
     """Brute-force reference for ``generator.grow_quadrangulations``: every
     split of every class below ``n_max`` vertices is built by
     ``vertex_split_by_lists`` and keyed by ``canonical_key``, with neither
-    the twin skip, the automorphism skip nor the canonical-parent rule.
+    the twin skip nor the canonical-parent rule.
     The classes and their keys are the same; the stored representative of
     a class, its first product met here, is in general another member of
     it, as growth keeps a class with a vertex of degree 2 only from its

@@ -219,7 +219,7 @@ def match_pattern(host: EmbeddedGraph, pat: ConfigPattern):
     """
     psrs = pat.embedding.srs
     pedges = [(u, v) for (u, v, _s) in psrs.edges]
-    want = _encode_from(*_encoder_tables(psrs), 0, 1)[:2]   # (enc, order)
+    want = _encode_from(*_encoder_tables(psrs), 0, 1)
     hsrs = host.srs
     edge_of = edge_lookup(hsrs)
     accepted = []
@@ -229,7 +229,7 @@ def match_pattern(host: EmbeddedGraph, pat: ConfigPattern):
             hsrs, [phi[v] for v in range(psrs.vertex_count)], image_edges)
         tables = _encoder_tables(image)
         start = 0 if image.edges[0][0] == pedges[0][0] else 1
-        found = (_encode_from(*tables, start, side)[:2] for side in (1, -1))
+        found = (_encode_from(*tables, start, side) for side in (1, -1))
         if want in found and _parities_ok(host, pat, image_edges):
             accepted.append(phi)
     return accepted

@@ -222,10 +222,8 @@ def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side):
     two labelled vertices, so the encoding says which edge each visit
     crosses without labelling edges.  Two systems are embedded-isomorphic
     by a map carrying one start state onto another iff the encodings from
-    the two states are equal.  Returns ``(encoding, order, entry, hand)``:
-    the tokens, the vertices in label order and, per vertex, its entry
-    dart and the hand (+1 successor, -1 predecessor) its rotation was
-    walked in.
+    the two states are equal.  Returns ``(encoding, order)``: the tokens
+    and the vertices in label order.
     """
     label2 = [-1] * n          # 2 * vertex label
     hand = [0] * n
@@ -257,7 +255,7 @@ def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side):
             if d == first:
                 break
         enc.append(_SEP)
-    return enc, order, entry, hand
+    return enc, order
 
 
 def _encoder_tables(srs):

@@ -276,3 +276,19 @@ def test_verify_rejects_malformed_manifest_row(row, tmp_path, capsys):
     # refused as a row, before any member file is looked up
     assert capsys.readouterr().err.startswith(
         "error: MalformedManifest: manifest.tsv line 2 is not a member row")
+
+
+def test_verify_rejects_a_member_whose_order_is_not_its_row_n(
+        corpus_n12_dir, tmp_path, capsys):
+    # an n = 12 member filed, and listed, as n = 10 is not audited as one
+    (tmp_path / "q10").mkdir()
+    (tmp_path / "q10" / "i07.srs").write_bytes(
+        (corpus_n12_dir / "q12" / "i07.srs").read_bytes())
+    (tmp_path / "manifest.tsv").write_text(
+        "n\tkey\tpolyhedral\tbipartite\tconnectivity\n"
+        "10\ti07\t1\t0\t6\n")
+    assert main(["verify", "--corpus", str(tmp_path), "--max-n", "10",
+                 "--theorems", "DegreeFacts"]) == 1
+    assert capsys.readouterr().err == (
+        "error: MalformedManifest: manifest.tsv line 2 has n=10, but "
+        "q10/i07.srs has 12 vertices\n")
