@@ -11,9 +11,10 @@ name the edge between them.  Growth decides repeats with the same encodings
 takes simple connected systems only.
 
 Enumeration completeness is NOT claimed: the corpus is the closure of the
-seed set under vertex splits, each new class validated as a
-quadrangulation.  The verification harness treats theorem checks as
-property tests over this corpus.
+seed set under vertex splits.  Growth validates the seeds and each new
+class it reads faces of, and trusts the split construction for the rest
+(``_grow``).  The verification harness treats theorem checks as property
+tests over this corpus.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ from _blake2 import blake2b
 from array import array
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import fixtures, srsio
 from .errors import (Disconnected, MalformedManifest, NotSimple,
                      NotSimpleResult, ReducibleSeed)
 from .graphs import vertex_connectivity_flow
-from .model import build_o1ppg, validate_quadrangulation
+from .model import Quadrangulation, build_o1ppg, validate_quadrangulation
 from .surface import (_SEP, EmbeddedGraph, SignedRotationSystem,
                       _encode_from, _encoder_tables)
 
@@ -244,7 +246,7 @@ def _first_state(tables, start):
     return start, enc, array(_token_code(tables[4]), enc).tobytes()
 
 
-def _new_class(srs, seen, first=None):
+def _new_class(srs, seen, darts=None, first=None):
     """Key of a simple connected system whose class is not in ``seen``, or
     None if it is.
 
@@ -260,12 +262,14 @@ def _new_class(srs, seen, first=None):
     join ``seen``.  Its key, which ``canonical_key`` returns, is their
     minimum.
 
-    ``first`` is the ``_first_state`` of the first start state when the
-    caller has it already: growth encodes each split product from its
-    patched tables and builds the system only for a new class.
+    ``darts`` (the ``_class_darts``) and ``first`` (the ``_first_state``
+    of the first start state) are passed when the caller has them already:
+    growth reads both off a split product's patched tables and builds the
+    system only for a new class.
     """
     tables = _encoder_tables(srs)
-    darts = _class_darts(srs)
+    if darts is None:
+        darts = _class_darts(srs)
     start, least, packed = first or _first_state(tables, darts[0])
     if packed in seen:
         return None
@@ -308,6 +312,18 @@ def _twin_splits(g):
     return later
 
 
+class GrownClass(NamedTuple):
+    """A class as growth yields it: its key, the system stored for it, its
+    polyhedral and bipartite flags, and the quadrangulation validation
+    returned, or None where growth validated nothing (``_grow``)."""
+
+    key: str
+    srs: SignedRotationSystem
+    polyhedral: bool
+    bipartite: bool
+    quad: Quadrangulation | None
+
+
 def grow_quadrangulations(seeds, n_max):
     """Closure of the seeds under vertex splits, keeping simple P^2
     quadrangulations up to ``n_max`` vertices, deduplicated canonically.
@@ -316,15 +332,14 @@ def grow_quadrangulations(seeds, n_max):
     key: the stream of ``_grow`` collected.
     """
     by_n = {}
-    for key, q in _grow(seeds, n_max):
-        by_n.setdefault(q.vertex_count, []).append((key, q.embedding.srs))
+    for c in _grow(seeds, n_max):
+        by_n.setdefault(c.srs.vertex_count, []).append((c.key, c.srs))
     return {n: sorted(v, key=lambda m: m[0]) for n, v in sorted(by_n.items())}
 
 
 def _grow(seeds, n_max):
-    """Growth as a stream: yields ``(key, Quadrangulation)`` for each new
-    class as it is found, the quadrangulation being the one validation
-    returned, and keeps only the packed encodings it has met (``seen``) and
+    """Growth as a stream: yields a ``GrownClass`` for each new class as it
+    is found, and keeps only the packed encodings it has met (``seen``) and
     the frontier of classes still to split, so a class the consumer drops
     is freed.
 
@@ -334,13 +349,23 @@ def _grow(seeds, n_max):
     is a repeat iff that encoding is one a class met before had from any of
     its start states; only a new class is materialised as a
     SignedRotationSystem and encoded from all of them (``_new_class``,
-    which reuses the first encoding).  Seeds with more than ``n_max``
-    vertices are dropped.  Every other seed, and every product found under
-    a new key, goes through ``validate_quadrangulation``; the split
-    construction itself guarantees quadrangulation-ness, so a validation
-    error on a product is a bug, not an input condition, and it propagates
-    out of the stream.  The splits that ``_twin_splits`` names are skipped:
-    each repeats the class of a split of the same system made before it.
+    which reuses the darts and the first encoding).  Seeds with more than
+    ``n_max`` vertices are dropped.  The splits that ``_twin_splits`` names
+    are skipped: each repeats the class of a split of the same system made
+    before it.
+
+    What is validated.  Every seed within ``n_max`` goes through
+    ``validate_quadrangulation``, and so does every new class that is split
+    later (below ``n_max``, where ``_twin_splits`` reads its faces) or may
+    be polyhedral (minimum degree at least 3, whose instance is built on
+    the validated quadrangulation).  A new class at ``n_max`` with a vertex
+    of degree 2 is neither, and growth builds no embedding for it: it is
+    yielded with ``polyhedral`` False, as validation finds below degree 3,
+    and ``bipartite`` its parent's, since a split never changes it (both
+    halves keep x and y, so in any 2-colouring they share a colour).  The
+    split construction guarantees a simple P^2 quadrangulation, so a
+    validation error on a product is a bug, not an input condition, and
+    it propagates out of the stream.
 
     Canonical parent.  A seed within ``n_max`` with a vertex of degree 2
     raises ReducibleSeed.  A class with a vertex of degree 2 is kept only
@@ -366,16 +391,17 @@ def _grow(seeds, n_max):
     keys do not.
 
     From K4 to n <= 10 growth makes 5,255 split products and 8,022 encoder
-    calls (11,505 and 16,407 without the rule), and builds about 1,750
-    systems, one per new class.
+    calls (11,505 and 16,407 without the rule), builds 1,727 systems, one
+    per class, and validates 361 of them: the 346 classes below n = 10 and
+    the 15 of minimum degree at least 3 at n = 10.
     """
     seen = set()
-    frontier = []   # EmbeddedGraphs of classes below n_max
+    frontier = []   # validated Quadrangulations of classes below n_max
 
     def keep(q, key):
         if q.vertex_count < n_max:
-            frontier.append(q.embedding)
-        return key, q
+            frontier.append(q)
+        return GrownClass(key, q.embedding.srs, q.polyhedral, q.bipartite, q)
 
     for index, g in enumerate(seeds):
         if isinstance(g, SignedRotationSystem):
@@ -394,11 +420,13 @@ def _grow(seeds, n_max):
         if key is not None:
             yield keep(q, key)
     while frontier:
-        g0 = frontier.pop()
+        q0 = frontier.pop()
+        g0 = q0.embedding
         srs0 = g0.srs
         parent = _split_tables(srs0)
         rot, dv0 = parent[0], parent[1]
         m = srs0.vertex_count           # the new vertex
+        last = m + 1 == n_max           # the products are not split
         twos = {w for w, k in enumerate(parent[5]) if k == 2}
         twins = _twin_splits(g0)
         for v in range(m):
@@ -429,9 +457,12 @@ def _grow(seeds, n_max):
                 if first[2] in seen:
                     continue        # a known class: nothing is built
                 srs = _materialise(srs0.edges, *tables)
-                key = _new_class(srs, seen, first)
-                yield keep(validate_quadrangulation(
-                    EmbeddedGraph(srs), require_polyhedral=False), key)
+                key = _new_class(srs, seen, darts, first)
+                if last and min(deg) < 3:
+                    yield GrownClass(key, srs, False, q0.bipartite, None)
+                else:
+                    yield keep(validate_quadrangulation(
+                        EmbeddedGraph(srs), require_polyhedral=False), key)
 
 
 # -- corpus ------------------------------------------------------------------
@@ -450,19 +481,6 @@ def _instance(q, digest):
         return None
 
 
-def _validated_instance(srs, digest):
-    """Validate a corpus member and build its instance ``q<n>-<digest>``.
-
-    Returns None when the member is not polyhedral, has fewer than 9
-    vertices, or a diagonal would duplicate an edge.  Any other validation
-    error propagates: corpus members are quadrangulations by construction.
-    """
-    q = validate_quadrangulation(EmbeddedGraph(srs), require_polyhedral=False)
-    if not q.polyhedral or q.vertex_count < 9:
-        return None
-    return _instance(q, digest)
-
-
 def corpus_instances(corpus):
     """Instances of a grown corpus ``{n: [(key, srs)]}``: its polyhedral
     members with n >= 9, named ``q<n>-<digest of key>``, in the corpus's
@@ -476,7 +494,9 @@ def corpus_instances(corpus):
             # traced: most members have a vertex of degree below 3
             if min(map(len, srs.rotations)) < 3:
                 continue
-            inst = _validated_instance(srs, _digest(key))
+            q = validate_quadrangulation(EmbeddedGraph(srs),
+                                         require_polyhedral=False)
+            inst = _instance(q, _digest(key)) if q.polyhedral else None
             if inst is not None:
                 out.append(inst)
     return out
@@ -502,22 +522,24 @@ def write_corpus(out_dir, n_max):
     rows = []
     subs = {}       # n -> its directory, made on its first member
     try:
-        for key, q in _grow([default_seed()], n_max):
-            n = q.vertex_count
-            digest = _digest(key)
-            # the instance is built on the quadrangulation growth validated,
-            # whose faces are traced already
-            inst = _instance(q, digest) if q.polyhedral and n >= 9 else None
+        for c in _grow([default_seed()], n_max):
+            n = c.srs.vertex_count
+            digest = _digest(c.key)
+            # growth validated every polyhedral class, and its instance is
+            # built on that quadrangulation, whose faces are traced already;
+            # the other rows take the flags growth yielded
+            inst = (_instance(c.quad, digest) if c.polyhedral and n >= 9
+                    else None)
             conn = ("-" if inst is None else
                     str(vertex_connectivity_flow(inst.n, inst.adj, 8)))
             # the row goes first, so a failed dump's file is deleted too
-            rows.append((n, digest, "1" if q.polyhedral else "0",
-                         "1" if q.bipartite else "0", conn))
+            rows.append((n, digest, "1" if c.polyhedral else "0",
+                         "1" if c.bipartite else "0", conn))
             sub = subs.get(n)
             if sub is None:
                 sub = subs[n] = out_dir / f"q{n}"
                 sub.mkdir(exist_ok=True)
-            srsio.dump(q.embedding.srs, sub / f"{digest}.srs")
+            srsio.dump(c.srs, sub / f"{digest}.srs")
     except BaseException:
         _remove_members(out_dir, [row[:2] for row in rows])
         raise
@@ -581,8 +603,10 @@ def load_corpus_instances(corpus_dir, max_n=None):
 
     Raises MalformedManifest when the manifest holds a byte that is not
     ASCII, on a row that does not have the five columns or whose n and key
-    fail ``_is_member_row``, before any file is opened for it, and on a
-    member whose vertex count is not its row's n."""
+    fail ``_is_member_row``, before any file is opened for it, on a member
+    whose vertex count is not its row's n, and on a member its row calls
+    polyhedral that validates as not polyhedral.  A polyhedral member a
+    diagonal of which duplicates an edge has no instance and is skipped."""
     corpus_dir = pathlib.Path(corpus_dir)
     out = []
     for lineno, line in _manifest_rows(corpus_dir / "manifest.tsv"):
@@ -600,7 +624,13 @@ def load_corpus_instances(corpus_dir, max_n=None):
             raise MalformedManifest(
                 f"manifest.tsv line {lineno} has n={n}, but q{n}/{key}.srs "
                 f"has {srs.vertex_count} vertices")
-        inst = _validated_instance(srs, key)
+        q = validate_quadrangulation(EmbeddedGraph(srs),
+                                     require_polyhedral=False)
+        if not q.polyhedral:
+            raise MalformedManifest(
+                f"manifest.tsv line {lineno} has polyhedral=1, but "
+                f"q{n}/{key}.srs is not polyhedral")
+        inst = _instance(q, key)
         if inst is not None:
             out.append(inst)
     out.sort(key=lambda i: (i.n, i.key))

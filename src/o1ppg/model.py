@@ -25,7 +25,7 @@ from .graphs import (adjacency_masks, is_bipartite,
 from .surface import EmbeddedGraph, representativity
 
 
-@dataclass
+@dataclass(slots=True)
 class Quadrangulation:
     embedding: EmbeddedGraph
     polyhedral: bool

@@ -292,3 +292,24 @@ def test_verify_rejects_a_member_whose_order_is_not_its_row_n(
     assert capsys.readouterr().err == (
         "error: MalformedManifest: manifest.tsv line 2 has n=10, but "
         "q10/i07.srs has 12 vertices\n")
+
+
+def test_verify_rejects_a_member_its_row_calls_polyhedral_wrongly(
+        corpus_dir, tmp_path, capsys):
+    # an n = 10 member of minimum degree 2 listed as polyhedral is not
+    # dropped in silence
+    rows = [line.split("\t") for line in
+            (corpus_dir / "manifest.tsv").read_text().splitlines()[1:]]
+    key = next(r[1] for r in rows if r[0] == "10" and r[2] == "0")
+    member = (corpus_dir / "q10" / f"{key}.srs").read_bytes()
+    assert min(map(len, srsio.loads(member.decode()).rotations)) == 2
+    (tmp_path / "q10").mkdir()
+    (tmp_path / "q10" / f"{key}.srs").write_bytes(member)
+    (tmp_path / "manifest.tsv").write_text(
+        "n\tkey\tpolyhedral\tbipartite\tconnectivity\n"
+        f"10\t{key}\t1\t0\t6\n")
+    assert main(["verify", "--corpus", str(tmp_path),
+                 "--theorems", "DegreeFacts"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: MalformedManifest: manifest.tsv line 2 has polyhedral=1, "
+        f"but q10/{key}.srs is not polyhedral\n")

@@ -17,6 +17,7 @@ from o1ppg.generator import (_digest, _materialise, _patched_split,
                              canonical_key, corpus_instances,
                              grow_quadrangulations, load_corpus_instances,
                              short_key, write_corpus)
+from o1ppg.graphs import is_bipartite
 from o1ppg.model import validate_quadrangulation
 from o1ppg.structures import _CONFIG_ROLES, PATTERN_IDS
 from o1ppg.oracles import (all_embeddings, canonical_key_oracle,
@@ -296,6 +297,64 @@ def test_canonical_parent_rule_fires(monkeypatch, k4):
     assert calls == {"_patched_split": 5255, "_encode_from": 8022}
 
 
+def test_unvalidated_classes_pass_validation(monkeypatch, k4):
+    # growth yields a class at n_max with a vertex of degree 2 unvalidated,
+    # with the flags validation would give it
+    validate = generator.validate_quadrangulation
+    calls = []
+
+    def counted(g, **kwargs):
+        calls.append(g.vertex_count)
+        return validate(g, **kwargs)
+
+    monkeypatch.setattr(generator, "validate_quadrangulation", counted)
+    skipped = 0
+    for c in generator._grow([k4], 10):
+        n = c.srs.vertex_count
+        q = c.quad
+        if q is None:
+            assert n == 10 and min(map(len, c.srs.rotations)) == 2
+            q = validate(EmbeddedGraph(c.srs), require_polyhedral=False)
+            skipped += 1
+        else:
+            assert q.embedding.srs is c.srs
+        assert (c.polyhedral, c.bipartite) == (q.polyhedral, q.bipartite)
+    assert skipped == 1366
+    assert len(calls) == 361 and calls.count(10) == 15
+
+
+def _k33():
+    """A rotation system of K_{3,3}, each rotation in edge order, every
+    edge positive."""
+    edges = [(a, b, 1) for a in range(3) for b in range(3, 6)]
+    rotations = [[] for _ in range(6)]
+    for e, (a, b, _s) in enumerate(edges):
+        rotations[a].append(2 * e)
+        rotations[b].append(2 * e + 1)
+    return SignedRotationSystem(6, edges, rotations)
+
+
+def test_split_keeps_bipartiteness(corpus10):
+    # what growth's unvalidated flags rest on: a split product is bipartite
+    # iff its parent is.  The K4 closure has no bipartite member, so the
+    # True side is checked on K_{3,3} and its products two splits deep.
+    def bipartite(srs):
+        return is_bipartite(srs.vertex_count, srs.adjacency_masks())
+
+    parents = [srs for n in range(4, 8) for _key, srs in corpus10[n]]
+    parents += [_k33()]
+    parents += [vertex_split(_k33(), *split) for split in _splits(_k33())]
+    sides = {False: 0, True: 0}
+    for srs in parents:
+        tables = _split_tables(srs)
+        for split in _splits(srs):
+            product = _materialise(srs.edges,
+                                   *_patched_split(tables, *split))
+            assert bipartite(product) == bipartite(srs)
+            sides[bipartite(srs)] += 1
+    assert sides == {False: 611, True: 468}
+
+
 def test_seed_with_a_degree_2_vertex_is_refused(k4):
     # the rule is sound only for seeds of minimum degree at least 3
     reducible = vertex_split(k4.srs, 0, 0, 1)
@@ -407,9 +466,10 @@ def test_write_and_load_corpus(tmp_path, k4):
 
 def test_manifest_matches_validation(tmp_path):
     # every row's file reloads to its name, and the polyhedral and bipartite
-    # columns are what validation says
-    rows = write_corpus(tmp_path / "c", 9)
-    assert len(rows) == 1 + 1 + 4 + 14 + 58 + 268
+    # columns are what validation says, also on the 1,366 rows at n = 10
+    # whose flags growth yielded without validating
+    rows = write_corpus(tmp_path / "c", 10)
+    assert len(rows) == 1727
     for n, name, poly, bip, _conn in rows:
         srs = srsio.load(tmp_path / "c" / f"q{n}" / f"{name}.srs")
         assert short_key(srs) == name
@@ -505,7 +565,10 @@ def test_instances_are_built_on_the_validated_quadrangulations(
                         recording_validate)
     monkeypatch.setattr(generator, "_instance", recording_instance)
     rows = write_corpus(tmp_path / "c", 10)
-    assert len(validated) == len(rows) == 1727
+    # growth validates the 346 classes below n = 10 and the 15 of minimum
+    # degree at least 3 at n = 10, and none of the other 1,366
+    assert len(rows) == 1727
+    assert len(validated) == 346 + 15
     assert sorted(q.vertex_count for q in built) == [9, 10]
     assert all(any(q is v for v in validated) for q in built)
 
