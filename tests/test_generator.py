@@ -28,6 +28,16 @@ from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 BOWTIE_EDGES = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _script(name):
+    """The module ``scripts/<name>.py``, loaded afresh."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def vertex_split(srs: SignedRotationSystem, v, i, j):
@@ -257,6 +267,20 @@ def test_stored_representatives_are_pinned(corpus10):
             digest.update(srsio.dumps(srs).encode())
     assert digest.hexdigest() == ("0e283e76b07106698f1380743d901c71"
                                   "d76bd2d6d84af51a293a1c66869e89ff")
+
+
+def test_grow_stream_is_pinned():
+    # the _grow stream from K4 to n <= 10 in discovery order: each class's
+    # key, the .srs body of its stored representative and its polyhedral
+    # and bipartite flags.  A change to how growth enumerates or validates
+    # splits must keep all of it, not only the set of classes
+    counts, sorted_keys, stream, _cpu = \
+        _script("growth_digest").growth_digest(10)
+    assert counts == {4: 1, 5: 1, 6: 4, 7: 14, 8: 58, 9: 268, 10: 1381}
+    assert sorted_keys == ("4d2d0d6402c7fe8b5631842c44b22354"
+                           "e543e695a4cf7547833feef2fe556b5b")
+    assert stream == ("8d9894b4e4970e3f4853164c57ad64b6"
+                      "81f850e44e26a5f172a0b0e99321d65e")
 
 
 def test_corpus_closed_under_degree_2_deletion(corpus10):
@@ -602,13 +626,8 @@ def test_digest_is_blake2b_of_the_key(corpus10):
 
 
 def test_make_fixtures_reproduces_committed(tmp_path):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "make_fixtures", root / "scripts" / "make_fixtures.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    script.write_fixtures(tmp_path)
-    committed = root / "src" / "o1ppg" / "fixtures"
+    _script("make_fixtures").write_fixtures(tmp_path)
+    committed = ROOT / "src" / "o1ppg" / "fixtures"
     names = sorted(p.name for p in committed.iterdir() if p.is_file())
     # the nine base patterns ship; the configurations (a)-(g) are roles
     assert names == sorted(
