@@ -12,9 +12,10 @@ takes simple connected systems only.
 
 Enumeration completeness is NOT claimed: the corpus is the closure of the
 seed set under vertex splits.  Growth validates the seeds and each new
-class it reads faces of, and trusts the split construction for the rest
-(``_grow``).  The verification harness treats theorem checks as property
-tests over this corpus.
+class of minimum degree at least 3, the polyhedral candidates, patches
+the face lists of the others from their parents', and trusts the split
+construction for the rest (``_grow``).  The verification harness treats
+theorem checks as property tests over this corpus.
 """
 
 from __future__ import annotations
@@ -223,14 +224,15 @@ def _materialise(edges, dv, nxt, prv, sign, deg, lead):
     ``edges``: each rotation is walked from its lead dart, and an edge
     with an end at the new vertex, the last one, joins ``dv[2e]`` and
     ``dv[2e + 1]`` with sign ``sign[e]``, while every other edge keeps the
-    parent's tuple.  The tables become the system's own."""
-    rotations = []
-    for d, k in zip(lead, deg):
-        r = []
-        for _ in range(k):
-            r.append(d)
+    parent's tuple.  The tables, and these lists, become the system's
+    own; each rotation is sized up front, as an appended list would keep
+    spare slots for the life of the system."""
+    rotations = [None] * len(deg)
+    for v, (d, k) in enumerate(zip(lead, deg)):
+        r = rotations[v] = [0] * k
+        for t in range(k):
+            r[t] = d
             d = nxt[d]
-        rotations.append(r)
     edges = edges + [None, None]
     for d in rotations[-1]:
         e = d >> 1
@@ -286,30 +288,148 @@ def _new_class(srs, seen, darts=None, first=None):
     return _prefix(srs) + ",".join([spelled[t] for t in least])
 
 
-def _twin_splits(g):
-    """Splits of a quadrangulation ``g`` that repeat an earlier split of it
-    by face-corner twins.
+def _twin_splits(srs, faces):
+    """Splits of a quadrangulation ``srs`` with face corners ``faces``
+    (``EmbeddedGraph.face_corners``) that repeat an earlier split of it by
+    face-corner twins.
 
-    A split between the two darts of a face corner, cyclically adjacent at
-    their vertex, puts a degree-2 vertex into that face, joined to the two
+    The split at a corner, between dart c at position p of its vertex's
+    rotation and its successor, (a, p, p + 1) or (a, 0, p) when c is
+    last, puts a degree-2 vertex into that face, joined to the two
     neighbours there (at a vertex of degree 2, the one such split serves
     both of its corners).  Splitting at the opposite corner of the same
     face gives the same quadrangulation, so the later split of the two in
     (v, i, j) order is returned, and the earlier one never is.
     """
-    rot = g.srs.rotations
+    rot, dv = srs.rotations, srs._dart_vertex
     later = set()
-    for face in g.faces:
-        corners = []
-        for t, a in enumerate(face.vertices):
-            pos = rot[a].index
-            i, j = sorted((pos(face.boundary[t - 1] ^ 1),
-                           pos(face.boundary[t])))
-            corners.append((a, i, j))
-        for c1, c2 in ((corners[0], corners[2]), (corners[1], corners[3])):
-            if c1 != c2:
-                later.add(max(c1, c2))
+    for face in faces:
+        splits = []
+        for c in face:
+            a = dv[c]
+            r = rot[a]
+            p = r.index(c)
+            splits.append((a, p, p + 1) if p + 1 < len(r) else (a, 0, p))
+        for s1, s2 in ((splits[0], splits[2]), (splits[1], splits[3])):
+            if s1 != s2:
+                later.add(max(s1, s2))
     return later
+
+
+def _tried_splits(rot, dv, twos, twins):
+    """``(v, i, j, halves)`` for each split (v, i, j), i < j, of a system
+    with rotations ``rot`` and dart vertices ``dv`` that growth goes on to
+    root-test or patch, in (v, i, j) order: every split but those in
+    ``twins`` and those that leave a vertex of ``twos``, the system's
+    vertices of degree 2, in place.
+
+    ``halves`` are the degree-2 halves of an insertion split, the new
+    vertex m (j - i = 1; with v too when v has degree 2) or what is left
+    of v (j - i = k - 1), and () for any other split.  Only insertions
+    are twins, as a twin is the split at a face corner.  Any other split
+    raises the degree of x and y alone and leaves both halves at least 3,
+    so it is tried only when x and y are all of ``twos``: with ``twos``
+    empty every split of v is, and otherwise only at a vertex adjacent
+    to each of at most two degree-2 vertices.
+    """
+    m = len(rot)
+    hubs = ()       # the vertices adjacent to every vertex of twos
+    if 0 < len(twos) <= 2:
+        hubs = set.intersection(*[{dv[d ^ 1] for d in rot[w]}
+                                  for w in twos])
+    for v, rot_v in enumerate(rot):
+        k = len(rot_v)
+        if not twos:
+            pairs = combinations(range(k), 2)
+        elif v in hubs:
+            at = {p for p, d in enumerate(rot_v) if dv[d ^ 1] in twos}
+            pairs = [(i, j) for i, j in combinations(range(k), 2)
+                     if j - i in (1, k - 1) or at <= {i, j}]
+        elif k == 2:
+            pairs = ((0, 1),)
+        else:
+            pairs = [(0, 1), (0, k - 1)]
+            pairs += [(i, i + 1) for i in range(1, k - 1)]
+        for i, j in pairs:
+            if j - i == 1:
+                halves = (m, v) if k == 2 else (m,)
+            elif j - i == k - 1:
+                halves = (v,)
+            else:
+                yield v, i, j, ()
+                continue
+            if (v, i, j) not in twins:
+                yield v, i, j, halves
+
+
+def _half_is_root(deg, twos, v, x, y):
+    """Whether the degree-2 half of an insertion split of v between its
+    neighbours x and y is a root of the product's least degree pair
+    (``_least_pair``), read off the parent before the split is patched:
+    its degrees ``deg`` and its degree-2 vertices ``twos`` as ``(w, a,
+    b)``, w with its two neighbours.
+
+    The least degree of the product is 2, so its roots are its degree-2
+    vertices of least far degree, the least degree of a neighbour.  A half
+    is joined to x and y, whose degrees rise by one, so its far degree is
+    min(deg x, deg y) + 1; with v of degree 2 both halves are so.  The
+    other degree-2 vertices of the product are those of the parent outside
+    {x, y, v}, as x and y rise to 3.  Such a w keeps its neighbours, whose
+    degrees are the parent's plus one at x and y: a neighbour in the arc
+    becomes the new vertex, whose degree is deg v, and v keeps its own in
+    an insertion at j - i = 1.  The half is a root iff no w has a smaller
+    far degree.
+    """
+    far = min(deg[x], deg[y]) + 1
+    for w, a, b in twos:
+        if (w != v and w != x and w != y
+                and min(deg[a] + (a == x or a == y),
+                        deg[b] + (b == x or b == y)) < far):
+            return False
+    return True
+
+
+def _patched_faces(faces, parent, v, i, j):
+    """The face corners (``EmbeddedGraph.face_corners``) of the split (v,
+    i, j) of the system whose ``_split_tables`` are ``parent`` and whose
+    face corners are ``faces``: the parent's list with the corners the
+    split changes renamed, and the new face v x n y last.
+
+    Darts keep their ids (``_patched_split``), so a corner keeps its key,
+    at n when its darts moved there, unless its first dart's successor
+    changes.  The face at corner i, keyed di, turns at n from a, the end
+    of n-x there, so its key becomes a; the face at corner j, keyed by the
+    arc's last dart, turns at n into b under the same key (with the arc
+    empty the two faces are one).  At x the new end a + 1 goes on the side
+    of the face at corner i: before xd when sign(vx) is +1, where that
+    face's corner keeps its key and the new face's is keyed a + 1, and
+    after xd otherwise, where the face's corner keyed xd becomes a + 1 and
+    the new face's is keyed xd.  At y the new end b + 1 goes after yd when
+    sign(vy) is +1, renaming the face's corner yd to b + 1 and giving the
+    new face yd, and before yd otherwise, where the new face's corner is
+    keyed b + 1.  The new face turns at v from di to dj and at n from b to
+    a.  Unchanged faces are the parent's tuples.
+    """
+    rot, dv, sign = parent[0], parent[1], parent[4]
+    di, dj = rot[v][i], rot[v][j]
+    xd, yd = di ^ 1, dj ^ 1
+    a = len(dv)                 # dart 2*e1 at the new vertex
+    b = a + 2                   # dart 2*e2 at the new vertex
+    renamed = {di: a}
+    if sign[di >> 1] > 0:
+        cx = a + 1              # the new face's corner at x
+    else:
+        renamed[xd] = a + 1
+        cx = xd
+    if sign[dj >> 1] > 0:
+        renamed[yd] = b + 1
+        cy = yd                 # the new face's corner at y
+    else:
+        cy = b + 1
+    out = [f if renamed.keys().isdisjoint(f)
+           else tuple([renamed.get(c, c) for c in f]) for f in faces]
+    out.append((di, cx, b, cy))
+    return out
 
 
 class GrownClass(NamedTuple):
@@ -340,32 +460,35 @@ def grow_quadrangulations(seeds, n_max):
 def _grow(seeds, n_max):
     """Growth as a stream: yields a ``GrownClass`` for each new class as it
     is found, and keeps only the packed encodings it has met (``seen``) and
-    the frontier of classes still to split, so a class the consumer drops
-    is freed.
+    the frontier of classes still to split, each with its face corners and
+    bipartite flag, so a class the consumer drops is freed.
 
-    A split product is a copy of its parent's dart tables with the entries
+    The splits of a frontier class are walked in (v, i, j) order, less the
+    splits that ``_twin_splits`` names, each of which repeats the class of
+    a split of the same system made before it, and those the
+    canonical-parent rule drops (``_tried_splits``, ``_half_is_root``).  A
+    split product is a copy of its parent's dart tables with the entries
     the split changes patched (``_patched_split``).  It is encoded from
     those tables, from one start state read off them (``_least_pair``), and
     is a repeat iff that encoding is one a class met before had from any of
     its start states; only a new class is materialised as a
     SignedRotationSystem and encoded from all of them (``_new_class``,
     which reuses the darts and the first encoding).  Seeds with more than
-    ``n_max`` vertices are dropped.  The splits that ``_twin_splits`` names
-    are skipped: each repeats the class of a split of the same system made
-    before it.
+    ``n_max`` vertices are dropped.
 
     What is validated.  Every seed within ``n_max`` goes through
-    ``validate_quadrangulation``, and so does every new class that is split
-    later (below ``n_max``, where ``_twin_splits`` reads its faces) or may
-    be polyhedral (minimum degree at least 3, whose instance is built on
-    the validated quadrangulation).  A new class at ``n_max`` with a vertex
-    of degree 2 is neither, and growth builds no embedding for it: it is
-    yielded with ``polyhedral`` False, as validation finds below degree 3,
-    and ``bipartite`` its parent's, since a split never changes it (both
-    halves keep x and y, so in any 2-colouring they share a colour).  The
-    split construction guarantees a simple P^2 quadrangulation, so a
-    validation error on a product is a bug, not an input condition, and
-    it propagates out of the stream.
+    ``validate_quadrangulation``, and so does every new class of minimum
+    degree at least 3, which may be polyhedral and whose instance is built
+    on the validated quadrangulation; the frontier takes the corners of
+    its traced faces (``EmbeddedGraph.face_corners``).  A new class with a
+    vertex of degree 2 gets no embedding and no validation: it is yielded
+    with ``polyhedral`` False, as validation finds below degree 3, and
+    ``bipartite`` its parent's, since a split never changes it (both
+    halves keep x and y, so in any 2-colouring they share a colour), and
+    below ``n_max`` its face corners are patched from its parent's
+    (``_patched_faces``).  The split construction guarantees a simple P^2
+    quadrangulation, so a validation error on a product is a bug, not an
+    input condition, and it propagates out of the stream.
 
     Canonical parent.  A seed within ``n_max`` with a vertex of degree 2
     raises ReducibleSeed.  A class with a vertex of degree 2 is kept only
@@ -373,35 +496,36 @@ def _grow(seeds, n_max):
     left of v (j - i = k - 1), is a root of the product's least degree
     pair, a vertex at which one of its darts starts.  So a split that
     leaves a degree-2 vertex of the parent other than x and y in place is
-    dropped before it is patched, and an insertion split whose degree-2
-    half is not a root is dropped before it is encoded; products of
-    minimum degree at least 3 all go to ``seen``.  No class is lost.  The
-    closure C of seeds of minimum degree at least 3 is closed under
-    deleting a vertex w of degree 2, by induction on the splits that build
-    a member P from its parent P': if w is a half of the split, P - w is
-    P'; otherwise w has degree 2 in P' too, is neither v nor x nor y, and
-    P - w is the same split applied to P' - w, which is in C.  Let w* be a
-    root of P.  P - w* has fewer than ``n_max`` vertices, so its class is
-    split; putting w* back into its face is one of those splits, and the
-    twin skip keeps a split whose product is isomorphic to P with its
-    degree-2 half mapped to w*, a root there too, as the least degree pair
-    is invariant.  A kept product still goes to ``seen``: the class may
-    have several such parents.  Which split of which parent gives a class
-    its stored representative depends on this rule; the classes and their
-    keys do not.
+    never tried, and an insertion split whose degree-2 half is not a root,
+    which the parent's degrees decide, is dropped before it is patched;
+    products of minimum degree at least 3 all go to ``seen``.  No class is
+    lost.  The closure C of seeds of minimum degree at least 3 is closed
+    under deleting a vertex w of degree 2, by induction on the splits that
+    build a member P from its parent P': if w is a half of the split,
+    P - w is P'; otherwise w has degree 2 in P' too, is neither v nor x
+    nor y, and P - w is the same split applied to P' - w, which is in C.
+    Let w* be a root of P.  P - w* has fewer than ``n_max`` vertices, so
+    its class is split; putting w* back into its face is one of those
+    splits, and the twin skip keeps a split whose product is isomorphic to
+    P with its degree-2 half mapped to w*, a root there too, as the least
+    degree pair is invariant.  A kept product still goes to ``seen``: the
+    class may have several such parents.  Which split of which parent
+    gives a class its stored representative depends on this rule; the
+    classes and their keys do not.
 
-    From K4 to n <= 10 growth makes 5,255 split products and 8,022 encoder
-    calls (11,505 and 16,407 without the rule), builds 1,727 systems, one
-    per class, and validates 361 of them: the 346 classes below n = 10 and
-    the 15 of minimum degree at least 3 at n = 10.
+    From K4 to n <= 10 growth patches 3,120 split products and makes
+    8,022 encoder calls (11,505 and 16,407 without the rule), builds 1,727
+    systems, one per class, and validates 26 of them: K4 and the 25
+    classes of minimum degree at least 3.
     """
     seen = set()
-    frontier = []   # validated Quadrangulations of classes below n_max
+    frontier = []   # (system, face corners, bipartite) below n_max
 
     def keep(q, key):
+        g = q.embedding
         if q.vertex_count < n_max:
-            frontier.append(q)
-        return GrownClass(key, q.embedding.srs, q.polyhedral, q.bipartite, q)
+            frontier.append((g.srs, g.face_corners(), q.bipartite))
+        return GrownClass(key, g.srs, q.polyhedral, q.bipartite, q)
 
     for index, g in enumerate(seeds):
         if isinstance(g, SignedRotationSystem):
@@ -420,49 +544,41 @@ def _grow(seeds, n_max):
         if key is not None:
             yield keep(q, key)
     while frontier:
-        q0 = frontier.pop()
-        g0 = q0.embedding
-        srs0 = g0.srs
+        srs0, faces0, bipartite = frontier.pop()
         parent = _split_tables(srs0)
-        rot, dv0 = parent[0], parent[1]
+        rot, dv0, deg0 = parent[0], parent[1], parent[5]
         m = srs0.vertex_count           # the new vertex
-        last = m + 1 == n_max           # the products are not split
-        twos = {w for w, k in enumerate(parent[5]) if k == 2}
-        twins = _twin_splits(g0)
-        for v in range(m):
-            rot_v = rot[v]
-            k = len(rot_v)
-            for i, j in combinations(range(k), 2):
-                if (v, i, j) in twins:
-                    continue        # an earlier split has the class
-                if j - i == 1:          # the degree-2 halves
-                    halves = (m, v) if k == 2 else (m,)
-                elif j - i == k - 1:
-                    halves = (v,)
-                elif twos and not twos <= {dv0[rot_v[i] ^ 1],
-                                           dv0[rot_v[j] ^ 1]}:
-                    continue        # keeps a degree-2 vertex of the parent
-                else:
-                    halves = ()
-                # A split of a simple connected system is simple (the two
-                # halves share no edge and split v's distinct neighbours)
-                # and connected (both halves keep x and y), so its first
-                # start state is read off the patched tables.
-                tables = _patched_split(parent, v, i, j)
-                dv, nxt, prv, sign, deg, lead = tables
-                darts = _least_pair(dv, nxt, deg, lead)
-                if halves and not any(dv[d] in halves for d in darts):
-                    continue        # not the canonical parent's insertion
-                first = _first_state((dv, nxt, prv, sign, m + 1), darts[0])
-                if first[2] in seen:
-                    continue        # a known class: nothing is built
-                srs = _materialise(srs0.edges, *tables)
-                key = _new_class(srs, seen, darts, first)
-                if last and min(deg) < 3:
-                    yield GrownClass(key, srs, False, q0.bipartite, None)
-                else:
-                    yield keep(validate_quadrangulation(
-                        EmbeddedGraph(srs), require_polyhedral=False), key)
+        below = m + 1 < n_max           # the products are split later
+        twos = [(w, dv0[r[0] ^ 1], dv0[r[1] ^ 1])
+                for w, r in enumerate(rot) if len(r) == 2]
+        for v, i, j, halves in _tried_splits(
+                rot, dv0, {w for w, _a, _b in twos},
+                _twin_splits(srs0, faces0)):
+            if halves and not _half_is_root(deg0, twos, v,
+                                            dv0[rot[v][i] ^ 1],
+                                            dv0[rot[v][j] ^ 1]):
+                continue            # not the canonical parent's insertion
+            # A split of a simple connected system is simple (the two
+            # halves share no edge and split v's distinct neighbours) and
+            # connected (both halves keep x and y), so its first start
+            # state is read off the patched tables.
+            tables = _patched_split(parent, v, i, j)
+            dv, nxt, prv, sign, deg, lead = tables
+            darts = _least_pair(dv, nxt, deg, lead)
+            first = _first_state((dv, nxt, prv, sign, m + 1), darts[0])
+            if first[2] in seen:
+                continue            # a known class: nothing is built
+            srs = _materialise(srs0.edges, *tables)
+            key = _new_class(srs, seen, darts, first)
+            if halves:      # only an insertion leaves a vertex of degree 2
+                if below:
+                    frontier.append(
+                        (srs, _patched_faces(faces0, parent, v, i, j),
+                         bipartite))
+                yield GrownClass(key, srs, False, bipartite, None)
+            else:
+                yield keep(validate_quadrangulation(
+                    EmbeddedGraph(srs), require_polyhedral=False), key)
 
 
 # -- corpus ------------------------------------------------------------------

@@ -73,8 +73,10 @@ class SignedRotationSystem:
 
     ``tables``, when given, is ``(dart vertex, rotation successor,
     rotation predecessor, edge signs)`` as ``_build_tables`` would build
-    them for these edges and rotations; the system takes those lists as
-    they are (the generator's split patches them from its parent's).
+    them for these edges and rotations; the system then takes those
+    lists, and the ``edges`` list of tuples and the ``rotations`` list of
+    lists, as they are (the generator's split builds all of them for the
+    new system alone).
     """
 
     __slots__ = ("vertex_count", "edges", "rotations", "_dart_vertex",
@@ -83,8 +85,11 @@ class SignedRotationSystem:
     def __init__(self, vertex_count, edges, rotations, check=True,
                  tables=None):
         self.vertex_count = vertex_count
-        self.edges = list(map(tuple, edges))   # shares tuple edges, no copy
-        self.rotations = [list(r) for r in rotations]
+        if tables is None:
+            self.edges = list(map(tuple, edges))   # shares tuple edges
+            self.rotations = [list(r) for r in rotations]
+        else:
+            self.edges, self.rotations = edges, rotations
         if check:
             self._validate()
         if tables is None:
@@ -391,6 +396,25 @@ class EmbeddedGraph:
 
     # -- corners -----------------------------------------------------------
 
+    def face_corners(self):
+        """The corners of each face in walk order, a tuple per face: the
+        corner a step of the walk turns at, between dart ``a`` and
+        ``rot_next(a)`` at their common vertex, is keyed by ``a``.  Unlike
+        the two darts, the key tells the two corners of a degree-2 vertex
+        apart.  Built per call; growth patches these lists (``generator.
+        _patched_faces``)."""
+        prv, sign = self.srs._rot_prev, self.srs._sign
+        out = []
+        for f in self.faces:
+            corners = []
+            for d, s in zip(f.boundary, f.sides):
+                # the walk arrives at d ^ 1 on side s * sign and turns by
+                # the successor (side +1) or the predecessor (side -1)
+                d2 = d ^ 1
+                corners.append(d2 if s * sign[d >> 1] > 0 else prv[d2])
+            out.append(tuple(corners))
+        return out
+
     def corner_face(self):
         """The face index of each corner, a list indexed by dart.
 
@@ -399,11 +423,8 @@ class EmbeddedGraph:
         """
         if self._corner_face is None:
             cf = [-1] * (2 * self.edge_count)
-            for fi, f in enumerate(self.faces):
-                for d, s in zip(f.boundary, f.sides):
-                    d2 = d ^ 1
-                    s2 = s * self.srs.sign(d >> 1)
-                    corner = d2 if s2 > 0 else self.srs._rot_prev[d2]
+            for fi, corners in enumerate(self.face_corners()):
+                for corner in corners:
                     if cf[corner] >= 0:
                         raise MalformedRotation("corner traced twice")
                     cf[corner] = fi

@@ -12,8 +12,9 @@ import pytest
 from o1ppg import generator, srsio
 from o1ppg.cli import main
 from o1ppg.errors import MalformedRotation, ReducibleSeed, TooLarge
-from o1ppg.generator import (_digest, _materialise, _patched_split,
-                             _split_tables, _twin_splits,
+from o1ppg.generator import (_digest, _half_is_root, _materialise,
+                             _patched_faces, _patched_split, _split_tables,
+                             _tried_splits, _twin_splits,
                              canonical_key, corpus_instances,
                              grow_quadrangulations, load_corpus_instances,
                              short_key, write_corpus)
@@ -24,7 +25,7 @@ from o1ppg.oracles import (all_embeddings, canonical_key_oracle,
                            delete_vertex_by_lists, exhaustive_small_search,
                            grow_quadrangulations_bruteforce, is_orientable,
                            vertex_split_by_lists)
-from o1ppg.surface import EmbeddedGraph, SignedRotationSystem
+from o1ppg.surface import EmbeddedGraph, SignedRotationSystem, canonical_walk
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 BOWTIE_EDGES = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
@@ -233,7 +234,7 @@ def test_twin_splits_repeat_an_earlier_class(corpus10):
     skipped = 0
     for n in range(4, 9):
         for _key, srs in corpus10[n]:
-            twins = _twin_splits(EmbeddedGraph(srs))
+            twins = _twin_splits(srs, EmbeddedGraph(srs).face_corners())
             tried = set()
             for split in _splits(srs):
                 key = canonical_key(vertex_split(srs, *split))
@@ -301,9 +302,9 @@ def test_corpus_closed_under_degree_2_deletion(corpus10):
 
 
 def test_canonical_parent_rule_fires(monkeypatch, k4):
-    # the rule drops split products before they are patched or encoded:
-    # from K4 to n <= 10, 5,255 products and 8,022 encoder calls, where
-    # growth without it makes 11,505 and 16,407
+    # the rule drops split products before they are patched: from K4 to
+    # n <= 10, 3,120 products and 8,022 encoder calls, where growth
+    # without it makes 11,505 and 16,407
     calls = {"_patched_split": 0, "_encode_from": 0}
 
     def counting(name):
@@ -318,12 +319,13 @@ def test_canonical_parent_rule_fires(monkeypatch, k4):
         monkeypatch.setattr(generator, name, counting(name))
     corpus = grow_quadrangulations([k4], n_max=10)
     assert sum(map(len, corpus.values())) == 1727
-    assert calls == {"_patched_split": 5255, "_encode_from": 8022}
+    assert calls == {"_patched_split": 3120, "_encode_from": 8022}
 
 
 def test_unvalidated_classes_pass_validation(monkeypatch, k4):
-    # growth yields a class at n_max with a vertex of degree 2 unvalidated,
-    # with the flags validation would give it
+    # growth validates K4 and the classes of minimum degree at least 3,
+    # and yields every class with a vertex of degree 2, at any order,
+    # unvalidated, with the flags validation would give it
     validate = generator.validate_quadrangulation
     calls = []
 
@@ -337,14 +339,16 @@ def test_unvalidated_classes_pass_validation(monkeypatch, k4):
         n = c.srs.vertex_count
         q = c.quad
         if q is None:
-            assert n == 10 and min(map(len, c.srs.rotations)) == 2
+            assert min(map(len, c.srs.rotations)) == 2
             q = validate(EmbeddedGraph(c.srs), require_polyhedral=False)
             skipped += 1
         else:
+            assert min(map(len, c.srs.rotations)) >= 3
             assert q.embedding.srs is c.srs
         assert (c.polyhedral, c.bipartite) == (q.polyhedral, q.bipartite)
-    assert skipped == 1366
-    assert len(calls) == 361 and calls.count(10) == 15
+        assert q.vertex_count == n
+    assert skipped == 1701
+    assert sorted(calls) == [4, 6, 7] + [8] * 3 + [9] * 5 + [10] * 15
 
 
 def _k33():
@@ -389,15 +393,30 @@ def test_seed_with_a_degree_2_vertex_is_refused(k4):
     assert list(grow_quadrangulations([k4, reducible], n_max=4)) == [4]
 
 
+def _halves(srs, v, i, j):
+    """The degree-2 halves of the split (v, i, j), i < j, of ``srs`` if it
+    is an insertion, else ()."""
+    k = srs.degree(v)
+    if j - i == 1:
+        return (srs.vertex_count, v) if k == 2 else (srs.vertex_count,)
+    return (v,) if j - i == k - 1 else ()
+
+
 def test_patched_split_matches_list_split(corpus10):
     # every split (v, i, j), i < j, of every class with n <= 9: the tables
     # growth patches and encodes are the tables the list-based split builds
     # afresh, the system materialised from them writes the same bytes, and
-    # the start darts read off them are the product's class darts
+    # the start darts read off them are the product's class darts.  On an
+    # insertion, the root test growth makes before patching decides as the
+    # product's least degree pair does
     products = 0
+    roots = {False: 0, True: 0}
     for n in range(4, 10):
         for _key, srs in corpus10[n]:
             parent = generator._split_tables(srs)
+            rot, dv0 = srs.rotations, srs._dart_vertex
+            twos = [(w, dv0[r[0] ^ 1], dv0[r[1] ^ 1])
+                    for w, r in enumerate(rot) if len(r) == 2]
             for split in _splits(srs):
                 tables = generator._patched_split(parent, *split)
                 dv, nxt, prv, sign, deg, lead = tables
@@ -409,8 +428,71 @@ def test_patched_split_matches_list_split(corpus10):
                 assert lead == [r[0] for r in oracle.rotations]
                 product = generator._materialise(srs.edges, *tables)
                 assert srsio.dumps(product) == srsio.dumps(oracle)
-                assert generator._least_pair(dv, nxt, deg, lead) == \
-                    generator._class_darts(product)
+                least = generator._least_pair(dv, nxt, deg, lead)
+                assert least == generator._class_darts(product)
+                products += 1
+                halves = _halves(srs, *split)
+                if halves:
+                    v, i, j = split
+                    root = any(dv[d] in halves for d in least)
+                    assert _half_is_root(parent[5], twos, v,
+                                         dv0[rot[v][i] ^ 1],
+                                         dv0[rot[v][j] ^ 1]) == root
+                    roots[root] += 1
+    assert products == 16_301
+    assert roots == {False: 4196, True: 5619}
+
+
+def test_tried_splits_are_the_filtered_splits(corpus10):
+    # the splits growth walks, of every class with n <= 9, are its splits
+    # in (v, i, j) order less its twins and those that leave one of its
+    # degree-2 vertices in place: 6,235 of the 16,301 keep one, 4,811 are
+    # twins, and 5,255 are walked
+    dropped = {"twin": 0, "keeps a degree-2 vertex": 0}
+    walked = 0
+    for n in range(4, 10):
+        for _key, srs in corpus10[n]:
+            rot, dv = srs.rotations, srs._dart_vertex
+            twins = _twin_splits(srs, EmbeddedGraph(srs).face_corners())
+            twos = {w for w, r in enumerate(rot) if len(r) == 2}
+            expected = []
+            for v, i, j in _splits(srs):
+                halves = _halves(srs, v, i, j)
+                if (v, i, j) in twins:
+                    dropped["twin"] += 1
+                elif halves or twos <= {dv[rot[v][i] ^ 1],
+                                        dv[rot[v][j] ^ 1]}:
+                    expected.append((v, i, j, halves))
+                else:
+                    dropped["keeps a degree-2 vertex"] += 1
+            assert list(_tried_splits(rot, dv, twos, twins)) == expected
+            walked += len(expected)
+    assert dropped == {"twin": 4811, "keeps a degree-2 vertex": 6235}
+    assert walked == 5255
+
+
+def _cyclic(faces):
+    """A face list as a sorted list of cyclic sequences, each up to its
+    start and direction."""
+    return sorted(canonical_walk(f) for f in faces)
+
+
+def test_split_products_validate_and_patch_their_faces(corpus10):
+    # every product of every split of every class with n <= 9, which
+    # growth mostly yields unvalidated, is a simple P^2 quadrangulation,
+    # and the face corners growth patches from the parent's are those of
+    # its traced faces, up to each walk's start and direction
+    products = 0
+    for n in range(4, 10):
+        for _key, srs in corpus10[n]:
+            parent = _split_tables(srs)
+            faces = EmbeddedGraph(srs).face_corners()
+            for split in _splits(srs):
+                g = EmbeddedGraph(
+                    _materialise(srs.edges, *_patched_split(parent, *split)))
+                validate_quadrangulation(g, require_polyhedral=False)
+                assert _cyclic(_patched_faces(faces, parent, *split)) == \
+                    _cyclic(g.face_corners())
                 products += 1
     assert products == 16_301
 
@@ -589,10 +671,10 @@ def test_instances_are_built_on_the_validated_quadrangulations(
                         recording_validate)
     monkeypatch.setattr(generator, "_instance", recording_instance)
     rows = write_corpus(tmp_path / "c", 10)
-    # growth validates the 346 classes below n = 10 and the 15 of minimum
-    # degree at least 3 at n = 10, and none of the other 1,366
+    # growth validates K4 and the 25 classes of minimum degree at least 3,
+    # and none of the other 1,701
     assert len(rows) == 1727
-    assert len(validated) == 346 + 15
+    assert len(validated) == 26
     assert sorted(q.vertex_count for q in built) == [9, 10]
     assert all(any(q is v for v in validated) for q in built)
 
@@ -600,7 +682,9 @@ def test_instances_are_built_on_the_validated_quadrangulations(
 def test_failed_write_leaves_no_manifest_and_no_member(tmp_path,
                                                        monkeypatch):
     # a run that raises has deleted the previous corpus and deletes the
-    # files it wrote; no manifest is left, so verify refuses the directory
+    # files it wrote; no manifest is left, so verify refuses the directory.
+    # The raise comes mid-run, at the one class of minimum degree 3 with
+    # n = 7, the only class there that growth validates
     out = tmp_path / "c"
     assert len(write_corpus(out, 6)) == 6
     validate = generator.validate_quadrangulation
