@@ -328,9 +328,9 @@ def _tried_splits(rot, dv, twos, twins):
     of v (j - i = k - 1), and () for any other split.  Only insertions
     are twins, as a twin is the split at a face corner.  Any other split
     raises the degree of x and y alone and leaves both halves at least 3,
-    so it is tried only when x and y are all of ``twos``: with ``twos``
-    empty every split of v is, and otherwise only at a vertex adjacent
-    to each of at most two degree-2 vertices.
+    so it is tried only when every vertex of ``twos`` is x or y: with
+    ``twos`` empty every split of v is, and otherwise only at a vertex
+    adjacent to each of at most two degree-2 vertices.
     """
     m = len(rot)
     hubs = ()       # the vertices adjacent to every vertex of twos
