@@ -6,10 +6,10 @@ of the instance and k that the caller passes in: ``is_extendable`` for
 one matching (T1.3's single edges, T1.4's barrier matchings,
 ``find_blocker``'s precondition), ``k_extendability`` for all of them,
 and Theorem 1.6's certificates in ``structures.sweep_three_matchings``.
-The sweep is the one caller of ``_kernels.pm_exists``.  Nothing here is
-stored on the instance: the audit (``verify._InstanceAudit``) owns one
-perfect-matching memo, one sweep per k and T1.3's spanning
-triangulation, and drops them with itself."""
+Every sweep reads one ``perfect_matching_table`` of the instance.  Nothing
+here is stored on the instance: the audit (``verify._InstanceAudit``) owns
+the table, one sweep per k, T1.3's spanning triangulation and the
+Hamiltonian cycles found in it, and drops them with itself."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
-from . import _kernels
 from .errors import (NoBlockerFound, NoHamPath, OddOrder,
                      SearchBudgetExceeded, TooSmall)
 from .graphs import (adjacency_masks, enumerate_cycles, is_connected_mask,
@@ -31,6 +30,8 @@ TRIANGULATION_NODE_BUDGET = 1 << 12
 #: DFS nodes one ``hamiltonian_path`` search may visit before it raises
 #: SearchBudgetExceeded.
 HAMILTONIAN_PATH_NODE_BUDGET = 1 << 20
+#: ``matching_sweep`` covers the k-matchings for k <= SWEEP_K_MAX.
+SWEEP_K_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -84,33 +85,43 @@ def is_extendable(inst, m: Matching, sweep) -> bool:
     return vertex_mask(covered) not in sweep.blocked
 
 
-def covered_masks(inst, k):
-    """``{covered-vertex mask: number of k-matchings covering it}``: every
-    2k-vertex subset whose induced subgraph has a perfect matching, with
-    the number of them.
+class PerfectMatchingTable(NamedTuple):
+    """Which vertex subsets of a graph have a perfect matching."""
 
-    Built by size, two vertices at a time: a perfect matching of a subset
-    pairs its least vertex with one of its neighbours there and matches
-    the rest, so a subset's count sums the counts of the subsets two
-    smaller that this leaves."""
-    adj = inst.adj
-    counts = {0: 1}
-    singles = [1 << v for v in range(inst.n)]
-    for size in range(2, 2 * k + 1, 2):
-        bigger = {}
-        for combo in combinations(singles, size):
-            mask = sum(combo)
-            low = combo[0]
-            m = adj[low.bit_length() - 1] & mask
-            found = 0
-            while m:
-                w = m & -m
-                m ^= w
-                found += counts.get(mask ^ low ^ w, 0)
-            if found:
-                bigger[mask] = found
-        counts = bigger
-    return counts
+    covered: tuple          # [k]: {2k-vertex mask: number of its PMs}
+    perfect: bytearray      # [mask]: 1 iff the mask induces a PM
+
+
+def perfect_matching_table(n, adj):
+    """The ``PerfectMatchingTable`` of the graph with neighbour masks
+    ``adj`` on ``n`` vertices, counting for k <= ``SWEEP_K_MAX``, in one
+    pass over the masks in increasing order: a perfect matching of a
+    subset pairs its least vertex with a neighbour there and matches the
+    rest, a smaller mask.  ``o1ppg.oracles.pm_exists_by_memo`` is the
+    top-down reference."""
+    perfect = bytearray(1 << n)
+    perfect[0] = 1
+    covered = [{0: 1}] + [{} for _ in range(SWEEP_K_MAX)]
+    for mask in range(3, 1 << n):
+        size = mask.bit_count()
+        if size & 1:
+            continue
+        low = mask & -mask
+        rest = mask ^ low
+        m = adj[low.bit_length() - 1] & rest
+        if size > 2 * SWEEP_K_MAX:
+            while m and not perfect[rest ^ (m & -m)]:
+                m &= m - 1
+            perfect[mask] = m != 0
+            continue
+        below, found = covered[size // 2 - 1], 0
+        while m:
+            found += below.get(rest ^ (m & -m), 0)
+            m &= m - 1
+        if found:
+            covered[size // 2][mask] = found
+            perfect[mask] = 1
+    return PerfectMatchingTable(tuple(covered), perfect)
 
 
 def mask_matchings(inst, mask):
@@ -141,24 +152,25 @@ class MatchingSweep(NamedTuple):
     nonextendable: list     # sorted edge-id tuples, ascending
 
 
-def matching_sweep(inst, k, memo) -> MatchingSweep:
+def matching_sweep(inst, k, table) -> MatchingSweep:
     """The k-matchings of the even-order instance by covered mask, and the
-    ones that do not extend.
+    ones that do not extend, for k <= ``SWEEP_K_MAX``.
 
     A matching M extends iff G - V(M) has a perfect matching (Plummer, "On
     n-extendable graphs", 1980), so extendability depends on V(M) alone:
-    each covered mask of ``covered_masks`` is decided by one ``pm_exists``
-    call on ``memo``, a ``_kernels.pm_exists`` memo of ``inst.adj`` that
-    sweeps of several k may share, and only the masks that fail are
-    expanded into their matchings (``mask_matchings``).
+    each covered mask of ``table``, the instance's
+    ``perfect_matching_table``, is decided by the table's entry for its
+    complement, and only the masks that fail are expanded into their
+    matchings (``mask_matchings``).
     ``o1ppg.oracles.k_extendability_in_order`` is the ordered reference.
     """
     if inst.n % 2:
         raise OddOrder("extendability needs an even order")
-    covered = covered_masks(inst, k)
-    adj, full = inst.adj, (1 << inst.n) - 1
-    blocked = frozenset(vm for vm in covered
-                        if not _kernels.pm_exists(adj, full ^ vm, memo))
+    if k > SWEEP_K_MAX:
+        raise ValueError(f"sweeps cover k <= {SWEEP_K_MAX}, not {k}")
+    covered = table.covered[k]
+    perfect, full = table.perfect, (1 << inst.n) - 1
+    blocked = frozenset(vm for vm in covered if not perfect[full ^ vm])
     nonextendable = sorted(combo for vm in blocked
                            for combo in mask_matchings(inst, vm))
     return MatchingSweep(k, covered, blocked, nonextendable)
@@ -382,17 +394,32 @@ def hamiltonian_path(n, adj, s, t):
     return dfs(s, ((1 << n) - 1) & ~(1 << s), [s])
 
 
-def matching_via_hamiltonian_path(inst, e, triangulation) -> Matching:
-    """Perfect matching containing edge ``e``, built from a Hamiltonian path
-    in ``triangulation``, the instance's ``spanning_triangulation``."""
+def matching_via_hamiltonian_path(inst, e, triangulation, cycles) -> Matching:
+    """Perfect matching containing edge ``e`` = uv: e and every other edge
+    of a Hamiltonian u-v path in ``triangulation``, the instance's
+    ``spanning_triangulation``, from the path's second edge on.
+
+    ``cycles``, kept by the caller for one triangulation, maps each edge
+    {a, b} of the Hamiltonian cycles found so far to the first; uv's path
+    is that cycle cut at uv.  Other edges take a ``hamiltonian_path``
+    search, whose path joins ``cycles`` when uv closes it to a cycle."""
     if inst.n % 2:
         raise OddOrder("perfect matchings need an even order")
     u, v = inst.edges[e]
     adj, _edges = triangulation
-    path = hamiltonian_path(inst.n, adj, u, v)
-    if path is None:
-        raise NoHamPath(
-            f"no Hamiltonian {u}-{v} path in the spanning triangulation")
+    cycle = cycles.get(frozenset((u, v)))
+    if cycle is not None:
+        i = cycle.index(u)
+        path = (cycle[i:] + cycle[:i] if cycle[i - 1] == v
+                else cycle[i::-1] + cycle[:i:-1])
+    else:
+        path = hamiltonian_path(inst.n, adj, u, v)
+        if path is None:
+            raise NoHamPath(
+                f"no Hamiltonian {u}-{v} path in the spanning triangulation")
+        if adj[u] >> v & 1:
+            for a, b in zip(path, path[1:] + path[:1]):
+                cycles.setdefault(frozenset((a, b)), path)
     pairs = [(path[i], path[i + 1]) for i in range(1, inst.n - 2, 2)]
     pairs.append((path[-1], path[0]))
     ids = frozenset(inst.edge_id(a, b) for (a, b) in pairs)

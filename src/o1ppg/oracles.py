@@ -15,13 +15,14 @@ module may import the production modules, but none of them imports it.
 - ``delete_vertex_by_lists``: a vertex and its edges removed from copied
   edge and rotation lists (the closure under degree-2 deletion that
   growth's canonical-parent rule rests on).
-- ``max_matching_size``: bitmask DP over all vertex subsets (against
-  ``_kernels.pm_exists``).
+- ``max_matching_size``: bitmask DP over all vertex subsets, and
+  ``pm_exists_by_memo``: a top-down search with a memo of its own
+  (both against ``matching.perfect_matching_table``).
 - ``is_extendable_bruteforce``: exhaustive perfect-matching search on
   G - V(M) (against ``matching.is_extendable``).
 - ``matching_masks``: every k-matching in lexicographic order with its
-  covered mask, by backtracking over the edge ids (against
-  ``matching.covered_masks`` and ``matching.mask_matchings``).
+  covered mask, by backtracking over the edge ids (against the counts of
+  ``matching.perfect_matching_table`` and ``matching.mask_matchings``).
 - ``k_extendability_in_order``: every k-matching in that order, each
   decided by a perfect-matching test, stopping at the first that does not
   extend (against ``matching.k_extendability``, which reads the sweep by
@@ -67,6 +68,9 @@ module may import the production modules, but none of them imports it.
 - ``embeds_by_flips``: every vertex flip of a pattern map's image,
   rotations and signs checked directly (against the encoding test of
   ``structures.match_pattern``).
+- ``pattern_maps_by_edges``: every injective map sending pattern edges to
+  host edges, signs ignored (against the sign-pruned
+  ``structures._candidate_maps``).
 - ``bowties_by_triangle_pairs``: every pair of triangles sharing one
   vertex, kept when the cut along their edges leaves two hexagonal walks
   (against ``structures.find_projective_bowties``, which reads the bowties
@@ -93,7 +97,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, permutations
 
-from . import _kernels
 from .connectivity import analyze_cut
 from .errors import (EmptySubgraph, MalformedRotation, NoHamPath, NotACycle,
                      NotProjectivePlane, OddOrder, SearchBudgetExceeded,
@@ -438,6 +441,36 @@ def max_matching_size(adj, alive):
     return rec(alive)
 
 
+def pm_exists_by_memo(adj, alive, memo=None):
+    """Does the subgraph induced on the ``alive`` mask have a perfect
+    matching?  Top-down: the least vertex is matched to each neighbour in
+    turn, and each even mask's answer is kept in ``memo`` (default: a
+    fresh one), which must only ever have been used with this ``adj``."""
+    if alive.bit_count() & 1:
+        return False
+    if memo is None:
+        memo = {0: True}
+
+    def rec(mask):
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        low = mask & (-mask)
+        v = low.bit_length() - 1
+        m = adj[v] & mask
+        ok = False
+        while m:
+            wbit = m & (-m)
+            m ^= wbit
+            if rec(mask ^ low ^ wbit):
+                ok = True
+                break
+        memo[mask] = ok
+        return ok
+
+    return rec(alive)
+
+
 def is_extendable_bruteforce(inst, m: Matching) -> bool:
     """Independent oracle: exhaustive perfect-matching search on G - V(M)."""
     covered = _check_matching(inst, m)
@@ -514,7 +547,7 @@ def k_extendability_in_order(inst, k):
     full = (1 << inst.n) - 1
     memo = {0: True}
     for combo, vm in matching_masks(inst, k):
-        if not _kernels.pm_exists(inst.adj, full ^ vm, memo):
+        if not pm_exists_by_memo(inst.adj, full ^ vm, memo):
             return False, Matching(frozenset(combo))
     return True, None
 
@@ -982,7 +1015,7 @@ def sweep_three_matchings_in_order(inst):
     for combo, vm in matching_masks(inst, 3):
         found = decided.get(vm)
         if found is None:
-            extendable = _kernels.pm_exists(inst.adj, full ^ vm, memo)
+            extendable = pm_exists_by_memo(inst.adj, full ^ vm, memo)
             found = decided[vm] = diagnose_mask(vm, extendable, ctx)
         verdict, detail = found
         if verdict == "counterexample":
@@ -1016,6 +1049,38 @@ def embeds_by_flips(host: EmbeddedGraph, pat, phi):
                 got[v][::flip[v]] in turns[v] for v in range(pn)):
             return True
     return False
+
+
+def pattern_maps_by_edges(host: EmbeddedGraph, pat):
+    """Reference for ``structures._candidate_maps`` without its sign
+    pruning: every injective vertex map ``{pattern vertex: host vertex}``
+    sending pattern edges to host edges, by the same backtracking over the
+    pattern's vertices, so in the same order."""
+    padj = list(map(set, pat.embedding.srs.adjacency()))
+    hadj = list(map(set, host.srs.adjacency()))
+    pn = len(padj)
+    order = [0]
+    while len(order) < pn:
+        placed = set(order)
+        order.append(max((v for v in range(pn) if v not in placed),
+                         key=lambda v: (len(padj[v] & placed), -v)))
+    maps = []
+
+    def extend(idx, phi):
+        if idx == pn:
+            maps.append(dict(phi))
+            return
+        v = order[idx]
+        used = set(phi.values())
+        for hv in range(len(hadj)):
+            if hv not in used and len(padj[v]) <= len(hadj[hv]) and all(
+                    phi[u] in hadj[hv] for u in padj[v] if u in phi):
+                phi[v] = hv
+                extend(idx + 1, phi)
+                del phi[v]
+
+    extend(0, {})
+    return maps
 
 
 def bowties_by_triangle_pairs(emb):

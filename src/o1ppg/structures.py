@@ -8,8 +8,10 @@ caller passes in, and Theorem 1.6's sweep reads the 3-matching sweep
 (``matching.matching_sweep``) it is given: the audit owns both, so
 nothing here is stored on an instance or its embedding.
 
-The nine base patterns ship as .srs fixtures; the configurations (a)-(g)
-are roles on four of them, stated once in ``_CONFIG_ROLES``.
+The pattern matcher drops a map whose signs no vertex flips can fix
+before it encodes the map's image.  The nine base patterns ship as .srs
+fixtures; the configurations (a)-(g) are roles on four of them, stated
+once in ``_CONFIG_ROLES``.
 ``o1ppg.oracles.build_patterns`` rebuilds the bases from scratch (each is
 the unique projective-plane embedding of its graph with the stated face
 structure), and the tests compare the two.
@@ -160,24 +162,37 @@ def find_projective_bowties(emb):
 
 # -- embedded pattern matching ------------------------------------------------
 
+def _negative_masks(srs):
+    """Per vertex, the mask of its neighbours across negative edges."""
+    neg = [0] * srs.vertex_count
+    for u, v, s in srs.edges:
+        neg[u] |= (s < 0) << v
+        neg[v] |= (s < 0) << u
+    return neg
+
+
 def _candidate_maps(host: EmbeddedGraph, pat: ConfigPattern):
     """Every injective vertex map ``{pattern vertex: host vertex}`` that
-    sends pattern edges to host edges, by backtracking over the pattern's
-    vertices, each placed next to an already mapped neighbour."""
+    sends pattern edges to host edges with balanced signs, by backtracking
+    over the pattern's vertices, each placed next to a mapped neighbour.
+
+    Vertex flips can give each image edge its pattern edge's sign only if
+    the pattern, signed by the products of the two signs, is balanced
+    (Harary, "On the notion of balance of a signed graph", 1953), so each
+    mapped vertex gets the gauge, or flip, that its mapped neighbours force."""
     padj = list(map(set, pat.embedding.srs.adjacency()))
     hadj = list(map(set, host.srs.adjacency()))
+    pneg, hneg = _negative_masks(pat.embedding.srs), _negative_masks(host.srs)
     pn, hn = len(padj), len(hadj)
 
     # order pattern vertices so each new one touches the mapped prefix
     order = [0]
-    placed = {0}
     while len(order) < pn:
-        nxt = max((v for v in range(pn) if v not in placed),
-                  key=lambda v: (len(padj[v] & placed), -v))
-        order.append(nxt)
-        placed.add(nxt)
+        order.append(max(set(range(pn)) - set(order), key=lambda v: (
+            len(padj[v].intersection(order)), -v)))
 
     maps = []
+    gauge = [0] * pn        # 1 where a mapped pattern vertex is flipped
 
     def extend(idx, phi):
         if idx == pn:
@@ -185,16 +200,18 @@ def _candidate_maps(host: EmbeddedGraph, pat: ConfigPattern):
             return
         v = order[idx]
         anchors = [u for u in padj[v] if u in phi]
-        if anchors:
-            cands = set(hadj[phi[anchors[0]]])
-            for u in anchors[1:]:
-                cands &= hadj[phi[u]]
-            cands -= set(phi.values())
-        else:
-            cands = set(range(hn)) - set(phi.values())
+        cands = set(hadj[phi[anchors[0]]]) if anchors else set(range(hn))
+        for u in anchors[1:]:
+            cands &= hadj[phi[u]]
+        cands -= set(phi.values())
+        one = zero = -1         # host vertices every anchor gauges 1, or 0
+        for u in anchors:
+            flip = hneg[phi[u]] ^ -(gauge[u] ^ pneg[u] >> v & 1)
+            one, zero = one & flip, zero & ~flip
         for hv in sorted(cands):
-            if len(padj[v]) > len(hadj[hv]):
+            if len(padj[v]) > len(hadj[hv]) or not (one | zero) >> hv & 1:
                 continue
+            gauge[v] = one >> hv & 1
             phi[v] = hv
             extend(idx + 1, phi)
             del phi[v]

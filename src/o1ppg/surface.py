@@ -47,6 +47,7 @@ whether a cycle is one-sided.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
@@ -674,16 +675,16 @@ def _merge_faces(g: EmbeddedGraph, in_k):
     return region_of, face_ids
 
 
-def _trace_boundaries(g: EmbeddedGraph, K, region_of, regions):
-    """Give each region of the cut along ``K`` its boundary walks: the faces
-    of the host restricted to ``K``, each in the region of the host corners
-    its turns sweep, which must all lie in one region.  Each region then
-    drops its tracer, so a region kept alone (as the short-walk regions
-    are) does not hold on to the rest of its decomposition."""
+def _trace_boundaries(g: EmbeddedGraph, K, region_of, refs):
+    """Give each live region of the cut along ``K``, by the weak references
+    ``refs``, its boundary walks: the faces of the host restricted to
+    ``K``, each in the region of the host corners its turns sweep, which
+    must all lie in one region.  Held weakly, an untraced decomposition is
+    no reference cycle, and a region kept alone keeps no other alive."""
     srs = g.srs
     edges, nxt, prv = srs.edges, srs._rot_next, srs._rot_prev
     corner_region = [region_of[f] for f in g.corner_face()]
-    walks = [[] for _ in regions]
+    walks = [[] for _ in refs]
     for w in trace_faces(srs, K):
         swept = set()
         b = w.boundary
@@ -707,8 +708,9 @@ def _trace_boundaries(g: EmbeddedGraph, K, region_of, regions):
                 "boundary walk sweeps multiple regions; "
                 "face merge inconsistent")
         walks[swept.pop()].append(w)
-    for region, ws in zip(regions, walks):
-        region._walks, region._trace = ws, None
+    for region, ws in zip((ref() for ref in refs), walks):
+        if region is not None:
+            region._walks, region._trace = ws, None
 
 
 def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
@@ -763,11 +765,12 @@ def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
                 r = region_of[f]
         interior[r].append(v)
 
-    regions = []
-    trace = partial(_trace_boundaries, g, K, region_of, regions)
+    regions, refs = [], []
+    trace = partial(_trace_boundaries, g, K, region_of, refs)
     for faces, length, inner, inside in zip(face_ids, lengths,
                                             interior_edge_count, interior):
         chi = len(inside) - inner + len(faces)
         regions.append(Region(tuple(faces), length, chi, frozenset(inside),
                               chi == 1, None, trace))
+        refs.append(weakref.ref(regions[-1]))
     return regions

@@ -11,10 +11,10 @@ instance share their intermediates through ``_InstanceAudit``, which
 computes each on first use: the vertex connectivity, the minimal
 separators and the cuts; the short-walk regions of
 ``surface.short_walk_regions``, which T1.4's barrier cycles and T1.6's
-length-6 regions filter; T1.3's spanning triangulation;
-and one perfect-matching memo with the k-matching sweeps of
-``matching.matching_sweep`` built on it, which T1.3 (k = 1), T1.4 and
-C1.5 (k = 2), T1.6 and NoThreeExt (k = 3) and L4.2 (k = 2 and 3) read.
+length-6 regions filter; T1.3's spanning triangulation; and one
+``matching.perfect_matching_table``, read by the k-matching sweeps of
+``matching.matching_sweep`` that T1.3 (k = 1), T1.4 and C1.5 (k = 2),
+T1.6 and NoThreeExt (k = 3) and L4.2 (k = 2 and 3) read.
 So a theorem audited alone, as ``o1ppg replay`` and ``o1ppg verify
 --theorems`` do, gets the record it gets in the full audit.
 ``AuditConfig`` keeps the selected ids in ``THEOREM_IDS`` order, each
@@ -38,7 +38,8 @@ from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
                      SearchBudgetExceeded, UnknownTheorem)
 from .matching import (Matching, find_blocker, is_extendable,
                        k_extendability, matching_sweep,
-                       matching_via_hamiltonian_path, spanning_triangulation)
+                       matching_via_hamiltonian_path, perfect_matching_table,
+                       spanning_triangulation)
 from .model import link
 from .structures import (barrier_cycles, find_projective_bowties,
                          sweep_three_matchings)
@@ -134,8 +135,6 @@ class _InstanceAudit:
 
     def __init__(self, inst):
         self.inst = inst
-        # alive mask -> perfect matching on it?  Shared by every sweep
-        self.pm_memo = {0: True}
         self.sweeps = {}
 
     def inapplicable(self, theorem):
@@ -168,10 +167,15 @@ class _InstanceAudit:
         """Vertex connectivity of the instance, capped at 8."""
         return vertex_connectivity(self.inst, 8)
 
+    @cached_property
+    def pm_table(self):
+        """The instance's perfect-matching table, read by every sweep."""
+        return perfect_matching_table(self.inst.n, self.inst.adj)
+
     def sweep(self, k):
-        """``matching_sweep(inst, k)``, built once on the shared memo."""
+        """``matching_sweep(inst, k)``, built once on the shared table."""
         if k not in self.sweeps:
-            self.sweeps[k] = matching_sweep(self.inst, k, self.pm_memo)
+            self.sweeps[k] = matching_sweep(self.inst, k, self.pm_table)
         return self.sweeps[k]
 
     @cached_property
@@ -284,13 +288,14 @@ class _InstanceAudit:
     def check_T13(self):
         inst = self.inst
         sweep = self.sweep(1)
+        cycles = {}     # Hamiltonian cycles of the triangulation, by edge
         for e in range(inst.edge_count):
             witness = _edges_str(inst, [e])
             if not is_extendable(inst, Matching(frozenset([e])), sweep):
                 return _fail("single edge not extendable", witness)
             try:
-                mh = matching_via_hamiltonian_path(inst, e,
-                                                   self.triangulation)
+                mh = matching_via_hamiltonian_path(
+                    inst, e, self.triangulation, cycles)
             except (NoHamPath, SearchBudgetExceeded) as exc:
                 return _fail(f"hamiltonian-path construction: {exc}",
                              witness)

@@ -11,8 +11,8 @@ import random
 import time
 
 import pytest
+from test_matching import _sweep
 
-from o1ppg import _kernels
 from o1ppg.connectivity import (classify_cut_shape, enumerate_cuts,
                                 vertex_connectivity,
                                 _contains_separating_trivial_4cycle)
@@ -21,9 +21,8 @@ from o1ppg.fixtures import fix_k4
 from o1ppg.generator import corpus_instances, grow_quadrangulations
 from o1ppg.graphs import adjacency_masks, enumerate_cycles
 from o1ppg.matching import (Matching, find_blocker, is_extendable,
-                            k_extendability, matching_sweep,
-                            matching_via_hamiltonian_path,
-                            spanning_triangulation)
+                            k_extendability, matching_via_hamiltonian_path,
+                            perfect_matching_table, spanning_triangulation)
 from o1ppg.oracles import (exhaustive_small_search, is_extendable_bruteforce,
                            matching_masks, max_matching_size,
                            vertex_connectivity_bruteforce)
@@ -119,13 +118,15 @@ def test_criterion_03_one_extendability(even_instances):
     failures = []
     for inst in even_instances:
         triangulation = spanning_triangulation(inst)
+        cycles = {}
         for e in range(inst.edge_count):
             m = Matching(frozenset([e]))
             if not is_extendable_bruteforce(inst, m):
                 failures.append((inst.key, e, "oracle"))
                 continue
             try:
-                mh = matching_via_hamiltonian_path(inst, e, triangulation)
+                mh = matching_via_hamiltonian_path(inst, e, triangulation,
+                                                   cycles)
             except Exception as exc:
                 failures.append((inst.key, e, repr(exc)))
                 continue
@@ -139,7 +140,7 @@ def test_criterion_04_two_extendability(even_instances):
     disagreements = []
     for inst in even_instances:
         barriers = barrier_cycles(short_walk_regions(inst.quad.embedding), 4)
-        sweep = matching_sweep(inst, 2, {0: True})
+        sweep = _sweep(inst, 2)
         bad = None
         for combo, _vm in matching_masks(inst, 2):
             m = Matching(frozenset(combo))
@@ -167,7 +168,7 @@ def test_criterion_05_corollary(even_instances):
     for inst in even_instances:
         if vertex_connectivity(inst) < 5:
             continue
-        ok2, _w = k_extendability(inst, matching_sweep(inst, 2, {0: True}))
+        ok2, _w = k_extendability(inst, _sweep(inst, 2))
         if not ok2:
             failures.append(inst.key)
     _line(5, "Corollary 1.5", not failures, f"failures={len(failures)}")
@@ -183,7 +184,7 @@ def test_criterion_06_three_matching_characterization(even_instances):
         swept += 1
         ctx = CertificateContext.build(
             inst, short_walk_regions(inst.quad.embedding))
-        sweep = matching_sweep(inst, 3, {0: True})
+        sweep = _sweep(inst, 3)
         for combo, vm in matching_masks(inst, 3):
             extendable = is_extendable(inst, Matching(frozenset(combo)),
                                        sweep)
@@ -249,7 +250,7 @@ def test_criterion_09_blockers():
                 continue
             seen.add(tag)
             if (inst.key, k) not in sweeps:
-                sweeps[inst.key, k] = matching_sweep(inst, k + 1, {0: True})
+                sweeps[inst.key, k] = _sweep(inst, k + 1)
             try:
                 blk = find_blocker(inst, m, k, sweeps[inst.key, k])
             except NoBlockerFound as exc:
@@ -267,8 +268,7 @@ def test_criterion_09_blockers():
 def test_criterion_10_no_three_extendability(even_instances):
     failures = []
     for inst in even_instances:
-        ok3, witness = k_extendability(inst,
-                                       matching_sweep(inst, 3, {0: True}))
+        ok3, witness = k_extendability(inst, _sweep(inst, 3))
         if ok3 or witness is None or witness.k != 3:
             failures.append(inst.key)
         elif is_extendable_bruteforce(inst, witness):
@@ -287,7 +287,7 @@ def test_criterion_11_engine_oracles(instances):
                  if rng.random() < p]
         masks = adjacency_masks(n, edges)
         full = (1 << n) - 1
-        got = _kernels.pm_exists(masks, full)
+        got = perfect_matching_table(n, masks).perfect[full]
         if got != (2 * max_matching_size(masks, full) == n):
             mismatches += 1
         perfect += got

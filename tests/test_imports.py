@@ -11,7 +11,7 @@ from pathlib import Path
 
 PRODUCTION_MODULES = ("cli", "verify", "connectivity", "structures",
                       "generator", "matching", "model", "surface", "graphs",
-                      "srsio", "fixtures", "errors", "_kernels")
+                      "srsio", "fixtures", "errors")
 
 PROBE = """
 import importlib, sys

@@ -4,71 +4,76 @@ import random
 from itertools import combinations
 
 import pytest
+from test_connectivity import _relabelled
 from test_generator import _full_relabel
 
-from o1ppg import _kernels, matching, oracles
+from o1ppg import matching, oracles, verify
 from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
                           TooSmall)
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
-from o1ppg.matching import (Matching, covered_masks, find_blocker,
+from o1ppg.matching import (Matching, MatchingSweep, find_blocker,
                             hamiltonian_path, is_extendable, k_extendability,
                             mask_matchings, matching_sweep,
                             matching_via_hamiltonian_path,
-                            spanning_triangulation)
+                            perfect_matching_table, spanning_triangulation)
 from o1ppg.model import build_o1ppg, link, validate_quadrangulation
 from o1ppg.oracles import (is_extendable_bruteforce, k_extendability_in_order,
                            matching_masks, max_matching_size,
+                           pm_exists_by_memo,
                            spanning_triangulation_by_selections)
 from o1ppg.surface import EmbeddedGraph
 from o1ppg.verify import AuditConfig, audit_instance
 
-def test_pm_exists_agrees_with_dp_oracle():
-    rng = random.Random(7)
-    cases = set()
-    for _ in range(1000):
-        n = rng.randint(1, 12)
-        p = rng.choice((0.2, 0.4, 0.7))
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                 if rng.random() < p]
-        masks = adjacency_masks(n, edges)
-        for alive in (0, (1 << n) - 1, rng.getrandbits(n)):
-            want = 2 * max_matching_size(masks, alive) == alive.bit_count()
-            assert _kernels.pm_exists(masks, alive) == want
-            cases.add((alive.bit_count() % 2, want))
-    # odd masks, and even masks with and without a perfect matching, occur
-    assert cases == {(0, True), (0, False), (1, False)}
-
-
-def test_shared_memo_agrees_with_dp_oracle(inst10):
-    # one memo shared by the sweeps of k = 0..3 and direct kernel calls
-    inst = inst10
-    memo = {0: True}
-    rng = random.Random(11)
-    full = (1 << inst.n) - 1
-    calls = [Matching(frozenset(combo)) for k in (0, 1, 2, 3)
-             for combo, _vm in matching_masks(inst, k)]
-    calls += [rng.getrandbits(inst.n) for _ in range(400)]
-    rng.shuffle(calls)
-    sweeps = {}
+def _assert_table(n, table, *references):
+    """The table's verdict on every even mask is that of each of
+    ``references``, and its odd masks read 0; returns the verdicts that
+    occurred."""
     seen = set()
-    for call in calls:
-        if isinstance(call, Matching):
-            alive = full
-            for v in call.vertex_set(inst):
-                alive ^= 1 << v
-            if call.k not in sweeps:
-                sweeps[call.k] = matching_sweep(inst, call.k, memo)
-            got = is_extendable(inst, call, sweeps[call.k])
-        else:
-            alive = call
-            got = _kernels.pm_exists(inst.adj, alive, memo)
-        want = 2 * max_matching_size(inst.adj, alive) == alive.bit_count()
-        assert got == want
-        seen.add((isinstance(call, Matching), alive.bit_count() % 2, want))
-    assert {(True, 0, False), (True, 0, True), (False, 1, False),
-            (False, 0, True), (False, 0, False)} <= seen
-    assert all(mask.bit_count() % 2 == 0 for mask in memo)
-    assert len(memo) <= 1 << inst.n
+    for mask in range(1 << n):
+        got = table.perfect[mask]
+        if mask.bit_count() % 2:
+            assert not got
+            continue
+        assert all(got == ref(mask) for ref in references), (n, mask)
+        seen.add(got)
+    return seen
+
+
+def test_table_agrees_with_dp_oracle():
+    # every even subset of random graphs with n <= 12, against the
+    # maximum-matching DP and the top-down memo search
+    rng = random.Random(7)
+    seen = set()
+    for n in range(1, 13):
+        for p in (0.2, 0.4, 0.7):
+            adj = adjacency_masks(n, [(u, v) for u, v in
+                                      combinations(range(n), 2)
+                                      if rng.random() < p])
+            memo = {0: True}
+            seen |= _assert_table(
+                n, perfect_matching_table(n, adj),
+                lambda mask: pm_exists_by_memo(adj, mask, memo),
+                lambda mask: 2 * max_matching_size(adj, mask)
+                == mask.bit_count())
+    # even masks with and without a perfect matching occur
+    assert seen == {0, 1}
+
+
+def test_table_agrees_on_instances(corpus_n12, instances10):
+    # every even subset of the committed n <= 12 instances, the n <= 10
+    # ones and a relabelling of corpus-n12, against the top-down memo
+    # search; the full vertex set, against the maximum-matching DP
+    seen = set()
+    for inst in corpus_n12 + instances10 + _relabelled(corpus_n12, 29):
+        table = perfect_matching_table(inst.n, inst.adj)
+        memo = {0: True}
+        seen |= _assert_table(
+            inst.n, table, lambda mask: pm_exists_by_memo(inst.adj, mask,
+                                                          memo))
+        full = (1 << inst.n) - 1
+        assert table.perfect[full] == (
+            2 * max_matching_size(inst.adj, full) == inst.n)
+    assert seen == {0, 1}
 
 
 def test_matching_masks_match_combinations(corpus_n12, instances10):
@@ -96,7 +101,7 @@ def test_covered_masks_count_the_sweep(corpus_n12, instances10):
             by_mask = {}
             for combo, vm in matching_masks(inst, k):
                 by_mask.setdefault(vm, []).append(combo)
-            assert covered_masks(inst, k) == {
+            assert perfect_matching_table(inst.n, inst.adj).covered[k] == {
                 vm: len(combos) for vm, combos in by_mask.items()}
             for vm, combos in by_mask.items():
                 assert sorted(mask_matchings(inst, vm)) == combos
@@ -108,20 +113,16 @@ def test_k_extendability_matches_ordered_sweep(corpus_n12, instances10):
     # on a relabelling of corpus-n12, whose edge ids are shuffled; the
     # sweep's blocked masks are those whose complement has no perfect
     # matching, and its non-extendable list is every k-matching on them
-    rng = random.Random(23)
-    relabelled = [build_o1ppg(validate_quadrangulation(EmbeddedGraph(
-        _full_relabel(inst.quad.embedding.srs, rng)[0])))
-        for inst in corpus_n12]
     verdicts = set()
-    for inst in corpus_n12 + instances10 + relabelled:
+    for inst in corpus_n12 + instances10 + _relabelled(corpus_n12, 23):
         for k in (1, 2, 3):
             if inst.n % 2:
                 with pytest.raises(OddOrder):
-                    matching_sweep(inst, k, {0: True})
+                    _sweep(inst, k)
                 with pytest.raises(OddOrder):
                     k_extendability_in_order(inst, k)
                 continue
-            sweep = matching_sweep(inst, k, {0: True})
+            sweep = _sweep(inst, k)
             got = k_extendability(inst, sweep)
             assert got == k_extendability_in_order(inst, k), (inst.key, k)
             verdicts.add((k, got[0]))
@@ -138,8 +139,8 @@ def test_k_extendability_matches_ordered_sweep(corpus_n12, instances10):
 
 
 def _sweep(inst, k):
-    """The instance's k-matching sweep, on a memo of its own."""
-    return matching_sweep(inst, k, {0: True})
+    """The instance's k-matching sweep, on a table of its own."""
+    return matching_sweep(inst, k, perfect_matching_table(inst.n, inst.adj))
 
 
 def test_empty_matching_extendability_equals_pm(inst10):
@@ -180,8 +181,10 @@ def test_k_extendability_values(inst10):
     ok3, w3 = k_extendability(inst10, sweep3)
     assert not ok3 and w3.k == 3
     assert not is_extendable(inst10, w3, sweep3)
+    with pytest.raises(ValueError, match="k <= 3"):
+        _sweep(inst10, 4)
     with pytest.raises(TooSmall):
-        k_extendability(inst10, _sweep(inst10, 5))
+        k_extendability(inst10, MatchingSweep(5, {}, frozenset(), []))
 
 
 def test_degree6_link_alternating_triple_not_extendable(inst10):
@@ -222,8 +225,9 @@ def test_spanning_triangulation_four_connected(inst10, inst9):
 
 def test_hamiltonian_path_matching_every_edge(inst10):
     triangulation = spanning_triangulation(inst10)
+    cycles = {}
     for e in range(inst10.edge_count):
-        m = matching_via_hamiltonian_path(inst10, e, triangulation)
+        m = matching_via_hamiltonian_path(inst10, e, triangulation, cycles)
         assert e in m.edges
         assert m.k == inst10.n // 2
         assert is_extendable_bruteforce(
@@ -286,15 +290,16 @@ class _CountingBudget(int):
 
 def test_hamiltonian_path_nodes_over_t13_audit(even_n12, monkeypatch):
     # the degree prune and the fewest-unvisited-neighbours order keep the
-    # T1.3 audit of the even n <= 12 instances, 432 searches, near 5,130
-    # nodes; the plain DFS of the oracle visits 23,876
+    # T1.3 audit of the even n <= 12 instances, 191 searches, near 2,270
+    # nodes; one search per edge, 432 of them, took near 5,130, and the
+    # plain DFS of the oracle 23,876
     monkeypatch.setattr(matching, "HAMILTONIAN_PATH_NODE_BUDGET",
                         _CountingBudget(1 << 20))
     monkeypatch.setattr(_CountingBudget, "nodes", 0)
     for inst in even_n12:
         [res] = audit_instance(inst, AuditConfig(theorems=("T1.3",)))
         assert res.verdict == "pass"
-    assert 432 <= _CountingBudget.nodes <= 6000
+    assert 191 <= _CountingBudget.nodes <= 3000
 
 
 def _count_flow_calls(monkeypatch, module=matching):
@@ -310,23 +315,69 @@ def _count_flow_calls(monkeypatch, module=matching):
     return calls
 
 
-def test_t13_audit_builds_the_triangulation_once(inst10, monkeypatch):
-    calls = _count_flow_calls(monkeypatch)
-    triangulation = spanning_triangulation(inst10)
-    one_build = len(calls)
-    assert one_build >= 1
-    calls.clear()
-    built = {}
+def _alternates_along_hamiltonian_path(inst, tadj, m, e):
+    """Whether ``m`` is the edge ``e`` = uv and every other edge of a
+    Hamiltonian u-v path, from its second edge on, in the triangulation
+    with neighbour masks ``tadj``: a walk from u that enters a vertex by
+    a triangulation edge and leaves it by its matching edge, which must
+    also be a triangulation edge, covering every vertex and ending at v."""
+    u, v = inst.edges[e]
+    partner = {}
+    for f in m.edges:
+        a, b = inst.edges[f]
+        partner[a], partner[b] = b, a
+    if len(partner) != inst.n or partner[u] != v:
+        return False
+    full = (1 << inst.n) - 1
+
+    def walk(x, seen):
+        if seen == full:
+            return bool(tadj[x] >> v & 1)
+        for y in range(inst.n):
+            z = partner[y]
+            if (not seen >> y & 1 and tadj[x] >> y & 1 and tadj[y] >> z & 1
+                    and walk(z, seen | 1 << y | 1 << z)):
+                return True
+        return False
+
+    return walk(u, 1 << u | 1 << v)
+
+
+def test_t13_audit_builds_the_triangulation_once(even_n12, monkeypatch):
+    # one spanning triangulation per instance, shared by every edge; each
+    # edge's matching is perfect, holds the edge and alternates along a
+    # Hamiltonian path of the triangulation between the edge's ends; and
+    # with the Hamiltonian cycles found reused, the ten even n <= 12
+    # instances take 191 path searches, not one per edge (432)
+    builds = []
+    build = verify.spanning_triangulation
+    monkeypatch.setattr(verify, "spanning_triangulation",
+                        lambda inst: builds.append(build(inst)) or builds[-1])
+    searches = []
+    search = matching.hamiltonian_path
+    monkeypatch.setattr(matching, "hamiltonian_path",
+                        lambda *args: searches.append(args) or search(*args))
+    built = []
     make = matching.matching_via_hamiltonian_path
-    monkeypatch.setattr(
-        "o1ppg.verify.matching_via_hamiltonian_path",
-        lambda inst, e, tri: built.setdefault(e, make(inst, e, tri)))
-    results = audit_instance(inst10, AuditConfig(theorems=("T1.3",)))
-    assert [r.verdict for r in results] == ["pass"]
-    assert len(calls) == one_build
-    assert sorted(built) == list(range(inst10.edge_count))
-    for e, m in built.items():
-        assert m == make(inst10, e, triangulation)
+
+    def recorded(inst, e, triangulation, cycles):
+        m = make(inst, e, triangulation, cycles)
+        built.append((e, triangulation, m))
+        return m
+
+    monkeypatch.setattr(verify, "matching_via_hamiltonian_path", recorded)
+    for inst in even_n12:
+        builds.clear()
+        built.clear()
+        [res] = audit_instance(inst, AuditConfig(theorems=("T1.3",)))
+        assert res.verdict == "pass"
+        [triangulation] = builds
+        assert [e for e, _t, _m in built] == list(range(inst.edge_count))
+        for e, t, m in built:
+            assert t is triangulation
+            assert m.k == inst.n // 2 and e in m.edges
+            assert _alternates_along_hamiltonian_path(inst, t[0], m, e)
+    assert len(searches) == 191
 
 
 def test_spanning_triangulation_budget(inst9, monkeypatch):

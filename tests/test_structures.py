@@ -6,15 +6,16 @@ from itertools import combinations
 
 import pytest
 from test_generator import _full_relabel
+from test_matching import _sweep
 
 from o1ppg.generator import canonical_key
-from o1ppg import verify
-from o1ppg.matching import Matching, is_extendable, matching_sweep
+from o1ppg import structures, verify
+from o1ppg.matching import Matching, is_extendable
 from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (_walk_regions, bowties_by_triangle_pairs,
                            build_patterns, certificate_by_sets,
                            embeds_by_flips, is_orientable, matching_masks,
-                           odd_regions_by_face_merge,
+                           odd_regions_by_face_merge, pattern_maps_by_edges,
                            sweep_three_matchings_in_order)
 from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
                               PATTERN_IDS, _candidate_maps, _parities_ok,
@@ -100,30 +101,67 @@ def test_pattern_self_match():
         assert any(all(phi[v] == v for v in phi) for phi in maps)
 
 
-def test_match_pattern_agrees_with_flip_oracle(instances10, corpus_n12):
-    # every pattern on the n <= 10 instances, the committed n <= 12 ones and
-    # the base patterns themselves, whose graph automorphisms are candidate
-    # maps: the encoding test accepts a candidate map iff some vertex flip
-    # makes the host restricted to its image the pattern, parities aside
+def _is_subsequence(sub, seq):
+    """Whether ``sub`` is ``seq`` with some items left out."""
+    rest = iter(seq)
+    return all(item in rest for item in sub)
+
+
+def test_match_pattern_agrees_with_flip_oracle(corpus10, instances10,
+                                               corpus_n12):
+    # every pattern on the n <= 10 instances, the committed n <= 12 ones,
+    # the classes of minimum degree >= 3 of the n <= 10 corpus and the base
+    # patterns themselves, whose graph automorphisms are candidate maps.
+    # Of the maps sending pattern edges to host edges, signs ignored
+    # (``pattern_maps_by_edges``), the encoding test accepts one iff some
+    # vertex flip makes the host restricted to its image the pattern,
+    # parities aside; the sign pruning of ``_candidate_maps`` keeps every
+    # such map, in the same order, and drops some of the others
     hosts = [inst.quad.embedding for inst in instances10 + corpus_n12]
+    classes = [EmbeddedGraph(srs) for members in corpus10.values()
+               for _key, srs in members if min(map(len, srs.rotations)) >= 3]
     bases = [get_pattern(pid).embedding for pid in PATTERN_IDS
              if pid not in _CONFIG_ROLES]
-    accepted = rejected = 0
-    for host in hosts + bases:
+    accepted = rejected = pruned = 0
+    for host in hosts + classes + bases:
         edge_of = edge_lookup(host.srs)
+        embedded = {}       # per base: its maps that pass the flip oracle
         for pid in PATTERN_IDS:
             pat = get_pattern(pid)
-            candidates = _candidate_maps(host, pat)
-            embedded = [phi for phi in candidates
-                        if embeds_by_flips(host, pat, phi)]
+            base = _CONFIG_ROLES.get(pid, (pid,))[0]
+            if base not in embedded:
+                candidates = pattern_maps_by_edges(host, pat)
+                kept = _candidate_maps(host, pat)
+                embedded[base] = [phi for phi in candidates
+                                  if embeds_by_flips(host, pat, phi)]
+                assert _is_subsequence(kept, candidates)
+                assert _is_subsequence(embedded[base], kept)
+                rejected += len(candidates) - len(embedded[base])
+                pruned += len(candidates) - len(kept)
             maps = match_pattern(host, pat)
-            assert maps == [phi for phi in embedded if _parities_ok(
+            assert maps == [phi for phi in embedded[base] if _parities_ok(
                 host, pat, [edge_of[phi[u], phi[v]]
                             for (u, v, _s) in pat.embedding.srs.edges])]
-            if host not in bases:
+            if host in hosts:
                 accepted += len(maps)
-            rejected += len(candidates) - len(embedded)
-    assert accepted == 6710 and rejected > 0
+    assert accepted == 6710 and rejected > pruned > 0
+
+
+def test_sign_pruning_leaves_fig4_3_no_candidate(even_n12, monkeypatch):
+    # on the even n <= 12 hosts every edge-preserving map of fig4-3 has
+    # unbalanced signs, so none reaches the restricted system and its
+    # encoding (324 did without the sign pruning)
+    restricted = []
+    restrict = structures.restricted_system
+    monkeypatch.setattr(structures, "restricted_system",
+                        lambda *args: restricted.append(args)
+                        or restrict(*args))
+    pat = get_pattern("fig4-3")
+    unpruned = 0
+    for inst in even_n12:
+        assert match_pattern(inst.quad.embedding, pat) == []
+        unpruned += len(pattern_maps_by_edges(inst.quad.embedding, pat))
+    assert restricted == [] and unpruned == 324
 
 
 def test_k4_hosts_no_bowtie(k4):
@@ -258,7 +296,7 @@ def test_certificate_i_implies_odd_component(inst10):
     # a length-6 region with V(W) inside V(M) and an odd uncovered interior
     # forces an odd component, hence non-extendability
     ctx = _ctx(inst10)
-    sweep = matching_sweep(inst10, 3, {0: True})
+    sweep = _sweep(inst10, 3)
     hit = 0
     for combo, _vm in matching_masks(inst10, 3):
         m = Matching(frozenset(combo))
@@ -275,7 +313,7 @@ def test_certificate_i_implies_odd_component(inst10):
 
 def test_diagnose_full_sweep_no_counterexamples(inst10):
     ctx = _ctx(inst10)
-    sweep = matching_sweep(inst10, 3, {0: True})
+    sweep = _sweep(inst10, 3)
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
     for combo, vm in matching_masks(inst10, 3):
         extendable = is_extendable(inst10, Matching(frozenset(combo)), sweep)
@@ -332,7 +370,7 @@ def test_mask_sweep_matches_ordered_sweep(inst10, even_n12):
     # non-extendable list is the ordered sweep's, in the same order
     nonext = 0
     for inst in _sweep_cases(inst10, even_n12):
-        sweep = matching_sweep(inst, 3, {0: True})
+        sweep = _sweep(inst, 3)
         counts, disagreement = sweep_three_matchings(inst, sweep,
                                                      _regions(inst))
         want_counts, want_nonext, want = sweep_three_matchings_in_order(inst)
@@ -374,7 +412,7 @@ def test_mask_sweep_disagreement_matches_ordered_sweep(inst10, even_n12,
     monkeypatch.setattr(verify, "find_blocker", recorded)
     for inst, nonext in cases:
         _counts, got = sweep_three_matchings(
-            inst, matching_sweep(inst, 3, {0: True}), _regions(inst))
+            inst, _sweep(inst, 3), _regions(inst))
         _counts, partial, want = sweep_three_matchings_in_order(inst)
         assert got == want
         combo, detail = got

@@ -1,7 +1,9 @@
 """Surface core: tracing, the P^2 test, essential cycles, regions,
 representativity, and the .srs text format."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from test_connectivity import _audited_cuts, _relabelled
@@ -147,6 +149,23 @@ def test_region_decompose_bowtie_full(bowtie):
     for r in regions:
         assert r.is_two_cell
         assert [w.length for w in r.boundary_walks] == [6]
+
+
+def test_untraced_regions_form_no_reference_cycle(bowtie):
+    # with the cyclic collector off, dropping a decomposition frees its
+    # regions at once; a region kept alone still traces its walks, and
+    # holds none of the others
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        regions = region_decompose(bowtie, range(6))
+        kept, dropped = regions[0], weakref.ref(regions[1])
+        del regions
+        assert dropped() is None
+        assert [w.length for w in kept.boundary_walks] == [6]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_region_decompose_trivial_cycle_disc_plus_crosscap(k4):

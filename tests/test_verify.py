@@ -2,12 +2,14 @@
 deterministic reports."""
 
 import copy
+import hashlib
 import sys
 from pathlib import Path
 
 import pytest
+from test_generator import _script
 
-from o1ppg import _kernels, matching, structures, surface, verify
+from o1ppg import matching, structures, surface, verify
 from o1ppg.cli import main
 from o1ppg.connectivity import vertex_connectivity
 from o1ppg.errors import EmptyCorpus, O1ppgError, UnknownTheorem
@@ -213,36 +215,51 @@ def _five_connected(corpus_n12):
 
 def test_audit_sweeps_each_k_once(corpus_n12, monkeypatch):
     # T1.3 reads one 1-matching sweep; T1.4, C1.5 and L4.2 one 2-matching
-    # sweep; T1.6, NoThreeExt and L4.2 one 3-matching sweep
-    calls = []
-    covered = matching.covered_masks
-
-    def counted(inst, k):
-        calls.append(k)
-        return covered(inst, k)
-
-    monkeypatch.setattr(matching, "covered_masks", counted)
-    results = audit_instance(_five_connected(corpus_n12))
-    assert all(r.verdict == "pass" for r in results)
-    assert sorted(calls) == [1, 2, 3]
+    # sweep; T1.6, NoThreeExt and L4.2 one 3-matching sweep; each even
+    # audit builds one perfect-matching table, which every sweep reads, and
+    # an odd one builds none
+    tables, sweeps = [], []
+    build = verify.perfect_matching_table
+    sweep = verify.matching_sweep
+    monkeypatch.setattr(verify, "perfect_matching_table",
+                        lambda n, adj: tables.append(build(n, adj))
+                        or tables[-1])
+    monkeypatch.setattr(verify, "matching_sweep",
+                        lambda inst, k, table: sweeps.append((k, table))
+                        or sweep(inst, k, table))
+    for inst in corpus_n12:
+        tables.clear()
+        sweeps.clear()
+        results = audit_instance(inst)
+        assert all(r.verdict != "fail" for r in results)
+        if inst.n % 2:
+            assert tables == sweeps == []
+            continue
+        [table] = tables
+        assert all(t is table for _k, t in sweeps)
+        assert sorted(k for k, _t in sweeps) == [1, 2, 3]
 
 
 def test_audit_tests_perfect_matchings_only_in_sweeps(corpus_n12,
                                                       monkeypatch):
     # every extendability question of the audit reads one of its sweeps, so
-    # every perfect-matching test runs inside matching.matching_sweep
+    # the perfect-matching table is read inside matching.matching_sweep only
     sweep_code = matching.matching_sweep.__code__
     inside = []
-    pm_exists = _kernels.pm_exists
 
-    def recorded(adj, alive, memo=None):
-        frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not sweep_code:
-            frame = frame.f_back
-        inside.append(frame is not None)
-        return pm_exists(adj, alive, memo)
+    class Recorded(bytearray):
+        def __getitem__(self, mask):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not sweep_code:
+                frame = frame.f_back
+            inside.append(frame is not None)
+            return bytearray.__getitem__(self, mask)
 
-    monkeypatch.setattr(_kernels, "pm_exists", recorded)
+    def recorded(n, adj):
+        table = matching.perfect_matching_table(n, adj)
+        return table._replace(perfect=Recorded(table.perfect))
+
+    monkeypatch.setattr(verify, "perfect_matching_table", recorded)
     results = audit_instance(_five_connected(corpus_n12))
     assert all(r.verdict == "pass" for r in results)
     assert inside and all(inside)
@@ -386,3 +403,15 @@ def test_corpus_n12_report_matches_golden(corpus_n12_dir, tmp_path,
     assert main(["verify", "--corpus", str(corpus_n12_dir),
                  "--report", str(out)]) == 0
     assert out.read_bytes() == GOLDEN_N12.read_bytes()
+
+
+def test_audit_digest_reads_the_golden_report(corpus_n12_dir):
+    # scripts/audit_digest.py audits the corpus as o1ppg verify does, so
+    # its sha256 is the golden file's; its counts are those of the audit,
+    # one perfect-matching table per even instance
+    sha, seconds, counts = _script("audit_digest").audit_digest(
+        corpus_n12_dir)
+    assert sha == hashlib.sha256(GOLDEN_N12.read_bytes()).hexdigest()
+    assert list(seconds) == list(THEOREM_IDS)
+    assert counts == {"pm_tables": 10, "hamiltonian_searches": 191,
+                      "pattern_maps_tried": 134, "pattern_maps_accepted": 64}
