@@ -7,10 +7,13 @@ moved.
 prints the sha256 of the report ``o1ppg verify`` writes for the corpus, the
 CPU seconds of each theorem's check in the full audit, least over the runs,
 and the kernel counts of one more run: perfect-matching tables built,
-Hamiltonian-path searches, and pattern maps tried (the candidate maps that
-reach the encoding test) and accepted.  A check's seconds include the
-shared intermediates it is the first to read, as in the audit itself.  A
-count whose function the tree does not have prints as ``absent``.
+Hamiltonian-path searches, pattern maps tried (the candidate maps that
+reach the encoding test) and accepted, region boundary traces (calls to
+``surface._trace_boundaries``) and the cycles the short-cycle search
+yields.  A count's function is wrapped in every ``o1ppg`` module that
+binds it.  A check's seconds include the shared intermediates it is the
+first to read, as in the audit itself.  A count whose function the tree
+does not have prints as ``absent``.
 """
 
 import argparse
@@ -23,7 +26,7 @@ from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from o1ppg import matching, structures, verify
+from o1ppg import graphs, matching, structures, surface, verify
 from o1ppg.generator import load_corpus_instances
 
 #: (name, module, function, amount one call adds): each count is the sum
@@ -33,6 +36,8 @@ COUNTS = (
     ("hamiltonian_searches", matching, "hamiltonian_path", lambda _out: 1),
     ("pattern_maps_tried", structures, "_candidate_maps", len),
     ("pattern_maps_accepted", structures, "match_pattern", len),
+    ("boundary_traces", surface, "_trace_boundaries", lambda _out: 1),
+    ("cycles_enumerated", graphs, "enumerate_cycles", len),
 )
 
 
@@ -63,6 +68,13 @@ def _counted(amount, fn, total, name):
     return counted
 
 
+def _binders(target, fn):
+    """The loaded ``o1ppg`` modules whose name ``fn`` is ``target``."""
+    return [module for name, module in sorted(sys.modules.items())
+            if name.partition(".")[0] == "o1ppg"
+            and getattr(module, fn, None) is target]
+
+
 def audit_digest(corpus, runs=1):
     """``(report sha256, {theorem: least CPU seconds over runs}, {count
     name: count or None when absent})`` of the audit of ``corpus``."""
@@ -77,9 +89,11 @@ def audit_digest(corpus, runs=1):
         for name, module, fn, amount in COUNTS:
             if hasattr(module, fn):
                 totals[name] = 0
-                patches.enter_context(mock.patch.object(
-                    module, fn,
-                    _counted(amount, getattr(module, fn), totals, name)))
+                target = getattr(module, fn)
+                counted = _counted(amount, target, totals, name)
+                for binder in _binders(target, fn):
+                    patches.enter_context(
+                        mock.patch.object(binder, fn, counted))
         _audit(corpus, config, dict.fromkeys(config.theorems, 0.0))
     counts = {name: totals.get(name) for name, *_rest in COUNTS}
     return hashlib.sha256(report.encode()).hexdigest(), seconds, counts

@@ -30,6 +30,12 @@ def _load_instance(path, allow_small=False):
     return build_o1ppg(q, allow_small=allow_small)
 
 
+def _reject(exc):
+    """Report an input that fails validation; its exit code, 2."""
+    print(f"reject: {type(exc).__name__}: {exc}")
+    return 2
+
+
 def cmd_generate(args):
     rows = write_corpus(args.out, args.max_n)
     by_n = {}
@@ -49,8 +55,7 @@ def cmd_validate(args):
         q = validate_quadrangulation(EmbeddedGraph(srs),
                                      require_polyhedral=not args.lenient)
     except O1ppgError as exc:
-        print(f"reject: {type(exc).__name__}: {exc}")
-        return 2
+        return _reject(exc)
     print(f"accept: n={q.vertex_count} polyhedral={q.polyhedral} "
           f"bipartite={q.bipartite} key={short_key(q.embedding.srs)}")
     return 0
@@ -68,7 +73,10 @@ def cmd_analyze(args):
     if bad:
         print(f"unknown checks: {','.join(bad)}", file=sys.stderr)
         return 1
-    inst = _load_instance(args.input, allow_small=args.allow_small)
+    try:
+        inst = _load_instance(args.input, allow_small=args.allow_small)
+    except O1ppgError as exc:
+        return _reject(exc)
     emb = inst.quad.embedding
     audit = _InstanceAudit(inst)     # the audit's shared intermediates
     for check in checks:
@@ -181,7 +189,10 @@ def export_dot(inst, highlight_edges=frozenset()):
 
 
 def cmd_export_dot(args):
-    inst = _load_instance(args.input, allow_small=True)
+    try:
+        inst = _load_instance(args.input, allow_small=True)
+    except O1ppgError as exc:
+        return _reject(exc)
     highlight = set()
     if args.witness:
         for tok in args.witness.split(","):

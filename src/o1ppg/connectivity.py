@@ -122,7 +122,7 @@ def _contains_separating_trivial_4cycle(inst, ca: CutAnalysis):
     """Whether Q[S] holds a two-sided (sign product +1) 4-cycle whose four
     host vertices separate the full graph."""
     full = (1 << inst.n) - 1
-    for cycle, _ids, sign in signed_cycles(ca.srs, 4):
+    for cycle, sign in signed_cycles(ca.srs, 4):
         if len(cycle) != 4 or sign != 1:
             continue           # a triangle, or essential, not trivial
         mask = full

@@ -158,31 +158,43 @@ def _max_vertex_disjoint(head, out, s, t, limit):
     return flow
 
 
-def enumerate_cycles(n, adj, max_len):
-    """All cycles of length <= max_len, as vertex tuples.
+def enumerate_cycles(n, adj, max_len, neg=None):
+    """All cycles of length <= max_len, as vertex tuples; given ``neg``,
+    per vertex the mask of its neighbours across negative edges, as
+    ``(cycle, sign)`` pairs, ``sign`` the product of the cycle's edge
+    signs (the search carries the parity of the negative edges it walks).
 
     Each cycle appears once, rooted at its smallest vertex with its second
     vertex smaller than its last (canonical direction).
     """
+    signed = neg is not None
+    if not signed:
+        neg = [0] * n
     cycles = []
     for root in range(n):
         above = -2 << root          # the vertices after the root
         closes = adj[root]          # a path ending here closes a cycle
-        stack = [(root, 1 << root, (root,))]
+        back = neg[root]            # ... across a negative edge
+        stack = [(root, 1 << root, (root,), 0)]
         while stack:
-            v, visited, path = stack.pop()
+            v, visited, path, odd = stack.pop()
             size = len(path)
             if size >= 3 and (closes >> v) & 1 and path[1] < path[-1]:
-                cycles.append(path)
+                if signed:
+                    cycles.append((path, -1 if odd ^ back >> v & 1 else 1))
+                else:
+                    cycles.append(path)
             if size >= max_len:
                 continue
             m = adj[v] & above & ~visited
             if size == max_len - 1:
                 m &= closes         # the next vertex must close the cycle
+            flips = neg[v]
             while m:
                 w = (m & -m).bit_length() - 1
                 m &= m - 1
-                stack.append((w, visited | (1 << w), path + (w,)))
+                stack.append((w, visited | (1 << w), path + (w,),
+                              odd ^ flips >> w & 1))
     return cycles
 
 

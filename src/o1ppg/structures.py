@@ -162,15 +162,6 @@ def find_projective_bowties(emb):
 
 # -- embedded pattern matching ------------------------------------------------
 
-def _negative_masks(srs):
-    """Per vertex, the mask of its neighbours across negative edges."""
-    neg = [0] * srs.vertex_count
-    for u, v, s in srs.edges:
-        neg[u] |= (s < 0) << v
-        neg[v] |= (s < 0) << u
-    return neg
-
-
 def _candidate_maps(host: EmbeddedGraph, pat: ConfigPattern):
     """Every injective vertex map ``{pattern vertex: host vertex}`` that
     sends pattern edges to host edges with balanced signs, by backtracking
@@ -179,44 +170,57 @@ def _candidate_maps(host: EmbeddedGraph, pat: ConfigPattern):
     Vertex flips can give each image edge its pattern edge's sign only if
     the pattern, signed by the products of the two signs, is balanced
     (Harary, "On the notion of balance of a signed graph", 1953), so each
-    mapped vertex gets the gauge, or flip, that its mapped neighbours force."""
-    padj = list(map(set, pat.embedding.srs.adjacency()))
-    hadj = list(map(set, host.srs.adjacency()))
-    pneg, hneg = _negative_masks(pat.embedding.srs), _negative_masks(host.srs)
-    pn, hn = len(padj), len(hadj)
+    mapped vertex gets the gauge, or flip, that its mapped neighbours force.
+    Vertex sets are masks: a position's candidates are the common host
+    neighbours of its anchors (its mapped pattern neighbours), unused and
+    of high enough degree, visited in increasing host-vertex order."""
+    psrs, hsrs = pat.embedding.srs, host.srs
+    padj, hadj = psrs.adjacency_masks(), hsrs.adjacency_masks()
+    pneg, hneg = psrs.negative_masks(), hsrs.negative_masks()
+    pn = len(padj)
+    hdeg = [m.bit_count() for m in hadj]
+    # per pattern vertex, the host vertices of at least its degree
+    roomy = [vertex_mask(hv for hv, d in enumerate(hdeg)
+                         if d >= m.bit_count()) for m in padj]
 
-    # order pattern vertices so each new one touches the mapped prefix
-    order = [0]
+    # order pattern vertices so each new one touches the mapped prefix, and
+    # give each position its anchors with the signs of their pattern edges
+    order, placed = [0], 1
+    anchors = [()]
     while len(order) < pn:
-        order.append(max(set(range(pn)) - set(order), key=lambda v: (
-            len(padj[v].intersection(order)), -v)))
+        v = max((w for w in range(pn) if not placed >> w & 1),
+                key=lambda w: ((padj[w] & placed).bit_count(), -w))
+        anchors.append(tuple((u, pneg[u] >> v & 1) for u in order
+                             if padj[v] >> u & 1))
+        order.append(v)
+        placed |= 1 << v
 
     maps = []
+    image = [0] * pn
     gauge = [0] * pn        # 1 where a mapped pattern vertex is flipped
 
-    def extend(idx, phi):
+    def extend(idx, used):
         if idx == pn:
-            maps.append(dict(phi))
+            maps.append({v: image[v] for v in order})
             return
         v = order[idx]
-        anchors = [u for u in padj[v] if u in phi]
-        cands = set(hadj[phi[anchors[0]]]) if anchors else set(range(hn))
-        for u in anchors[1:]:
-            cands &= hadj[phi[u]]
-        cands -= set(phi.values())
+        cands = roomy[v] & ~used
         one = zero = -1         # host vertices every anchor gauges 1, or 0
-        for u in anchors:
-            flip = hneg[phi[u]] ^ -(gauge[u] ^ pneg[u] >> v & 1)
+        for u, negative in anchors[idx]:
+            hu = image[u]
+            cands &= hadj[hu]
+            flip = hneg[hu] ^ -(gauge[u] ^ negative)
             one, zero = one & flip, zero & ~flip
-        for hv in sorted(cands):
-            if len(padj[v]) > len(hadj[hv]) or not (one | zero) >> hv & 1:
-                continue
+        cands &= one | zero
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            hv = low.bit_length() - 1
             gauge[v] = one >> hv & 1
-            phi[v] = hv
-            extend(idx + 1, phi)
-            del phi[v]
+            image[v] = hv
+            extend(idx + 1, used | low)
 
-    extend(0, {})
+    extend(0, 0)
     return maps
 
 

@@ -24,7 +24,9 @@ The short-walk regions, every 2-cell region bounded by a separating closed
 walk of 3 to 6 vertices, come as a list (``short_walk_regions``) that the
 caller keeps: the audit finds them once per instance and drops them with
 itself, so an embedding keeps nothing of an audit but its lazy face
-tables (``corner_face``, ``edge_faces``, ``vertex_faces``).
+tables (``corner_face``, ``edge_faces``, ``vertex_faces``).  The disc of
+a two-sided cycle, with or without a pendant edge, has a walk known from
+the cycle, so only the regions of triangle pairs are traced.
 
 Both questions the model asks of a surface are read off the traced faces.
 A connected system with an edge is on P^2 iff its Euler characteristic is
@@ -42,7 +44,9 @@ the one joining its two labelled vertices.  The graph facts of a system
 are answered here too: the edge ids by endpoint pair (``edge_lookup``, a
 dict each caller builds and drops, so a system caches none) and the short
 cycles with their sign products (``signed_cycles``), which decide on P^2
-whether a cycle is one-sided.
+whether a cycle is one-sided.  The cycle search carries each sign from
+the negative-neighbour masks (``negative_masks``) and yields no edge ids;
+a caller that cuts along a cycle looks its ids up.
 """
 
 from __future__ import annotations
@@ -184,6 +188,15 @@ class SignedRotationSystem:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return adj
+
+    def negative_masks(self):
+        """Per vertex, the mask of its neighbours across negative edges."""
+        neg = [0] * self.vertex_count
+        for u, v, s in self.edges:
+            if s < 0:
+                neg[u] |= 1 << v
+                neg[v] |= 1 << u
+        return neg
 
     def is_connected(self):
         return is_connected_mask(self.adjacency_masks(),
@@ -475,18 +488,35 @@ def short_walk_regions(g: EmbeddedGraph):
     - two triangles sharing one edge, the shared edge walked twice.
 
     A one-sided cycle (sign product -1) does not separate P^2, with or
-    without a pendant edge; a two-sided one bounds one disc, and a
-    pendant edge keeps that disc a 2-cell only when it enters the disc,
-    which a face's disc has no vertex for.  Each remaining edge set is
-    cut once, and a region is kept when it is a 2-cell whose boundary
-    walk, of at most 6 vertices, covers the whole edge set.
+    without a pendant edge.  A two-sided one bounds one disc (Mohar &
+    Thomassen, *Graphs on Surfaces*, 2001), the 2-cell region of its cut,
+    and the rest is a Moebius band; a pendant edge keeps that disc a
+    2-cell only when it enters the disc, which a face's disc has no
+    vertex for.  Each remaining edge set is cut once, and a region is
+    kept when it is a 2-cell whose boundary walk, of at most 6 vertices,
+    covers the whole edge set.
+
+    The walks of the first two shapes are read off the facts, and no
+    boundary is traced for them: the disc of a two-sided cycle, the
+    2-cell region of boundary length ``len(cycle)``, has the cycle as its
+    walk, and with a pendant edge c-x the disc, now of boundary length
+    ``len(cycle) + 2``, has the walk that goes c, x, c and on around the
+    cycle.  Only the triangle pairs, whose walk order depends on the
+    rotations, read the traced walks (``Region.boundary_walks``).  Edge
+    ids are looked up for the cycles cut and the triangles alone.
     ``o1ppg.oracles._walk_regions`` is the closed-walk reference.
     """
     srs = g.srs
+    edge_of = edge_lookup(srs)
     faces = {frozenset(f.edge_ids()) for f in g.faces}
     found = {}
 
-    def keep(edges, regions):
+    def keep_disc(walk, regions):
+        for region in regions:
+            if region.is_two_cell and region.boundary_length == len(walk):
+                found[canonical_walk(walk)] = region
+
+    def keep_traced(edges, regions):
         if len(regions) < 2:
             return
         for region in regions:
@@ -497,14 +527,17 @@ def short_walk_regions(g: EmbeddedGraph):
                     found[canonical_walk(bw.vertices)] = region
 
     triangles = []
-    for cycle, ids, sign in signed_cycles(srs, 6):
-        edges = frozenset(ids)
+    for cycle, sign in signed_cycles(srs, 6):
+        if sign < 0 and len(cycle) > 3:
+            continue        # cut neither alone nor in a triangle pair
+        edges = frozenset(map(edge_of.__getitem__,
+                              zip(cycle, cycle[1:] + cycle[:1])))
         if len(cycle) == 3:
             triangles.append((cycle, edges))
         if sign < 0:
             continue
         regions = region_decompose(g, edges)
-        keep(edges, regions)
+        keep_disc(cycle, regions)
         if len(cycle) > 4 or edges in faces:
             continue
         on_cycle = vertex_mask(cycle)
@@ -513,13 +546,14 @@ def short_walk_regions(g: EmbeddedGraph):
                 continue
             for x in region.interior_vertices:
                 for d in srs.rotations[x]:
-                    if on_cycle >> srs.dart_vertex(d ^ 1) & 1:
-                        with_pendant = edges | {d >> 1}
-                        keep(with_pendant,
-                             region_decompose(g, with_pendant))
+                    c = srs.dart_vertex(d ^ 1)
+                    if on_cycle >> c & 1:
+                        i = cycle.index(c)
+                        keep_disc((c, x) + cycle[i:] + cycle[:i],
+                                  region_decompose(g, edges | {d >> 1}))
     for (t1, e1), (t2, e2) in combinations(triangles, 2):
         if set(t1) & set(t2):
-            keep(e1 | e2, region_decompose(g, e1 | e2))
+            keep_traced(e1 | e2, region_decompose(g, e1 | e2))
     return [(walk, found[walk]) for walk in sorted(found)]
 
 
@@ -553,17 +587,12 @@ def _sign_product(srs, edge_ids):
 
 
 def signed_cycles(srs: SignedRotationSystem, max_len):
-    """Yield ``(cycle, edge ids, sign product)`` for every cycle of at most
-    ``max_len`` vertices of the simple system ``srs``, in the order and
-    form of ``graphs.enumerate_cycles``; edge ``i`` joins ``cycle[i]`` and
-    ``cycle[i + 1]``, the last one closing the cycle.  On P^2 a cycle is
-    one-sided (essential) iff its sign product is -1."""
-    edge_of = edge_lookup(srs)
-    for cycle in enumerate_cycles(srs.vertex_count, srs.adjacency_masks(),
-                                  max_len):
-        ids = tuple(map(edge_of.__getitem__,
-                        zip(cycle, cycle[1:] + cycle[:1])))
-        yield cycle, ids, _sign_product(srs, ids)
+    """``(cycle, sign product)`` for every cycle of at most ``max_len``
+    vertices of the simple system ``srs``, in the order and form of
+    ``graphs.enumerate_cycles``, whose search carries the sign.  On P^2
+    a cycle is one-sided (essential) iff its sign product is -1."""
+    return enumerate_cycles(srs.vertex_count, srs.adjacency_masks(), max_len,
+                            srs.negative_masks())
 
 
 # -- representativity -------------------------------------------------------

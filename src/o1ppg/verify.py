@@ -275,7 +275,7 @@ class _InstanceAudit:
     def check_P21(self):
         ess_parities = set()
         count = 0
-        for cyc, _ids, sign in signed_cycles(self.inst.quad.embedding.srs, 8):
+        for cyc, sign in signed_cycles(self.inst.quad.embedding.srs, 8):
             count += 1
             if sign != 1:
                 ess_parities.add(len(cyc) % 2)

@@ -7,6 +7,7 @@ import pytest
 
 from o1ppg import srsio
 from o1ppg.cli import main
+from o1ppg.fixtures import fix_k4
 from o1ppg.generator import canonical_key, load_corpus_instances
 
 
@@ -261,6 +262,23 @@ def test_manifest_byte_that_is_not_ascii_is_an_error(command, tmp_path,
         "is not ASCII\n")
     # generate refuses the old manifest before it writes anything
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.tsv"]
+
+
+@pytest.mark.parametrize("command", [["analyze", "--allow-small"],
+                                     ["export-dot", "--out", "g.dot"]])
+def test_instance_commands_reject_what_fails_validation(command, tmp_path,
+                                                        monkeypatch, capsys):
+    # K4 on P^2 has representativity 2, so it is no polyhedral
+    # quadrangulation: analyze and export-dot reject it as validate does
+    monkeypatch.chdir(tmp_path)
+    k4 = tmp_path / "k4.srs"
+    k4.write_text(srsio.dumps(fix_k4().srs))
+    assert main(["validate", "--in", str(k4)]) == 2
+    reject = capsys.readouterr().out
+    assert reject == "reject: NotPolyhedral: representativity 2 < 3\n"
+    assert main([command[0], "--in", str(k4), *command[1:]]) == 2
+    assert capsys.readouterr() == (reject, "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k4.srs"]
 
 
 def test_missing_file_is_usage_error(capsys):

@@ -215,6 +215,29 @@ def test_short_cycle_regions_match_closed_walk_oracle(corpus10, corpus_n12):
             fn(_regions(corpus_n12[0]), 7)
 
 
+def test_short_walk_regions_from_facts_match_traced_walks(corpus10,
+                                                          corpus_n12):
+    # the discs of the cycles and of the 3- and 4-cycles with a pendant
+    # edge, whose edge graphs have as many vertices as edges, are kept
+    # untraced; traced afterwards, each has one walk, the walk it is keyed
+    # by.  The triangle pairs, one edge more, are the regions traced
+    hosts = [EmbeddedGraph(srs) for n, members in corpus10.items() if n <= 8
+             for _key, srs in members]
+    untraced = set()
+    for host in hosts + corpus_n12:
+        emb = host.quad.embedding if hasattr(host, "quad") else host
+        for walk, region in short_walk_regions(emb):
+            vertices, edges = _walk_shape(walk)
+            assert (region._walks is None) == (vertices == edges)
+            if region._walks is None:
+                untraced.add((len(walk), vertices))
+                (traced,) = region.boundary_walks
+                assert canonical_walk(traced.vertices) == walk
+    # two-sided cycles are even in a quadrangulation: 4- and 6-cycles, and
+    # 4-cycles with a pendant edge
+    assert untraced == {(4, 4), (6, 6), (6, 5)}
+
+
 def test_faces_never_odd_regions(instances10):
     # faces of Q(G) have no interior vertices, so they are never returned
     for inst in instances10:
@@ -278,18 +301,40 @@ def test_bowtie_in_nonbipartite_host_only(instances10):
             assert find_projective_bowties(inst.quad.embedding) == []
 
 
-def test_essentiality_routes_agree_on_hosts(instances10):
+def test_essentiality_routes_agree_on_hosts(instances10, even_n12):
     # sign product -1 iff cutting along the cycle leaves one region, and
-    # each edge id joins two consecutive cycle vertices
+    # the id ``edge_lookup`` gives each pair of consecutive cycle vertices
+    # joins them; up to P2.1's length 8 on the even n <= 12 hosts, the sign
+    # the cycle search carries is the product over those ids, and the
+    # cycles are those of the unsigned search, in its order
+    from o1ppg.graphs import enumerate_cycles
     from o1ppg.oracles import is_essential, is_essential_by_regions
-    from o1ppg.surface import signed_cycles
+    from o1ppg.surface import _sign_product, signed_cycles
+
+    def cycle_ids(srs, cyc):
+        edge_of = edge_lookup(srs)
+        return [edge_of[cyc[i], cyc[(i + 1) % len(cyc)]]
+                for i in range(len(cyc))]
+
     for inst in instances10:
         emb = inst.quad.embedding
-        for cyc, ids, sign in signed_cycles(emb.srs, 6):
+        for cyc, sign in signed_cycles(emb.srs, 6):
             assert (sign == -1) == is_essential(emb, cyc)
             assert (sign == -1) == is_essential_by_regions(emb, cyc)
-            assert [set(emb.srs.edges[e][:2]) for e in ids] == [
+            assert [set(emb.srs.edges[e][:2])
+                    for e in cycle_ids(emb.srs, cyc)] == [
                 {cyc[i], cyc[(i + 1) % len(cyc)]} for i in range(len(cyc))]
+    long = 0
+    for inst in even_n12:
+        emb = inst.quad.embedding
+        cycles = signed_cycles(emb.srs, 8)
+        assert [cyc for cyc, _sign in cycles] == enumerate_cycles(
+            inst.n, emb.srs.adjacency_masks(), 8)
+        for cyc, sign in cycles:
+            assert sign == _sign_product(emb.srs, cycle_ids(emb.srs, cyc))
+            assert (sign == -1) == is_essential(emb, cyc)
+            long += len(cyc) > 6
+    assert long
 
 
 def test_certificate_i_implies_odd_component(inst10):

@@ -283,6 +283,20 @@ def test_audit_finds_short_walk_regions_once(corpus_n12, monkeypatch):
     assert enumerations == [(True, 6)]
 
 
+def test_corpus_audit_traces_triangle_pairs_only(corpus_n12, monkeypatch):
+    # the short-walk regions of cycles and of cycles with a pendant edge
+    # read their walks off their facts, so a corpus-n12 audit traces 107
+    # boundaries: 105 cuts of the five-connected cut lemmas and 2 triangle
+    # pairs of the short-walk finder
+    traces = []
+    trace = surface._trace_boundaries
+    monkeypatch.setattr(surface, "_trace_boundaries",
+                        lambda *args: traces.append(args) or trace(*args))
+    for inst in corpus_n12:
+        assert all(r.verdict != "fail" for r in audit_instance(inst))
+    assert len(traces) == 107
+
+
 #: the embedding's lazy face tables, the one audit-time state it keeps
 _FACE_TABLES = ("_corner_face", "_edge_faces", "_vertex_faces")
 
@@ -408,10 +422,12 @@ def test_corpus_n12_report_matches_golden(corpus_n12_dir, tmp_path,
 def test_audit_digest_reads_the_golden_report(corpus_n12_dir):
     # scripts/audit_digest.py audits the corpus as o1ppg verify does, so
     # its sha256 is the golden file's; its counts are those of the audit,
-    # one perfect-matching table per even instance
+    # one perfect-matching table per even instance, and the cycles of every
+    # module that calls the cycle search
     sha, seconds, counts = _script("audit_digest").audit_digest(
         corpus_n12_dir)
     assert sha == hashlib.sha256(GOLDEN_N12.read_bytes()).hexdigest()
     assert list(seconds) == list(THEOREM_IDS)
     assert counts == {"pm_tables": 10, "hamiltonian_searches": 191,
-                      "pattern_maps_tried": 134, "pattern_maps_accepted": 64}
+                      "pattern_maps_tried": 134, "pattern_maps_accepted": 64,
+                      "boundary_traces": 107, "cycles_enumerated": 4752}
