@@ -9,11 +9,13 @@ CPU seconds of each theorem's check in the full audit, least over the runs,
 and the kernel counts of one more run: perfect-matching tables built,
 Hamiltonian-path searches, pattern maps tried (the candidate maps that
 reach the encoding test) and accepted, region boundary traces (calls to
-``surface._trace_boundaries``) and the cycles the short-cycle search
-yields.  A count's function is wrapped in every ``o1ppg`` module that
-binds it.  A check's seconds include the shared intermediates it is the
-first to read, as in the audit itself.  A count whose function the tree
-does not have prints as ``absent``.
+``surface._trace_boundaries``), the cycles the short-cycle search
+yields, region decompositions (calls to ``surface.region_decompose``)
+and cut records (``connectivity.analyze_cut`` calls).  A count's
+function is wrapped in every ``o1ppg`` module that binds it.  A check's
+seconds include the shared intermediates it is the first to read, as in
+the audit itself.  A count whose function the tree does not have prints
+as ``absent``.
 """
 
 import argparse
@@ -26,7 +28,7 @@ from unittest import mock
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from o1ppg import graphs, matching, structures, surface, verify
+from o1ppg import connectivity, graphs, matching, structures, surface, verify
 from o1ppg.generator import load_corpus_instances
 
 #: (name, module, function, amount one call adds): each count is the sum
@@ -38,6 +40,8 @@ COUNTS = (
     ("pattern_maps_accepted", structures, "match_pattern", len),
     ("boundary_traces", surface, "_trace_boundaries", lambda _out: 1),
     ("cycles_enumerated", graphs, "enumerate_cycles", len),
+    ("region_decompositions", surface, "region_decompose", lambda _out: 1),
+    ("cuts", connectivity, "analyze_cut", lambda _out: 1),
 )
 
 

@@ -1,7 +1,13 @@
 """Vertex cuts of instances: enumeration, one flat record per cut
-(``CutAnalysis``, built by ``analyze_cut``) holding its components, the
-embedded induced subgraph Q[S] and the host's regions cut along Q[S],
-shape classification, and the cut-lemma audits."""
+(``CutAnalysis``, built by ``analyze_cut``) holding S and its components
+as vertex masks, the embedded induced subgraph Q[S] and the host's
+regions cut along Q[S], shape classification, and the cut-lemma audits.
+
+The clauses read the regions' mask facts (``surface.Region``): a
+component of G - S lies in a region iff it meets the region's interior
+mask, and a 2-cell of boundary length 6 is bounded by a 6-cycle iff its
+boundary mask has 6 vertices.  Only five_conn_ii's walk lengths are read
+off traced walks."""
 
 from __future__ import annotations
 
@@ -34,23 +40,41 @@ class CutAnalysis:
     """One vertex cut S of an instance, with the induced subgraph Q[S] of
     its quadrangulation and the regions of the host cut along Q[S].
 
-    ``regions`` is the one region decomposition every cut clause reads,
-    ``surface.region_decompose`` of ``q_edges``, or [] when Q[S] has no
-    edge: its facts (faces, boundary lengths, interior vertices, Euler
-    characteristics, 2-cells) come with it, and its boundary walks are
-    traced only where a clause reads them.  Q[S]'s rotation system is read
-    only on the 4-, 5- and minimal 6-cuts, by T3.1's separating 4-cycles
-    and the cut shapes, so it is built on first access.
+    S and the components of G - S are vertex masks, so a clause reads a
+    component inside a region as ``interior_mask & component``; S's sorted
+    vertices, which label Q[S] and name the cut in reports, and Q[S]'s
+    degrees are listed on first access.  ``regions`` is the one region
+    decomposition every cut clause reads, ``surface.region_decompose`` of
+    ``q_edges``, or [] when Q[S] has no edge: its facts (face, interior
+    and boundary masks, boundary lengths, Euler characteristics, 2-cells)
+    come with it, and its boundary walks are traced only where a clause
+    reads them.  Q[S]'s rotation system is read only on the 4-, 5- and
+    minimal 6-cuts, by T3.1's separating 4-cycles and the cut shapes, so
+    it is built on first access.
     """
 
-    S: tuple                     # host vertex ids, sorted
-    components: tuple            # of G - S: sorted tuples of vertex ids
+    s_mask: int                  # the vertices of S
+    components: tuple            # of G - S: vertex masks, by least vertex
     odd_count: int               # components of odd order
     is_minimal: bool
     q_edges: tuple               # host edge ids of Q(G) inside S, sorted
-    q_degrees: tuple             # per vertex of ``S``: degree in Q[S]
     regions: list                # the host's regions cut along ``q_edges``
     _host: SignedRotationSystem = field(repr=False, compare=False)
+
+    @cached_property
+    def S(self):
+        """S's host vertex ids, sorted."""
+        return mask_vertices(self.s_mask)
+
+    @cached_property
+    def q_degrees(self):
+        """Per vertex of ``S``, its degree in Q[S]."""
+        deg = dict.fromkeys(self.S, 0)
+        for e in self.q_edges:
+            u, v, _s = self._host.edges[e]
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg.values())
 
     @cached_property
     def srs(self):
@@ -59,26 +83,18 @@ class CutAnalysis:
         return restricted_system(self._host, self.S, self.q_edges)
 
 
-def analyze_cut(inst, S, components, is_minimal) -> CutAnalysis:
-    """The record of the vertex set ``S`` of ``inst`` whose removal leaves
-    ``components``, minimal or not as the caller found: Q(G)[S] over the
-    host quadrangulation's embedding, and the host's regions cut along
-    it."""
+def analyze_cut(inst, s_mask, components, is_minimal) -> CutAnalysis:
+    """The record of the vertex mask ``s_mask`` of ``inst`` whose removal
+    leaves the vertex masks ``components``, in order of their least
+    vertex, minimal or not as the caller found: Q(G)[S] over the host
+    quadrangulation's embedding, and the host's regions cut along it."""
     emb = inst.quad.embedding
-    smask = vertex_mask(S)
-    q_edges = []
-    deg = [0] * inst.n
-    for e, (u, v, _s) in enumerate(emb.srs.edges):
-        if smask >> u & 1 and smask >> v & 1:
-            q_edges.append(e)
-            deg[u] += 1
-            deg[v] += 1
-    S = mask_vertices(smask)
+    q_edges = tuple([e for e, ends in enumerate(emb.face_masks().edge_ends)
+                     if ends & s_mask == ends])
     return CutAnalysis(
-        S=S, components=tuple(sorted(components)),
-        odd_count=sum(len(c) % 2 for c in components),
-        is_minimal=is_minimal, q_edges=tuple(q_edges),
-        q_degrees=tuple(deg[v] for v in S),
+        s_mask=s_mask, components=tuple(components),
+        odd_count=sum([c.bit_count() & 1 for c in components]),
+        is_minimal=is_minimal, q_edges=q_edges,
         regions=region_decompose(emb, q_edges) if q_edges else [],
         _host=emb.srs)
 
@@ -207,13 +223,15 @@ def enumerate_cuts(inst, sizes):
                 break
             for extra in combinations(mask_vertices(full ^ sep), k - size):
                 candidates.add(sep | vertex_mask(extra))
-        for subset, smask in sorted((mask_vertices(m), m)
-                                    for m in candidates):
+        cuts = []
+        for smask in candidates:
             comps = component_masks(adj, full ^ smask)
-            if len(comps) < 2:
-                continue
+            if len(comps) > 1:
+                cuts.append((mask_vertices(smask), smask, comps))
+        cuts.sort()
+        for _vertices, smask, comps in cuts:
             out.append(analyze_cut(
-                inst, subset, [mask_vertices(c) for c in comps],
+                inst, smask, comps,
                 all(_border(adj, c) == smask for c in comps)))
     return out
 
@@ -228,19 +246,18 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
     regions = ca.regions
     out = {}
 
-    # separation: each region of Q[S] contains at most one component
+    # separation: each region of Q[S] contains at most one component, and
+    # each component lies in the interior of exactly one region
     if ca.q_edges:
         verdict = "pass"
-        per_region = [0] * len(regions)
+        holding = 0             # the regions that hold a component
         for comp in ca.components:
-            hits = {ri for ri, r in enumerate(regions)
-                    if not r.interior_vertices.isdisjoint(comp)}
-            if len(hits) != 1:
+            hits = [ri for ri, r in enumerate(regions)
+                    if r.interior_mask & comp]
+            if len(hits) != 1 or holding >> hits[0] & 1:
                 verdict = "fail"
-                continue
-            per_region[hits.pop()] += 1
-        if any(c > 1 for c in per_region):
-            verdict = "fail"
+                break
+            holding |= 1 << hits[0]
         out["separation"] = verdict
     else:
         out["separation"] = "fail" if len(ca.components) > 1 else "pass"
@@ -255,7 +272,7 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
     chi = P2_EULER_CHAR
     E = len(ca.q_edges)
     F = len(regions)
-    S = len(ca.S)
+    S = ca.s_mask.bit_count()
     for q in (3, 4):
         p = sum(1 for r in regions if r.boundary_length >= 2 * q)
         ok_i = E >= 2 * F + (q - 2) * p
@@ -285,9 +302,10 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
         else:
             out["five_conn_ii"] = "inapplicable"
         if S == 6:
-            # a 2-cell has one boundary walk, as long as its boundary
+            # a 2-cell has one boundary walk, as long as its boundary,
+            # which is a cycle iff it visits 6 vertices
             ok = any(r.is_two_cell and r.boundary_length == 6
-                     and r.boundary_walks[0].is_cycle for r in regions)
+                     and r.boundary_mask.bit_count() == 6 for r in regions)
             out["five_conn_iii"] = "pass" if ok else "fail"
         else:
             out["five_conn_iii"] = "inapplicable"

@@ -95,6 +95,7 @@ rebuilt from (``scripts/make_fixtures.py``) and checked against:
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .connectivity import analyze_cut
@@ -103,14 +104,15 @@ from .errors import (EmptySubgraph, MalformedRotation, NoHamPath, NotACycle,
                      TooLarge, TooSmall)
 from .generator import _prefix, canonical_key
 from .graphs import (adjacency_masks, component_masks, enumerate_cycles,
-                     is_connected_mask, vertex_connectivity_flow)
+                     is_connected_mask, mask_vertices,
+                     vertex_connectivity_flow, vertex_mask)
 from .matching import (HAMILTONIAN_PATH_NODE_BUDGET, Matching,
                        _check_matching)
 from .structures import (CertificateContext, _with_roles, diagnose_mask,
                          get_pattern)
-from .surface import (_SEP, EmbeddedGraph, FaceWalk, Region,
-                      SignedRotationSystem, _sign_product, canonical_walk,
-                      edge_lookup, region_decompose, short_walk_regions)
+from .surface import (_SEP, EmbeddedGraph, FaceWalk, SignedRotationSystem,
+                      _sign_product, canonical_walk, edge_lookup,
+                      region_decompose, short_walk_regions, signed_cycles)
 
 #: Diagonal selections ``spanning_triangulation_by_selections`` may try,
 #: the first included, before it raises SearchBudgetExceeded.
@@ -599,19 +601,15 @@ def enumerate_cuts_by_subsets(inst, k):
         if len(comps) < 2:
             continue
         minimal = True
-        comp_sets = []
         for c in comps:
-            vs = []
             seen = 0
             m = c
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                vs.append(v)
                 seen |= adj[v]
-            comp_sets.append(tuple(vs))
             minimal = minimal and (seen & smask) == smask
-        out.append(analyze_cut(inst, subset, comp_sets, minimal))
+        out.append(analyze_cut(inst, smask, comps, minimal))
     return out
 
 
@@ -933,12 +931,13 @@ def odd_regions_by_face_merge(inst, max_boundary_len):
             if not boundary or len(boundary) > max_boundary_len:
                 continue
             for region in region_decompose(emb, boundary):
-                if set(region.face_ids) != sub or not region.is_two_cell:
+                if (region.face_mask != vertex_mask(sub)
+                        or not region.is_two_cell):
                     continue
                 bw = region.boundary_walks[0]
                 if bw.length > max_boundary_len:
                     continue
-                if len(region.interior_vertices) % 2 == 1:
+                if region.interior_mask.bit_count() % 2 == 1:
                     results[canonical_walk(bw.vertices)] = region
     return sorted(results.items())
 
@@ -987,7 +986,8 @@ def certificate_by_sets(ctx, vm):
     "abcdefg" order, for the first certificate that fires on the vertex
     set ``vm`` of a 3-matching."""
     for walk, region in ctx.regions6:
-        if set(walk) <= vm and len(region.interior_vertices - vm) % 2 == 1:
+        inside = set(mask_vertices(region.interior_mask))
+        if set(walk) <= vm and len(inside - vm) % 2 == 1:
             return ("cert_i", walk)
     for cid in "abcdefg":
         gray = get_pattern(cid).gray
@@ -1007,8 +1007,9 @@ def sweep_three_matchings_in_order(inst):
     or None, the first two gathered before the disagreement."""
     counts = {"extendable": 0, "cert_i": 0, "cert_ii": 0}
     nonext = []
+    emb = inst.quad.embedding
     ctx = CertificateContext.build(
-        inst, short_walk_regions(inst.quad.embedding))
+        inst, short_walk_regions(emb, signed_cycles(emb.srs, 6)))
     full = (1 << inst.n) - 1
     memo = {0: True}
     decided = {}
@@ -1113,6 +1114,19 @@ def bowties_by_triangle_pairs(emb):
         out.add((hub, frozenset((frozenset(set(t1) - {hub}),
                                  frozenset(set(t2) - {hub})))))
     return out
+
+
+@dataclass
+class ReferenceRegion:
+    """One region of ``region_decompose_reference``, as sets: its faces,
+    boundary walks and interior vertices."""
+
+    face_ids: tuple
+    boundary_length: int
+    euler_char: int
+    interior_vertices: frozenset
+    is_two_cell: bool
+    boundary_walks: list
 
 
 def region_decompose_reference(g: EmbeddedGraph, cut_edges) -> list:
@@ -1221,7 +1235,9 @@ def region_decompose_reference(g: EmbeddedGraph, cut_edges) -> list:
         u, v, _ = srs.edges[e]
         vK.add(u)
         vK.add(v)
-    vf = g.vertex_faces()
+    vf = [set() for _ in range(g.vertex_count)]
+    for corner, fi in enumerate(corner_face):
+        vf[srs.dart_vertex(corner)].add(fi)
     interior = {ri: set() for ri in range(len(roots))}
     for v in range(g.vertex_count):
         if v in vK or not vf[v]:
@@ -1242,13 +1258,13 @@ def region_decompose_reference(g: EmbeddedGraph, cut_edges) -> list:
         faces = tuple(sorted(groups[root]))
         walks = walks_by_region[ri]
         chi = (len(interior[ri]) - interior_edge_count[ri] + len(faces))
-        regions.append(Region(
+        regions.append(ReferenceRegion(
             face_ids=faces,
             boundary_length=sum(w.length for w in walks),
             euler_char=chi,
             interior_vertices=frozenset(interior[ri]),
             is_two_cell=(chi == 1 and len(walks) == 1),
-            _walks=walks,
+            boundary_walks=walks,
         ))
     return regions
 

@@ -111,7 +111,7 @@ def find_odd_weighted_regions(regions, max_boundary_len):
     _check_limit(max_boundary_len)
     return [(walk, region) for walk, region in regions
             if len(walk) <= max_boundary_len
-            and len(region.interior_vertices) % 2]
+            and region.interior_mask.bit_count() & 1]
 
 
 def barrier_cycles(regions, length):
@@ -268,7 +268,7 @@ def _parities_ok(host, pat, image_edges):
     for region in regions:
         if not region.is_two_cell:
             return False
-        if len(region.interior_vertices) % 2 == 0:
+        if not region.interior_mask.bit_count() & 1:
             return False
     return len(regions) == pat.embedding.face_count
 
@@ -306,7 +306,7 @@ class CertificateContext:
         singles = [1 << v for v in range(inst.n)]
         for walk, region in regions6:
             wm = vertex_mask(walk)
-            im = vertex_mask(region.interior_vertices)
+            im = region.interior_mask
             rest = [b for b in singles if not b & wm]
             for extra in combinations(rest, 6 - wm.bit_count()):
                 xm = sum(extra)

@@ -15,18 +15,22 @@ system, and, given an edge set, for the faces of the system restricted to
 it, turning past the darts outside the set.
 
 One function cuts a host along an edge set (``region_decompose``) and
-returns the list of regions.  They carry their facts, computed from one
-face union-find (faces, boundary length, interior vertices, Euler
-characteristic, and with it whether the region is a 2-cell), and get their
-boundary walks from the restricted tracer on first read.  The cut lemmas,
-the short-walk regions and the pattern face parities all read this list.
-The short-walk regions, every 2-cell region bounded by a separating closed
-walk of 3 to 6 vertices, come as a list (``short_walk_regions``) that the
-caller keeps: the audit finds them once per instance and drops them with
-itself, so an embedding keeps nothing of an audit but its lazy face
-tables (``corner_face``, ``edge_faces``, ``vertex_faces``).  The disc of
-a two-sided cycle, with or without a pendant edge, has a walk known from
-the cycle, so only the regions of triangle pairs are traced.
+returns the list of regions.  It works on bitmasks: the embedding's one
+lazy mask table (``face_masks``) gives each edge its two faces and each
+face its vertex mask, and a cut is one pass over its edges and a
+component search over the face bits.  Each region is a slotted record of
+masks and counts (faces, interior vertices, boundary vertices, boundary
+length, Euler characteristic, and with it whether the region is a
+2-cell), and gets its boundary walks from the restricted tracer on first
+read.  The cut lemmas, the short-walk regions and the pattern face
+parities all read this list.  The short-walk regions, every 2-cell region
+bounded by a separating closed walk of 3 to 6 vertices, come as a list
+(``short_walk_regions``) that the caller keeps, cut from a list of signed
+cycles that the caller passes in: the audit finds them once per instance
+and drops them with itself, so an embedding keeps nothing of an audit but
+its lazy face tables (``corner_face``, ``edge_faces``, ``face_masks``).
+The disc of a two-sided cycle, with or without a pendant edge, has a walk
+known from the cycle, so only the regions of triangle pairs are traced.
 
 Both questions the model asks of a surface are read off the traced faces.
 A connected system with an edge is on P^2 iff its Euler characteristic is
@@ -52,7 +56,6 @@ a caller that cuts along a cycle looks its ids up.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from typing import NamedTuple
@@ -62,7 +65,8 @@ from .errors import (
     MalformedRotation,
     NotProjectivePlane,
 )
-from .graphs import enumerate_cycles, is_connected_mask, vertex_mask
+from .graphs import (component_masks, enumerate_cycles, is_connected_mask,
+                     mask_vertices, vertex_mask)
 
 
 def dart_str(d: int) -> str:
@@ -375,7 +379,7 @@ class EmbeddedGraph:
         self._connected = None
         self._corner_face = None
         self._edge_faces = None
-        self._vertex_faces = None
+        self._face_masks = None
 
     @property
     def vertex_count(self):
@@ -457,23 +461,43 @@ class EmbeddedGraph:
             self._edge_faces = tuple(map(tuple, ef))
         return self._edge_faces
 
-    def vertex_faces(self):
-        """Map vertex -> frozenset of incident face indices."""
-        if self._vertex_faces is None:
-            vf = [set() for _ in range(self.vertex_count)]
-            for corner, fi in enumerate(self.corner_face()):
-                vf[self.srs.dart_vertex(corner)].add(fi)
-            self._vertex_faces = tuple(map(frozenset, vf))
-        return self._vertex_faces
+    def face_masks(self):
+        """The ``FaceMasks`` table, built on first call from ``edge_faces``
+        and ``corner_face``; ``region_decompose`` reads it."""
+        if self._face_masks is None:
+            ef = self.edge_faces()
+            nf = self.face_count
+            adjacency = [0] * nf
+            joins = [[0] * nf for _ in range(nf)]
+            sides = [0] * nf
+            ends = []
+            for e, ((a, b), (u, v, _s)) in enumerate(zip(ef, self.srs.edges)):
+                joins[a][b] |= 1 << e
+                joins[b][a] |= 1 << e
+                sides[a] += 1
+                sides[b] += 1
+                if a != b:
+                    adjacency[a] |= 1 << b
+                    adjacency[b] |= 1 << a
+                ends.append(1 << u | 1 << v)
+            cuts = [(a, b, ends[e], joins[a][b])
+                    for e, (a, b) in enumerate(ef)]
+            verts = [0] * nf
+            dv = self.srs._dart_vertex
+            for corner, f in enumerate(self.corner_face()):
+                verts[f] |= 1 << dv[corner]
+            self._face_masks = FaceMasks(ends, cuts, adjacency, verts, sides)
+        return self._face_masks
 
 
 # -- short closed walks ----------------------------------------------------
 
-def short_walk_regions(g: EmbeddedGraph):
+def short_walk_regions(g: EmbeddedGraph, cycles):
     """``(canonical walk, Region)`` for every 2-cell region that the cut
     along a closed walk of 3 to 6 vertices leaves with that walk as its
     boundary, when the cut separates the surface; sorted by walk.  The
-    graph must be simple and on P^2.
+    graph must be simple and on P^2, and ``cycles`` its ``signed_cycles``
+    up to at least 6 vertices, of which those of at most 6 are read.
 
     A closed walk of at most 6 vertices whose edges are not a tree (a
     tree never separates) runs over one of these edge graphs:
@@ -491,10 +515,10 @@ def short_walk_regions(g: EmbeddedGraph):
     without a pendant edge.  A two-sided one bounds one disc (Mohar &
     Thomassen, *Graphs on Surfaces*, 2001), the 2-cell region of its cut,
     and the rest is a Moebius band; a pendant edge keeps that disc a
-    2-cell only when it enters the disc, which a face's disc has no
-    vertex for.  Each remaining edge set is cut once, and a region is
-    kept when it is a 2-cell whose boundary walk, of at most 6 vertices,
-    covers the whole edge set.
+    2-cell only when it enters the disc, from a vertex of its interior.
+    Each remaining edge set is cut once, and a region is kept when it is
+    a 2-cell whose boundary walk, of at most 6 vertices, covers the whole
+    edge set.
 
     The walks of the first two shapes are read off the facts, and no
     boundary is traced for them: the disc of a two-sided cycle, the
@@ -508,7 +532,6 @@ def short_walk_regions(g: EmbeddedGraph):
     """
     srs = g.srs
     edge_of = edge_lookup(srs)
-    faces = {frozenset(f.edge_ids()) for f in g.faces}
     found = {}
 
     def keep_disc(walk, regions):
@@ -527,24 +550,25 @@ def short_walk_regions(g: EmbeddedGraph):
                     found[canonical_walk(bw.vertices)] = region
 
     triangles = []
-    for cycle, sign in signed_cycles(srs, 6):
-        if sign < 0 and len(cycle) > 3:
+    for cycle, sign in cycles:
+        k = len(cycle)
+        if k > 6 or sign < 0 and k > 3:
             continue        # cut neither alone nor in a triangle pair
         edges = frozenset(map(edge_of.__getitem__,
                               zip(cycle, cycle[1:] + cycle[:1])))
-        if len(cycle) == 3:
+        if k == 3:
             triangles.append((cycle, edges))
         if sign < 0:
             continue
         regions = region_decompose(g, edges)
         keep_disc(cycle, regions)
-        if len(cycle) > 4 or edges in faces:
+        if k > 4:
             continue
         on_cycle = vertex_mask(cycle)
         for region in regions:
             if not region.is_two_cell:
                 continue
-            for x in region.interior_vertices:
+            for x in mask_vertices(region.interior_mask):
                 for d in srs.rotations[x]:
                     c = srs.dart_vertex(d ^ 1)
                     if on_cycle >> c & 1:
@@ -643,21 +667,51 @@ def representativity(g: EmbeddedGraph):
 
 # -- region decomposition ----------------------------------------------------
 
-@dataclass
+class FaceMasks(NamedTuple):
+    """An embedding's faces as bits, for cutting it open: face f is bit
+    ``1 << f`` and vertex v bit ``1 << v``."""
+
+    edge_ends: list           # per edge, the mask of its endpoints
+    #: per edge, its faces a and b, its endpoint mask and the mask of the
+    #: edge ids joining a and b, itself included
+    edge_cuts: list
+    face_adjacency: list      # per face, the other faces sharing an edge
+    face_vertices: list       # per face, the mask of its vertices
+    face_sides: list          # per face, the edge sides on it
+
+
 class Region:
     """One region of a cut: host faces merged across the edges off the
-    subgraph.  Its facts come with it; its boundary walks, closed walks
-    over the subgraph's darts in the order of their least start state, are
-    traced for every region of its decomposition on first read.  ``==``
-    compares the facts."""
+    subgraph, with its facts as masks.  ``face_mask`` has a bit per face,
+    ``interior_mask`` one per vertex off the subgraph inside the region,
+    ``boundary_mask`` one per subgraph vertex on the region's faces;
+    ``boundary_length`` counts the subgraph's edge sides that face it and
+    ``euler_char`` is its characteristic on the cut-open complex.  Its
+    boundary walks, closed walks over the subgraph's darts in the order of
+    their least start state, are traced for every region of its
+    decomposition on first read.  ``==`` compares the facts."""
 
-    face_ids: tuple
-    boundary_length: int          # edge sides of the subgraph facing it
-    euler_char: int
-    interior_vertices: frozenset
-    is_two_cell: bool
-    _walks: list = field(default=None, repr=False, compare=False)
-    _trace: object = field(default=None, repr=False, compare=False)
+    __slots__ = ("face_mask", "interior_mask", "boundary_mask",
+                 "boundary_length", "euler_char", "_walks", "_trace",
+                 "__weakref__")
+
+    def __init__(self, face_mask, interior_mask, boundary_mask,
+                 boundary_length, euler_char, trace=None):
+        self.face_mask = face_mask
+        self.interior_mask = interior_mask
+        self.boundary_mask = boundary_mask
+        self.boundary_length = boundary_length
+        self.euler_char = euler_char
+        self._walks = None
+        self._trace = trace
+
+    @property
+    def is_two_cell(self):
+        """One walk around a disc: a region is a connected compact surface
+        with b >= 1 boundary walks and characteristic 2 - 2g - b or
+        2 - k - b (Mohar & Thomassen, *Graphs on Surfaces*, 2001), so a
+        2-cell iff its characteristic is 1."""
+        return self.euler_char == 1
 
     @property
     def boundary_walks(self):
@@ -666,55 +720,35 @@ class Region:
             self._trace()
         return self._walks
 
+    def facts(self):
+        return (self.face_mask, self.interior_mask, self.boundary_mask,
+                self.boundary_length, self.euler_char)
 
-def _merge_faces(g: EmbeddedGraph, in_k):
-    """The regions the cut along the edges ``e`` with ``in_k[e]`` leaves:
-    the host's faces merged by union-find across every other edge.
-    Returns the region of each face and each region's faces, regions in
-    the order of their least face."""
-    ef = g.edge_faces()
-    nf = g.face_count
-    parent = list(range(nf))    # the root of a set is its least face
-    for e, cut in enumerate(in_k):
-        if cut:
-            continue
-        a, b = ef[e]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    region_of = [0] * nf
-    face_ids = []
-    for f in range(nf):
-        r = f
-        while parent[r] != r:
-            r = parent[r]
-        if r == f:
-            region_of[f] = len(face_ids)
-            face_ids.append([f])
-        else:
-            ri = region_of[f] = region_of[r]
-            face_ids[ri].append(f)
-    return region_of, face_ids
+    def __eq__(self, other):
+        if not isinstance(other, Region):
+            return NotImplemented
+        return self.facts() == other.facts()
+
+    def __repr__(self):
+        return f"Region{self.facts()}"
 
 
-def _trace_boundaries(g: EmbeddedGraph, K, region_of, refs):
-    """Give each live region of the cut along ``K``, by the weak references
-    ``refs``, its boundary walks: the faces of the host restricted to
-    ``K``, each in the region of the host corners its turns sweep, which
-    must all lie in one region.  Held weakly, an untraced decomposition is
-    no reference cycle, and a region kept alone keeps no other alive."""
+def _trace_boundaries(g: EmbeddedGraph, cut_mask, face_masks, refs):
+    """Give each live region of the cut along the edges of ``cut_mask``,
+    by the weak references ``refs``, its boundary walks: the faces of the
+    host restricted to those edges, each in the region (of the face masks
+    ``face_masks``) of the host corners its turns sweep, which must all
+    lie in one region.  Held weakly, an untraced decomposition is no
+    reference cycle, and a region kept alone keeps no other alive."""
     srs = g.srs
     edges, nxt, prv = srs.edges, srs._rot_next, srs._rot_prev
+    region_of = [0] * g.face_count
+    for ri, faces in enumerate(face_masks):
+        for f in mask_vertices(faces):
+            region_of[f] = ri
     corner_region = [region_of[f] for f in g.corner_face()]
     walks = [[] for _ in refs]
-    for w in trace_faces(srs, K):
+    for w in trace_faces(srs, mask_vertices(cut_mask)):
         swept = set()
         b = w.boundary
         # a turn at d ^ 1 sweeps the host corners up to the walk's next dart
@@ -743,63 +777,65 @@ def _trace_boundaries(g: EmbeddedGraph, K, region_of, refs):
 
 
 def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
-    """The regions of the host cut along ``cut_edges``: its faces
-    merged across every edge outside them.
+    """The regions of the host cut along ``cut_edges``, a collection of
+    distinct edge ids: its faces merged across every edge outside them,
+    in the order of their least face.
 
-    Each region gets its faces, its boundary length (the subgraph's edge
-    sides that face it), its interior vertices and its Euler
-    characteristic on the cut-open complex, from one face union-find and
-    one pass over the edges; regions come in the order of their least
-    face.  A region is a connected compact surface with b >= 1 boundary
-    walks and characteristic 2 - 2g - b or 2 - k - b (Mohar & Thomassen,
-    *Graphs on Surfaces*, 2001), so it is a 2-cell, one walk around a
-    disc, iff its characteristic is 1.  The boundary walks are traced on
-    first read (``Region.boundary_walks``).
+    One pass over the cut's edges, on the embedding's ``face_masks``,
+    drops each face adjacency that only cut edges give, and counts the cut
+    edge sides on each face and the cut's vertices; the regions are then
+    the components of the face graph (``graphs.component_masks``).  Each
+    region's vertex mask is the union of its faces' masks: the cut's
+    vertices among them are its boundary, the rest its interior, and a
+    vertex off the cut in two regions is rejected.  Every edge side on a
+    region's faces faces the cut or lies on an edge inside it, so the
+    region's characteristic is its interior vertices, less half the
+    sides not facing the cut, plus its faces.  The boundary walks are
+    traced on first read (``Region.boundary_walks``).
     ``o1ppg.oracles.region_decompose_reference`` is the set-based
     reference, which counts the walks instead.
     """
-    K = frozenset(cut_edges)
-    if not K:
+    cut_mask = vertex_mask(cut_edges)
+    if not cut_mask:
         raise EmptySubgraph("region decomposition needs a nonempty edge set")
-    edges = g.srs.edges
-    in_k = bytearray(len(edges))
-    for e in K:
-        in_k[e] = 1
-    region_of, face_ids = _merge_faces(g, in_k)
-    nr = len(face_ids)
-    ef = g.edge_faces()
-    lengths = [0] * nr
-    interior_edge_count = [0] * nr
-    on_k = bytearray(g.vertex_count)
-    for e, (u, v, _s) in enumerate(edges):
-        a, b = ef[e]
-        if in_k[e]:
-            lengths[region_of[a]] += 1
-            lengths[region_of[b]] += 1
-            on_k[u] = on_k[v] = 1
-        else:
-            interior_edge_count[region_of[a]] += 1
-
-    # interior vertices: not an endpoint of K, all incident faces in region
-    interior = [[] for _ in range(nr)]
-    for v, fs in enumerate(g.vertex_faces()):
-        if on_k[v] or not fs:
-            continue
-        r = -1
-        for f in fs:
-            if region_of[f] != r:
-                if r >= 0:
-                    raise MalformedRotation(
-                        "vertex off the subgraph touches several regions")
-                r = region_of[f]
-        interior[r].append(v)
-
+    if cut_mask.bit_count() != len(cut_edges):
+        raise ValueError("region decomposition needs distinct edge ids")
+    table = g.face_masks()
+    edge_cuts = table.edge_cuts
+    adj = table.face_adjacency[:]
+    cut_sides = [0] * len(adj)
+    on_cut = 0
+    rest = ~cut_mask
+    for e in cut_edges:
+        a, b, ends, joined = edge_cuts[e]
+        cut_sides[a] += 1
+        cut_sides[b] += 1
+        on_cut |= ends
+        if not joined & rest:           # no uncut edge joins a and b
+            adj[a] &= ~(1 << b)
+            adj[b] &= ~(1 << a)
+    comps = component_masks(adj, (1 << len(adj)) - 1)
+    face_vertices, face_sides = table.face_vertices, table.face_sides
     regions, refs = [], []
-    trace = partial(_trace_boundaries, g, K, region_of, refs)
-    for faces, length, inner, inside in zip(face_ids, lengths,
-                                            interior_edge_count, interior):
-        chi = len(inside) - inner + len(faces)
-        regions.append(Region(tuple(faces), length, chi, frozenset(inside),
-                              chi == 1, None, trace))
-        refs.append(weakref.ref(regions[-1]))
+    trace = partial(_trace_boundaries, g, cut_mask, comps, refs)
+    taken = 0
+    for faces in comps:
+        verts = length = sides = 0
+        m = faces
+        while m:
+            low = m & -m
+            m ^= low
+            f = low.bit_length() - 1
+            verts |= face_vertices[f]
+            length += cut_sides[f]
+            sides += face_sides[f]
+        inside = verts & ~on_cut
+        if inside & taken:
+            raise MalformedRotation(
+                "vertex off the subgraph touches several regions")
+        taken |= inside
+        chi = inside.bit_count() - (sides - length) // 2 + faces.bit_count()
+        region = Region(faces, inside, verts & on_cut, length, chi, trace)
+        regions.append(region)
+        refs.append(weakref.ref(region))
     return regions

@@ -9,8 +9,9 @@ report's ``note`` line).
 Every theorem in ``THEOREM_IDS`` has one check, and the checks of one
 instance share their intermediates through ``_InstanceAudit``, which
 computes each on first use: the vertex connectivity, the minimal
-separators and the cuts; the short-walk regions of
-``surface.short_walk_regions``, which T1.4's barrier cycles and T1.6's
+separators and the cuts; the signed cycles of at most 8 vertices, which
+P2.1 counts; the short-walk regions that ``surface.short_walk_regions``
+cuts from those of at most 6, which T1.4's barrier cycles and T1.6's
 length-6 regions filter; T1.3's spanning triangulation; and one
 ``matching.perfect_matching_table``, read by the k-matching sweeps of
 ``matching.matching_sweep`` that T1.3 (k = 1), T1.4 and C1.5 (k = 2),
@@ -200,9 +201,15 @@ class _InstanceAudit:
         return spanning_triangulation(self.inst)
 
     @cached_property
+    def cycles(self):
+        """The cycles of Q of at most 8 vertices with their sign products,
+        which P2.1 counts and the short-walk regions cut."""
+        return signed_cycles(self.inst.quad.embedding.srs, 8)
+
+    @cached_property
     def regions(self):
         """The short-walk regions, filtered by T1.4 and T1.6."""
-        return short_walk_regions(self.inst.quad.embedding)
+        return short_walk_regions(self.inst.quad.embedding, self.cycles)
 
     @cached_property
     def barriers(self):
@@ -274,16 +281,14 @@ class _InstanceAudit:
 
     def check_P21(self):
         ess_parities = set()
-        count = 0
-        for cyc, sign in signed_cycles(self.inst.quad.embedding.srs, 8):
-            count += 1
+        for cyc, sign in self.cycles:
             if sign != 1:
                 ess_parities.add(len(cyc) % 2)
             elif len(cyc) % 2:
                 return _fail("odd trivial cycle", _walk_str(cyc))
         if len(ess_parities) > 1:
             return _fail("essential cycles of both parities")
-        return _pass(f"cycles<=8 checked={count}")
+        return _pass(f"cycles<=8 checked={len(self.cycles)}")
 
     def check_T13(self):
         inst = self.inst
@@ -378,7 +383,7 @@ class _InstanceAudit:
     def check_T31(self):
         if self.conn < 4:
             return _fail(f"connectivity {self.conn} < 4")
-        four_cuts = [ca for ca in self.cuts if len(ca.S) == 4]
+        four_cuts = [ca for ca in self.cuts if ca.s_mask.bit_count() == 4]
         for ca in four_cuts:
             if not _contains_separating_trivial_4cycle(self.inst, ca):
                 return _fail("4-cut without separating trivial "
@@ -387,7 +392,7 @@ class _InstanceAudit:
                      f"four_cuts={len(four_cuts)}")
 
     def check_L33(self):
-        five_cuts = [ca for ca in self.cuts if len(ca.S) == 5]
+        five_cuts = [ca for ca in self.cuts if ca.s_mask.bit_count() == 5]
         for ca in five_cuts:
             shape = classify_cut_shape(self.inst, ca)
             if shape != "bowtie":
@@ -408,7 +413,7 @@ class _InstanceAudit:
     def check_L35(self):
         shapes = {}
         for ca in self.cuts:
-            if len(ca.S) != 6 or not ca.is_minimal:
+            if ca.s_mask.bit_count() != 6 or not ca.is_minimal:
                 continue
             shape = classify_cut_shape(self.inst, ca)
             if shape not in ("I", "II", "III", "IV"):

@@ -28,7 +28,7 @@ from o1ppg.oracles import (exhaustive_small_search, is_extendable_bruteforce,
                            vertex_connectivity_bruteforce)
 from o1ppg.structures import (CertificateContext, barrier_cycles,
                               diagnose_mask, find_projective_bowties)
-from o1ppg.surface import short_walk_regions
+from o1ppg.surface import short_walk_regions, signed_cycles
 from o1ppg.verify import AuditConfig, aggregate_report, run_campaign
 
 ACCEPT_N = 12
@@ -136,10 +136,15 @@ def test_criterion_03_one_extendability(even_instances):
           f"instances={len(even_instances)} failures={len(failures)}")
 
 
+def _short_walk_regions(inst):
+    emb = inst.quad.embedding
+    return short_walk_regions(emb, signed_cycles(emb.srs, 6))
+
+
 def test_criterion_04_two_extendability(even_instances):
     disagreements = []
     for inst in even_instances:
-        barriers = barrier_cycles(short_walk_regions(inst.quad.embedding), 4)
+        barriers = barrier_cycles(_short_walk_regions(inst), 4)
         sweep = _sweep(inst, 2)
         bad = None
         for combo, _vm in matching_masks(inst, 2):
@@ -182,8 +187,7 @@ def test_criterion_06_three_matching_characterization(even_instances):
         if conn < 5:
             continue
         swept += 1
-        ctx = CertificateContext.build(
-            inst, short_walk_regions(inst.quad.embedding))
+        ctx = CertificateContext.build(inst, _short_walk_regions(inst))
         sweep = _sweep(inst, 3)
         for combo, vm in matching_masks(inst, 3):
             extendable = is_extendable(inst, Matching(frozenset(combo)),

@@ -16,6 +16,7 @@ from o1ppg.graphs import (adjacency_masks, component_masks, mask_vertices,
 from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (enumerate_cuts_by_subsets,
                            is_minimal_cut_bruteforce,
+                           region_decompose_reference,
                            vertex_connectivity_bruteforce)
 from o1ppg import surface
 from o1ppg.structures import get_pattern, match_pattern
@@ -94,7 +95,7 @@ def test_five_cuts_are_bowties(inst9):
     for ca in cuts:
         assert ca.is_minimal
         assert classify_cut_shape(inst9, ca) == "bowtie"
-        assert ca.odd_count == sum(len(c) % 2 for c in ca.components)
+        assert ca.odd_count == sum(c.bit_count() % 2 for c in ca.components)
         # the cut subgraph is embedded-isomorphic to the fixture
         from o1ppg.structures import get_pattern
         assert canonical_key(ca.srs) == \
@@ -118,9 +119,9 @@ def test_separating_trivial_4cycle_true_side(inst10):
 
     def analyzed(inst, vertices):
         # the record of G - vertices; no check here reads is_minimal
-        rest = ((1 << inst.n) - 1) ^ vertex_mask(vertices)
-        comps = [mask_vertices(c) for c in component_masks(inst.adj, rest)]
-        return analyze_cut(inst, vertices, comps, False)
+        smask = vertex_mask(vertices)
+        comps = component_masks(inst.adj, ((1 << inst.n) - 1) ^ smask)
+        return analyze_cut(inst, smask, comps, False)
 
     face = next(f.vertices for f in emb.faces
                 if len(analyzed(inst10, f.vertices).q_edges) == 4)
@@ -131,8 +132,8 @@ def test_separating_trivial_4cycle_true_side(inst10):
                for v, m in enumerate(inst10.adj)]
     cut.adj[x] &= on_face
     ca = analyzed(cut, face)
-    assert ca.components == ((x,), tuple(sorted(set(range(inst10.n))
-                                                - set(face) - {x})))
+    assert [mask_vertices(c) for c in ca.components] == [
+        (x,), tuple(sorted(set(range(inst10.n)) - set(face) - {x}))]
     assert not _contains_separating_trivial_4cycle(inst10, ca)
     assert _contains_separating_trivial_4cycle(cut, ca)
     # the same cycle made one-sided by one negated edge is essential, not
@@ -147,11 +148,12 @@ def test_separating_trivial_4cycle_true_side(inst10):
 
 def test_cut_component_counts(inst10):
     for ca in enumerate_cuts(inst10, (6,)):
-        covered = set(ca.S)
-        for comp in ca.components:
-            covered |= set(comp)
-        assert covered == set(range(inst10.n))
-        assert ca.odd_count == sum(1 for c in ca.components if len(c) % 2)
+        assert ca.s_mask == vertex_mask(ca.S)
+        assert sum(ca.components) | ca.s_mask == (1 << inst10.n) - 1
+        assert sum(c.bit_count() for c in ca.components) + len(ca.S) == \
+            inst10.n
+        assert ca.odd_count == sum(1 for c in ca.components
+                                   if c.bit_count() % 2)
 
 
 def test_audits_pass_on_all_cuts(instances10):
@@ -228,6 +230,16 @@ def test_minimal_separators_pair_with_oracles(corpus_n12, instances10):
         assert small == marked
 
 
+def reference_facts(ref):
+    """The mask fields of ``surface.Region``, derived from a region of
+    ``region_decompose_reference``: its faces, interior vertices and the
+    vertices of its boundary walks as masks, its boundary length, Euler
+    characteristic and 2-cell verdict."""
+    return (vertex_mask(ref.face_ids), vertex_mask(ref.interior_vertices),
+            vertex_mask(v for w in ref.boundary_walks for v in w.vertices),
+            ref.boundary_length, ref.euler_char, ref.is_two_cell)
+
+
 def _relabelled(insts, seed):
     rng = random.Random(seed)
     return [build_o1ppg(validate_quadrangulation(EmbeddedGraph(
@@ -243,21 +255,50 @@ def _audited_cuts(insts):
 
 
 def test_cut_facts_match_region_decompose(corpus_n12, instances10):
-    # the union-find facts of every cut against a fresh decomposition and
-    # its traced walks
+    # the mask facts of every cut against a fresh decomposition, its
+    # traced walks and the set-based reference; the separation clause
+    # against the components' vertex sets
     cuts = 0
     for inst, _conn, ca in _audited_cuts(
             corpus_n12 + instances10 + _relabelled(corpus_n12, 71)):
-        regions = (region_decompose(inst.quad.embedding, ca.q_edges)
-                   if ca.q_edges else [])
+        emb = inst.quad.embedding
+        regions = region_decompose(emb, ca.q_edges) if ca.q_edges else []
+        ref = (region_decompose_reference(emb, ca.q_edges)
+               if ca.q_edges else [])
         assert [r.boundary_length for r in ca.regions] == [
             sum(w.length for w in r.boundary_walks) for r in regions]
-        assert [r.interior_vertices for r in ca.regions] == [
-            r.interior_vertices for r in regions]
+        assert [r.facts() + (r.is_two_cell,) for r in ca.regions] == [
+            reference_facts(r) for r in ref]
         assert ca.q_degrees == tuple(len(r) for r in ca.srs.rotations)
         assert ca.regions == regions
+        holders = [[ri for ri, r in enumerate(ref)
+                    if r.interior_vertices & set(mask_vertices(c))]
+                   for c in ca.components]
+        separated = (all(len(h) == 1 for h in holders)
+                     and len({h[0] for h in holders}) == len(holders)
+                     if ref else len(holders) == 1)
+        assert (audit_cut_lemmas(ca, 4)["separation"] == "pass") == separated
         cuts += 1
     assert cuts == 2 * 645 + 23
+
+
+def test_boundary_mask_counts_walk_vertices(corpus_n12, instances10):
+    # the boundary mask of every region of every audited cut holds the
+    # vertices of its walks; on a 2-cell its popcount is the number of
+    # distinct vertices of its one walk, so five_conn_iii reads a 6-cycle
+    # off the mask
+    two_cells = hexagons = 0
+    for _inst, _conn, ca in _audited_cuts(
+            corpus_n12 + instances10 + _relabelled(corpus_n12, 83)):
+        for r in ca.regions:
+            assert r.boundary_mask == vertex_mask(
+                v for w in r.boundary_walks for v in w.vertices)
+            if r.is_two_cell:
+                (walk,) = r.boundary_walks
+                assert r.boundary_mask.bit_count() == len(set(walk.vertices))
+                two_cells += 1
+                hexagons += r.boundary_length == 6
+    assert (two_cells, hexagons) == (2 * 1366 + 64, 1436)
 
 
 def test_q_induced_subgraph_walks_match_regions(corpus_n12, instances10):
@@ -296,7 +337,7 @@ def test_facts_trace_no_walk(corpus_n12, monkeypatch):
         # are inapplicable
         audit = audit_cut_lemmas(ca, connectivity=4)
         assert "fail" not in audit.values()
-        assert [(len(r.face_ids), r.boundary_length, r.euler_char,
+        assert [(r.face_mask, r.boundary_length, r.euler_char,
                  r.is_two_cell) for r in ca.regions]
     for inst in corpus_n12:
         for pid in "abcdefg":

@@ -24,15 +24,16 @@ from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
                               find_projective_bowties, get_pattern,
                               load_patterns, match_pattern, patterns,
                               sweep_three_matchings, two_cell_regions)
+from o1ppg.graphs import mask_vertices
 from o1ppg.surface import (EmbeddedGraph, canonical_walk, edge_lookup,
-                           short_walk_regions)
+                           short_walk_regions, signed_cycles)
 
 
 def _regions(host):
     """The short-walk regions of an instance's embedding, or of a bare
     embedding."""
-    return short_walk_regions(host.quad.embedding if hasattr(host, "quad")
-                              else host)
+    emb = host.quad.embedding if hasattr(host, "quad") else host
+    return short_walk_regions(emb, signed_cycles(emb.srs, 6))
 
 
 def _ctx(inst):
@@ -174,7 +175,7 @@ def test_odd_region_routes_agree(instances10):
             a = find_odd_weighted_regions(_regions(inst), length)
             assert a == odd_regions_by_face_merge(inst, length)
             for _walk, r in a:
-                assert len(r.interior_vertices) % 2 == 1
+                assert r.interior_mask.bit_count() % 2 == 1
 
 
 def _walk_shape(walk):
@@ -194,8 +195,9 @@ def test_short_cycle_regions_match_closed_walk_oracle(corpus10, corpus_n12):
     for host in hosts + corpus_n12:
         emb = host.quad.embedding if hasattr(host, "quad") else host
         ref = sorted(dict(_walk_regions(emb, 6)).items())
-        odd = [(walk, r) for walk, r in ref if len(r.interior_vertices) % 2]
-        regions = short_walk_regions(emb)
+        odd = [(walk, r) for walk, r in ref
+               if r.interior_mask.bit_count() % 2]
+        regions = _regions(emb)
         for length in (3, 4, 5, 6):
             assert find_odd_weighted_regions(regions, length) == [
                 (walk, r) for walk, r in odd if len(walk) <= length]
@@ -226,7 +228,7 @@ def test_short_walk_regions_from_facts_match_traced_walks(corpus10,
     untraced = set()
     for host in hosts + corpus_n12:
         emb = host.quad.embedding if hasattr(host, "quad") else host
-        for walk, region in short_walk_regions(emb):
+        for walk, region in _regions(emb):
             vertices, edges = _walk_shape(walk)
             assert (region._walks is None) == (vertices == edges)
             if region._walks is None:
@@ -236,6 +238,21 @@ def test_short_walk_regions_from_facts_match_traced_walks(corpus10,
     # two-sided cycles are even in a quadrangulation: 4- and 6-cycles, and
     # 4-cycles with a pendant edge
     assert untraced == {(4, 4), (6, 6), (6, 5)}
+
+
+def test_short_walk_regions_read_the_audit_cycles(corpus10, corpus_n12):
+    # the audit enumerates the cycles of at most 8 vertices once: those of
+    # at most 6, which short_walk_regions reads, are the length-6 search's
+    # cycles in its order, so both lists give the same regions
+    hosts = [EmbeddedGraph(srs) for n, members in corpus10.items() if n <= 8
+             for _key, srs in members]
+    for emb in hosts + [inst.quad.embedding for inst in corpus_n12]:
+        cycles = signed_cycles(emb.srs, 8)
+        short = signed_cycles(emb.srs, 6)
+        assert [(c, s) for c, s in cycles if len(c) <= 6] == short
+        assert short_walk_regions(emb, cycles) == \
+            short_walk_regions(emb, short)
+    assert len(hosts) == 78
 
 
 def test_faces_never_odd_regions(instances10):
@@ -254,7 +271,7 @@ def test_barrier_4cycle_detected_on_small_host(corpus10):
     g = EmbeddedGraph(srs)
     [(walk, r)] = find_odd_weighted_regions(_regions(g), 4)
     assert len(walk) == len(set(walk)) == 4
-    assert len(r.interior_vertices) == 1
+    assert r.interior_mask.bit_count() == 1
 
 
 def test_corpus_instances_have_no_barrier_4cycles(instances10):
@@ -269,7 +286,7 @@ def test_essential_triangle_complement_excluded(inst10):
     # the double traversal of an essential triangle bounds a disc whose
     # interior is everything else; it must not count as an odd region
     for _walk, r in find_odd_weighted_regions(_regions(inst10), 6):
-        assert len(r.interior_vertices) < inst10.n - 3
+        assert r.interior_mask.bit_count() < inst10.n - 3
 
 
 def test_bowtie_detectors_agree(instances10, corpus_n12):
@@ -309,7 +326,7 @@ def test_essentiality_routes_agree_on_hosts(instances10, even_n12):
     # cycles are those of the unsigned search, in its order
     from o1ppg.graphs import enumerate_cycles
     from o1ppg.oracles import is_essential, is_essential_by_regions
-    from o1ppg.surface import _sign_product, signed_cycles
+    from o1ppg.surface import _sign_product
 
     def cycle_ids(srs, cyc):
         edge_of = edge_lookup(srs)
@@ -347,7 +364,8 @@ def test_certificate_i_implies_odd_component(inst10):
         m = Matching(frozenset(combo))
         vm = m.vertex_set(inst10)
         for walk, region in ctx.regions6:
-            if set(walk) <= vm and len(region.interior_vertices - vm) % 2:
+            inside = set(mask_vertices(region.interior_mask))
+            if set(walk) <= vm and len(inside - vm) % 2:
                 hit += 1
                 assert not is_extendable(inst10, m, sweep)
                 break

@@ -6,7 +6,7 @@ import random
 import weakref
 
 import pytest
-from test_connectivity import _audited_cuts, _relabelled
+from test_connectivity import _audited_cuts, _relabelled, reference_facts
 
 from o1ppg import srsio
 from o1ppg.errors import (EmptySubgraph, MalformedRotation, NotACycle,
@@ -16,6 +16,7 @@ from o1ppg.oracles import (_closed_walks_upto, cycle_sign, double_cover,
                            is_orientable, region_decompose_reference,
                            representativity_bruteforce,
                            representativity_by_double_cover)
+from o1ppg.graphs import mask_vertices
 from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem,
                            region_decompose, representativity, trace_faces)
 
@@ -140,7 +141,7 @@ def test_region_decompose_k4_full(k4):
     assert len(regions) == 3
     for r in regions:
         assert r.is_two_cell
-        assert not r.interior_vertices
+        assert not r.interior_mask
 
 
 def test_region_decompose_bowtie_full(bowtie):
@@ -182,19 +183,22 @@ def test_region_decompose_trivial_cycle_disc_plus_crosscap(k4):
 def test_region_decompose_empty_rejected(k4):
     with pytest.raises(EmptySubgraph):
         region_decompose(k4, set())
+    # each cut edge counts its sides once
+    with pytest.raises(ValueError, match="distinct"):
+        region_decompose(k4, [0, 1, 0])
 
 
 def test_region_chis_partition_properties(min9):
     # regions partition faces, interiors partition V minus V(K)
     some_edges = {0, 2, 5, 7}
     regions = region_decompose(min9, some_edges)
-    all_faces = sorted(f for r in regions for f in r.face_ids)
+    all_faces = sorted(f for r in regions for f in mask_vertices(r.face_mask))
     assert all_faces == list(range(min9.face_count))
     vk = set()
     for e in some_edges:
         u, v, _s = min9.srs.edges[e]
         vk |= {u, v}
-    interiors = [v for r in regions for v in r.interior_vertices]
+    interiors = [v for r in regions for v in mask_vertices(r.interior_mask)]
     assert sorted(interiors) == sorted(set(range(min9.vertex_count)) - vk)
 
 
@@ -217,8 +221,10 @@ def _kernel_edge_sets(inst, rng, random_sets):
 
 def _assert_matches_reference(emb, edges, regions):
     ref = region_decompose_reference(emb, edges)
-    # == compares the facts; the walks are read, so traced, apart
-    assert regions == ref, sorted(edges)
+    # the facts need no walk; the walks are read, so traced, apart
+    assert [r.facts() + (r.is_two_cell,) for r in regions] == [
+        reference_facts(r) for r in ref], sorted(edges)
+    assert all(r._walks is None for r in regions)
     assert [r.boundary_walks for r in regions] == \
         [r.boundary_walks for r in ref]
 
@@ -256,8 +262,12 @@ def test_region_decompose_rejects_inconsistent_faces(min9):
     # walk around them cut along every other edge sweeps corners of two
     # regions, which both implementations reject, the fast one when the
     # walks are read (the facts trace none)
-    g = EmbeddedGraph(min9.srs)
-    g._edge_faces = ((0, 0),) + min9.edge_faces()[1:]
+    def with_edge_faces(edge_faces):
+        g = EmbeddedGraph(min9.srs)
+        g._edge_faces = edge_faces
+        return g
+
+    g = with_edge_faces(((0, 0),) + min9.edge_faces()[1:])
     others = set(range(1, g.edge_count))
     with pytest.raises(MalformedRotation, match="multiple regions"):
         region_decompose_reference(g, others)
@@ -266,7 +276,7 @@ def test_region_decompose_rejects_inconsistent_faces(min9):
         [r.boundary_walks for r in regions]
     # incidences that merge no faces at all leave a vertex off the
     # subgraph in several regions, which the fast one rejects at once
-    g._edge_faces = tuple((0, 0) for _ in range(g.edge_count))
+    g = with_edge_faces(tuple((0, 0) for _ in range(g.edge_count)))
     with pytest.raises(MalformedRotation, match="several regions"):
         region_decompose(g, {0})
     with pytest.raises(MalformedRotation, match="multiple regions"):

@@ -266,8 +266,9 @@ def test_audit_tests_perfect_matchings_only_in_sweeps(corpus_n12,
 
 
 def test_audit_finds_short_walk_regions_once(corpus_n12, monkeypatch):
-    # T1.4's barriers and T1.6's length-6 regions filter one list: a full
-    # audit enumerates the short cycles once
+    # T1.4's barriers and T1.6's length-6 regions filter one list, cut
+    # from the cycles P2.1 counts: a full audit enumerates the short
+    # cycles of Q once, to P2.1's length 8
     inst = _five_connected(corpus_n12)
     srs = inst.quad.embedding.srs
     enumerations = []
@@ -278,27 +279,29 @@ def test_audit_finds_short_walk_regions_once(corpus_n12, monkeypatch):
         return cycles(host, max_len)
 
     monkeypatch.setattr(surface, "signed_cycles", counted_cycles)
+    monkeypatch.setattr(verify, "signed_cycles", counted_cycles)
     results = audit_instance(inst)
     assert all(r.verdict == "pass" for r in results)
-    assert enumerations == [(True, 6)]
+    assert enumerations == [(True, 8)]
 
 
 def test_corpus_audit_traces_triangle_pairs_only(corpus_n12, monkeypatch):
     # the short-walk regions of cycles and of cycles with a pendant edge
-    # read their walks off their facts, so a corpus-n12 audit traces 107
-    # boundaries: 105 cuts of the five-connected cut lemmas and 2 triangle
-    # pairs of the short-walk finder
+    # read their walks off their facts, and so does five_conn_iii's 6-cycle
+    # test (off the boundary mask), so a corpus-n12 audit traces 61
+    # boundaries: 59 cuts whose five_conn_ii verdict needs the walk
+    # lengths and 2 triangle pairs of the short-walk finder
     traces = []
     trace = surface._trace_boundaries
     monkeypatch.setattr(surface, "_trace_boundaries",
                         lambda *args: traces.append(args) or trace(*args))
     for inst in corpus_n12:
         assert all(r.verdict != "fail" for r in audit_instance(inst))
-    assert len(traces) == 107
+    assert len(traces) == 61
 
 
 #: the embedding's lazy face tables, the one audit-time state it keeps
-_FACE_TABLES = ("_corner_face", "_edge_faces", "_vertex_faces")
+_FACE_TABLES = ("_corner_face", "_edge_faces", "_face_masks")
 
 
 def _embedding_state(inst):
@@ -430,4 +433,5 @@ def test_audit_digest_reads_the_golden_report(corpus_n12_dir):
     assert list(seconds) == list(THEOREM_IDS)
     assert counts == {"pm_tables": 10, "hamiltonian_searches": 191,
                       "pattern_maps_tried": 134, "pattern_maps_accepted": 64,
-                      "boundary_traces": 107, "cycles_enumerated": 4752}
+                      "boundary_traces": 61, "cycles_enumerated": 4064,
+                      "region_decompositions": 1148, "cuts": 645}
