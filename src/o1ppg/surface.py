@@ -463,7 +463,8 @@ class EmbeddedGraph:
 
     def face_masks(self):
         """The ``FaceMasks`` table, built on first call from ``edge_faces``
-        and ``corner_face``; ``region_decompose`` reads it."""
+        and ``corner_face``; ``region_decompose`` and
+        ``connectivity.analyze_cut`` read it."""
         if self._face_masks is None:
             ef = self.edge_faces()
             nf = self.face_count
@@ -480,8 +481,7 @@ class EmbeddedGraph:
                     adjacency[a] |= 1 << b
                     adjacency[b] |= 1 << a
                 ends.append(1 << u | 1 << v)
-            cuts = [(a, b, ends[e], joins[a][b])
-                    for e, (a, b) in enumerate(ef)]
+            cuts = [(a, b, joins[a][b]) for a, b in ef]
             verts = [0] * nf
             dv = self.srs._dart_vertex
             for corner, f in enumerate(self.corner_face()):
@@ -672,8 +672,8 @@ class FaceMasks(NamedTuple):
     ``1 << f`` and vertex v bit ``1 << v``."""
 
     edge_ends: list           # per edge, the mask of its endpoints
-    #: per edge, its faces a and b, its endpoint mask and the mask of the
-    #: edge ids joining a and b, itself included
+    #: per edge, its faces a and b and the mask of the edge ids joining
+    #: a and b, itself included
     edge_cuts: list
     face_adjacency: list      # per face, the other faces sharing an edge
     face_vertices: list       # per face, the mask of its vertices
@@ -721,6 +721,7 @@ class Region:
         return self._walks
 
     def facts(self):
+        """The masks and counts ``==`` compares, in field order."""
         return (self.face_mask, self.interior_mask, self.boundary_mask,
                 self.boundary_length, self.euler_char)
 
@@ -801,16 +802,16 @@ def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
     if cut_mask.bit_count() != len(cut_edges):
         raise ValueError("region decomposition needs distinct edge ids")
     table = g.face_masks()
-    edge_cuts = table.edge_cuts
+    edge_ends, edge_cuts = table.edge_ends, table.edge_cuts
     adj = table.face_adjacency[:]
     cut_sides = [0] * len(adj)
     on_cut = 0
     rest = ~cut_mask
     for e in cut_edges:
-        a, b, ends, joined = edge_cuts[e]
+        a, b, joined = edge_cuts[e]
         cut_sides[a] += 1
         cut_sides[b] += 1
-        on_cut |= ends
+        on_cut |= edge_ends[e]
         if not joined & rest:           # no uncut edge joins a and b
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
