@@ -9,7 +9,7 @@ CPU seconds of each theorem's check in the full audit, least over the runs,
 and the kernel counts of one more run: perfect-matching tables built,
 Hamiltonian-path searches, pattern maps tried (the candidate maps that
 reach the encoding test) and accepted, region boundary traces (calls to
-``surface._trace_boundaries``), the cycles the short-cycle search
+``surface.boundary_walks``), the cycles the short-cycle search
 yields, region decompositions (calls to ``surface.region_decompose``)
 and cut records (``connectivity.analyze_cut`` calls).  A count's
 function is wrapped in every ``o1ppg`` module that binds it.  A check's
@@ -38,7 +38,7 @@ COUNTS = (
     ("hamiltonian_searches", matching, "hamiltonian_path", lambda _out: 1),
     ("pattern_maps_tried", structures, "_candidate_maps", len),
     ("pattern_maps_accepted", structures, "match_pattern", len),
-    ("boundary_traces", surface, "_trace_boundaries", lambda _out: 1),
+    ("boundary_traces", surface, "boundary_walks", lambda _out: 1),
     ("cycles_enumerated", graphs, "enumerate_cycles", len),
     ("region_decompositions", surface, "region_decompose", lambda _out: 1),
     ("cuts", connectivity, "analyze_cut", lambda _out: 1),

@@ -3,11 +3,11 @@
 as vertex masks, the embedded induced subgraph Q[S] and the host's
 regions cut along Q[S], shape classification, and the cut-lemma audits.
 
-The clauses read the regions' mask facts (``surface.Region``): a
-component of G - S lies in a region iff it meets the region's interior
-mask, and a 2-cell of boundary length 6 is bounded by a 6-cycle iff its
-boundary mask has 6 vertices.  Only five_conn_ii's walk lengths are read
-off traced walks."""
+The clauses read the regions' mask facts (``surface.Region``) and trace
+no boundary walk: a component of G - S lies in a region iff it meets the
+region's interior mask, two boundary walks of length 6 are two regions
+of boundary length 6, and a 2-cell of boundary length 6 is bounded by a
+6-cycle iff its boundary mask has 6 vertices."""
 
 from __future__ import annotations
 
@@ -45,12 +45,11 @@ class CutAnalysis:
     vertices, which label Q[S] and name the cut in reports, and Q[S]'s
     degrees are listed on first access.  ``regions`` is the one region
     decomposition every cut clause reads, ``surface.region_decompose`` of
-    ``q_edges``, or [] when Q[S] has no edge: its facts (face, interior
-    and boundary masks, boundary lengths, Euler characteristics, 2-cells)
-    come with it, and its boundary walks are traced only where a clause
-    reads them.  Q[S]'s rotation system is read only on the 4-, 5- and
-    minimal 6-cuts, by T3.1's separating 4-cycles and the cut shapes, so
-    it is built on first access.
+    ``q_edges``, or [] when Q[S] has no edge, as records of facts (face,
+    interior and boundary masks, boundary lengths, Euler characteristics,
+    2-cells); no clause reads a boundary walk.  Q[S]'s rotation system
+    is read only on the 4-, 5- and minimal 6-cuts, by T3.1's separating
+    4-cycles and the cut shapes, so it is built on first access.
     """
 
     s_mask: int                  # the vertices of S
@@ -287,17 +286,24 @@ def audit_cut_lemmas(ca: CutAnalysis, connectivity):
         else:
             out[f"edge_bound_k{k}"] = "inapplicable"
 
-    # 5-connected minimal cuts of size 5 or 6; walks are traced only
-    # where the cheaper facts leave the verdict open
+    # 5-connected minimal cuts of size 5 or 6
     if connectivity >= 5 and ca.is_minimal and S in (5, 6):
         out["five_conn_i"] = "pass" if E >= 2 * F + 2 else "fail"
         # an empty Q[S] has no regions and counts as not 2-cell
         if not (regions and all(r.is_two_cell for r in regions)):
+            # two boundary walks of length 6, read off the lengths (a
+            # region's is the sum of its walks'): with S = E = 6 and Q[S]
+            # 2-regular, Q[S] is a 6-cycle or two disjoint triangles, and
+            # characteristics {0, 1} leave two regions, each with a walk.
+            # On P^2 a two-sided curve bounds a disc and leaves a Moebius
+            # band, and two one-sided curves meet (Mohar & Thomassen,
+            # 2001): two triangles leaving two regions are a two-sided and
+            # a one-sided one, lengths {3, 9}, and such a 6-cycle is
+            # two-sided, one 6-walk per region: the two readings agree.
             ok = (S == 6 and E == 6
                   and all(d == 2 for d in ca.q_degrees)
                   and sorted(r.euler_char for r in regions) == [0, 1]
-                  and sorted(w.length for r in regions
-                             for w in r.boundary_walks) == [6, 6])
+                  and sorted(r.boundary_length for r in regions) == [6, 6])
             out["five_conn_ii"] = "pass" if ok else "fail"
         else:
             out["five_conn_ii"] = "inapplicable"

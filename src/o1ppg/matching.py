@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (NoBlockerFound, NoHamPath, OddOrder,
-                     SearchBudgetExceeded, TooSmall)
+                     SearchBudgetExceeded, TooLarge, TooSmall)
 from .graphs import (adjacency_masks, enumerate_cycles, is_connected_mask,
                      mask_vertices, odd_even_components,
                      vertex_connectivity_flow, vertex_mask)
@@ -30,6 +30,9 @@ TRIANGULATION_NODE_BUDGET = 1 << 12
 #: DFS nodes one ``hamiltonian_path`` search may visit before it raises
 #: SearchBudgetExceeded.
 HAMILTONIAN_PATH_NODE_BUDGET = 1 << 20
+#: Largest order ``perfect_matching_table`` builds a table for: 2^24
+#: bytes, 16 MB, and about 4 s on one core; above it, TooLarge.
+PM_TABLE_MAX_N = 24
 #: ``matching_sweep`` covers the k-matchings for k <= SWEEP_K_MAX.
 SWEEP_K_MAX = 3
 
@@ -98,7 +101,15 @@ def perfect_matching_table(n, adj):
     pass over the masks in increasing order: a perfect matching of a
     subset pairs its least vertex with a neighbour there and matches the
     rest, a smaller mask.  ``o1ppg.oracles.pm_exists_by_memo`` is the
-    top-down reference."""
+    top-down reference.
+
+    Raises TooLarge, before it allocates, when ``n`` exceeds
+    ``PM_TABLE_MAX_N``.
+    """
+    if n > PM_TABLE_MAX_N:
+        raise TooLarge(
+            f"a perfect-matching table on {n} vertices takes 2^{n} bytes, "
+            f"above the bound of {PM_TABLE_MAX_N} vertices (PM_TABLE_MAX_N)")
     perfect = bytearray(1 << n)
     perfect[0] = 1
     covered = [{0: 1}] + [{} for _ in range(SWEEP_K_MAX)]
@@ -402,7 +413,9 @@ def matching_via_hamiltonian_path(inst, e, triangulation, cycles) -> Matching:
     ``cycles``, kept by the caller for one triangulation, maps each edge
     {a, b} of the Hamiltonian cycles found so far to the first; uv's path
     is that cycle cut at uv.  Other edges take a ``hamiltonian_path``
-    search, whose path joins ``cycles`` when uv closes it to a cycle."""
+    search, whose path joins ``cycles`` when uv closes it to a cycle.
+    The result is not checked here: T1.3's audit (``verify.check_T13``)
+    tests that it is a perfect matching through e."""
     if inst.n % 2:
         raise OddOrder("perfect matchings need an even order")
     u, v = inst.edges[e]
@@ -422,8 +435,4 @@ def matching_via_hamiltonian_path(inst, e, triangulation, cycles) -> Matching:
                 cycles.setdefault(frozenset((a, b)), path)
     pairs = [(path[i], path[i + 1]) for i in range(1, inst.n - 2, 2)]
     pairs.append((path[-1], path[0]))
-    ids = frozenset(inst.edge_id(a, b) for (a, b) in pairs)
-    m = Matching(ids)
-    assert e in ids and m.k == inst.n // 2
-    _check_matching(inst, m)
-    return m
+    return Matching(frozenset(inst.edge_id(a, b) for (a, b) in pairs))

@@ -111,8 +111,9 @@ from .matching import (HAMILTONIAN_PATH_NODE_BUDGET, Matching,
 from .structures import (CertificateContext, _with_roles, diagnose_mask,
                          get_pattern)
 from .surface import (_SEP, EmbeddedGraph, FaceWalk, SignedRotationSystem,
-                      _sign_product, canonical_walk, edge_lookup,
-                      region_decompose, short_walk_regions, signed_cycles)
+                      _sign_product, boundary_walks, canonical_walk,
+                      edge_lookup, region_decompose, short_walk_regions,
+                      signed_cycles)
 
 #: Diagonal selections ``spanning_triangulation_by_selections`` may try,
 #: the first included, before it raises SearchBudgetExceeded.
@@ -892,9 +893,10 @@ def _walk_regions(emb, max_len, min_len=2):
             # everything (e.g. both traversals of an essential triangle);
             # such a disc has no outside and is not a bounded region
             continue
-        for region in regions:
-            if (region.is_two_cell and canonical_walk(
-                    region.boundary_walks[0].vertices) == walk):
+        for region, walks in zip(regions,
+                                 boundary_walks(emb, edges, regions)):
+            if (region.is_two_cell
+                    and canonical_walk(walks[0].vertices) == walk):
                 yield walk, region
 
 
@@ -904,10 +906,10 @@ def odd_regions_by_face_merge(inst, max_boundary_len):
     (canonical walk, region) sorted by walk."""
     emb = inst.quad.embedding
     nf = emb.face_count
-    ef = emb.edge_faces()
+    ef = emb.face_masks().edge_cuts
     face_adj = [set() for _ in range(nf)]
     for e in range(emb.edge_count):
-        f1, f2 = ef[e]
+        f1, f2, _joined = ef[e]
         if f1 != f2:
             face_adj[f1].add(f2)
             face_adj[f2].add(f1)
@@ -930,11 +932,13 @@ def odd_regions_by_face_merge(inst, max_boundary_len):
                         if (ef[e][0] in sub) != (ef[e][1] in sub)]
             if not boundary or len(boundary) > max_boundary_len:
                 continue
-            for region in region_decompose(emb, boundary):
+            regions = region_decompose(emb, boundary)
+            for region, walks in zip(regions,
+                                     boundary_walks(emb, boundary, regions)):
                 if (region.face_mask != vertex_mask(sub)
                         or not region.is_two_cell):
                     continue
-                bw = region.boundary_walks[0]
+                bw = walks[0]
                 if bw.length > max_boundary_len:
                     continue
                 if region.interior_mask.bit_count() % 2 == 1:
@@ -1107,8 +1111,8 @@ def bowties_by_triangle_pairs(emb):
             edges |= {lookup[(min(a, b), max(a, b))],
                       lookup[(min(b, c), max(b, c))],
                       lookup[(min(a, c), max(a, c))]}
-        walks = [w for r in region_decompose(emb, edges)
-                 for w in r.boundary_walks]
+        walks = [w for ws in boundary_walks(
+                     emb, edges, region_decompose(emb, edges)) for w in ws]
         if sorted(w.length for w in walks) != [6, 6]:
             continue
         out.add((hub, frozenset((frozenset(set(t1) - {hub}),
@@ -1157,10 +1161,10 @@ def region_decompose_reference(g: EmbeddedGraph, cut_edges) -> list:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    ef = g.edge_faces()
+    ef = g.face_masks().edge_cuts
     for e in range(g.edge_count):
         if e not in K:
-            f1, f2 = ef[e]
+            f1, f2, _joined = ef[e]
             union(f1, f2)
 
     groups = {}

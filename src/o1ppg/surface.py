@@ -18,19 +18,19 @@ One function cuts a host along an edge set (``region_decompose``) and
 returns the list of regions.  It works on bitmasks: the embedding's one
 lazy mask table (``face_masks``) gives each edge its two faces and each
 face its vertex mask, and a cut is one pass over its edges and a
-component search over the face bits.  Each region is a slotted record of
+component search over the face bits.  Each region is a plain record of
 masks and counts (faces, interior vertices, boundary vertices, boundary
 length, Euler characteristic, and with it whether the region is a
-2-cell), and gets its boundary walks from the restricted tracer on first
-read.  The cut lemmas, the short-walk regions and the pattern face
-parities all read this list.  The short-walk regions, every 2-cell region
+2-cell), which the cut lemmas, the short-walk regions and the pattern
+face parities read; walks come from one explicit call
+(``boundary_walks``).  The short-walk regions, every 2-cell region
 bounded by a separating closed walk of 3 to 6 vertices, come as a list
 (``short_walk_regions``) that the caller keeps, cut from a list of signed
 cycles that the caller passes in: the audit finds them once per instance
 and drops them with itself, so an embedding keeps nothing of an audit but
-its lazy face tables (``corner_face``, ``edge_faces``, ``face_masks``).
-The disc of a two-sided cycle, with or without a pendant edge, has a walk
-known from the cycle, so only the regions of triangle pairs are traced.
+its lazy face tables (``corner_face``, ``face_masks``).  The disc of a
+two-sided cycle, with or without a pendant edge, has a walk known from
+the cycle, so only the regions of triangle pairs are traced.
 
 Both questions the model asks of a surface are read off the traced faces.
 A connected system with an edge is on P^2 iff its Euler characteristic is
@@ -55,8 +55,6 @@ a caller that cuts along a cycle looks its ids up.
 
 from __future__ import annotations
 
-import weakref
-from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -378,7 +376,6 @@ class EmbeddedGraph:
         self.faces = trace_faces(srs)
         self._connected = None
         self._corner_face = None
-        self._edge_faces = None
         self._face_masks = None
 
     @property
@@ -451,42 +448,31 @@ class EmbeddedGraph:
             self._corner_face = cf
         return self._corner_face
 
-    def edge_faces(self):
-        """Map edge -> tuple of its two incident face indices."""
-        if self._edge_faces is None:
+    def face_masks(self):
+        """The ``FaceMasks`` table, built on first call from the traced
+        faces; ``region_decompose`` and ``connectivity.analyze_cut`` read
+        it."""
+        if self._face_masks is None:
+            nf = self.face_count
             ef = [[] for _ in range(self.edge_count)]
             for fi, f in enumerate(self.faces):
                 for d in f.boundary:
                     ef[d >> 1].append(fi)
-            self._edge_faces = tuple(map(tuple, ef))
-        return self._edge_faces
-
-    def face_masks(self):
-        """The ``FaceMasks`` table, built on first call from ``edge_faces``
-        and ``corner_face``; ``region_decompose`` and
-        ``connectivity.analyze_cut`` read it."""
-        if self._face_masks is None:
-            ef = self.edge_faces()
-            nf = self.face_count
             adjacency = [0] * nf
             joins = [[0] * nf for _ in range(nf)]
-            sides = [0] * nf
             ends = []
             for e, ((a, b), (u, v, _s)) in enumerate(zip(ef, self.srs.edges)):
                 joins[a][b] |= 1 << e
                 joins[b][a] |= 1 << e
-                sides[a] += 1
-                sides[b] += 1
                 if a != b:
                     adjacency[a] |= 1 << b
                     adjacency[b] |= 1 << a
                 ends.append(1 << u | 1 << v)
             cuts = [(a, b, joins[a][b]) for a, b in ef]
-            verts = [0] * nf
-            dv = self.srs._dart_vertex
-            for corner, f in enumerate(self.corner_face()):
-                verts[f] |= 1 << dv[corner]
-            self._face_masks = FaceMasks(ends, cuts, adjacency, verts, sides)
+            self._face_masks = FaceMasks(
+                ends, cuts, adjacency,
+                [vertex_mask(f.vertices) for f in self.faces],
+                [f.length for f in self.faces])
         return self._face_masks
 
 
@@ -526,8 +512,8 @@ def short_walk_regions(g: EmbeddedGraph, cycles):
     walk, and with a pendant edge c-x the disc, now of boundary length
     ``len(cycle) + 2``, has the walk that goes c, x, c and on around the
     cycle.  Only the triangle pairs, whose walk order depends on the
-    rotations, read the traced walks (``Region.boundary_walks``).  Edge
-    ids are looked up for the cycles cut and the triangles alone.
+    rotations, read traced walks (``boundary_walks``).  Edge ids are
+    looked up for the cycles cut and the triangles alone.
     ``o1ppg.oracles._walk_regions`` is the closed-walk reference.
     """
     srs = g.srs
@@ -542,10 +528,10 @@ def short_walk_regions(g: EmbeddedGraph, cycles):
     def keep_traced(edges, regions):
         if len(regions) < 2:
             return
-        for region in regions:
+        for region, walks in zip(regions, boundary_walks(g, edges, regions)):
             # a 2-cell's one walk is as long as its boundary
             if region.is_two_cell and region.boundary_length <= 6:
-                bw = region.boundary_walks[0]
+                bw = walks[0]
                 if len(set(bw.edge_ids())) == len(edges):
                     found[canonical_walk(bw.vertices)] = region
 
@@ -682,28 +668,24 @@ class FaceMasks(NamedTuple):
 
 class Region:
     """One region of a cut: host faces merged across the edges off the
-    subgraph, with its facts as masks.  ``face_mask`` has a bit per face,
-    ``interior_mask`` one per vertex off the subgraph inside the region,
-    ``boundary_mask`` one per subgraph vertex on the region's faces;
-    ``boundary_length`` counts the subgraph's edge sides that face it and
-    ``euler_char`` is its characteristic on the cut-open complex.  Its
-    boundary walks, closed walks over the subgraph's darts in the order of
-    their least start state, are traced for every region of its
-    decomposition on first read.  ``==`` compares the facts."""
+    subgraph, as a record of masks and counts.  ``face_mask`` has a bit
+    per face, ``interior_mask`` one per vertex off the subgraph inside the
+    region, ``boundary_mask`` one per subgraph vertex on the region's
+    faces; ``boundary_length`` counts the subgraph's edge sides that face
+    it, the summed lengths of its boundary walks (``boundary_walks``),
+    and ``euler_char`` is its characteristic on the cut-open complex.
+    ``==`` compares the facts."""
 
     __slots__ = ("face_mask", "interior_mask", "boundary_mask",
-                 "boundary_length", "euler_char", "_walks", "_trace",
-                 "__weakref__")
+                 "boundary_length", "euler_char")
 
     def __init__(self, face_mask, interior_mask, boundary_mask,
-                 boundary_length, euler_char, trace=None):
+                 boundary_length, euler_char):
         self.face_mask = face_mask
         self.interior_mask = interior_mask
         self.boundary_mask = boundary_mask
         self.boundary_length = boundary_length
         self.euler_char = euler_char
-        self._walks = None
-        self._trace = trace
 
     @property
     def is_two_cell(self):
@@ -712,13 +694,6 @@ class Region:
         2 - k - b (Mohar & Thomassen, *Graphs on Surfaces*, 2001), so a
         2-cell iff its characteristic is 1."""
         return self.euler_char == 1
-
-    @property
-    def boundary_walks(self):
-        """This region's ``FaceWalk`` list."""
-        if self._walks is None:
-            self._trace()
-        return self._walks
 
     def facts(self):
         """The masks and counts ``==`` compares, in field order."""
@@ -734,22 +709,21 @@ class Region:
         return f"Region{self.facts()}"
 
 
-def _trace_boundaries(g: EmbeddedGraph, cut_mask, face_masks, refs):
-    """Give each live region of the cut along the edges of ``cut_mask``,
-    by the weak references ``refs``, its boundary walks: the faces of the
-    host restricted to those edges, each in the region (of the face masks
-    ``face_masks``) of the host corners its turns sweep, which must all
-    lie in one region.  Held weakly, an untraced decomposition is no
-    reference cycle, and a region kept alone keeps no other alive."""
+def boundary_walks(g: EmbeddedGraph, cut_edges, regions):
+    """The ``FaceWalk`` list of each of ``regions``, the decomposition of
+    ``g`` cut along ``cut_edges`` (``region_decompose``): the faces of the
+    host restricted to those edges, in the order of their least start
+    state, each in the region of the host corners its turns sweep, which
+    must all lie in one region."""
     srs = g.srs
     edges, nxt, prv = srs.edges, srs._rot_next, srs._rot_prev
     region_of = [0] * g.face_count
-    for ri, faces in enumerate(face_masks):
-        for f in mask_vertices(faces):
+    for ri, region in enumerate(regions):
+        for f in mask_vertices(region.face_mask):
             region_of[f] = ri
     corner_region = [region_of[f] for f in g.corner_face()]
-    walks = [[] for _ in refs]
-    for w in trace_faces(srs, mask_vertices(cut_mask)):
+    walks = [[] for _ in regions]
+    for w in trace_faces(srs, cut_edges):
         swept = set()
         b = w.boundary
         # a turn at d ^ 1 sweeps the host corners up to the walk's next dart
@@ -772,9 +746,7 @@ def _trace_boundaries(g: EmbeddedGraph, cut_mask, face_masks, refs):
                 "boundary walk sweeps multiple regions; "
                 "face merge inconsistent")
         walks[swept.pop()].append(w)
-    for region, ws in zip((ref() for ref in refs), walks):
-        if region is not None:
-            region._walks, region._trace = ws, None
+    return walks
 
 
 def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
@@ -791,8 +763,8 @@ def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
     vertex off the cut in two regions is rejected.  Every edge side on a
     region's faces faces the cut or lies on an edge inside it, so the
     region's characteristic is its interior vertices, less half the
-    sides not facing the cut, plus its faces.  The boundary walks are
-    traced on first read (``Region.boundary_walks``).
+    sides not facing the cut, plus its faces.  No walk is traced; a
+    caller that needs them asks ``boundary_walks``.
     ``o1ppg.oracles.region_decompose_reference`` is the set-based
     reference, which counts the walks instead.
     """
@@ -815,12 +787,10 @@ def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
         if not joined & rest:           # no uncut edge joins a and b
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
-    comps = component_masks(adj, (1 << len(adj)) - 1)
     face_vertices, face_sides = table.face_vertices, table.face_sides
-    regions, refs = [], []
-    trace = partial(_trace_boundaries, g, cut_mask, comps, refs)
+    regions = []
     taken = 0
-    for faces in comps:
+    for faces in component_masks(adj, (1 << len(adj)) - 1):
         verts = length = sides = 0
         m = faces
         while m:
@@ -836,7 +806,5 @@ def region_decompose(g: EmbeddedGraph, cut_edges) -> list:
                 "vertex off the subgraph touches several regions")
         taken |= inside
         chi = inside.bit_count() - (sides - length) // 2 + faces.bit_count()
-        region = Region(faces, inside, verts & on_cut, length, chi, trace)
-        regions.append(region)
-        refs.append(weakref.ref(region))
+        regions.append(Region(faces, inside, verts & on_cut, length, chi))
     return regions

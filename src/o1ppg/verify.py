@@ -36,7 +36,7 @@ from .connectivity import (_contains_separating_trivial_4cycle,
                            audit_cut_lemmas, classify_cut_shape,
                            enumerate_cuts, vertex_connectivity)
 from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
-                     SearchBudgetExceeded, UnknownTheorem)
+                     SearchBudgetExceeded, TooLarge, UnknownTheorem)
 from .matching import (Matching, find_blocker, is_extendable,
                        k_extendability, matching_sweep,
                        matching_via_hamiltonian_path, perfect_matching_table,
@@ -147,13 +147,18 @@ class _InstanceAudit:
         return None
 
     def run(self, theorems):
-        """One record per theorem of ``theorems``, in their order."""
+        """One record per theorem of ``theorems``, in their order; a check
+        whose intermediate is too large to build (``TooLarge``, which
+        names its bound) fails."""
         results = []
         for theorem in theorems:
             reason = self.inapplicable(theorem)
             if reason is None:
-                verdict, detail, witness = getattr(
-                    self, _check_method(theorem))()
+                try:
+                    verdict, detail, witness = getattr(
+                        self, _check_method(theorem))()
+                except TooLarge as exc:
+                    verdict, detail, witness = _fail(str(exc))
             else:
                 verdict, detail, witness = "inapplicable", reason, ""
             results.append(TheoremCheckResult(
@@ -304,7 +309,9 @@ class _InstanceAudit:
             except (NoHamPath, SearchBudgetExceeded) as exc:
                 return _fail(f"hamiltonian-path construction: {exc}",
                              witness)
-            if e not in mh.edges or mh.k != inst.n // 2:
+            # k edges covering 2k = n vertices are a perfect matching
+            if (e not in mh.edges
+                    or not len(mh.vertex_set(inst)) == 2 * mh.k == inst.n):
                 return _fail("constructed matching wrong", witness)
         return _pass(f"edges={inst.edge_count}")
 

@@ -21,7 +21,7 @@ from o1ppg.oracles import (enumerate_cuts_by_subsets,
 from o1ppg import surface
 from o1ppg.structures import get_pattern, match_pattern
 from o1ppg.surface import (EmbeddedGraph, FaceWalk, SignedRotationSystem,
-                           region_decompose, trace_faces)
+                           boundary_walks, region_decompose, trace_faces)
 
 
 def test_flow_matches_bruteforce_random():
@@ -108,7 +108,8 @@ def test_minimal_six_cut_shapes(inst10):
     shapes = sorted(classify_cut_shape(inst10, ca) for ca in cuts)
     assert shapes == ["I", "III", "III", "III"]
     for ca in cuts:
-        assert sum(len(r.boundary_walks) for r in ca.regions) >= 2
+        walks = boundary_walks(inst10.quad.embedding, ca.q_edges, ca.regions)
+        assert sum(map(len, walks)) >= 2
 
 
 def test_separating_trivial_4cycle_true_side(inst10):
@@ -266,7 +267,8 @@ def test_cut_facts_match_region_decompose(corpus_n12, instances10):
         ref = (region_decompose_reference(emb, ca.q_edges)
                if ca.q_edges else [])
         assert [r.boundary_length for r in ca.regions] == [
-            sum(w.length for w in r.boundary_walks) for r in regions]
+            sum(w.length for w in walks)
+            for walks in boundary_walks(emb, ca.q_edges, regions)]
         assert [r.facts() + (r.is_two_cell,) for r in ca.regions] == [
             reference_facts(r) for r in ref]
         assert ca.q_degrees == tuple(len(r) for r in ca.srs.rotations)
@@ -288,13 +290,14 @@ def test_boundary_mask_counts_walk_vertices(corpus_n12, instances10):
     # distinct vertices of its one walk, so five_conn_iii reads a 6-cycle
     # off the mask
     two_cells = hexagons = 0
-    for _inst, _conn, ca in _audited_cuts(
+    for inst, _conn, ca in _audited_cuts(
             corpus_n12 + instances10 + _relabelled(corpus_n12, 83)):
-        for r in ca.regions:
+        for r, walks in zip(ca.regions, boundary_walks(
+                inst.quad.embedding, ca.q_edges, ca.regions)):
             assert r.boundary_mask == vertex_mask(
-                v for w in r.boundary_walks for v in w.vertices)
+                v for w in walks for v in w.vertices)
             if r.is_two_cell:
-                (walk,) = r.boundary_walks
+                (walk,) = walks
                 assert r.boundary_mask.bit_count() == len(set(walk.vertices))
                 two_cells += 1
                 hexagons += r.boundary_length == 6
@@ -315,15 +318,18 @@ def test_q_induced_subgraph_walks_match_regions(corpus_n12, instances10):
                for f in trace_faces(ca.srs)]
         host = trace_faces(inst.quad.embedding.srs, ca.q_edges)
         assert own == host, ca.S
-        assert sorted(host) == sorted(w for r in ca.regions
-                                      for w in r.boundary_walks)
+        assert sorted(host) == sorted(
+            w for walks in boundary_walks(inst.quad.embedding, ca.q_edges,
+                                          ca.regions)
+            for w in walks)
         cuts += 1
     assert cuts == 2 * 645 + 23
 
 
 def test_facts_trace_no_walk(corpus_n12, monkeypatch):
-    # the clauses of L2.2-L2.5, the region facts with the 2-cell test, and
-    # the pattern face parities trace no walk; reading the walks does
+    # the cut clauses at each instance's connectivity, the region facts
+    # with the 2-cell test, and the pattern face parities trace no walk;
+    # reading the walks does
     traced = []
 
     def counting(srs, edges=None):
@@ -331,20 +337,56 @@ def test_facts_trace_no_walk(corpus_n12, monkeypatch):
         return trace_faces(srs, edges)
 
     monkeypatch.setattr(surface, "trace_faces", counting)
-    cuts = [ca for _inst, _conn, ca in _audited_cuts(corpus_n12)]
-    for ca in cuts:
-        # at connectivity 4 the 5-connected clauses, which read walks,
-        # are inapplicable
-        audit = audit_cut_lemmas(ca, connectivity=4)
-        assert "fail" not in audit.values()
+    cuts = []
+    for inst, conn, ca in _audited_cuts(corpus_n12):
+        assert "fail" not in audit_cut_lemmas(ca, conn).values()
         assert [(r.face_mask, r.boundary_length, r.euler_char,
                  r.is_two_cell) for r in ca.regions]
+        cuts.append((inst, ca))
     for inst in corpus_n12:
         for pid in "abcdefg":
             match_pattern(inst.quad.embedding, get_pattern(pid))
     assert traced == []
-    assert all(r.boundary_walks for ca in cuts for r in ca.regions)
+    assert all(all(boundary_walks(inst.quad.embedding, ca.q_edges,
+                                  ca.regions))
+               for inst, ca in cuts)
     assert len(traced) == len(cuts) == 645
+
+
+def _five_conn_ii_by_walks(emb, ca):
+    """five_conn_ii on the walks of ``region_decompose_reference``: when
+    some region is not a 2-cell, Q[S] is a 2-regular graph on 6 vertices
+    and 6 edges whose regions have characteristics {0, 1} and whose walks
+    have lengths [6, 6]."""
+    ref = region_decompose_reference(emb, ca.q_edges) if ca.q_edges else []
+    if ref and all(r.is_two_cell for r in ref):
+        return "inapplicable"
+    ok = (ca.s_mask.bit_count() == 6 and len(ca.q_edges) == 6
+          and all(d == 2 for d in ca.q_degrees)
+          and sorted(r.euler_char for r in ref) == [0, 1]
+          and sorted(w.length for r in ref
+                     for w in r.boundary_walks) == [6, 6])
+    return "pass" if ok else "fail"
+
+
+def test_five_conn_ii_boundary_lengths_match_walk_lengths(corpus_n12,
+                                                          instances10):
+    # five_conn_ii reads two regions of boundary length 6 where the lemma
+    # asks for two boundary walks of length 6: the same verdict on every
+    # cut where the clause is evaluated
+    evaluated = {}
+    for name, insts in (("corpus_n12", corpus_n12),
+                        ("relabelled", _relabelled(corpus_n12, 89)),
+                        ("instances10", instances10)):
+        evaluated[name] = 0
+        for inst, conn, ca in _audited_cuts(insts):
+            verdict = audit_cut_lemmas(ca, conn)["five_conn_ii"]
+            if verdict == "inapplicable":
+                continue
+            assert verdict == _five_conn_ii_by_walks(
+                inst.quad.embedding, ca), (inst.key, ca.S)
+            evaluated[name] += 1
+    assert evaluated["corpus_n12"] == evaluated["relabelled"] == 59
 
 
 def _shape_by_canonical_key(ca):

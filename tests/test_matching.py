@@ -7,9 +7,11 @@ import pytest
 from test_connectivity import _relabelled
 from test_generator import _full_relabel
 
-from o1ppg import matching, oracles, verify
+from o1ppg import matching, oracles, srsio, verify
+from o1ppg.cli import main
+from o1ppg.connectivity import vertex_connectivity
 from o1ppg.errors import (NoBlockerFound, OddOrder, SearchBudgetExceeded,
-                          TooSmall)
+                          TooLarge, TooSmall)
 from o1ppg.graphs import adjacency_masks, vertex_connectivity_flow
 from o1ppg.matching import (Matching, MatchingSweep, find_blocker,
                             hamiltonian_path, is_extendable, k_extendability,
@@ -466,3 +468,38 @@ def test_hamiltonian_path_budget(inst10, monkeypatch):
     [res] = audit_instance(inst10, AuditConfig(theorems=("T1.3",)))
     assert res.verdict == "fail"
     assert "HAMILTONIAN_PATH_NODE_BUDGET" in res.detail
+
+
+def test_t13_reports_a_wrong_construction(even_n12, monkeypatch):
+    # a Hamiltonian-path kernel that walks one edge back and forth builds
+    # no perfect matching; the construction returns what it built, and
+    # T1.3's check reports it as a failure record instead of crashing
+    monkeypatch.setattr(matching, "hamiltonian_path",
+                        lambda n, adj, s, t: [s, t] * (n // 2))
+    results = audit_instance(even_n12[0])
+    assert [(r.theorem_id, r.verdict, r.detail) for r in results
+            if r.verdict == "fail"] == [
+        ("T1.3", "fail", "constructed matching wrong")]
+
+
+def test_pm_table_guard_names_its_bound(even_n12, tmp_path, monkeypatch,
+                                        capsys):
+    # above PM_TABLE_MAX_N the table raises TooLarge before it allocates:
+    # every check that reads it fails with a record naming the bound, the
+    # others keep their verdicts, and analyze exits 1 with the typed error
+    inst = next(i for i in even_n12 if vertex_connectivity(i) == 5)
+    monkeypatch.setattr(matching, "PM_TABLE_MAX_N", inst.n - 1)
+    with pytest.raises(TooLarge, match="PM_TABLE_MAX_N"):
+        perfect_matching_table(inst.n, inst.adj)
+    results = audit_instance(inst)
+    failed = {r.theorem_id for r in results if r.verdict == "fail"}
+    assert failed == verify._EVEN_ONLY
+    assert all("PM_TABLE_MAX_N" in r.detail for r in results
+               if r.verdict == "fail")
+    assert all(r.verdict == "pass" for r in results
+               if r.theorem_id not in failed)
+    path = tmp_path / "even.srs"
+    srsio.dump(inst.quad.embedding.srs, path)
+    assert main(["analyze", "--in", str(path), "--checks", "extend1"]) == 1
+    err = capsys.readouterr().err
+    assert "TooLarge" in err and "PM_TABLE_MAX_N" in err

@@ -9,7 +9,7 @@ from test_generator import _full_relabel
 from test_matching import _sweep
 
 from o1ppg.generator import canonical_key
-from o1ppg import structures, verify
+from o1ppg import structures, surface, verify
 from o1ppg.matching import Matching, is_extendable
 from o1ppg.model import build_o1ppg, validate_quadrangulation
 from o1ppg.oracles import (_walk_regions, bowties_by_triangle_pairs,
@@ -26,6 +26,7 @@ from o1ppg.structures import (_CONFIG_ROLES, CertificateContext,
                               sweep_three_matchings, two_cell_regions)
 from o1ppg.graphs import mask_vertices
 from o1ppg.surface import (EmbeddedGraph, canonical_walk, edge_lookup,
+                           region_decompose,
                            short_walk_regions, signed_cycles)
 
 
@@ -218,23 +219,36 @@ def test_short_cycle_regions_match_closed_walk_oracle(corpus10, corpus_n12):
 
 
 def test_short_walk_regions_from_facts_match_traced_walks(corpus10,
-                                                          corpus_n12):
+                                                          corpus_n12,
+                                                          monkeypatch):
     # the discs of the cycles and of the 3- and 4-cycles with a pendant
     # edge, whose edge graphs have as many vertices as edges, are kept
     # untraced; traced afterwards, each has one walk, the walk it is keyed
     # by.  The triangle pairs, one edge more, are the regions traced
     hosts = [EmbeddedGraph(srs) for n, members in corpus10.items() if n <= 8
              for _key, srs in members]
+    trace = surface.boundary_walks
+    traced = {}         # the regions of every traced cut, kept alive by id
+
+    def recording(g, cut_edges, regions):
+        traced.update((id(r), r) for r in regions)
+        return trace(g, cut_edges, regions)
+
+    monkeypatch.setattr(surface, "boundary_walks", recording)
     untraced = set()
     for host in hosts + corpus_n12:
         emb = host.quad.embedding if hasattr(host, "quad") else host
+        edge_of = edge_lookup(emb.srs)
         for walk, region in _regions(emb):
             vertices, edges = _walk_shape(walk)
-            assert (region._walks is None) == (vertices == edges)
-            if region._walks is None:
+            assert (id(region) not in traced) == (vertices == edges)
+            if id(region) not in traced:
                 untraced.add((len(walk), vertices))
-                (traced,) = region.boundary_walks
-                assert canonical_walk(traced.vertices) == walk
+                cut = {edge_of[(a, b)]
+                       for a, b in zip(walk, walk[1:] + walk[:1])}
+                regions = region_decompose(emb, cut)
+                (walk_of,) = trace(emb, cut, regions)[regions.index(region)]
+                assert canonical_walk(walk_of.vertices) == walk
     # two-sided cycles are even in a quadrangulation: 4- and 6-cycles, and
     # 4-cycles with a pendant edge
     assert untraced == {(4, 4), (6, 6), (6, 5)}

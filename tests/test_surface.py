@@ -3,7 +3,6 @@ representativity, and the .srs text format."""
 
 import gc
 import random
-import weakref
 
 import pytest
 from test_connectivity import _audited_cuts, _relabelled, reference_facts
@@ -17,8 +16,9 @@ from o1ppg.oracles import (_closed_walks_upto, cycle_sign, double_cover,
                            representativity_bruteforce,
                            representativity_by_double_cover)
 from o1ppg.graphs import mask_vertices
-from o1ppg.surface import (EmbeddedGraph, SignedRotationSystem,
-                           region_decompose, representativity, trace_faces)
+from o1ppg.surface import (EmbeddedGraph, Region, SignedRotationSystem,
+                           boundary_walks, region_decompose,
+                           representativity, trace_faces)
 
 
 def test_loop_on_projective_plane():
@@ -147,26 +147,18 @@ def test_region_decompose_k4_full(k4):
 def test_region_decompose_bowtie_full(bowtie):
     regions = region_decompose(bowtie, range(6))
     assert len(regions) == 2
-    for r in regions:
+    for r, walks in zip(regions, boundary_walks(bowtie, range(6), regions)):
         assert r.is_two_cell
-        assert [w.length for w in r.boundary_walks] == [6]
+        assert [w.length for w in walks] == [6]
 
 
-def test_untraced_regions_form_no_reference_cycle(bowtie):
-    # with the cyclic collector off, dropping a decomposition frees its
-    # regions at once; a region kept alone still traces its walks, and
-    # holds none of the others
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        regions = region_decompose(bowtie, range(6))
-        kept, dropped = regions[0], weakref.ref(regions[1])
-        del regions
-        assert dropped() is None
-        assert [w.length for w in kept.boundary_walks] == [6]
-    finally:
-        if enabled:
-            gc.enable()
+def test_region_refers_only_to_ints(bowtie):
+    # a region is a record of its facts: it holds no embedding, tracer or
+    # other region, only its class and its masks and counts
+    for r in region_decompose(bowtie, range(6)):
+        refs = [x for x in gc.get_referents(r) if x is not Region]
+        assert len(refs) == len(Region.__slots__)
+        assert all(type(x) is int for x in refs)
 
 
 def test_region_decompose_trivial_cycle_disc_plus_crosscap(k4):
@@ -221,11 +213,9 @@ def _kernel_edge_sets(inst, rng, random_sets):
 
 def _assert_matches_reference(emb, edges, regions):
     ref = region_decompose_reference(emb, edges)
-    # the facts need no walk; the walks are read, so traced, apart
     assert [r.facts() + (r.is_two_cell,) for r in regions] == [
         reference_facts(r) for r in ref], sorted(edges)
-    assert all(r._walks is None for r in regions)
-    assert [r.boundary_walks for r in regions] == \
+    assert boundary_walks(emb, edges, regions) == \
         [r.boundary_walks for r in ref]
 
 
@@ -258,25 +248,34 @@ def test_region_decompose_matches_reference(corpus_n12, instances10):
 
 
 def test_region_decompose_rejects_inconsistent_faces(min9):
-    # edge-face incidences that do not merge the two faces of edge 0: the
-    # walk around them cut along every other edge sweeps corners of two
+    # a face table whose incidences do not merge the two faces of edge 0:
+    # the walk around them cut along every other edge sweeps corners of two
     # regions, which both implementations reject, the fast one when the
-    # walks are read (the facts trace none)
-    def with_edge_faces(edge_faces):
+    # walks are traced (the facts trace none)
+    table = min9.face_masks()
+
+    def with_face_masks(**fields):
         g = EmbeddedGraph(min9.srs)
-        g._edge_faces = edge_faces
+        g._face_masks = table._replace(**fields)
         return g
 
-    g = with_edge_faces(((0, 0),) + min9.edge_faces()[1:])
+    a, b, _joined = table.edge_cuts[0]
+    adjacency = table.face_adjacency[:]
+    adjacency[a] &= ~(1 << b)
+    adjacency[b] &= ~(1 << a)
+    g = with_face_masks(edge_cuts=[(0, 0, 1)] + table.edge_cuts[1:],
+                        face_adjacency=adjacency)
     others = set(range(1, g.edge_count))
     with pytest.raises(MalformedRotation, match="multiple regions"):
         region_decompose_reference(g, others)
     regions = region_decompose(g, others)
     with pytest.raises(MalformedRotation, match="multiple regions"):
-        [r.boundary_walks for r in regions]
+        boundary_walks(g, others, regions)
     # incidences that merge no faces at all leave a vertex off the
     # subgraph in several regions, which the fast one rejects at once
-    g = with_edge_faces(tuple((0, 0) for _ in range(g.edge_count)))
+    every = (1 << g.edge_count) - 1
+    g = with_face_masks(edge_cuts=[(0, 0, every)] * g.edge_count,
+                        face_adjacency=[0] * g.face_count)
     with pytest.raises(MalformedRotation, match="several regions"):
         region_decompose(g, {0})
     with pytest.raises(MalformedRotation, match="multiple regions"):

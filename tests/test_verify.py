@@ -287,21 +287,20 @@ def test_audit_finds_short_walk_regions_once(corpus_n12, monkeypatch):
 
 def test_corpus_audit_traces_triangle_pairs_only(corpus_n12, monkeypatch):
     # the short-walk regions of cycles and of cycles with a pendant edge
-    # read their walks off their facts, and so does five_conn_iii's 6-cycle
-    # test (off the boundary mask), so a corpus-n12 audit traces 61
-    # boundaries: 59 cuts whose five_conn_ii verdict needs the walk
-    # lengths and 2 triangle pairs of the short-walk finder
+    # read their walks off their facts, and the cut clauses read boundary
+    # lengths and masks, so a corpus-n12 audit traces the boundaries of
+    # the 2 triangle pairs of the short-walk finder alone
     traces = []
-    trace = surface._trace_boundaries
-    monkeypatch.setattr(surface, "_trace_boundaries",
+    trace = surface.boundary_walks
+    monkeypatch.setattr(surface, "boundary_walks",
                         lambda *args: traces.append(args) or trace(*args))
     for inst in corpus_n12:
         assert all(r.verdict != "fail" for r in audit_instance(inst))
-    assert len(traces) == 61
+    assert len(traces) == 2
 
 
 #: the embedding's lazy face tables, the one audit-time state it keeps
-_FACE_TABLES = ("_corner_face", "_edge_faces", "_face_masks")
+_FACE_TABLES = ("_corner_face", "_face_masks")
 
 
 def _embedding_state(inst):
@@ -433,5 +432,5 @@ def test_audit_digest_reads_the_golden_report(corpus_n12_dir):
     assert list(seconds) == list(THEOREM_IDS)
     assert counts == {"pm_tables": 10, "hamiltonian_searches": 191,
                       "pattern_maps_tried": 134, "pattern_maps_accepted": 64,
-                      "boundary_traces": 61, "cycles_enumerated": 4064,
+                      "boundary_traces": 2, "cycles_enumerated": 4064,
                       "region_decompositions": 1148, "cuts": 645}
