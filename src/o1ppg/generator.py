@@ -5,8 +5,9 @@ A class is named by its canonical key, the least BFS encoding
 (``surface._encode_from``) over the start states of its least degree pair
 (``_class_darts``), spelled ``v<n>e<E>:`` and then its tokens: one per dart
 visit, ``2 * neighbour label + sign bit``, and -1 closing each vertex
-block.  The encoder takes simple systems only, where two labelled vertices
-name the edge between them.  Growth decides repeats with the same encodings
+block (the encoder's own tokens are these plus one, ``_token_strings``).
+The encoder takes simple systems only, where two labelled vertices name
+the edge between them.  Growth decides repeats with the same encodings
 (``_new_class``), and ``canonical_key`` returns the key growth computes; it
 takes simple connected systems only.
 
@@ -33,23 +34,26 @@ from .errors import (Disconnected, MalformedManifest, NotSimple,
                      NotSimpleResult, ReducibleSeed)
 from .graphs import vertex_connectivity_flow
 from .model import Quadrangulation, build_o1ppg, validate_quadrangulation
-from .surface import (_SEP, EmbeddedGraph, SignedRotationSystem,
-                      _encode_from, _encoder_tables)
+from .surface import (EmbeddedGraph, SignedRotationSystem, _encode_from,
+                      _encoder_tables)
 
 
 @cache
 def _token_strings(n):
-    """Key spelling of the tokens of an order-``n`` encoding: entry t is
-    ``str(t)`` for every dart-visit token t < 2n, and the last entry, the
-    one ``_SEP`` (-1) indexes, spells ``_SEP``."""
-    return (*map(str, range(2 * n)), str(_SEP))
+    """Key spelling of the tokens of an order-``n`` encoding: token t, a
+    dart visit ``2 * label + sign bit + 1`` or ``surface._SEP`` (0), is
+    spelled ``str(t - 1)``, so a key names each visit ``2 * label + sign
+    bit`` and closes each vertex block with -1."""
+    return tuple(map(str, range(-1, 2 * n)))
 
 
-def _token_code(n):
-    """``array`` typecode that packs an order-``n`` encoding for ``seen``:
-    a signed byte while every token, below 2n, and ``_SEP`` (-1) fit in
-    one (n <= 64), two bytes above."""
-    return "b" if n <= 64 else "h"
+def _pack(enc, n):
+    """The bytes ``seen`` holds for an order-``n`` encoding: one byte per
+    token while the largest token, 2n, fits in one (n <= 127), else two
+    in native order.  The width is fixed by the order, and the length of
+    growth's encodings, 5n - 4 tokens, fixes the order, so two of them
+    pack alike iff they are equal."""
+    return bytes(enc) if n <= 127 else array("H", enc).tobytes()
 
 
 def _class_darts(srs):
@@ -68,19 +72,23 @@ def _class_darts(srs):
     """
     rot = srs.rotations
     return _least_pair(srs._dart_vertex, srs._rot_next, list(map(len, rot)),
-                       [r[0] for r in rot])
+                       [r[0] for r in rot], range(srs.vertex_count))
 
 
-def _least_pair(dv, nxt, deg, lead):
-    """The least degree pair read off dart tables: per vertex, in vertex
-    order, the darts of its rotation walked from its lead dart, kept when
-    the vertex has the least degree and the dart's far endpoint the least
-    degree among those darts.  Growth reads a split product's first start
-    dart off its patched tables with it."""
-    least = min(deg)
+def _least_pair(dv, nxt, deg, lead, vertices):
+    """The least degree pair read off dart tables, its roots sought among
+    ``vertices``: per vertex of ``vertices``, in their order, the darts of
+    its rotation walked from its lead dart, kept when the vertex has the
+    least degree among ``vertices`` and the dart's far endpoint the least
+    degree among those darts.  With every vertex passed it is the system's
+    least degree pair (``_class_darts``, seeds and growth's products of
+    minimum degree at least 3); growth passes an insertion product's
+    degree-2 vertices alone, which hold its roots (``_grow``)."""
+    least = min([deg[w] for w in vertices])
     far = len(deg)              # above every degree of a simple system
     darts = []
-    for w, k in enumerate(deg):
+    for w in vertices:
+        k = deg[w]
         if k == least:
             d = lead[w]
             for _ in range(k):
@@ -219,21 +227,28 @@ def _patched_split(parent, v, i, j):
     return dv, nxt, prv, sign, deg, lead
 
 
-def _materialise(edges, dv, nxt, prv, sign, deg, lead):
-    """The SignedRotationSystem of split tables, given the parent's
-    ``edges``: each rotation is walked from its lead dart, and an edge
-    with an end at the new vertex, the last one, joins ``dv[2e]`` and
-    ``dv[2e + 1]`` with sign ``sign[e]``, while every other edge keeps the
-    parent's tuple.  The tables, and these lists, become the system's
-    own; each rotation is sized up front, as an appended list would keep
-    spare slots for the life of the system."""
-    rotations = [None] * len(deg)
-    for v, (d, k) in enumerate(zip(lead, deg)):
-        r = rotations[v] = [0] * k
+def _materialise(parent, v, dv, nxt, prv, sign, deg, lead):
+    """The SignedRotationSystem of the split of v that gave the split
+    tables (``_patched_split``) of the system ``parent``.
+
+    The split changes the rotations of four vertices only: v, its
+    neighbours x and y, the far ends of the new edges' darts at the new
+    vertex (``dv[-3]`` and ``dv[-1]``), and the new vertex, the last one.
+    Those are walked from their lead darts, each sized up front, as an
+    appended list would keep spare slots for the life of the system; every
+    other vertex keeps the parent's list object, so the two systems share
+    it (no system's rotation list is ever mutated).  An edge with an end at
+    the new vertex joins ``dv[2e]`` and ``dv[2e + 1]`` with sign
+    ``sign[e]``, while every other edge keeps the parent's tuple.  The
+    tables become the system's own."""
+    rotations = parent.rotations + [None]
+    for w in (v, dv[-3], dv[-1], len(deg) - 1):
+        d, k = lead[w], deg[w]
+        r = rotations[w] = [0] * k
         for t in range(k):
             r[t] = d
             d = nxt[d]
-    edges = edges + [None, None]
+    edges = parent.edges + [None, None]
     for d in rotations[-1]:
         e = d >> 1
         edges[e] = (dv[2 * e], dv[2 * e + 1], sign[e])
@@ -245,29 +260,27 @@ def _first_state(tables, start):
     """``(start, encoding, packed bytes)`` of the start state (start, +1)
     of the system whose encoder tables are ``tables``."""
     enc = _encode_from(*tables, start, 1)[0]
-    return start, enc, array(_token_code(tables[4]), enc).tobytes()
+    return start, enc, _pack(enc, tables[4])
 
 
 def _new_class(srs, seen, darts=None, first=None):
     """Key of a simple connected system whose class is not in ``seen``, or
     None if it is.
 
-    ``seen`` holds, as ``array`` bytes of ``_token_code(n)``, the packed
-    encodings from every start state of every class met so far (an
-    encoding's length, 5n - 4 tokens, fixes the order n, and with it the
-    bytes per token).  The start states are (d, +1) and (d, -1) for the
-    darts d of the least degree pair (``_class_darts``).  That set is
-    invariant and a start-state encoding describes the whole
-    embedding, so the system repeats a class iff its encoding from one
-    start state (its first start dart, side +1) is in ``seen``.  A new
-    class is then encoded from its other start states too, all of which
-    join ``seen``.  Its key, which ``canonical_key`` returns, is their
-    minimum.
+    ``seen`` holds, packed by ``_pack`` (one byte per token up to order
+    127), the encodings from every start state of every class met so far.
+    The start states are (d, +1) and (d, -1) for the darts d of the least
+    degree pair (``_class_darts``).  That set is invariant and a
+    start-state encoding describes the whole embedding, so the system
+    repeats a class iff its encoding from one start state (its first start
+    dart, side +1) is in ``seen``.  A new class is then encoded from its
+    other start states too, all of which join ``seen``.  Its key, which
+    ``canonical_key`` returns, is their minimum.
 
-    ``darts`` (the ``_class_darts``) and ``first`` (the ``_first_state``
-    of the first start state) are passed when the caller has them already:
-    growth reads both off a split product's patched tables and builds the
-    system only for a new class.
+    ``darts`` (the ``_class_darts``, in any order) and ``first`` (the
+    ``_first_state`` of the first of them) are passed when the caller has
+    them already: growth reads both off a split product's patched tables
+    and builds the system only for a new class.
     """
     tables = _encoder_tables(srs)
     if darts is None:
@@ -276,15 +289,15 @@ def _new_class(srs, seen, darts=None, first=None):
     if packed in seen:
         return None
     seen.add(packed)
-    code = _token_code(srs.vertex_count)
+    n = srs.vertex_count
     for d in darts:
         for side in (1, -1):
             if d == start and side == 1:
                 continue
             enc = _encode_from(*tables, d, side)[0]
-            seen.add(array(code, enc).tobytes())
+            seen.add(_pack(enc, n))
             least = min(least, enc)
-    spelled = _token_strings(srs.vertex_count)
+    spelled = _token_strings(n)
     return _prefix(srs) + ",".join([spelled[t] for t in least])
 
 
@@ -389,6 +402,18 @@ def _half_is_root(deg, twos, v, x, y):
     return True
 
 
+def _insertion_twos(twos, halves, v, x, y):
+    """The degree-2 vertices of the product of an insertion split of v
+    between its neighbours x and y, read off the parent's degree-2
+    vertices ``twos``, ``(w, a, b)`` as ``_half_is_root`` takes them, and
+    the split's degree-2 ``halves``: the halves first, then each w other
+    than v, x and y, whose degree the split leaves at 2 (x and y rise to
+    3).  The product's least degree is 2, so they hold the roots of its
+    least degree pair."""
+    return [*halves, *[w for w, _a, _b in twos
+                       if w != v and w != x and w != y]]
+
+
 def _patched_faces(faces, parent, v, i, j):
     """The face corners (``EmbeddedGraph.face_corners``) of the split (v,
     i, j) of the system whose ``_split_tables`` are ``parent`` and whose
@@ -472,9 +497,15 @@ def _grow(seeds, n_max):
     those tables, from one start state read off them (``_least_pair``), and
     is a repeat iff that encoding is one a class met before had from any of
     its start states; only a new class is materialised as a
-    SignedRotationSystem and encoded from all of them (``_new_class``,
-    which reuses the darts and the first encoding).  Seeds with more than
-    ``n_max`` vertices are dropped.
+    SignedRotationSystem, which shares the parent's rotation list of every
+    vertex the split leaves alone (``_materialise``), and encoded from all
+    of them (``_new_class``, which reuses the darts and the first
+    encoding).  The start darts of an insertion whose half is a root are
+    sought among the product's degree-2 vertices alone: its halves and the
+    parent's degree-2 vertices other than v, x and y.  Its least degree is
+    2, so those hold its roots, and they are the ones whose far degree is
+    min(deg x, deg y) + 1, the halves' (``_half_is_root``).  Seeds with
+    more than ``n_max`` vertices are dropped.
 
     What is validated.  Every seed within ``n_max`` goes through
     ``validate_quadrangulation``, and so does every new class of minimum
@@ -516,7 +547,9 @@ def _grow(seeds, n_max):
     From K4 to n <= 10 growth patches 3,120 split products and makes
     8,022 encoder calls (11,505 and 16,407 without the rule), builds 1,727
     systems, one per class, and validates 26 of them: K4 and the 25
-    classes of minimum degree at least 3.
+    classes of minimum degree at least 3.  Each of the 1,726 grown systems
+    builds four rotation lists and shares the rest with its parent, and
+    ``seen`` holds each start-state encoding as one byte per token.
     """
     seen = set()
     frontier = []   # (system, face corners, bipartite) below n_max
@@ -549,26 +582,29 @@ def _grow(seeds, n_max):
         rot, dv0, deg0 = parent[0], parent[1], parent[5]
         m = srs0.vertex_count           # the new vertex
         below = m + 1 < n_max           # the products are split later
+        every = range(m + 1)
         twos = [(w, dv0[r[0] ^ 1], dv0[r[1] ^ 1])
                 for w, r in enumerate(rot) if len(r) == 2]
         for v, i, j, halves in _tried_splits(
                 rot, dv0, {w for w, _a, _b in twos},
                 _twin_splits(srs0, faces0)):
-            if halves and not _half_is_root(deg0, twos, v,
-                                            dv0[rot[v][i] ^ 1],
-                                            dv0[rot[v][j] ^ 1]):
-                continue            # not the canonical parent's insertion
+            roots = every
+            if halves:
+                x, y = dv0[rot[v][i] ^ 1], dv0[rot[v][j] ^ 1]
+                if not _half_is_root(deg0, twos, v, x, y):
+                    continue        # not the canonical parent's insertion
+                roots = _insertion_twos(twos, halves, v, x, y)
             # A split of a simple connected system is simple (the two
             # halves share no edge and split v's distinct neighbours) and
             # connected (both halves keep x and y), so its first start
             # state is read off the patched tables.
             tables = _patched_split(parent, v, i, j)
             dv, nxt, prv, sign, deg, lead = tables
-            darts = _least_pair(dv, nxt, deg, lead)
+            darts = _least_pair(dv, nxt, deg, lead, roots)
             first = _first_state((dv, nxt, prv, sign, m + 1), darts[0])
             if first[2] in seen:
                 continue            # a known class: nothing is built
-            srs = _materialise(srs0.edges, *tables)
+            srs = _materialise(srs0, v, *tables)
             key = _new_class(srs, seen, darts, first)
             if halves:      # only an insertion leaves a vertex of degree 2
                 if below:

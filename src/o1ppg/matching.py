@@ -415,7 +415,9 @@ def matching_via_hamiltonian_path(inst, e, triangulation, cycles) -> Matching:
     is that cycle cut at uv.  Other edges take a ``hamiltonian_path``
     search, whose path joins ``cycles`` when uv closes it to a cycle.
     The result is not checked here: T1.3's audit (``verify.check_T13``)
-    tests that it is a perfect matching through e."""
+    tests that it is a perfect matching through e.  A path pair that is
+    not an edge of the instance is left out, so a path that leaves G
+    gives a matching too small for that test instead of a lookup error."""
     if inst.n % 2:
         raise OddOrder("perfect matchings need an even order")
     u, v = inst.edges[e]
@@ -435,4 +437,5 @@ def matching_via_hamiltonian_path(inst, e, triangulation, cycles) -> Matching:
                 cycles.setdefault(frozenset((a, b)), path)
     pairs = [(path[i], path[i + 1]) for i in range(1, inst.n - 2, 2)]
     pairs.append((path[-1], path[0]))
-    return Matching(frozenset(inst.edge_id(a, b) for (a, b) in pairs))
+    return Matching(frozenset(inst.edge_id(a, b) for (a, b) in pairs
+                              if inst.adj[a] >> b & 1))

@@ -110,7 +110,7 @@ from .matching import (HAMILTONIAN_PATH_NODE_BUDGET, Matching,
                        _check_matching)
 from .structures import (CertificateContext, _with_roles, diagnose_mask,
                          get_pattern)
-from .surface import (_SEP, EmbeddedGraph, FaceWalk, SignedRotationSystem,
+from .surface import (EmbeddedGraph, FaceWalk, SignedRotationSystem,
                       _sign_product, boundary_walks, canonical_walk,
                       edge_lookup, region_decompose, short_walk_regions,
                       signed_cycles)
@@ -122,7 +122,9 @@ TRIANGULATION_SELECTION_BUDGET = 1 << 12
 
 def _oracle_encoding(srs, start_dart, start_side):
     """Unpacked BFS encoding from one start state, built with dictionaries
-    and rotation indices instead of ``surface._encode_from``'s tables."""
+    and rotation indices instead of ``surface._encode_from``'s tables: a
+    triple (edge label, neighbour label, sign bit) per dart visit and -1,
+    below every entry of a triple, closing each vertex block."""
     dv = srs._dart_vertex
     label = {dv[start_dart]: 0}
     hand = {dv[start_dart]: start_side}
@@ -145,7 +147,7 @@ def _oracle_encoding(srs, start_dart, start_side):
                 order.append(w)
             sb = 0 if srs.sign(e) * hand[v] * hand[w] > 0 else 1
             enc += (edge_label[e], label[w], sb)
-        enc.append(_SEP)
+        enc.append(-1)
     return tuple(enc)
 
 

@@ -43,8 +43,8 @@ the generator's canonical keys and its growth, the cut shapes of
 :mod:`o1ppg.connectivity`, and the pattern matcher of
 :mod:`o1ppg.structures` on a host restricted to a map's image
 (``restricted_system``).  It takes simple systems only: each dart visit is
-one token, ``2 * neighbour label + sign bit``, and the edge it crosses is
-the one joining its two labelled vertices.  The graph facts of a system
+one token, ``2 * neighbour label + sign bit + 1``, and the edge it crosses
+is the one joining its two labelled vertices.  The graph facts of a system
 are answered here too: the edge ids by endpoint pair (``edge_lookup``, a
 dict each caller builds and drops, so a system caches none) and the short
 cycles with their sign products (``signed_cycles``), which decide on P^2
@@ -82,8 +82,12 @@ class SignedRotationSystem:
     rotation predecessor, edge signs)`` as ``_build_tables`` would build
     them for these edges and rotations; the system then takes those
     lists, and the ``edges`` list of tuples and the ``rotations`` list of
-    lists, as they are (the generator's split builds all of them for the
-    new system alone).
+    lists, as they are.  The generator's split builds the tables and both
+    outer lists for the new system alone, but its ``rotations`` holds the
+    parent's list object for every vertex the split leaves alone, so a
+    grown system's rotation lists can be shared with its parent.  No
+    system's rotation list is ever mutated: code that wants another
+    rotation builds a new list.
     """
 
     __slots__ = ("vertex_count", "edges", "rotations", "_dart_vertex",
@@ -227,7 +231,7 @@ def restricted_system(srs, vertices, edges):
 # -- canonical encoding -----------------------------------------------------
 
 #: closes each vertex block of an encoding; below every dart-visit token
-_SEP = -1
+_SEP = 0
 
 
 def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side):
@@ -237,20 +241,22 @@ def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side):
     Vertices are labelled in order of discovery; each vertex's rotation is
     walked from its entry dart in the direction of its inherited hand.  A
     dart visit (neighbor_label, sign_bit) is the single token
-    ``2 * neighbor_label + sign_bit``, which orders like the pair; vertex
-    blocks end with the ``_SEP`` sentinel, below every token.  On a simple
-    system (the precondition) the edge of a visit is the one joining its
-    two labelled vertices, so the encoding says which edge each visit
-    crosses without labelling edges.  Two systems are embedded-isomorphic
-    by a map carrying one start state onto another iff the encodings from
-    the two states are equal.  Returns ``(encoding, order)``: the tokens
-    and the vertices in label order.
+    ``2 * neighbor_label + sign_bit + 1``, which orders like the pair;
+    vertex blocks end with the ``_SEP`` sentinel, 0, below every token.
+    So an order-n encoding's tokens run from 0 to 2n, and one fits in a
+    byte while n <= 127.  On a simple system (the precondition) the edge
+    of a visit is the one joining its two labelled vertices, so the
+    encoding says which edge each visit crosses without labelling edges.
+    Two systems are embedded-isomorphic by a map carrying one start state
+    onto another iff the encodings from the two states are equal.
+    Returns ``(encoding, order)``: the tokens and the vertices in label
+    order.
     """
-    label2 = [-1] * n          # 2 * vertex label
+    label2 = [0] * n           # 2 * vertex label + 1; 0 while unlabelled
     hand = [0] * n
     entry = [0] * n
     root = dv[start_dart]
-    label2[root] = 0
+    label2[root] = 1
     hand[root] = start_side
     entry[root] = start_dart
     order = [root]
@@ -262,8 +268,8 @@ def _encode_from(dv, nxt, prv, sign, n, start_dart, start_side):
         while True:
             w = dv[d ^ 1]
             lw = label2[w]
-            if lw < 0:
-                lw = label2[w] = 2 * len(order)
+            if not lw:
+                lw = label2[w] = 2 * len(order) + 1
                 hand[w] = hv * sign[d >> 1]
                 entry[w] = d ^ 1
                 order.append(w)

@@ -12,9 +12,9 @@ import pytest
 from o1ppg import generator, srsio
 from o1ppg.cli import main
 from o1ppg.errors import MalformedRotation, ReducibleSeed, TooLarge
-from o1ppg.generator import (_digest, _half_is_root, _materialise,
-                             _patched_faces, _patched_split, _split_tables,
-                             _tried_splits, _twin_splits,
+from o1ppg.generator import (_digest, _half_is_root, _insertion_twos,
+                             _materialise, _patched_faces, _patched_split,
+                             _split_tables, _tried_splits, _twin_splits,
                              canonical_key, corpus_instances,
                              grow_quadrangulations, load_corpus_instances,
                              short_key, write_corpus)
@@ -53,8 +53,7 @@ def vertex_split(srs: SignedRotationSystem, v, i, j):
     vertex, which inherits the local orientation of ``v``.  Returns the
     raw SignedRotationSystem (not validated, not traced).
     """
-    return _materialise(srs.edges,
-                        *_patched_split(_split_tables(srs), v, i, j))
+    return _materialise(srs, v, *_patched_split(_split_tables(srs), v, i, j))
 
 
 def test_k4_unique_quadrangular_embedding(k4):
@@ -115,6 +114,30 @@ def test_canonical_form_round_trips(k4, bowtie, min9):
         for _ in range(10_000):
             work, _dmap = _full_relabel(g.srs, rng)
             assert canonical_key(work) == base
+
+
+def test_keys_above_order_127_pack_two_bytes_a_token(k4):
+    # a token, up to 2n, fits in a byte up to order 127; above it, seen
+    # packs two bytes a token, and a relabelled mirror image still gets the
+    # system's key and repeats its class
+    rng = random.Random(128)
+    srs = k4.srs
+    while srs.vertex_count < 130:
+        v = rng.randrange(srs.vertex_count)
+        srs = vertex_split(srs, v, *sorted(rng.sample(range(srs.degree(v)),
+                                                      2)))
+    image, _dmap = _full_relabel(srs, rng)
+    mirror = SignedRotationSystem(image.vertex_count, image.edges,
+                                  [r[::-1] for r in image.rotations])
+    key = canonical_key(srs)
+    assert canonical_key(mirror) == key
+    # the key spells token t as t - 1: one above 254 did not fit a byte
+    assert max(map(int, key.partition(":")[2].split(","))) > 254
+    seen = set()
+    assert generator._new_class(srs, seen) == key
+    assert generator._new_class(mirror, seen) is None
+    assert {len(packed) for packed in seen} == {2 * (5 * 130 - 4)}
+    assert short_key(k4) == "c0f1bba187d0bacf"
 
 
 def test_start_set_invariant_under_full_relabelling(corpus10):
@@ -284,6 +307,24 @@ def test_grow_stream_is_pinned():
                       "81f850e44e26a5f172a0b0e99321d65e")
 
 
+def test_growth_digest_takes_the_least_cpu_over_runs(monkeypatch, capsys):
+    # --runs R grows R times: the digests are the first run's, and the CPU
+    # seconds are the least of the R runs
+    script = _script("growth_digest")
+    grow = script.growth_digest
+    cpus = iter([0.5, 0.2, 0.3])
+
+    def timed(n_max):
+        return (*grow(n_max)[:3], next(cpus))
+
+    monkeypatch.setattr(script, "growth_digest", timed)
+    script.main(["--max-n", "6", "--runs", "3"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["n=4\t1", "n=5\t1", "n=6\t4", "classes\t6"]
+    assert lines[-1] == "growth_cpu_s\t0.200"
+    assert next(cpus, None) is None
+
+
 def test_corpus_closed_under_degree_2_deletion(corpus10):
     # what the canonical-parent rule rests on: deleting a vertex of degree
     # 2 from a member gives a quadrangulation of the corpus
@@ -376,7 +417,7 @@ def test_split_keeps_bipartiteness(corpus10):
     for srs in parents:
         tables = _split_tables(srs)
         for split in _splits(srs):
-            product = _materialise(srs.edges,
+            product = _materialise(srs, split[0],
                                    *_patched_split(tables, *split))
             assert bipartite(product) == bipartite(srs)
             sides[bipartite(srs)] += 1
@@ -405,11 +446,14 @@ def _halves(srs, v, i, j):
 def test_patched_split_matches_list_split(corpus10):
     # every split (v, i, j), i < j, of every class with n <= 9: the tables
     # growth patches and encodes are the tables the list-based split builds
-    # afresh, the system materialised from them writes the same bytes, and
-    # the start darts read off them are the product's class darts.  On an
-    # insertion, the root test growth makes before patching decides as the
-    # product's least degree pair does
-    products = 0
+    # afresh, the system materialised from them writes the same bytes and
+    # shares the parent's rotation list of every vertex but v, x, y and the
+    # new one, and the start darts read off them are the product's class
+    # darts.  On an insertion, the root test growth makes before patching
+    # decides as the product's least degree pair does, and where the half
+    # is a root, the darts growth seeks among the product's degree-2
+    # vertices alone are that pair
+    products = shared = 0
     roots = {False: 0, True: 0}
     for n in range(4, 10):
         for _key, srs in corpus10[n]:
@@ -418,6 +462,8 @@ def test_patched_split_matches_list_split(corpus10):
             twos = [(w, dv0[r[0] ^ 1], dv0[r[1] ^ 1])
                     for w, r in enumerate(rot) if len(r) == 2]
             for split in _splits(srs):
+                v, i, j = split
+                x, y = dv0[rot[v][i] ^ 1], dv0[rot[v][j] ^ 1]
                 tables = generator._patched_split(parent, *split)
                 dv, nxt, prv, sign, deg, lead = tables
                 oracle = vertex_split_by_lists(srs, *split)
@@ -426,20 +472,29 @@ def test_patched_split_matches_list_split(corpus10):
                 assert sign == [s for _u, _v, s in oracle.edges]
                 assert deg == list(map(len, oracle.rotations))
                 assert lead == [r[0] for r in oracle.rotations]
-                product = generator._materialise(srs.edges, *tables)
+                product = generator._materialise(srs, v, *tables)
                 assert srsio.dumps(product) == srsio.dumps(oracle)
-                least = generator._least_pair(dv, nxt, deg, lead)
+                for w, r in enumerate(rot):
+                    if w not in (v, x, y):
+                        assert product.rotations[w] is r
+                        shared += 1
+                least = generator._least_pair(dv, nxt, deg, lead,
+                                              range(n + 1))
                 assert least == generator._class_darts(product)
                 products += 1
                 halves = _halves(srs, *split)
                 if halves:
-                    v, i, j = split
                     root = any(dv[d] in halves for d in least)
-                    assert _half_is_root(parent[5], twos, v,
-                                         dv0[rot[v][i] ^ 1],
-                                         dv0[rot[v][j] ^ 1]) == root
+                    assert _half_is_root(parent[5], twos, v, x, y) == root
                     roots[root] += 1
+                    if root:
+                        candidates = _insertion_twos(twos, halves, v, x, y)
+                        assert sorted(candidates) == \
+                            [w for w, k in enumerate(deg) if k == 2]
+                        assert sorted(generator._least_pair(
+                            dv, nxt, deg, lead, candidates)) == sorted(least)
     assert products == 16_301
+    assert shared == 93_992         # n - 3 lists for each split at order n
     assert roots == {False: 4196, True: 5619}
 
 
@@ -489,7 +544,8 @@ def test_split_products_validate_and_patch_their_faces(corpus10):
             faces = EmbeddedGraph(srs).face_corners()
             for split in _splits(srs):
                 g = EmbeddedGraph(
-                    _materialise(srs.edges, *_patched_split(parent, *split)))
+                    _materialise(srs, split[0],
+                                 *_patched_split(parent, *split)))
                 validate_quadrangulation(g, require_polyhedral=False)
                 assert _cyclic(_patched_faces(faces, parent, *split)) == \
                     _cyclic(g.face_corners())

@@ -482,6 +482,20 @@ def test_t13_reports_a_wrong_construction(even_n12, monkeypatch):
         ("T1.3", "fail", "constructed matching wrong")]
 
 
+def test_t13_reports_a_path_off_the_graph(even_n12, monkeypatch):
+    # a Hamiltonian-path kernel whose vertex order pairs two vertices that
+    # are not adjacent in G: the construction leaves that pair out, and
+    # T1.3's check reports the short matching instead of a KeyError
+    inst = even_n12[0]
+    monkeypatch.setattr(
+        matching, "hamiltonian_path",
+        lambda n, adj, s, t: [s, *[w for w in range(n) if w not in (s, t)],
+                              t])
+    [res] = audit_instance(inst, AuditConfig(theorems=("T1.3",)))
+    assert (res.theorem_id, res.verdict, res.detail) == (
+        "T1.3", "fail", "constructed matching wrong")
+
+
 def test_pm_table_guard_names_its_bound(even_n12, tmp_path, monkeypatch,
                                         capsys):
     # above PM_TABLE_MAX_N the table raises TooLarge before it allocates:
