@@ -10,8 +10,10 @@ and the kernel counts of one more run: perfect-matching tables built,
 Hamiltonian-path searches, pattern maps tried (the candidate maps that
 reach the encoding test) and accepted, region boundary traces (calls to
 ``surface.boundary_walks``), the cycles the short-cycle search
-yields, region decompositions (calls to ``surface.region_decompose``)
-and cut records (``connectivity.analyze_cut`` calls).  A count's
+yields, region decompositions (calls to ``surface.region_decompose``),
+cut records (``connectivity.analyze_cut`` calls), connectivity flows
+(``graphs.vertex_connectivity_flow`` calls) and minimal-separator
+searches (``connectivity.minimal_separators`` calls).  A count's
 function is wrapped in every ``o1ppg`` module that binds it.  A check's
 seconds include the shared intermediates it is the first to read, as in
 the audit itself.  A count whose function the tree does not have prints
@@ -42,14 +44,16 @@ COUNTS = (
     ("cycles_enumerated", graphs, "enumerate_cycles", len),
     ("region_decompositions", surface, "region_decompose", lambda _out: 1),
     ("cuts", connectivity, "analyze_cut", lambda _out: 1),
+    ("flow_calls", graphs, "vertex_connectivity_flow", lambda _out: 1),
+    ("separator_searches", connectivity, "minimal_separators",
+     lambda _out: 1),
 )
 
 
-def _audit(corpus, config, cpu):
-    """The report of one audit of ``corpus``, instance by instance in
-    ``THEOREM_IDS`` order like ``run_campaign``, with each theorem's CPU
-    seconds added to ``cpu``."""
-    instances = load_corpus_instances(corpus)
+def _audit(instances, config, cpu):
+    """The report of one audit of ``instances``, a corpus as loaded,
+    instance by instance in ``THEOREM_IDS`` order like ``run_campaign``,
+    with each theorem's CPU seconds added to ``cpu``."""
     results = []
     for inst in instances:
         audit = verify._InstanceAudit(inst)
@@ -86,9 +90,10 @@ def audit_digest(corpus, runs=1):
     seconds = {}
     for _ in range(runs):
         cpu = dict.fromkeys(config.theorems, 0.0)
-        report = _audit(corpus, config, cpu)
+        report = _audit(load_corpus_instances(corpus), config, cpu)
         seconds = {t: min(s, seconds.get(t, s)) for t, s in cpu.items()}
     totals = {}
+    instances = load_corpus_instances(corpus)   # loading is not counted
     with contextlib.ExitStack() as patches:
         for name, module, fn, amount in COUNTS:
             if hasattr(module, fn):
@@ -98,7 +103,7 @@ def audit_digest(corpus, runs=1):
                 for binder in _binders(target, fn):
                     patches.enter_context(
                         mock.patch.object(binder, fn, counted))
-        _audit(corpus, config, dict.fromkeys(config.theorems, 0.0))
+        _audit(instances, config, dict.fromkeys(config.theorems, 0.0))
     counts = {name: totals.get(name) for name, *_rest in COUNTS}
     return hashlib.sha256(report.encode()).hexdigest(), seconds, counts
 

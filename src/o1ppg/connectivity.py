@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from itertools import combinations
 
 from .graphs import (component_masks, is_connected_mask, mask_vertices,
-                     vertex_connectivity_flow, vertex_mask)
+                     vertex_mask)
 from .structures import get_pattern
 from .surface import (SignedRotationSystem, _encode_from, _encoder_tables,
                       region_decompose, restricted_system, signed_cycles)
@@ -30,9 +30,16 @@ P2_EULER_CHAR = 1
 CUT_SHAPES = ("bowtie", "I", "II", "III", "IV")
 
 
-def vertex_connectivity(inst, cap=8):
-    """Vertex connectivity of the full graph, truncated at ``cap``."""
-    return vertex_connectivity_flow(inst.n, inst.adj, cap)
+def vertex_connectivity(inst, cap=8, separators=None):
+    """Vertex connectivity of the full graph, truncated at ``cap``, read
+    off ``separators``, its ``minimal_separators`` (found here when not
+    given): a least vertex cut is a minimal separator, so the connectivity
+    is the size of the first, or n - 1 when there is none, which only a
+    complete graph has.  ``graphs.vertex_connectivity_flow`` computes it
+    without the list."""
+    if separators is None:
+        separators = minimal_separators(inst)
+    return min(cap, separators[0].bit_count() if separators else inst.n - 1)
 
 
 @dataclass
@@ -191,7 +198,7 @@ def _border(adj, comp):
     return seen & ~comp
 
 
-def enumerate_cuts(inst, sizes):
+def enumerate_cuts(inst, sizes, separators):
     """Every vertex set S of a size in ``sizes`` with G - S disconnected,
     fully analyzed, by size in the order of ``sizes`` and then in the
     order of ``itertools.combinations(range(n), k)``.
@@ -199,7 +206,7 @@ def enumerate_cuts(inst, sizes):
     Every cut contains a minimal separator: a minimal separator between
     two components of G - S lies inside S.  So the k-cuts are the
     k-supersets of the minimal separators of at most k vertices
-    (``minimal_separators``, found once per call) that leave G
+    (``separators``, the instance's ``minimal_separators``) that leave G
     disconnected.
 
     S is minimal (no proper subset is a cut) iff every component of G - S
@@ -212,7 +219,6 @@ def enumerate_cuts(inst, sizes):
     n = inst.n
     adj = inst.adj
     full = (1 << n) - 1
-    separators = minimal_separators(inst)
     out = []
     for k in sizes:
         candidates = set()

@@ -75,7 +75,7 @@ def _class_darts(srs):
                        [r[0] for r in rot], range(srs.vertex_count))
 
 
-def _least_pair(dv, nxt, deg, lead, vertices):
+def _least_pair(dv, nxt, deg, lead, vertices, far=0):
     """The least degree pair read off dart tables, its roots sought among
     ``vertices``: per vertex of ``vertices``, in their order, the darts of
     its rotation walked from its lead dart, kept when the vertex has the
@@ -83,7 +83,19 @@ def _least_pair(dv, nxt, deg, lead, vertices):
     degree among those darts.  With every vertex passed it is the system's
     least degree pair (``_class_darts``, seeds and growth's products of
     minimum degree at least 3); growth passes an insertion product's
-    degree-2 vertices alone, which hold its roots (``_grow``)."""
+    degree-2 vertices alone, which hold its roots, and their least far
+    degree ``far``, which ``_half_is_root`` knows, so the darts are those
+    whose far endpoint has that degree and nothing is minimised
+    (``_grow``)."""
+    if far:
+        darts = []
+        for w in vertices:
+            d = lead[w]
+            for _ in range(deg[w]):
+                if deg[dv[d ^ 1]] == far:
+                    darts.append(d)
+                d = nxt[d]
+        return darts
     least = min([deg[w] for w in vertices])
     far = len(deg)              # above every degree of a simple system
     darts = []
@@ -380,7 +392,8 @@ def _half_is_root(deg, twos, v, x, y):
     neighbours x and y is a root of the product's least degree pair
     (``_least_pair``), read off the parent before the split is patched:
     its degrees ``deg`` and its degree-2 vertices ``twos`` as ``(w, a,
-    b)``, w with its two neighbours.
+    b)``, w with its two neighbours.  A root gets the far degree of the
+    pair, min(deg x, deg y) + 1, a non-root 0.
 
     The least degree of the product is 2, so its roots are its degree-2
     vertices of least far degree, the least degree of a neighbour.  A half
@@ -398,8 +411,8 @@ def _half_is_root(deg, twos, v, x, y):
         if (w != v and w != x and w != y
                 and min(deg[a] + (a == x or a == y),
                         deg[b] + (b == x or b == y)) < far):
-            return False
-    return True
+            return 0
+    return far
 
 
 def _insertion_twos(twos, halves, v, x, y):
@@ -588,10 +601,11 @@ def _grow(seeds, n_max):
         for v, i, j, halves in _tried_splits(
                 rot, dv0, {w for w, _a, _b in twos},
                 _twin_splits(srs0, faces0)):
-            roots = every
+            roots, far = every, 0
             if halves:
                 x, y = dv0[rot[v][i] ^ 1], dv0[rot[v][j] ^ 1]
-                if not _half_is_root(deg0, twos, v, x, y):
+                far = _half_is_root(deg0, twos, v, x, y)
+                if not far:
                     continue        # not the canonical parent's insertion
                 roots = _insertion_twos(twos, halves, v, x, y)
             # A split of a simple connected system is simple (the two
@@ -600,7 +614,7 @@ def _grow(seeds, n_max):
             # state is read off the patched tables.
             tables = _patched_split(parent, v, i, j)
             dv, nxt, prv, sign, deg, lead = tables
-            darts = _least_pair(dv, nxt, deg, lead, roots)
+            darts = _least_pair(dv, nxt, deg, lead, roots, far)
             first = _first_state((dv, nxt, prv, sign, m + 1), darts[0])
             if first[2] in seen:
                 continue            # a known class: nothing is built

@@ -6,10 +6,14 @@ of the instance and k that the caller passes in: ``is_extendable`` for
 one matching (T1.3's single edges, T1.4's barrier matchings,
 ``find_blocker``'s precondition), ``k_extendability`` for all of them,
 and Theorem 1.6's certificates in ``structures.sweep_three_matchings``.
-Every sweep reads one ``perfect_matching_table`` of the instance.  Nothing
-here is stored on the instance: the audit (``verify._InstanceAudit``) owns
-the table, one sweep per k, T1.3's spanning triangulation and the
-Hamiltonian cycles found in it, and drops them with itself."""
+Every sweep reads one ``perfect_matching_table`` of the instance: a
+bitset over the 2^n vertex masks, built from the top vertex down by one
+shift per edge on one Python int, and the counts of the masks of at most
+six vertices, built from the (k-1)-matchings by adding an edge below
+them.  Nothing here is stored on the instance: the audit
+(``verify._InstanceAudit``) owns the table, one sweep per k, T1.3's
+spanning triangulation and the Hamiltonian cycles found in it, and drops
+them with itself."""
 
 from __future__ import annotations
 
@@ -31,7 +35,8 @@ TRIANGULATION_NODE_BUDGET = 1 << 12
 #: SearchBudgetExceeded.
 HAMILTONIAN_PATH_NODE_BUDGET = 1 << 20
 #: Largest order ``perfect_matching_table`` builds a table for: 2^24
-#: bytes, 16 MB, and about 4 s on one core; above it, TooLarge.
+#: bits, 2 MB, in about 0.5 s on one core at average degree 8, with a
+#: tracemalloc peak of about 11 MB; above it, TooLarge.
 PM_TABLE_MAX_N = 24
 #: ``matching_sweep`` covers the k-matchings for k <= SWEEP_K_MAX.
 SWEEP_K_MAX = 3
@@ -92,47 +97,72 @@ class PerfectMatchingTable(NamedTuple):
     """Which vertex subsets of a graph have a perfect matching."""
 
     covered: tuple          # [k]: {2k-vertex mask: number of its PMs}
-    perfect: bytearray      # [mask]: 1 iff the mask induces a PM
+    perfect: bytes          # bit m & 7 of byte m >> 3: 1 iff mask m has a PM
+
+
+def _clear_bits(size, w):
+    """The bitset, ``size`` bytes long, of the masks without vertex ``w``:
+    a byte pattern repeated, bits 0, 2, 4, 6 (0x55), bits 0, 1, 4, 5
+    (0x33) or bits 0-3 (0x0F) of every byte for w < 3, else 2^(w-3) bytes
+    of 0xFF then as many of 0x00.  Built per use: all n of them at once
+    would hold n times the table."""
+    if w < 3:
+        pattern = (b"\x55", b"\x33", b"\x0f")[w]
+    else:
+        half = 1 << (w - 3)
+        pattern = b"\xff" * half + b"\x00" * half
+    return int.from_bytes(pattern * (size // len(pattern)), "little")
 
 
 def perfect_matching_table(n, adj):
     """The ``PerfectMatchingTable`` of the graph with neighbour masks
-    ``adj`` on ``n`` vertices, counting for k <= ``SWEEP_K_MAX``, in one
-    pass over the masks in increasing order: a perfect matching of a
-    subset pairs its least vertex with a neighbour there and matches the
-    rest, a smaller mask.  ``o1ppg.oracles.pm_exists_by_memo`` is the
-    top-down reference.
+    ``adj`` on ``n`` vertices, counting for k <= ``SWEEP_K_MAX``.
+    ``o1ppg.oracles.pm_exists_by_memo`` is the top-down reference.
+
+    A perfect matching of a subset pairs its least vertex v with a
+    neighbour w above it and matches the rest, a subset above v.  So the
+    masks are one int used as a bitset, P, built in one pass from the top
+    vertex down: before step v it holds exactly the perfect-matching masks
+    whose least vertex is above v, none of which holds v, and step v adds,
+    for each neighbour w > v, the masks of P without w shifted by
+    2^v + 2^w, which sets both bits.  The counts are a second pass over the
+    few small masks: each k-matching is built once from its (k-1)-matching
+    on the larger vertices, by adding an edge whose lower end is below
+    every vertex it covers.
 
     Raises TooLarge, before it allocates, when ``n`` exceeds
     ``PM_TABLE_MAX_N``.
     """
+    size = max(1, (1 << n) >> 3)      # bytes
     if n > PM_TABLE_MAX_N:
         raise TooLarge(
-            f"a perfect-matching table on {n} vertices takes 2^{n} bytes, "
-            f"above the bound of {PM_TABLE_MAX_N} vertices (PM_TABLE_MAX_N)")
-    perfect = bytearray(1 << n)
-    perfect[0] = 1
-    covered = [{0: 1}] + [{} for _ in range(SWEEP_K_MAX)]
-    for mask in range(3, 1 << n):
-        size = mask.bit_count()
-        if size & 1:
-            continue
-        low = mask & -mask
-        rest = mask ^ low
-        m = adj[low.bit_length() - 1] & rest
-        if size > 2 * SWEEP_K_MAX:
-            while m and not perfect[rest ^ (m & -m)]:
-                m &= m - 1
-            perfect[mask] = m != 0
-            continue
-        below, found = covered[size // 2 - 1], 0
-        while m:
-            found += below.get(rest ^ (m & -m), 0)
-            m &= m - 1
-        if found:
-            covered[size // 2][mask] = found
-            perfect[mask] = 1
-    return PerfectMatchingTable(tuple(covered), perfect)
+            f"a perfect-matching table on {n} vertices takes 2^{n} bits, "
+            f"{size} bytes, above the bound of {PM_TABLE_MAX_N} vertices "
+            f"(PM_TABLE_MAX_N); 24 vertices take 2^24 bits, 2 MB, and "
+            f"about 0.5 s")
+    perfect = 1
+    up = [[w for w in mask_vertices(adj[v]) if w > v] for v in range(n)]
+    for v in range(n - 1, -1, -1):
+        step = 0
+        for w in up[v]:
+            step |= (perfect & _clear_bits(size, w)) << ((1 << v) + (1 << w))
+        perfect |= step
+    # below[a]: the pair masks of the edges whose lower end is below a
+    below = [[]]
+    for v in range(n):
+        below.append(below[-1] + [(1 << v) | (1 << w) for w in up[v]])
+    covered = [{0: 1}]
+    for _k in range(SWEEP_K_MAX):
+        counts = {}
+        for mask, count in covered[-1].items():
+            low = (mask & -mask).bit_length() - 1 if mask else n
+            for pair in below[low]:
+                if not pair & mask:
+                    grown = mask | pair
+                    counts[grown] = counts.get(grown, 0) + count
+        covered.append(counts)
+    return PerfectMatchingTable(tuple(covered),
+                                perfect.to_bytes(size, "little"))
 
 
 def mask_matchings(inst, mask):
@@ -181,7 +211,9 @@ def matching_sweep(inst, k, table) -> MatchingSweep:
         raise ValueError(f"sweeps cover k <= {SWEEP_K_MAX}, not {k}")
     covered = table.covered[k]
     perfect, full = table.perfect, (1 << inst.n) - 1
-    blocked = frozenset(vm for vm in covered if not perfect[full ^ vm])
+    blocked = frozenset(vm for vm in covered
+                        if not perfect[(rest := full ^ vm) >> 3]
+                        >> (rest & 7) & 1)
     nonextendable = sorted(combo for vm in blocked
                            for combo in mask_matchings(inst, vm))
     return MatchingSweep(k, covered, blocked, nonextendable)

@@ -8,11 +8,12 @@ report's ``note`` line).
 
 Every theorem in ``THEOREM_IDS`` has one check, and the checks of one
 instance share their intermediates through ``_InstanceAudit``, which
-computes each on first use: the vertex connectivity, the minimal
-separators and the cuts; the signed cycles of at most 8 vertices, which
-P2.1 counts; the short-walk regions that ``surface.short_walk_regions``
-cuts from those of at most 6, which T1.4's barrier cycles and T1.6's
-length-6 regions filter; T1.3's spanning triangulation; and one
+computes each on first use: the minimal separators, which give the
+vertex connectivity and the cuts; the signed cycles of at most 8
+vertices, which P2.1 counts; the short-walk regions that
+``surface.short_walk_regions`` cuts from those of at most 6, which T1.4's
+barrier cycles and T1.6's length-6 regions filter; T1.3's spanning
+triangulation; and one
 ``matching.perfect_matching_table``, read by the k-matching sweeps of
 ``matching.matching_sweep`` that T1.3 (k = 1), T1.4 and C1.5 (k = 2),
 T1.6 and NoThreeExt (k = 3) and L4.2 (k = 2 and 3) read.
@@ -34,7 +35,8 @@ from functools import cached_property, partial
 
 from .connectivity import (_contains_separating_trivial_4cycle,
                            audit_cut_lemmas, classify_cut_shape,
-                           enumerate_cuts, vertex_connectivity)
+                           enumerate_cuts, minimal_separators,
+                           vertex_connectivity)
 from .errors import (EmptyCorpus, NoBlockerFound, NoHamPath,
                      SearchBudgetExceeded, TooLarge, UnknownTheorem)
 from .matching import (Matching, find_blocker, is_extendable,
@@ -169,9 +171,15 @@ class _InstanceAudit:
     # -- shared intermediates ----------------------------------------------
 
     @cached_property
+    def separators(self):
+        """The instance's minimal separators, which give the connectivity
+        and the cuts."""
+        return minimal_separators(self.inst)
+
+    @cached_property
     def conn(self):
         """Vertex connectivity of the instance, capped at 8."""
-        return vertex_connectivity(self.inst, 8)
+        return vertex_connectivity(self.inst, 8, self.separators)
 
     @cached_property
     def pm_table(self):
@@ -187,7 +195,8 @@ class _InstanceAudit:
     @cached_property
     def cuts(self):
         return enumerate_cuts(
-            self.inst, range(self.conn, min(CUT_MAX, self.inst.n - 2) + 1))
+            self.inst, range(self.conn, min(CUT_MAX, self.inst.n - 2) + 1),
+            self.separators)
 
     @cached_property
     def cut_audits(self):

@@ -11,10 +11,10 @@ import random
 import time
 
 import pytest
-from test_matching import _sweep
+from test_connectivity import cuts_of
+from test_matching import _pm_bit, _sweep
 
-from o1ppg.connectivity import (classify_cut_shape, enumerate_cuts,
-                                vertex_connectivity,
+from o1ppg.connectivity import (classify_cut_shape, vertex_connectivity,
                                 _contains_separating_trivial_4cycle)
 from o1ppg.errors import NoBlockerFound
 from o1ppg.fixtures import fix_k4
@@ -209,17 +209,17 @@ def test_criterion_07_cut_shapes(instances):
         if conn < 4:
             violations.append((inst.key, "connectivity<4"))
         for k in (1, 2, 3):
-            if enumerate_cuts(inst, (k,)):
+            if cuts_of(inst, (k,)):
                 violations.append((inst.key, f"{k}-cut"))
-        for ca in enumerate_cuts(inst, (4,)):
+        for ca in cuts_of(inst, (4,)):
             if not _contains_separating_trivial_4cycle(inst, ca):
                 violations.append((inst.key, "4-cut audit"))
-        for ca in enumerate_cuts(inst, (5,)):
+        for ca in cuts_of(inst, (5,)):
             if classify_cut_shape(inst, ca) != "bowtie":
                 violations.append((inst.key, "5-cut shape"))
         if conn >= 5 and (conn == 5) != bool(bows):
             violations.append((inst.key, "bowtie iff connectivity 5"))
-        for ca in enumerate_cuts(inst, (6,)):
+        for ca in cuts_of(inst, (6,)):
             if ca.is_minimal and classify_cut_shape(inst, ca) not in (
                     "I", "II", "III", "IV"):
                 violations.append((inst.key, "6-cut shape"))
@@ -232,7 +232,7 @@ def test_criterion_08_cut_lemmas(instances):
     violations = []
     for inst in instances:
         conn = vertex_connectivity(inst)
-        for ca in enumerate_cuts(inst, range(conn, min(7, inst.n - 2) + 1)):
+        for ca in cuts_of(inst, range(conn, min(7, inst.n - 2) + 1)):
             audit = audit_cut_lemmas(ca, connectivity=conn)
             for clause, verdict in audit.items():
                 if verdict == "fail":
@@ -291,7 +291,7 @@ def test_criterion_11_engine_oracles(instances):
                  if rng.random() < p]
         masks = adjacency_masks(n, edges)
         full = (1 << n) - 1
-        got = perfect_matching_table(n, masks).perfect[full]
+        got = _pm_bit(perfect_matching_table(n, masks), full)
         if got != (2 * max_matching_size(masks, full) == n):
             mismatches += 1
         perfect += got

@@ -2,6 +2,7 @@
 
 import copy
 import random
+from types import SimpleNamespace
 
 from test_generator import _full_relabel
 
@@ -22,6 +23,11 @@ from o1ppg import surface
 from o1ppg.structures import get_pattern, match_pattern
 from o1ppg.surface import (EmbeddedGraph, FaceWalk, SignedRotationSystem,
                            boundary_walks, region_decompose, trace_faces)
+
+
+def cuts_of(inst, sizes):
+    """``enumerate_cuts`` of ``inst`` on its own minimal separators."""
+    return enumerate_cuts(inst, sizes, minimal_separators(inst))
 
 
 def test_flow_matches_bruteforce_random():
@@ -76,6 +82,43 @@ def test_flow_pairs_match_bruteforce_on_relabelled_instances(
     assert cases == 3 * (16 + 2)
 
 
+def test_separator_connectivity_matches_flow_and_bruteforce(corpus_n12,
+                                                           instances10):
+    # the connectivity read off the minimal separators is the flow's and
+    # the subset scan's: on the committed instances and a relabelling of
+    # corpus-n12, on seeded random graphs, on a disconnected graph (0) and
+    # on complete ones, which have no separator (n - 1, capped)
+    for inst in corpus_n12 + instances10 + _relabelled(corpus_n12, 41):
+        want = vertex_connectivity_bruteforce(inst.n, inst.adj, 8)
+        assert vertex_connectivity(inst) == want
+        assert vertex_connectivity_flow(inst.n, inst.adj, 8) == want
+    rng = random.Random(67)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.3, 0.6, 0.9))
+        cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p]))
+    two_k4 = [(u + s, v + s) for s in (0, 4)
+              for u in range(4) for v in range(u + 1, 4)]
+    cases += [(8, two_k4), (6, [(u, v) for u in range(6)
+                                for v in range(u + 1, 6)]),
+              (10, [(u, v) for u in range(10) for v in range(u + 1, 10)])]
+    seen = set()
+    for n, edges in cases:
+        graph = SimpleNamespace(n=n, adj=adjacency_masks(n, edges))
+        separators = minimal_separators(graph)
+        for cap in (4, 8):
+            got = vertex_connectivity(graph, cap, separators)
+            assert got == vertex_connectivity_flow(n, graph.adj, cap)
+            assert got == vertex_connectivity_bruteforce(n, graph.adj, cap)
+            seen.add(got)
+    assert [vertex_connectivity(SimpleNamespace(
+        n=n, adj=adjacency_masks(n, edges)), 8) for n, edges in cases[-3:]] \
+        == [0, 5, 8]
+    assert seen == set(range(9))
+
+
 def test_instance_connectivity_both_routes(instances10):
     for inst in instances10:
         conn = vertex_connectivity(inst)
@@ -85,12 +128,12 @@ def test_instance_connectivity_both_routes(instances10):
 
 def test_no_small_cuts(instances10):
     for inst in instances10:
-        assert enumerate_cuts(inst, (1, 2, 3)) == []
+        assert cuts_of(inst, (1, 2, 3)) == []
 
 
 def test_five_cuts_are_bowties(inst9):
     assert vertex_connectivity(inst9) == 5
-    cuts = enumerate_cuts(inst9, (5,))
+    cuts = cuts_of(inst9, (5,))
     assert cuts
     for ca in cuts:
         assert ca.is_minimal
@@ -104,7 +147,7 @@ def test_five_cuts_are_bowties(inst9):
 
 def test_minimal_six_cut_shapes(inst10):
     assert vertex_connectivity(inst10) == 6
-    cuts = [ca for ca in enumerate_cuts(inst10, (6,)) if ca.is_minimal]
+    cuts = [ca for ca in cuts_of(inst10, (6,)) if ca.is_minimal]
     shapes = sorted(classify_cut_shape(inst10, ca) for ca in cuts)
     assert shapes == ["I", "III", "III", "III"]
     for ca in cuts:
@@ -148,7 +191,7 @@ def test_separating_trivial_4cycle_true_side(inst10):
 
 
 def test_cut_component_counts(inst10):
-    for ca in enumerate_cuts(inst10, (6,)):
+    for ca in cuts_of(inst10, (6,)):
         assert ca.s_mask == vertex_mask(ca.S)
         assert sum(ca.components) | ca.s_mask == (1 << inst10.n) - 1
         assert sum(c.bit_count() for c in ca.components) + len(ca.S) == \
@@ -160,14 +203,14 @@ def test_cut_component_counts(inst10):
 def test_audits_pass_on_all_cuts(instances10):
     for inst in instances10:
         conn = vertex_connectivity(inst)
-        for ca in enumerate_cuts(inst, range(conn, min(7, inst.n - 2) + 1)):
+        for ca in cuts_of(inst, range(conn, min(7, inst.n - 2) + 1)):
             audit = audit_cut_lemmas(ca, connectivity=conn)
             assert "fail" not in audit.values(), (sorted(ca.S), audit)
 
 
 def test_nonminimal_cut_tolerated(inst10):
     # non-minimal 7-cuts may classify as "other" without contradiction
-    cuts = enumerate_cuts(inst10, (7,))
+    cuts = cuts_of(inst10, (7,))
     assert any(not ca.is_minimal for ca in cuts)
     for ca in cuts:
         if not ca.is_minimal:
@@ -181,7 +224,7 @@ def test_minimality_matches_subset_oracle(corpus_n12):
     # component rule agrees with testing every proper subset
     cuts = nonminimal = 0
     for inst in corpus_n12:
-        for ca in enumerate_cuts(inst, range(vertex_connectivity(inst), 8)):
+        for ca in cuts_of(inst, range(vertex_connectivity(inst), 8)):
             assert ca.is_minimal == is_minimal_cut_bruteforce(inst, ca.S)
             cuts += 1
             nonminimal += not ca.is_minimal
@@ -197,7 +240,7 @@ def _fields(ca):
 
 
 def _assert_cuts_match_subset_scan(inst):
-    got = [_fields(ca) for ca in enumerate_cuts(inst, range(1, 8))]
+    got = [_fields(ca) for ca in cuts_of(inst, range(1, 8))]
     assert got == [_fields(ca) for k in range(1, 8)
                    for ca in enumerate_cuts_by_subsets(inst, k)]
 
@@ -226,7 +269,7 @@ def test_minimal_separators_pair_with_oracles(corpus_n12, instances10):
             s.bit_count() for s in seps)
         small = {frozenset(v for v in range(inst.n) if (s >> v) & 1)
                  for s in seps if s.bit_count() <= 7}
-        marked = {frozenset(ca.S) for ca in enumerate_cuts(inst, range(1, 8))
+        marked = {frozenset(ca.S) for ca in cuts_of(inst, range(1, 8))
                   if ca.is_minimal}
         assert small == marked
 
@@ -251,7 +294,7 @@ def _audited_cuts(insts):
     """(instance, connectivity, cut) for every cut the audit enumerates."""
     for inst in insts:
         conn = vertex_connectivity(inst)
-        for ca in enumerate_cuts(inst, range(conn, min(7, inst.n - 2) + 1)):
+        for ca in cuts_of(inst, range(conn, min(7, inst.n - 2) + 1)):
             yield inst, conn, ca
 
 

@@ -452,7 +452,8 @@ def test_patched_split_matches_list_split(corpus10):
     # darts.  On an insertion, the root test growth makes before patching
     # decides as the product's least degree pair does, and where the half
     # is a root, the darts growth seeks among the product's degree-2
-    # vertices alone are that pair
+    # vertices alone are that pair, also when read off at the far degree
+    # the root test gives
     products = shared = 0
     roots = {False: 0, True: 0}
     for n in range(4, 10):
@@ -485,14 +486,19 @@ def test_patched_split_matches_list_split(corpus10):
                 halves = _halves(srs, *split)
                 if halves:
                     root = any(dv[d] in halves for d in least)
-                    assert _half_is_root(parent[5], twos, v, x, y) == root
+                    far = _half_is_root(parent[5], twos, v, x, y)
+                    assert bool(far) == root
                     roots[root] += 1
                     if root:
+                        assert far == deg[dv[least[0] ^ 1]]
                         candidates = _insertion_twos(twos, halves, v, x, y)
                         assert sorted(candidates) == \
                             [w for w, k in enumerate(deg) if k == 2]
-                        assert sorted(generator._least_pair(
-                            dv, nxt, deg, lead, candidates)) == sorted(least)
+                        darts = generator._least_pair(dv, nxt, deg, lead,
+                                                      candidates)
+                        assert sorted(darts) == sorted(least)
+                        assert generator._least_pair(
+                            dv, nxt, deg, lead, candidates, far) == darts
     assert products == 16_301
     assert shared == 93_992         # n - 3 lists for each split at order n
     assert roots == {False: 4196, True: 5619}

@@ -26,13 +26,20 @@ from o1ppg.oracles import (is_extendable_bruteforce, k_extendability_in_order,
 from o1ppg.surface import EmbeddedGraph
 from o1ppg.verify import AuditConfig, audit_instance
 
+
+def _pm_bit(table, mask):
+    """The table's packed bit for ``mask``: 1 iff it induces a perfect
+    matching."""
+    return table.perfect[mask >> 3] >> (mask & 7) & 1
+
+
 def _assert_table(n, table, *references):
     """The table's verdict on every even mask is that of each of
     ``references``, and its odd masks read 0; returns the verdicts that
     occurred."""
     seen = set()
     for mask in range(1 << n):
-        got = table.perfect[mask]
+        got = _pm_bit(table, mask)
         if mask.bit_count() % 2:
             assert not got
             continue
@@ -73,9 +80,54 @@ def test_table_agrees_on_instances(corpus_n12, instances10):
             inst.n, table, lambda mask: pm_exists_by_memo(inst.adj, mask,
                                                           memo))
         full = (1 << inst.n) - 1
-        assert table.perfect[full] == (
+        assert _pm_bit(table, full) == (
             2 * max_matching_size(inst.adj, full) == inst.n)
     assert seen == {0, 1}
+
+
+def test_table_agrees_past_desk_scale():
+    # seeded random graphs at n = 13-16: every mask a sweep reads, the
+    # complement of each covered mask for k <= 3, against the top-down
+    # memo search, and each count against the k-edge subsets that are
+    # matchings; at n = PM_TABLE_MAX_N the full mask against the
+    # maximum-matching DP, on a graph with a perfect matching and one
+    # without
+    rng = random.Random(2024)
+    read = set()
+    for n in range(13, 17):
+        edges = [(u, v) for u, v in combinations(range(n), 2)
+                 if rng.random() < 0.3]
+        adj = adjacency_masks(n, edges)
+        table = perfect_matching_table(n, adj)
+        full, memo = (1 << n) - 1, {0: True}
+        bits = [(1 << u) | (1 << v) for u, v in edges]
+        for k in range(matching.SWEEP_K_MAX + 1):
+            counts = {}
+            for combo in combinations(bits, k):
+                mask = 0
+                for b in combo:
+                    mask |= b
+                if mask.bit_count() == 2 * k:
+                    counts[mask] = counts.get(mask, 0) + 1
+            assert table.covered[k] == counts, (n, k)
+            for vm in counts:
+                got = _pm_bit(table, full ^ vm)
+                assert got == pm_exists_by_memo(adj, full ^ vm, memo)
+                read.add((n % 2, got))
+    # even orders read both verdicts, odd ones only odd complements
+    assert read == {(0, 0), (0, 1), (1, 0)}
+    n = matching.PM_TABLE_MAX_N
+    full = (1 << n) - 1
+    verdicts = set()
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        adj = adjacency_masks(n, [(u, v) for u, v in
+                                  combinations(range(n), 2)
+                                  if rng.random() < 0.2])
+        got = _pm_bit(perfect_matching_table(n, adj), full)
+        assert got == (2 * max_matching_size(adj, full) == n)
+        verdicts.add(got)
+    assert verdicts == {0, 1}
 
 
 def test_matching_masks_match_combinations(corpus_n12, instances10):

@@ -185,25 +185,26 @@ def test_two_extendability_swept_once_per_audit(inst10, monkeypatch):
     assert calls == [2]
 
 
-def test_connectivity_flow_runs_only_when_read(corpus_n12_dir, inst10,
-                                               monkeypatch, capsys):
-    # analyze --checks extend2 prints no connectivity, so it runs no flow;
-    # a full audit reads the connectivity many times and runs one
+def test_separator_search_runs_only_when_read(corpus_n12_dir, inst10,
+                                              monkeypatch, capsys):
+    # analyze --checks extend2 prints no connectivity and no cut, so it
+    # searches no separators; a full audit reads the connectivity and the
+    # cuts many times, both off one search
     calls = []
-    flow = verify.vertex_connectivity
+    search = verify.minimal_separators
 
-    def counted(inst, cap):
-        calls.append(cap)
-        return flow(inst, cap)
+    def counted(inst):
+        calls.append(inst)
+        return search(inst)
 
-    monkeypatch.setattr(verify, "vertex_connectivity", counted)
+    monkeypatch.setattr(verify, "minimal_separators", counted)
     path = corpus_n12_dir / "q10" / "i01.srs"
     assert main(["analyze", "--in", str(path), "--checks", "extend2"]) == 0
     assert capsys.readouterr().out == "check=extend2 result=true\n"
     assert calls == []
     results = audit_instance(inst10, AuditConfig())
     assert all(r.verdict != "fail" for r in results)
-    assert calls == [8]
+    assert calls == [inst10]
 
 
 def _five_connected(corpus_n12):
@@ -247,13 +248,13 @@ def test_audit_tests_perfect_matchings_only_in_sweeps(corpus_n12,
     sweep_code = matching.matching_sweep.__code__
     inside = []
 
-    class Recorded(bytearray):
-        def __getitem__(self, mask):
+    class Recorded(bytes):
+        def __getitem__(self, index):
             frame = sys._getframe(1)
             while frame is not None and frame.f_code is not sweep_code:
                 frame = frame.f_back
             inside.append(frame is not None)
-            return bytearray.__getitem__(self, mask)
+            return bytes.__getitem__(self, index)
 
     def recorded(n, adj):
         table = matching.perfect_matching_table(n, adj)
@@ -424,8 +425,9 @@ def test_corpus_n12_report_matches_golden(corpus_n12_dir, tmp_path,
 def test_audit_digest_reads_the_golden_report(corpus_n12_dir):
     # scripts/audit_digest.py audits the corpus as o1ppg verify does, so
     # its sha256 is the golden file's; its counts are those of the audit,
-    # one perfect-matching table per even instance, and the cycles of every
-    # module that calls the cycle search
+    # not of loading the corpus: one perfect-matching table per even
+    # instance, the cycles of every module that calls the cycle search, one
+    # separator search per instance and one flow per spanning triangulation
     sha, seconds, counts = _script("audit_digest").audit_digest(
         corpus_n12_dir)
     assert sha == hashlib.sha256(GOLDEN_N12.read_bytes()).hexdigest()
@@ -433,4 +435,5 @@ def test_audit_digest_reads_the_golden_report(corpus_n12_dir):
     assert counts == {"pm_tables": 10, "hamiltonian_searches": 191,
                       "pattern_maps_tried": 134, "pattern_maps_accepted": 64,
                       "boundary_traces": 2, "cycles_enumerated": 4064,
-                      "region_decompositions": 1148, "cuts": 645}
+                      "region_decompositions": 1148, "cuts": 645,
+                      "flow_calls": 10, "separator_searches": 16}
